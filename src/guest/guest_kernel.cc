@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace squeezy {
 
@@ -124,12 +125,11 @@ void GuestKernel::OomKill(Pid pid) {
 
 // --- Fault paths -----------------------------------------------------------------
 
-DurationNs GuestKernel::PopulateHostBacking(Pfn head, uint32_t pages, TimeNs now) {
+uint64_t GuestKernel::MarkHostBacking(Pfn head, uint32_t pages, uint64_t* new_pages) {
   const uint32_t granule_pages = static_cast<uint32_t>(cost().host_thp_bytes / kPageSize);
   const Pfn first_granule = head / granule_pages;
   const Pfn last_granule = (head + pages - 1) / granule_pages;
   uint64_t extents = 0;
-  uint64_t new_pages = 0;
   for (Pfn g = first_granule; g <= last_granule; ++g) {
     const Pfn start = g * granule_pages;
     bool any_new = false;
@@ -139,13 +139,19 @@ DurationNs GuestKernel::PopulateHostBacking(Pfn head, uint32_t pages, TimeNs now
         // Host THP backs the whole aligned granule on first touch.
         p.host_populated = true;
         any_new = true;
-        ++new_pages;
+        ++*new_pages;
       }
     }
     if (any_new) {
       ++extents;
     }
   }
+  return extents;
+}
+
+DurationNs GuestKernel::PopulateHostBacking(Pfn head, uint32_t pages, TimeNs now) {
+  uint64_t new_pages = 0;
+  const uint64_t extents = MarkHostBacking(head, pages, &new_pages);
   if (extents == 0) {
     return 0;
   }
@@ -228,6 +234,18 @@ TouchResult GuestKernel::TouchFile(Pid pid, int32_t file_id, uint64_t bytes, Tim
   const DurationNs miss_read =
       backing_x1000 < 0 ? cost().IoBytes(kPageSize)
                         : backing_x1000 * static_cast<DurationNs>(kPageSize) / 1000;
+  // Each first-touched granule is its own nested fault at `now`; the
+  // hypervisor books them all in one call, charge for charge.
+  uint64_t faults = 0;
+  uint64_t fault_pages = 0;
+  auto charge_faults = [&] {
+    if (faults > 0) {
+      const DurationNs nested =
+          hv_->NestedFaultPopulateBatch(vm_, faults, PagesToBytes(fault_pages), now);
+      result.nested += nested;
+      result.latency += nested;
+    }
+  };
   for (uint64_t idx = 0; idx < pages; ++idx) {
     if (page_cache_.Cached(file_id, idx)) {
       result.latency += cost().fault_page;
@@ -240,6 +258,7 @@ TouchResult GuestKernel::TouchFile(Pid pid, int32_t file_id, uint64_t bytes, Tim
       pfn = zone->Alloc(0, PageKind::kFile, file_id, static_cast<uint32_t>(idx));
     }
     if (pfn == kInvalidPfn) {
+      charge_faults();
       OomKill(pid);
       result.oom = true;
       return result;
@@ -251,10 +270,9 @@ TouchResult GuestKernel::TouchFile(Pid pid, int32_t file_id, uint64_t bytes, Tim
     } else {
       page_cache_.CountRemoteRead(file_id, kPageSize);
     }
-    const DurationNs nested = PopulateHostBacking(pfn, 1, now);
-    result.nested += nested;
-    result.latency += nested;
+    faults += MarkHostBacking(pfn, 1, &fault_pages);
   }
+  charge_faults();
   result.bytes = PagesToBytes(pages);
   return result;
 }
@@ -425,11 +443,12 @@ BalloonOutcome GuestKernel::BalloonReclaim(uint64_t bytes, TimeNs now) {
 
 void GuestKernel::WarmAllHostBacking(TimeNs now) {
   uint64_t new_pages = 0;
+  const MemMap& view = *memmap_;
   for (BlockIndex b = 0; b < memmap_->block_count(); ++b) {
-    if (!memmap_->BlockMaterialized(b)) {
-      continue;  // Nothing but default holes: no backing to warm.
-    }
     const Pfn start = MemMap::BlockStart(b);
+    if (!memmap_->BlockMaterialized(b) && view.page(start).state == PageState::kHole) {
+      continue;  // A uniform hole: no backing to warm.
+    }
     for (Pfn pfn = start; pfn < start + kPagesPerBlock; ++pfn) {
       Page& p = memmap_->page(pfn);
       if (p.state != PageState::kHole && !p.host_populated) {
@@ -539,7 +558,7 @@ Zone* GuestKernel::BlockZone(BlockIndex b) {
   if (override_hooks_ != nullptr) {
     return override_hooks_->BlockZone(b);
   }
-  const Page& first = memmap_->page(MemMap::BlockStart(b));
+  const Page& first = std::as_const(*memmap_).page(MemMap::BlockStart(b));
   assert(first.zone_id >= 0);
   return zones_[static_cast<size_t>(first.zone_id)].get();
 }

@@ -202,6 +202,10 @@ class GuestKernel : public OwnerRegistry, public VirtioMemHooks {
   // Backs [head, head+pages) with host memory where missing; returns the
   // nested-fault latency (one exit per host-THP granule).
   DurationNs PopulateHostBacking(Pfn head, uint32_t pages, TimeNs now);
+  // The guest half of PopulateHostBacking: flags the host-THP granules over
+  // [head, head+pages) as backed and returns how many were newly backed
+  // (one exit each); `new_pages` grows by the frames they add.
+  uint64_t MarkHostBacking(Pfn head, uint32_t pages, uint64_t* new_pages);
   void OomKill(Pid pid);
 
   GuestConfig config_;

@@ -13,18 +13,19 @@ VmId Hypervisor::RegisterVm(const std::string& name, uint32_t vcpus) {
   VmStats s;
   s.name = name;
   s.vcpus = vcpus;
+  s.vmm_thread = "vmm/" + name;
   vms_.push_back(std::move(s));
   return static_cast<VmId>(vms_.size()) - 1;
 }
 
-void Hypervisor::ChargeHostThread(VmId vm, TimeNs now, DurationNs busy) {
+void Hypervisor::ChargeHostThread(VmId vm, TimeNs now, DurationNs busy, int64_t count) {
   if (cpu_ != nullptr) {
-    cpu_->AddBusy("vmm/" + vms_[static_cast<size_t>(vm)].name, now, busy);
+    cpu_->AddBusy(vms_[static_cast<size_t>(vm)].vmm_thread, now, busy, count);
   }
 }
 
-DurationNs Hypervisor::NestedFaultPopulate(VmId vm, uint64_t extents, uint64_t bytes,
-                                           TimeNs now) {
+DurationNs Hypervisor::RecordNestedFaults(VmId vm, uint64_t extents, uint64_t bytes,
+                                          TimeNs now) {
   VmStats& s = vms_[static_cast<size_t>(vm)];
   const DurationNs latency = cost_->nested_fault_exit * static_cast<int64_t>(extents);
   s.nested_faults += extents;
@@ -32,7 +33,20 @@ DurationNs Hypervisor::NestedFaultPopulate(VmId vm, uint64_t extents, uint64_t b
   s.exit_time += latency;
   s.populated_bytes += bytes;
   host_->Populate(bytes, now);
+  return latency;
+}
+
+DurationNs Hypervisor::NestedFaultPopulate(VmId vm, uint64_t extents, uint64_t bytes,
+                                           TimeNs now) {
+  const DurationNs latency = RecordNestedFaults(vm, extents, bytes, now);
   ChargeHostThread(vm, now, latency);
+  return latency;
+}
+
+DurationNs Hypervisor::NestedFaultPopulateBatch(VmId vm, uint64_t faults, uint64_t bytes,
+                                                TimeNs now) {
+  const DurationNs latency = RecordNestedFaults(vm, faults, bytes, now);
+  ChargeHostThread(vm, now, cost_->nested_fault_exit, static_cast<int64_t>(faults));
   return latency;
 }
 

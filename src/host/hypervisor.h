@@ -22,6 +22,7 @@ using VmId = int32_t;
 
 struct VmStats {
   std::string name;
+  std::string vmm_thread;  // CPU-accountant thread name, "vmm/<name>".
   uint32_t vcpus = 0;
   uint64_t nested_faults = 0;
   uint64_t exits = 0;
@@ -43,6 +44,14 @@ class Hypervisor {
   // guest vCPU.
   DurationNs NestedFaultPopulate(VmId vm, uint64_t extents, uint64_t bytes, TimeNs now);
 
+  // `faults` single-extent nested faults taken back to back at `now` (one
+  // pass of the guest fault handler), backing `bytes` in total.  Charges
+  // exactly what `faults` NestedFaultPopulate(vm, 1, ..., now) calls would
+  // — each exit its own CPU charge starting at `now`, so none spills into
+  // a later window — and returns their summed latency.
+  DurationNs NestedFaultPopulateBatch(VmId vm, uint64_t faults, uint64_t bytes,
+                                      TimeNs now);
+
   // Host acknowledgement of one unplugged 128 MiB block: VM exit +
   // madvise(MADV_DONTNEED) of the populated span.
   DurationNs AckUnplugBlock(VmId vm, uint64_t populated_bytes, TimeNs now);
@@ -63,7 +72,11 @@ class Hypervisor {
   const CostModel& cost() const { return *cost_; }
 
  private:
-  void ChargeHostThread(VmId vm, TimeNs now, DurationNs busy);
+  // Books the exits and host population of `extents` nested faults;
+  // returns their latency.
+  DurationNs RecordNestedFaults(VmId vm, uint64_t extents, uint64_t bytes, TimeNs now);
+  // `count` back-to-back charges of `busy` on the VM's VMM thread.
+  void ChargeHostThread(VmId vm, TimeNs now, DurationNs busy, int64_t count = 1);
 
   HostMemory* host_;
   const CostModel* cost_;

@@ -85,17 +85,8 @@ OfflineResult HotplugManager::OfflineBlock(BlockIndex b, Zone* zone, Zone* migra
 DurationNs HotplugManager::HotRemoveBlock(BlockIndex b, UnplugBreakdown* breakdown, TimeNs now) {
   assert(memmap_->block_state(b) == BlockState::kOffline);
 
-  // Count and clear host backing: the hypervisor madvises it away.
-  const Pfn start = MemMap::BlockStart(b);
-  uint64_t populated = 0;
-  for (Pfn pfn = start; pfn < start + kPagesPerBlock; ++pfn) {
-    Page& p = memmap_->page(pfn);
-    if (p.host_populated) {
-      ++populated;
-      p.host_populated = false;
-    }
-  }
-  memmap_->TeardownBlock(b);
+  // Tear down the memmap; the hypervisor madvises the host backing away.
+  const uint64_t populated = memmap_->RemoveBlock(b);
   ++blocks_removed_;
 
   const DurationNs host_side = hv_->AckUnplugBlock(vm_, PagesToBytes(populated), now);

@@ -1,6 +1,7 @@
 #include "src/mm/memmap.h"
 
 #include <cassert>
+#include <memory>
 
 namespace squeezy {
 
@@ -10,72 +11,86 @@ MemMap::MemMap(uint64_t span_bytes) {
   assert(blocks * kPagesPerBlock < kInvalidPfn);
   span_pages_ = blocks * kPagesPerBlock;
   chunks_.resize(blocks);
+  uniform_.resize(blocks);  // Page{} is the hole template.
+  max_links_.resize(span_pages_ >> kMaxPageOrder);
   blocks_.assign(blocks, BlockState::kAbsent);
   allocated_per_block_.assign(blocks, 0);
 }
 
-const Page& MemMap::HolePage() {
-  // Never written: const page() hands it out for absent chunks only, and
-  // every mutable access goes through the materializing overload.
-  static const Page kHole{};
-  return kHole;
+void MemMap::ChunkDeleter::operator()(Page* chunk) const {
+  std::allocator<Page>().deallocate(chunk, kPagesPerBlock);
+}
+
+void MemMap::SetUniform(BlockIndex b, PageState state, int16_t zone_id) {
+  assert(chunks_[b] == nullptr);
+  assert(state != PageState::kAllocated && "allocated pages always have a chunk");
+  assert((zone_id >= 0) == (state == PageState::kFree || state == PageState::kIsolated));
+  Page tail;  // No kind, owner, host backing or links.
+  tail.state = state;
+  tail.zone_id = zone_id;
+  Page head = tail;
+  if (state == PageState::kFree) {
+    // Whole max-order chunks, stamped as Zone::StampFreeChunk writes them.
+    tail.order = kMaxPageOrder;
+    head.order = kMaxPageOrder;
+    head.head = true;
+  }
+  uniform_[b] = {head, tail};
 }
 
 Page* MemMap::Materialize(BlockIndex b) {
   assert(chunks_[b] == nullptr);
-  // Value-initialization: every page starts as Page{} — state kHole,
-  // nothing populated — exactly the flat array's initial state.
-  chunks_[b] = std::make_unique<Page[]>(kPagesPerBlock);
+  // One fill pass from the template into raw storage, then the max-order
+  // heads (a no-op rewrite of equal pages unless the block is kFree).
+  const UniformPages& u = uniform_[b];
+  Page* chunk = std::allocator<Page>().allocate(kPagesPerBlock);
+  std::uninitialized_fill_n(chunk, kPagesPerBlock, u.tail);
+  for (uint32_t i = 0; i < kPagesPerBlock; i += 1u << kMaxPageOrder) {
+    chunk[i] = u.head;
+  }
+  chunks_[b].reset(chunk);
   ++materialized_;
   materialized_peak_ = materialized_ > materialized_peak_ ? materialized_ : materialized_peak_;
-  return chunks_[b].get();
+  return chunk;
 }
 
-void MemMap::InitBlock(BlockIndex b) {
-  assert(blocks_[b] == BlockState::kAbsent);
-  Page* chunk = chunks_[b] != nullptr ? chunks_[b].get() : Materialize(b);
-  for (uint32_t i = 0; i < kPagesPerBlock; ++i) {
-    Page& p = chunk[i];
-    assert(p.state == PageState::kHole);
-    p = Page{};
-    p.state = PageState::kOffline;
-  }
-  blocks_[b] = BlockState::kPresent;
-}
-
-void MemMap::TeardownBlock(BlockIndex b) {
-  assert(blocks_[b] == BlockState::kOffline || blocks_[b] == BlockState::kPresent);
-  // A block in either state went through InitBlock, so its chunk exists.
-  Page* chunk = chunks_[b].get();
-  assert(chunk != nullptr);
-  bool any_populated = false;
-  for (uint32_t i = 0; i < kPagesPerBlock; ++i) {
-    Page& p = chunk[i];
-    assert(p.state == PageState::kOffline);
-    // Host population survives guest-side teardown only conceptually; the
-    // hypervisor clears it via madvise when it reclaims the range.
-    const bool populated = p.host_populated;
-    p = Page{};
-    p.state = PageState::kHole;
-    p.host_populated = populated;
-    any_populated = any_populated || populated;
-  }
-  blocks_[b] = BlockState::kAbsent;
-  if (!any_populated) {
-    // Every page is back to the default-hole state the const accessor
-    // synthesizes — drop the chunk and return its sim memory (the
-    // hypervisor's HotRemoveBlock clears host_populated before tearing
-    // down, so real unplugs always take this path).
+void MemMap::ReleaseChunk(BlockIndex b) {
+  if (chunks_[b] != nullptr) {
     chunks_[b].reset();
     --materialized_;
   }
 }
 
+void MemMap::InitBlock(BlockIndex b) {
+  assert(blocks_[b] == BlockState::kAbsent);
+  // Every page becomes a fresh offline page, so a chunk that mutable reads
+  // of the hole materialized is simply dropped.
+  ReleaseChunk(b);
+  SetUniform(b, PageState::kOffline);
+  blocks_[b] = BlockState::kPresent;
+}
+
+uint64_t MemMap::RemoveBlock(BlockIndex b) {
+  assert(blocks_[b] == BlockState::kOffline || blocks_[b] == BlockState::kPresent);
+  uint64_t populated = 0;
+  if (const Page* chunk = chunks_[b].get()) {
+    for (uint32_t i = 0; i < kPagesPerBlock; ++i) {
+      assert(chunk[i].state == PageState::kOffline);
+      populated += chunk[i].host_populated ? 1 : 0;
+    }
+    ReleaseChunk(b);
+  } else {
+    assert(uniform_[b].tail.state == PageState::kOffline);
+  }
+  SetUniform(b, PageState::kHole);
+  blocks_[b] = BlockState::kAbsent;
+  return populated;
+}
+
 uint64_t MemMap::CountBlockPages(BlockIndex b, PageState state) const {
   const Page* chunk = chunks_[b].get();
   if (chunk == nullptr) {
-    // Unmaterialized: kPagesPerBlock default holes.
-    return state == PageState::kHole ? kPagesPerBlock : 0;
+    return uniform_[b].tail.state == state ? kPagesPerBlock : 0;
   }
   uint64_t n = 0;
   for (uint32_t i = 0; i < kPagesPerBlock; ++i) {
@@ -90,8 +105,7 @@ Pfn MemMap::FolioHead(Pfn pfn) const {
   // Walk down to the aligned head: heads are naturally aligned, so clear
   // low bits until we find the flagged head page.  (Folios never span
   // blocks — kMaxPageOrder < log2(kPagesPerBlock) — so all candidates hit
-  // the same chunk; on an absent chunk every candidate reads as an
-  // unflagged hole and the walk asserts, same as the flat array.)
+  // the same block.)
   for (uint8_t order = 0; order <= kMaxPageOrder; ++order) {
     const Pfn candidate = pfn & ~((1u << order) - 1);
     if (page(candidate).head) {

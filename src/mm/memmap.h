@@ -2,26 +2,37 @@
 // guest physical span plus the hotplug memory-block state machine (Linux
 // adds and removes memory in 128 MiB blocks on x86).
 //
-// Extent representation: the per-page array is materialized LAZILY, one
-// 128 MiB-block chunk at a time, only where pages are actually touched.
-// A serverless guest's span is dominated by the hotplug region sized for
-// peak concurrency — mostly permanent holes at paper footprints — and the
-// flat array made that slack the dominant per-host sim RSS (~205 MiB/host
-// at paper sizes, the reason the fig12 shard sweep had to shrink
-// functions).  Unmaterialized chunks read as default pages (kHole,
-// nothing populated) through the const accessor; the first write
-// materializes the chunk (value-initialized, so reads-before-writes see
-// exactly the flat array's initial state).  Hot-remove frees a chunk
-// again once no host-populated flag survives the teardown, so a VM that
-// plugged high and unplugged returns the sim memory too.  Every state
-// transition is bit-identical to the flat representation — only RSS
-// changes.
+// Uniform blocks.  Squeezy plugs and reclaims partitions whole (paper
+// §3-4), so a hot-plugged block often comes and goes without the guest
+// ever allocating from it.  Such a block keeps no per-page array: it is
+// *uniform*, and every one of its pages reads as the block's template in
+// one of four states —
+//   kHole      nothing behind the block (never added, or removed);
+//   kOffline   hot-added but in no zone (InitBlock, Zone::RetireRange);
+//   kFree      online in zone Z as 32 free max-order (4 MiB) chunks;
+//   kIsolated  offlining: all of it pulled out of zone Z's free lists.
+// The const accessor synthesizes a uniform block's pages from that
+// template (a max-order head every 1024 pages in kFree).  The first
+// mutable touch — in practice the first Zone::Alloc inside the block —
+// materializes a 128 MiB-block chunk of Pages in one fill pass, and the
+// block stays materialized until RemoveBlock frees the chunk.  So hot-add,
+// online, isolate, retire and hot-remove of an untouched block cost O(1)
+// or O(32 max-order heads) instead of O(32768 pages).
 //
-// Reference stability: `page()` references are invalidated by
-// TeardownBlock of that page's block (chunk free), unlike the flat array
-// where they stayed valid-but-kHole.  All existing call sites hold Page&
-// only within one operation on an online/offline block, never across a
-// teardown.
+// Max-order free-list links live here, one {next, prev} pair per 1024-page
+// slot (8 B per 4 MiB), not in Page: that is what lets a whole-free block
+// sit on its zone's free lists with no per-page storage.  Smaller orders
+// keep their links in the head Page.
+//
+// Every transition reads back exactly as a fully materialized map would;
+// only host time and sim RSS change (tests/property_test.cc replays random
+// scripts against a map forced to materialize after every step).
+//
+// Reference stability: `page()` references are invalidated by InitBlock
+// and RemoveBlock of that page's block (chunk free), and a const reference
+// into a uniform block points at its template, so it does not see writes
+// made after the block materializes.  Call sites read through a reference
+// before writing the page, within one operation.
 #ifndef SQUEEZY_MM_MEMMAP_H_
 #define SQUEEZY_MM_MEMMAP_H_
 
@@ -47,7 +58,7 @@ enum class BlockState : uint8_t {
 class MemMap {
  public:
   // Creates the map for a guest span of `span_bytes` (rounded up to whole
-  // 128 MiB blocks).  All blocks start kAbsent with no chunk materialized.
+  // 128 MiB blocks).  All blocks start kAbsent, uniform holes.
   explicit MemMap(uint64_t span_bytes);
 
   MemMap(const MemMap&) = delete;
@@ -56,9 +67,8 @@ class MemMap {
   uint64_t span_pages() const { return span_pages_; }
   uint32_t block_count() const { return static_cast<uint32_t>(blocks_.size()); }
 
-  // Mutable access materializes the page's chunk on first touch (fresh
-  // pages are value-initialized: kHole, nothing populated — the flat
-  // array's initial state).
+  // Mutable access materializes the page's block from its uniform template
+  // on first touch.
   Page& page(Pfn pfn) {
     const BlockIndex b = BlockOf(pfn);
     Page* chunk = chunks_[b].get();
@@ -67,17 +77,29 @@ class MemMap {
     }
     return chunk[pfn - BlockStart(b)];
   }
-  // Const access never materializes: an absent chunk reads as the
-  // default (hole) page.
+  // Const access never materializes: a uniform block's page is read from
+  // the block's template.
   const Page& page(Pfn pfn) const {
-    const Page* chunk = chunks_[BlockOf(pfn)].get();
-    return chunk != nullptr ? chunk[pfn - BlockStart(BlockOf(pfn))] : HolePage();
+    const BlockIndex b = BlockOf(pfn);
+    const Page* chunk = chunks_[b].get();
+    if (chunk != nullptr) {
+      return chunk[pfn - BlockStart(b)];
+    }
+    const bool head = (pfn & ((1u << kMaxPageOrder) - 1)) == 0;
+    return head ? uniform_[b].head : uniform_[b].tail;
   }
 
-  // Whether block b's per-page chunk is currently backed by sim memory.
-  // Full-span walkers skip unmaterialized blocks — every page there is a
-  // default hole.
+  // Whether block b holds a per-page chunk.  An unmaterialized block is
+  // uniform: page() const reads its template.
   bool BlockMaterialized(BlockIndex b) const { return chunks_[b] != nullptr; }
+
+  // Moves an unmaterialized block to another uniform state.  `zone_id` owns
+  // the kFree/kIsolated states; kHole/kOffline pages belong to no zone.
+  void SetUniform(BlockIndex b, PageState state, int16_t zone_id = -1);
+
+  // Free-list links of the max-order chunk headed at `head`.
+  FreeLink& max_link(Pfn head) { return max_links_[head >> kMaxPageOrder]; }
+  const FreeLink& max_link(Pfn head) const { return max_links_[head >> kMaxPageOrder]; }
 
   BlockState block_state(BlockIndex b) const { return blocks_[b]; }
   void set_block_state(BlockIndex b, BlockState s) { blocks_[b] = s; }
@@ -85,16 +107,16 @@ class MemMap {
   static BlockIndex BlockOf(Pfn pfn) { return pfn / kPagesPerBlock; }
   static Pfn BlockStart(BlockIndex b) { return b * kPagesPerBlock; }
 
-  // Hot-add: initialize the block's memmap entries (kHole -> kOffline).
+  // Hot-add: the block becomes uniformly offline (kHole -> kOffline).  O(1).
   void InitBlock(BlockIndex b);
-  // Hot-remove: tear down memmap entries (-> kHole).  Requires every page
-  // to be kOffline.  Frees the chunk when no host_populated flag survives
-  // (the hypervisor's HotRemoveBlock clears them before tearing down, so
-  // real unplugs return the chunk's sim memory).
-  void TeardownBlock(BlockIndex b);
+  // Hot-remove: tears the block down to a uniform hole and frees its chunk.
+  // Requires every page to be kOffline.  Returns how many pages were
+  // host-populated — the span the hypervisor releases; an unmaterialized
+  // block has none.  One read pass over a materialized block, O(1) else.
+  uint64_t RemoveBlock(BlockIndex b);
 
-  // Number of pages in the block with the given state (O(block) scan; the
-  // tests use it to cross-check the incremental counter below).
+  // Number of pages in the block with the given state (O(block) scan on a
+  // materialized block; the tests use it to cross-check the counter below).
   uint64_t CountBlockPages(BlockIndex b, PageState state) const;
 
   // Incrementally maintained count of allocated pages per block, updated
@@ -119,15 +141,26 @@ class MemMap {
   uint64_t materialized_peak_bytes() const { return materialized_peak_ * ChunkBytes(); }
 
  private:
-  // The shared read-only target const page() resolves absent chunks to.
-  static const Page& HolePage();
+  // What every page of an unmaterialized block reads as: `head` at each
+  // max-order boundary, `tail` elsewhere (equal unless kFree).
+  struct UniformPages {
+    Page head;
+    Page tail;
+  };
+  // Chunks are filled from the template straight into raw storage, so
+  // they are released without running Page destructors (Page is trivial).
+  struct ChunkDeleter {
+    void operator()(Page* chunk) const;
+  };
 
   Page* Materialize(BlockIndex b);
+  void ReleaseChunk(BlockIndex b);
 
   uint64_t span_pages_ = 0;
-  // One value-initialized Page[kPagesPerBlock] chunk per 128 MiB block,
-  // null until first mutable touch.
-  std::vector<std::unique_ptr<Page[]>> chunks_;
+  // One Page[kPagesPerBlock] chunk per 128 MiB block, null while uniform.
+  std::vector<std::unique_ptr<Page[], ChunkDeleter>> chunks_;
+  std::vector<UniformPages> uniform_;
+  std::vector<FreeLink> max_links_;  // One per max-order slot of the span.
   std::vector<BlockState> blocks_;
   std::vector<uint32_t> allocated_per_block_;
   uint32_t materialized_ = 0;

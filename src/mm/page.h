@@ -4,7 +4,8 @@
 // folios (compound pages): an order-N folio covers 2^N contiguous,
 // naturally aligned frames; only the head carries ownership metadata.
 // Free buddy chunks use the same head/tail scheme plus an intrusive
-// doubly-linked free list threaded through the heads.
+// doubly-linked free list threaded through the heads (max-order heads link
+// through a MemMap side table instead; see memmap.h).
 #ifndef SQUEEZY_MM_PAGE_H_
 #define SQUEEZY_MM_PAGE_H_
 
@@ -34,6 +35,12 @@ enum class PageKind : uint8_t {
   kKernel,  // Kernel/pinned allocation (unmovable), incl. balloon-held pages.
 };
 
+// Buddy free-list linkage of one free chunk head.
+struct FreeLink {
+  Pfn next = kInvalidPfn;
+  Pfn prev = kInvalidPfn;
+};
+
 struct Page {
   PageState state = PageState::kHole;
   PageKind kind = PageKind::kNone;
@@ -44,8 +51,8 @@ struct Page {
   int32_t owner = kNoOwner;    // Anon: pid.  File: file id.  (heads only)
   uint32_t owner_slot = 0;     // Anon: index in the owner's folio table.
                                // File: page index within the file.
-  Pfn next_free = kInvalidPfn; // Buddy free-list linkage (free heads only).
-  Pfn prev_free = kInvalidPfn;
+  FreeLink free;               // Free-list linkage (free heads below max order
+                               // only; max-order links live in MemMap).
 };
 
 struct FolioRef {

@@ -26,13 +26,32 @@ Zone::Zone(int16_t id, ZoneType type, std::string name, MemMap* memmap, Rng* shu
   assert(memmap_ != nullptr);
 }
 
+FreeLink& Zone::Link(uint8_t order, Pfn pfn) {
+  return order == kMaxPageOrder ? memmap_->max_link(pfn) : memmap_->page(pfn).free;
+}
+
+const FreeLink& Zone::Link(uint8_t order, Pfn pfn) const {
+  const MemMap& view = *memmap_;
+  return order == kMaxPageOrder ? view.max_link(pfn) : view.page(pfn).free;
+}
+
+bool Zone::UniformBlockAt(Pfn pfn, Pfn end, PageState state) const {
+  if (pfn % kPagesPerBlock != 0 || end - pfn < kPagesPerBlock ||
+      memmap_->BlockMaterialized(MemMap::BlockOf(pfn))) {
+    return false;
+  }
+  const Page& p = std::as_const(*memmap_).page(pfn);
+  assert(p.state != state || state == PageState::kOffline || p.zone_id == id_);
+  return p.state == state;
+}
+
 void Zone::ListPushFront(uint8_t order, Pfn pfn) {
   FreeArea& area = areas_[order];
-  Page& p = memmap_->page(pfn);
-  p.prev_free = kInvalidPfn;
-  p.next_free = area.head;
+  FreeLink& link = Link(order, pfn);
+  link.prev = kInvalidPfn;
+  link.next = area.head;
   if (area.head != kInvalidPfn) {
-    memmap_->page(area.head).prev_free = pfn;
+    Link(order, area.head).prev = pfn;
   } else {
     area.tail = pfn;
   }
@@ -42,11 +61,11 @@ void Zone::ListPushFront(uint8_t order, Pfn pfn) {
 
 void Zone::ListPushBack(uint8_t order, Pfn pfn) {
   FreeArea& area = areas_[order];
-  Page& p = memmap_->page(pfn);
-  p.next_free = kInvalidPfn;
-  p.prev_free = area.tail;
+  FreeLink& link = Link(order, pfn);
+  link.next = kInvalidPfn;
+  link.prev = area.tail;
   if (area.tail != kInvalidPfn) {
-    memmap_->page(area.tail).next_free = pfn;
+    Link(order, area.tail).next = pfn;
   } else {
     area.head = pfn;
   }
@@ -56,21 +75,20 @@ void Zone::ListPushBack(uint8_t order, Pfn pfn) {
 
 void Zone::ListRemove(uint8_t order, Pfn pfn) {
   FreeArea& area = areas_[order];
-  Page& p = memmap_->page(pfn);
-  if (p.prev_free != kInvalidPfn) {
-    memmap_->page(p.prev_free).next_free = p.next_free;
+  FreeLink& link = Link(order, pfn);
+  if (link.prev != kInvalidPfn) {
+    Link(order, link.prev).next = link.next;
   } else {
     assert(area.head == pfn);
-    area.head = p.next_free;
+    area.head = link.next;
   }
-  if (p.next_free != kInvalidPfn) {
-    memmap_->page(p.next_free).prev_free = p.prev_free;
+  if (link.next != kInvalidPfn) {
+    Link(order, link.next).prev = link.prev;
   } else {
     assert(area.tail == pfn);
-    area.tail = p.prev_free;
+    area.tail = link.prev;
   }
-  p.next_free = kInvalidPfn;
-  p.prev_free = kInvalidPfn;
+  link = FreeLink{};
   assert(area.nr_free > 0);
   --area.nr_free;
 }
@@ -101,13 +119,14 @@ void Zone::StampFreeChunk(Pfn pfn, uint8_t order) {
 
 void Zone::FreeChunk(Pfn pfn, uint8_t order, bool fresh) {
   assert((pfn & ((1u << order) - 1)) == 0 && "chunk must be naturally aligned");
+  const MemMap& view = *memmap_;
   // Coalesce with the buddy while possible.
   while (order < kMaxPageOrder) {
     const Pfn buddy = pfn ^ (1u << order);
     if (buddy >= memmap_->span_pages()) {
       break;
     }
-    const Page& bp = memmap_->page(buddy);
+    const Page& bp = view.page(buddy);
     if (bp.state != PageState::kFree || !bp.head || bp.order != order || bp.zone_id != id_) {
       break;
     }
@@ -117,6 +136,10 @@ void Zone::FreeChunk(Pfn pfn, uint8_t order, bool fresh) {
     ++order;
   }
   StampFreeChunk(pfn, order);
+  QueueFree(pfn, order, fresh);
+}
+
+void Zone::QueueFree(Pfn pfn, uint8_t order, bool fresh) {
   // Insertion policy mirrors Linux behaviour closely enough for placement
   // realism: freshly onlined memory queues at the tail (a new zone hands
   // out ascending addresses) — randomized in shuffled zones (the
@@ -134,15 +157,18 @@ void Zone::FreeChunk(Pfn pfn, uint8_t order, bool fresh) {
 }
 
 void Zone::AddFreeRange(Pfn start, uint64_t npages) {
-  // Attribute pages to this zone first.
-  for (Pfn pfn = start; pfn < start + npages; ++pfn) {
-    Page& p = memmap_->page(pfn);
-    assert(p.state == PageState::kOffline);
-    p.zone_id = id_;
-  }
+  const Pfn end = static_cast<Pfn>(start + npages);
   present_pages_ += npages;
   managed_pages_ += npages;
   free_pages_ += npages;
+
+  // An untouched block onlined whole needs no per-page work: it becomes
+  // uniformly free in this zone, and only its max-order heads are queued.
+  for (Pfn pfn = start; pfn < end; pfn += kPagesPerBlock - pfn % kPagesPerBlock) {
+    if (UniformBlockAt(pfn, end, PageState::kOffline)) {
+      memmap_->SetUniform(MemMap::BlockOf(pfn), PageState::kFree, id_);
+    }
+  }
 
   // Free maximal naturally-aligned chunks.
   std::vector<std::pair<Pfn, uint8_t>> chunks;
@@ -163,8 +189,17 @@ void Zone::AddFreeRange(Pfn start, uint64_t npages) {
   if (shuffle_rng_ != nullptr) {
     shuffle_rng_->Shuffle(chunks.begin(), chunks.end());
   }
+  const MemMap& view = *memmap_;
   for (const auto& [chunk_pfn, chunk_order] : chunks) {
-    FreeChunk(chunk_pfn, chunk_order, /*fresh=*/true);
+    // A uniform block's chunks are already stamped, and a max-order chunk
+    // never coalesces: queue it exactly as FreeChunk would.
+    if (!memmap_->BlockMaterialized(MemMap::BlockOf(chunk_pfn)) &&
+        view.page(chunk_pfn).state == PageState::kFree) {
+      QueueFree(chunk_pfn, chunk_order, /*fresh=*/true);
+    } else {
+      assert(view.page(chunk_pfn).state == PageState::kOffline);
+      FreeChunk(chunk_pfn, chunk_order, /*fresh=*/true);
+    }
   }
 }
 
@@ -198,8 +233,7 @@ Pfn Zone::Alloc(uint8_t order, PageKind kind, int32_t owner, uint32_t owner_slot
     p.order = order;
     p.owner = (i == 0) ? owner : kNoOwner;
     p.owner_slot = (i == 0) ? owner_slot : 0;
-    p.next_free = kInvalidPfn;
-    p.prev_free = kInvalidPfn;
+    p.free = FreeLink{};
   }
   assert(free_pages_ >= n);
   free_pages_ -= n;
@@ -237,11 +271,22 @@ void Zone::FreeIntoIsolation(Pfn head) {
 }
 
 uint64_t Zone::IsolateFreeRange(Pfn start, uint64_t npages) {
+  const MemMap& view = *memmap_;
   uint64_t isolated = 0;
   Pfn pfn = start;
   const Pfn end = start + npages;
   while (pfn < end) {
-    Page& p = memmap_->page(pfn);
+    if (UniformBlockAt(pfn, end, PageState::kFree)) {
+      // A whole-free untouched block: unlink its max-order heads only.
+      for (Pfn head = pfn; head < pfn + kPagesPerBlock; head += 1u << kMaxPageOrder) {
+        ListRemove(kMaxPageOrder, head);
+      }
+      memmap_->SetUniform(MemMap::BlockOf(pfn), PageState::kIsolated, id_);
+      isolated += kPagesPerBlock;
+      pfn += kPagesPerBlock;
+      continue;
+    }
+    const Page& p = view.page(pfn);
     if (p.state == PageState::kFree && p.head) {
       const uint8_t order = p.order;
       const uint32_t n = 1u << order;
@@ -267,15 +312,16 @@ uint64_t Zone::IsolateFreeRange(Pfn start, uint64_t npages) {
 
 void Zone::UndoIsolation(Pfn start, uint64_t npages) {
   // Re-free maximal runs of isolated pages.
+  const MemMap& view = *memmap_;
   Pfn pfn = start;
   const Pfn end = start + npages;
   while (pfn < end) {
-    if (memmap_->page(pfn).state != PageState::kIsolated) {
+    if (view.page(pfn).state != PageState::kIsolated) {
       ++pfn;
       continue;
     }
     Pfn run_end = pfn;
-    while (run_end < end && memmap_->page(run_end).state == PageState::kIsolated) {
+    while (run_end < end && view.page(run_end).state == PageState::kIsolated) {
       ++run_end;
     }
     uint64_t remaining = run_end - pfn;
@@ -293,7 +339,14 @@ void Zone::UndoIsolation(Pfn start, uint64_t npages) {
 }
 
 void Zone::RetireRange(Pfn start, uint64_t npages) {
-  for (Pfn pfn = start; pfn < start + npages; ++pfn) {
+  Pfn pfn = start;
+  const Pfn end = start + npages;
+  while (pfn < end) {
+    if (UniformBlockAt(pfn, end, PageState::kIsolated)) {
+      memmap_->SetUniform(MemMap::BlockOf(pfn), PageState::kOffline);
+      pfn += kPagesPerBlock;
+      continue;
+    }
     Page& p = memmap_->page(pfn);
     assert(p.state == PageState::kIsolated);
     assert(p.zone_id == id_);
@@ -301,6 +354,7 @@ void Zone::RetireRange(Pfn start, uint64_t npages) {
     p.zone_id = -1;
     p.head = false;
     p.order = 0;
+    ++pfn;
   }
   assert(present_pages_ >= npages && managed_pages_ >= npages);
   present_pages_ -= npages;
@@ -312,7 +366,7 @@ void Zone::ShuffleFreeLists(Rng& rng) {
     FreeArea& area = areas_[order];
     std::vector<Pfn> chunks;
     chunks.reserve(area.nr_free);
-    for (Pfn pfn = area.head; pfn != kInvalidPfn; pfn = memmap_->page(pfn).next_free) {
+    for (Pfn pfn = area.head; pfn != kInvalidPfn; pfn = Link(order, pfn).next) {
       chunks.push_back(pfn);
     }
     rng.Shuffle(chunks.begin(), chunks.end());
@@ -326,20 +380,21 @@ void Zone::ShuffleFreeLists(Rng& rng) {
 }
 
 bool Zone::CheckFreeLists() const {
+  const MemMap& view = *memmap_;
   uint64_t pages_seen = 0;
   for (uint8_t order = 0; order <= kMaxPageOrder; ++order) {
     const FreeArea& area = areas_[order];
     uint64_t chunks = 0;
     Pfn prev = kInvalidPfn;
-    for (Pfn pfn = area.head; pfn != kInvalidPfn; pfn = memmap_->page(pfn).next_free) {
-      const Page& p = memmap_->page(pfn);
+    for (Pfn pfn = area.head; pfn != kInvalidPfn; pfn = Link(order, pfn).next) {
+      const Page& p = view.page(pfn);
       if (p.state != PageState::kFree || !p.head || p.order != order || p.zone_id != id_) {
         return false;
       }
       if ((pfn & ((1u << order) - 1)) != 0) {
         return false;  // Misaligned chunk.
       }
-      if (p.prev_free != prev) {
+      if (Link(order, pfn).prev != prev) {
         return false;  // Broken back-link.
       }
       prev = pfn;

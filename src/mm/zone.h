@@ -3,7 +3,9 @@
 // Mirrors the Linux design the paper builds on: hot-plugged memory is
 // onlined into ZONE_MOVABLE (or, under Squeezy, into a per-partition
 // zone); the buddy allocator serves folios of order 0..kMaxPageOrder from
-// intrusive per-order free lists threaded through the memmap.
+// intrusive per-order free lists threaded through the memmap.  A block
+// onlined whole stays a uniform MemMap block (no per-page state) until the
+// first allocation inside it.
 //
 // The offline path uses the isolation primitives: free pages in a range
 // are pulled out of the free lists (kIsolated) so concurrent allocations
@@ -101,15 +103,27 @@ class Zone {
     uint64_t nr_free = 0;  // Chunks (not pages) in this list.
   };
 
+  // Free-list links of a chunk head: max-order heads link through the
+  // MemMap side table, smaller orders through their head Page.
+  FreeLink& Link(uint8_t order, Pfn pfn);
+  const FreeLink& Link(uint8_t order, Pfn pfn) const;
+
+  // Whether [pfn, end) begins with a whole unmaterialized block whose pages
+  // all read as `state`: the range operations handle it in O(1) or
+  // O(max-order heads).
+  bool UniformBlockAt(Pfn pfn, Pfn end, PageState state) const;
+
   void ListPushFront(uint8_t order, Pfn pfn);
   void ListPushBack(uint8_t order, Pfn pfn);
   void ListRemove(uint8_t order, Pfn pfn);
   Pfn ListPopFront(uint8_t order);
 
   // Frees a chunk (all frames currently not in any list) with coalescing.
-  // `fresh` chunks (newly onlined) queue at the tail; runtime frees at the
-  // head (hot reuse), unless the shuffle RNG randomizes the side.
   void FreeChunk(Pfn pfn, uint8_t order, bool fresh = false);
+  // Queues a stamped free chunk: `fresh` chunks (newly onlined) at the
+  // tail, runtime frees at the head (hot reuse), unless the shuffle RNG
+  // randomizes the side.
+  void QueueFree(Pfn pfn, uint8_t order, bool fresh);
   // Marks the frames of a chunk as a free chunk (head/tails).
   void StampFreeChunk(Pfn pfn, uint8_t order);
 

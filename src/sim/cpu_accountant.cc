@@ -7,8 +7,9 @@ namespace squeezy {
 
 CpuAccountant::CpuAccountant(DurationNs window) : window_(window) { assert(window > 0); }
 
-void CpuAccountant::AddBusy(const std::string& thread, TimeNs start, DurationNs busy) {
-  assert(busy >= 0 && start >= 0);
+void CpuAccountant::AddBusy(const std::string& thread, TimeNs start, DurationNs busy,
+                            int64_t count) {
+  assert(busy >= 0 && start >= 0 && count >= 1);
   auto& windows = busy_[thread];
   TimeNs cursor = start;
   DurationNs remaining = busy;
@@ -16,7 +17,7 @@ void CpuAccountant::AddBusy(const std::string& thread, TimeNs start, DurationNs 
     const int64_t w = cursor / window_;
     const TimeNs window_end = (w + 1) * window_;
     const DurationNs chunk = std::min<DurationNs>(remaining, window_end - cursor);
-    windows[w] += chunk;
+    windows[w] += chunk * count;
     max_window_ = std::max(max_window_, w);
     cursor += chunk;
     remaining -= chunk;

@@ -20,8 +20,12 @@ class CpuAccountant {
  public:
   explicit CpuAccountant(DurationNs window = Sec(1));
 
-  // Records that `thread` was busy for [start, start + busy).
-  void AddBusy(const std::string& thread, TimeNs start, DurationNs busy);
+  // Records that `thread` was busy for [start, start + busy), `count` times
+  // over: equal to `count` separate calls, so each window gains `count`
+  // times its share of [start, start + busy) — never a single charge of
+  // count * busy spilling into later windows.
+  void AddBusy(const std::string& thread, TimeNs start, DurationNs busy,
+               int64_t count = 1);
 
   // Utilization (0..100) of `thread` in the window containing `t`.
   double UtilizationAt(const std::string& thread, TimeNs t) const;

@@ -26,21 +26,31 @@ TEST(MemMapTest, BlocksStartAbsentWithHolePages) {
 
 TEST(MemMapTest, InitBlockMakesPagesOffline) {
   MemMap m(GiB(1));
+  const MemMap& cm = m;
   m.InitBlock(3);
   EXPECT_EQ(m.block_state(3), BlockState::kPresent);
+  // Hot-add is O(1): the block is uniformly offline, with no chunk.
+  EXPECT_FALSE(m.BlockMaterialized(3));
+  EXPECT_EQ(m.materialized_peak_blocks(), 0u);
   const Pfn start = MemMap::BlockStart(3);
-  EXPECT_EQ(m.page(start).state, PageState::kOffline);
-  EXPECT_EQ(m.page(start + kPagesPerBlock - 1).state, PageState::kOffline);
+  EXPECT_EQ(cm.page(start).state, PageState::kOffline);
+  EXPECT_EQ(cm.page(start).zone_id, -1);
+  EXPECT_EQ(cm.page(start + kPagesPerBlock - 1).state, PageState::kOffline);
   // Neighbours untouched.
-  EXPECT_EQ(m.page(start - 1).state, PageState::kHole);
-  EXPECT_EQ(m.page(start + kPagesPerBlock).state, PageState::kHole);
+  EXPECT_EQ(cm.page(start - 1).state, PageState::kHole);
+  EXPECT_EQ(cm.page(start + kPagesPerBlock).state, PageState::kHole);
+  // The first mutable touch materializes exactly that view.
+  EXPECT_EQ(m.page(start + 5).state, PageState::kOffline);
+  EXPECT_TRUE(m.BlockMaterialized(3));
+  EXPECT_EQ(m.CountBlockPages(3, PageState::kOffline),
+            static_cast<uint64_t>(kPagesPerBlock));
 }
 
-TEST(MemMapTest, TeardownBlockRestoresHoles) {
+TEST(MemMapTest, RemoveBlockRestoresHoles) {
   MemMap m(GiB(1));
   m.InitBlock(0);
   m.set_block_state(0, BlockState::kOffline);
-  m.TeardownBlock(0);
+  EXPECT_EQ(m.RemoveBlock(0), 0u);
   EXPECT_EQ(m.block_state(0), BlockState::kAbsent);
   EXPECT_EQ(m.page(0).state, PageState::kHole);
 }
@@ -80,15 +90,21 @@ TEST(MemMapTest, FolioHeadResolvesFromTail) {
   }
 }
 
-TEST(MemMapTest, HostPopulatedSurvivesTeardown) {
-  // The hypervisor owns host backing; guest-side teardown must not lose it
-  // (it is released explicitly via the unplug acknowledgement).
+TEST(MemMapTest, RemoveBlockCountsAndDropsHostBacking) {
+  // Teardown used to leave host_populated flags (and so the chunk) behind
+  // for the hypervisor path to clear page by page.  Hot-remove is now one
+  // read pass: it counts the populated pages for the unplug
+  // acknowledgement and drops them with the chunk.
   MemMap m(GiB(1));
   m.InitBlock(0);
   m.page(17).host_populated = true;
+  m.page(4000).host_populated = true;
   m.set_block_state(0, BlockState::kOffline);
-  m.TeardownBlock(0);
-  EXPECT_TRUE(m.page(17).host_populated);
+  EXPECT_EQ(m.RemoveBlock(0), 2u);
+  const MemMap& cm = m;
+  EXPECT_FALSE(cm.page(17).host_populated);
+  EXPECT_EQ(cm.page(17).state, PageState::kHole);
+  EXPECT_FALSE(m.BlockMaterialized(0));
 }
 
 TEST(MemMapTest, ConstReadsNeverMaterialize) {
@@ -120,14 +136,15 @@ TEST(MemMapTest, MutableTouchMaterializesOneChunk) {
   EXPECT_EQ(m.materialized_peak_blocks(), 1u);
 }
 
-TEST(MemMapTest, TeardownFreesChunkWhenNothingPopulated) {
-  // The real unplug path (HotRemoveBlock) clears every host_populated
-  // flag before tearing down — the chunk's sim memory must come back.
+TEST(MemMapTest, RemoveBlockFreesTheChunk) {
+  // Hot-remove always returns a materialized block's sim memory (the old
+  // teardown kept the chunk while any host_populated flag survived).
   MemMap m(GiB(1));
   m.InitBlock(0);
+  m.page(9).host_populated = true;  // Materializes the block.
   EXPECT_EQ(m.materialized_blocks(), 1u);
   m.set_block_state(0, BlockState::kOffline);
-  m.TeardownBlock(0);
+  EXPECT_EQ(m.RemoveBlock(0), 1u);
   EXPECT_FALSE(m.BlockMaterialized(0));
   EXPECT_EQ(m.materialized_blocks(), 0u);
   EXPECT_EQ(m.materialized_peak_blocks(), 1u);  // Peak is sticky.
@@ -135,19 +152,98 @@ TEST(MemMapTest, TeardownFreesChunkWhenNothingPopulated) {
   const MemMap& cm = m;
   EXPECT_EQ(cm.page(0).state, PageState::kHole);
   m.InitBlock(0);
-  EXPECT_EQ(m.page(0).state, PageState::kOffline);
+  EXPECT_EQ(cm.page(0).state, PageState::kOffline);
+  EXPECT_FALSE(cm.page(9).host_populated);
 }
 
-TEST(MemMapTest, TeardownKeepsChunkWhileHostBackingSurvives) {
-  // Population flags must survive guest-side teardown (see
-  // HostPopulatedSurvivesTeardown) — the chunk cannot be freed then.
+TEST(MemMapTest, InitBlockDropsAChunkMaterializedOverAHole) {
+  // A mutable read of a hole materializes it; hot-add resets every page
+  // anyway, so the chunk goes and the block is uniformly offline.
   MemMap m(GiB(1));
+  EXPECT_EQ(m.page(MemMap::BlockStart(2)).state, PageState::kHole);
+  EXPECT_EQ(m.materialized_blocks(), 1u);
+  m.InitBlock(2);
+  EXPECT_FALSE(m.BlockMaterialized(2));
+  EXPECT_EQ(m.materialized_blocks(), 0u);
+  EXPECT_EQ(m.CountBlockPages(2, PageState::kOffline),
+            static_cast<uint64_t>(kPagesPerBlock));
+}
+
+TEST(MemMapTest, OnlineWholeBlockStaysUniformFree) {
+  MemMap m(GiB(1));
+  const MemMap& cm = m;
+  Zone zone(4, ZoneType::kMovable, "z", &m);
+  m.InitBlock(1);
+  zone.AddFreeRange(MemMap::BlockStart(1), kPagesPerBlock);
+  EXPECT_FALSE(m.BlockMaterialized(1));
+  EXPECT_EQ(zone.free_chunks(kMaxPageOrder), 32u);
+  EXPECT_TRUE(zone.CheckFreeLists());
+  // Synthesized exactly as StampFreeChunk writes max-order chunks.
+  for (Pfn pfn = MemMap::BlockStart(1); pfn < MemMap::BlockStart(2); pfn += 511) {
+    const Page& p = cm.page(pfn);
+    EXPECT_EQ(p.state, PageState::kFree);
+    EXPECT_EQ(p.zone_id, 4);
+    EXPECT_EQ(p.order, kMaxPageOrder);
+    EXPECT_EQ(p.head, pfn % (1u << kMaxPageOrder) == 0);
+  }
+  EXPECT_EQ(m.CountBlockPages(1, PageState::kFree),
+            static_cast<uint64_t>(kPagesPerBlock));
+  // The max-order chunks link through the MemMap side table, in ascending
+  // order for an unshuffled zone.
+  EXPECT_EQ(cm.max_link(MemMap::BlockStart(1)).next,
+            MemMap::BlockStart(1) + (1u << kMaxPageOrder));
+  EXPECT_EQ(cm.page(MemMap::BlockStart(1)).free.next, kInvalidPfn);
+  EXPECT_EQ(m.materialized_peak_blocks(), 0u);
+}
+
+TEST(MemMapTest, FirstAllocMaterializesTheFreeTemplate) {
+  MemMap m(GiB(1));
+  const MemMap& cm = m;
+  Zone zone(0, ZoneType::kMovable, "z", &m);
   m.InitBlock(0);
-  m.page(17).host_populated = true;
-  m.set_block_state(0, BlockState::kOffline);
-  m.TeardownBlock(0);
+  zone.AddFreeRange(0, kPagesPerBlock);
+  const Pfn head = zone.Alloc(0, PageKind::kAnon, 1, 0);
+  ASSERT_EQ(head, 0u);
   EXPECT_TRUE(m.BlockMaterialized(0));
   EXPECT_EQ(m.materialized_blocks(), 1u);
+  // The untouched max-order chunks read as before.
+  EXPECT_EQ(cm.page(1u << kMaxPageOrder).state, PageState::kFree);
+  EXPECT_TRUE(cm.page(1u << kMaxPageOrder).head);
+  EXPECT_EQ(cm.page(kPagesPerBlock - 1).order, kMaxPageOrder);
+  EXPECT_EQ(zone.free_chunks(kMaxPageOrder), 31u);
+  EXPECT_TRUE(zone.CheckFreeLists());
+}
+
+TEST(MemMapTest, UntouchedBlockIsolatesRetiresAndRemovesUniformly) {
+  MemMap m(GiB(1));
+  const MemMap& cm = m;
+  Zone zone(2, ZoneType::kSqueezyPrivate, "p", &m);
+  m.InitBlock(3);
+  const Pfn start = MemMap::BlockStart(3);
+  zone.AddFreeRange(start, kPagesPerBlock);
+
+  EXPECT_EQ(zone.IsolateFreeRange(start, kPagesPerBlock),
+            static_cast<uint64_t>(kPagesPerBlock));
+  EXPECT_FALSE(m.BlockMaterialized(3));
+  EXPECT_EQ(zone.free_chunks(kMaxPageOrder), 0u);
+  EXPECT_EQ(zone.free_pages(), 0u);
+  EXPECT_EQ(cm.page(start).state, PageState::kIsolated);
+  EXPECT_EQ(cm.page(start).zone_id, 2);
+  EXPECT_FALSE(cm.page(start).head);
+  EXPECT_EQ(cm.page(start).order, 0);
+  EXPECT_EQ(m.CountBlockPages(3, PageState::kIsolated),
+            static_cast<uint64_t>(kPagesPerBlock));
+
+  zone.RetireRange(start, kPagesPerBlock);
+  EXPECT_FALSE(m.BlockMaterialized(3));
+  EXPECT_EQ(zone.present_pages(), 0u);
+  EXPECT_EQ(cm.page(start + 77).state, PageState::kOffline);
+  EXPECT_EQ(cm.page(start + 77).zone_id, -1);
+
+  m.set_block_state(3, BlockState::kOffline);
+  EXPECT_EQ(m.RemoveBlock(3), 0u);
+  EXPECT_EQ(cm.page(start).state, PageState::kHole);
+  EXPECT_EQ(m.materialized_peak_blocks(), 0u);
 }
 
 TEST(MemMapTest, CountBlockPagesOnAbsentChunk) {

@@ -2,6 +2,7 @@
 // invariants of DESIGN.md §6 must survive arbitrary operation sequences.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <functional>
 #include <ios>
 #include <map>
@@ -18,6 +19,9 @@
 #include "src/guest/guest_kernel.h"
 #include "src/host/host_memory.h"
 #include "src/host/hypervisor.h"
+#include "src/hotplug/hotplug.h"
+#include "src/mm/memmap.h"
+#include "src/mm/zone.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/rng.h"
 #include "src/trace/cluster_trace.h"
@@ -248,6 +252,246 @@ INSTANTIATE_TEST_SUITE_P(Sizes, ReclaimScalingTest,
                          [](const testing::TestParamInfo<uint64_t>& param_info) {
                            return std::to_string(param_info.param) + "mib";
                          });
+
+// --- Uniform vs eager MemMap: the oracle for uniform blocks ------------------
+
+// An untouched block keeps no per-page state (memmap.h): hot-add, online,
+// isolate, retire and remove act on its uniform template.  The oracle is
+// the same MemMap + Zone code with every block forced to materialize right
+// after each step, through the public mutable page() — the eager
+// representation.  One random script of hot-add, online, Alloc at orders
+// 0/9/10, Free, isolate + retire-or-undo and remove runs on both sets, and
+// every observable must agree after every op: Alloc results, free-list
+// counts and linkage, per-state block page counts and the const view of
+// every pfn.  Shuffled zones also check that online draws the same Rng
+// calls in the same order.
+namespace uniform_oracle {
+
+constexpr uint32_t kBlocks = 6;
+constexpr int16_t kZones = 2;
+
+struct MmSet {
+  MmSet(uint64_t shuffle_seed, bool shuffled)
+      : shuffle_rng(shuffle_seed), memmap(kBlocks * kMemoryBlockBytes) {
+    for (int16_t z = 0; z < kZones; ++z) {
+      Rng* shuffle = shuffled ? &shuffle_rng : nullptr;
+      zones.push_back(
+          std::make_unique<Zone>(z, ZoneType::kMovable, "z", &memmap, shuffle));
+    }
+  }
+  Rng shuffle_rng;
+  MemMap memmap;
+  std::vector<std::unique_ptr<Zone>> zones;
+};
+
+bool SamePage(const Page& a, const Page& b) {
+  return a.state == b.state && a.kind == b.kind && a.order == b.order &&
+         a.head == b.head && a.host_populated == b.host_populated &&
+         a.zone_id == b.zone_id && a.owner == b.owner && a.owner_slot == b.owner_slot &&
+         a.free.next == b.free.next && a.free.prev == b.free.prev;
+}
+
+void ExpectSame(const MmSet& lazy, const MmSet& eager, int step) {
+  SCOPED_TRACE("step " + std::to_string(step));
+  for (int16_t z = 0; z < kZones; ++z) {
+    const Zone& lz = *lazy.zones[static_cast<size_t>(z)];
+    const Zone& ez = *eager.zones[static_cast<size_t>(z)];
+    ASSERT_TRUE(lz.CheckFreeLists());
+    ASSERT_TRUE(ez.CheckFreeLists());
+    ASSERT_EQ(lz.free_pages(), ez.free_pages());
+    ASSERT_EQ(lz.managed_pages(), ez.managed_pages());
+    for (uint8_t order = 0; order <= kMaxPageOrder; ++order) {
+      ASSERT_EQ(lz.free_chunks(order), ez.free_chunks(order)) << "order " << int{order};
+    }
+  }
+  const MemMap& lm = lazy.memmap;
+  const MemMap& em = eager.memmap;
+  for (BlockIndex b = 0; b < kBlocks; ++b) {
+    for (const PageState st : {PageState::kHole, PageState::kFree, PageState::kAllocated,
+                               PageState::kIsolated, PageState::kOffline}) {
+      ASSERT_EQ(lm.CountBlockPages(b, st), em.CountBlockPages(b, st)) << "block " << b;
+    }
+  }
+  for (Pfn pfn = 0; pfn < lm.span_pages(); ++pfn) {
+    ASSERT_TRUE(SamePage(lm.page(pfn), em.page(pfn))) << "pfn " << pfn;
+  }
+  for (Pfn head = 0; head < lm.span_pages(); head += 1u << kMaxPageOrder) {
+    ASSERT_EQ(lm.max_link(head).next, em.max_link(head).next) << "pfn " << head;
+    ASSERT_EQ(lm.max_link(head).prev, em.max_link(head).prev) << "pfn " << head;
+  }
+}
+
+}  // namespace uniform_oracle
+
+class UniformVsEagerMemMapTest
+    : public testing::TestWithParam<std::tuple<uint64_t, bool>> {};
+
+TEST_P(UniformVsEagerMemMapTest, UniformBlocksReadExactlyAsMaterialized) {
+  using uniform_oracle::kBlocks;
+  using uniform_oracle::kZones;
+  using uniform_oracle::MmSet;
+  const auto [seed, shuffled] = GetParam();
+  MmSet lazy(seed + 17, shuffled);
+  MmSet eager(seed + 17, shuffled);
+  MmSet* const sets[] = {&lazy, &eager};
+  Rng rng(seed);
+  std::vector<int16_t> block_zone(kBlocks, -1);
+  struct Held {
+    Pfn head;
+    int16_t zone;
+  };
+  std::vector<Held> held;
+
+  auto pick = [&rng](int64_t n) { return static_cast<size_t>(rng.UniformInt(0, n - 1)); };
+  auto pick_block = [&](BlockState want) -> int64_t {
+    std::vector<BlockIndex> cands;
+    for (BlockIndex b = 0; b < kBlocks; ++b) {
+      if (lazy.memmap.block_state(b) == want) {
+        cands.push_back(b);
+      }
+    }
+    if (cands.empty()) {
+      return -1;
+    }
+    return cands[pick(static_cast<int64_t>(cands.size()))];
+  };
+
+  for (int step = 0; step < 160; ++step) {
+    switch (rng.UniformInt(0, 6)) {
+      case 0: {  // Hot-add.
+        const int64_t b = pick_block(BlockState::kAbsent);
+        if (b >= 0) {
+          for (MmSet* s : sets) {
+            s->memmap.InitBlock(static_cast<BlockIndex>(b));
+          }
+        }
+        break;
+      }
+      case 1: {  // Online into a random zone.
+        const int64_t b = pick_block(BlockState::kPresent);
+        if (b >= 0) {
+          const auto z = static_cast<int16_t>(rng.UniformInt(0, kZones - 1));
+          block_zone[static_cast<size_t>(b)] = z;
+          for (MmSet* s : sets) {
+            s->zones[static_cast<size_t>(z)]->AddFreeRange(
+                MemMap::BlockStart(static_cast<BlockIndex>(b)), kPagesPerBlock);
+            s->memmap.set_block_state(static_cast<BlockIndex>(b), BlockState::kOnline);
+          }
+        }
+        break;
+      }
+      case 2:
+      case 3: {  // Alloc at order 0, 9 or 10.
+        const uint8_t orders[] = {0, kThpOrder, kMaxPageOrder};
+        const uint8_t order = orders[rng.UniformInt(0, 2)];
+        const auto z = static_cast<int16_t>(rng.UniformInt(0, kZones - 1));
+        const auto zi = static_cast<size_t>(z);
+        const Pfn a = lazy.zones[zi]->Alloc(order, PageKind::kAnon, 1, 0);
+        const Pfn e = eager.zones[zi]->Alloc(order, PageKind::kAnon, 1, 0);
+        ASSERT_EQ(a, e) << "step " << step;
+        if (a != kInvalidPfn) {
+          held.push_back({a, z});
+          if (rng.Chance(0.5)) {  // Host-back the head, as a fault would.
+            for (MmSet* s : sets) {
+              s->memmap.page(a).host_populated = true;
+            }
+          }
+        }
+        break;
+      }
+      case 4: {  // Free.
+        if (!held.empty()) {
+          const size_t i = pick(static_cast<int64_t>(held.size()));
+          for (MmSet* s : sets) {
+            s->zones[static_cast<size_t>(held[i].zone)]->Free(held[i].head);
+          }
+          held.erase(held.begin() + static_cast<std::ptrdiff_t>(i));
+        }
+        break;
+      }
+      case 5: {  // Offline: isolate, then retire (empty block) or undo.
+        const int64_t b = pick_block(BlockState::kOnline);
+        if (b >= 0) {
+          const Pfn start = MemMap::BlockStart(static_cast<BlockIndex>(b));
+          const auto z = static_cast<size_t>(block_zone[static_cast<size_t>(b)]);
+          const uint64_t li = lazy.zones[z]->IsolateFreeRange(start, kPagesPerBlock);
+          const uint64_t ei = eager.zones[z]->IsolateFreeRange(start, kPagesPerBlock);
+          ASSERT_EQ(li, ei) << "step " << step;
+          const bool retire = li == kPagesPerBlock && rng.Chance(0.7);
+          for (MmSet* s : sets) {
+            if (retire) {
+              s->zones[z]->RetireRange(start, kPagesPerBlock);
+              s->memmap.set_block_state(static_cast<BlockIndex>(b), BlockState::kOffline);
+            } else {
+              s->zones[z]->UndoIsolation(start, kPagesPerBlock);
+            }
+          }
+        }
+        break;
+      }
+      case 6: {  // Hot-remove an offline (or never-onlined) block.
+        int64_t b = pick_block(BlockState::kOffline);
+        if (b < 0) {
+          b = pick_block(BlockState::kPresent);
+        }
+        if (b >= 0) {
+          const uint64_t lp = lazy.memmap.RemoveBlock(static_cast<BlockIndex>(b));
+          const uint64_t ep = eager.memmap.RemoveBlock(static_cast<BlockIndex>(b));
+          ASSERT_EQ(lp, ep) << "step " << step;
+        }
+        break;
+      }
+    }
+    // The eager set materializes every block after every transition.
+    for (BlockIndex b = 0; b < kBlocks; ++b) {
+      const Pfn offset = static_cast<Pfn>(step) % kPagesPerBlock;
+      (void)eager.memmap.page(MemMap::BlockStart(b) + offset);
+    }
+    uniform_oracle::ExpectSame(lazy, eager, step);
+    if (testing::Test::HasFatalFailure()) {
+      return;
+    }
+  }
+  // The two sets drew the same shuffle randomness.
+  EXPECT_EQ(lazy.shuffle_rng.Next(), eager.shuffle_rng.Next());
+  EXPECT_LE(lazy.memmap.materialized_peak_blocks(),
+            eager.memmap.materialized_peak_blocks());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, UniformVsEagerMemMapTest,
+    testing::Combine(testing::Values(1u, 2u, 3u, 4u), testing::Bool()),
+    [](const testing::TestParamInfo<std::tuple<uint64_t, bool>>& param_info) {
+      return "seed" + std::to_string(std::get<0>(param_info.param)) +
+             (std::get<1>(param_info.param) ? "_shuffled" : "_ascending");
+    });
+
+TEST(UniformMemMapTest, PlugUnplugOfUntouchedBlockNeverMaterializes) {
+  HostMemory host(GiB(4));
+  CostModel cost = CostModel::Default();
+  Hypervisor hv(&host, &cost);
+  const VmId vm = hv.RegisterVm("vm", 1);
+  MemMap memmap(GiB(1));
+  Rng shuffle(5);
+  Zone zone(0, ZoneType::kMovable, "mv", &memmap, &shuffle);
+  HotplugManager mgr(&memmap, &cost, &hv, vm, nullptr);
+  for (int round = 0; round < 3; ++round) {
+    for (BlockIndex b = 2; b < 6; ++b) {
+      mgr.HotAddBlock(b);
+      mgr.OnlineBlock(b, &zone);
+    }
+    for (BlockIndex b = 2; b < 6; ++b) {
+      const OfflineResult res = mgr.OfflineBlock(b, &zone, &zone, OfflineOptions{});
+      ASSERT_TRUE(res.ok);
+      EXPECT_EQ(res.pages_migrated, 0u);
+      UnplugBreakdown bd;
+      mgr.HotRemoveBlock(b, &bd, 0);
+    }
+  }
+  EXPECT_EQ(mgr.blocks_removed(), 12u);
+  EXPECT_EQ(memmap.materialized_peak_blocks(), 0u);
+  EXPECT_EQ(zone.present_pages(), 0u);
+}
 
 // --- Timer-wheel fuzz: wheel vs the old binary heap, op for op -----------------
 

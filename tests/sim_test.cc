@@ -536,5 +536,31 @@ TEST(CpuAccountantTest, AccumulatesWithinWindow) {
   EXPECT_DOUBLE_EQ(cpu.UtilizationAt("t", 0), 20.0);
 }
 
+TEST(CpuAccountantTest, CountedChargeEqualsRepeatedSingleCharges) {
+  // A batch of N identical charges (e.g. N nested faults at one instant)
+  // must land window for window exactly like N separate calls — including
+  // a charge that straddles a window boundary, whose tail stays in the next
+  // window instead of stretching N-fold.
+  const int64_t n = 7;
+  CpuAccountant counted(Sec(1));
+  CpuAccountant single(Sec(1));
+  counted.AddBusy("t", Msec(900), Msec(300), n);
+  counted.AddBusy("t", Msec(2500), Usec(2), n);
+  for (int64_t i = 0; i < n; ++i) {
+    single.AddBusy("t", Msec(900), Msec(300));
+    single.AddBusy("t", Msec(2500), Usec(2));
+  }
+  EXPECT_EQ(counted.TotalBusy("t"), single.TotalBusy("t"));
+  EXPECT_EQ(counted.TotalBusy("t"), n * (Msec(300) + Usec(2)));
+  EXPECT_EQ(counted.Series("t"), single.Series("t"));
+  ASSERT_EQ(counted.Series("t").size(), 3u);
+  for (const TimeNs t : {Msec(950), Msec(1100), Msec(2600)}) {
+    EXPECT_DOUBLE_EQ(counted.UtilizationAt("t", t), single.UtilizationAt("t", t));
+  }
+  // 100 ms of each charge falls in window 0, 200 ms in window 1.
+  EXPECT_DOUBLE_EQ(counted.UtilizationAt("t", Msec(950)), 70.0);
+  EXPECT_DOUBLE_EQ(counted.UtilizationAt("t", Msec(1100)), 140.0);
+}
+
 }  // namespace
 }  // namespace squeezy

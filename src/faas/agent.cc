@@ -105,37 +105,40 @@ void Agent::AddKernelInterference(DurationNs duration) {
 
 // --- Instance lifecycle -----------------------------------------------------------
 
-size_t Agent::idle_instances() const {
-  size_t n = 0;
-  for (const auto& inst : instances_) {
-    n += (inst->state == InstanceState::kIdle);
-  }
-  return n;
-}
+size_t Agent::idle_instances() const { return CountIn(InstanceState::kIdle); }
 
-size_t Agent::busy_instances() const {
-  size_t n = 0;
-  for (const auto& inst : instances_) {
-    n += (inst->state == InstanceState::kBusy);
-  }
-  return n;
-}
+size_t Agent::busy_instances() const { return CountIn(InstanceState::kBusy); }
 
 size_t Agent::live_instances() const {
-  size_t n = 0;
-  for (const auto& inst : instances_) {
-    n += (inst->state != InstanceState::kEvicted);
-  }
-  return n;
+  return instances_.size() - CountIn(InstanceState::kEvicted);
 }
 
 size_t Agent::memory_granted_instances() const {
-  size_t n = 0;
+  return CountIn(InstanceState::kColdStart) + CountIn(InstanceState::kIdle) +
+         CountIn(InstanceState::kBusy);
+}
+
+int32_t Agent::NewInstance() {
+  const auto id = static_cast<int32_t>(instances_.size());
+  instances_.push_back(std::make_unique<Instance>());
+  instance(id).id = id;
+  ++state_counts_[static_cast<size_t>(instance(id).state)];
+  return id;
+}
+
+void Agent::SetState(Instance& inst, InstanceState state) {
+  --state_counts_[static_cast<size_t>(inst.state)];
+  ++state_counts_[static_cast<size_t>(state)];
+  inst.state = state;
+  assert(CountsMatchScan());
+}
+
+bool Agent::CountsMatchScan() const {
+  std::array<size_t, kInstanceStates> scan{};
   for (const auto& inst : instances_) {
-    n += (inst->state == InstanceState::kColdStart || inst->state == InstanceState::kIdle ||
-          inst->state == InstanceState::kBusy);
+    ++scan[static_cast<size_t>(inst->state)];
   }
-  return n;
+  return scan == state_counts_;
 }
 
 void Agent::Submit() {
@@ -146,10 +149,7 @@ void Agent::Submit() {
 
 void Agent::MaybeSpawn() {
   while (spawning_ < queue_.size() && live_instances() < config_.max_concurrency) {
-    const int32_t id = static_cast<int32_t>(instances_.size());
-    instances_.push_back(std::make_unique<Instance>());
-    instance(id).id = id;
-    instance(id).state = InstanceState::kWaitingMemory;
+    const int32_t id = NewInstance();
     ++spawning_;
     ++spawns_;
     instance_series_.Push(events_->now(), static_cast<double>(live_instances()));
@@ -164,7 +164,7 @@ void Agent::OnMemoryReady(int32_t instance_id, DurationNs vmm_latency) {
   Instance& inst = instance(instance_id);
   assert(inst.state == InstanceState::kWaitingMemory);
   inst.cold.vmm = vmm_latency;
-  inst.state = InstanceState::kColdStart;
+  SetState(inst, InstanceState::kColdStart);
   inst.pid = guest_->CreateProcess();
   guest_->process(inst.pid).MapFile(deps_file_);
   if (config_.use_squeezy) {
@@ -184,7 +184,7 @@ void Agent::RunColdPhases(int32_t instance_id) {
   if (callbacks_.try_restore) {
     const SnapshotRestorePlan plan = callbacks_.try_restore(inst.pid);
     if (plan.oom) {
-      inst.state = InstanceState::kEvicted;
+      SetState(inst, InstanceState::kEvicted);
       assert(spawning_ > 0);
       --spawning_;
       callbacks_.release_memory();
@@ -228,7 +228,7 @@ void Agent::RunColdPhases(int32_t instance_id) {
     const TouchResult anon = guest_->TouchAnon(i.pid, init_anon, init_start);
     if (anon.oom) {
       // The instance blew its partition / the VM: reap it.
-      i.state = InstanceState::kEvicted;
+      SetState(i, InstanceState::kEvicted);
       assert(spawning_ > 0);
       --spawning_;
       callbacks_.release_memory();
@@ -249,7 +249,7 @@ void Agent::RunColdPhases(int32_t instance_id) {
 
 void Agent::BecomeIdle(int32_t instance_id) {
   Instance& inst = instance(instance_id);
-  inst.state = InstanceState::kIdle;
+  SetState(inst, InstanceState::kIdle);
   inst.idle_since = events_->now();
   ScheduleKeepAlive(instance_id);
   instance_series_.Push(events_->now(), static_cast<double>(live_instances()));
@@ -285,7 +285,7 @@ void Agent::StartExec(int32_t instance_id, TimeNs arrival) {
     events_->Cancel(inst.keepalive_event);
     inst.keepalive_event = kInvalidEventId;
   }
-  inst.state = InstanceState::kBusy;
+  SetState(inst, InstanceState::kBusy);
 
   const TimeNs exec_start = events_->now();
   DurationNs work = static_cast<DurationNs>(
@@ -299,7 +299,7 @@ void Agent::StartExec(int32_t instance_id, TimeNs arrival) {
                               : 0;
     const TouchResult anon = guest_->TouchAnon(inst.pid, rest, exec_start);
     if (anon.oom) {
-      inst.state = InstanceState::kEvicted;
+      SetState(inst, InstanceState::kEvicted);
       callbacks_.release_memory();
       return;
     }
@@ -350,7 +350,7 @@ void Agent::Evict(int32_t instance_id) {
     inst.keepalive_event = kInvalidEventId;
   }
   guest_->Exit(inst.pid);
-  inst.state = InstanceState::kEvicted;
+  SetState(inst, InstanceState::kEvicted);
   ++evictions_;
   instance_series_.Push(events_->now(), static_cast<double>(live_instances()));
   callbacks_.release_memory();
@@ -379,10 +379,7 @@ Agent::WarmCapture Agent::CaptureAndEvictIdle() {
 
 void Agent::AdoptWarmInstance(uint64_t anon_bytes, uint64_t recorded_bytes,
                               TimeNs available_at) {
-  const int32_t id = static_cast<int32_t>(instances_.size());
-  instances_.push_back(std::make_unique<Instance>());
-  instance(id).id = id;
-  instance(id).state = InstanceState::kWaitingMemory;
+  const int32_t id = NewInstance();
   ++spawns_;
   instance_series_.Push(events_->now(), static_cast<double>(live_instances()));
   callbacks_.acquire_memory(
@@ -390,7 +387,7 @@ void Agent::AdoptWarmInstance(uint64_t anon_bytes, uint64_t recorded_bytes,
         Instance& inst = instance(id);
         assert(inst.state == InstanceState::kWaitingMemory);
         inst.cold.vmm = vmm_latency;
-        inst.state = InstanceState::kColdStart;  // Transient: restoring state.
+        SetState(inst, InstanceState::kColdStart);  // Transient: restoring state.
         inst.pid = guest_->CreateProcess();
         guest_->process(inst.pid).MapFile(deps_file_);
         if (config_.use_squeezy) {
@@ -418,7 +415,7 @@ void Agent::RestoreWarmState(int32_t instance_id, uint64_t anon_bytes,
     const RestoreOutcome rest = guest_->RestoreWorkingSet(
         inst.pid, deps_file_, /*file_pages=*/0, recorded_bytes, events_->now());
     if (rest.oom) {
-      inst.state = InstanceState::kEvicted;
+      SetState(inst, InstanceState::kEvicted);
       instance_series_.Push(events_->now(), static_cast<double>(live_instances()));
       callbacks_.release_memory();
       return;
@@ -436,7 +433,7 @@ void Agent::RestoreWarmState(int32_t instance_id, uint64_t anon_bytes,
   // through the shared guest page cache as for any instance.
   const TouchResult anon = guest_->TouchAnon(inst.pid, anon_bytes, events_->now());
   if (anon.oom) {
-    inst.state = InstanceState::kEvicted;
+    SetState(inst, InstanceState::kEvicted);
     instance_series_.Push(events_->now(), static_cast<double>(live_instances()));
     callbacks_.release_memory();
     return;

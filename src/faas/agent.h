@@ -10,6 +10,8 @@
 #ifndef SQUEEZY_FAAS_AGENT_H_
 #define SQUEEZY_FAAS_AGENT_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -222,6 +224,16 @@ class Agent {
                         uint64_t recorded_bytes, TimeNs available_at);
 
   Instance& instance(int32_t id) { return *instances_[static_cast<size_t>(id)]; }
+  // Appends a new instance (in kWaitingMemory) and returns its id.
+  int32_t NewInstance();
+  // Every instance state change goes through here, so the per-state counts
+  // stay O(1) to read even though instances_ never shrinks.
+  void SetState(Instance& inst, InstanceState state);
+  size_t CountIn(InstanceState state) const {
+    return state_counts_[static_cast<size_t>(state)];
+  }
+  // Debug cross-check: the counts equal a scan of every instance.
+  bool CountsMatchScan() const;
 
   EventQueue* events_;
   GuestKernel* guest_;
@@ -233,6 +245,9 @@ class Agent {
   int32_t deps_file_ = -1;
 
   std::vector<std::unique_ptr<Instance>> instances_;
+  static constexpr size_t kInstanceStates =
+      static_cast<size_t>(InstanceState::kEvicted) + 1;
+  std::array<size_t, kInstanceStates> state_counts_{};  // Instances per state.
   std::deque<TimeNs> queue_;  // Arrival times of waiting requests.
   size_t spawning_ = 0;
 

@@ -125,19 +125,37 @@ void GuestKernel::OomKill(Pid pid) {
 
 // --- Fault paths -----------------------------------------------------------------
 
+namespace {
+
+// Calls fn(head, pages) for each maximal run of consecutive pfns in
+// pfns[0, n) that stays inside one memory block.
+template <typename Fn>
+void ForEachBlockRun(const Pfn* pfns, uint32_t n, Fn&& fn) {
+  uint32_t i = 0;
+  while (i < n) {
+    uint32_t j = i + 1;
+    while (j < n && pfns[j] == pfns[j - 1] + 1 && pfns[j] % kPagesPerBlock != 0) {
+      ++j;
+    }
+    fn(pfns[i], j - i);
+    i = j;
+  }
+}
+
+}  // namespace
+
 uint64_t GuestKernel::MarkHostBacking(Pfn head, uint32_t pages, uint64_t* new_pages) {
   const uint32_t granule_pages = static_cast<uint32_t>(cost().host_thp_bytes / kPageSize);
-  const Pfn first_granule = head / granule_pages;
-  const Pfn last_granule = (head + pages - 1) / granule_pages;
+  const Pfn start = head / granule_pages * granule_pages;
+  const Pfn end = ((head + pages - 1) / granule_pages + 1) * granule_pages;
+  Page* span = memmap_->span(start, end - start);
   uint64_t extents = 0;
-  for (Pfn g = first_granule; g <= last_granule; ++g) {
-    const Pfn start = g * granule_pages;
+  for (uint32_t g = 0; g < end - start; g += granule_pages) {
     bool any_new = false;
-    for (Pfn pfn = start; pfn < start + granule_pages; ++pfn) {
-      Page& p = memmap_->page(pfn);
-      if (!p.host_populated) {
+    for (uint32_t i = g; i < g + granule_pages; ++i) {
+      if (!span[i].host_populated) {
         // Host THP backs the whole aligned granule on first touch.
-        p.host_populated = true;
+        span[i].host_populated = true;
         any_new = true;
         ++*new_pages;
       }
@@ -147,6 +165,52 @@ uint64_t GuestKernel::MarkHostBacking(Pfn head, uint32_t pages, uint64_t* new_pa
     }
   }
   return extents;
+}
+
+uint64_t GuestKernel::MarkHostBacking(const Pfn* pfns, uint32_t n, uint64_t* new_pages) {
+  uint64_t extents = 0;
+  ForEachBlockRun(pfns, n, [&](Pfn head, uint32_t pages) {
+    extents += MarkHostBacking(head, pages, new_pages);
+  });
+  return extents;
+}
+
+void GuestKernel::ChargeNestedFaults(uint64_t faults, uint64_t pages, TimeNs now,
+                                     TouchResult* result) {
+  // Each first-touched granule is its own nested fault at `now`; the
+  // hypervisor books them all in one call, charge for charge.
+  if (faults > 0) {
+    const DurationNs nested =
+        hv_->NestedFaultPopulateBatch(vm_, faults, PagesToBytes(pages), now);
+    result->nested += nested;
+    result->latency += nested;
+  }
+}
+
+uint32_t GuestKernel::MissRun(int32_t file_id, uint64_t idx, uint64_t end) const {
+  const uint64_t cap = std::min<uint64_t>(end, idx + kFillBatch);
+  uint64_t i = idx;
+  while (i < cap && !page_cache_.Cached(file_id, i)) {
+    ++i;
+  }
+  return static_cast<uint32_t>(i - idx);
+}
+
+uint32_t GuestKernel::FillFileRun(int32_t file_id, uint64_t idx, uint32_t n,
+                                  bool normal_fallback, Pfn* out) {
+  // A zone that ran dry stays dry for the rest of a fill loop, so taking
+  // the whole run from the file zone first and only then from ZONE_NORMAL
+  // gives the pages a per-page fallback would.
+  const auto slot = static_cast<uint32_t>(idx);
+  uint32_t got = file_zone_->AllocPages(n, PageKind::kFile, file_id, slot, out);
+  if (got < n && normal_fallback && file_zone_ != normal_zone_) {
+    got += normal_zone_->AllocPages(n - got, PageKind::kFile, file_id, slot + got,
+                                    out + got);
+  }
+  for (uint32_t i = 0; i < got; ++i) {
+    page_cache_.Insert(file_id, idx + i, out[i]);
+  }
+  return got;
 }
 
 DurationNs GuestKernel::PopulateHostBacking(Pfn head, uint32_t pages, TimeNs now) {
@@ -234,45 +298,37 @@ TouchResult GuestKernel::TouchFile(Pid pid, int32_t file_id, uint64_t bytes, Tim
   const DurationNs miss_read =
       backing_x1000 < 0 ? cost().IoBytes(kPageSize)
                         : backing_x1000 * static_cast<DurationNs>(kPageSize) / 1000;
-  // Each first-touched granule is its own nested fault at `now`; the
-  // hypervisor books them all in one call, charge for charge.
+  const DurationNs miss_cost = cost().fault_folio_fixed + cost().fault_page + miss_read;
+  const bool normal_fallback = proc.anon_zone() == nullptr;
   uint64_t faults = 0;
   uint64_t fault_pages = 0;
-  auto charge_faults = [&] {
-    if (faults > 0) {
-      const DurationNs nested =
-          hv_->NestedFaultPopulateBatch(vm_, faults, PagesToBytes(fault_pages), now);
-      result.nested += nested;
-      result.latency += nested;
-    }
-  };
-  for (uint64_t idx = 0; idx < pages; ++idx) {
+  Pfn pfns[kFillBatch] = {};
+  for (uint64_t idx = 0; idx < pages;) {
     if (page_cache_.Cached(file_id, idx)) {
       result.latency += cost().fault_page;
+      ++idx;
       continue;
     }
-    Zone* zone = file_zone_;
-    Pfn pfn = zone->Alloc(0, PageKind::kFile, file_id, static_cast<uint32_t>(idx));
-    if (pfn == kInvalidPfn && proc.anon_zone() == nullptr && zone != normal_zone_) {
-      zone = normal_zone_;
-      pfn = zone->Alloc(0, PageKind::kFile, file_id, static_cast<uint32_t>(idx));
-    }
-    if (pfn == kInvalidPfn) {
-      charge_faults();
-      OomKill(pid);
-      result.oom = true;
-      return result;
-    }
-    page_cache_.Insert(file_id, idx, pfn);
-    result.latency += cost().fault_folio_fixed + cost().fault_page + miss_read;
+    const uint32_t run = MissRun(file_id, idx, pages);
+    const uint32_t got = FillFileRun(file_id, idx, run, normal_fallback, pfns);
+    result.latency += miss_cost * static_cast<int64_t>(got);
     if (backing_x1000 < 0) {
-      page_cache_.CountDiskRead(file_id, kPageSize);
+      page_cache_.CountDiskRead(file_id, PagesToBytes(got));
     } else {
-      page_cache_.CountRemoteRead(file_id, kPageSize);
+      page_cache_.CountRemoteRead(file_id, PagesToBytes(got));
     }
-    faults += MarkHostBacking(pfn, 1, &fault_pages);
+    faults += MarkHostBacking(pfns, got, &fault_pages);
+    if (got < run) {
+      result.oom = true;
+      break;
+    }
+    idx += run;
   }
-  charge_faults();
+  ChargeNestedFaults(faults, fault_pages, now, &result);
+  if (result.oom) {
+    OomKill(pid);
+    return result;
+  }
   result.bytes = PagesToBytes(pages);
   return result;
 }
@@ -285,10 +341,10 @@ RestoreOutcome GuestKernel::RestoreWorkingSet(Pid pid, int32_t file_id,
   assert(proc.state() == ProcessState::kRunning);
   uint64_t populate_pages = 0;
   auto mark_populated = [this, &populate_pages](Pfn head, uint32_t pages) {
-    for (Pfn pfn = head; pfn < head + pages; ++pfn) {
-      Page& p = memmap_->page(pfn);
-      if (!p.host_populated) {
-        p.host_populated = true;
+    Page* span = memmap_->span(head, pages);
+    for (uint32_t i = 0; i < pages; ++i) {
+      if (!span[i].host_populated) {
+        span[i].host_populated = true;
         ++populate_pages;
       }
     }
@@ -297,21 +353,21 @@ RestoreOutcome GuestKernel::RestoreWorkingSet(Pid pid, int32_t file_id,
   // Recorded file pages: straight into the page cache, no backing read —
   // the snapshot file carries their contents.
   const uint64_t pages = std::min(file_pages, page_cache_.FilePages(file_id));
-  for (uint64_t idx = 0; idx < pages; ++idx) {
+  const bool normal_fallback = proc.anon_zone() == nullptr;
+  Pfn pfns[kFillBatch] = {};
+  for (uint64_t idx = 0; idx < pages;) {
     if (page_cache_.Cached(file_id, idx)) {
+      ++idx;
       continue;
     }
-    Zone* zone = file_zone_;
-    Pfn pfn = zone->Alloc(0, PageKind::kFile, file_id, static_cast<uint32_t>(idx));
-    if (pfn == kInvalidPfn && proc.anon_zone() == nullptr && zone != normal_zone_) {
-      pfn = normal_zone_->Alloc(0, PageKind::kFile, file_id, static_cast<uint32_t>(idx));
-    }
-    if (pfn == kInvalidPfn) {
+    const uint32_t run = MissRun(file_id, idx, pages);
+    const uint32_t got = FillFileRun(file_id, idx, run, normal_fallback, pfns);
+    ForEachBlockRun(pfns, got, mark_populated);
+    out.file_bytes += PagesToBytes(got);
+    if (got < run) {
       break;  // Partial restore; the rest demand-faults as tail.
     }
-    page_cache_.Insert(file_id, idx, pfn);
-    mark_populated(pfn, 1);
-    out.file_bytes += kPageSize;
+    idx += run;
   }
   page_cache_.CountRestored(file_id, out.file_bytes);
 
@@ -364,26 +420,34 @@ RestoreOutcome GuestKernel::RestoreWorkingSet(Pid pid, int32_t file_id,
 TouchResult GuestKernel::AdoptFileCache(int32_t file_id, TimeNs now, bool populate_host) {
   TouchResult result;
   const uint64_t pages = page_cache_.FilePages(file_id);
-  for (uint64_t idx = 0; idx < pages; ++idx) {
+  uint64_t adopted = 0;
+  uint64_t faults = 0;
+  uint64_t fault_pages = 0;
+  Pfn pfns[kFillBatch] = {};
+  for (uint64_t idx = 0; idx < pages;) {
     if (page_cache_.Cached(file_id, idx)) {
+      ++idx;
       continue;
     }
-    const Pfn pfn = file_zone_->Alloc(0, PageKind::kFile, file_id, static_cast<uint32_t>(idx));
-    if (pfn == kInvalidPfn) {
+    const uint32_t run = MissRun(file_id, idx, pages);
+    const uint32_t got = FillFileRun(file_id, idx, run, /*normal_fallback=*/false, pfns);
+    adopted += got;
+    // Sibling sharing (populate_host == false) adds no host frames — the
+    // host already backs the image for another VM; migration-landed bytes
+    // need frames of their own.
+    if (populate_host) {
+      faults += MarkHostBacking(pfns, got, &fault_pages);
+    }
+    if (got < run) {
       break;  // Partial adoption; the remainder faults in normally.
     }
-    page_cache_.Insert(file_id, idx, pfn);
-    // Fault cost, no backing read.  Sibling sharing (populate_host ==
-    // false) adds no host frames — the host already backs the image for
-    // another VM; migration-landed bytes need frames of their own.
-    result.latency += cost().fault_folio_fixed + cost().fault_page;
-    if (populate_host) {
-      const DurationNs nested = PopulateHostBacking(pfn, 1, now);
-      result.nested += nested;
-      result.latency += nested;
-    }
-    result.bytes += kPageSize;
+    idx += run;
   }
+  // Fault cost, no backing read.
+  result.latency +=
+      (cost().fault_folio_fixed + cost().fault_page) * static_cast<int64_t>(adopted);
+  ChargeNestedFaults(faults, fault_pages, now, &result);
+  result.bytes = PagesToBytes(adopted);
   page_cache_.CountAdopted(file_id, result.bytes);
   return result;
 }

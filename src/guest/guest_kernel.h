@@ -206,6 +206,25 @@ class GuestKernel : public OwnerRegistry, public VirtioMemHooks {
   // [head, head+pages) as backed and returns how many were newly backed
   // (one exit each); `new_pages` grows by the frames they add.
   uint64_t MarkHostBacking(Pfn head, uint32_t pages, uint64_t* new_pages);
+  // MarkHostBacking over every page in pfns[0, n).
+  uint64_t MarkHostBacking(const Pfn* pfns, uint32_t n, uint64_t* new_pages);
+  // Books `faults` first-touch nested faults adding `pages` host frames at
+  // `now` in one hypervisor call and adds their latency to `result`.
+  void ChargeNestedFaults(uint64_t faults, uint64_t pages, TimeNs now,
+                          TouchResult* result);
+
+  // Page-cache fills take runs of consecutive misses, at most this many
+  // pages per bulk allocation.
+  static constexpr uint32_t kFillBatch = 1024;
+  // Length of the run of uncached pages of `file_id` at [idx, end), capped
+  // at kFillBatch.
+  uint32_t MissRun(int32_t file_id, uint64_t idx, uint64_t end) const;
+  // Allocates page-cache pages for the n uncached pages [idx, idx + n) of
+  // `file_id`, from the file zone and then, with `normal_fallback`, from
+  // ZONE_NORMAL, and inserts them.  Their pfns go to `out`.  Returns how
+  // many were filled: fewer than n only when the zones ran dry.
+  uint32_t FillFileRun(int32_t file_id, uint64_t idx, uint32_t n, bool normal_fallback,
+                       Pfn* out);
   void OomKill(Pid pid);
 
   GuestConfig config_;

@@ -14,15 +14,20 @@
 // The const accessor synthesizes a uniform block's pages from that
 // template (a max-order head every 1024 pages in kFree).  The first
 // mutable touch — in practice the first Zone::Alloc inside the block —
-// materializes a 128 MiB-block chunk of Pages in one fill pass, and the
-// block stays materialized until RemoveBlock frees the chunk.  So hot-add,
-// online, isolate, retire and hot-remove of an untouched block cost O(1)
-// or O(32 max-order heads) instead of O(32768 pages).
+// materializes the block's chunk of 32768 16-byte Pages (512 KiB) in one
+// fill pass, and the block stays materialized until RemoveBlock frees the
+// chunk.  So hot-add, online, isolate, retire and hot-remove of an
+// untouched block cost O(1) or O(32 max-order heads) instead of O(32768
+// pages).
 //
 // Max-order free-list links live here, one {next, prev} pair per 1024-page
 // slot (8 B per 4 MiB), not in Page: that is what lets a whole-free block
 // sit on its zone's free lists with no per-page storage.  Smaller orders
-// keep their links in the head Page.
+// keep their links in the head Page, overlaid on the owner fields (see
+// page.h).
+//
+// Per-page loops that stay inside one block (a folio, a free chunk, a
+// host granule range) take one span() instead of one page() per page.
 //
 // Every transition reads back exactly as a fully materialized map would;
 // only host time and sim RSS change (tests/property_test.cc replays random
@@ -36,6 +41,7 @@
 #ifndef SQUEEZY_MM_MEMMAP_H_
 #define SQUEEZY_MM_MEMMAP_H_
 
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -76,6 +82,14 @@ class MemMap {
       chunk = Materialize(b);
     }
     return chunk[pfn - BlockStart(b)];
+  }
+  // The n pages [pfn, pfn + n) as one array, with one block lookup (and at
+  // most one materialization).  A span never crosses a block: folios, free
+  // chunks and host granules never do.
+  Page* span(Pfn pfn, uint32_t n) {
+    assert(n > 0 && BlockOf(pfn) == BlockOf(pfn + n - 1) && "span crosses a block");
+    (void)n;
+    return &page(pfn);
   }
   // Const access never materializes: a uniform block's page is read from
   // the block's template.
@@ -148,7 +162,8 @@ class MemMap {
     Page tail;
   };
   // Chunks are filled from the template straight into raw storage, so
-  // they are released without running Page destructors (Page is trivial).
+  // they are released without running Page destructors (page.h asserts
+  // that Page is trivially copyable and trivially destructible).
   struct ChunkDeleter {
     void operator()(Page* chunk) const;
   };

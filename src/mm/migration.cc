@@ -23,8 +23,8 @@ MigrateOutcome MigrateOutOfRange(MemMap& memmap, Zone& src_zone, Zone& target_zo
     }
     const uint8_t order = p.order;
     const PageKind kind = p.kind;
-    const int32_t owner = p.owner;
-    const uint32_t owner_slot = p.owner_slot;
+    const int32_t owner = p.owner();
+    const uint32_t owner_slot = p.owner_slot();
     const uint32_t folio_pages = 1u << order;
 
     const Pfn target = target_zone.Alloc(order, kind, owner, owner_slot);
@@ -36,8 +36,9 @@ MigrateOutcome MigrateOutOfRange(MemMap& memmap, Zone& src_zone, Zone& target_zo
 
     // The copy writes every byte of the target folio; the host backs it as
     // a side effect (cost folded into migrate_page).
+    Page* target_pages = memmap.span(target, folio_pages);
     for (uint32_t i = 0; i < folio_pages; ++i) {
-      Page& tp = memmap.page(target + i);
+      Page& tp = target_pages[i];
       if (!tp.host_populated) {
         tp.host_populated = true;
         ++outcome.pages_newly_backed;

@@ -1,15 +1,21 @@
 // Guest physical page model (the simulator's `struct page`).
 //
-// One Page exists per 4 KiB guest frame of the managed span.  Pages form
-// folios (compound pages): an order-N folio covers 2^N contiguous,
-// naturally aligned frames; only the head carries ownership metadata.
-// Free buddy chunks use the same head/tail scheme plus an intrusive
-// doubly-linked free list threaded through the heads (max-order heads link
-// through a MemMap side table instead; see memmap.h).
+// One 16-byte Page exists per 4 KiB guest frame of the managed span.
+// Pages form folios (compound pages): an order-N folio covers 2^N
+// contiguous, naturally aligned frames; only the head carries ownership
+// metadata.  Free buddy chunks use the same head/tail scheme plus an
+// intrusive doubly-linked free list threaded through the heads (max-order
+// heads link through a MemMap side table instead; see memmap.h).
+//
+// Like Linux's `struct page`, the owner and the free-list link share one
+// 8-byte word pair: a free head has no owner, and an allocated head is on
+// no list.  Every other page holds the "unlinked" value FreeLink{}.
 #ifndef SQUEEZY_MM_PAGE_H_
 #define SQUEEZY_MM_PAGE_H_
 
+#include <cassert>
 #include <cstdint>
+#include <type_traits>
 
 namespace squeezy {
 
@@ -35,7 +41,9 @@ enum class PageKind : uint8_t {
   kKernel,  // Kernel/pinned allocation (unmovable), incl. balloon-held pages.
 };
 
-// Buddy free-list linkage of one free chunk head.
+// Buddy free-list linkage of one free chunk head.  FreeLink{} is also the
+// value of every page that is neither a listed free head nor an allocated
+// head.
 struct FreeLink {
   Pfn next = kInvalidPfn;
   Pfn prev = kInvalidPfn;
@@ -44,16 +52,34 @@ struct FreeLink {
 struct Page {
   PageState state = PageState::kHole;
   PageKind kind = PageKind::kNone;
-  uint8_t order = 0;           // Folio/chunk order; valid on heads.
-  bool head = false;           // True for folio/chunk head frames.
-  bool host_populated = false; // Host (EPT) backing exists for this frame.
-  int16_t zone_id = -1;        // Owning zone, -1 while offline/hole.
-  int32_t owner = kNoOwner;    // Anon: pid.  File: file id.  (heads only)
-  uint32_t owner_slot = 0;     // Anon: index in the owner's folio table.
-                               // File: page index within the file.
-  FreeLink free;               // Free-list linkage (free heads below max order
-                               // only; max-order links live in MemMap).
+  uint8_t order = 0;            // Folio/chunk order; valid on heads.
+  bool head = false;            // True for folio/chunk head frames.
+  bool host_populated = false;  // Host (EPT) backing exists for this frame.
+  int16_t zone_id = -1;         // Owning zone, -1 while offline/hole.
+  // Free-list linkage of a free head below max order (max-order links live
+  // in MemMap); on an allocated head the same two words hold its owner.
+  // Read `free` only on a listed free head, and owner() only on an
+  // allocated head.
+  FreeLink free;
+
+  // Owner of an allocated head.  Anon: pid.  File: file id.  Kernel:
+  // kNoOwner.
+  int32_t owner() const {
+    return free.next == kInvalidPfn ? kNoOwner : static_cast<int32_t>(free.next);
+  }
+  // Anon: index in the owner's folio table.  File: page index in the file.
+  uint32_t owner_slot() const { return free.prev; }
+  void SetOwner(int32_t owner, uint32_t owner_slot) {
+    assert(owner >= kNoOwner);
+    free.next = owner == kNoOwner ? kInvalidPfn : static_cast<Pfn>(owner);
+    free.prev = owner_slot;
+  }
 };
+
+// Chunks are filled into raw storage and released without destructors.
+static_assert(sizeof(Page) == 16, "Page grew: every 128 MiB block pays 32768 of them");
+static_assert(std::is_trivially_copyable_v<Page>);
+static_assert(std::is_trivially_destructible_v<Page>);
 
 struct FolioRef {
   Pfn head = kInvalidPfn;

@@ -105,15 +105,15 @@ Pfn Zone::ListPopFront(uint8_t order) {
 
 void Zone::StampFreeChunk(Pfn pfn, uint8_t order) {
   const uint32_t n = 1u << order;
+  Page* pages = memmap_->span(pfn, n);
   for (uint32_t i = 0; i < n; ++i) {
-    Page& p = memmap_->page(pfn + i);
+    Page& p = pages[i];
     p.state = PageState::kFree;
     p.kind = PageKind::kNone;
     p.head = (i == 0);
     p.order = order;
     p.zone_id = id_;
-    p.owner = kNoOwner;
-    p.owner_slot = 0;
+    p.free = FreeLink{};
   }
 }
 
@@ -225,20 +225,64 @@ Pfn Zone::Alloc(uint8_t order, PageKind kind, int32_t owner, uint32_t owner_slot
   }
 
   const uint32_t n = 1u << order;
+  Page* pages = memmap_->span(chunk, n);
   for (uint32_t i = 0; i < n; ++i) {
-    Page& p = memmap_->page(chunk + i);
+    Page& p = pages[i];
     p.state = PageState::kAllocated;
     p.kind = kind;
-    p.head = (i == 0);
+    p.head = false;
     p.order = order;
-    p.owner = (i == 0) ? owner : kNoOwner;
-    p.owner_slot = (i == 0) ? owner_slot : 0;
     p.free = FreeLink{};
   }
+  pages[0].head = true;
+  pages[0].SetOwner(owner, owner_slot);
   assert(free_pages_ >= n);
   free_pages_ -= n;
   memmap_->AdjustBlockAllocated(chunk, n);
   return chunk;
+}
+
+uint32_t Zone::AllocPages(uint32_t n, PageKind kind, int32_t owner, uint32_t first_slot,
+                          Pfn* out) {
+  uint32_t taken = 0;
+  while (taken < n) {
+    uint8_t from = 0;
+    while (from <= kMaxPageOrder && areas_[from].nr_free == 0) {
+      ++from;
+    }
+    if (from > kMaxPageOrder) {
+      break;  // The zone ran dry.
+    }
+    const Pfn chunk = ListPopFront(from);
+    const uint32_t size = 1u << from;
+    const uint32_t take = std::min(n - taken, size);
+    // Repeated Alloc(0) hands out a chunk's pages in ascending order.
+    Page* pages = memmap_->span(chunk, size);
+    for (uint32_t i = 0; i < take; ++i) {
+      Page& p = pages[i];
+      p.state = PageState::kAllocated;
+      p.kind = kind;
+      p.head = true;
+      p.order = 0;
+      p.SetOwner(owner, first_slot + taken + i);
+      out[taken + i] = chunk + i;
+    }
+    // The rest ends up as repeated splitting leaves it: tiled by the
+    // largest naturally aligned piece at each offset.  The lists below
+    // `from` were empty, so each piece is alone at the front of its list.
+    for (uint32_t off = take; off < size;) {
+      const auto order = static_cast<uint8_t>(__builtin_ctz(off));
+      assert(areas_[order].nr_free == 0);
+      StampFreeChunk(chunk + off, order);
+      ListPushFront(order, chunk + off);
+      off += 1u << order;
+    }
+    assert(free_pages_ >= take);
+    free_pages_ -= take;
+    memmap_->AdjustBlockAllocated(chunk, take);
+    taken += take;
+  }
+  return taken;
 }
 
 void Zone::Free(Pfn head) {
@@ -257,14 +301,14 @@ void Zone::FreeIntoIsolation(Pfn head) {
   assert(p.zone_id == id_);
   const uint32_t n = 1u << p.order;
   memmap_->AdjustBlockAllocated(head, -static_cast<int64_t>(n));
+  Page* pages = memmap_->span(head, n);
   for (uint32_t i = 0; i < n; ++i) {
-    Page& q = memmap_->page(head + i);
+    Page& q = pages[i];
     q.state = PageState::kIsolated;
     q.kind = PageKind::kNone;
     q.head = false;
     q.order = 0;
-    q.owner = kNoOwner;
-    q.owner_slot = 0;
+    q.free = FreeLink{};
   }
   // Isolated pages no longer count as allocatable; they were allocated, so
   // free_pages_ is unchanged.
@@ -292,8 +336,9 @@ uint64_t Zone::IsolateFreeRange(Pfn start, uint64_t npages) {
       const uint32_t n = 1u << order;
       assert(pfn + n <= end && "free chunks never straddle block boundaries");
       ListRemove(order, pfn);
+      Page* pages = memmap_->span(pfn, n);
       for (uint32_t i = 0; i < n; ++i) {
-        Page& q = memmap_->page(pfn + i);
+        Page& q = pages[i];
         q.state = PageState::kIsolated;
         q.head = false;
         q.order = 0;
@@ -347,14 +392,20 @@ void Zone::RetireRange(Pfn start, uint64_t npages) {
       pfn += kPagesPerBlock;
       continue;
     }
-    Page& p = memmap_->page(pfn);
-    assert(p.state == PageState::kIsolated);
-    assert(p.zone_id == id_);
-    p.state = PageState::kOffline;
-    p.zone_id = -1;
-    p.head = false;
-    p.order = 0;
-    ++pfn;
+    // The rest of the range within this block, in one span.
+    const Pfn block_end = MemMap::BlockStart(MemMap::BlockOf(pfn) + 1);
+    const auto n = static_cast<uint32_t>(std::min(end, block_end) - pfn);
+    Page* pages = memmap_->span(pfn, n);
+    for (uint32_t i = 0; i < n; ++i) {
+      Page& p = pages[i];
+      assert(p.state == PageState::kIsolated);
+      assert(p.zone_id == id_);
+      p.state = PageState::kOffline;
+      p.zone_id = -1;
+      p.head = false;
+      p.order = 0;
+    }
+    pfn += n;
   }
   assert(present_pages_ >= npages && managed_pages_ >= npages);
   present_pages_ -= npages;

@@ -5,7 +5,8 @@
 // zone); the buddy allocator serves folios of order 0..kMaxPageOrder from
 // intrusive per-order free lists threaded through the memmap.  A block
 // onlined whole stays a uniform MemMap block (no per-page state) until the
-// first allocation inside it.
+// first allocation inside it.  Page-cache fills allocate runs of single
+// pages in bulk (AllocPages), one buddy chunk at a time.
 //
 // The offline path uses the isolation primitives: free pages in a range
 // are pulled out of the free lists (kIsolated) so concurrent allocations
@@ -69,6 +70,14 @@ class Zone {
   // Allocates a 2^order folio.  Returns the head pfn or kInvalidPfn when the
   // zone cannot satisfy the request.
   Pfn Alloc(uint8_t order, PageKind kind, int32_t owner, uint32_t owner_slot);
+
+  // Allocates up to n single pages, equal to n calls of
+  // Alloc(0, kind, owner, first_slot + i) — the same pfns in `out`, free
+  // lists and memmap — but one pass per buddy chunk (Linux's
+  // alloc_pages_bulk).  Returns how many were allocated: fewer than n only
+  // when the zone ran dry.
+  uint32_t AllocPages(uint32_t n, PageKind kind, int32_t owner, uint32_t first_slot,
+                      Pfn* out);
 
   // Frees an allocated folio (by head pfn), coalescing with buddies.
   void Free(Pfn head);

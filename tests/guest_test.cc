@@ -186,7 +186,7 @@ TEST_F(GuestTest, VanillaUnplugAfterProcessExitMigratesSurvivors) {
     }
     const Page& p = guest_->memmap().page(f.head);
     EXPECT_EQ(p.state, PageState::kAllocated);
-    EXPECT_EQ(p.owner, b);
+    EXPECT_EQ(p.owner(), b);
   }
 }
 

@@ -1,7 +1,10 @@
 // Unit tests for the memory map and block state machine.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/mm/memmap.h"
+#include "src/mm/migration.h"
 #include "src/mm/zone.h"
 #include "src/sim/cost_model.h"
 
@@ -262,6 +265,72 @@ TEST(MemMapTest, OccupancyCounterStartsZero) {
   EXPECT_EQ(m.BlockOccupied(0), 5u);
   m.AdjustBlockAllocated(3, -5);  // pfn 3 is still block 0.
   EXPECT_EQ(m.BlockOccupied(0), 0u);
+}
+
+// A Page's owner shares its two words with the free-list link (page.h).
+// Free-list traffic on the pages around an allocated head must not touch
+// its owner, and migration must hand the registry the original one.
+TEST(MemMapTest, OwnerOverlaySurvivesNeighbourFreesAndMigration) {
+  MemMap m(GiB(1));
+  Zone zone(0, ZoneType::kMovable, "z", &m);
+  for (BlockIndex b = 0; b < 2; ++b) {
+    m.InitBlock(b);
+    zone.AddFreeRange(MemMap::BlockStart(b), kPagesPerBlock);
+    m.set_block_state(b, BlockState::kOnline);
+  }
+  // A fresh zone hands out ascending pfns: neighbours 0-3, the file page
+  // at 4, neighbours 5-7.
+  std::vector<Pfn> neighbours;
+  for (uint32_t i = 0; i < 4; ++i) {
+    neighbours.push_back(zone.Alloc(0, PageKind::kAnon, 1, i));
+  }
+  const Pfn file = zone.Alloc(0, PageKind::kFile, /*owner=*/5, /*owner_slot=*/77);
+  ASSERT_EQ(file, 4u);
+  for (uint32_t i = 4; i < 7; ++i) {
+    neighbours.push_back(zone.Alloc(0, PageKind::kAnon, 1, i));
+  }
+  // Freed, they coalesce into [0, 4) at order 2, {5} at order 0 and
+  // [6, 8) at order 1, each linked on its list around the file page.
+  for (const Pfn pfn : neighbours) {
+    zone.Free(pfn);
+  }
+  const MemMap& cm = m;
+  EXPECT_TRUE(zone.CheckFreeLists());
+  EXPECT_TRUE(cm.page(0).head && cm.page(0).order == 2);
+  EXPECT_TRUE(cm.page(5).head && cm.page(5).order == 0);
+  EXPECT_TRUE(cm.page(6).head && cm.page(6).order == 1);
+  EXPECT_EQ(cm.page(file).state, PageState::kAllocated);
+  EXPECT_EQ(cm.page(file).owner(), 5);
+  EXPECT_EQ(cm.page(file).owner_slot(), 77u);
+
+  struct Registry : OwnerRegistry {
+    void RelocateFolio(PageKind kind, int32_t owner, uint32_t owner_slot,
+                       Pfn new_head) override {
+      moves.push_back({kind, owner, owner_slot, new_head});
+    }
+    struct Move {
+      PageKind kind;
+      int32_t owner;
+      uint32_t owner_slot;
+      Pfn to;
+    };
+    std::vector<Move> moves;
+  } registry;
+  EXPECT_EQ(zone.IsolateFreeRange(0, kPagesPerBlock), kPagesPerBlock - 1u);
+  const CostModel cost = CostModel::Default();
+  const MigrateOutcome out =
+      MigrateOutOfRange(m, zone, zone, 0, kPagesPerBlock, cost, &registry);
+  ASSERT_TRUE(out.ok);
+  ASSERT_EQ(registry.moves.size(), 1u);
+  EXPECT_EQ(registry.moves[0].kind, PageKind::kFile);
+  EXPECT_EQ(registry.moves[0].owner, 5);
+  EXPECT_EQ(registry.moves[0].owner_slot, 77u);
+  const Page& moved = cm.page(registry.moves[0].to);
+  EXPECT_EQ(MemMap::BlockOf(registry.moves[0].to), 1u);
+  EXPECT_EQ(moved.owner(), 5);
+  EXPECT_EQ(moved.owner_slot(), 77u);
+  EXPECT_EQ(cm.page(file).state, PageState::kIsolated);
+  EXPECT_TRUE(zone.CheckFreeLists());
 }
 
 }  // namespace

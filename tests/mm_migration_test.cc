@@ -76,8 +76,8 @@ TEST_F(MigrationTest, MovesFolioOutAndPatchesOwner) {
   EXPECT_GE(new_head, kPagesPerBlock);  // Left the isolating block.
   const Page& p = memmap_->page(new_head);
   EXPECT_EQ(p.state, PageState::kAllocated);
-  EXPECT_EQ(p.owner, 42);
-  EXPECT_EQ(p.owner_slot, 7u);
+  EXPECT_EQ(p.owner(), 42);
+  EXPECT_EQ(p.owner_slot(), 7u);
   EXPECT_EQ(p.order, kThpOrder);
   // Source frames are isolated, not free.
   EXPECT_EQ(memmap_->page(head).state, PageState::kIsolated);

@@ -56,7 +56,7 @@ TEST_F(ZoneTest, AllocReturnsAlignedHead) {
     EXPECT_EQ(p.state, PageState::kAllocated);
     EXPECT_TRUE(p.head);
     EXPECT_EQ(p.order, order);
-    EXPECT_EQ(p.owner, 1);
+    EXPECT_EQ(p.owner(), 1);
   }
   EXPECT_TRUE(zone_->CheckFreeLists());
 }

@@ -2,6 +2,7 @@
 // invariants of DESIGN.md §6 must survive arbitrary operation sequences.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <functional>
 #include <ios>
@@ -284,11 +285,12 @@ struct MmSet {
   std::vector<std::unique_ptr<Zone>> zones;
 };
 
+// Compares every field; `free` also carries an allocated head's owner.
 bool SamePage(const Page& a, const Page& b) {
   return a.state == b.state && a.kind == b.kind && a.order == b.order &&
          a.head == b.head && a.host_populated == b.host_populated &&
-         a.zone_id == b.zone_id && a.owner == b.owner && a.owner_slot == b.owner_slot &&
-         a.free.next == b.free.next && a.free.prev == b.free.prev;
+         a.zone_id == b.zone_id && a.free.next == b.free.next &&
+         a.free.prev == b.free.prev;
 }
 
 void ExpectSame(const MmSet& lazy, const MmSet& eager, int step) {
@@ -492,6 +494,189 @@ TEST(UniformMemMapTest, PlugUnplugOfUntouchedBlockNeverMaterializes) {
   EXPECT_EQ(memmap.materialized_peak_blocks(), 0u);
   EXPECT_EQ(zone.present_pages(), 0u);
 }
+
+// --- Bulk allocation oracle: AllocPages(n) vs n single-page Allocs ------------
+
+// Zone::AllocPages must leave exactly what n repeated Alloc(0) calls leave:
+// the same pfns in the same order, free lists, memmap and block counters.
+// Two twin sets replay one random script (online, folio allocs, frees,
+// isolate-then-undo, order-0 fragmentation); at each bulk step one set
+// calls AllocPages and the other Alloc(0) in a loop, and the whole state is
+// compared after every step.
+class BulkVsRepeatedAllocTest
+    : public testing::TestWithParam<std::tuple<uint64_t, bool>> {};
+
+TEST_P(BulkVsRepeatedAllocTest, AllocPagesEqualsRepeatedSinglePageAlloc) {
+  using uniform_oracle::kBlocks;
+  using uniform_oracle::kZones;
+  using uniform_oracle::MmSet;
+  const auto [seed, shuffled] = GetParam();
+  MmSet bulk(seed + 31, shuffled);
+  MmSet single(seed + 31, shuffled);
+  MmSet* const sets[] = {&bulk, &single};
+  Rng rng(seed);
+  std::vector<int16_t> block_zone(kBlocks);
+  for (BlockIndex b = 0; b < kBlocks; ++b) {
+    const auto z = static_cast<int16_t>(rng.UniformInt(0, kZones - 1));
+    block_zone[b] = z;
+    for (MmSet* s : sets) {
+      s->memmap.InitBlock(b);
+      s->zones[static_cast<size_t>(z)]->AddFreeRange(MemMap::BlockStart(b),
+                                                     kPagesPerBlock);
+      s->memmap.set_block_state(b, BlockState::kOnline);
+    }
+  }
+  struct Held {
+    Pfn head;
+    int16_t zone;
+  };
+  std::vector<Held> held;
+  auto pick = [&rng](size_t n) {
+    return static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(n) - 1));
+  };
+  auto free_held = [&](size_t i) {
+    for (MmSet* s : sets) {
+      s->zones[static_cast<size_t>(held[i].zone)]->Free(held[i].head);
+    }
+    held[i] = held.back();
+    held.pop_back();
+  };
+  uint32_t next_slot = 0;
+  // Covered bulk sizes, each at least once per seed.
+  bool saw_zero = false;
+  bool saw_multi_chunk = false;
+  bool saw_short = false;
+  bool saw_fragments = false;
+
+  for (int step = 0; step < 120; ++step) {
+    const auto z = static_cast<int16_t>(rng.UniformInt(0, kZones - 1));
+    const auto zi = static_cast<size_t>(z);
+    switch (rng.UniformInt(0, 5)) {
+      case 0: {  // Folio alloc at order 0, 9 or 10, identical on both sets.
+        const uint8_t orders[] = {0, kThpOrder, kMaxPageOrder};
+        const uint8_t order = orders[rng.UniformInt(0, 2)];
+        const Pfn a = bulk.zones[zi]->Alloc(order, PageKind::kAnon, 1, 0);
+        const Pfn b = single.zones[zi]->Alloc(order, PageKind::kAnon, 1, 0);
+        ASSERT_EQ(a, b) << "step " << step;
+        if (a != kInvalidPfn) {
+          held.push_back({a, z});
+        }
+        break;
+      }
+      case 1: {  // Free a few held folios.
+        for (int k = 0; k < 4 && !held.empty(); ++k) {
+          free_held(pick(held.size()));
+        }
+        break;
+      }
+      case 2: {  // Isolate a block's free pages, then undo.
+        const auto b = static_cast<BlockIndex>(rng.UniformInt(0, kBlocks - 1));
+        const Pfn start = MemMap::BlockStart(b);
+        Zone& bz = *bulk.zones[static_cast<size_t>(block_zone[b])];
+        Zone& sz = *single.zones[static_cast<size_t>(block_zone[b])];
+        ASSERT_EQ(bz.IsolateFreeRange(start, kPagesPerBlock),
+                  sz.IsolateFreeRange(start, kPagesPerBlock));
+        bz.UndoIsolation(start, kPagesPerBlock);
+        sz.UndoIsolation(start, kPagesPerBlock);
+        break;
+      }
+      case 3: {  // Order-0 fragments: take a run, give back every other page.
+        const uint32_t n = static_cast<uint32_t>(rng.UniformInt(2, 64));
+        for (uint32_t i = 0; i < n; ++i) {
+          const Pfn a = bulk.zones[zi]->Alloc(0, PageKind::kAnon, 2, i);
+          const Pfn b = single.zones[zi]->Alloc(0, PageKind::kAnon, 2, i);
+          ASSERT_EQ(a, b) << "step " << step;
+          if (a == kInvalidPfn) {
+            break;
+          }
+          if (i % 2 == 0) {
+            held.push_back({a, z});
+          } else {
+            bulk.zones[zi]->Free(a);
+            single.zones[zi]->Free(b);
+          }
+        }
+        break;
+      }
+      case 4:
+      case 5: {  // The bulk step.
+        const uint64_t free_before = bulk.zones[zi]->free_pages();
+        uint32_t n = 0;
+        switch (rng.UniformInt(0, 3)) {
+          case 0:
+            n = 0;
+            break;
+          case 1:
+            n = static_cast<uint32_t>(rng.UniformInt(1, 40));
+            break;
+          case 2:  // Several chunks, across orders and blocks.
+            n = static_cast<uint32_t>(rng.UniformInt(1500, 5000));
+            break;
+          default:  // More than the zone holds: must come back short.
+            n = static_cast<uint32_t>(free_before + rng.UniformInt(1, 99));
+            break;
+        }
+        saw_fragments = saw_fragments || (n > 0 && bulk.zones[zi]->free_chunks(0) > 0);
+        std::vector<Pfn> got(n, kInvalidPfn);
+        const uint32_t taken =
+            bulk.zones[zi]->AllocPages(n, PageKind::kFile, 3, next_slot, got.data());
+        std::vector<Pfn> want;
+        for (uint32_t i = 0; i < n; ++i) {
+          const Pfn pfn = single.zones[zi]->Alloc(0, PageKind::kFile, 3, next_slot + i);
+          if (pfn == kInvalidPfn) {
+            break;
+          }
+          want.push_back(pfn);
+        }
+        next_slot += n;
+        ASSERT_EQ(taken, want.size()) << "step " << step;
+        ASSERT_EQ(taken, std::min<uint64_t>(n, free_before)) << "step " << step;
+        got.resize(taken);
+        ASSERT_EQ(got, want) << "step " << step;
+        saw_zero = saw_zero || n == 0;
+        saw_multi_chunk = saw_multi_chunk || taken > (1u << kMaxPageOrder);
+        saw_short = saw_short || taken < n;
+        // Keep some pages; give the rest back in a random order, so a
+        // drained zone refills and coalesces.
+        std::vector<Pfn> order = got;
+        rng.Shuffle(order.begin(), order.end());
+        const size_t keep = taken < n ? 0 : order.size() / 4;
+        for (size_t i = 0; i < order.size(); ++i) {
+          if (i < keep) {
+            held.push_back({order[i], z});
+          } else {
+            bulk.zones[zi]->Free(order[i]);
+            single.zones[zi]->Free(order[i]);
+          }
+        }
+        break;
+      }
+    }
+    uniform_oracle::ExpectSame(bulk, single, step);
+    if (testing::Test::HasFatalFailure()) {
+      return;
+    }
+    for (BlockIndex b = 0; b < kBlocks; ++b) {
+      ASSERT_EQ(bulk.memmap.BlockOccupied(b), single.memmap.BlockOccupied(b))
+          << "step " << step << " block " << b;
+    }
+    ASSERT_EQ(bulk.memmap.materialized_blocks(), single.memmap.materialized_blocks())
+        << "step " << step;
+  }
+  EXPECT_TRUE(saw_zero);
+  EXPECT_TRUE(saw_multi_chunk);
+  EXPECT_TRUE(saw_short);
+  EXPECT_TRUE(saw_fragments);
+  EXPECT_EQ(bulk.shuffle_rng.Next(), single.shuffle_rng.Next());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, BulkVsRepeatedAllocTest,
+    testing::Combine(testing::Values(1u, 2u, 3u, 4u), testing::Bool()),
+    [](const testing::TestParamInfo<std::tuple<uint64_t, bool>>& param_info) {
+      return "seed" + std::to_string(std::get<0>(param_info.param)) +
+             (std::get<1>(param_info.param) ? "_shuffled" : "_ascending");
+    });
 
 // --- Timer-wheel fuzz: wheel vs the old binary heap, op for op -----------------
 

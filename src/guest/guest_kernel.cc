@@ -106,10 +106,41 @@ void GuestKernel::Exit(Pid pid) {
   Process& proc = process(pid);
   assert(proc.state() == ProcessState::kRunning);
   proc.set_state(ProcessState::kExited);
+  // Pop every folio first, in PopFolio order, then free them zone by zone:
+  // zones share no lists or blocks, so the regrouping changes nothing.  A
+  // zone whose allocated pages all belong to this process (a Squeezy
+  // partition at its last user's exit) drains in one FreeAll.
+  struct ExitingFolio {
+    int16_t zone_id;
+    Pfn head;
+    uint32_t pages;
+  };
+  std::vector<ExitingFolio> folios;
+  const MemMap& view = *memmap_;
   FolioRef folio;
   while (proc.PopFolio(&folio)) {
-    Zone& zone = *zones_[static_cast<size_t>(memmap_->page(folio.head).zone_id)];
-    zone.Free(folio.head);
+    folios.push_back({view.page(folio.head).zone_id, folio.head, folio.pages()});
+  }
+  std::stable_sort(folios.begin(), folios.end(),
+                   [](const ExitingFolio& a, const ExitingFolio& b) {
+                     return a.zone_id < b.zone_id;
+                   });
+  std::vector<Pfn> heads;
+  for (size_t i = 0; i < folios.size();) {
+    Zone& zone = *zones_[static_cast<size_t>(folios[i].zone_id)];
+    uint64_t pages = 0;
+    heads.clear();
+    for (; i < folios.size() && folios[i].zone_id == zone.id(); ++i) {
+      heads.push_back(folios[i].head);
+      pages += folios[i].pages;
+    }
+    if (pages == zone.allocated_pages()) {
+      zone.FreeAll(heads.data(), heads.size());
+    } else {
+      for (const Pfn head : heads) {
+        zone.Free(head);
+      }
+    }
   }
   assert(live_processes_ > 0);
   --live_processes_;
@@ -146,23 +177,20 @@ void ForEachBlockRun(const Pfn* pfns, uint32_t n, Fn&& fn) {
 
 uint64_t GuestKernel::MarkHostBacking(Pfn head, uint32_t pages, uint64_t* new_pages) {
   const uint32_t granule_pages = static_cast<uint32_t>(cost().host_thp_bytes / kPageSize);
+  if (granule_pages == 1) {
+    // Every newly backed page is its own granule, so its own extent.
+    const uint32_t added = memmap_->SetHostPopulated(head, pages);
+    *new_pages += added;
+    return added;
+  }
+  // Host THP backs the whole aligned granule on first touch.
   const Pfn start = head / granule_pages * granule_pages;
   const Pfn end = ((head + pages - 1) / granule_pages + 1) * granule_pages;
-  Page* span = memmap_->span(start, end - start);
   uint64_t extents = 0;
-  for (uint32_t g = 0; g < end - start; g += granule_pages) {
-    bool any_new = false;
-    for (uint32_t i = g; i < g + granule_pages; ++i) {
-      if (!span[i].host_populated) {
-        // Host THP backs the whole aligned granule on first touch.
-        span[i].host_populated = true;
-        any_new = true;
-        ++*new_pages;
-      }
-    }
-    if (any_new) {
-      ++extents;
-    }
+  for (Pfn g = start; g < end; g += granule_pages) {
+    const uint32_t added = memmap_->SetHostPopulated(g, granule_pages);
+    *new_pages += added;
+    extents += added > 0 ? 1 : 0;
   }
   return extents;
 }
@@ -341,13 +369,7 @@ RestoreOutcome GuestKernel::RestoreWorkingSet(Pid pid, int32_t file_id,
   assert(proc.state() == ProcessState::kRunning);
   uint64_t populate_pages = 0;
   auto mark_populated = [this, &populate_pages](Pfn head, uint32_t pages) {
-    Page* span = memmap_->span(head, pages);
-    for (uint32_t i = 0; i < pages; ++i) {
-      if (!span[i].host_populated) {
-        span[i].host_populated = true;
-        ++populate_pages;
-      }
-    }
+    populate_pages += memmap_->SetHostPopulated(head, pages);
   };
 
   // Recorded file pages: straight into the page cache, no backing read —
@@ -461,12 +483,8 @@ uint64_t GuestKernel::DropFileCache(int32_t file_id, TimeNs now) {
       continue;
     }
     const Pfn pfn = page_cache_.Remove(file_id, idx);
-    Page& p = memmap_->page(pfn);
-    if (p.host_populated) {
-      p.host_populated = false;
-      ++unpop_pages;
-    }
-    zones_[static_cast<size_t>(p.zone_id)]->Free(pfn);
+    unpop_pages += memmap_->ClearHostPopulated(pfn, 1);
+    zones_[static_cast<size_t>(std::as_const(*memmap_).page(pfn).zone_id)]->Free(pfn);
     ++dropped_pages;
   }
   if (unpop_pages > 0) {
@@ -509,16 +527,11 @@ void GuestKernel::WarmAllHostBacking(TimeNs now) {
   uint64_t new_pages = 0;
   const MemMap& view = *memmap_;
   for (BlockIndex b = 0; b < memmap_->block_count(); ++b) {
+    // Blocks are added and removed whole: all of a block's pages are holes
+    // (no backing to warm) or none are.
     const Pfn start = MemMap::BlockStart(b);
-    if (!memmap_->BlockMaterialized(b) && view.page(start).state == PageState::kHole) {
-      continue;  // A uniform hole: no backing to warm.
-    }
-    for (Pfn pfn = start; pfn < start + kPagesPerBlock; ++pfn) {
-      Page& p = memmap_->page(pfn);
-      if (p.state != PageState::kHole && !p.host_populated) {
-        p.host_populated = true;
-        ++new_pages;
-      }
+    if (view.page(start).state != PageState::kHole) {
+      new_pages += memmap_->SetHostPopulated(start, kPagesPerBlock);
     }
   }
   if (new_pages > 0) {

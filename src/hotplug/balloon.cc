@@ -33,11 +33,7 @@ BalloonOutcome BalloonDevice::Inflate(uint64_t bytes, Zone* zone, TimeNs now) {
     // exit-side latency.
     uint64_t populated = 0;
     for (const Pfn pfn : batch) {
-      Page& q = memmap_->page(pfn);
-      if (q.host_populated) {
-        q.host_populated = false;
-        ++populated;
-      }
+      populated += memmap_->ClearHostPopulated(pfn, 1);
     }
     out.breakdown.vm_exits +=
         hv_->BalloonRelease(vm_, populated, now) +

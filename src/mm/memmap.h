@@ -14,10 +14,13 @@
 // The const accessor synthesizes a uniform block's pages from that
 // template (a max-order head every 1024 pages in kFree).  The first
 // mutable touch — in practice the first Zone::Alloc inside the block —
-// materializes the block's chunk of 32768 16-byte Pages (512 KiB) in one
-// fill pass, and the block stays materialized until RemoveBlock frees the
-// chunk.  So hot-add, online, isolate, retire and hot-remove of an
-// untouched block cost O(1) or O(32 max-order heads) instead of O(32768
+// materializes the block's chunk of 32768 12-byte Pages (384 KiB) in one
+// fill pass.  The block stays materialized until RemoveBlock frees the
+// chunk, or until Zone::FreeAll drains it whole: Dematerialize then drops
+// the chunk and the block reads as uniformly free again, so a Squeezy
+// partition emptied by its last exit unplugs without per-page work.  So
+// hot-add, online, isolate, retire and hot-remove of an untouched or
+// drained block cost O(1) or O(32 max-order heads) instead of O(32768
 // pages).
 //
 // Max-order free-list links live here, one {next, prev} pair per 1024-page
@@ -26,6 +29,11 @@
 // keep their links in the head Page, overlaid on the owner fields (see
 // page.h).
 //
+// Host (EPT) backing is not Page state: each block keeps a bitmap (4 KiB,
+// allocated on the first set bit) and a count of its backed pages, so a
+// block drops its chunk without losing its backing, and hot-remove reads
+// the populated count in O(1).
+//
 // Per-page loops that stay inside one block (a folio, a free chunk, a
 // host granule range) take one span() instead of one page() per page.
 //
@@ -33,11 +41,11 @@
 // only host time and sim RSS change (tests/property_test.cc replays random
 // scripts against a map forced to materialize after every step).
 //
-// Reference stability: `page()` references are invalidated by InitBlock
-// and RemoveBlock of that page's block (chunk free), and a const reference
-// into a uniform block points at its template, so it does not see writes
-// made after the block materializes.  Call sites read through a reference
-// before writing the page, within one operation.
+// Reference stability: `page()` references are invalidated by InitBlock,
+// RemoveBlock and Dematerialize of that page's block (chunk free), and a
+// const reference into a uniform block points at its template, so it does
+// not see writes made after the block materializes.  Call sites read
+// through a reference before writing the page, within one operation.
 #ifndef SQUEEZY_MM_MEMMAP_H_
 #define SQUEEZY_MM_MEMMAP_H_
 
@@ -123,11 +131,31 @@ class MemMap {
 
   // Hot-add: the block becomes uniformly offline (kHole -> kOffline).  O(1).
   void InitBlock(BlockIndex b);
-  // Hot-remove: tears the block down to a uniform hole and frees its chunk.
-  // Requires every page to be kOffline.  Returns how many pages were
-  // host-populated — the span the hypervisor releases; an unmaterialized
-  // block has none.  One read pass over a materialized block, O(1) else.
+  // Hot-remove: tears the block down to a uniform hole and frees its chunk
+  // and host-backing bitmap.  Requires every page to be kOffline.  Returns
+  // how many pages were host-populated — the span the hypervisor releases.
+  // O(1).
   uint64_t RemoveBlock(BlockIndex b);
+  // Drops the chunk of a block that Zone::FreeAll drained: every page is
+  // free in zone `zone_id` as whole max-order chunks, so the block reads as
+  // the uniform kFree template again.  Requires BlockOccupied(b) == 0.
+  void Dematerialize(BlockIndex b, int16_t zone_id);
+
+  // --- Host (EPT) backing ---------------------------------------------------
+  bool host_populated(Pfn pfn) const {
+    const uint64_t* bits = host_bits_[BlockOf(pfn)].get();
+    const Pfn off = pfn % kPagesPerBlock;
+    return bits != nullptr && ((bits[off / 64] >> (off % 64)) & 1) != 0;
+  }
+  // Flag [pfn, pfn + n) as backed / unbacked, a word at a time.  The range
+  // stays inside one block.  Each returns how many flags changed.
+  uint32_t SetHostPopulated(Pfn pfn, uint32_t n);
+  uint32_t ClearHostPopulated(Pfn pfn, uint32_t n);
+  // Host-populated pages of block b: the incrementally kept count (O(1))
+  // and a popcount of the bitmap (O(512 words); asserts and tests
+  // cross-check the two).
+  uint32_t BlockPopulated(BlockIndex b) const { return host_count_[b]; }
+  uint32_t CountBlockPopulated(BlockIndex b) const;
 
   // Number of pages in the block with the given state (O(block) scan on a
   // materialized block; the tests use it to cross-check the counter below).
@@ -170,6 +198,7 @@ class MemMap {
 
   Page* Materialize(BlockIndex b);
   void ReleaseChunk(BlockIndex b);
+  void ReleaseHostBacking(BlockIndex b);
 
   uint64_t span_pages_ = 0;
   // One Page[kPagesPerBlock] chunk per 128 MiB block, null while uniform.
@@ -178,6 +207,10 @@ class MemMap {
   std::vector<FreeLink> max_links_;  // One per max-order slot of the span.
   std::vector<BlockState> blocks_;
   std::vector<uint32_t> allocated_per_block_;
+  // One bit per page, kPagesPerBlock / 64 words per block, null while no
+  // page of the block is backed.
+  std::vector<std::unique_ptr<uint64_t[]>> host_bits_;
+  std::vector<uint32_t> host_count_;
   uint32_t materialized_ = 0;
   uint32_t materialized_peak_ = 0;
 };

@@ -36,14 +36,7 @@ MigrateOutcome MigrateOutOfRange(MemMap& memmap, Zone& src_zone, Zone& target_zo
 
     // The copy writes every byte of the target folio; the host backs it as
     // a side effect (cost folded into migrate_page).
-    Page* target_pages = memmap.span(target, folio_pages);
-    for (uint32_t i = 0; i < folio_pages; ++i) {
-      Page& tp = target_pages[i];
-      if (!tp.host_populated) {
-        tp.host_populated = true;
-        ++outcome.pages_newly_backed;
-      }
-    }
+    outcome.pages_newly_backed += memmap.SetHostPopulated(target, folio_pages);
     src_zone.FreeIntoIsolation(pfn);
     if (owners != nullptr) {
       owners->RelocateFolio(kind, owner, owner_slot, target);

@@ -1,6 +1,6 @@
 // Guest physical page model (the simulator's `struct page`).
 //
-// One 16-byte Page exists per 4 KiB guest frame of the managed span.
+// One 12-byte Page exists per 4 KiB guest frame of a materialized block.
 // Pages form folios (compound pages): an order-N folio covers 2^N
 // contiguous, naturally aligned frames; only the head carries ownership
 // metadata.  Free buddy chunks use the same head/tail scheme plus an
@@ -9,7 +9,10 @@
 //
 // Like Linux's `struct page`, the owner and the free-list link share one
 // 8-byte word pair: a free head has no owner, and an allocated head is on
-// no list.  Every other page holds the "unlinked" value FreeLink{}.
+// no list.  Every other page holds the "unlinked" value FreeLink{}.  State,
+// kind, order and the head flag pack into two bytes of bit-fields.  Host
+// (EPT) backing is not a Page field: MemMap keeps it in a per-block bitmap,
+// so it outlives a block's Page chunk (memmap.h).
 #ifndef SQUEEZY_MM_PAGE_H_
 #define SQUEEZY_MM_PAGE_H_
 
@@ -50,12 +53,14 @@ struct FreeLink {
 };
 
 struct Page {
-  PageState state = PageState::kHole;
-  PageKind kind = PageKind::kNone;
-  uint8_t order = 0;            // Folio/chunk order; valid on heads.
-  bool head = false;            // True for folio/chunk head frames.
-  bool host_populated = false;  // Host (EPT) backing exists for this frame.
-  int16_t zone_id = -1;         // Owning zone, -1 while offline/hole.
+  // C++17 has no default member initializers for bit-fields.
+  Page() : state(PageState::kHole), kind(PageKind::kNone), order(0), head(false) {}
+
+  PageState state : 4;
+  PageKind kind : 4;
+  uint8_t order : 4;     // Folio/chunk order; valid on heads.
+  bool head : 1;         // True for folio/chunk head frames.
+  int16_t zone_id = -1;  // Owning zone, -1 while offline/hole.
   // Free-list linkage of a free head below max order (max-order links live
   // in MemMap); on an allocated head the same two words hold its owner.
   // Read `free` only on a listed free head, and owner() only on an
@@ -77,7 +82,8 @@ struct Page {
 };
 
 // Chunks are filled into raw storage and released without destructors.
-static_assert(sizeof(Page) == 16, "Page grew: every 128 MiB block pays 32768 of them");
+static_assert(sizeof(Page) == 12,
+              "Page grew: every 128 MiB block pays 32768 of them");
 static_assert(std::is_trivially_copyable_v<Page>);
 static_assert(std::is_trivially_destructible_v<Page>);
 

@@ -295,6 +295,60 @@ void Zone::Free(Pfn head) {
   FreeChunk(head, order);
 }
 
+void Zone::FreeAll(const Pfn* heads, size_t n) {
+  const MemMap& view = *memmap_;
+  // Allocated pages per max-order slot over the touched slot range.
+  Pfn first_slot = kInvalidPfn;
+  Pfn last_slot = 0;
+  for (size_t i = 0; i < n; ++i) {
+    first_slot = std::min(first_slot, heads[i] >> kMaxPageOrder);
+    last_slot = std::max(last_slot, heads[i] >> kMaxPageOrder);
+  }
+  std::vector<uint32_t> slot_pages(n == 0 ? 0 : last_slot - first_slot + 1);
+  std::vector<uint8_t> orders(n);
+  uint64_t pages = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const Page& p = view.page(heads[i]);
+    assert(p.state == PageState::kAllocated && p.head && p.zone_id == id_);
+    orders[i] = p.order;
+    slot_pages[(heads[i] >> kMaxPageOrder) - first_slot] += 1u << p.order;
+    pages += 1u << p.order;
+  }
+  assert(pages == allocated_pages() && "FreeAll takes every allocated folio of the zone");
+#ifndef NDEBUG
+  // No free page sits outside a slot that drains, so the sequential frees
+  // would coalesce every lower-order chunk into a max-order one.
+  for (uint8_t order = 0; order < kMaxPageOrder; ++order) {
+    for (Pfn pfn = areas_[order].head; pfn != kInvalidPfn; pfn = Link(order, pfn).next) {
+      const Pfn slot = pfn >> kMaxPageOrder;
+      assert(slot >= first_slot && slot <= last_slot &&
+             slot_pages[slot - first_slot] > 0 &&
+             "lower-order free chunk outside a draining slot");
+    }
+  }
+#endif
+  for (size_t i = 0; i < n; ++i) {
+    const Pfn head = heads[i];
+    const uint32_t folio_pages = 1u << orders[i];
+    memmap_->AdjustBlockAllocated(head, -static_cast<int64_t>(folio_pages));
+    uint32_t& left = slot_pages[(head >> kMaxPageOrder) - first_slot];
+    left -= folio_pages;
+    if (left == 0) {
+      // The free of the slot's last page forms its max-order chunk, queued
+      // at the head like any runtime free.
+      ListPushFront(kMaxPageOrder, head & ~((1u << kMaxPageOrder) - 1));
+    }
+    const BlockIndex b = MemMap::BlockOf(head);
+    if (memmap_->BlockOccupied(b) == 0) {
+      memmap_->Dematerialize(b, id_);
+    }
+  }
+  for (uint8_t order = 0; order < kMaxPageOrder; ++order) {
+    areas_[order] = FreeArea{};
+  }
+  free_pages_ += pages;
+}
+
 void Zone::FreeIntoIsolation(Pfn head) {
   Page& p = memmap_->page(head);
   assert(p.state == PageState::kAllocated && p.head);

@@ -6,7 +6,9 @@
 // intrusive per-order free lists threaded through the memmap.  A block
 // onlined whole stays a uniform MemMap block (no per-page state) until the
 // first allocation inside it.  Page-cache fills allocate runs of single
-// pages in bulk (AllocPages), one buddy chunk at a time.
+// pages in bulk (AllocPages), one buddy chunk at a time.  A zone emptied
+// at once (a Squeezy partition at its last user's exit) drains through
+// FreeAll in O(folios), and every block it empties reverts to uniform.
 //
 // The offline path uses the isolation primitives: free pages in a range
 // are pulled out of the free lists (kIsolated) so concurrent allocations
@@ -16,6 +18,7 @@
 #define SQUEEZY_MM_ZONE_H_
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -81,6 +84,15 @@ class Zone {
 
   // Frees an allocated folio (by head pfn), coalescing with buddies.
   void Free(Pfn head);
+
+  // Frees every allocated folio of the zone: equal to Free(heads[i]) for
+  // i = 0..n-1, and requires the heads to be exactly the zone's allocated
+  // folios and the zone to hold whole blocks (as every GuestKernel zone
+  // does).  Costs O(folios + touched max-order slots), not O(pages): each
+  // slot goes on the max-order list when its last page is freed (where
+  // the sequential frees would put it), the lower-order lists empty, and
+  // each block it drains drops its Page chunk (MemMap::Dematerialize).
+  void FreeAll(const Pfn* heads, size_t n);
 
   // Frees an allocated folio whose frames lie in an isolating range: the
   // frames go straight to kIsolated instead of back to the free lists

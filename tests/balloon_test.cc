@@ -72,9 +72,7 @@ TEST_F(BalloonTest, InflatedPagesAreUnmovableKernelPages) {
 TEST_F(BalloonTest, InflateReleasesHostBacking) {
   // Pre-populate host backing for the first block.
   hv_->NestedFaultPopulate(vm_, 1, kMemoryBlockBytes, 0);
-  for (Pfn pfn = 0; pfn < kPagesPerBlock; ++pfn) {
-    memmap_->page(pfn).host_populated = true;
-  }
+  memmap_->SetHostPopulated(0, kPagesPerBlock);
   const uint64_t populated_before = host_->populated();
   balloon_->Inflate(MiB(4), zone_.get(), 0);
   EXPECT_EQ(host_->populated(), populated_before - MiB(4));

@@ -5,6 +5,7 @@
 #include <memory>
 #include <set>
 
+#include "src/core/squeezy.h"
 #include "src/guest/guest_kernel.h"
 #include "src/host/host_memory.h"
 #include "src/host/hypervisor.h"
@@ -214,6 +215,22 @@ TEST_F(GuestTest, NestedFaultLatencyMatchesBackingGranules) {
   EXPECT_EQ(r.nested, granules * cost_.nested_fault_exit);
 }
 
+TEST_F(GuestTest, LargeHostGranulesFaultOncePerGranule) {
+  cost_.host_thp_bytes = MiB(2);
+  guest_->PlugMemory(MiB(256), 0);
+  const uint64_t before = host_->populated();
+  const Pid pid = guest_->CreateProcess();
+  const TouchResult r = guest_->TouchAnon(pid, MiB(64), 0);
+  EXPECT_EQ(r.nested, 32 * cost_.nested_fault_exit);
+  EXPECT_EQ(host_->populated(), before + MiB(64));
+  // A 4 KiB touch inside a fresh granule backs the whole granule once.
+  guest_->FreeAnon(pid, MiB(64));
+  EXPECT_EQ(guest_->TouchAnon(pid, MiB(64), 0).nested, 0);
+  const Pid small = guest_->CreateProcess();
+  EXPECT_EQ(guest_->TouchAnon(small, kPageSize, 0).nested, cost_.nested_fault_exit);
+  EXPECT_EQ(host_->populated(), before + MiB(66));
+}
+
 TEST_F(GuestTest, HostPopulationGrowsWithTouches) {
   guest_->PlugMemory(MiB(256), 0);
   const uint64_t before = host_->populated();
@@ -224,6 +241,72 @@ TEST_F(GuestTest, HostPopulationGrowsWithTouches) {
   guest_->Exit(pid);
   guest_->UnplugMemory(MiB(256), 0);
   EXPECT_EQ(host_->populated(), before);
+}
+
+// A Squeezy partition's last exit drains its zone through Zone::FreeAll:
+// every block it empties drops its Page chunk and reads as uniformly free
+// again, so the unplug that follows does no per-page work.  An exit that
+// leaves pages behind in its zone frees folio by folio and keeps its
+// blocks materialized.
+TEST(GuestSqueezyExitTest, SoleOccupantExitDematerializesPartitionBlocks) {
+  HostMemory host(GiB(16));
+  CostModel cost = CostModel::Default();
+  Hypervisor hv(&host, &cost);
+  SqueezyConfig scfg;
+  scfg.partition_bytes = MiB(256);  // 2 blocks.
+  scfg.nr_partitions = 2;
+  scfg.shared_bytes = MiB(256);
+  GuestConfig cfg;
+  cfg.base_memory = MiB(512);
+  cfg.hotplug_region = scfg.region_bytes();
+  cfg.shuffle_allocator = false;
+  GuestKernel guest(cfg, &hv);
+  SqueezyManager sqz(&guest, scfg);
+  guest.PlugMemory(scfg.partition_bytes, 0);
+
+  const Pid parent = guest.CreateProcess();
+  ASSERT_TRUE(sqz.SqueezyEnable(parent).has_value());
+  guest.TouchAnon(parent, MiB(200), 0);  // Spans both blocks.
+  const Pid child = guest.Fork(parent);
+  guest.TouchAnon(child, MiB(20), 0);
+  const Partition& part = sqz.partition(0);
+  const MemMap& memmap = guest.memmap();
+  const BlockIndex first = part.first_block;
+  ASSERT_TRUE(memmap.BlockMaterialized(first));
+  ASSERT_TRUE(memmap.BlockMaterialized(first + 1));
+
+  // The child still holds pages in the zone: per-folio frees.  The first
+  // block is empty now but keeps its chunk.
+  guest.Exit(parent);
+  EXPECT_EQ(memmap.BlockOccupied(first), 0u);
+  EXPECT_TRUE(memmap.BlockMaterialized(first));
+  EXPECT_TRUE(memmap.BlockMaterialized(first + 1));
+  EXPECT_TRUE(part.zone->CheckFreeLists());
+
+  // The sole occupant's exit drains the zone whole.
+  const uint32_t populated = memmap.BlockPopulated(first + 1);
+  EXPECT_GT(populated, 0u);
+  guest.Exit(child);
+  EXPECT_EQ(part.zone->allocated_pages(), 0u);
+  EXPECT_FALSE(memmap.BlockMaterialized(first + 1));
+  EXPECT_TRUE(memmap.BlockMaterialized(first));  // Drained before FreeAll.
+  EXPECT_TRUE(part.zone->CheckFreeLists());
+  EXPECT_EQ(part.zone->free_chunks(kMaxPageOrder), 64u);
+  const Page& p = memmap.page(MemMap::BlockStart(first + 1));
+  EXPECT_EQ(p.state, PageState::kFree);
+  EXPECT_TRUE(p.head);
+  EXPECT_EQ(p.zone_id, part.zone->id());
+  EXPECT_EQ(memmap.BlockPopulated(first + 1), populated);  // Backing stays.
+
+  const uint64_t host_before = host.populated();
+  const UnplugOutcome out = guest.UnplugMemory(scfg.partition_bytes, 0);
+  EXPECT_TRUE(out.complete);
+  EXPECT_EQ(out.pages_migrated, 0u);
+  EXPECT_EQ(part.state, PartitionState::kUnplugged);
+  EXPECT_FALSE(memmap.BlockMaterialized(first));
+  EXPECT_LT(host.populated(), host_before);
+  EXPECT_EQ(memmap.BlockPopulated(first), 0u);
+  EXPECT_EQ(memmap.BlockPopulated(first + 1), 0u);
 }
 
 }  // namespace

@@ -133,9 +133,7 @@ TEST_F(HotplugTest, HotRemoveReleasesHostBacking) {
   AddOnline(0);
   // Touch some memory so the host backs it.
   const Pfn pfn = zone_->Alloc(kThpOrder, PageKind::kAnon, 1, 0);
-  for (uint32_t i = 0; i < (1u << kThpOrder); ++i) {
-    memmap_->page(pfn + i).host_populated = true;
-  }
+  memmap_->SetHostPopulated(pfn, 1u << kThpOrder);
   hv_->NestedFaultPopulate(vm_, 1, PagesToBytes(1u << kThpOrder), 0);
 
   zone_->Free(pfn);
@@ -148,7 +146,7 @@ TEST_F(HotplugTest, HotRemoveReleasesHostBacking) {
   EXPECT_EQ(memmap_->block_state(0), BlockState::kAbsent);
   EXPECT_EQ(mgr_->blocks_removed(), 1u);
   // Host backing flags cleared.
-  EXPECT_FALSE(memmap_->page(pfn).host_populated);
+  EXPECT_FALSE(memmap_->host_populated(pfn));
 }
 
 TEST_F(HotplugTest, FullCycleAddOnlineOfflineRemoveRepeats) {

@@ -27,11 +27,12 @@ class AccountingTest : public testing::Test {
     hv_ = std::make_unique<Hypervisor>(host_.get(), &cost_);
   }
 
-  // Host populated bytes must equal the per-page host_populated flags.
+  // Host populated bytes must equal the memmap's per-block backed counts.
   void ExpectPopulatedConsistent(GuestKernel& guest) {
+    const MemMap& memmap = guest.memmap();
     uint64_t flagged = 0;
-    for (Pfn pfn = 0; pfn < guest.memmap().span_pages(); ++pfn) {
-      flagged += guest.memmap().page(pfn).host_populated;
+    for (BlockIndex b = 0; b < memmap.block_count(); ++b) {
+      flagged += memmap.BlockPopulated(b);
     }
     EXPECT_EQ(PagesToBytes(flagged), hv_->stats(guest.vm_id()).populated_bytes);
   }

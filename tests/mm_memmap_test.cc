@@ -94,18 +94,18 @@ TEST(MemMapTest, FolioHeadResolvesFromTail) {
 }
 
 TEST(MemMapTest, RemoveBlockCountsAndDropsHostBacking) {
-  // Teardown used to leave host_populated flags (and so the chunk) behind
-  // for the hypervisor path to clear page by page.  Hot-remove is now one
-  // read pass: it counts the populated pages for the unplug
-  // acknowledgement and drops them with the chunk.
+  // Hot-remove returns the block's populated count for the unplug
+  // acknowledgement in O(1) and drops the host-backing bitmap with the
+  // chunk.
   MemMap m(GiB(1));
   m.InitBlock(0);
-  m.page(17).host_populated = true;
-  m.page(4000).host_populated = true;
+  m.SetHostPopulated(17, 1);
+  m.SetHostPopulated(4000, 1);
   m.set_block_state(0, BlockState::kOffline);
   EXPECT_EQ(m.RemoveBlock(0), 2u);
   const MemMap& cm = m;
-  EXPECT_FALSE(cm.page(17).host_populated);
+  EXPECT_FALSE(cm.host_populated(17));
+  EXPECT_EQ(cm.BlockPopulated(0), 0u);
   EXPECT_EQ(cm.page(17).state, PageState::kHole);
   EXPECT_FALSE(m.BlockMaterialized(0));
 }
@@ -118,7 +118,7 @@ TEST(MemMapTest, ConstReadsNeverMaterialize) {
   EXPECT_EQ(m.materialized_blocks(), 0u);
   for (Pfn pfn = 0; pfn < cm.span_pages(); pfn += kPagesPerBlock / 3) {
     EXPECT_EQ(cm.page(pfn).state, PageState::kHole);
-    EXPECT_FALSE(cm.page(pfn).host_populated);
+    EXPECT_FALSE(cm.host_populated(pfn));
   }
   EXPECT_EQ(m.materialized_blocks(), 0u);
   EXPECT_EQ(m.materialized_bytes(), 0u);
@@ -144,7 +144,8 @@ TEST(MemMapTest, RemoveBlockFreesTheChunk) {
   // teardown kept the chunk while any host_populated flag survived).
   MemMap m(GiB(1));
   m.InitBlock(0);
-  m.page(9).host_populated = true;  // Materializes the block.
+  (void)m.page(9);  // Materializes the block.
+  m.SetHostPopulated(9, 1);
   EXPECT_EQ(m.materialized_blocks(), 1u);
   m.set_block_state(0, BlockState::kOffline);
   EXPECT_EQ(m.RemoveBlock(0), 1u);
@@ -156,7 +157,89 @@ TEST(MemMapTest, RemoveBlockFreesTheChunk) {
   EXPECT_EQ(cm.page(0).state, PageState::kHole);
   m.InitBlock(0);
   EXPECT_EQ(cm.page(0).state, PageState::kOffline);
-  EXPECT_FALSE(cm.page(9).host_populated);
+  EXPECT_FALSE(cm.host_populated(9));
+}
+
+TEST(MemMapTest, HostBackingCountsAcrossWordEdges) {
+  MemMap m(GiB(1));
+  const Pfn start = MemMap::BlockStart(1);
+  // [60, 70) straddles the first 64-bit word edge.
+  EXPECT_EQ(m.SetHostPopulated(start + 60, 10), 10u);
+  // [65, 130) overlaps it and crosses the next edge: 60 new bits.
+  EXPECT_EQ(m.SetHostPopulated(start + 65, 65), 60u);
+  EXPECT_FALSE(m.host_populated(start + 59));
+  EXPECT_TRUE(m.host_populated(start + 60));
+  EXPECT_TRUE(m.host_populated(start + 63));
+  EXPECT_TRUE(m.host_populated(start + 64));
+  EXPECT_TRUE(m.host_populated(start + 129));
+  EXPECT_FALSE(m.host_populated(start + 130));
+  EXPECT_EQ(m.BlockPopulated(1), 70u);
+  EXPECT_EQ(m.CountBlockPopulated(1), 70u);
+  EXPECT_EQ(m.BlockPopulated(0), 0u);  // Neighbours untouched.
+  EXPECT_EQ(m.BlockPopulated(2), 0u);
+  // Clearing exactly the second word takes 64; again, none.
+  EXPECT_EQ(m.ClearHostPopulated(start + 64, 64), 64u);
+  EXPECT_EQ(m.ClearHostPopulated(start + 64, 64), 0u);
+  EXPECT_EQ(m.BlockPopulated(1), 6u);
+  EXPECT_TRUE(m.host_populated(start + 129));
+  // A whole block: the rest of it is new, and all of it clears.
+  EXPECT_EQ(m.SetHostPopulated(start, kPagesPerBlock), kPagesPerBlock - 6u);
+  EXPECT_EQ(m.BlockPopulated(1), kPagesPerBlock);
+  EXPECT_EQ(m.CountBlockPopulated(1), kPagesPerBlock);
+  EXPECT_EQ(m.ClearHostPopulated(start, kPagesPerBlock), kPagesPerBlock);
+  EXPECT_EQ(m.BlockPopulated(1), 0u);
+  EXPECT_EQ(m.CountBlockPopulated(1), 0u);
+  // A block that was never backed clears nothing.
+  EXPECT_EQ(m.ClearHostPopulated(MemMap::BlockStart(3), 100), 0u);
+  // Host backing is not Page state: none of this materialized a block.
+  EXPECT_EQ(m.materialized_peak_blocks(), 0u);
+}
+
+TEST(MemMapTest, HostBackingSurvivesDematerializeAndRematerialize) {
+  MemMap m(GiB(1));
+  const MemMap& cm = m;
+  Zone zone(3, ZoneType::kSqueezyPrivate, "p", &m);
+  m.InitBlock(1);
+  const Pfn start = MemMap::BlockStart(1);
+  zone.AddFreeRange(start, kPagesPerBlock);
+  m.set_block_state(1, BlockState::kOnline);
+  const Pfn head = zone.Alloc(kThpOrder, PageKind::kAnon, 1, 0);
+  ASSERT_EQ(head, start);
+  EXPECT_EQ(m.SetHostPopulated(head, 1u << kThpOrder), 1u << kThpOrder);
+  zone.Free(head);
+  EXPECT_TRUE(m.BlockMaterialized(1));  // A plain Free never dematerializes.
+  m.Dematerialize(1, zone.id());
+  EXPECT_FALSE(m.BlockMaterialized(1));
+  EXPECT_EQ(m.materialized_blocks(), 0u);
+  EXPECT_EQ(cm.page(start).state, PageState::kFree);
+  EXPECT_EQ(cm.page(start).zone_id, 3);
+  EXPECT_TRUE(zone.CheckFreeLists());
+  EXPECT_TRUE(m.host_populated(head + 511));
+  EXPECT_FALSE(m.host_populated(head + 512));
+  EXPECT_EQ(m.BlockPopulated(1), 1u << kThpOrder);
+  // The next allocation re-materializes the block; the bits stay.
+  EXPECT_EQ(zone.Alloc(0, PageKind::kAnon, 1, 0), start);
+  EXPECT_TRUE(m.BlockMaterialized(1));
+  EXPECT_TRUE(m.host_populated(head + 511));
+  EXPECT_EQ(m.CountBlockPopulated(1), 1u << kThpOrder);
+}
+
+TEST(MemMapTest, RemoveBlockResetsHostBackingAndInitBlockStartsUnbacked) {
+  MemMap m(GiB(1));
+  m.InitBlock(0);
+  m.SetHostPopulated(100, 300);
+  m.set_block_state(0, BlockState::kOffline);
+  EXPECT_EQ(m.RemoveBlock(0), 300u);
+  EXPECT_EQ(m.BlockPopulated(0), 0u);
+  EXPECT_EQ(m.CountBlockPopulated(0), 0u);
+  m.InitBlock(0);
+  EXPECT_FALSE(m.host_populated(100));
+  EXPECT_EQ(m.BlockPopulated(0), 0u);
+  // Backing flagged over a hole is dropped by hot-add as well.
+  m.SetHostPopulated(MemMap::BlockStart(2) + 5, 1);
+  m.InitBlock(2);
+  EXPECT_FALSE(m.host_populated(MemMap::BlockStart(2) + 5));
+  EXPECT_EQ(m.BlockPopulated(2), 0u);
 }
 
 TEST(MemMapTest, InitBlockDropsAChunkMaterializedOverAHole) {

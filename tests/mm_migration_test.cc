@@ -91,7 +91,7 @@ TEST_F(MigrationTest, TargetHostBackingIsPopulated) {
   zone_->IsolateFreeRange(0, kPagesPerBlock);
   MigrateOutOfRange(*memmap_, *zone_, *zone_, 0, kPagesPerBlock, cost_, &registry_);
   ASSERT_EQ(registry_.moves.size(), 1u);
-  EXPECT_TRUE(memmap_->page(registry_.moves[0].to).host_populated);
+  EXPECT_TRUE(memmap_->host_populated(registry_.moves[0].to));
 }
 
 TEST_F(MigrationTest, KernelPageAbortsOffline) {

@@ -286,10 +286,10 @@ struct MmSet {
 };
 
 // Compares every field; `free` also carries an allocated head's owner.
+// Host backing lives in the MemMap, not the Page; ExpectSame compares it.
 bool SamePage(const Page& a, const Page& b) {
   return a.state == b.state && a.kind == b.kind && a.order == b.order &&
-         a.head == b.head && a.host_populated == b.host_populated &&
-         a.zone_id == b.zone_id && a.free.next == b.free.next &&
+         a.head == b.head && a.zone_id == b.zone_id && a.free.next == b.free.next &&
          a.free.prev == b.free.prev;
 }
 
@@ -316,6 +316,7 @@ void ExpectSame(const MmSet& lazy, const MmSet& eager, int step) {
   }
   for (Pfn pfn = 0; pfn < lm.span_pages(); ++pfn) {
     ASSERT_TRUE(SamePage(lm.page(pfn), em.page(pfn))) << "pfn " << pfn;
+    ASSERT_EQ(lm.host_populated(pfn), em.host_populated(pfn)) << "pfn " << pfn;
   }
   for (Pfn head = 0; head < lm.span_pages(); head += 1u << kMaxPageOrder) {
     ASSERT_EQ(lm.max_link(head).next, em.max_link(head).next) << "pfn " << head;
@@ -395,7 +396,7 @@ TEST_P(UniformVsEagerMemMapTest, UniformBlocksReadExactlyAsMaterialized) {
           held.push_back({a, z});
           if (rng.Chance(0.5)) {  // Host-back the head, as a fault would.
             for (MmSet* s : sets) {
-              s->memmap.page(a).host_populated = true;
+              s->memmap.SetHostPopulated(a, 1);
             }
           }
         }
@@ -673,6 +674,182 @@ TEST_P(BulkVsRepeatedAllocTest, AllocPagesEqualsRepeatedSinglePageAlloc) {
 INSTANTIATE_TEST_SUITE_P(
     Seeds, BulkVsRepeatedAllocTest,
     testing::Combine(testing::Values(1u, 2u, 3u, 4u), testing::Bool()),
+    [](const testing::TestParamInfo<std::tuple<uint64_t, bool>>& param_info) {
+      return "seed" + std::to_string(std::get<0>(param_info.param)) +
+             (std::get<1>(param_info.param) ? "_shuffled" : "_ascending");
+    });
+
+// --- Drain oracle: Zone::FreeAll vs per-folio Free ------------------------------
+
+// Zone::FreeAll(heads, n) must leave exactly what Free(heads[i]) for
+// i = 0..n-1 leaves, without the per-page work: the same const view of
+// every pfn (Dematerialize turns a drained block back into the uniform
+// kFree template, which reads like the restamped pages), max-order links
+// in the same order, per-order counts, occupancy and host backing, and
+// the same allocations afterwards.  Twin sets replay one random script
+// (online, Alloc at orders 0/9/10, AllocPages, Free, isolate then undo);
+// then each zone's survivors are freed in a random pop order, one set
+// folio by folio and the other in one FreeAll.
+class DrainOracleTest : public testing::TestWithParam<std::tuple<uint64_t, bool>> {};
+
+TEST_P(DrainOracleTest, FreeAllEqualsPerFolioFrees) {
+  using uniform_oracle::kBlocks;
+  using uniform_oracle::kZones;
+  using uniform_oracle::MmSet;
+  const auto [seed, shuffled] = GetParam();
+  MmSet each(seed + 43, shuffled);
+  MmSet all(seed + 43, shuffled);
+  MmSet* const sets[] = {&each, &all};
+  Rng rng(seed);
+  std::vector<int16_t> block_zone(kBlocks, -1);
+  struct Held {
+    Pfn head;
+    int16_t zone;
+  };
+  std::vector<Held> held;
+  auto pick = [&rng](size_t n) {
+    return static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(n) - 1));
+  };
+
+  for (int step = 0; step < 150; ++step) {
+    const auto z = static_cast<int16_t>(rng.UniformInt(0, kZones - 1));
+    const auto zi = static_cast<size_t>(z);
+    switch (rng.UniformInt(0, 4)) {
+      case 0: {  // Online a fresh block into a random zone.
+        const auto b = static_cast<BlockIndex>(rng.UniformInt(0, kBlocks - 1));
+        if (block_zone[b] < 0) {
+          block_zone[b] = z;
+          for (MmSet* s : sets) {
+            s->memmap.InitBlock(b);
+            s->zones[zi]->AddFreeRange(MemMap::BlockStart(b), kPagesPerBlock);
+            s->memmap.set_block_state(b, BlockState::kOnline);
+          }
+        }
+        break;
+      }
+      case 1: {  // Folio alloc at order 0, 9 or 10; half get host backing.
+        const uint8_t orders[] = {0, kThpOrder, kMaxPageOrder};
+        const uint8_t order = orders[rng.UniformInt(0, 2)];
+        const Pfn a = each.zones[zi]->Alloc(order, PageKind::kAnon, 1, 0);
+        ASSERT_EQ(a, all.zones[zi]->Alloc(order, PageKind::kAnon, 1, 0))
+            << "step " << step;
+        if (a != kInvalidPfn) {
+          held.push_back({a, z});
+          if (rng.Chance(0.5)) {
+            for (MmSet* s : sets) {
+              s->memmap.SetHostPopulated(a, 1u << order);
+            }
+          }
+        }
+        break;
+      }
+      case 2: {  // Bulk single pages.
+        const auto n = static_cast<uint32_t>(rng.UniformInt(1, 3000));
+        std::vector<Pfn> a(n);
+        std::vector<Pfn> b(n);
+        const uint32_t got =
+            each.zones[zi]->AllocPages(n, PageKind::kFile, 3, 0, a.data());
+        ASSERT_EQ(got, all.zones[zi]->AllocPages(n, PageKind::kFile, 3, 0, b.data()));
+        a.resize(got);
+        b.resize(got);
+        ASSERT_EQ(a, b) << "step " << step;
+        for (const Pfn pfn : a) {
+          held.push_back({pfn, z});
+        }
+        break;
+      }
+      case 3: {  // Free a few held folios.
+        for (int k = 0; k < 3 && !held.empty(); ++k) {
+          const size_t i = pick(held.size());
+          for (MmSet* s : sets) {
+            s->zones[static_cast<size_t>(held[i].zone)]->Free(held[i].head);
+          }
+          held[i] = held.back();
+          held.pop_back();
+        }
+        break;
+      }
+      case 4: {  // Isolate an online block's free pages, then undo.
+        const auto b = static_cast<BlockIndex>(rng.UniformInt(0, kBlocks - 1));
+        if (block_zone[b] >= 0) {
+          const Pfn start = MemMap::BlockStart(b);
+          const auto bz = static_cast<size_t>(block_zone[b]);
+          ASSERT_EQ(each.zones[bz]->IsolateFreeRange(start, kPagesPerBlock),
+                    all.zones[bz]->IsolateFreeRange(start, kPagesPerBlock));
+          for (MmSet* s : sets) {
+            s->zones[bz]->UndoIsolation(start, kPagesPerBlock);
+          }
+        }
+        break;
+      }
+    }
+  }
+  uniform_oracle::ExpectSame(each, all, -1);
+  if (testing::Test::HasFatalFailure()) {
+    return;
+  }
+
+  // Drain the zones in a random order, survivors in a random pop order.
+  std::vector<int16_t> zone_order;
+  for (int16_t z = 0; z < kZones; ++z) {
+    zone_order.push_back(z);
+  }
+  rng.Shuffle(zone_order.begin(), zone_order.end());
+  std::vector<BlockIndex> occupied;
+  for (BlockIndex b = 0; b < kBlocks; ++b) {
+    if (all.memmap.BlockOccupied(b) > 0) {
+      occupied.push_back(b);
+    }
+  }
+  for (const int16_t z : zone_order) {
+    const auto zi = static_cast<size_t>(z);
+    std::vector<Pfn> heads;
+    for (const Held& h : held) {
+      if (h.zone == z) {
+        heads.push_back(h.head);
+      }
+    }
+    rng.Shuffle(heads.begin(), heads.end());
+    for (const Pfn head : heads) {
+      each.zones[zi]->Free(head);
+    }
+    all.zones[zi]->FreeAll(heads.data(), heads.size());
+    EXPECT_EQ(all.zones[zi]->allocated_pages(), 0u);
+    uniform_oracle::ExpectSame(each, all, 1000 + z);
+    if (testing::Test::HasFatalFailure()) {
+      return;
+    }
+    for (BlockIndex b = 0; b < kBlocks; ++b) {
+      ASSERT_EQ(each.memmap.BlockOccupied(b), all.memmap.BlockOccupied(b))
+          << "block " << b;
+      ASSERT_EQ(each.memmap.BlockPopulated(b), all.memmap.BlockPopulated(b))
+          << "block " << b;
+    }
+  }
+  // Every block FreeAll drained reverted to uniform; per-folio frees keep
+  // the chunks.
+  EXPECT_FALSE(occupied.empty());
+  for (const BlockIndex b : occupied) {
+    EXPECT_FALSE(all.memmap.BlockMaterialized(b)) << "block " << b;
+    EXPECT_TRUE(each.memmap.BlockMaterialized(b)) << "block " << b;
+  }
+
+  // Both sets hand out the same memory afterwards.
+  for (int i = 0; i < 50; ++i) {
+    const uint8_t orders[] = {0, kThpOrder, kMaxPageOrder};
+    const uint8_t order = orders[rng.UniformInt(0, 2)];
+    const auto zi = static_cast<size_t>(rng.UniformInt(0, kZones - 1));
+    ASSERT_EQ(each.zones[zi]->Alloc(order, PageKind::kAnon, 1, 0),
+              all.zones[zi]->Alloc(order, PageKind::kAnon, 1, 0))
+        << "follow-up alloc " << i;
+  }
+  uniform_oracle::ExpectSame(each, all, 2000);
+  EXPECT_EQ(each.shuffle_rng.Next(), all.shuffle_rng.Next());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, DrainOracleTest,
+    testing::Combine(testing::Values(1u, 2u, 3u, 4u, 5u), testing::Bool()),
     [](const testing::TestParamInfo<std::tuple<uint64_t, bool>>& param_info) {
       return "seed" + std::to_string(std::get<0>(param_info.param)) +
              (std::get<1>(param_info.param) ? "_shuffled" : "_ascending");

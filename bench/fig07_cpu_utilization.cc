@@ -66,7 +66,7 @@ Series RunBalloon() {
       guest.BalloonReclaim(kReclaim, events.now());
     });
     events.ScheduleAt(t + kCycle / 2, [&guest, &events] {
-      guest.balloon().Deflate(kReclaim, guest.memmap(), &guest.movable_zone());
+      guest.balloon().Deflate(kReclaim, &guest.movable_zone());
       (void)events;
     });
   }

@@ -119,7 +119,7 @@ void GuestKernel::Exit(Pid pid) {
   const MemMap& view = *memmap_;
   FolioRef folio;
   while (proc.PopFolio(&folio)) {
-    folios.push_back({view.page(folio.head).zone_id, folio.head, folio.pages()});
+    folios.push_back({view.record(folio.head).zone_id, folio.head, folio.pages()});
   }
   std::stable_sort(folios.begin(), folios.end(),
                    [](const ExitingFolio& a, const ExitingFolio& b) {
@@ -484,7 +484,7 @@ uint64_t GuestKernel::DropFileCache(int32_t file_id, TimeNs now) {
     }
     const Pfn pfn = page_cache_.Remove(file_id, idx);
     unpop_pages += memmap_->ClearHostPopulated(pfn, 1);
-    zones_[static_cast<size_t>(std::as_const(*memmap_).page(pfn).zone_id)]->Free(pfn);
+    zones_[static_cast<size_t>(memmap_->record(pfn).zone_id)]->Free(pfn);
     ++dropped_pages;
   }
   if (unpop_pages > 0) {
@@ -498,7 +498,7 @@ uint64_t GuestKernel::FreeAnon(Pid pid, uint64_t bytes) {
   uint64_t freed = 0;
   FolioRef folio;
   while (freed < bytes && proc.PopFolio(&folio)) {
-    Zone& zone = *zones_[static_cast<size_t>(memmap_->page(folio.head).zone_id)];
+    Zone& zone = *zones_[static_cast<size_t>(memmap_->record(folio.head).zone_id)];
     zone.Free(folio.head);
     freed += PagesToBytes(folio.pages());
   }
@@ -530,7 +530,7 @@ void GuestKernel::WarmAllHostBacking(TimeNs now) {
     // Blocks are added and removed whole: all of a block's pages are holes
     // (no backing to warm) or none are.
     const Pfn start = MemMap::BlockStart(b);
-    if (view.page(start).state != PageState::kHole) {
+    if (view.record(start).state != PageState::kHole) {
       new_pages += memmap_->SetHostPopulated(start, kPagesPerBlock);
     }
   }
@@ -635,7 +635,7 @@ Zone* GuestKernel::BlockZone(BlockIndex b) {
   if (override_hooks_ != nullptr) {
     return override_hooks_->BlockZone(b);
   }
-  const Page& first = std::as_const(*memmap_).page(MemMap::BlockStart(b));
+  const Page first = memmap_->record(MemMap::BlockStart(b));
   assert(first.zone_id >= 0);
   return zones_[static_cast<size_t>(first.zone_id)].get();
 }

@@ -74,14 +74,13 @@ BalloonOutcome BalloonDevice::Inflate(uint64_t bytes, Zone* zone, TimeNs now) {
   return out;
 }
 
-DurationNs BalloonDevice::Deflate(uint64_t bytes, MemMap& memmap, Zone* zone) {
-  (void)memmap;  // Used only by the assert below in debug builds.
+DurationNs BalloonDevice::Deflate(uint64_t bytes, Zone* zone) {
   const uint64_t want = std::min<uint64_t>(BytesToPages(bytes), held_.size());
   DurationNs latency = 0;
   for (uint64_t i = 0; i < want; ++i) {
     const Pfn pfn = held_.back();
     held_.pop_back();
-    assert(memmap.page(pfn).state == PageState::kAllocated);
+    assert(memmap_->record(pfn).state == PageState::kAllocated);
     zone->Free(pfn);
     latency += cost_->balloon_guest_page;
   }

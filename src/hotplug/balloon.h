@@ -42,7 +42,7 @@ class BalloonDevice {
 
   // Deflates by `bytes` (most recently inflated first), returning pages to
   // their zones.  Returns guest-side latency.
-  DurationNs Deflate(uint64_t bytes, MemMap& memmap, Zone* zone);
+  DurationNs Deflate(uint64_t bytes, Zone* zone);
 
   uint64_t held_pages() const { return held_.size(); }
   uint64_t held_bytes() const { return PagesToBytes(held_.size()); }

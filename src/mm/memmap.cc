@@ -25,6 +25,20 @@ void ForEachHostWord(uint32_t off, uint32_t n, Fn&& fn) {
   }
 }
 
+// What a page of the extent whose record is `rec` reads as: the start
+// reads as the record, the rest with no head flag and no links; isolated,
+// offline and hole pages read order 0.
+Page ReadAs(Page rec, bool start) {
+  if (rec.state != PageState::kFree && rec.state != PageState::kAllocated) {
+    rec.order = 0;
+  }
+  if (!start) {
+    rec.head = false;
+    rec.free = FreeLink{};
+  }
+  return rec;
+}
+
 }  // namespace
 
 MemMap::MemMap(uint64_t span_bytes) {
@@ -46,9 +60,9 @@ void MemMap::ChunkDeleter::operator()(Page* chunk) const {
 }
 
 void MemMap::SetUniform(BlockIndex b, PageState state, int16_t zone_id) {
-  assert(chunks_[b] == nullptr);
   assert(state != PageState::kAllocated && "allocated pages always have a chunk");
   assert((zone_id >= 0) == (state == PageState::kFree || state == PageState::kIsolated));
+  ReleaseChunk(b);
   Page tail;  // No kind, owner or links.
   tail.state = state;
   tail.zone_id = zone_id;
@@ -64,18 +78,60 @@ void MemMap::SetUniform(BlockIndex b, PageState state, int16_t zone_id) {
 
 Page* MemMap::Materialize(BlockIndex b) {
   assert(chunks_[b] == nullptr);
+  const UniformPages& u = uniform_[b];
+  assert((u.head.state == PageState::kFree || u.head.state == PageState::kIsolated) &&
+         "only zone-owned blocks materialize");
   // One fill pass from the template into raw storage, then the max-order
   // heads (a no-op rewrite of equal pages unless the block is kFree).
-  const UniformPages& u = uniform_[b];
   Page* chunk = std::allocator<Page>().allocate(kPagesPerBlock);
   std::uninitialized_fill_n(chunk, kPagesPerBlock, u.tail);
-  for (uint32_t i = 0; i < kPagesPerBlock; i += 1u << kMaxPageOrder) {
+  for (uint32_t i = 0; i < kPagesPerBlock; i += kSlotPages) {
     chunk[i] = u.head;
   }
   chunks_[b].reset(chunk);
   ++materialized_;
   materialized_peak_ = materialized_ > materialized_peak_ ? materialized_ : materialized_peak_;
   return chunk;
+}
+
+Page& MemMap::mutable_record(Pfn start) {
+  const BlockIndex b = BlockOf(start);
+  Page* chunk = WritableChunk(b);
+  assert(ExtentStart(start) == start && "not an extent start");
+  return chunk[start - BlockStart(b)];
+}
+
+void MemMap::Stamp(Pfn start, const Page& rec) {
+  const uint32_t n = 1u << rec.order;
+  assert(rec.order <= kMaxPageOrder && start % n == 0 && "extents are naturally aligned");
+  const BlockIndex b = BlockOf(start);
+  Page* pages = WritableChunk(b) + (start - BlockStart(b));
+  pages[0] = ReadAs(rec, /*start=*/true);
+  const Page tail = ReadAs(rec, /*start=*/false);
+  std::fill_n(pages + 1, n - 1, tail);
+}
+
+Pfn MemMap::ExtentStart(Pfn pfn) const {
+  // Extents tile each slot as nodes of a binary tree.  When the extent at
+  // a node's start is smaller than the node, no extent straddles the
+  // node's midpoint, so the half holding pfn begins an extent too.
+  Pfn start = pfn & ~(kSlotPages - 1);
+  for (uint32_t order = kMaxPageOrder; record(start).order < order; --order) {
+    start |= pfn & (1u << (order - 1));
+  }
+  return start;
+}
+
+void MemMap::ReadBlock(BlockIndex b, Page* out) const {
+  const Page* chunk = chunks_[b].get();
+  if (chunk != nullptr) {
+    std::copy_n(chunk, kPagesPerBlock, out);
+    return;
+  }
+  std::fill_n(out, kPagesPerBlock, uniform_[b].tail);
+  for (uint32_t i = 0; i < kPagesPerBlock; i += kSlotPages) {
+    out[i] = uniform_[b].head;
+  }
 }
 
 void MemMap::ReleaseChunk(BlockIndex b) {
@@ -92,9 +148,6 @@ void MemMap::ReleaseHostBacking(BlockIndex b) {
 
 void MemMap::InitBlock(BlockIndex b) {
   assert(blocks_[b] == BlockState::kAbsent);
-  // Every page becomes a fresh, unbacked offline page, so a chunk that
-  // mutable reads of the hole materialized is simply dropped.
-  ReleaseChunk(b);
   ReleaseHostBacking(b);
   SetUniform(b, PageState::kOffline);
   blocks_[b] = BlockState::kPresent;
@@ -105,7 +158,6 @@ uint64_t MemMap::RemoveBlock(BlockIndex b) {
   assert(CountBlockPages(b, PageState::kOffline) == kPagesPerBlock);
   assert(CountBlockPopulated(b) == host_count_[b]);
   const uint64_t populated = host_count_[b];
-  ReleaseChunk(b);
   ReleaseHostBacking(b);
   SetUniform(b, PageState::kHole);
   blocks_[b] = BlockState::kAbsent;
@@ -114,7 +166,6 @@ uint64_t MemMap::RemoveBlock(BlockIndex b) {
 
 void MemMap::Dematerialize(BlockIndex b, int16_t zone_id) {
   assert(allocated_per_block_[b] == 0 && "only a drained block reverts to uniform");
-  ReleaseChunk(b);
   SetUniform(b, PageState::kFree, zone_id);
 }
 
@@ -160,32 +211,15 @@ uint32_t MemMap::CountBlockPopulated(BlockIndex b) const {
 }
 
 uint64_t MemMap::CountBlockPages(BlockIndex b, PageState state) const {
-  const Page* chunk = chunks_[b].get();
-  if (chunk == nullptr) {
+  if (chunks_[b] == nullptr) {
     return uniform_[b].tail.state == state ? kPagesPerBlock : 0;
   }
   uint64_t n = 0;
-  for (uint32_t i = 0; i < kPagesPerBlock; ++i) {
-    if (chunk[i].state == state) {
-      ++n;
-    }
+  for (Pfn pfn = BlockStart(b); pfn < BlockStart(b + 1); pfn = NextExtent(pfn)) {
+    const Page rec = record(pfn);
+    n += rec.state == state ? uint64_t{1} << rec.order : 0;
   }
   return n;
-}
-
-Pfn MemMap::FolioHead(Pfn pfn) const {
-  // Walk down to the aligned head: heads are naturally aligned, so clear
-  // low bits until we find the flagged head page.  (Folios never span
-  // blocks — kMaxPageOrder < log2(kPagesPerBlock) — so all candidates hit
-  // the same block.)
-  for (uint8_t order = 0; order <= kMaxPageOrder; ++order) {
-    const Pfn candidate = pfn & ~((1u << order) - 1);
-    if (page(candidate).head) {
-      return candidate;
-    }
-  }
-  assert(false && "no folio head found");
-  return kInvalidPfn;
 }
 
 uint32_t MemMap::CountBlocks(BlockState s) const {

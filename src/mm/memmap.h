@@ -81,42 +81,46 @@ class MemMap {
   uint64_t span_pages() const { return span_pages_; }
   uint32_t block_count() const { return static_cast<uint32_t>(blocks_.size()); }
 
-  // Mutable access materializes the page's block from its uniform template
-  // on first touch.
-  Page& page(Pfn pfn) {
-    const BlockIndex b = BlockOf(pfn);
-    Page* chunk = chunks_[b].get();
-    if (chunk == nullptr) {
-      chunk = Materialize(b);
-    }
-    return chunk[pfn - BlockStart(b)];
-  }
-  // The n pages [pfn, pfn + n) as one array, with one block lookup (and at
-  // most one materialization).  A span never crosses a block: folios, free
-  // chunks and host granules never do.
-  Page* span(Pfn pfn, uint32_t n) {
-    assert(n > 0 && BlockOf(pfn) == BlockOf(pfn + n - 1) && "span crosses a block");
-    (void)n;
-    return &page(pfn);
-  }
-  // Const access never materializes: a uniform block's page is read from
-  // the block's template.
-  const Page& page(Pfn pfn) const {
-    const BlockIndex b = BlockOf(pfn);
+  // --- The const view (tests and asserts) -----------------------------------
+  // What pfn reads as.  Never materializes: a uniform block's page is read
+  // from the block's template.
+  Page page(Pfn pfn) const { return record(pfn); }
+  // Writes page(BlockStart(b) + i) to out[i] for every page of block b.
+  void ReadBlock(BlockIndex b, Page* out) const;
+
+  // --- Extent records ---------------------------------------------------------
+  // An extent is an allocated folio, a free buddy chunk or an isolated run:
+  // 2^order naturally aligned pages inside one max-order slot, so every
+  // slot start begins one.  Point reads and writes go through the record at
+  // an extent's start.
+  Page record(Pfn start) const {
+    const BlockIndex b = BlockOf(start);
     const Page* chunk = chunks_[b].get();
     if (chunk != nullptr) {
-      return chunk[pfn - BlockStart(b)];
+      return chunk[start - BlockStart(b)];
     }
-    const bool head = (pfn & ((1u << kMaxPageOrder) - 1)) == 0;
-    return head ? uniform_[b].head : uniform_[b].tail;
+    return start % kSlotPages == 0 ? uniform_[b].head : uniform_[b].tail;
   }
+  // The same record for writing its free-list link in place.  Materializes
+  // the block on first touch; debug builds check that `start` begins an
+  // extent.
+  Page& mutable_record(Pfn start);
+  // Makes [start, start + 2^rec.order) one extent described by `rec` (for
+  // kIsolated, rec.order is the extent's order, and its pages read order 0).
+  void Stamp(Pfn start, const Page& rec);
+  // The start of the extent after the one beginning at `start`.
+  Pfn NextExtent(Pfn start) const { return start + (1u << record(start).order); }
+  // The start of the extent that holds pfn, in at most kMaxPageOrder + 1
+  // record reads.
+  Pfn ExtentStart(Pfn pfn) const;
 
   // Whether block b holds a per-page chunk.  An unmaterialized block is
   // uniform: page() const reads its template.
   bool BlockMaterialized(BlockIndex b) const { return chunks_[b] != nullptr; }
 
-  // Moves an unmaterialized block to another uniform state.  `zone_id` owns
-  // the kFree/kIsolated states; kHole/kOffline pages belong to no zone.
+  // Makes block b uniform in `state`, dropping its chunk if it has one.
+  // `zone_id` owns the kFree/kIsolated states; kHole/kOffline pages belong
+  // to no zone.
   void SetUniform(BlockIndex b, PageState state, int16_t zone_id = -1);
 
   // Free-list links of the max-order chunk headed at `head`.
@@ -126,6 +130,7 @@ class MemMap {
   BlockState block_state(BlockIndex b) const { return blocks_[b]; }
   void set_block_state(BlockIndex b, BlockState s) { blocks_[b] = s; }
 
+  static constexpr uint32_t kSlotPages = 1u << kMaxPageOrder;
   static BlockIndex BlockOf(Pfn pfn) { return pfn / kPagesPerBlock; }
   static Pfn BlockStart(BlockIndex b) { return b * kPagesPerBlock; }
 
@@ -157,7 +162,7 @@ class MemMap {
   uint32_t BlockPopulated(BlockIndex b) const { return host_count_[b]; }
   uint32_t CountBlockPopulated(BlockIndex b) const;
 
-  // Number of pages in the block with the given state (O(block) scan on a
+  // Number of pages in the block with the given state (one extent walk of a
   // materialized block; the tests use it to cross-check the counter below).
   uint64_t CountBlockPages(BlockIndex b, PageState state) const;
 
@@ -168,9 +173,6 @@ class MemMap {
     const BlockIndex b = BlockOf(head);
     allocated_per_block_[b] = static_cast<uint32_t>(allocated_per_block_[b] + delta_pages);
   }
-
-  // Resolve a folio's head pfn from any of its frames.
-  Pfn FolioHead(Pfn pfn) const;
 
   // Count of blocks in each state (diagnostics).
   uint32_t CountBlocks(BlockState s) const;
@@ -196,6 +198,11 @@ class MemMap {
     void operator()(Page* chunk) const;
   };
 
+  // Block b's chunk, materialized from its template on first touch.
+  Page* WritableChunk(BlockIndex b) {
+    Page* chunk = chunks_[b].get();
+    return chunk != nullptr ? chunk : Materialize(b);
+  }
   Page* Materialize(BlockIndex b);
   void ReleaseChunk(BlockIndex b);
   void ReleaseHostBacking(BlockIndex b);

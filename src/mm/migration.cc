@@ -10,12 +10,11 @@ MigrateOutcome MigrateOutOfRange(MemMap& memmap, Zone& src_zone, Zone& target_zo
   const Pfn end = start + npages;
   Pfn pfn = start;
   while (pfn < end) {
-    Page& p = memmap.page(pfn);
+    const Page p = memmap.record(pfn);
     if (p.state != PageState::kAllocated) {
-      ++pfn;
+      pfn = memmap.NextExtent(pfn);
       continue;
     }
-    assert(p.head && "allocated tail encountered before its head in range scan");
     if (p.kind == PageKind::kKernel) {
       // Pinned/unmovable memory: offline cannot proceed.
       outcome.ok = false;

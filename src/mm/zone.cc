@@ -27,22 +27,44 @@ Zone::Zone(int16_t id, ZoneType type, std::string name, MemMap* memmap, Rng* shu
 }
 
 FreeLink& Zone::Link(uint8_t order, Pfn pfn) {
-  return order == kMaxPageOrder ? memmap_->max_link(pfn) : memmap_->page(pfn).free;
+  return order == kMaxPageOrder ? memmap_->max_link(pfn) : memmap_->mutable_record(pfn).free;
 }
 
-const FreeLink& Zone::Link(uint8_t order, Pfn pfn) const {
-  const MemMap& view = *memmap_;
-  return order == kMaxPageOrder ? view.max_link(pfn) : view.page(pfn).free;
+FreeLink Zone::Link(uint8_t order, Pfn pfn) const {
+  return order == kMaxPageOrder ? memmap_->max_link(pfn) : memmap_->record(pfn).free;
 }
 
-bool Zone::UniformBlockAt(Pfn pfn, Pfn end, PageState state) const {
-  if (pfn % kPagesPerBlock != 0 || end - pfn < kPagesPerBlock ||
-      memmap_->BlockMaterialized(MemMap::BlockOf(pfn))) {
+Page Zone::ExtentRecord(PageState state, uint8_t order) const {
+  Page rec;  // No kind, owner or links.
+  rec.state = state;
+  rec.order = order;
+  rec.head = state != PageState::kIsolated;
+  rec.zone_id = id_;
+  return rec;
+}
+
+Page Zone::AllocatedRecord(uint8_t order, PageKind kind, int32_t owner,
+                           uint32_t owner_slot) const {
+  Page rec = ExtentRecord(PageState::kAllocated, order);
+  rec.kind = kind;
+  rec.SetOwner(owner, owner_slot);
+  return rec;
+}
+
+bool Zone::UniformBlockIs(BlockIndex b, PageState state) const {
+  if (memmap_->BlockMaterialized(b)) {
     return false;
   }
-  const Page& p = std::as_const(*memmap_).page(pfn);
-  assert(p.state != state || state == PageState::kOffline || p.zone_id == id_);
-  return p.state == state;
+  const Page rec = memmap_->record(MemMap::BlockStart(b));
+  assert(rec.state != state || state == PageState::kOffline || rec.zone_id == id_);
+  return rec.state == state;
+}
+
+void Zone::AssertWholeBlocks(Pfn start, uint64_t npages) {
+  assert(start % kPagesPerBlock == 0 && npages % kPagesPerBlock == 0 &&
+         "range operations take whole blocks");
+  (void)start;
+  (void)npages;
 }
 
 void Zone::ListPushFront(uint8_t order, Pfn pfn) {
@@ -104,39 +126,26 @@ Pfn Zone::ListPopFront(uint8_t order) {
 }
 
 void Zone::StampFreeChunk(Pfn pfn, uint8_t order) {
-  const uint32_t n = 1u << order;
-  Page* pages = memmap_->span(pfn, n);
-  for (uint32_t i = 0; i < n; ++i) {
-    Page& p = pages[i];
-    p.state = PageState::kFree;
-    p.kind = PageKind::kNone;
-    p.head = (i == 0);
-    p.order = order;
-    p.zone_id = id_;
-    p.free = FreeLink{};
-  }
+  memmap_->Stamp(pfn, ExtentRecord(PageState::kFree, order));
 }
 
-void Zone::FreeChunk(Pfn pfn, uint8_t order, bool fresh) {
+void Zone::FreeChunk(Pfn pfn, uint8_t order) {
   assert((pfn & ((1u << order) - 1)) == 0 && "chunk must be naturally aligned");
-  const MemMap& view = *memmap_;
-  // Coalesce with the buddy while possible.
+  // Coalesce with the buddy while possible.  The chunk is a whole node of
+  // its slot's extent tree, so its buddy begins an extent: one whose order
+  // exceeded the chunk's would contain the chunk.
   while (order < kMaxPageOrder) {
     const Pfn buddy = pfn ^ (1u << order);
-    if (buddy >= memmap_->span_pages()) {
-      break;
-    }
-    const Page& bp = view.page(buddy);
-    if (bp.state != PageState::kFree || !bp.head || bp.order != order || bp.zone_id != id_) {
+    const Page bp = memmap_->record(buddy);
+    if (bp.state != PageState::kFree || bp.order != order || bp.zone_id != id_) {
       break;
     }
     ListRemove(order, buddy);
-    memmap_->page(buddy).head = false;
     pfn = std::min(pfn, buddy);
     ++order;
   }
   StampFreeChunk(pfn, order);
-  QueueFree(pfn, order, fresh);
+  QueueFree(pfn, order, /*fresh=*/false);
 }
 
 void Zone::QueueFree(Pfn pfn, uint8_t order, bool fresh) {
@@ -157,31 +166,22 @@ void Zone::QueueFree(Pfn pfn, uint8_t order, bool fresh) {
 }
 
 void Zone::AddFreeRange(Pfn start, uint64_t npages) {
+  AssertWholeBlocks(start, npages);
   const Pfn end = static_cast<Pfn>(start + npages);
   present_pages_ += npages;
   managed_pages_ += npages;
   free_pages_ += npages;
 
-  // An untouched block onlined whole needs no per-page work: it becomes
-  // uniformly free in this zone, and only its max-order heads are queued.
-  for (Pfn pfn = start; pfn < end; pfn += kPagesPerBlock - pfn % kPagesPerBlock) {
-    if (UniformBlockAt(pfn, end, PageState::kOffline)) {
+  // An offline block is always uniform, so onlining needs no per-page
+  // work: the block becomes uniformly free in this zone, and only its
+  // max-order chunks are queued.
+  std::vector<Pfn> chunks;
+  for (Pfn pfn = start; pfn < end; pfn += MemMap::kSlotPages) {
+    if (pfn % kPagesPerBlock == 0) {
+      assert(UniformBlockIs(MemMap::BlockOf(pfn), PageState::kOffline));
       memmap_->SetUniform(MemMap::BlockOf(pfn), PageState::kFree, id_);
     }
-  }
-
-  // Free maximal naturally-aligned chunks.
-  std::vector<std::pair<Pfn, uint8_t>> chunks;
-  Pfn pfn = start;
-  uint64_t remaining = npages;
-  while (remaining > 0) {
-    uint8_t order = kMaxPageOrder;
-    while (order > 0 && (((pfn & ((1u << order) - 1)) != 0) || ((1u << order) > remaining))) {
-      --order;
-    }
-    chunks.push_back({pfn, order});
-    pfn += 1u << order;
-    remaining -= 1u << order;
+    chunks.push_back(pfn);
   }
   // Linux's shuffle_page_allocator randomizes the free-list order of
   // onlined memory so steady-state allocations scatter across blocks;
@@ -189,17 +189,8 @@ void Zone::AddFreeRange(Pfn start, uint64_t npages) {
   if (shuffle_rng_ != nullptr) {
     shuffle_rng_->Shuffle(chunks.begin(), chunks.end());
   }
-  const MemMap& view = *memmap_;
-  for (const auto& [chunk_pfn, chunk_order] : chunks) {
-    // A uniform block's chunks are already stamped, and a max-order chunk
-    // never coalesces: queue it exactly as FreeChunk would.
-    if (!memmap_->BlockMaterialized(MemMap::BlockOf(chunk_pfn)) &&
-        view.page(chunk_pfn).state == PageState::kFree) {
-      QueueFree(chunk_pfn, chunk_order, /*fresh=*/true);
-    } else {
-      assert(view.page(chunk_pfn).state == PageState::kOffline);
-      FreeChunk(chunk_pfn, chunk_order, /*fresh=*/true);
-    }
+  for (const Pfn pfn : chunks) {
+    QueueFree(pfn, kMaxPageOrder, /*fresh=*/true);
   }
 }
 
@@ -215,6 +206,7 @@ Pfn Zone::Alloc(uint8_t order, PageKind kind, int32_t owner, uint32_t owner_slot
   }
   Pfn chunk = ListPopFront(from);
   assert(chunk != kInvalidPfn);
+  memmap_->Stamp(chunk, AllocatedRecord(order, kind, owner, owner_slot));
 
   // Split down, returning upper halves to the free lists.
   while (from > order) {
@@ -225,17 +217,6 @@ Pfn Zone::Alloc(uint8_t order, PageKind kind, int32_t owner, uint32_t owner_slot
   }
 
   const uint32_t n = 1u << order;
-  Page* pages = memmap_->span(chunk, n);
-  for (uint32_t i = 0; i < n; ++i) {
-    Page& p = pages[i];
-    p.state = PageState::kAllocated;
-    p.kind = kind;
-    p.head = false;
-    p.order = order;
-    p.free = FreeLink{};
-  }
-  pages[0].head = true;
-  pages[0].SetOwner(owner, owner_slot);
   assert(free_pages_ >= n);
   free_pages_ -= n;
   memmap_->AdjustBlockAllocated(chunk, n);
@@ -257,14 +238,8 @@ uint32_t Zone::AllocPages(uint32_t n, PageKind kind, int32_t owner, uint32_t fir
     const uint32_t size = 1u << from;
     const uint32_t take = std::min(n - taken, size);
     // Repeated Alloc(0) hands out a chunk's pages in ascending order.
-    Page* pages = memmap_->span(chunk, size);
     for (uint32_t i = 0; i < take; ++i) {
-      Page& p = pages[i];
-      p.state = PageState::kAllocated;
-      p.kind = kind;
-      p.head = true;
-      p.order = 0;
-      p.SetOwner(owner, first_slot + taken + i);
+      memmap_->Stamp(chunk + i, AllocatedRecord(0, kind, owner, first_slot + taken + i));
       out[taken + i] = chunk + i;
     }
     // The rest ends up as repeated splitting leaves it: tiled by the
@@ -286,7 +261,7 @@ uint32_t Zone::AllocPages(uint32_t n, PageKind kind, int32_t owner, uint32_t fir
 }
 
 void Zone::Free(Pfn head) {
-  Page& p = memmap_->page(head);
+  const Page p = memmap_->record(head);
   assert(p.state == PageState::kAllocated && p.head);
   assert(p.zone_id == id_);
   const uint8_t order = p.order;
@@ -296,7 +271,6 @@ void Zone::Free(Pfn head) {
 }
 
 void Zone::FreeAll(const Pfn* heads, size_t n) {
-  const MemMap& view = *memmap_;
   // Allocated pages per max-order slot over the touched slot range.
   Pfn first_slot = kInvalidPfn;
   Pfn last_slot = 0;
@@ -308,7 +282,7 @@ void Zone::FreeAll(const Pfn* heads, size_t n) {
   std::vector<uint8_t> orders(n);
   uint64_t pages = 0;
   for (size_t i = 0; i < n; ++i) {
-    const Page& p = view.page(heads[i]);
+    const Page p = memmap_->record(heads[i]);
     assert(p.state == PageState::kAllocated && p.head && p.zone_id == id_);
     orders[i] = p.order;
     slot_pages[(heads[i] >> kMaxPageOrder) - first_slot] += 1u << p.order;
@@ -350,33 +324,23 @@ void Zone::FreeAll(const Pfn* heads, size_t n) {
 }
 
 void Zone::FreeIntoIsolation(Pfn head) {
-  Page& p = memmap_->page(head);
+  const Page p = memmap_->record(head);
   assert(p.state == PageState::kAllocated && p.head);
   assert(p.zone_id == id_);
-  const uint32_t n = 1u << p.order;
-  memmap_->AdjustBlockAllocated(head, -static_cast<int64_t>(n));
-  Page* pages = memmap_->span(head, n);
-  for (uint32_t i = 0; i < n; ++i) {
-    Page& q = pages[i];
-    q.state = PageState::kIsolated;
-    q.kind = PageKind::kNone;
-    q.head = false;
-    q.order = 0;
-    q.free = FreeLink{};
-  }
+  memmap_->AdjustBlockAllocated(head, -static_cast<int64_t>(1u << p.order));
+  memmap_->Stamp(head, ExtentRecord(PageState::kIsolated, p.order));
   // Isolated pages no longer count as allocatable; they were allocated, so
   // free_pages_ is unchanged.
 }
 
 uint64_t Zone::IsolateFreeRange(Pfn start, uint64_t npages) {
-  const MemMap& view = *memmap_;
+  AssertWholeBlocks(start, npages);
   uint64_t isolated = 0;
-  Pfn pfn = start;
   const Pfn end = start + npages;
-  while (pfn < end) {
-    if (UniformBlockAt(pfn, end, PageState::kFree)) {
+  for (Pfn pfn = start; pfn < end;) {
+    if (pfn % kPagesPerBlock == 0 && UniformBlockIs(MemMap::BlockOf(pfn), PageState::kFree)) {
       // A whole-free untouched block: unlink its max-order heads only.
-      for (Pfn head = pfn; head < pfn + kPagesPerBlock; head += 1u << kMaxPageOrder) {
+      for (Pfn head = pfn; head < pfn + kPagesPerBlock; head += MemMap::kSlotPages) {
         ListRemove(kMaxPageOrder, head);
       }
       memmap_->SetUniform(MemMap::BlockOf(pfn), PageState::kIsolated, id_);
@@ -384,25 +348,14 @@ uint64_t Zone::IsolateFreeRange(Pfn start, uint64_t npages) {
       pfn += kPagesPerBlock;
       continue;
     }
-    const Page& p = view.page(pfn);
-    if (p.state == PageState::kFree && p.head) {
-      const uint8_t order = p.order;
-      const uint32_t n = 1u << order;
-      assert(pfn + n <= end && "free chunks never straddle block boundaries");
-      ListRemove(order, pfn);
-      Page* pages = memmap_->span(pfn, n);
-      for (uint32_t i = 0; i < n; ++i) {
-        Page& q = pages[i];
-        q.state = PageState::kIsolated;
-        q.head = false;
-        q.order = 0;
-      }
+    const Page p = memmap_->record(pfn);
+    const uint32_t n = 1u << p.order;
+    if (p.state == PageState::kFree) {
+      ListRemove(p.order, pfn);
+      memmap_->Stamp(pfn, ExtentRecord(PageState::kIsolated, p.order));
       isolated += n;
-      pfn += n;
-    } else {
-      assert(p.state != PageState::kFree && "tail free page without a head in range");
-      ++pfn;
     }
+    pfn += n;
   }
   assert(free_pages_ >= isolated);
   free_pages_ -= isolated;
@@ -410,18 +363,21 @@ uint64_t Zone::IsolateFreeRange(Pfn start, uint64_t npages) {
 }
 
 void Zone::UndoIsolation(Pfn start, uint64_t npages) {
-  // Re-free maximal runs of isolated pages.
-  const MemMap& view = *memmap_;
+  AssertWholeBlocks(start, npages);
+  // Re-free maximal runs of isolated extents.  Every free chunk of the
+  // range was isolated, so the extent after a run is allocated and the
+  // frees below never merge past it.
   Pfn pfn = start;
   const Pfn end = start + npages;
   while (pfn < end) {
-    if (view.page(pfn).state != PageState::kIsolated) {
-      ++pfn;
+    assert(memmap_->record(pfn).state != PageState::kFree);
+    if (memmap_->record(pfn).state != PageState::kIsolated) {
+      pfn = memmap_->NextExtent(pfn);
       continue;
     }
     Pfn run_end = pfn;
-    while (run_end < end && view.page(run_end).state == PageState::kIsolated) {
-      ++run_end;
+    while (run_end < end && memmap_->record(run_end).state == PageState::kIsolated) {
+      run_end = memmap_->NextExtent(run_end);
     }
     uint64_t remaining = run_end - pfn;
     free_pages_ += remaining;
@@ -438,28 +394,13 @@ void Zone::UndoIsolation(Pfn start, uint64_t npages) {
 }
 
 void Zone::RetireRange(Pfn start, uint64_t npages) {
-  Pfn pfn = start;
-  const Pfn end = start + npages;
-  while (pfn < end) {
-    if (UniformBlockAt(pfn, end, PageState::kIsolated)) {
-      memmap_->SetUniform(MemMap::BlockOf(pfn), PageState::kOffline);
-      pfn += kPagesPerBlock;
-      continue;
-    }
-    // The rest of the range within this block, in one span.
-    const Pfn block_end = MemMap::BlockStart(MemMap::BlockOf(pfn) + 1);
-    const auto n = static_cast<uint32_t>(std::min(end, block_end) - pfn);
-    Page* pages = memmap_->span(pfn, n);
-    for (uint32_t i = 0; i < n; ++i) {
-      Page& p = pages[i];
-      assert(p.state == PageState::kIsolated);
-      assert(p.zone_id == id_);
-      p.state = PageState::kOffline;
-      p.zone_id = -1;
-      p.head = false;
-      p.order = 0;
-    }
-    pfn += n;
+  AssertWholeBlocks(start, npages);
+  // A retired block is uniformly offline: its chunk, if any, goes.
+  for (Pfn pfn = start; pfn < start + npages; pfn += kPagesPerBlock) {
+    const BlockIndex b = MemMap::BlockOf(pfn);
+    assert(memmap_->CountBlockPages(b, PageState::kIsolated) == kPagesPerBlock);
+    assert(memmap_->record(pfn).zone_id == id_);
+    memmap_->SetUniform(b, PageState::kOffline);
   }
   assert(present_pages_ >= npages && managed_pages_ >= npages);
   present_pages_ -= npages;
@@ -485,14 +426,13 @@ void Zone::ShuffleFreeLists(Rng& rng) {
 }
 
 bool Zone::CheckFreeLists() const {
-  const MemMap& view = *memmap_;
   uint64_t pages_seen = 0;
   for (uint8_t order = 0; order <= kMaxPageOrder; ++order) {
     const FreeArea& area = areas_[order];
     uint64_t chunks = 0;
     Pfn prev = kInvalidPfn;
     for (Pfn pfn = area.head; pfn != kInvalidPfn; pfn = Link(order, pfn).next) {
-      const Page& p = view.page(pfn);
+      const Page p = memmap_->record(pfn);
       if (p.state != PageState::kFree || !p.head || p.order != order || p.zone_id != id_) {
         return false;
       }

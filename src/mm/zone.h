@@ -54,19 +54,25 @@ class Zone {
   const std::string& name() const { return name_; }
 
   // --- Online/offline -------------------------------------------------------
-  // Attributes an offline (hot-added) page range to this zone and frees it
-  // into the buddy.  Range must be order-0-aligned; online uses whole blocks.
+  // Every range below is whole 128 MiB blocks, as hotplug works.
+
+  // Attributes offline (hot-added) blocks to this zone and frees them into
+  // the buddy as max-order chunks.  O(chunks).
   void AddFreeRange(Pfn start, uint64_t npages);
 
-  // Removes every *free* page in the range from the buddy (-> kIsolated).
-  // Returns the number of pages isolated.
+  // Removes every *free* page in the range from the buddy (-> kIsolated),
+  // one extent at a time in ascending order.  Returns the number of pages
+  // isolated.
   uint64_t IsolateFreeRange(Pfn start, uint64_t npages);
 
-  // Returns isolated pages in the range to the buddy (offline abort).
+  // Returns isolated pages in the range to the buddy (offline abort): each
+  // maximal run of isolated pages is freed as its largest aligned chunks,
+  // in ascending order.
   void UndoIsolation(Pfn start, uint64_t npages);
 
   // Retires a fully-isolated range from the zone (-> kOffline, zone stats
-  // shrink).  Every page in the range must be kIsolated.
+  // shrink): each block becomes uniformly offline in O(1).  Every page in
+  // the range must be kIsolated.
   void RetireRange(Pfn start, uint64_t npages);
 
   // --- Allocation ------------------------------------------------------------
@@ -127,25 +133,30 @@ class Zone {
   // Free-list links of a chunk head: max-order heads link through the
   // MemMap side table, smaller orders through their head Page.
   FreeLink& Link(uint8_t order, Pfn pfn);
-  const FreeLink& Link(uint8_t order, Pfn pfn) const;
+  FreeLink Link(uint8_t order, Pfn pfn) const;
 
-  // Whether [pfn, end) begins with a whole unmaterialized block whose pages
-  // all read as `state`: the range operations handle it in O(1) or
-  // O(max-order heads).
-  bool UniformBlockAt(Pfn pfn, Pfn end, PageState state) const;
+  // The record of a kFree, kIsolated or kAllocated extent of this zone.
+  Page ExtentRecord(PageState state, uint8_t order) const;
+  Page AllocatedRecord(uint8_t order, PageKind kind, int32_t owner, uint32_t owner_slot) const;
+
+  // Whether block b is unmaterialized and uniformly `state`: the range
+  // operations then handle it in O(1) or O(max-order heads).
+  bool UniformBlockIs(BlockIndex b, PageState state) const;
+  static void AssertWholeBlocks(Pfn start, uint64_t npages);
 
   void ListPushFront(uint8_t order, Pfn pfn);
   void ListPushBack(uint8_t order, Pfn pfn);
   void ListRemove(uint8_t order, Pfn pfn);
   Pfn ListPopFront(uint8_t order);
 
-  // Frees a chunk (all frames currently not in any list) with coalescing.
-  void FreeChunk(Pfn pfn, uint8_t order, bool fresh = false);
+  // Frees a chunk (all frames currently not in any list) with coalescing,
+  // queued at the head of its list.
+  void FreeChunk(Pfn pfn, uint8_t order);
   // Queues a stamped free chunk: `fresh` chunks (newly onlined) at the
   // tail, runtime frees at the head (hot reuse), unless the shuffle RNG
   // randomizes the side.
   void QueueFree(Pfn pfn, uint8_t order, bool fresh);
-  // Marks the frames of a chunk as a free chunk (head/tails).
+  // Makes [pfn, pfn + 2^order) one free chunk extent.
   void StampFreeChunk(Pfn pfn, uint8_t order);
 
   int16_t id_;

@@ -61,7 +61,7 @@ TEST_F(BalloonTest, InflatedPagesAreUnmovableKernelPages) {
   balloon_->Inflate(kPageSize * 10, zone_.get(), 0);
   uint64_t kernel_pages = 0;
   for (Pfn pfn = 0; pfn < memmap_->span_pages(); ++pfn) {
-    const Page& p = memmap_->page(pfn);
+    const Page p = memmap_->page(pfn);
     if (p.state == PageState::kAllocated && p.kind == PageKind::kKernel) {
       ++kernel_pages;
     }
@@ -95,7 +95,7 @@ TEST_F(BalloonTest, InflateStallsWhenZoneExhausted) {
 TEST_F(BalloonTest, DeflateReturnsPages) {
   balloon_->Inflate(MiB(2), zone_.get(), 0);
   const uint64_t held = balloon_->held_pages();
-  const DurationNs lat = balloon_->Deflate(MiB(1), *memmap_, zone_.get());
+  const DurationNs lat = balloon_->Deflate(MiB(1), zone_.get());
   EXPECT_GT(lat, 0);
   EXPECT_EQ(balloon_->held_pages(), held - MiB(1) / kPageSize);
   EXPECT_EQ(zone_->allocated_pages(), balloon_->held_pages());
@@ -103,7 +103,7 @@ TEST_F(BalloonTest, DeflateReturnsPages) {
 
 TEST_F(BalloonTest, DeflateMoreThanHeldClamp) {
   balloon_->Inflate(MiB(1), zone_.get(), 0);
-  balloon_->Deflate(MiB(100), *memmap_, zone_.get());
+  balloon_->Deflate(MiB(100), zone_.get());
   EXPECT_EQ(balloon_->held_pages(), 0u);
   EXPECT_EQ(zone_->allocated_pages(), 0u);
   EXPECT_TRUE(zone_->CheckFreeLists());

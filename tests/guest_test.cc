@@ -185,7 +185,7 @@ TEST_F(GuestTest, VanillaUnplugAfterProcessExitMigratesSurvivors) {
     if (f.head == kInvalidPfn) {
       continue;
     }
-    const Page& p = guest_->memmap().page(f.head);
+    const Page p = guest_->memmap().page(f.head);
     EXPECT_EQ(p.state, PageState::kAllocated);
     EXPECT_EQ(p.owner(), b);
   }
@@ -292,7 +292,7 @@ TEST(GuestSqueezyExitTest, SoleOccupantExitDematerializesPartitionBlocks) {
   EXPECT_TRUE(memmap.BlockMaterialized(first));  // Drained before FreeAll.
   EXPECT_TRUE(part.zone->CheckFreeLists());
   EXPECT_EQ(part.zone->free_chunks(kMaxPageOrder), 64u);
-  const Page& p = memmap.page(MemMap::BlockStart(first + 1));
+  const Page p = memmap.page(MemMap::BlockStart(first + 1));
   EXPECT_EQ(p.state, PageState::kFree);
   EXPECT_TRUE(p.head);
   EXPECT_EQ(p.zone_id, part.zone->id());

@@ -42,9 +42,6 @@ TEST(MemMapTest, InitBlockMakesPagesOffline) {
   // Neighbours untouched.
   EXPECT_EQ(cm.page(start - 1).state, PageState::kHole);
   EXPECT_EQ(cm.page(start + kPagesPerBlock).state, PageState::kHole);
-  // The first mutable touch materializes exactly that view.
-  EXPECT_EQ(m.page(start + 5).state, PageState::kOffline);
-  EXPECT_TRUE(m.BlockMaterialized(3));
   EXPECT_EQ(m.CountBlockPages(3, PageState::kOffline),
             static_cast<uint64_t>(kPagesPerBlock));
 }
@@ -81,16 +78,27 @@ TEST(MemMapTest, CountBlocksByState) {
   EXPECT_EQ(m.CountBlocks(BlockState::kPresent), 2u);
 }
 
-TEST(MemMapTest, FolioHeadResolvesFromTail) {
+TEST(MemMapTest, ExtentStartResolvesFromTail) {
   MemMap m(GiB(1));
   Zone zone(0, ZoneType::kMovable, "z", &m);
   m.InitBlock(0);
   zone.AddFreeRange(0, kPagesPerBlock);
   const Pfn head = zone.Alloc(kThpOrder, PageKind::kAnon, 1, 0);
   ASSERT_NE(head, kInvalidPfn);
+  const Pfn small = zone.Alloc(2, PageKind::kAnon, 1, 1);
+  ASSERT_EQ(small, head + (1u << kThpOrder));
   for (uint32_t i = 0; i < (1u << kThpOrder); i += 37) {
-    EXPECT_EQ(m.FolioHead(head + i), head);
+    EXPECT_EQ(m.ExtentStart(head + i), head);
+    EXPECT_EQ(m.page(head + i).head, i == 0);
+    EXPECT_EQ(m.page(head + i).order, kThpOrder);
   }
+  // The split left free chunks of orders 2..8 after the order-2 folio.
+  EXPECT_EQ(m.ExtentStart(small + 3), small);
+  EXPECT_EQ(m.ExtentStart(small + 4), small + 4);
+  EXPECT_EQ(m.ExtentStart(head + 1023), head + 768);
+  EXPECT_EQ(m.NextExtent(head), small);
+  EXPECT_EQ(m.NextExtent(small), small + 4);
+  EXPECT_EQ(m.NextExtent(head + 768), 1u << kMaxPageOrder);
 }
 
 TEST(MemMapTest, RemoveBlockCountsAndDropsHostBacking) {
@@ -129,9 +137,15 @@ TEST(MemMapTest, ConstReadsNeverMaterialize) {
 
 TEST(MemMapTest, MutableTouchMaterializesOneChunk) {
   MemMap m(GiB(1));
-  Page& p = m.page(MemMap::BlockStart(3) + 7);
-  // First mutable touch sees the flat array's initial state.
-  EXPECT_EQ(p.state, PageState::kHole);
+  Zone zone(0, ZoneType::kMovable, "z", &m);
+  m.InitBlock(3);
+  zone.AddFreeRange(MemMap::BlockStart(3), kPagesPerBlock);
+  EXPECT_EQ(m.materialized_blocks(), 0u);
+  Page& p = m.mutable_record(MemMap::BlockStart(3) + (1u << kMaxPageOrder));
+  // First mutable touch sees the template's max-order chunk.
+  EXPECT_EQ(p.state, PageState::kFree);
+  EXPECT_TRUE(p.head);
+  EXPECT_EQ(p.order, kMaxPageOrder);
   EXPECT_EQ(m.materialized_blocks(), 1u);
   EXPECT_TRUE(m.BlockMaterialized(3));
   EXPECT_FALSE(m.BlockMaterialized(2));
@@ -139,19 +153,26 @@ TEST(MemMapTest, MutableTouchMaterializesOneChunk) {
   EXPECT_EQ(m.materialized_peak_blocks(), 1u);
 }
 
-TEST(MemMapTest, RemoveBlockFreesTheChunk) {
-  // Hot-remove always returns a materialized block's sim memory (the old
-  // teardown kept the chunk while any host_populated flag survived).
+TEST(MemMapTest, RetireRangeFreesTheChunk) {
+  // Offlining returns a materialized block's sim memory: a retired block
+  // is uniformly offline, so hot-remove never meets a chunk.
   MemMap m(GiB(1));
+  Zone zone(0, ZoneType::kMovable, "z", &m);
   m.InitBlock(0);
-  (void)m.page(9);  // Materializes the block.
+  zone.AddFreeRange(0, kPagesPerBlock);
+  const Pfn pfn = zone.Alloc(0, PageKind::kAnon, 1, 0);  // Materializes the block.
+  ASSERT_EQ(pfn, 0u);
   m.SetHostPopulated(9, 1);
   EXPECT_EQ(m.materialized_blocks(), 1u);
-  m.set_block_state(0, BlockState::kOffline);
-  EXPECT_EQ(m.RemoveBlock(0), 1u);
+  zone.Free(pfn);
+  EXPECT_EQ(zone.IsolateFreeRange(0, kPagesPerBlock), static_cast<uint64_t>(kPagesPerBlock));
+  zone.RetireRange(0, kPagesPerBlock);
   EXPECT_FALSE(m.BlockMaterialized(0));
   EXPECT_EQ(m.materialized_blocks(), 0u);
   EXPECT_EQ(m.materialized_peak_blocks(), 1u);  // Peak is sticky.
+  EXPECT_EQ(m.CountBlockPages(0, PageState::kOffline), static_cast<uint64_t>(kPagesPerBlock));
+  m.set_block_state(0, BlockState::kOffline);
+  EXPECT_EQ(m.RemoveBlock(0), 1u);
   // The freed block reads as holes again and can be re-initialized.
   const MemMap& cm = m;
   EXPECT_EQ(cm.page(0).state, PageState::kHole);
@@ -242,19 +263,6 @@ TEST(MemMapTest, RemoveBlockResetsHostBackingAndInitBlockStartsUnbacked) {
   EXPECT_EQ(m.BlockPopulated(2), 0u);
 }
 
-TEST(MemMapTest, InitBlockDropsAChunkMaterializedOverAHole) {
-  // A mutable read of a hole materializes it; hot-add resets every page
-  // anyway, so the chunk goes and the block is uniformly offline.
-  MemMap m(GiB(1));
-  EXPECT_EQ(m.page(MemMap::BlockStart(2)).state, PageState::kHole);
-  EXPECT_EQ(m.materialized_blocks(), 1u);
-  m.InitBlock(2);
-  EXPECT_FALSE(m.BlockMaterialized(2));
-  EXPECT_EQ(m.materialized_blocks(), 0u);
-  EXPECT_EQ(m.CountBlockPages(2, PageState::kOffline),
-            static_cast<uint64_t>(kPagesPerBlock));
-}
-
 TEST(MemMapTest, OnlineWholeBlockStaysUniformFree) {
   MemMap m(GiB(1));
   const MemMap& cm = m;
@@ -266,7 +274,7 @@ TEST(MemMapTest, OnlineWholeBlockStaysUniformFree) {
   EXPECT_TRUE(zone.CheckFreeLists());
   // Synthesized exactly as StampFreeChunk writes max-order chunks.
   for (Pfn pfn = MemMap::BlockStart(1); pfn < MemMap::BlockStart(2); pfn += 511) {
-    const Page& p = cm.page(pfn);
+    const Page p = cm.page(pfn);
     EXPECT_EQ(p.state, PageState::kFree);
     EXPECT_EQ(p.zone_id, 4);
     EXPECT_EQ(p.order, kMaxPageOrder);
@@ -408,7 +416,7 @@ TEST(MemMapTest, OwnerOverlaySurvivesNeighbourFreesAndMigration) {
   EXPECT_EQ(registry.moves[0].kind, PageKind::kFile);
   EXPECT_EQ(registry.moves[0].owner, 5);
   EXPECT_EQ(registry.moves[0].owner_slot, 77u);
-  const Page& moved = cm.page(registry.moves[0].to);
+  const Page moved = cm.page(registry.moves[0].to);
   EXPECT_EQ(MemMap::BlockOf(registry.moves[0].to), 1u);
   EXPECT_EQ(moved.owner(), 5);
   EXPECT_EQ(moved.owner_slot(), 77u);

@@ -74,7 +74,7 @@ TEST_F(MigrationTest, MovesFolioOutAndPatchesOwner) {
   EXPECT_EQ(registry_.moves[0].slot, 7u);
   const Pfn new_head = registry_.moves[0].to;
   EXPECT_GE(new_head, kPagesPerBlock);  // Left the isolating block.
-  const Page& p = memmap_->page(new_head);
+  const Page p = memmap_->page(new_head);
   EXPECT_EQ(p.state, PageState::kAllocated);
   EXPECT_EQ(p.owner(), 42);
   EXPECT_EQ(p.owner_slot(), 7u);

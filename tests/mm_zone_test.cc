@@ -52,7 +52,7 @@ TEST_F(ZoneTest, AllocReturnsAlignedHead) {
     const Pfn pfn = zone_->Alloc(order, PageKind::kAnon, 1, 0);
     ASSERT_NE(pfn, kInvalidPfn);
     EXPECT_EQ(pfn & ((1u << order) - 1), 0u) << "order " << int{order};
-    const Page& p = memmap_->page(pfn);
+    const Page p = memmap_->page(pfn);
     EXPECT_EQ(p.state, PageState::kAllocated);
     EXPECT_TRUE(p.head);
     EXPECT_EQ(p.order, order);
@@ -66,7 +66,7 @@ TEST_F(ZoneTest, AllocSetsTailPages) {
   const Pfn pfn = zone_->Alloc(3, PageKind::kAnon, 5, 7);
   ASSERT_NE(pfn, kInvalidPfn);
   for (uint32_t i = 1; i < 8; ++i) {
-    const Page& p = memmap_->page(pfn + i);
+    const Page p = memmap_->page(pfn + i);
     EXPECT_EQ(p.state, PageState::kAllocated);
     EXPECT_FALSE(p.head);
   }

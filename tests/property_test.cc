@@ -106,7 +106,7 @@ TEST_P(GuestFuzzTest, MixedOperationsKeepInvariants) {
         break;
       case 6:  // Balloon round-trip.
         guest.BalloonReclaim(MiB(16), 0);
-        guest.balloon().Deflate(MiB(16), guest.memmap(), &guest.movable_zone());
+        guest.balloon().Deflate(MiB(16), &guest.movable_zone());
         break;
     }
     // Invariants checked every step.
@@ -124,7 +124,7 @@ TEST_P(GuestFuzzTest, MixedOperationsKeepInvariants) {
   for (const Pid pid : live) {
     guest.Exit(pid);
   }
-  guest.balloon().Deflate(GiB(1), guest.memmap(), &guest.movable_zone());
+  guest.balloon().Deflate(GiB(1), &guest.movable_zone());
   EXPECT_EQ(guest.movable_zone().allocated_pages(),
             guest.page_cache().total_cached_pages());
 }
@@ -258,14 +258,20 @@ INSTANTIATE_TEST_SUITE_P(Sizes, ReclaimScalingTest,
 
 // An untouched block keeps no per-page state (memmap.h): hot-add, online,
 // isolate, retire and remove act on its uniform template.  The oracle is
-// the same MemMap + Zone code with every block forced to materialize right
-// after each step, through the public mutable page() — the eager
-// representation.  One random script of hot-add, online, Alloc at orders
-// 0/9/10, Free, isolate + retire-or-undo and remove runs on both sets, and
-// every observable must agree after every op: Alloc results, free-list
-// counts and linkage, per-state block page counts and the const view of
-// every pfn.  Shuffled zones also check that online draws the same Rng
-// calls in the same order.
+// the same MemMap + Zone code with every online block forced to
+// materialize right after each step, through the public mutable_record()
+// — the eager representation (offline and hole blocks never materialize).
+// One random script of hot-add, online, Alloc at orders 0/9/10, Free,
+// isolate + retire-or-undo and remove runs on both sets, and every
+// observable must agree after every op: Alloc results, free-list counts
+// and linkage, per-state block page counts and the const view of every
+// pfn.  Shuffled zones also check that online draws the same Rng calls in
+// the same order.
+//
+// ExpectSame also holds each set to the record rule (memmap.h): every page
+// of an extent reads as the extent's start without the head flag and the
+// links, and folds the view into a digest that each test locks per seed,
+// so a change of representation must keep every view of every step.
 namespace uniform_oracle {
 
 constexpr uint32_t kBlocks = 6;
@@ -293,7 +299,41 @@ bool SamePage(const Page& a, const Page& b) {
          a.free.prev == b.free.prev;
 }
 
-void ExpectSame(const MmSet& lazy, const MmSet& eager, int step) {
+// 64-bit FNV-1a, one word at a time.
+constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ull;
+void Fold(uint64_t* digest, uint64_t word) { *digest = (*digest ^ word) * 0x100000001b3ull; }
+
+// Every page of block b through ReadBlock.  A materialized block is held
+// to the record rule and checked against the point view at each extent's
+// first and last page.
+std::vector<Page> ReadRuled(const MemMap& m, BlockIndex b) {
+  std::vector<Page> pages(kPagesPerBlock);
+  m.ReadBlock(b, pages.data());
+  const Pfn base = MemMap::BlockStart(b);
+  for (Pfn pfn = base; m.BlockMaterialized(b) && pfn < base + kPagesPerBlock;) {
+    const Pfn next = m.NextExtent(pfn);
+    EXPECT_GT(next, pfn);
+    EXPECT_LE(next - pfn, MemMap::kSlotPages) << "pfn " << pfn;
+    if (next <= pfn || next - pfn > MemMap::kSlotPages) {
+      break;
+    }
+    Page tail = pages[pfn - base];
+    tail.head = false;
+    tail.free = FreeLink{};
+    Pfn q = pfn + 1;
+    while (q < next && SamePage(pages[q - base], tail)) {
+      ++q;
+    }
+    EXPECT_EQ(q, next) << "pfn " << q << " breaks the record rule of extent " << pfn;
+    EXPECT_TRUE(SamePage(m.page(pfn), pages[pfn - base])) << "pfn " << pfn;
+    EXPECT_TRUE(SamePage(m.page(next - 1), pages[next - 1 - base])) << "pfn " << next - 1;
+    EXPECT_EQ(m.ExtentStart(next - 1), pfn);
+    pfn = next;
+  }
+  return pages;
+}
+
+void ExpectSame(const MmSet& lazy, const MmSet& eager, int step, uint64_t* digest) {
   SCOPED_TRACE("step " + std::to_string(step));
   for (int16_t z = 0; z < kZones; ++z) {
     const Zone& lz = *lazy.zones[static_cast<size_t>(z)];
@@ -314,14 +354,34 @@ void ExpectSame(const MmSet& lazy, const MmSet& eager, int step) {
       ASSERT_EQ(lm.CountBlockPages(b, st), em.CountBlockPages(b, st)) << "block " << b;
     }
   }
-  for (Pfn pfn = 0; pfn < lm.span_pages(); ++pfn) {
-    ASSERT_TRUE(SamePage(lm.page(pfn), em.page(pfn))) << "pfn " << pfn;
-    ASSERT_EQ(lm.host_populated(pfn), em.host_populated(pfn)) << "pfn " << pfn;
+  for (BlockIndex b = 0; b < kBlocks; ++b) {
+    const std::vector<Page> lp = ReadRuled(lm, b);
+    const std::vector<Page> ep = ReadRuled(em, b);
+    ASSERT_FALSE(testing::Test::HasFailure()) << "block " << b;
+    for (uint32_t i = 0; i < kPagesPerBlock; ++i) {
+      const Pfn pfn = MemMap::BlockStart(b) + i;
+      const Page& p = lp[i];
+      if (!SamePage(p, ep[i]) || lm.host_populated(pfn) != em.host_populated(pfn)) {
+        FAIL() << "pfn " << pfn << " differs";
+      }
+      Fold(digest, uint64_t{static_cast<uint8_t>(p.state)} |
+                       uint64_t{static_cast<uint8_t>(p.kind)} << 4 | uint64_t{p.order} << 8 |
+                       uint64_t{p.head} << 12 | uint64_t{lm.host_populated(pfn)} << 13 |
+                       uint64_t{static_cast<uint16_t>(p.zone_id)} << 16);
+      Fold(digest, uint64_t{p.free.next} | uint64_t{p.free.prev} << 32);
+    }
   }
   for (Pfn head = 0; head < lm.span_pages(); head += 1u << kMaxPageOrder) {
     ASSERT_EQ(lm.max_link(head).next, em.max_link(head).next) << "pfn " << head;
     ASSERT_EQ(lm.max_link(head).prev, em.max_link(head).prev) << "pfn " << head;
+    Fold(digest, uint64_t{lm.max_link(head).next} | uint64_t{lm.max_link(head).prev} << 32);
   }
+}
+
+// The digest each oracle test locks, by seed and shuffle: the views of
+// every step, recorded on the per-page representation.
+uint64_t LockedDigest(const uint64_t (&table)[][2], uint64_t seed, bool shuffled) {
+  return table[seed - 1][shuffled ? 1 : 0];
 }
 
 }  // namespace uniform_oracle
@@ -334,6 +394,7 @@ TEST_P(UniformVsEagerMemMapTest, UniformBlocksReadExactlyAsMaterialized) {
   using uniform_oracle::kZones;
   using uniform_oracle::MmSet;
   const auto [seed, shuffled] = GetParam();
+  uint64_t digest = uniform_oracle::kFnvOffset;
   MmSet lazy(seed + 17, shuffled);
   MmSet eager(seed + 17, shuffled);
   MmSet* const sets[] = {&lazy, &eager};
@@ -445,12 +506,13 @@ TEST_P(UniformVsEagerMemMapTest, UniformBlocksReadExactlyAsMaterialized) {
         break;
       }
     }
-    // The eager set materializes every block after every transition.
+    // The eager set materializes every online block after every transition.
     for (BlockIndex b = 0; b < kBlocks; ++b) {
-      const Pfn offset = static_cast<Pfn>(step) % kPagesPerBlock;
-      (void)eager.memmap.page(MemMap::BlockStart(b) + offset);
+      if (eager.memmap.block_state(b) == BlockState::kOnline) {
+        (void)eager.memmap.mutable_record(MemMap::BlockStart(b));
+      }
     }
-    uniform_oracle::ExpectSame(lazy, eager, step);
+    uniform_oracle::ExpectSame(lazy, eager, step, &digest);
     if (testing::Test::HasFatalFailure()) {
       return;
     }
@@ -459,6 +521,13 @@ TEST_P(UniformVsEagerMemMapTest, UniformBlocksReadExactlyAsMaterialized) {
   EXPECT_EQ(lazy.shuffle_rng.Next(), eager.shuffle_rng.Next());
   EXPECT_LE(lazy.memmap.materialized_peak_blocks(),
             eager.memmap.materialized_peak_blocks());
+  static const uint64_t kDigests[][2] = {
+      {0x90a7281773166864ull, 0x83d3b9c4bd352978ull},
+      {0x451cfbf044dc941dull, 0xd0f461ed3da036ccull},
+      {0xc91e93c1ca41f324ull, 0xa927f4d27fd9c4bcull},
+      {0x1516e54fe39f8bb7ull, 0xcffa5387bbe37f4eull},
+  };
+  EXPECT_EQ(digest, uniform_oracle::LockedDigest(kDigests, seed, shuffled));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -512,6 +581,7 @@ TEST_P(BulkVsRepeatedAllocTest, AllocPagesEqualsRepeatedSinglePageAlloc) {
   using uniform_oracle::kZones;
   using uniform_oracle::MmSet;
   const auto [seed, shuffled] = GetParam();
+  uint64_t digest = uniform_oracle::kFnvOffset;
   MmSet bulk(seed + 31, shuffled);
   MmSet single(seed + 31, shuffled);
   MmSet* const sets[] = {&bulk, &single};
@@ -653,7 +723,7 @@ TEST_P(BulkVsRepeatedAllocTest, AllocPagesEqualsRepeatedSinglePageAlloc) {
         break;
       }
     }
-    uniform_oracle::ExpectSame(bulk, single, step);
+    uniform_oracle::ExpectSame(bulk, single, step, &digest);
     if (testing::Test::HasFatalFailure()) {
       return;
     }
@@ -669,6 +739,13 @@ TEST_P(BulkVsRepeatedAllocTest, AllocPagesEqualsRepeatedSinglePageAlloc) {
   EXPECT_TRUE(saw_short);
   EXPECT_TRUE(saw_fragments);
   EXPECT_EQ(bulk.shuffle_rng.Next(), single.shuffle_rng.Next());
+  static const uint64_t kDigests[][2] = {
+      {0x4a93443fcb4b8333ull, 0xd2e7055ba47e6790ull},
+      {0x2ee8b83e59fa7193ull, 0x87203667e1c42a6dull},
+      {0x8e915b61bf26fd27ull, 0x282b998a75450763ull},
+      {0x2baf5526e752a8adull, 0x3ea563822fcbbe7aull},
+  };
+  EXPECT_EQ(digest, uniform_oracle::LockedDigest(kDigests, seed, shuffled));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -697,6 +774,7 @@ TEST_P(DrainOracleTest, FreeAllEqualsPerFolioFrees) {
   using uniform_oracle::kZones;
   using uniform_oracle::MmSet;
   const auto [seed, shuffled] = GetParam();
+  uint64_t digest = uniform_oracle::kFnvOffset;
   MmSet each(seed + 43, shuffled);
   MmSet all(seed + 43, shuffled);
   MmSet* const sets[] = {&each, &all};
@@ -784,7 +862,7 @@ TEST_P(DrainOracleTest, FreeAllEqualsPerFolioFrees) {
       }
     }
   }
-  uniform_oracle::ExpectSame(each, all, -1);
+  uniform_oracle::ExpectSame(each, all, -1, &digest);
   if (testing::Test::HasFatalFailure()) {
     return;
   }
@@ -815,7 +893,7 @@ TEST_P(DrainOracleTest, FreeAllEqualsPerFolioFrees) {
     }
     all.zones[zi]->FreeAll(heads.data(), heads.size());
     EXPECT_EQ(all.zones[zi]->allocated_pages(), 0u);
-    uniform_oracle::ExpectSame(each, all, 1000 + z);
+    uniform_oracle::ExpectSame(each, all, 1000 + z, &digest);
     if (testing::Test::HasFatalFailure()) {
       return;
     }
@@ -843,8 +921,16 @@ TEST_P(DrainOracleTest, FreeAllEqualsPerFolioFrees) {
               all.zones[zi]->Alloc(order, PageKind::kAnon, 1, 0))
         << "follow-up alloc " << i;
   }
-  uniform_oracle::ExpectSame(each, all, 2000);
+  uniform_oracle::ExpectSame(each, all, 2000, &digest);
   EXPECT_EQ(each.shuffle_rng.Next(), all.shuffle_rng.Next());
+  static const uint64_t kDigests[][2] = {
+      {0xfa015ce519d9b5c6ull, 0x672b7534f976d302ull},
+      {0x81fb97b66642fc66ull, 0xbdb996d4d9a81824ull},
+      {0x1324c36f2a1de017ull, 0x0452f2c282c14d17ull},
+      {0x1b4779c8d44e0db9ull, 0xad28724fc897b2d5ull},
+      {0x0cd38bb119348f1dull, 0xcc41e1b2c427829dull},
+  };
+  EXPECT_EQ(digest, uniform_oracle::LockedDigest(kDigests, seed, shuffled));
 }
 
 INSTANTIATE_TEST_SUITE_P(

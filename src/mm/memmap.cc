@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <memory>
+#include <new>
 
 namespace squeezy {
 
@@ -47,12 +48,15 @@ MemMap::MemMap(uint64_t span_bytes) {
   assert(blocks * kPagesPerBlock < kInvalidPfn);
   span_pages_ = blocks * kPagesPerBlock;
   chunks_.resize(blocks);
-  uniform_.resize(blocks);  // Page{} is the hole template.
+  uniform_.resize(blocks);
   max_links_.resize(span_pages_ >> kMaxPageOrder);
   blocks_.assign(blocks, BlockState::kAbsent);
   allocated_per_block_.assign(blocks, 0);
   host_bits_.resize(blocks);
   host_count_.assign(blocks, 0);
+  for (BlockIndex b = 0; b < blocks; ++b) {
+    SetUniform(b, PageState::kHole);
+  }
 }
 
 void MemMap::ChunkDeleter::operator()(Page* chunk) const {
@@ -63,31 +67,26 @@ void MemMap::SetUniform(BlockIndex b, PageState state, int16_t zone_id) {
   assert(state != PageState::kAllocated && "allocated pages always have a chunk");
   assert((zone_id >= 0) == (state == PageState::kFree || state == PageState::kIsolated));
   ReleaseChunk(b);
-  Page tail;  // No kind, owner or links.
-  tail.state = state;
-  tail.zone_id = zone_id;
-  Page head = tail;
-  if (state == PageState::kFree) {
-    // Whole max-order chunks, stamped as Zone::StampFreeChunk writes them.
-    tail.order = kMaxPageOrder;
-    head.order = kMaxPageOrder;
-    head.head = true;
-  }
-  uniform_[b] = {head, tail};
+  // Every slot is one max-order extent with no kind, owner or links.
+  Page rec;
+  rec.state = state;
+  rec.order = kMaxPageOrder;
+  rec.head = state == PageState::kFree;
+  rec.zone_id = zone_id;
+  uniform_[b] = rec;
 }
 
 Page* MemMap::Materialize(BlockIndex b) {
   assert(chunks_[b] == nullptr);
-  const UniformPages& u = uniform_[b];
-  assert((u.head.state == PageState::kFree || u.head.state == PageState::kIsolated) &&
+  assert((uniform_[b].state == PageState::kFree || uniform_[b].state == PageState::kIsolated) &&
          "only zone-owned blocks materialize");
-  // One fill pass from the template into raw storage, then the max-order
-  // heads (a no-op rewrite of equal pages unless the block is kFree).
+  // Raw storage with the template at each slot start: nothing else is read
+  // before a Stamp writes it.
   Page* chunk = std::allocator<Page>().allocate(kPagesPerBlock);
-  std::uninitialized_fill_n(chunk, kPagesPerBlock, u.tail);
   for (uint32_t i = 0; i < kPagesPerBlock; i += kSlotPages) {
-    chunk[i] = u.head;
+    ::new (static_cast<void*>(chunk + i)) Page(uniform_[b]);
   }
+  records_written_ += kPagesPerBlock / kSlotPages;
   chunks_[b].reset(chunk);
   ++materialized_;
   materialized_peak_ = materialized_ > materialized_peak_ ? materialized_ : materialized_peak_;
@@ -101,36 +100,28 @@ Page& MemMap::mutable_record(Pfn start) {
   return chunk[start - BlockStart(b)];
 }
 
-void MemMap::Stamp(Pfn start, const Page& rec) {
-  const uint32_t n = 1u << rec.order;
-  assert(rec.order <= kMaxPageOrder && start % n == 0 && "extents are naturally aligned");
-  const BlockIndex b = BlockOf(start);
-  Page* pages = WritableChunk(b) + (start - BlockStart(b));
-  pages[0] = ReadAs(rec, /*start=*/true);
-  const Page tail = ReadAs(rec, /*start=*/false);
-  std::fill_n(pages + 1, n - 1, tail);
-}
-
 Pfn MemMap::ExtentStart(Pfn pfn) const {
   // Extents tile each slot as nodes of a binary tree.  When the extent at
   // a node's start is smaller than the node, no extent straddles the
   // node's midpoint, so the half holding pfn begins an extent too.
   Pfn start = pfn & ~(kSlotPages - 1);
-  for (uint32_t order = kMaxPageOrder; record(start).order < order; --order) {
+  for (uint32_t order = kMaxPageOrder; Raw(start).order < order; --order) {
     start |= pfn & (1u << (order - 1));
   }
   return start;
 }
 
+Page MemMap::page(Pfn pfn) const {
+  const Pfn start = ExtentStart(pfn);
+  return ReadAs(Raw(start), start == pfn);
+}
+
 void MemMap::ReadBlock(BlockIndex b, Page* out) const {
-  const Page* chunk = chunks_[b].get();
-  if (chunk != nullptr) {
-    std::copy_n(chunk, kPagesPerBlock, out);
-    return;
-  }
-  std::fill_n(out, kPagesPerBlock, uniform_[b].tail);
-  for (uint32_t i = 0; i < kPagesPerBlock; i += kSlotPages) {
-    out[i] = uniform_[b].head;
+  for (Pfn pfn = BlockStart(b); pfn < BlockStart(b + 1); pfn = NextExtent(pfn)) {
+    const Page& rec = Raw(pfn);
+    Page* pages = out + (pfn - BlockStart(b));
+    pages[0] = ReadAs(rec, /*start=*/true);
+    std::fill_n(pages + 1, (1u << rec.order) - 1, ReadAs(rec, /*start=*/false));
   }
 }
 
@@ -211,13 +202,9 @@ uint32_t MemMap::CountBlockPopulated(BlockIndex b) const {
 }
 
 uint64_t MemMap::CountBlockPages(BlockIndex b, PageState state) const {
-  if (chunks_[b] == nullptr) {
-    return uniform_[b].tail.state == state ? kPagesPerBlock : 0;
-  }
   uint64_t n = 0;
   for (Pfn pfn = BlockStart(b); pfn < BlockStart(b + 1); pfn = NextExtent(pfn)) {
-    const Page rec = record(pfn);
-    n += rec.state == state ? uint64_t{1} << rec.order : 0;
+    n += Raw(pfn).state == state ? uint64_t{1} << Raw(pfn).order : 0;
   }
   return n;
 }

@@ -1,27 +1,42 @@
-// The guest memory map: per-page `struct page` state over the managed
-// guest physical span plus the hotplug memory-block state machine (Linux
-// adds and removes memory in 128 MiB blocks on x86).
+// The guest memory map: `struct page` state over the managed guest
+// physical span plus the hotplug memory-block state machine (Linux adds
+// and removes memory in 128 MiB blocks on x86).
+//
+// Extent records.  Only the Page record at the start of each extent — an
+// allocated folio, a free buddy chunk or an isolated run — is stored, and
+// every other page reads by page.h's record rule.  Extents are naturally
+// aligned and at most one max-order (1024-page) slot long, so they tile
+// each slot like the nodes of a binary tree, and every slot start begins
+// one.  Production code reads and writes records only at known extent
+// starts: a folio head, a free chunk's buddy (an extent that held the
+// buddy and was any larger would hold the chunk too), or the next start
+// of an ascending walk (NextExtent).  So alloc, split, free, coalesce,
+// isolate and migrate write O(1) records per folio or chunk, and the range
+// operations step once per extent.  A merge writes only the merged
+// chunk's record: the records left inside it are stale but unreachable,
+// since walks jump over them.  The const page(pfn) finds pfn's extent by
+// descending the slot's tree (at most kMaxPageOrder + 1 reads); it serves
+// tests and asserts, and ReadBlock expands a whole block in one pass.
 //
 // Uniform blocks.  Squeezy plugs and reclaims partitions whole (paper
 // §3-4), so a hot-plugged block often comes and goes without the guest
 // ever allocating from it.  Such a block keeps no per-page array: it is
-// *uniform*, and every one of its pages reads as the block's template in
-// one of four states —
+// *uniform*, and each of its 32 slots is one max-order extent whose record
+// is the block's template, in one of four states —
 //   kHole      nothing behind the block (never added, or removed);
 //   kOffline   hot-added but in no zone (InitBlock, Zone::RetireRange);
 //   kFree      online in zone Z as 32 free max-order (4 MiB) chunks;
 //   kIsolated  offlining: all of it pulled out of zone Z's free lists.
-// The const accessor synthesizes a uniform block's pages from that
-// template (a max-order head every 1024 pages in kFree).  The first
-// mutable touch — in practice the first Zone::Alloc inside the block —
-// materializes the block's chunk of 32768 12-byte Pages (384 KiB) in one
-// fill pass.  The block stays materialized until RemoveBlock frees the
-// chunk, or until Zone::FreeAll drains it whole: Dematerialize then drops
-// the chunk and the block reads as uniformly free again, so a Squeezy
-// partition emptied by its last exit unplugs without per-page work.  So
-// hot-add, online, isolate, retire and hot-remove of an untouched or
-// drained block cost O(1) or O(32 max-order heads) instead of O(32768
-// pages).
+// The first mutable touch of a kFree or kIsolated block — in practice the
+// first Zone::Alloc inside it — materializes the block: a chunk of raw
+// storage with room for 32768 12-byte Pages (384 KiB), of which only the
+// 32 slot-start records are written.  kHole and kOffline blocks never
+// materialize.  The block stays materialized until Zone::RetireRange
+// offlines it, or until Zone::FreeAll drains it whole: Dematerialize then
+// drops the chunk and the block reads as uniformly free again, so a
+// Squeezy partition emptied by its last exit unplugs without per-page
+// work.  So hot-add, online, isolate, retire and hot-remove of an
+// untouched or drained block cost O(1) or O(32 max-order heads).
 //
 // Max-order free-list links live here, one {next, prev} pair per 1024-page
 // slot (8 B per 4 MiB), not in Page: that is what lets a whole-free block
@@ -34,24 +49,18 @@
 // block drops its chunk without losing its backing, and hot-remove reads
 // the populated count in O(1).
 //
-// Per-page loops that stay inside one block (a folio, a free chunk, a
-// host granule range) take one span() instead of one page() per page.
-//
 // Every transition reads back exactly as a fully materialized map would;
 // only host time and sim RSS change (tests/property_test.cc replays random
-// scripts against a map forced to materialize after every step).
-//
-// Reference stability: `page()` references are invalidated by InitBlock,
-// RemoveBlock and Dematerialize of that page's block (chunk free), and a
-// const reference into a uniform block points at its template, so it does
-// not see writes made after the block materializes.  Call sites read
-// through a reference before writing the page, within one operation.
+// scripts against a map forced to materialize after every step).  Views
+// are returned by value; the only reference handed out, mutable_record's,
+// is used at once, within one free-list update.
 #ifndef SQUEEZY_MM_MEMMAP_H_
 #define SQUEEZY_MM_MEMMAP_H_
 
 #include <cassert>
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <vector>
 
 #include "src/mm/page.h"
@@ -82,10 +91,11 @@ class MemMap {
   uint32_t block_count() const { return static_cast<uint32_t>(blocks_.size()); }
 
   // --- The const view (tests and asserts) -----------------------------------
-  // What pfn reads as.  Never materializes: a uniform block's page is read
-  // from the block's template.
-  Page page(Pfn pfn) const { return record(pfn); }
-  // Writes page(BlockStart(b) + i) to out[i] for every page of block b.
+  // What pfn reads as under the record rule: its extent's start record,
+  // found in at most kMaxPageOrder + 1 reads.  Never materializes.
+  Page page(Pfn pfn) const;
+  // Writes page(BlockStart(b) + i) to out[i] for every page of block b, in
+  // one extent walk.
   void ReadBlock(BlockIndex b, Page* out) const;
 
   // --- Extent records ---------------------------------------------------------
@@ -94,12 +104,8 @@ class MemMap {
   // slot start begins one.  Point reads and writes go through the record at
   // an extent's start.
   Page record(Pfn start) const {
-    const BlockIndex b = BlockOf(start);
-    const Page* chunk = chunks_[b].get();
-    if (chunk != nullptr) {
-      return chunk[start - BlockStart(b)];
-    }
-    return start % kSlotPages == 0 ? uniform_[b].head : uniform_[b].tail;
+    assert(ExtentStart(start) == start && "not an extent start");
+    return Raw(start);
   }
   // The same record for writing its free-list link in place.  Materializes
   // the block on first touch; debug builds check that `start` begins an
@@ -107,9 +113,16 @@ class MemMap {
   Page& mutable_record(Pfn start);
   // Makes [start, start + 2^rec.order) one extent described by `rec` (for
   // kIsolated, rec.order is the extent's order, and its pages read order 0).
-  void Stamp(Pfn start, const Page& rec);
+  // Writes that record only.
+  void Stamp(Pfn start, const Page& rec) {
+    assert(rec.order <= kMaxPageOrder && start % (1u << rec.order) == 0 &&
+           "extents are naturally aligned");
+    const BlockIndex b = BlockOf(start);
+    ::new (static_cast<void*>(WritableChunk(b) + (start - BlockStart(b)))) Page(rec);
+    ++records_written_;
+  }
   // The start of the extent after the one beginning at `start`.
-  Pfn NextExtent(Pfn start) const { return start + (1u << record(start).order); }
+  Pfn NextExtent(Pfn start) const { return start + (1u << Raw(start).order); }
   // The start of the extent that holds pfn, in at most kMaxPageOrder + 1
   // record reads.
   Pfn ExtentStart(Pfn pfn) const;
@@ -183,16 +196,13 @@ class MemMap {
   uint32_t materialized_peak_blocks() const { return materialized_peak_; }
   uint64_t materialized_bytes() const { return materialized_ * ChunkBytes(); }
   uint64_t materialized_peak_bytes() const { return materialized_peak_ * ChunkBytes(); }
+  // Extent records written so far: 32 per materialized block plus one per
+  // Stamp.  Deterministic; the cost model of guest-mm bookkeeping.
+  uint64_t records_written() const { return records_written_; }
 
  private:
-  // What every page of an unmaterialized block reads as: `head` at each
-  // max-order boundary, `tail` elsewhere (equal unless kFree).
-  struct UniformPages {
-    Page head;
-    Page tail;
-  };
-  // Chunks are filled from the template straight into raw storage, so
-  // they are released without running Page destructors (page.h asserts
+  // Chunks hold records at extent starts only, constructed in raw storage,
+  // so they are released without running Page destructors (page.h asserts
   // that Page is trivially copyable and trivially destructible).
   struct ChunkDeleter {
     void operator()(Page* chunk) const;
@@ -203,6 +213,13 @@ class MemMap {
     Page* chunk = chunks_[b].get();
     return chunk != nullptr ? chunk : Materialize(b);
   }
+  // The record stored at pfn: the template in a uniform block.  Only an
+  // extent start's is meaningful.
+  const Page& Raw(Pfn pfn) const {
+    const BlockIndex b = BlockOf(pfn);
+    const Page* chunk = chunks_[b].get();
+    return chunk != nullptr ? chunk[pfn - BlockStart(b)] : uniform_[b];
+  }
   Page* Materialize(BlockIndex b);
   void ReleaseChunk(BlockIndex b);
   void ReleaseHostBacking(BlockIndex b);
@@ -210,7 +227,8 @@ class MemMap {
   uint64_t span_pages_ = 0;
   // One Page[kPagesPerBlock] chunk per 128 MiB block, null while uniform.
   std::vector<std::unique_ptr<Page[], ChunkDeleter>> chunks_;
-  std::vector<UniformPages> uniform_;
+  // Each block's template: the record of every slot of a uniform block.
+  std::vector<Page> uniform_;
   std::vector<FreeLink> max_links_;  // One per max-order slot of the span.
   std::vector<BlockState> blocks_;
   std::vector<uint32_t> allocated_per_block_;
@@ -220,6 +238,7 @@ class MemMap {
   std::vector<uint32_t> host_count_;
   uint32_t materialized_ = 0;
   uint32_t materialized_peak_ = 0;
+  uint64_t records_written_ = 0;
 };
 
 }  // namespace squeezy

@@ -1,15 +1,24 @@
 // Guest physical page model (the simulator's `struct page`).
 //
-// One 12-byte Page exists per 4 KiB guest frame of a materialized block.
-// Pages form folios (compound pages): an order-N folio covers 2^N
-// contiguous, naturally aligned frames; only the head carries ownership
-// metadata.  Free buddy chunks use the same head/tail scheme plus an
-// intrusive doubly-linked free list threaded through the heads (max-order
-// heads link through a MemMap side table instead; see memmap.h).
+// A materialized block has a slot for one 12-byte Page per 4 KiB guest
+// frame, but only extent starts hold one.  An extent is an allocated folio
+// (compound page), a free buddy chunk or an isolated run: 2^order
+// contiguous, naturally aligned frames, order <= kMaxPageOrder, so it
+// never crosses a max-order (4 MiB) slot.  The record at its start is the
+// only authoritative state, and every frame reads by the record rule
+// (MemMap::page):
+//   - the start reads as the record;
+//   - any other frame reads as the record with head = false and
+//     free = FreeLink{};
+//   - kIsolated, kOffline and kHole frames read order 0, although their
+//     record's order holds the extent's order.
+// Free buddy chunks thread an intrusive doubly-linked free list through
+// their start records (max-order chunks link through a MemMap side table
+// instead; see memmap.h).
 //
 // Like Linux's `struct page`, the owner and the free-list link share one
 // 8-byte word pair: a free head has no owner, and an allocated head is on
-// no list.  Every other page holds the "unlinked" value FreeLink{}.  State,
+// no list.  Other records hold the "unlinked" value FreeLink{}.  State,
 // kind, order and the head flag pack into two bytes of bit-fields.  Host
 // (EPT) backing is not a Page field: MemMap keeps it in a per-block bitmap,
 // so it outlives a block's Page chunk (memmap.h).
@@ -32,7 +41,7 @@ inline constexpr int32_t kNoOwner = -1;
 enum class PageState : uint8_t {
   kHole,       // No memory behind this frame (not hot-added).
   kFree,       // In a buddy free list of its zone.
-  kAllocated,  // Head or tail of an allocated folio.
+  kAllocated,  // Part of an allocated folio.
   kIsolated,   // Removed from the allocator while its block is offlining.
   kOffline,    // Present (hot-added) but not online in any zone.
 };
@@ -58,8 +67,8 @@ struct Page {
 
   PageState state : 4;
   PageKind kind : 4;
-  uint8_t order : 4;     // Folio/chunk order; valid on heads.
-  bool head : 1;         // True for folio/chunk head frames.
+  uint8_t order : 4;     // Extent order (page.h's record rule for views).
+  bool head : 1;         // True at the start of a folio or free chunk.
   int16_t zone_id = -1;  // Owning zone, -1 while offline/hole.
   // Free-list linkage of a free head below max order (max-order links live
   // in MemMap); on an allocated head the same two words hold its owner.
@@ -81,9 +90,10 @@ struct Page {
   }
 };
 
-// Chunks are filled into raw storage and released without destructors.
+// Records are constructed in raw chunk storage and released without
+// destructors.
 static_assert(sizeof(Page) == 12,
-              "Page grew: every 128 MiB block pays 32768 of them");
+              "Page grew: every materialized 128 MiB block reserves 32768 of them");
 static_assert(std::is_trivially_copyable_v<Page>);
 static_assert(std::is_trivially_destructible_v<Page>);
 

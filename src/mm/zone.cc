@@ -7,6 +7,17 @@
 
 namespace squeezy {
 
+namespace {
+
+void AssertWholeBlocks(Pfn start, uint64_t npages) {
+  assert(start % kPagesPerBlock == 0 && npages % kPagesPerBlock == 0 &&
+         "range operations take whole blocks");
+  (void)start;
+  (void)npages;
+}
+
+}  // namespace
+
 const char* ZoneTypeName(ZoneType t) {
   switch (t) {
     case ZoneType::kNormal:
@@ -60,12 +71,6 @@ bool Zone::UniformBlockIs(BlockIndex b, PageState state) const {
   return rec.state == state;
 }
 
-void Zone::AssertWholeBlocks(Pfn start, uint64_t npages) {
-  assert(start % kPagesPerBlock == 0 && npages % kPagesPerBlock == 0 &&
-         "range operations take whole blocks");
-  (void)start;
-  (void)npages;
-}
 
 void Zone::ListPushFront(uint8_t order, Pfn pfn) {
   FreeArea& area = areas_[order];
@@ -370,8 +375,9 @@ void Zone::UndoIsolation(Pfn start, uint64_t npages) {
   Pfn pfn = start;
   const Pfn end = start + npages;
   while (pfn < end) {
-    assert(memmap_->record(pfn).state != PageState::kFree);
-    if (memmap_->record(pfn).state != PageState::kIsolated) {
+    const PageState state = memmap_->record(pfn).state;
+    assert(state != PageState::kFree);
+    if (state != PageState::kIsolated) {
       pfn = memmap_->NextExtent(pfn);
       continue;
     }

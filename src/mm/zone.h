@@ -5,15 +5,19 @@
 // zone); the buddy allocator serves folios of order 0..kMaxPageOrder from
 // intrusive per-order free lists threaded through the memmap.  A block
 // onlined whole stays a uniform MemMap block (no per-page state) until the
-// first allocation inside it.  Page-cache fills allocate runs of single
-// pages in bulk (AllocPages), one buddy chunk at a time.  A zone emptied
-// at once (a Squeezy partition at its last user's exit) drains through
-// FreeAll in O(folios), and every block it empties reverts to uniform.
+// first allocation inside it.  The allocator keeps state only in the
+// record at each extent start (memmap.h), so an alloc, split, free,
+// coalesce or isolation writes O(1) records per folio or chunk, never one
+// per page.  Page-cache fills allocate runs of single pages in bulk
+// (AllocPages), one buddy chunk at a time.  A zone emptied at once (a
+// Squeezy partition at its last user's exit) drains through FreeAll in
+// O(folios), and every block it empties reverts to uniform.
 //
-// The offline path uses the isolation primitives: free pages in a range
+// The offline path uses the isolation primitives: free chunks in a range
 // are pulled out of the free lists (kIsolated) so concurrent allocations
 // cannot land in a block that is going away, occupied folios are migrated
-// out, and finally the fully-isolated range is retired (kOffline).
+// out, and finally the fully-isolated range is retired (kOffline).  Each
+// walks the range one extent at a time, in ascending order.
 #ifndef SQUEEZY_MM_ZONE_H_
 #define SQUEEZY_MM_ZONE_H_
 
@@ -142,7 +146,6 @@ class Zone {
   // Whether block b is unmaterialized and uniformly `state`: the range
   // operations then handle it in O(1) or O(max-order heads).
   bool UniformBlockIs(BlockIndex b, PageState state) const;
-  static void AssertWholeBlocks(Pfn start, uint64_t npages);
 
   void ListPushFront(uint8_t order, Pfn pfn);
   void ListPushBack(uint8_t order, Pfn pfn);

@@ -340,6 +340,60 @@ TEST(MemMapTest, UntouchedBlockIsolatesRetiresAndRemovesUniformly) {
   EXPECT_EQ(m.materialized_peak_blocks(), 0u);
 }
 
+// Guest-mm bookkeeping costs records per extent, not Pages per frame: the
+// counter below is the deterministic measure of it.
+TEST(MemMapTest, RecordsWrittenCountsExtentsNotPages) {
+  MemMap m(GiB(1));
+  Zone zone(0, ZoneType::kMovable, "z", &m);
+  for (BlockIndex b = 0; b < 2; ++b) {
+    m.InitBlock(b);
+    zone.AddFreeRange(MemMap::BlockStart(b), kPagesPerBlock);
+  }
+  EXPECT_EQ(m.records_written(), 0u);  // Online is O(1) per block.
+
+  // Materializing a block writes its 32 slot-start records.
+  (void)m.mutable_record(MemMap::BlockStart(1));
+  EXPECT_EQ(m.records_written(), 32u);
+
+  // A THP in a fresh block: 32 slot starts, the folio and the upper half.
+  const uint64_t before_alloc = m.records_written();
+  const Pfn thp = zone.Alloc(kThpOrder, PageKind::kAnon, 1, 0);
+  ASSERT_EQ(thp, 0u);
+  EXPECT_EQ(m.records_written() - before_alloc, 32u + 2u);
+
+  // Freeing it coalesces once, with its upper half: one record.
+  const uint64_t before_free = m.records_written();
+  zone.Free(thp);
+  EXPECT_EQ(m.records_written() - before_free, 1u);
+  EXPECT_EQ(zone.free_chunks(kMaxPageOrder), 64u);
+
+  // Two order-0 pages leave free chunks of orders 1..9 and 31 slots: one
+  // record each to isolate.
+  const Pfn a = zone.Alloc(0, PageKind::kAnon, 1, 0);
+  const Pfn b = zone.Alloc(0, PageKind::kAnon, 1, 1);
+  ASSERT_EQ(a, 0u);
+  ASSERT_EQ(b, 1u);
+  uint64_t chunks = 0;
+  for (Pfn pfn = 0; pfn < kPagesPerBlock; pfn = m.NextExtent(pfn)) {
+    chunks += m.page(pfn).state == PageState::kFree ? 1 : 0;
+  }
+  EXPECT_EQ(chunks, 9u + 31u);
+  const uint64_t before_isolate = m.records_written();
+  EXPECT_EQ(zone.IsolateFreeRange(0, kPagesPerBlock), kPagesPerBlock - 2u);
+  EXPECT_EQ(m.records_written() - before_isolate, chunks);
+
+  // Migrated-out folios are isolated with one record each, and the abort
+  // frees the block's single isolated run as 32 max-order chunks.
+  zone.FreeIntoIsolation(a);
+  zone.FreeIntoIsolation(b);
+  EXPECT_EQ(m.records_written() - before_isolate, chunks + 2u);
+  const uint64_t before_undo = m.records_written();
+  zone.UndoIsolation(0, kPagesPerBlock);
+  EXPECT_EQ(m.records_written() - before_undo, 32u);
+  EXPECT_EQ(zone.free_chunks(kMaxPageOrder), 64u);
+  EXPECT_TRUE(zone.CheckFreeLists());
+}
+
 TEST(MemMapTest, CountBlockPagesOnAbsentChunk) {
   MemMap m(GiB(1));
   EXPECT_EQ(m.CountBlockPages(2, PageState::kHole), static_cast<uint64_t>(kPagesPerBlock));

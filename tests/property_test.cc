@@ -378,11 +378,6 @@ void ExpectSame(const MmSet& lazy, const MmSet& eager, int step, uint64_t* diges
   }
 }
 
-// The digest each oracle test locks, by seed and shuffle: the views of
-// every step, recorded on the per-page representation.
-uint64_t LockedDigest(const uint64_t (&table)[][2], uint64_t seed, bool shuffled) {
-  return table[seed - 1][shuffled ? 1 : 0];
-}
 
 }  // namespace uniform_oracle
 
@@ -521,13 +516,15 @@ TEST_P(UniformVsEagerMemMapTest, UniformBlocksReadExactlyAsMaterialized) {
   EXPECT_EQ(lazy.shuffle_rng.Next(), eager.shuffle_rng.Next());
   EXPECT_LE(lazy.memmap.materialized_peak_blocks(),
             eager.memmap.materialized_peak_blocks());
+  // The view digest of every step, by seed and shuffle, recorded when
+  // every page of an extent was still written.
   static const uint64_t kDigests[][2] = {
       {0x90a7281773166864ull, 0x83d3b9c4bd352978ull},
       {0x451cfbf044dc941dull, 0xd0f461ed3da036ccull},
       {0xc91e93c1ca41f324ull, 0xa927f4d27fd9c4bcull},
       {0x1516e54fe39f8bb7ull, 0xcffa5387bbe37f4eull},
   };
-  EXPECT_EQ(digest, uniform_oracle::LockedDigest(kDigests, seed, shuffled));
+  EXPECT_EQ(digest, kDigests[seed - 1][shuffled ? 1 : 0]);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -745,7 +742,7 @@ TEST_P(BulkVsRepeatedAllocTest, AllocPagesEqualsRepeatedSinglePageAlloc) {
       {0x8e915b61bf26fd27ull, 0x282b998a75450763ull},
       {0x2baf5526e752a8adull, 0x3ea563822fcbbe7aull},
   };
-  EXPECT_EQ(digest, uniform_oracle::LockedDigest(kDigests, seed, shuffled));
+  EXPECT_EQ(digest, kDigests[seed - 1][shuffled ? 1 : 0]);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -930,7 +927,7 @@ TEST_P(DrainOracleTest, FreeAllEqualsPerFolioFrees) {
       {0x1b4779c8d44e0db9ull, 0xad28724fc897b2d5ull},
       {0x0cd38bb119348f1dull, 0xcc41e1b2c427829dull},
   };
-  EXPECT_EQ(digest, uniform_oracle::LockedDigest(kDigests, seed, shuffled));
+  EXPECT_EQ(digest, kDigests[seed - 1][shuffled ? 1 : 0]);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -29,8 +29,6 @@ DurationNs Hypervisor::RecordNestedFaults(VmId vm, uint64_t extents, uint64_t by
   VmStats& s = vms_[static_cast<size_t>(vm)];
   const DurationNs latency = cost_->nested_fault_exit * static_cast<int64_t>(extents);
   s.nested_faults += extents;
-  s.exits += extents;
-  s.exit_time += latency;
   s.populated_bytes += bytes;
   host_->Populate(bytes, now);
   return latency;
@@ -53,8 +51,6 @@ DurationNs Hypervisor::NestedFaultPopulateBatch(VmId vm, uint64_t faults, uint64
 DurationNs Hypervisor::AckUnplugBlock(VmId vm, uint64_t populated_bytes, TimeNs now) {
   VmStats& s = vms_[static_cast<size_t>(vm)];
   const DurationNs latency = cost_->block_unplug_exit;
-  s.exits += 1;
-  s.exit_time += latency;
   assert(s.populated_bytes >= populated_bytes);
   s.populated_bytes -= populated_bytes;
   host_->Unpopulate(populated_bytes, now);
@@ -62,24 +58,37 @@ DurationNs Hypervisor::AckUnplugBlock(VmId vm, uint64_t populated_bytes, TimeNs 
   return latency;
 }
 
-DurationNs Hypervisor::BalloonRelease(VmId vm, uint64_t pages, TimeNs now) {
+DurationNs Hypervisor::BalloonRelease(VmId vm, const std::vector<uint64_t>& reports,
+                                      TimeNs now) {
+  uint64_t count = 0;
+  uint64_t pages = 0;
+  for (size_t k = 0; k < reports.size(); ++k) {
+    count += reports[k];
+    pages += k * reports[k];
+  }
+  if (count == 0) {
+    return 0;
+  }
   VmStats& s = vms_[static_cast<size_t>(vm)];
   const uint64_t bytes = PagesToBytes(pages);
-  const DurationNs latency = cost_->balloon_exit_page * static_cast<int64_t>(pages);
-  s.exits += pages / std::max<uint64_t>(1, cost_->balloon_batch_pages);
-  s.exit_time += latency;
   assert(s.populated_bytes >= bytes);
   s.populated_bytes -= bytes;
   host_->Unpopulate(bytes, now);
-  ChargeHostThread(vm, now, latency);
-  return latency;
+  if (reports[0] > 0) {
+    ChargeHostThread(vm, now, 0);
+  }
+  for (size_t k = 1; k < reports.size(); ++k) {
+    if (reports[k] > 0) {
+      ChargeHostThread(vm, now, cost_->balloon_exit_page * static_cast<int64_t>(k),
+                       static_cast<int64_t>(reports[k]));
+    }
+  }
+  return cost_->balloon_exit_page * static_cast<int64_t>(pages);
 }
 
 DurationNs Hypervisor::MadviseRelease(VmId vm, uint64_t populated_bytes, TimeNs now) {
   VmStats& s = vms_[static_cast<size_t>(vm)];
   const DurationNs latency = cost_->vm_exit;
-  s.exits += 1;
-  s.exit_time += latency;
   assert(s.populated_bytes >= populated_bytes);
   s.populated_bytes -= populated_bytes;
   host_->Unpopulate(populated_bytes, now);

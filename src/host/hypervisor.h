@@ -25,9 +25,7 @@ struct VmStats {
   std::string vmm_thread;  // CPU-accountant thread name, "vmm/<name>".
   uint32_t vcpus = 0;
   uint64_t nested_faults = 0;
-  uint64_t exits = 0;
   uint64_t populated_bytes = 0;
-  DurationNs exit_time = 0;
 };
 
 class Hypervisor {
@@ -56,9 +54,15 @@ class Hypervisor {
   // madvise(MADV_DONTNEED) of the populated span.
   DurationNs AckUnplugBlock(VmId vm, uint64_t populated_bytes, TimeNs now);
 
-  // Balloon inflation report of `pages` guest pages (one exit per batch is
-  // charged by the balloon device; this handles release accounting).
-  DurationNs BalloonRelease(VmId vm, uint64_t pages, TimeNs now);
+  // Host release of one balloon inflation's page reports, counted:
+  // reports[k] is how many reports found k of their pages host-populated.
+  // Books exactly what one release per report would: the released bytes
+  // (one Unpopulate for the total; none when there was no report), a
+  // balloon_exit_page * k charge per report with k > 0 (one counted charge
+  // per distinct k), and one zero-length marker if any report released
+  // nothing.  Returns the summed latency, balloon_exit_page per released
+  // page; the exits of unpopulated pages are the balloon device's to add.
+  DurationNs BalloonRelease(VmId vm, const std::vector<uint64_t>& reports, TimeNs now);
 
   // Host release of an arbitrary populated span in one madvise call
   // (dropping an evicted shared dependency image): VM exit + MADV_DONTNEED.

@@ -1,6 +1,7 @@
 #include "src/hotplug/balloon.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 
 namespace squeezy {
@@ -21,47 +22,71 @@ BalloonDevice::BalloonDevice(MemMap* memmap, const CostModel* cost, Hypervisor* 
 BalloonOutcome BalloonDevice::Inflate(uint64_t bytes, Zone* zone, TimeNs now) {
   BalloonOutcome out;
   const uint64_t want = BytesToPages(bytes);
-  std::vector<Pfn> batch;
-  batch.reserve(cost_->balloon_batch_pages);
+  // With batch size 1 every page pays a VM exit; larger batches amortize
+  // the kick (the batching ablation) but the host still releases per page
+  // (MADV_DONTNEED on 4 KiB).  reports[k] counts the reports that found k
+  // of their pages host-populated: only those shrink the host's footprint,
+  // but every reported page pays the exit-side latency.
+  const uint32_t batch = std::max<uint32_t>(1, cost_->balloon_batch_pages);
+  std::vector<uint64_t> reports(batch + 1);
+  uint32_t open_pages = 0;      // Pages of the report being filled.
+  uint32_t open_populated = 0;  // How many of them were host-populated.
+  uint64_t populated = 0;
 
-  auto report_batch = [&] {
-    if (batch.empty()) {
+  // Reports the inflated run [start, start + n), which lies in one block.
+  auto report = [&](Pfn start, uint32_t n) {
+    if (batch == 1) {  // One report per page: its bit is its count.
+      const uint32_t cleared = memmap_->ClearHostPopulated(start, n);
+      reports[1] += cleared;
+      reports[0] += n - cleared;
+      populated += cleared;
       return;
     }
-    // The host releases each reported page; only host-populated frames
-    // actually shrink the host's footprint, but every report pays the
-    // exit-side latency.
-    uint64_t populated = 0;
-    for (const Pfn pfn : batch) {
-      populated += memmap_->ClearHostPopulated(pfn, 1);
+    for (uint32_t off = 0; off < n;) {
+      const uint32_t take = std::min(n - off, batch - open_pages);
+      const uint32_t cleared = memmap_->ClearHostPopulated(start + off, take);
+      open_populated += cleared;
+      populated += cleared;
+      open_pages += take;
+      off += take;
+      if (open_pages == batch) {
+        ++reports[open_populated];
+        open_pages = 0;
+        open_populated = 0;
+      }
     }
-    out.breakdown.vm_exits +=
-        hv_->BalloonRelease(vm_, populated, now) +
-        cost_->balloon_exit_page * static_cast<int64_t>(batch.size() - populated);
-    batch.clear();
   };
 
+  std::array<Pfn, MemMap::kSlotPages> pfns;
   while (out.pages < want) {
     // The driver pins pages it inflates: they become unmovable kernel
     // allocations until deflation.
-    const Pfn pfn = zone->Alloc(/*order=*/0, PageKind::kKernel, kNoOwner, 0);
-    if (pfn == kInvalidPfn) {
+    const auto ask = static_cast<uint32_t>(std::min<uint64_t>(want - out.pages, pfns.size()));
+    const uint32_t got = zone->AllocPages(ask, PageKind::kKernel, kNoOwner, 0, pfns.data(),
+                                          /*slot_stride=*/0);
+    // Each buddy chunk comes back ascending; cut the pfns into in-block runs.
+    for (uint32_t i = 0; i < got;) {
+      uint32_t end = i + 1;
+      while (end < got && pfns[end] == pfns[end - 1] + 1 && pfns[end] % kPagesPerBlock != 0) {
+        ++end;
+      }
+      Hold(pfns[i], end - i);
+      report(pfns[i], end - i);
+      i = end;
+    }
+    out.pages += got;
+    if (got < ask) {
       break;  // Zone exhausted; inflation stalls (complete=false).
     }
-    held_.push_back(pfn);
-    ++out.pages;
-    out.breakdown.rest += cost_->balloon_guest_page;
-
-    // With batch size 1 every page pays a VM exit; larger batches amortize
-    // the kick (the batching ablation) but the host still releases
-    // per-page (MADV_DONTNEED on 4 KiB).
-    batch.push_back(pfn);
-    if (batch.size() >= cost_->balloon_batch_pages) {
-      report_batch();
-    }
   }
-  report_batch();
+  if (open_pages > 0) {
+    ++reports[open_populated];
+  }
 
+  out.breakdown.rest = cost_->balloon_guest_page * static_cast<int64_t>(out.pages);
+  out.breakdown.vm_exits =
+      hv_->BalloonRelease(vm_, reports, now) +
+      cost_->balloon_exit_page * static_cast<int64_t>(out.pages - populated);
   out.complete = out.pages >= want;
   if (cpu_ != nullptr) {
     if (out.breakdown.rest > 0) {
@@ -74,15 +99,34 @@ BalloonOutcome BalloonDevice::Inflate(uint64_t bytes, Zone* zone, TimeNs now) {
   return out;
 }
 
+void BalloonDevice::Hold(Pfn start, uint32_t pages) {
+  held_pages_ += pages;
+  if (!held_.empty()) {
+    Run& last = held_.back();
+    if (last.start + last.pages == start && start % kPagesPerBlock != 0) {
+      last.pages += pages;
+      return;
+    }
+  }
+  held_.push_back({start, pages});
+}
+
 DurationNs BalloonDevice::Deflate(uint64_t bytes, Zone* zone) {
-  const uint64_t want = std::min<uint64_t>(BytesToPages(bytes), held_.size());
-  DurationNs latency = 0;
-  for (uint64_t i = 0; i < want; ++i) {
-    const Pfn pfn = held_.back();
-    held_.pop_back();
-    assert(memmap_->record(pfn).state == PageState::kAllocated);
-    zone->Free(pfn);
-    latency += cost_->balloon_guest_page;
+  uint64_t left = std::min(BytesToPages(bytes), held_pages_);
+  held_pages_ -= left;
+  const DurationNs latency = cost_->balloon_guest_page * static_cast<int64_t>(left);
+  while (left > 0) {
+    // The most recently inflated page is the last of the last run.
+    Run& run = held_.back();
+    const auto take = static_cast<uint32_t>(std::min<uint64_t>(left, run.pages));
+    for (uint32_t i = 0; i < take; ++i) {
+      zone->Free(run.start + run.pages - 1 - i);
+    }
+    run.pages -= take;
+    left -= take;
+    if (run.pages == 0) {
+      held_.pop_back();
+    }
   }
   return latency;
 }

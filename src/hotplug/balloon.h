@@ -1,10 +1,15 @@
 // virtio-balloon device model.
 //
-// Inflation reclaims guest memory a page at a time: the driver allocates
-// guest pages (pinning them, so they are unmovable) and reports each to
-// the hypervisor, which releases the backing.  The per-page VM exits
+// Inflation reclaims guest memory in 4 KiB pages: the driver allocates
+// guest pages (pinning them, so they are unmovable) and reports them to
+// the hypervisor in batches of balloon_batch_pages, which releases the
+// backing.  The simulated cost is charged per page: the per-page VM exits
 // dominate (81% in the paper's Fig 5) and the cost scales linearly with
-// the reclaimed size — the pathology Squeezy avoids.
+// the reclaimed size — the pathology Squeezy avoids.  The simulator's own
+// work is per run, not per page: pages come from the buddy allocator one
+// chunk at a time, host backing is cleared one contiguous run at a time,
+// one counted host release books all of an inflation's reports, and the
+// held pages are kept as pfn runs.
 #ifndef SQUEEZY_HOTPLUG_BALLOON_H_
 #define SQUEEZY_HOTPLUG_BALLOON_H_
 
@@ -36,18 +41,29 @@ class BalloonDevice {
                 CpuAccountant* cpu = nullptr, std::string guest_thread = "balloon/guest",
                 std::string host_thread = "balloon/host");
 
-  // Inflates by `bytes`: allocates order-0 pages from `zone` and reports
-  // them.  Stops early if the zone runs dry (complete=false).
+  // Inflates by `bytes`: allocates order-0 pages from `zone` (the pfns,
+  // zone and memmap state of repeated Alloc(0, kKernel, kNoOwner, 0)) and
+  // reports them.  Stops early if the zone runs dry (complete=false).
   BalloonOutcome Inflate(uint64_t bytes, Zone* zone, TimeNs now);
 
   // Deflates by `bytes` (most recently inflated first), returning pages to
   // their zones.  Returns guest-side latency.
   DurationNs Deflate(uint64_t bytes, Zone* zone);
 
-  uint64_t held_pages() const { return held_.size(); }
-  uint64_t held_bytes() const { return PagesToBytes(held_.size()); }
+  uint64_t held_pages() const { return held_pages_; }
+  uint64_t held_bytes() const { return PagesToBytes(held_pages_); }
 
  private:
+  // Pages [start, start + pages), inflated in ascending order.
+  struct Run {
+    Pfn start;
+    uint32_t pages;
+  };
+
+  // Holds an inflated run, extending the last one when it continues it in
+  // the same block.
+  void Hold(Pfn start, uint32_t pages);
+
   MemMap* memmap_;
   const CostModel* cost_;
   Hypervisor* hv_;
@@ -55,7 +71,8 @@ class BalloonDevice {
   CpuAccountant* cpu_;
   std::string guest_thread_;
   std::string host_thread_;
-  std::vector<Pfn> held_;
+  std::vector<Run> held_;  // In inflation order.
+  uint64_t held_pages_ = 0;
 };
 
 }  // namespace squeezy

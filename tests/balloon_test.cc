@@ -110,14 +110,42 @@ TEST_F(BalloonTest, DeflateMoreThanHeldClamp) {
 }
 
 TEST_F(BalloonTest, BatchingReducesNothingOnReleaseAccounting) {
-  // Batching (HarvestVM-style ablation knob) changes exit counts, not the
-  // amount of memory released.
+  // Batching (HarvestVM-style ablation knob) changes how many reports the
+  // pages go out in, not what they cost under one cost model or how much
+  // memory the host releases.  Twin guests, half of whose first block is
+  // host-backed, inflate the same 4 MiB at batch 1 and at batch 256.
+  struct Guest {
+    explicit Guest(const CostModel* cost)
+        : memmap(GiB(1)), zone(0, ZoneType::kMovable, "mv", &memmap), host(GiB(8)),
+          hv(&host, cost) {
+      memmap.InitBlock(0);
+      zone.AddFreeRange(0, kPagesPerBlock);
+      vm = hv.RegisterVm("vm", 1);
+      hv.NestedFaultPopulate(vm, 1, PagesToBytes(kPagesPerBlock / 2), 0);
+      memmap.SetHostPopulated(0, kPagesPerBlock / 2);
+    }
+    MemMap memmap;
+    Zone zone;
+    HostMemory host;
+    Hypervisor hv;
+    VmId vm = 0;
+  };
   CostModel batched = cost_;
   batched.balloon_batch_pages = 256;
-  BalloonDevice dev(memmap_.get(), &batched, hv_.get(), vm_);
-  const BalloonOutcome out = dev.Inflate(MiB(4), zone_.get(), 0);
-  EXPECT_TRUE(out.complete);
-  EXPECT_EQ(out.pages, MiB(4) / kPageSize);
+  Guest one(&cost_);
+  Guest many(&batched);
+  BalloonDevice one_dev(&one.memmap, &cost_, &one.hv, one.vm);
+  BalloonDevice many_dev(&many.memmap, &batched, &many.hv, many.vm);
+  const BalloonOutcome a = one_dev.Inflate(MiB(4), &one.zone, 0);
+  const BalloonOutcome b = many_dev.Inflate(MiB(4), &many.zone, 0);
+  EXPECT_TRUE(b.complete);
+  EXPECT_EQ(b.pages, MiB(4) / kPageSize);
+  EXPECT_EQ(b.pages, a.pages);
+  EXPECT_LT(many.host.populated(), PagesToBytes(kPagesPerBlock / 2));
+  EXPECT_EQ(many.host.populated(), one.host.populated());
+  EXPECT_EQ(many.hv.stats(many.vm).populated_bytes, one.hv.stats(one.vm).populated_bytes);
+  EXPECT_EQ(b.breakdown.vm_exits, a.breakdown.vm_exits);
+  EXPECT_EQ(b.breakdown.rest, a.breakdown.rest);
 }
 
 TEST_F(BalloonTest, ScalingIsLinearInSize) {

@@ -1,6 +1,8 @@
 // Unit tests for host memory accounting and the hypervisor model.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/host/host_memory.h"
 #include "src/host/hypervisor.h"
 #include "src/sim/cost_model.h"
@@ -86,9 +88,61 @@ TEST_F(HypervisorTest, AckUnplugReleasesBacking) {
 TEST_F(HypervisorTest, BalloonReleaseAccountsPages) {
   const VmId vm = hv_.RegisterVm("vm", 1);
   hv_.NestedFaultPopulate(vm, 1, PagesToBytes(100), 0);
-  const DurationNs lat = hv_.BalloonRelease(vm, 100, 0);
+  // One report of 100 populated pages.
+  std::vector<uint64_t> reports(101);
+  reports[100] = 1;
+  const DurationNs lat = hv_.BalloonRelease(vm, reports, 0);
   EXPECT_EQ(lat, 100 * cost_.balloon_exit_page);
   EXPECT_EQ(host_.populated(), 0u);
+  EXPECT_EQ(hv_.stats(vm).populated_bytes, 0u);
+}
+
+TEST_F(HypervisorTest, CountedBalloonReleaseEqualsOneReleasePerReport) {
+  // Reports released {0, 3, 3, 2} populated pages; one counted release
+  // must book what four single-report releases book, 1 ns before a CPU
+  // window edge so every charge spills into the next window.
+  const TimeNs now = Sec(1) - 1;
+  std::vector<uint64_t> all(4);
+  all[0] = 1;
+  all[2] = 1;
+  all[3] = 2;
+  HostMemory host(GiB(1));
+  CpuAccountant cpu;
+  Hypervisor hv(&host, &cost_, &cpu);
+  const VmId vm = hv.RegisterVm("vm", 1);
+  hv.NestedFaultPopulate(vm, 1, PagesToBytes(10), 0);
+  const DurationNs lat = hv.BalloonRelease(vm, all, now);
+
+  HostMemory ref_host(GiB(1));
+  CpuAccountant ref_cpu;
+  Hypervisor ref_hv(&ref_host, &cost_, &ref_cpu);
+  const VmId ref_vm = ref_hv.RegisterVm("vm", 1);
+  ref_hv.NestedFaultPopulate(ref_vm, 1, PagesToBytes(10), 0);
+  DurationNs ref_lat = 0;
+  for (const size_t k : {size_t{0}, size_t{3}, size_t{3}, size_t{2}}) {
+    std::vector<uint64_t> one(k + 1);
+    one[k] = 1;
+    ref_lat += ref_hv.BalloonRelease(ref_vm, one, now);
+  }
+  EXPECT_EQ(lat, 8 * cost_.balloon_exit_page);
+  EXPECT_EQ(lat, ref_lat);
+  EXPECT_EQ(host.populated(), PagesToBytes(2));
+  EXPECT_EQ(host.populated(), ref_host.populated());
+  ASSERT_EQ(host.populated_series().points().size(),
+            ref_host.populated_series().points().size());
+  for (size_t i = 0; i < host.populated_series().points().size(); ++i) {
+    EXPECT_EQ(host.populated_series().points()[i].t, ref_host.populated_series().points()[i].t);
+    EXPECT_EQ(host.populated_series().points()[i].value,
+              ref_host.populated_series().points()[i].value);
+  }
+  EXPECT_EQ(hv.stats(vm).populated_bytes, ref_hv.stats(ref_vm).populated_bytes);
+  EXPECT_EQ(cpu.threads(), ref_cpu.threads());
+  EXPECT_EQ(cpu.Series("vmm/vm"), ref_cpu.Series("vmm/vm"));
+  EXPECT_EQ(cpu.TotalBusy("vmm/vm"), ref_cpu.TotalBusy("vmm/vm"));
+  // No report: no host call at all.
+  const size_t points = host.populated_series().points().size();
+  EXPECT_EQ(hv.BalloonRelease(vm, std::vector<uint64_t>(4), Sec(5)), 0);
+  EXPECT_EQ(host.populated_series().points().size(), points);
 }
 
 TEST_F(HypervisorTest, ReleaseAllPopulatedOnTeardown) {

@@ -20,9 +20,11 @@
 #include "src/guest/guest_kernel.h"
 #include "src/host/host_memory.h"
 #include "src/host/hypervisor.h"
+#include "src/hotplug/balloon.h"
 #include "src/hotplug/hotplug.h"
 #include "src/mm/memmap.h"
 #include "src/mm/zone.h"
+#include "src/sim/cpu_accountant.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/rng.h"
 #include "src/trace/cluster_trace.h"
@@ -743,6 +745,37 @@ TEST_P(BulkVsRepeatedAllocTest, AllocPagesEqualsRepeatedSinglePageAlloc) {
       {0x2baf5526e752a8adull, 0x3ea563822fcbbe7aull},
   };
   EXPECT_EQ(digest, kDigests[seed - 1][shuffled ? 1 : 0]);
+
+  // The constant-slot form balloon inflation uses: AllocPages with slot
+  // stride 0 against repeated Alloc(0, kKernel, kNoOwner, 0), in random
+  // steps over the fragmented zones until each runs dry mid-step.
+  for (int16_t z = 0; z < kZones; ++z) {
+    Zone& bz = *bulk.zones[static_cast<size_t>(z)];
+    Zone& sz = *single.zones[static_cast<size_t>(z)];
+    for (int step = 0; bz.free_pages() > 0; ++step) {
+      const uint64_t free_before = bz.free_pages();
+      const auto n = static_cast<uint32_t>(rng.UniformInt(1, 40000));
+      std::vector<Pfn> got(n, kInvalidPfn);
+      const uint32_t taken =
+          bz.AllocPages(n, PageKind::kKernel, kNoOwner, 0, got.data(), /*slot_stride=*/0);
+      std::vector<Pfn> want;
+      for (uint32_t i = 0; i < n; ++i) {
+        const Pfn pfn = sz.Alloc(0, PageKind::kKernel, kNoOwner, 0);
+        if (pfn == kInvalidPfn) {
+          break;
+        }
+        want.push_back(pfn);
+      }
+      ASSERT_EQ(taken, std::min<uint64_t>(n, free_before)) << "zone " << z << " step " << step;
+      got.resize(taken);
+      ASSERT_EQ(got, want) << "zone " << z << " step " << step;
+      uniform_oracle::ExpectSame(bulk, single, 2000 + step, &digest);
+      if (testing::Test::HasFatalFailure()) {
+        return;
+      }
+    }
+    EXPECT_EQ(sz.free_pages(), 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -936,6 +969,312 @@ INSTANTIATE_TEST_SUITE_P(
     [](const testing::TestParamInfo<std::tuple<uint64_t, bool>>& param_info) {
       return "seed" + std::to_string(std::get<0>(param_info.param)) +
              (std::get<1>(param_info.param) ? "_shuffled" : "_ascending");
+    });
+
+// --- Balloon oracle: run-batched inflation vs the per-page driver ---------------
+
+// BalloonDevice::Inflate takes pages a buddy chunk at a time, clears host
+// backing a run at a time and books one counted host release per
+// inflation; Deflate pops pfn runs.  It must leave exactly what the
+// per-page driver it replaced leaves.  Twin guests replay one random
+// script: one inflates and deflates through BalloonDevice, the other
+// through PerPageBalloon below, a copy of the old loop with its
+// per-report host release written out on the host books and the CPU
+// accountant.  After every inflate and every deflate the mm state
+// (uniform_oracle::ExpectSame: every page view, host bit, free list and
+// per-order count), the host and hypervisor books, every accountant
+// thread's busy windows, every BalloonOutcome field and the held pages
+// must agree.  Zone 1 holds one block and is inflated until it runs dry
+// part-way through a buddy chunk and a report.
+namespace balloon_oracle {
+
+enum class Backing { kNone, kWholeBlocks, kAlternatingWords, kHalfBlock };
+
+const char* BackingName(Backing backing) {
+  switch (backing) {
+    case Backing::kNone:
+      return "unbacked";
+    case Backing::kWholeBlocks:
+      return "whole_blocks";
+    case Backing::kAlternatingWords:
+      return "alternating_words";
+    case Backing::kHalfBlock:
+      return "half_block";
+  }
+  return "?";
+}
+
+constexpr DurationNs kWindow = Msec(1);
+
+std::string ThreadName(int16_t zone, const char* side) {
+  return "balloon" + std::to_string(zone) + "/" + side;
+}
+
+struct Guest {
+  Guest(const CostModel* cost, uint64_t shuffle_seed)
+      : mm(shuffle_seed, /*shuffled=*/true), host(GiB(64)), cpu(kWindow), hv(&host, cost, &cpu) {
+    vm = hv.RegisterVm("vm", 1);
+  }
+  uniform_oracle::MmSet mm;
+  HostMemory host;
+  CpuAccountant cpu;
+  Hypervisor hv;
+  VmId vm = 0;
+  // What the VM's hypervisor populated_bytes reads under the per-page
+  // driver, which books its releases here instead of through hv.
+  uint64_t vm_populated = 0;
+};
+
+// The per-page balloon: one Alloc, one held pfn and one host-bit clear per
+// page, and one host release per report of balloon_batch_pages.
+class PerPageBalloon {
+ public:
+  PerPageBalloon(Guest* g, const CostModel* cost, int16_t zone)
+      : g_(g), cost_(cost), zone_(zone) {}
+
+  BalloonOutcome Inflate(uint64_t bytes, TimeNs now) {
+    BalloonOutcome out;
+    const uint64_t want = BytesToPages(bytes);
+    std::vector<Pfn> batch;
+    auto report_batch = [&] {
+      if (batch.empty()) {
+        return;
+      }
+      uint64_t populated = 0;
+      for (const Pfn pfn : batch) {
+        populated += g_->mm.memmap.ClearHostPopulated(pfn, 1);
+      }
+      // Hypervisor::BalloonRelease(vm, populated, now) of one report.
+      const DurationNs latency = cost_->balloon_exit_page * static_cast<int64_t>(populated);
+      EXPECT_GE(g_->vm_populated, PagesToBytes(populated));
+      g_->vm_populated -= PagesToBytes(populated);
+      g_->host.Unpopulate(PagesToBytes(populated), now);
+      g_->cpu.AddBusy("vmm/vm", now, latency);
+      out.breakdown.vm_exits +=
+          latency + cost_->balloon_exit_page * static_cast<int64_t>(batch.size() - populated);
+      batch.clear();
+    };
+    while (out.pages < want) {
+      const Pfn pfn = g_->mm.zones[static_cast<size_t>(zone_)]->Alloc(
+          0, PageKind::kKernel, kNoOwner, 0);
+      if (pfn == kInvalidPfn) {
+        break;
+      }
+      held.push_back(pfn);
+      ++out.pages;
+      out.breakdown.rest += cost_->balloon_guest_page;
+      batch.push_back(pfn);
+      if (batch.size() >= cost_->balloon_batch_pages) {
+        report_batch();
+      }
+    }
+    report_batch();
+    out.complete = out.pages >= want;
+    if (out.breakdown.rest > 0) {
+      g_->cpu.AddBusy(ThreadName(zone_, "guest"), now, out.breakdown.rest);
+    }
+    if (out.breakdown.vm_exits > 0) {
+      g_->cpu.AddBusy(ThreadName(zone_, "host"), now, out.breakdown.vm_exits);
+    }
+    return out;
+  }
+
+  DurationNs Deflate(uint64_t bytes) {
+    const uint64_t want = std::min<uint64_t>(BytesToPages(bytes), held.size());
+    DurationNs latency = 0;
+    for (uint64_t i = 0; i < want; ++i) {
+      g_->mm.zones[static_cast<size_t>(zone_)]->Free(held.back());
+      held.pop_back();
+      latency += cost_->balloon_guest_page;
+    }
+    return latency;
+  }
+
+  std::vector<Pfn> held;
+
+ private:
+  Guest* g_;
+  const CostModel* cost_;
+  int16_t zone_;
+};
+
+// Backs block b per the pattern (pages it already backs stay as they are)
+// and books the new backing as one nested fault.
+void Back(Backing backing, BlockIndex b, Guest* g, TimeNs now) {
+  const Pfn start = MemMap::BlockStart(b);
+  MemMap& m = g->mm.memmap;
+  uint64_t added = 0;
+  switch (backing) {
+    case Backing::kNone:
+      break;
+    case Backing::kWholeBlocks:
+      added = m.SetHostPopulated(start, kPagesPerBlock);
+      break;
+    case Backing::kAlternatingWords:
+      for (uint32_t w = 0; w < kPagesPerBlock / 64; w += 2) {
+        added += m.SetHostPopulated(start + 64 * w, 64);
+      }
+      break;
+    case Backing::kHalfBlock:
+      added = m.SetHostPopulated(start, kPagesPerBlock / 2);
+      break;
+  }
+  if (added > 0) {
+    g->hv.NestedFaultPopulate(g->vm, 1, PagesToBytes(added), now);
+    g->vm_populated += PagesToBytes(added);
+  }
+}
+
+void ExpectSame(const Guest& dev, const Guest& ref, const std::vector<BalloonDevice>& devs,
+                const std::vector<PerPageBalloon>& refs, int step) {
+  uint64_t digest = uniform_oracle::kFnvOffset;
+  SCOPED_TRACE("balloon step " + std::to_string(step));
+  uniform_oracle::ExpectSame(dev.mm, ref.mm, step, &digest);
+  ASSERT_FALSE(testing::Test::HasFatalFailure());
+  EXPECT_EQ(dev.hv.stats(dev.vm).populated_bytes, ref.vm_populated);
+  EXPECT_EQ(dev.host.populated(), ref.host.populated());
+  EXPECT_EQ(dev.host.populated_peak(), ref.host.populated_peak());
+  const auto& dp = dev.host.populated_series().points();
+  const auto& rp = ref.host.populated_series().points();
+  ASSERT_EQ(dp.size(), rp.size());
+  for (size_t i = 0; i < dp.size(); ++i) {
+    EXPECT_EQ(dp[i].t, rp[i].t) << "point " << i;
+    EXPECT_EQ(dp[i].value, rp[i].value) << "point " << i;
+  }
+  ASSERT_EQ(dev.cpu.threads(), ref.cpu.threads());
+  for (const std::string& thread : dev.cpu.threads()) {
+    EXPECT_EQ(dev.cpu.TotalBusy(thread), ref.cpu.TotalBusy(thread)) << thread;
+    EXPECT_EQ(dev.cpu.Series(thread), ref.cpu.Series(thread)) << thread;
+  }
+  for (size_t z = 0; z < devs.size(); ++z) {
+    EXPECT_EQ(devs[z].held_pages(), refs[z].held.size()) << "zone " << z;
+    EXPECT_EQ(devs[z].held_bytes(), PagesToBytes(refs[z].held.size())) << "zone " << z;
+  }
+}
+
+void ExpectSameOutcome(const BalloonOutcome& a, const BalloonOutcome& b) {
+  EXPECT_EQ(a.pages, b.pages);
+  EXPECT_EQ(a.complete, b.complete);
+  EXPECT_EQ(a.breakdown.zeroing, b.breakdown.zeroing);
+  EXPECT_EQ(a.breakdown.migration, b.breakdown.migration);
+  EXPECT_EQ(a.breakdown.vm_exits, b.breakdown.vm_exits);
+  EXPECT_EQ(a.breakdown.rest, b.breakdown.rest);
+}
+
+}  // namespace balloon_oracle
+
+class BalloonRunsVsPerPageTest
+    : public testing::TestWithParam<
+          std::tuple<uint64_t, uint32_t /*batch*/, balloon_oracle::Backing>> {};
+
+TEST_P(BalloonRunsVsPerPageTest, InflateAndDeflateEqualThePerPageDriver) {
+  using balloon_oracle::Backing;
+  using balloon_oracle::Guest;
+  using balloon_oracle::kWindow;
+  using balloon_oracle::PerPageBalloon;
+  using uniform_oracle::kBlocks;
+  using uniform_oracle::kZones;
+  const auto [seed, batch, backing] = GetParam();
+  CostModel cost = CostModel::Default();
+  cost.balloon_batch_pages = batch;
+  Guest dev(&cost, seed + 59);
+  Guest ref(&cost, seed + 59);
+  Guest* const guests[] = {&dev, &ref};
+  // Zone 1 gets the last block, zone 0 the rest.
+  auto zone_of = [](BlockIndex b) { return static_cast<int16_t>(b + 1 == kBlocks ? 1 : 0); };
+  for (BlockIndex b = 0; b < kBlocks; ++b) {
+    for (Guest* g : guests) {
+      g->mm.memmap.InitBlock(b);
+      g->mm.zones[static_cast<size_t>(zone_of(b))]->AddFreeRange(MemMap::BlockStart(b),
+                                                                 kPagesPerBlock);
+      g->mm.memmap.set_block_state(b, BlockState::kOnline);
+    }
+  }
+  std::vector<BalloonDevice> devs;
+  std::vector<PerPageBalloon> refs;
+  for (int16_t z = 0; z < kZones; ++z) {
+    devs.emplace_back(&dev.mm.memmap, &cost, &dev.hv, dev.vm, &dev.cpu,
+                      balloon_oracle::ThreadName(z, "guest"),
+                      balloon_oracle::ThreadName(z, "host"));
+    refs.emplace_back(&ref, &cost, z);
+  }
+
+  // Fragment the zones: folios at order 0 and 9, some freed again.
+  Rng rng(seed);
+  std::vector<std::pair<Pfn, int16_t>> held;
+  for (int i = 0; i < 80; ++i) {
+    const auto z = static_cast<int16_t>(rng.UniformInt(0, kZones - 1));
+    const uint8_t order = rng.Chance(0.7) ? 0 : kThpOrder;
+    const Pfn a = dev.mm.zones[static_cast<size_t>(z)]->Alloc(order, PageKind::kAnon, 1, 0);
+    ASSERT_EQ(a, ref.mm.zones[static_cast<size_t>(z)]->Alloc(order, PageKind::kAnon, 1, 0));
+    held.emplace_back(a, z);
+    if (rng.Chance(0.4)) {
+      const auto k =
+          static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(held.size()) - 1));
+      for (Guest* g : guests) {
+        g->mm.zones[static_cast<size_t>(held[k].second)]->Free(held[k].first);
+      }
+      held[k] = held.back();
+      held.pop_back();
+    }
+  }
+
+  int step = 0;
+  for (int round = 0; round < 6; ++round) {
+    // 1 ns before a window edge, so every charge spills into the next.
+    const TimeNs now = (round + 1) * 7 * kWindow - 1;
+    for (BlockIndex b = 0; b < kBlocks; ++b) {
+      for (Guest* g : guests) {
+        balloon_oracle::Back(backing, b, g, now);
+      }
+    }
+    const bool last = round == 5;
+    const int16_t z = last ? 1 : static_cast<int16_t>(rng.UniformInt(0, kZones - 1));
+    Zone& dz = *dev.mm.zones[static_cast<size_t>(z)];
+    Zone& rz = *ref.mm.zones[static_cast<size_t>(z)];
+    uint64_t pages = static_cast<uint64_t>(rng.UniformInt(1, 6000));
+    if (last) {
+      // Run zone 1 dry, with its free pages not a whole number of reports.
+      if (dz.free_pages() % 32 == 0) {
+        ASSERT_EQ(dz.Alloc(0, PageKind::kAnon, 1, 0), rz.Alloc(0, PageKind::kAnon, 1, 0));
+      }
+      pages = dz.free_pages() + 777;
+    }
+    const BalloonOutcome a = devs[static_cast<size_t>(z)].Inflate(PagesToBytes(pages), &dz, now);
+    const BalloonOutcome b = refs[static_cast<size_t>(z)].Inflate(PagesToBytes(pages), now);
+    balloon_oracle::ExpectSameOutcome(a, b);
+    if (last) {
+      EXPECT_FALSE(a.complete);
+      EXPECT_EQ(dz.free_pages(), 0u);
+      EXPECT_NE(a.pages % 32, 0u) << "the last report is a partial one";
+    }
+    balloon_oracle::ExpectSame(dev, ref, devs, refs, step++);
+    if (testing::Test::HasFailure()) {
+      return;
+    }
+    // Deflate half of what this balloon holds (the most recent pages).
+    const uint64_t half = PagesToBytes(refs[static_cast<size_t>(z)].held.size() / 2);
+    EXPECT_EQ(devs[static_cast<size_t>(z)].Deflate(half, &dz),
+              refs[static_cast<size_t>(z)].Deflate(half));
+    balloon_oracle::ExpectSame(dev, ref, devs, refs, step++);
+    if (testing::Test::HasFailure()) {
+      return;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SeedsBatchesBacking, BalloonRunsVsPerPageTest,
+    testing::Combine(testing::Values(1u, 2u, 3u), testing::Values(1u, 32u, 256u),
+                     testing::Values(balloon_oracle::Backing::kNone,
+                                     balloon_oracle::Backing::kWholeBlocks,
+                                     balloon_oracle::Backing::kAlternatingWords,
+                                     balloon_oracle::Backing::kHalfBlock)),
+    [](const testing::TestParamInfo<
+        std::tuple<uint64_t, uint32_t, balloon_oracle::Backing>>& param_info) {
+      return "seed" + std::to_string(std::get<0>(param_info.param)) + "_batch" +
+             std::to_string(std::get<1>(param_info.param)) + "_" +
+             balloon_oracle::BackingName(std::get<2>(param_info.param));
     });
 
 // --- Timer-wheel fuzz: wheel vs the old binary heap, op for op -----------------

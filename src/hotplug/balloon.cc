@@ -62,8 +62,8 @@ BalloonOutcome BalloonDevice::Inflate(uint64_t bytes, Zone* zone, TimeNs now) {
     // The driver pins pages it inflates: they become unmovable kernel
     // allocations until deflation.
     const auto ask = static_cast<uint32_t>(std::min<uint64_t>(want - out.pages, pfns.size()));
-    const uint32_t got = zone->AllocPages(ask, PageKind::kKernel, kNoOwner, 0, pfns.data(),
-                                          /*slot_stride=*/0);
+    const uint32_t got = zone->AllocPages(ask, PageKind::kKernel, kNoOwner,
+                                          static_cast<uint32_t>(out.pages), pfns.data());
     // Each buddy chunk comes back ascending; cut the pfns into in-block runs.
     for (uint32_t i = 0; i < got;) {
       uint32_t end = i + 1;

@@ -42,8 +42,9 @@ class BalloonDevice {
                 std::string host_thread = "balloon/host");
 
   // Inflates by `bytes`: allocates order-0 pages from `zone` (the pfns,
-  // zone and memmap state of repeated Alloc(0, kKernel, kNoOwner, 0)) and
-  // reports them.  Stops early if the zone runs dry (complete=false).
+  // zone and memmap state of Alloc(0, kKernel, kNoOwner, i) for the
+  // inflation's i-th page) and reports them.  Stops early if the zone runs
+  // dry (complete=false).
   BalloonOutcome Inflate(uint64_t bytes, Zone* zone, TimeNs now);
 
   // Deflates by `bytes` (most recently inflated first), returning pages to

@@ -229,7 +229,7 @@ Pfn Zone::Alloc(uint8_t order, PageKind kind, int32_t owner, uint32_t owner_slot
 }
 
 uint32_t Zone::AllocPages(uint32_t n, PageKind kind, int32_t owner, uint32_t first_slot,
-                          Pfn* out, uint32_t slot_stride) {
+                          Pfn* out) {
   uint32_t taken = 0;
   while (taken < n) {
     uint8_t from = 0;
@@ -244,8 +244,7 @@ uint32_t Zone::AllocPages(uint32_t n, PageKind kind, int32_t owner, uint32_t fir
     const uint32_t take = std::min(n - taken, size);
     // Repeated Alloc(0) hands out a chunk's pages in ascending order.
     for (uint32_t i = 0; i < take; ++i) {
-      memmap_->Stamp(chunk + i, AllocatedRecord(0, kind, owner,
-                                                first_slot + slot_stride * (taken + i)));
+      memmap_->Stamp(chunk + i, AllocatedRecord(0, kind, owner, first_slot + taken + i));
       out[taken + i] = chunk + i;
     }
     // The rest ends up as repeated splitting leaves it: tiled by the

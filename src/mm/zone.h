@@ -9,9 +9,10 @@
 // record at each extent start (memmap.h), so an alloc, split, free,
 // coalesce or isolation writes O(1) records per folio or chunk, never one
 // per page.  Page-cache fills and balloon inflation allocate runs of
-// single pages in bulk (AllocPages), one buddy chunk at a time.  A zone emptied at once (a
-// Squeezy partition at its last user's exit) drains through FreeAll in
-// O(folios), and every block it empties reverts to uniform.
+// single pages in bulk (AllocPages), one buddy chunk at a time.  A zone
+// emptied at once (a Squeezy partition at its last user's exit) drains
+// through FreeAll in O(folios), and every block it empties reverts to
+// uniform.
 //
 // The offline path uses the isolation primitives: free chunks in a range
 // are pulled out of the free lists (kIsolated) so concurrent allocations
@@ -85,13 +86,12 @@ class Zone {
   Pfn Alloc(uint8_t order, PageKind kind, int32_t owner, uint32_t owner_slot);
 
   // Allocates up to n single pages, equal to n calls of
-  // Alloc(0, kind, owner, first_slot + slot_stride * i) — the same pfns in
-  // `out`, free lists and memmap — but one pass per buddy chunk (Linux's
-  // alloc_pages_bulk).  Page-cache fills number their pages (stride 1);
-  // balloon inflation gives every page slot 0 (stride 0).  Returns how
-  // many were allocated: fewer than n only when the zone ran dry.
+  // Alloc(0, kind, owner, first_slot + i) — the same pfns in `out`, free
+  // lists and memmap — but one pass per buddy chunk (Linux's
+  // alloc_pages_bulk).  Returns how many were allocated: fewer than n only
+  // when the zone ran dry.
   uint32_t AllocPages(uint32_t n, PageKind kind, int32_t owner, uint32_t first_slot,
-                      Pfn* out, uint32_t slot_stride = 1);
+                      Pfn* out);
 
   // Frees an allocated folio (by head pfn), coalescing with buddies.
   void Free(Pfn head);

@@ -745,37 +745,6 @@ TEST_P(BulkVsRepeatedAllocTest, AllocPagesEqualsRepeatedSinglePageAlloc) {
       {0x2baf5526e752a8adull, 0x3ea563822fcbbe7aull},
   };
   EXPECT_EQ(digest, kDigests[seed - 1][shuffled ? 1 : 0]);
-
-  // The constant-slot form balloon inflation uses: AllocPages with slot
-  // stride 0 against repeated Alloc(0, kKernel, kNoOwner, 0), in random
-  // steps over the fragmented zones until each runs dry mid-step.
-  for (int16_t z = 0; z < kZones; ++z) {
-    Zone& bz = *bulk.zones[static_cast<size_t>(z)];
-    Zone& sz = *single.zones[static_cast<size_t>(z)];
-    for (int step = 0; bz.free_pages() > 0; ++step) {
-      const uint64_t free_before = bz.free_pages();
-      const auto n = static_cast<uint32_t>(rng.UniformInt(1, 40000));
-      std::vector<Pfn> got(n, kInvalidPfn);
-      const uint32_t taken =
-          bz.AllocPages(n, PageKind::kKernel, kNoOwner, 0, got.data(), /*slot_stride=*/0);
-      std::vector<Pfn> want;
-      for (uint32_t i = 0; i < n; ++i) {
-        const Pfn pfn = sz.Alloc(0, PageKind::kKernel, kNoOwner, 0);
-        if (pfn == kInvalidPfn) {
-          break;
-        }
-        want.push_back(pfn);
-      }
-      ASSERT_EQ(taken, std::min<uint64_t>(n, free_before)) << "zone " << z << " step " << step;
-      got.resize(taken);
-      ASSERT_EQ(got, want) << "zone " << z << " step " << step;
-      uniform_oracle::ExpectSame(bulk, single, 2000 + step, &digest);
-      if (testing::Test::HasFatalFailure()) {
-        return;
-      }
-    }
-    EXPECT_EQ(sz.free_pages(), 0u);
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -1056,7 +1025,7 @@ class PerPageBalloon {
     };
     while (out.pages < want) {
       const Pfn pfn = g_->mm.zones[static_cast<size_t>(zone_)]->Alloc(
-          0, PageKind::kKernel, kNoOwner, 0);
+          0, PageKind::kKernel, kNoOwner, static_cast<uint32_t>(out.pages));
       if (pfn == kInvalidPfn) {
         break;
       }

@@ -121,6 +121,28 @@ void BM_MigrateBlock(benchmark::State& state) {
 }
 BENCHMARK(BM_MigrateBlock);
 
+void BM_MigratePageCacheBlock(benchmark::State& state) {
+  std::vector<Pfn> pages(kPagesPerBlock / 2);
+  for (auto _ : state) {
+    state.PauseTiming();
+    MemMap memmap(GiB(1));
+    Zone zone(0, ZoneType::kMovable, "z", &memmap);
+    for (BlockIndex b = 0; b < 4; ++b) {
+      memmap.InitBlock(b);
+      zone.AddFreeRange(MemMap::BlockStart(b), kPagesPerBlock);
+    }
+    // Half-occupy block 0 with one page-cache fill of order-0 pages.
+    zone.AllocPages(kPagesPerBlock / 2, PageKind::kFile, 1, 0, pages.data());
+    zone.IsolateFreeRange(0, kPagesPerBlock);
+    state.ResumeTiming();
+    const MigrateOutcome out =
+        MigrateOutOfRange(memmap, zone, zone, 0, kPagesPerBlock, CostModel::Default(), nullptr);
+    benchmark::DoNotOptimize(out.pages_moved);
+  }
+  state.SetItemsProcessed(state.iterations() * (kPagesPerBlock / 2));
+}
+BENCHMARK(BM_MigratePageCacheBlock);
+
 void BM_SqueezyUnplugPartition(benchmark::State& state) {
   HostMemory host(GiB(64));
   CostModel cost = CostModel::Default();

@@ -55,6 +55,8 @@ OfflineResult HotplugManager::OfflineBlock(BlockIndex b, Zone* zone, Zone* migra
                                                  kPagesPerBlock, *cost_, owners_);
     result.pages_migrated += mig.pages_moved;
     result.folios_migrated += mig.folios_moved;
+    // Moved folios stay moved even when the offline then aborts.
+    total_pages_migrated_ += mig.pages_moved;
     result.breakdown.migration += mig.cost;
     if (mig.pages_newly_backed > 0) {
       // Copies into previously-unbacked frames grew the host footprint;
@@ -72,7 +74,6 @@ OfflineResult HotplugManager::OfflineBlock(BlockIndex b, Zone* zone, Zone* migra
       return result;
     }
   }
-  total_pages_migrated_ += result.pages_migrated;
 
   // 3. Retire the fully-isolated range.
   zone->RetireRange(start, kPagesPerBlock);

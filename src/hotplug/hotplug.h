@@ -77,6 +77,9 @@ class HotplugManager {
   // Lifetime totals (across all operations).
   uint64_t blocks_added() const { return blocks_added_; }
   uint64_t blocks_removed() const { return blocks_removed_; }
+  // Pages migrated out of offlining blocks, including those a failed
+  // offline moved before it aborted (they stay moved, and their cost is
+  // charged): the sum of every OfflineResult::pages_migrated.
   uint64_t total_pages_migrated() const { return total_pages_migrated_; }
 
   MemMap* memmap() { return memmap_; }

@@ -4,6 +4,12 @@
 // the paper (61.5% of unplug latency on average, Fig 5) and whose CPU
 // consumption interferes with co-located instances (Fig 7/9).  Squeezy's
 // whole point is to never need it on the reclaim path.
+//
+// The copies are charged per folio, as the kernel's migrate_pages pays a
+// fixed cost per folio.  The simulator still executes runs of order-0
+// pages in bulk: a run of one owner's pages at consecutive owner slots
+// (what a page-cache fill's AllocPages leaves) takes all its targets in
+// one Zone::AllocPages, with the same result as one Alloc(0) per page.
 #ifndef SQUEEZY_MM_MIGRATION_H_
 #define SQUEEZY_MM_MIGRATION_H_
 
@@ -25,6 +31,9 @@ class OwnerRegistry {
   virtual void RelocateFolio(PageKind kind, int32_t owner, uint32_t owner_slot, Pfn new_head) = 0;
 };
 
+// What one MigrateOutOfRange did.  Every field reads as if the folios had
+// moved one at a time: a run of order-0 pages moved in bulk counts each
+// page as a folio and charges each MigrateFolio(1).
 struct MigrateOutcome {
   bool ok = true;               // False: unmovable page or target exhaustion.
   uint64_t folios_moved = 0;
@@ -41,8 +50,10 @@ struct MigrateOutcome {
 // the target allocation cannot land back inside the range.  Folio frames
 // vacated in the range go straight to kIsolated.
 //
-// On failure the outcome reports the partial progress; the caller decides
-// whether to undo the isolation (offline abort).
+// On failure the outcome reports the partial progress: every folio before
+// the unmovable page, or before the first one the target had no room for,
+// has moved.  The caller decides whether to undo the isolation (offline
+// abort).
 MigrateOutcome MigrateOutOfRange(MemMap& memmap, Zone& src_zone, Zone& target_zone, Pfn start,
                                  uint64_t npages, const CostModel& cost, OwnerRegistry* owners);
 

@@ -8,11 +8,11 @@
 // first allocation inside it.  The allocator keeps state only in the
 // record at each extent start (memmap.h), so an alloc, split, free,
 // coalesce or isolation writes O(1) records per folio or chunk, never one
-// per page.  Page-cache fills and balloon inflation allocate runs of
-// single pages in bulk (AllocPages), one buddy chunk at a time.  A zone
-// emptied at once (a Squeezy partition at its last user's exit) drains
-// through FreeAll in O(folios), and every block it empties reverts to
-// uniform.
+// per page.  Page-cache fills, balloon inflation and the migration of
+// order-0 runs allocate runs of single pages in bulk (AllocPages), one
+// buddy chunk at a time.  A zone emptied at once (a Squeezy partition at
+// its last user's exit) drains through FreeAll in O(folios), and every
+// block it empties reverts to uniform.
 //
 // The offline path uses the isolation primitives: free chunks in a range
 // are pulled out of the free lists (kIsolated) so concurrent allocations

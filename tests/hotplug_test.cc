@@ -119,6 +119,31 @@ TEST_F(HotplugTest, OfflineFailsWhenNowhereToMigrate) {
   EXPECT_NE(zone_->Alloc(0, PageKind::kAnon, 1, 1), kInvalidPfn);
 }
 
+TEST_F(HotplugTest, FailedOfflineStillCountsThePagesItMoved) {
+  // Block 0 is full: a 20000-page file run, then anon pages.  Block 1 has
+  // room for 5000 pages, so the migration runs dry inside the file run.
+  AddOnline(0);
+  std::vector<Pfn> pages(kPagesPerBlock);
+  ASSERT_EQ(zone_->AllocPages(20000, PageKind::kFile, 3, 0, pages.data()), 20000u);
+  ASSERT_EQ(zone_->AllocPages(kPagesPerBlock - 20000, PageKind::kAnon, 1, 0, pages.data()),
+            kPagesPerBlock - 20000);
+  AddOnline(1);
+  ASSERT_EQ(zone_->AllocPages(kPagesPerBlock - 5000, PageKind::kAnon, 2, 0, pages.data()),
+            kPagesPerBlock - 5000);
+
+  const OfflineResult res = mgr_->OfflineBlock(0, zone_.get(), zone_.get(), OfflineOptions{});
+  EXPECT_FALSE(res.ok);
+  EXPECT_EQ(res.pages_migrated, 5000u);
+  EXPECT_EQ(res.folios_migrated, 5000u);
+  EXPECT_EQ(res.breakdown.migration, 5000 * cost_.MigrateFolio(1));
+  // The moved pages stay moved, so the lifetime total counts them.
+  EXPECT_EQ(mgr_->total_pages_migrated(), res.pages_migrated);
+  EXPECT_EQ(memmap_->block_state(0), BlockState::kOnline);
+  EXPECT_EQ(memmap_->BlockOccupied(0), kPagesPerBlock - 5000u);
+  EXPECT_EQ(zone_->free_pages(), 5000u);
+  EXPECT_TRUE(zone_->CheckFreeLists());
+}
+
 TEST_F(HotplugTest, OfflineFailsOnPinnedKernelPage) {
   AddOnline(0);
   AddOnline(1);

@@ -156,6 +156,91 @@ TEST_F(MigrationTest, CostScalesWithPagesMoved) {
   EXPECT_EQ(out.cost, cost_.MigrateFolio(1) + cost_.MigrateFolio(1u << kThpOrder));
 }
 
+TEST_F(MigrationTest, OrderZeroRunsMoveInPageOrderAndPayPerFolio) {
+  // Block 0 from pfn 0: a file run of eight pages whose page 3 was freed
+  // and refilled under slot 100 (a slot gap), an anon page, a THP at 512
+  // and a kernel page at 1024.  A placeholder takes 9..511 so the THP and
+  // the kernel page land above it, then goes.
+  Pfn file[8];
+  ASSERT_EQ(zone_->AllocPages(8, PageKind::kFile, 5, 0, file), 8u);
+  ASSERT_EQ(file[0], 0u);
+  zone_->Free(file[3]);
+  ASSERT_EQ(zone_->Alloc(0, PageKind::kFile, 5, 100), file[3]);
+  ASSERT_EQ(zone_->Alloc(0, PageKind::kAnon, 6, 0), 8u);
+  std::vector<Pfn> placeholder(503);
+  ASSERT_EQ(zone_->AllocPages(503, PageKind::kAnon, 7, 0, placeholder.data()), 503u);
+  ASSERT_EQ(zone_->Alloc(kThpOrder, PageKind::kAnon, 6, 1), 512u);
+  ASSERT_EQ(zone_->Alloc(0, PageKind::kKernel, kNoOwner, 0), 1024u);
+  for (const Pfn pfn : placeholder) {
+    zone_->Free(pfn);
+  }
+  zone_->IsolateFreeRange(0, kPagesPerBlock);
+
+  const MigrateOutcome out =
+      MigrateOutOfRange(*memmap_, *zone_, *zone_, 0, kPagesPerBlock, cost_, &registry_);
+  EXPECT_FALSE(out.ok);  // The kernel page ends the walk after the rest moved.
+  EXPECT_EQ(out.folios_moved, 10u);
+  EXPECT_EQ(out.pages_moved, 9u + (1u << kThpOrder));
+  EXPECT_EQ(out.cost, 9 * cost_.MigrateFolio(1) + cost_.MigrateFolio(1u << kThpOrder));
+  const uint32_t want_slots[] = {0, 1, 2, 100, 4, 5, 6, 7};
+  ASSERT_EQ(registry_.moves.size(), 10u);
+  for (size_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(registry_.moves[i].kind, PageKind::kFile) << i;
+    EXPECT_EQ(registry_.moves[i].owner, 5) << i;
+    EXPECT_EQ(registry_.moves[i].slot, want_slots[i]) << i;
+  }
+  EXPECT_EQ(registry_.moves[8].kind, PageKind::kAnon);
+  EXPECT_EQ(registry_.moves[8].slot, 0u);
+  EXPECT_EQ(registry_.moves[9].slot, 1u);
+  for (const RecordingRegistry::Move& m : registry_.moves) {
+    EXPECT_GE(m.to, kPagesPerBlock);
+    const Page p = memmap_->page(m.to);
+    EXPECT_EQ(p.state, PageState::kAllocated);
+    EXPECT_EQ(p.owner_slot(), m.slot);
+    EXPECT_TRUE(memmap_->host_populated(m.to));
+  }
+  EXPECT_EQ(memmap_->page(1024).state, PageState::kAllocated);
+  EXPECT_EQ(memmap_->BlockOccupied(0), 1u);
+  EXPECT_EQ(memmap_->CountBlockPages(0, PageState::kIsolated), kPagesPerBlock - 1u);
+}
+
+TEST_F(MigrationTest, TargetRunningDryMidRunMovesThePagesBefore) {
+  // The target zone has room for 5 pages; an 8-page file run moves its
+  // first 5 and stops.
+  MemMap memmap(GiB(1));
+  Zone src(0, ZoneType::kMovable, "src", &memmap);
+  Zone dst(1, ZoneType::kMovable, "dst", &memmap);
+  memmap.InitBlock(0);
+  memmap.InitBlock(1);
+  src.AddFreeRange(MemMap::BlockStart(0), kPagesPerBlock);
+  dst.AddFreeRange(MemMap::BlockStart(1), kPagesPerBlock);
+  std::vector<Pfn> filler(kPagesPerBlock - 5);
+  ASSERT_EQ(dst.AllocPages(kPagesPerBlock - 5, PageKind::kAnon, 9, 0, filler.data()),
+            kPagesPerBlock - 5);
+  Pfn file[8];
+  ASSERT_EQ(src.AllocPages(8, PageKind::kFile, 5, 40, file), 8u);
+  src.IsolateFreeRange(0, kPagesPerBlock);
+
+  const MigrateOutcome out =
+      MigrateOutOfRange(memmap, src, dst, 0, kPagesPerBlock, cost_, &registry_);
+  EXPECT_FALSE(out.ok);
+  EXPECT_EQ(out.folios_moved, 5u);
+  EXPECT_EQ(out.pages_moved, 5u);
+  EXPECT_EQ(out.cost, 5 * cost_.MigrateFolio(1));
+  EXPECT_EQ(out.pages_newly_backed, 5u);
+  ASSERT_EQ(registry_.moves.size(), 5u);
+  for (uint32_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(registry_.moves[i].slot, 40 + i);
+    EXPECT_EQ(memmap.page(file[i]).state, PageState::kIsolated);
+  }
+  for (uint32_t i = 5; i < 8; ++i) {
+    EXPECT_EQ(memmap.page(file[i]).state, PageState::kAllocated);
+  }
+  EXPECT_EQ(dst.free_pages(), 0u);
+  EXPECT_EQ(memmap.BlockOccupied(0), 3u);
+  EXPECT_TRUE(dst.CheckFreeLists());
+}
+
 TEST_F(MigrationTest, NullRegistryIsAllowed) {
   zone_->Alloc(0, PageKind::kAnon, 1, 0);
   zone_->IsolateFreeRange(0, kPagesPerBlock);

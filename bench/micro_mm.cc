@@ -98,6 +98,22 @@ void BM_IsolateUndo(benchmark::State& state) {
 }
 BENCHMARK(BM_IsolateUndo);
 
+// One block per cycle: Alloc(9) materializes it, and FreeAll drains it,
+// so MemMap::Dematerialize drops its chunk again.
+void BM_MaterializeDrainCycle(benchmark::State& state) {
+  MemMap memmap(kMemoryBlockBytes);
+  Zone zone(0, ZoneType::kMovable, "z", &memmap);
+  memmap.InitBlock(0);
+  zone.AddFreeRange(0, kPagesPerBlock);
+  for (auto _ : state) {
+    const Pfn pfn = zone.Alloc(kThpOrder, PageKind::kAnon, 1, 0);
+    zone.FreeAll(&pfn, 1);
+    benchmark::DoNotOptimize(memmap.materialized_blocks());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MaterializeDrainCycle);
+
 void BM_MigrateBlock(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();

@@ -37,6 +37,12 @@
 //     their mutation choke points, and the deciders query it mid-
 //     decision), and HostIndex never calls ANY other component while
 //     holding it, so no cycle is possible.
+//
+// Guest memory map (src/mm/memmap.cc) refinement:
+//   * The MemMap chunk pool's mutex is a LEAF as well: shard workers take
+//     it inside MemMap::Materialize and when a block drops its chunk,
+//     under whatever their host holds, and the pool calls no other
+//     component while holding it.
 #ifndef SQUEEZY_BASE_MUTEX_H_
 #define SQUEEZY_BASE_MUTEX_H_
 

@@ -1,13 +1,50 @@
 #include "src/mm/memmap.h"
 
+#include <sanitizer/asan_interface.h>
+
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 #include <memory>
 #include <new>
+#include <vector>
+
+#include "src/base/mutex.h"
 
 namespace squeezy {
 
 namespace {
+
+// The process-wide LIFO free list of released chunks (see memmap.h).  The
+// links live here, not in the chunks, so a poisoned chunk is never read.
+struct ChunkPool {
+  Mutex mu;
+  std::vector<Page*> free SQZ_GUARDED_BY(mu);
+  uint64_t allocated SQZ_GUARDED_BY(mu) = 0;
+};
+
+// Leaked, so a MemMap destroyed during static teardown still has a pool
+// to push onto; its chunks are never handed back to malloc.
+ChunkPool& Pool() {
+  static ChunkPool* pool = new ChunkPool;
+  return *pool;
+}
+
+// The most recently released chunk, or a fresh one when none is pooled.
+Page* TakeChunk() {
+  ChunkPool& pool = Pool();
+  {
+    MutexLock lock(&pool.mu);
+    if (!pool.free.empty()) {
+      Page* chunk = pool.free.back();
+      pool.free.pop_back();
+      ASAN_UNPOISON_MEMORY_REGION(chunk, MemMap::ChunkBytes());
+      return chunk;
+    }
+    ++pool.allocated;
+  }
+  return std::allocator<Page>().allocate(kPagesPerBlock);
+}
 
 constexpr uint32_t kHostWords = kPagesPerBlock / 64;
 
@@ -60,7 +97,20 @@ MemMap::MemMap(uint64_t span_bytes) {
 }
 
 void MemMap::ChunkDeleter::operator()(Page* chunk) const {
-  std::allocator<Page>().deallocate(chunk, kPagesPerBlock);
+#ifndef NDEBUG
+  // A record read before a Stamp rewrites it breaks asserts and digests.
+  std::memset(static_cast<void*>(chunk), 0xA5, ChunkBytes());
+#endif
+  ASAN_POISON_MEMORY_REGION(chunk, ChunkBytes());
+  ChunkPool& pool = Pool();
+  MutexLock lock(&pool.mu);
+  pool.free.push_back(chunk);
+}
+
+uint64_t MemMap::chunks_allocated() {
+  ChunkPool& pool = Pool();
+  MutexLock lock(&pool.mu);
+  return pool.allocated;
 }
 
 void MemMap::SetUniform(BlockIndex b, PageState state, int16_t zone_id) {
@@ -80,9 +130,9 @@ Page* MemMap::Materialize(BlockIndex b) {
   assert(chunks_[b] == nullptr);
   assert((uniform_[b].state == PageState::kFree || uniform_[b].state == PageState::kIsolated) &&
          "only zone-owned blocks materialize");
-  // Raw storage with the template at each slot start: nothing else is read
-  // before a Stamp writes it.
-  Page* chunk = std::allocator<Page>().allocate(kPagesPerBlock);
+  // A pooled or fresh chunk with the template at each slot start: nothing
+  // else is read before a Stamp writes it.
+  Page* chunk = TakeChunk();
   for (uint32_t i = 0; i < kPagesPerBlock; i += kSlotPages) {
     ::new (static_cast<void*>(chunk + i)) Page(uniform_[b]);
   }

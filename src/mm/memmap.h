@@ -28,15 +28,27 @@
 //   kFree      online in zone Z as 32 free max-order (4 MiB) chunks;
 //   kIsolated  offlining: all of it pulled out of zone Z's free lists.
 // The first mutable touch of a kFree or kIsolated block — in practice the
-// first Zone::Alloc inside it — materializes the block: a chunk of raw
-// storage with room for 32768 12-byte Pages (384 KiB), of which only the
-// 32 slot-start records are written.  kHole and kOffline blocks never
-// materialize.  The block stays materialized until Zone::RetireRange
-// offlines it, or until Zone::FreeAll drains it whole: Dematerialize then
-// drops the chunk and the block reads as uniformly free again, so a
-// Squeezy partition emptied by its last exit unplugs without per-page
-// work.  So hot-add, online, isolate, retire and hot-remove of an
-// untouched or drained block cost O(1) or O(32 max-order heads).
+// first Zone::Alloc inside it — materializes the block: a chunk with room
+// for 32768 12-byte Pages (384 KiB), of which only the 32 slot-start
+// records are written.  kHole and kOffline blocks never materialize.  The
+// block stays materialized until Zone::RetireRange offlines it, or until
+// Zone::FreeAll drains it whole: Dematerialize then drops the chunk and
+// the block reads as uniformly free again, so a Squeezy partition emptied
+// by its last exit unplugs without per-page work.  So hot-add, online,
+// isolate, retire and hot-remove of an untouched or drained block cost
+// O(1) or O(32 max-order heads).
+//
+// Chunks are recycled.  A dropped chunk goes onto one process-wide LIFO
+// free list (shared by every MemMap and guarded by a leaf mutex, since the
+// sharded kernel's workers materialize concurrently), and Materialize
+// takes the most recently dropped one before it allocates: a recycled
+// chunk's pages are already faulted in, so materializing stops paying a
+// first-touch fault per 4 KiB.  Chunks are never handed back to malloc;
+// the list holds at most the process's peak of live chunks minus the live
+// ones.  A chunk's contents are stale until stamped — records of whatever
+// block last held it — which is safe because only the 32 slot starts are
+// read before a Stamp writes them.  To keep that checkable, a pooled chunk
+// is ASan-poisoned, and builds without NDEBUG fill it with 0xA5 first.
 //
 // Max-order free-list links live here, one {next, prev} pair per 1024-page
 // slot (8 B per 4 MiB), not in Page: that is what lets a whole-free block
@@ -199,11 +211,15 @@ class MemMap {
   // Extent records written so far: 32 per materialized block plus one per
   // Stamp.  Deterministic; the cost model of guest-mm bookkeeping.
   uint64_t records_written() const { return records_written_; }
+  // Chunks allocated fresh, process-wide: Materialize found the free list
+  // empty.  Depends on every MemMap in the process, so it is not a
+  // simulated result.
+  static uint64_t chunks_allocated();
 
  private:
-  // Chunks hold records at extent starts only, constructed in raw storage,
-  // so they are released without running Page destructors (page.h asserts
-  // that Page is trivially copyable and trivially destructible).
+  // Chunks hold records at extent starts only, constructed in place, so
+  // they are pooled without running Page destructors (page.h asserts that
+  // Page is trivially copyable and trivially destructible).
   struct ChunkDeleter {
     void operator()(Page* chunk) const;
   };

@@ -1,6 +1,7 @@
 // Unit tests for the memory map and block state machine.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "src/mm/memmap.h"
@@ -476,6 +477,97 @@ TEST(MemMapTest, OwnerOverlaySurvivesNeighbourFreesAndMigration) {
   EXPECT_EQ(moved.owner_slot(), 77u);
   EXPECT_EQ(cm.page(file).state, PageState::kIsolated);
   EXPECT_TRUE(zone.CheckFreeLists());
+}
+
+// --- Chunk recycling ----------------------------------------------------------
+
+// Materializes the first n blocks of m as uniformly free blocks of zone 0.
+void MaterializeBlocks(MemMap& m, BlockIndex n) {
+  for (BlockIndex b = 0; b < n; ++b) {
+    m.InitBlock(b);
+    m.SetUniform(b, PageState::kFree, 0);
+    (void)m.mutable_record(MemMap::BlockStart(b));
+  }
+}
+
+TEST(MemMapTest, DroppedChunksAreRecycledWithoutAllocating) {
+  {
+    MemMap m(3 * kMemoryBlockBytes);
+    MaterializeBlocks(m, 3);
+  }
+  const uint64_t allocated = MemMap::chunks_allocated();
+  MemMap m(3 * kMemoryBlockBytes);
+  MaterializeBlocks(m, 3);
+  EXPECT_EQ(m.materialized_blocks(), 3u);
+  EXPECT_EQ(MemMap::chunks_allocated(), allocated);
+}
+
+// One block online in one zone.
+struct OneBlockGuest {
+  OneBlockGuest() {
+    memmap.InitBlock(0);
+    zone.AddFreeRange(0, kPagesPerBlock);
+    memmap.set_block_state(0, BlockState::kOnline);
+  }
+  MemMap memmap{kMemoryBlockBytes};
+  Zone zone{0, ZoneType::kMovable, "z", &memmap};
+};
+
+// Runs one script on g's block (a THP, which materializes it, an order-0
+// page-cache run, smaller anon folios and frees) and returns its view.
+std::vector<Page> RunScriptAndRead(OneBlockGuest& g) {
+  std::vector<Pfn> pfns(300);
+  EXPECT_NE(g.zone.Alloc(kThpOrder, PageKind::kAnon, 1, 0), kInvalidPfn);
+  EXPECT_EQ(g.zone.AllocPages(300, PageKind::kFile, 2, 10, pfns.data()), 300u);
+  const Pfn folio = g.zone.Alloc(3, PageKind::kAnon, 3, 5);
+  EXPECT_NE(g.zone.Alloc(2, PageKind::kAnon, 3, 6), kInvalidPfn);
+  for (size_t i = 0; i < pfns.size(); i += 3) {
+    g.zone.Free(pfns[i]);
+  }
+  g.zone.Free(folio);
+  EXPECT_NE(g.zone.Alloc(0, PageKind::kKernel, kNoOwner, 0), kInvalidPfn);
+  EXPECT_TRUE(g.zone.CheckFreeLists());
+  std::vector<Page> pages(kPagesPerBlock);
+  g.memmap.ReadBlock(0, pages.data());
+  return pages;
+}
+
+// A recycled chunk holds the stale records of the block that dropped it
+// (0xA5 bytes in builds without NDEBUG): a block built on one must read
+// exactly as a block built on a fresh chunk.
+TEST(MemMapTest, RecycledChunkReadsAsAFreshOne) {
+  // Empty the free list: materialize held blocks until one allocates.
+  std::vector<std::unique_ptr<MemMap>> held;
+  for (uint64_t before = MemMap::chunks_allocated();
+       MemMap::chunks_allocated() == before;) {
+    ASSERT_LT(held.size(), 4096u);
+    held.push_back(std::make_unique<MemMap>(kMemoryBlockBytes));
+    MaterializeBlocks(*held.back(), 1);
+  }
+  uint64_t allocated = MemMap::chunks_allocated();
+  OneBlockGuest fresh;
+  const std::vector<Page> want = RunScriptAndRead(fresh);
+  ASSERT_EQ(MemMap::chunks_allocated(), ++allocated);
+  {
+    // Dirty a chunk with a full order-0 fill: a record at every page.
+    OneBlockGuest dirty;
+    std::vector<Pfn> pfns(kPagesPerBlock);
+    ASSERT_EQ(dirty.zone.AllocPages(kPagesPerBlock, PageKind::kFile, 9, 0, pfns.data()),
+              kPagesPerBlock);
+    ASSERT_EQ(MemMap::chunks_allocated(), ++allocated);
+  }
+  OneBlockGuest reused;
+  const std::vector<Page> got = RunScriptAndRead(reused);
+  ASSERT_EQ(MemMap::chunks_allocated(), allocated) << "the dirty chunk was not reused";
+  for (uint32_t i = 0; i < kPagesPerBlock; ++i) {
+    const Page& p = got[i];
+    const Page& q = want[i];
+    ASSERT_TRUE(p.state == q.state && p.kind == q.kind && p.order == q.order &&
+                p.head == q.head && p.zone_id == q.zone_id &&
+                p.free.next == q.free.next && p.free.prev == q.free.prev)
+        << "pfn " << i;
+  }
+  EXPECT_EQ(reused.memmap.records_written(), fresh.memmap.records_written());
 }
 
 }  // namespace

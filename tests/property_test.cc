@@ -381,17 +381,30 @@ void ExpectSame(const MmSet& lazy, const MmSet& eager, int step, uint64_t* diges
   }
 }
 
+// Leaves 2 * kBlocks chunks, as many as both sets can hold, on top of the
+// MemMap free list, each dirtied by a full order-0 fill: a stale record at
+// every page.
+void DirtyChunkPool() {
+  MemMap memmap(2 * kBlocks * kMemoryBlockBytes);
+  Zone zone(0, ZoneType::kMovable, "z", &memmap);
+  std::vector<Pfn> pfns(kPagesPerBlock);
+  for (BlockIndex b = 0; b < 2 * kBlocks; ++b) {
+    memmap.InitBlock(b);
+    zone.AddFreeRange(MemMap::BlockStart(b), kPagesPerBlock);
+    ASSERT_EQ(zone.AllocPages(kPagesPerBlock, PageKind::kFile, static_cast<int32_t>(b), 0,
+                              pfns.data()),
+              kPagesPerBlock);
+  }
+  ASSERT_EQ(memmap.materialized_blocks(), 2 * kBlocks);
+}
 
 }  // namespace uniform_oracle
 
-class UniformVsEagerMemMapTest
-    : public testing::TestWithParam<std::tuple<uint64_t, bool>> {};
-
-TEST_P(UniformVsEagerMemMapTest, UniformBlocksReadExactlyAsMaterialized) {
+// One random script of the seed on a lazy and an eager set (see above).
+void RunUniformVsEagerScript(uint64_t seed, bool shuffled) {
   using uniform_oracle::kBlocks;
   using uniform_oracle::kZones;
   using uniform_oracle::MmSet;
-  const auto [seed, shuffled] = GetParam();
   uint64_t digest = uniform_oracle::kFnvOffset;
   MmSet lazy(seed + 17, shuffled);
   MmSet eager(seed + 17, shuffled);
@@ -528,6 +541,23 @@ TEST_P(UniformVsEagerMemMapTest, UniformBlocksReadExactlyAsMaterialized) {
       {0x1516e54fe39f8bb7ull, 0xcffa5387bbe37f4eull},
   };
   EXPECT_EQ(digest, kDigests[seed - 1][shuffled ? 1 : 0]);
+}
+
+class UniformVsEagerMemMapTest
+    : public testing::TestWithParam<std::tuple<uint64_t, bool>> {};
+
+TEST_P(UniformVsEagerMemMapTest, UniformBlocksReadExactlyAsMaterialized) {
+  const auto [seed, shuffled] = GetParam();
+  RunUniformVsEagerScript(seed, shuffled);
+}
+
+// Materialized blocks start on recycled chunks that hold stale records
+// (memmap.h), and every view and digest must stay the same.
+TEST_P(UniformVsEagerMemMapTest, RecycledChunksReadExactlyAsMaterialized) {
+  const auto [seed, shuffled] = GetParam();
+  uniform_oracle::DirtyChunkPool();
+  ASSERT_FALSE(HasFatalFailure());
+  RunUniformVsEagerScript(seed, shuffled);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -12,12 +12,15 @@ over its timed runs, the change's wins out of the complete pairs (ties
 count for neither), the parent's interquartile range against the
 metric's bound (a fraction of the parent median) and a label:
 
-  improved      the change won at least 9 in 10 pairs and its median is
-                better by more than the parent IQR;
-  worse         the change median is worse by more than the bound;
-  unresolved    the parent IQR is wider than the bound, so a move inside
-                the bound cannot be told from noise;
-  within bound  none of these.
+  improved             at least 10 complete pairs, the change won at least
+                       9 in 10 of them and its median is better by more
+                       than the parent IQR;
+  worse                the change median is worse by more than the bound;
+  better in every run  the parent IQR is wider than the bound, but every
+                       change run is better than every parent run;
+  unresolved           the parent IQR is wider than the bound, so a move
+                       inside the bound cannot be told from noise;
+  within bound         none of these.
 
 With --check it validates each file against bench_history/README.md:
 the keys of every line, `side`, `trace`, complete alternating pairs and
@@ -126,18 +129,22 @@ def quartiles(values):
     return q1, med, q3
 
 
+MIN_PAIRS = 10
+
+
 def label(parent, change, wins, pairs, bound_abs, lower_better):
     """The row label of one workload x metric; see the module docstring."""
     p1, pmed, p3 = quartiles(parent)
     _, cmed, _ = quartiles(change)
     gain = (pmed - cmed) if lower_better else (cmed - pmed)
     iqr = p3 - p1
-    if pairs > 0 and wins * 10 >= 9 * pairs and gain > iqr:
+    if pairs >= MIN_PAIRS and wins * 10 >= 9 * pairs and gain > iqr:
         return "improved"
     if -gain > bound_abs:
         return "worse"
     if iqr > bound_abs:
-        return "unresolved"
+        separated = max(change) < min(parent) if lower_better else min(change) > max(parent)
+        return "better in every run" if separated else "unresolved"
     return "within bound"
 
 

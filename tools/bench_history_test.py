@@ -114,6 +114,26 @@ class Summary(HistoryCase):
         found, _ = self.labels(history(parent, [x * 1.05 for x in reversed(parent)]))
         self.assertEqual(found[("alpha", "run_s")], "unresolved")
 
+    def test_improved_needs_ten_pairs(self):
+        found, text = self.labels(history(self.PARENT[:9], [x * 0.7 for x in self.PARENT[:9]]))
+        self.assertIn("9/9", text)
+        self.assertEqual(found[("alpha", "run_s")], "within bound")
+        found, text = self.labels(history([1.0], [0.5]))
+        self.assertIn("1/1", text)
+        self.assertEqual(found[("alpha", "run_s")], "within bound")
+
+    def test_wide_parent_spread_with_every_change_run_better(self):
+        parent = [1.0, 1.4, 0.9, 1.2, 0.95, 1.3, 0.92, 1.1, 0.97, 1.25]
+        # Every change run beats every parent run, but the median gain
+        # (0.21) is below the parent IQR (0.28).
+        change = [0.85, 0.8, 0.88, 0.82, 0.86, 0.84, 0.83, 0.87, 0.81, 0.89]
+        found, text = self.labels(history(parent, change))
+        self.assertIn("10/10", text)
+        self.assertEqual(found[("alpha", "run_s")], "better in every run")
+        # One change run inside the parent's range: unresolved again.
+        found, _ = self.labels(history(parent, change[:9] + [0.91]))
+        self.assertEqual(found[("alpha", "run_s")], "unresolved")
+
     def test_higher_is_better_metric(self):
         rows = history(self.PARENT, self.PARENT)
         for row in rows:

@@ -40,7 +40,6 @@
 #include "src/metrics/csv.h"
 #include "src/metrics/table.h"
 #include "src/policy/driver_factory.h"
-#include "src/sim/rng.h"
 #include "src/trace/cluster_trace.h"
 
 namespace squeezy {
@@ -97,7 +96,8 @@ struct ComboResult {
 };
 
 // Optional knobs beyond the sweep's (reclaim, placement, capacity, hosts)
-// axes: the queue implementation A/Bs and the sharded scale-out rows.
+// axes: the event kernel, the placement path and the sharded scale-out
+// rows.
 struct ComboOpts {
   EventQueue::Impl impl = EventQueue::Impl::kTimerWheel;
   size_t sim_threads = 0;  // kSharded pool width; 0 = SQUEEZY_SIM_THREADS env.
@@ -108,9 +108,8 @@ struct ComboOpts {
   const std::vector<FunctionSpec>* functions = nullptr;
   uint32_t concurrency = kConcurrency;
   uint64_t vm_base = 0;
-  // Which placement machinery decides (identical decisions either way);
-  // kDefault = SQUEEZY_PLACEMENT_IMPL env, like sim_threads above.
-  PlacementImpl placement = PlacementImpl::kDefault;
+  // Which placement machinery decides (identical decisions either way).
+  PlacementImpl placement = PlacementImpl::kIndexed;
 };
 
 ComboResult RunCombo(ReclaimPolicy reclaim, PlacementPolicy placement,
@@ -175,74 +174,6 @@ double PeakRssMib() {
   struct rusage ru{};
   getrusage(RUSAGE_SELF, &ru);
   return static_cast<double>(ru.ru_maxrss) / 1024.0;
-}
-
-// Event-kernel throughput at fleet scale, isolated from handler work: a
-// 64-host-shaped storm — per-host repeating pressure ticks, the full
-// cluster trace replicated per host, each arrival expanding into a
-// grant (+1 ms) and completion (+25..250 ms) chain, completions arming
-// 45 s keep-alive timers of which half get cancelled (warm-reuse churn)
-// — replayed through the timer wheel and the old single binary heap
-// with no-op handler bodies.  Both implementations fire the identical
-// event sequence (the determinism contract), so events match exactly
-// and the wall-clock difference is pure queue cost.
-struct QueueStormResult {
-  uint64_t events = 0;
-  double best_events_per_sec = 0;
-};
-
-struct StormContext {
-  EventQueue* q = nullptr;
-  Rng rng{kSeed * 31};
-  std::vector<EventId> keepalive;
-
-  void Complete() {
-    keepalive.push_back(q->ScheduleAfter(Sec(45), [] {}));
-    if (rng.Chance(0.5)) {
-      q->Cancel(keepalive[static_cast<size_t>(
-          rng.UniformInt(0, static_cast<int64_t>(keepalive.size()) - 1))]);
-    }
-  }
-  void Grant() {
-    q->ScheduleAfter(Msec(rng.UniformInt(25, 250)), [this] { Complete(); });
-  }
-  void Arrive() {
-    q->ScheduleAfter(Msec(1), [this] { Grant(); });
-  }
-};
-
-QueueStormResult RunQueueStorm(EventQueue::Impl impl, size_t hosts,
-                               const std::vector<Invocation>& trace) {
-  QueueStormResult r;
-  for (int rep = 0; rep < 3; ++rep) {  // Best-of-3: wall clock is noisy.
-    EventQueue q(impl);
-    StormContext ctx;
-    ctx.q = &q;
-    ctx.keepalive.reserve(trace.size() * hosts);
-    for (size_t h = 0; h < hosts; ++h) {
-      for (const Invocation& inv : trace) {
-        // A small per-host skew spreads the replicas off the exact same
-        // instants, like per-host routing does in the real cluster.
-        q.ScheduleAt(inv.at + Usec(static_cast<int64_t>(h) * 13),
-                     [c = &ctx] { c->Arrive(); });
-      }
-    }
-    std::vector<std::unique_ptr<RepeatingTimer>> ticks;
-    for (size_t h = 0; h < hosts; ++h) {
-      ticks.push_back(std::make_unique<RepeatingTimer>(
-          &q, Msec(500), [qp = &q] { return qp->now() < kDuration; }));
-      ticks.back()->Start();
-    }
-    const WallTimer timer;
-    q.RunUntil(kHorizon);
-    const double wall = timer.Seconds();
-    r.events = q.processed_events();
-    if (wall > 0) {
-      r.best_events_per_sec =
-          std::max(r.best_events_per_sec, static_cast<double>(r.events) / wall);
-    }
-  }
-  return r;
 }
 
 // Host-drain scenario (HostControl plane): drain the most-committed host
@@ -636,14 +567,10 @@ int main() {
   // Scale-out: does the memory-aware packer keep its edge as the fleet
   // grows?  (Same per-host capacity; the trace stays fixed, so bigger
   // fleets are progressively less constrained.)  Each row also reports
-  // the sim kernel's whole-run events/sec on the timer wheel, and the
-  // 64-host point re-runs HintedBinPack on the legacy single binary heap
-  // — the two implementations must produce IDENTICAL results (the
-  // determinism contract), differing only in wall-clock.
+  // the sim kernel's whole-run events/sec on the timer wheel.
   std::cout << "\nScale-out (Squeezy): pending scale-ups by host count\n";
   TablePrinter scale({"Hosts", "RoundRobin", "MemBinPack", "HintedBinPack", "Events",
                       "Wheel Ev/s"});
-  bool queue_identical = true;
   for (const size_t hosts : fig12::kScaleHostCounts) {
     const ComboResult rr = RunCombo(ReclaimPolicy::kSqueezy,
                                     PlacementPolicy::kRoundRobin, cap, hosts, nullptr);
@@ -663,20 +590,6 @@ int main() {
     json.Metric("scale_pending_hinted_" + tag, hb.fleet.pending_scaleups_total);
     json.Metric("sim_events_" + tag, hb.events);
     timing.Metric("sim_events_per_sec_" + tag, hb.events_per_sec());
-    if (hosts == fig12::kQueueBenchHosts) {
-      ComboOpts heap_opts;
-      heap_opts.impl = EventQueue::Impl::kBinaryHeap;
-      const ComboResult heap = RunCombo(ReclaimPolicy::kSqueezy,
-                                        PlacementPolicy::kHintedBinPack, cap, hosts,
-                                        nullptr, nullptr, heap_opts);
-      queue_identical = heap.admitted == hb.admitted &&
-                        heap.events == hb.events &&
-                        heap.routing_hash == hb.routing_hash &&
-                        heap.fleet.pending_scaleups_total ==
-                            hb.fleet.pending_scaleups_total &&
-                        heap.fleet.completed_requests == hb.fleet.completed_requests;
-      timing.Metric("sim_events_per_sec_heap_" + tag, heap.events_per_sec());
-    }
   }
   scale.Print(std::cout);
 
@@ -808,9 +721,7 @@ int main() {
 
       // Placement-impl identity gate: the indexed path must reproduce the
       // full-snapshot scan BIT-IDENTICALLY — same admissions, same event
-      // stream, same order-sensitive routing hash, same fleet book.  Both
-      // legs are explicit (the env knob only picks the default), so this
-      // gate holds on every CI leg regardless of SQUEEZY_PLACEMENT_IMPL.
+      // stream, same order-sensitive routing hash, same fleet book.
       ComboOpts scan_opts = shard_opts;
       scan_opts.placement = PlacementImpl::kScan;
       ComboOpts idx_opts = shard_opts;
@@ -850,42 +761,6 @@ int main() {
   shard_scale.Print(std::cout);
   json.Text("placement_identical_results_check",
             placement_identical ? "PASS" : "FAIL");
-
-  // The event-kernel headline: queue-storm throughput at 64 hosts, wheel
-  // vs the old heap, with no-op handlers so the measurement is the queue
-  // itself (the whole-sim numbers above are diluted by guest/memory
-  // simulation work).  Both replays execute the identical event count.
-  const std::vector<Invocation> storm_trace = GenerateClusterTrace(TraceConfig(), kSeed);
-  const QueueStormResult wheel_storm = RunQueueStorm(
-      EventQueue::Impl::kTimerWheel, fig12::kQueueBenchHosts, storm_trace);
-  const QueueStormResult heap_storm = RunQueueStorm(
-      EventQueue::Impl::kBinaryHeap, fig12::kQueueBenchHosts, storm_trace);
-  queue_identical = queue_identical && wheel_storm.events == heap_storm.events;
-  const double queue_speedup =
-      heap_storm.best_events_per_sec > 0
-          ? wheel_storm.best_events_per_sec / heap_storm.best_events_per_sec
-          : 0.0;
-  std::cout << "\nEvent-kernel A/B at " << fig12::kQueueBenchHosts << " hosts ("
-            << wheel_storm.events << " events, no-op handlers):\n"
-            << "  timer wheel: "
-            << TablePrinter::Num(wheel_storm.best_events_per_sec / 1e6)
-            << " M events/s\n  binary heap: "
-            << TablePrinter::Num(heap_storm.best_events_per_sec / 1e6)
-            << " M events/s\n  speedup:     " << Ratio(queue_speedup) << "\n"
-            << "Check: wheel and heap execute identical event streams -> "
-            << (queue_identical ? "PASS" : "FAIL") << "\n"
-            << "Check: wheel >= 2x heap events/sec at 64 hosts -> "
-            << (queue_speedup >= 2.0 ? "PASS" : "FAIL (timing-sensitive)") << "\n";
-  // The headline throughput goes to TIMING (wall-clock); the heap
-  // baseline is recorded next to it so the speedup is measured, not
-  // claimed.  The identical-event-count check is deterministic and
-  // stays in BENCH.
-  timing.Metric("events_per_sec", wheel_storm.best_events_per_sec);
-  timing.Metric("queue_events_per_sec_wheel_64h", wheel_storm.best_events_per_sec);
-  timing.Metric("queue_events_per_sec_heap_64h", heap_storm.best_events_per_sec);
-  timing.Metric("event_queue_speedup_64h", queue_speedup);
-  json.Metric("queue_storm_events_64h", wheel_storm.events);
-  json.Text("queue_identical_results_check", queue_identical ? "PASS" : "FAIL");
   json.Text("sharded_identical_results_check", sharded_identical ? "PASS" : "FAIL");
 
   const std::string json_path = json.Write();
@@ -893,8 +768,7 @@ int main() {
   std::cout << "CSV: bench_results/fig12_cluster_scale.csv\nJSON: " << json_path
             << "\nTiming: " << timing_path << "\n";
   return binpack_pass && hinted_pass && drain_pass && dep_pass && snap_pass &&
-                 snap_wire_pass && queue_identical && sharded_identical &&
-                 placement_identical
+                 snap_wire_pass && sharded_identical && placement_identical
              ? 0
              : 1;
 }

@@ -25,10 +25,8 @@ inline constexpr uint64_t kSeed = 2026;
 // Restricted per-host capacity = this fraction of the abundant-memory
 // fleet committed peak per host.
 inline constexpr double kCapacityFraction = 0.62;
-// Scale-out sweep host counts.  The top end carries the event-kernel
-// wheel-vs-heap A/B (whole-sim and queue-storm events/sec).
+// Scale-out sweep host counts.
 inline constexpr size_t kScaleHostCounts[] = {4, 8, 16, 32, 64};
-inline constexpr size_t kQueueBenchHosts = 64;
 // Sharded-kernel scale-out: host counts beyond the single-queue sweep,
 // load scaled linearly with hosts the WHOLE way (rate = base * hosts /
 // kHosts).  The former cap at the identity point existed because

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdlib>
-#include <string_view>
 
 namespace squeezy {
 
@@ -24,36 +23,20 @@ size_t ResolveSimThreads(size_t configured) {
   return parsed > 1 ? static_cast<size_t>(parsed) : 1;
 }
 
-// Placement implementation for kDefault: the SQUEEZY_PLACEMENT_IMPL
-// environment knob (the CI matrix leg drives this), defaulting to the
-// indexed path.  Same resolution shape as ResolveSimThreads.
-PlacementImpl ResolvePlacementImpl(PlacementImpl configured) {
-  if (configured != PlacementImpl::kDefault) {
-    return configured;
-  }
-  const char* env = std::getenv("SQUEEZY_PLACEMENT_IMPL");
-  if (env != nullptr && std::string_view(env) == "scan") {
-    return PlacementImpl::kScan;
-  }
-  return PlacementImpl::kIndexed;
-}
-
 }  // namespace
 
-Cluster::Cluster(const ClusterConfig& config)
-    : config_(config), placement_impl_(ResolvePlacementImpl(config.placement_impl)) {
+Cluster::Cluster(const ClusterConfig& config) : config_(config) {
   assert(config_.nr_hosts > 0);
-  if (config_.queue_impl == EventQueue::Impl::kSharded) {
-    // Hosts sharing a registry (dep cache / snapshot store) can touch
-    // cross-host state from shard-local handlers, so every event must be
-    // its own barrier — serial lockstep replays the exact single-queue
-    // order.  Registry-free fleets run the parallel epoch fast path.
-    const bool serial = config_.shared_dep_cache || config_.shared_snapshots;
+  // Hosts sharing a registry (dep cache / snapshot store) touch
+  // cross-host state from host handlers, which only the single queue's
+  // one-event-at-a-time order keeps exact — so they get the wheel.
+  const bool registries = config_.shared_dep_cache || config_.shared_snapshots;
+  if (config_.queue_impl == EventQueue::Impl::kSharded && !registries) {
     sharded_ = std::make_unique<ShardedEventQueue>(
-        config_.nr_hosts, ResolveSimThreads(config_.sim_threads), serial);
+        config_.nr_hosts, ResolveSimThreads(config_.sim_threads));
     events_ = &sharded_->global();
   } else {
-    single_ = std::make_unique<EventQueue>(config_.queue_impl);
+    single_ = std::make_unique<EventQueue>();
     events_ = single_.get();
   }
   if (config_.shared_dep_cache) {
@@ -67,7 +50,7 @@ Cluster::Cluster(const ClusterConfig& config)
   // indexed mode lets the deciders read them.
   host_index_ = std::make_unique<HostIndex>(config_.nr_hosts);
   const HostIndex* decide_index =
-      placement_impl_ == PlacementImpl::kIndexed ? host_index_.get() : nullptr;
+      config_.placement_impl == PlacementImpl::kIndexed ? host_index_.get() : nullptr;
   // The scheduler gets the narrow control plane, not the runtimes.
   std::vector<HostControl*> raw;
   raw.reserve(config_.nr_hosts);

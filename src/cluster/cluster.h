@@ -1,8 +1,10 @@
 // Multi-host FaaS cluster (tentpole subsystem).
 //
-// Owns K FaasRuntime hosts driven by ONE shared EventQueue — a single
-// virtual clock totally orders the whole fleet, so cluster runs are as
-// bit-deterministic as single-host ones.  A ClusterScheduler routes
+// Owns K FaasRuntime hosts driven by one fleet event kernel — a single
+// shared EventQueue, or per-host shards that fire in the identical order
+// (ClusterConfig::queue_impl).  One virtual clock totally orders the
+// whole fleet, so cluster runs are as bit-deterministic as single-host
+// ones.  A ClusterScheduler routes
 // function registration (replica VM placement) and every invocation
 // (picked at arrival time against live per-host committed memory) across
 // the hosts; see src/cluster/scheduler.h for the policies.
@@ -70,29 +72,27 @@ struct ClusterConfig {
   // restored working set instead of the full plug unit.  Off by default —
   // every existing experiment is bit-identical with it off.
   bool shared_snapshots = false;
-  // Event-queue implementation for the shared fleet clock.  The timer
-  // wheel is the default; kBinaryHeap preserves the pre-wheel single
-  // priority queue so benches can A/B the kernel at fleet scale.
-  // kSharded gives every host its own wheel plus a cross-shard mailbox,
-  // driven by the Cluster in deterministic lockstep epochs
-  // (src/sim/sharded_event_queue.h).  All three fire events in identical
-  // order (locked by tests and the property fuzz), so this knob never
-  // changes results — only wall-clock speed.
+  // Event kernel for the fleet clock.  The single timer wheel is the
+  // default.  kSharded gives every host its own wheel plus a cross-shard
+  // mailbox, driven by the Cluster in deterministic lockstep epochs
+  // (src/sim/sharded_event_queue.h) — but only for registry-free fleets:
+  // with shared_dep_cache or shared_snapshots set, host handlers touch
+  // cross-host state, so the Cluster builds the single wheel instead and
+  // sharded() stays null.  Both kernels fire events in identical order
+  // (locked by tests and the property fuzz), so this knob never changes
+  // results — only wall-clock speed.
   EventQueue::Impl queue_impl = EventQueue::Impl::kTimerWheel;
   // Thread-pool width for kSharded parallel epochs (coordinator thread
   // included).  0 = read SQUEEZY_SIM_THREADS from the environment
-  // (defaulting to 1 when unset); ignored by the single-queue impls.
-  // Any value yields bit-identical results — threads only change
-  // wall-clock.
+  // (defaulting to 1 when unset); ignored by the single wheel.  Any
+  // value yields bit-identical results — threads only change wall-clock.
   size_t sim_threads = 0;
   // Placement decision implementation: the incrementally-maintained
-  // HostIndex (kIndexed — O(log hosts) per route) or the original
-  // full-snapshot scan (kScan) retained as the bit-identical reference.
-  // kDefault resolves SQUEEZY_PLACEMENT_IMPL from the environment
-  // ("scan"/"indexed", defaulting to indexed).  Decisions are IDENTICAL
-  // either way (locked by IndexedVsScanPlacementFuzzTest and the fig12
-  // 256-host gate) — the knob only changes wall-clock.
-  PlacementImpl placement_impl = PlacementImpl::kDefault;
+  // HostIndex (kIndexed — O(log hosts) per route) or the full-snapshot
+  // scan (kScan), kept as the bit-identical reference that the
+  // placement fuzz, fig12_regression_test and fig12's 256-host gate
+  // select explicitly.  Decisions are IDENTICAL either way.
+  PlacementImpl placement_impl = PlacementImpl::kIndexed;
 };
 
 // Lock discipline: the cluster self-locks (`mu_`) around its routing and
@@ -122,7 +122,7 @@ class Cluster : private HostStateListener {
 
   // Under kSharded these drive the epoch coordinator: advance all shards
   // to the next cross-shard barrier in parallel, merge the barrier
-  // instant in (when, seq) order, repeat.  Single-queue impls just run.
+  // instant in (when, seq) order, repeat.  The single wheel just runs.
   void RunUntil(TimeNs t) {
     if (sharded_ != nullptr) {
       sharded_->RunUntil(t);
@@ -149,7 +149,7 @@ class Cluster : private HostStateListener {
   EventQueue& host_queue(size_t h) {
     return sharded_ != nullptr ? sharded_->shard(h) : *events_;
   }
-  // Null unless queue_impl == kSharded.
+  // Null unless queue_impl == kSharded and no registry is attached.
   const ShardedEventQueue* sharded() const { return sharded_.get(); }
   // Events executed across the whole kernel (all shards + mailbox under
   // kSharded) — the bench throughput numerator.
@@ -162,12 +162,8 @@ class Cluster : private HostStateListener {
   const FaasRuntime& host(size_t h) const { return *hosts_[h]; }
   ClusterScheduler& scheduler() { return *scheduler_; }
   // The placement candidate indexes (always maintained, in BOTH
-  // placement_impl modes — so index stats are impl-independent and the
-  // BENCH artifact byte-diffs across the CI placement legs).
+  // placement_impl modes — so index stats are impl-independent).
   const HostIndex& host_index() const { return *host_index_; }
-  // The implementation actually deciding placements after kDefault
-  // resolution (construction-time; fixed for the cluster's lifetime).
-  PlacementImpl placement_impl() const { return placement_impl_; }
   size_t function_count() const SQZ_EXCLUDES(mu_) {
     MutexLock lock(&mu_);
     return functions_.size();
@@ -277,11 +273,10 @@ class Cluster : private HostStateListener {
   }
 
   const ClusterConfig config_;  // Immutable after construction.
-  const PlacementImpl placement_impl_;  // kDefault resolved; immutable.
-  // Exactly one of the two kernels below is live.  kSharded builds the
-  // per-host shard array + mailbox; every other impl builds one global
-  // queue.  `events_` always points at the fleet-level queue (the
-  // mailbox under kSharded) so the scheduling sites read uniformly.
+  // Exactly one of the two kernels below is live: the per-host shard
+  // array + mailbox (kSharded, no registries), or one global wheel.
+  // `events_` always points at the fleet-level queue (the mailbox when
+  // sharded) so the scheduling sites read uniformly.
   std::unique_ptr<ShardedEventQueue> sharded_;
   std::unique_ptr<EventQueue> single_;
   EventQueue* events_;  // Never null; &sharded_->global() or single_.get().

@@ -30,18 +30,6 @@ const char* MigrationModeName(MigrationMode m) {
   return "?";
 }
 
-const char* PlacementImplName(PlacementImpl impl) {
-  switch (impl) {
-    case PlacementImpl::kDefault:
-      return "Default";
-    case PlacementImpl::kScan:
-      return "Scan";
-    case PlacementImpl::kIndexed:
-      return "Indexed";
-  }
-  return "?";
-}
-
 ClusterScheduler::ClusterScheduler(PlacementPolicy policy, std::vector<HostControl*> hosts,
                                    const HostIndex* index)
     : policy_(policy), hosts_(std::move(hosts)), index_(index) {

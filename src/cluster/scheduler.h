@@ -64,18 +64,14 @@ namespace squeezy {
 
 // Which implementation backs the placement decisions:
 //   kScan    — the original full pass over every candidate HostSnapshot
-//              per decision, retained as the bit-identical reference;
+//              per decision, retained as the bit-identical reference
+//              that the placement fuzz and fig12's gates select;
 //   kIndexed — the incrementally-maintained HostIndex (O(log hosts) per
 //              decision; identical decisions, locked by fuzz + fig12).
-//   kDefault — resolve from the SQUEEZY_PLACEMENT_IMPL environment
-//              variable ("scan"/"indexed"), defaulting to kIndexed.
 enum class PlacementImpl : uint8_t {
-  kDefault,
   kScan,
   kIndexed,
 };
-
-const char* PlacementImplName(PlacementImpl impl);
 
 enum class PlacementPolicy : uint8_t {
   kRoundRobin,

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <utility>
 
 namespace squeezy {
@@ -13,13 +15,8 @@ constexpr size_t kCompactMinStored = 64;
 
 }  // namespace
 
-EventQueue::EventQueue(Impl impl) : use_wheel_(impl != Impl::kBinaryHeap) {
-  if (use_wheel_) {
-    fine_slots_.resize(kFineSlots);
-    coarse_slots_.resize(kCoarseSlots);
-    super_slots_.resize(kSuperSlots);
-  }
-}
+EventQueue::EventQueue()
+    : fine_slots_(kFineSlots), coarse_slots_(kCoarseSlots), super_slots_(kSuperSlots) {}
 
 EventId EventQueue::ScheduleAtLocked(TimeNs when, std::function<void()> fn) {
   if (when < now_) {
@@ -66,33 +63,31 @@ void EventQueue::PushFine(Entry e) {
 }
 
 void EventQueue::Insert(Entry e) {
-  if (use_wheel_) {
-    const uint64_t region = RegionOf(e.when);
-    if (region == region_) {
-      PushFine(std::move(e));
-      return;
-    }
-    if (region > region_ && region - region_ < kCoarseSlots) {
-      // Far future inside the coarse horizon: O(1) unsorted bucket, to
-      // be dumped into the fine wheel when the clock reaches its region.
-      coarse_slots_[region & kCoarseMask].push_back(std::move(e));
-      ++coarse_count_;
-      return;
-    }
-    const uint64_t super = region >> kSuperRegionShift;
-    if (super > super_pos_ && super - super_pos_ < kSuperSlots) {
-      // Beyond the coarse horizon but inside the super horizon (~26
-      // days): O(1) unsorted block bucket, dumped into the coarse
-      // window when the clock enters its block.  (super == super_pos_
-      // with region > region_ implies region - region_ < kCoarseSlots,
-      // so such entries were already taken by the branches above.)
-      super_slots_[super & kSuperMask].push_back(std::move(e));
-      ++super_count_;
-      return;
-    }
-    // Beyond the super horizon, or behind an already-advanced region:
-    // the overflow heap (always consulted by the peek comparison).
+  const uint64_t region = RegionOf(e.when);
+  if (region == region_) {
+    PushFine(std::move(e));
+    return;
   }
+  if (region > region_ && region - region_ < kCoarseSlots) {
+    // Far future inside the coarse horizon: O(1) unsorted bucket, to be
+    // dumped into the fine wheel when the clock reaches its region.
+    coarse_slots_[region & kCoarseMask].push_back(std::move(e));
+    ++coarse_count_;
+    return;
+  }
+  const uint64_t super = region >> kSuperRegionShift;
+  if (super > super_pos_ && super - super_pos_ < kSuperSlots) {
+    // Beyond the coarse horizon but inside the super horizon (~26 days):
+    // O(1) unsorted block bucket, dumped into the coarse window when the
+    // clock enters its block.  (super == super_pos_ with region > region_
+    // implies region - region_ < kCoarseSlots, so such entries were
+    // already taken by the branches above.)
+    super_slots_[super & kSuperMask].push_back(std::move(e));
+    ++super_count_;
+    return;
+  }
+  // Beyond the super horizon, or behind an already-advanced region: the
+  // overflow heap (always consulted by the peek comparison).
   overflow_.push_back(std::move(e));
   std::push_heap(overflow_.begin(), overflow_.end(), Later{});
 }
@@ -207,13 +202,6 @@ const EventQueue::Entry* EventQueue::PeekEarliestLive() {
     while (!overflow_.empty() && !live_.contains(overflow_.front().id)) {
       std::pop_heap(overflow_.begin(), overflow_.end(), Later{});
       overflow_.pop_back();
-    }
-    if (!use_wheel_) {
-      if (overflow_.empty()) {
-        return nullptr;
-      }
-      peek_overflow_ = true;
-      return &overflow_.front();
     }
     if (fine_count_ == 0 && !RefillFine()) {
       // RefillFine() false leaves the wheels empty and overflow
@@ -389,8 +377,11 @@ void EventQueue::RunAll(uint64_t max_events) {
   uint64_t ran = 0;
   while (RunOne()) {
     if (++ran >= max_events) {
-      assert(false && "EventQueue::RunAll exceeded max_events");
-      break;
+      // Returning would hand the caller a truncated run with work still
+      // pending, so the guard stops the process in every build.
+      std::fprintf(stderr, "EventQueue::RunAll: ran max_events (%llu) events\n",
+                   static_cast<unsigned long long>(max_events));
+      std::abort();
     }
   }
 }

@@ -22,8 +22,8 @@
 //     consulted by the peek so order can never be lost.
 // Firing order is a pure function of (timestamp, global scheduling
 // sequence), so the wheel is bit-identical to the single binary heap it
-// replaced; the old heap survives as Impl::kBinaryHeap for A/B
-// benchmarking and as the reference model for the property tests.
+// replaced; that heap lives on only as the test oracle the wheel fuzz
+// replays against (tests/oracles/heap_event_queue.h).
 #ifndef SQUEEZY_SIM_EVENT_QUEUE_H_
 #define SQUEEZY_SIM_EVENT_QUEUE_H_
 
@@ -43,11 +43,11 @@ inline constexpr EventId kInvalidEventId = 0;
 
 // Open-addressed set of live event ids (linear probing, backward-shift
 // deletion, power-of-two capacity).  Every event pays one insert, one
-// liveness check and one erase here — on the wheel AND heap paths — so
-// this is the queue's shared constant factor; a flat uint64 table with
-// one multiply-mix hash beats std::unordered_set's node allocations by a
-// wide margin.  EventIds are never 0 (kInvalidEventId), so 0 marks an
-// empty slot and no tombstones are needed.
+// liveness check and one erase here, so this is the queue's shared
+// constant factor; a flat uint64 table with one multiply-mix hash beats
+// std::unordered_set's node allocations by a wide margin.  EventIds are
+// never 0 (kInvalidEventId), so 0 marks an empty slot and no tombstones
+// are needed.
 class EventIdSet {
  public:
   EventIdSet() : table_(kMinCapacity, 0) {}
@@ -141,23 +141,21 @@ class EventIdSet {
 // Lock discipline: the queue self-locks (`mu_`), and event handlers are
 // ALWAYS invoked with `mu_` released — a handler may freely call
 // ScheduleAt/ScheduleAfter/Cancel back into the queue (the simulator does
-// this constantly).  Today a single thread drives the queue; once the
-// per-host sharding lands, `mu_` is the shard's serialization point and
-// the discipline below is already machine-checked by clang.
+// this constantly).  Under the sharded kernel each shard is one queue
+// and `mu_` is its serialization point; the discipline below is
+// machine-checked by clang.
 class EventQueue {
  public:
+  // The fleet kernel a Cluster builds (ClusterConfig::queue_impl); an
+  // EventQueue itself is always the wheel.
   enum class Impl {
-    kTimerWheel,  // Hierarchical wheel + overflow heap (default).
-    kBinaryHeap,  // The pre-wheel single priority queue (bench baseline).
-    // Per-host wheel shards driven in deterministic lockstep epochs.
-    // Interpreted by the Cluster (src/sim/sharded_event_queue.h), not by
-    // EventQueue itself — a queue constructed with kSharded is a plain
-    // wheel (each shard of a ShardedEventQueue is one).
+    kTimerWheel,  // One wheel for the whole fleet (default).
+    // Per-host wheel shards driven in deterministic lockstep epochs
+    // (src/sim/sharded_event_queue.h); each shard is one EventQueue.
     kSharded,
   };
 
-  EventQueue() : EventQueue(Impl::kTimerWheel) {}
-  explicit EventQueue(Impl impl);
+  EventQueue();
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
@@ -190,7 +188,8 @@ class EventQueue {
   void RunUntil(TimeNs deadline) SQZ_EXCLUDES(mu_);
 
   // Runs every pending event (including ones scheduled while draining).
-  // `max_events` guards against runaway self-rescheduling loops.
+  // `max_events` guards against runaway self-rescheduling loops: running
+  // that many aborts the process, in every build.
   void RunAll(uint64_t max_events = 50'000'000) SQZ_EXCLUDES(mu_);
 
   // --- Sharded-coordinator primitives (src/sim/sharded_event_queue.h) ------
@@ -334,7 +333,6 @@ class EventQueue {
   // Bumped on schedule/cancel/pop; read unlocked by the coordinator
   // between epochs (never concurrently with this shard's phase).
   std::atomic<uint64_t> change_version_{0};
-  const bool use_wheel_ = true;  // Set at construction, immutable after.
   bool peek_overflow_ SQZ_GUARDED_BY(mu_) = false;
   // Coarse tick covered by the fine wheel.
   uint64_t region_ SQZ_GUARDED_BY(mu_) = 0;

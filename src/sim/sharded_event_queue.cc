@@ -1,22 +1,21 @@
 #include "src/sim/sharded_event_queue.h"
 
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 
 namespace squeezy {
 
-ShardedEventQueue::ShardedEventQueue(size_t nr_shards, size_t threads,
-                                     bool serial_lockstep)
-    : serial_lockstep_(serial_lockstep), global_(EventQueue::Impl::kTimerWheel) {
+ShardedEventQueue::ShardedEventQueue(size_t nr_shards, size_t threads) {
   assert(nr_shards > 0);
   shards_.reserve(nr_shards);
   for (size_t i = 0; i < nr_shards; ++i) {
-    shards_.push_back(std::make_unique<EventQueue>(EventQueue::Impl::kTimerWheel));
+    shards_.push_back(std::make_unique<EventQueue>());
     shards_.back()->SetSequenceSource(&seq_);
   }
   global_.SetSequenceSource(&seq_);
   next_.resize(nr_shards + 1);
-  // Serial lockstep never hands work to the pool, so don't spawn one.
-  if (!serial_lockstep_ && threads > 1) {
+  if (threads > 1) {
     workers_.reserve(threads - 1);
     for (size_t t = 1; t < threads; ++t) {
       workers_.emplace_back([this, t] { WorkerLoop(t); });
@@ -64,29 +63,7 @@ int ShardedEventQueue::EarliestQueue() const {
   return best;
 }
 
-void ShardedEventQueue::RunSerialLockstep(TimeNs deadline) {
-  // Every event is its own barrier: replay the exact single-queue
-  // (when, seq) order, syncing every clock to the event's instant first
-  // (handlers may read or schedule against ANY queue's clock — this is
-  // the mode for configurations whose hosts share registries).
-  for (;;) {
-    RefreshChanged();
-    const int q = EarliestQueue();
-    if (q < 0 || next_[static_cast<size_t>(q)].when > deadline) {
-      break;
-    }
-    const TimeNs t = next_[static_cast<size_t>(q)].when;
-    for (size_t i = 0; i < next_.size(); ++i) {
-      queue(i).SyncNow(t);
-    }
-    queue(static_cast<size_t>(q)).RunOne();
-  }
-  for (size_t i = 0; i < next_.size(); ++i) {
-    queue(i).SyncNow(deadline);
-  }
-}
-
-void ShardedEventQueue::RunParallelEpochs(TimeNs deadline) {
+void ShardedEventQueue::RunUntil(TimeNs deadline) {
   for (;;) {
     RefreshChanged();
     // The next cross-shard event is the epoch barrier; the deadline caps
@@ -131,15 +108,8 @@ void ShardedEventQueue::RunParallelEpochs(TimeNs deadline) {
   }
 }
 
-void ShardedEventQueue::RunUntil(TimeNs deadline) {
-  if (serial_lockstep_) {
-    RunSerialLockstep(deadline);
-  } else {
-    RunParallelEpochs(deadline);
-  }
-}
-
-void ShardedEventQueue::RunAll() {
+void ShardedEventQueue::RunAll(uint64_t max_events) {
+  const uint64_t start = processed_events();
   for (;;) {
     RefreshChanged();
     const int q = EarliestQueue();
@@ -147,6 +117,13 @@ void ShardedEventQueue::RunAll() {
       return;
     }
     RunUntil(next_[static_cast<size_t>(q)].when);
+    const uint64_t ran = processed_events() - start;
+    if (ran >= max_events) {
+      std::fprintf(stderr, "ShardedEventQueue::RunAll: ran %llu events (max_events %llu)\n",
+                   static_cast<unsigned long long>(ran),
+                   static_cast<unsigned long long>(max_events));
+      std::abort();
+    }
   }
 }
 

@@ -7,16 +7,16 @@
 // (when, seq) totally orders events fleet-wide exactly as the single
 // global queue would have ordered them.
 //
-// Epoch algorithm (parallel mode):
+// Epoch algorithm:
 //   1. Pick the next barrier B = min(earliest mailbox event, deadline).
 //   2. Every shard with work before B runs RunUntil(B - 1) on the thread
 //      pool — shard-local events only; hosts cannot touch each other
 //      between barriers, so the phases are embarrassingly parallel.
 //   3. Sync every queue's clock to B, then run ALL events at exactly B
 //      (mailbox + shards) one at a time in (when, seq) merge order — the
-//      cross-shard events (route, migrate-off/adopt, peer image fetch,
-//      snapshot restore from the global store) all fire here, in the
-//      same sequential context and the same order as the single queue.
+//      cross-shard events (route, migrate-off/adopt) all fire here, in
+//      the same sequential context and the same order as the single
+//      queue.
 //   4. Repeat until the deadline.
 //
 // Why the result is bit-identical to the single queue at any thread
@@ -31,11 +31,11 @@
 // runs — but they never interact (different hosts, no shared registry),
 // so no observable state depends on that order.
 //
-// Serial-lockstep mode (shared DepCache / SnapshotStore attached): host
-// handlers DO touch cross-host state, so every event is its own barrier
-// — the coordinator replays the exact single-queue order one event at a
-// time.  Degenerate (threads idle) but correct; the fast path is for the
-// registry-free fleet sweeps where the scale lives.
+// That argument needs hosts that share nothing.  A fleet with a shared
+// DepCache or SnapshotStore attached lets host handlers touch cross-host
+// state, so the Cluster runs it on the single wheel instead (see
+// ClusterConfig::queue_impl); this kernel only ever drives registry-free
+// fleets.
 #ifndef SQUEEZY_SIM_SHARDED_EVENT_QUEUE_H_
 #define SQUEEZY_SIM_SHARDED_EVENT_QUEUE_H_
 
@@ -56,9 +56,8 @@ class ShardedEventQueue {
  public:
   // `nr_shards` per-host wheels + one mailbox queue; `threads` is the
   // total parallelism including the coordinator thread (1 = no workers,
-  // phases run inline).  `serial_lockstep` selects the every-event-is-a-
-  // barrier replay for configurations whose host handlers share state.
-  ShardedEventQueue(size_t nr_shards, size_t threads, bool serial_lockstep);
+  // phases run inline).
+  ShardedEventQueue(size_t nr_shards, size_t threads);
   ~ShardedEventQueue();
   ShardedEventQueue(const ShardedEventQueue&) = delete;
   ShardedEventQueue& operator=(const ShardedEventQueue&) = delete;
@@ -74,7 +73,6 @@ class ShardedEventQueue {
 
   size_t nr_shards() const { return shards_.size(); }
   size_t threads() const { return workers_.size() + 1; }
-  bool serial_lockstep() const { return serial_lockstep_; }
 
   // The fleet clock (the mailbox queue's clock; all queues agree at
   // every quiescent point).
@@ -83,8 +81,9 @@ class ShardedEventQueue {
   // Runs every event with when <= deadline across all queues, leaving
   // every clock at max(deadline, last event time).
   void RunUntil(TimeNs deadline);
-  // Runs until every queue is drained.
-  void RunAll();
+  // Runs until every queue is drained.  Like EventQueue::RunAll, running
+  // `max_events` events aborts the process, in every build.
+  void RunAll(uint64_t max_events = 50'000'000);
 
   // Events executed across all queues (bench throughput accounting).
   uint64_t processed_events() const;
@@ -124,10 +123,7 @@ class ShardedEventQueue {
   void ParallelPhase(TimeNs limit);  // Listed shards RunUntil(limit) on the pool.
   void RunPhaseSlice(size_t slice);
   void WorkerLoop(size_t slice);
-  void RunSerialLockstep(TimeNs deadline);
-  void RunParallelEpochs(TimeNs deadline);
 
-  const bool serial_lockstep_;
   // Fleet-wide scheduling sequence; shared by every queue via
   // EventQueue::SetSequenceSource.
   std::atomic<uint64_t> seq_{0};

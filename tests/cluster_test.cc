@@ -52,6 +52,22 @@ ClusterTraceConfig SkewedTrace() {
   return t;
 }
 
+TEST(ClusterTest, ShardedKernelOnlyForRegistryFreeFleets) {
+  // A shared registry lets host handlers touch cross-host state, so a
+  // kSharded config with one attached runs on the single wheel instead.
+  ClusterConfig cfg = BaseConfig(4, PlacementPolicy::kRoundRobin, GiB(8));
+  cfg.queue_impl = EventQueue::Impl::kSharded;
+  EXPECT_NE(Cluster(cfg).sharded(), nullptr);
+  for (const bool dep_cache : {false, true}) {
+    ClusterConfig shared = cfg;
+    shared.shared_dep_cache = dep_cache;
+    shared.shared_snapshots = !dep_cache;
+    Cluster cluster(shared);
+    EXPECT_EQ(cluster.sharded(), nullptr);
+    EXPECT_EQ(&cluster.host(3).events(), &cluster.events());
+  }
+}
+
 TEST(ClusterTest, PlacementPolicyNames) {
   EXPECT_STREQ(PlacementPolicyName(PlacementPolicy::kRoundRobin), "RoundRobin");
   EXPECT_STREQ(PlacementPolicyName(PlacementPolicy::kLeastCommitted), "LeastCommitted");

@@ -38,7 +38,7 @@ struct SweepPoint {
 };
 
 SweepPoint RunCombo(PlacementPolicy placement, uint64_t host_capacity,
-                    PlacementImpl impl = PlacementImpl::kDefault) {
+                    PlacementImpl impl = PlacementImpl::kIndexed) {
   ClusterConfig cfg =
       fig12::SweepConfig(ReclaimPolicy::kSqueezy, placement, host_capacity);
   cfg.placement_impl = impl;
@@ -90,10 +90,10 @@ TEST(Fig12RegressionTest, HintedBinPackHeadlineIsLocked) {
 
 TEST(Fig12RegressionTest, PlacementImplsBothReproduceTheGoldenConstants) {
   // The golden headline must hold under BOTH placement machineries,
-  // explicitly — not just under whatever SQUEEZY_PLACEMENT_IMPL resolves
-  // the default to.  The indexed path's exactness contract
-  // (src/cluster/host_index.h) says the recorded constants are a property
-  // of the *decisions*, never of the implementation that computes them.
+  // explicitly — not just under the default one.  The indexed path's
+  // exactness contract (src/cluster/host_index.h) says the recorded
+  // constants are a property of the *decisions*, never of the
+  // implementation that computes them.
   const SweepPoint abundant = RunCombo(PlacementPolicy::kRoundRobin, GiB(512));
   const uint64_t cap = static_cast<uint64_t>(
       fig12::kCapacityFraction *

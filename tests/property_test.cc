@@ -29,6 +29,7 @@
 #include "src/sim/event_queue.h"
 #include "src/sim/rng.h"
 #include "src/trace/cluster_trace.h"
+#include "tests/oracles/heap_event_queue.h"
 
 namespace squeezy {
 namespace {
@@ -1578,17 +1579,17 @@ INSTANTIATE_TEST_SUITE_P(
              balloon_oracle::BackingName(std::get<2>(param_info.param));
     });
 
-// --- Timer-wheel fuzz: wheel vs the old binary heap, op for op -----------------
+// --- Timer-wheel fuzz: wheel vs the binary-heap oracle, op for op ---------------
 
 // The determinism contract — events fire in pure (timestamp, scheduling
 // sequence) order, cancellations only remove their own event, the clock
 // advances identically — must hold for ANY interleaving of ScheduleAt /
 // ScheduleAfter / Cancel / AdvanceBy / RunUntil, including events that
 // schedule and cancel other events from inside their handlers.  The old
-// single priority queue survives as EventQueue::Impl::kBinaryHeap, so it
-// IS the reference model: both implementations replay one random op
-// script and must produce identical ids, cancel results, firing logs,
-// clocks and pending counts at every checkpoint.
+// single priority queue survives as tests/oracles/heap_event_queue.h, so
+// it IS the reference model: both queues replay one random op script and
+// must produce identical ids, cancel results, firing logs, clocks and
+// pending counts at every checkpoint.
 class EventQueueWheelFuzzTest : public testing::TestWithParam<uint64_t> {};
 
 namespace event_queue_fuzz {
@@ -1608,8 +1609,9 @@ struct Replay {
   std::vector<size_t> pendings;    // pending() after every RunUntil.
 };
 
-inline Replay Run(EventQueue::Impl impl, const std::vector<Op>& script) {
-  EventQueue q(impl);
+template <typename Queue>
+Replay Run(const std::vector<Op>& script) {
+  Queue q;
   Replay r;
   // Handlers are pure functions of their tag, so both queues behave
   // identically as long as they fire in the same order.
@@ -1700,10 +1702,8 @@ TEST_P(EventQueueWheelFuzzTest, WheelMatchesHeapReferenceExactly) {
   }
   script.push_back({Op::kRunUntil, Minutes(3), 0});
 
-  const event_queue_fuzz::Replay wheel =
-      event_queue_fuzz::Run(EventQueue::Impl::kTimerWheel, script);
-  const event_queue_fuzz::Replay heap =
-      event_queue_fuzz::Run(EventQueue::Impl::kBinaryHeap, script);
+  const event_queue_fuzz::Replay wheel = event_queue_fuzz::Run<EventQueue>(script);
+  const event_queue_fuzz::Replay heap = event_queue_fuzz::Run<HeapEventQueue>(script);
 
   EXPECT_EQ(wheel.ids, heap.ids);
   EXPECT_EQ(wheel.cancel_results, heap.cancel_results);
@@ -2274,11 +2274,12 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SnapshotMigrationFuzzTest,
 // queue at any thread count" (src/sim/sharded_event_queue.h).  One random
 // churn script — drain/undrain/pressure-migrate while a skewed trace runs
 // — is replayed under the single-queue wheel and under kSharded at 1, 2
-// and 8 threads, with the shared registries both attached (serial
-// lockstep: handlers touch cross-host state) and detached (parallel
-// epochs: the fast path).  Every replay must produce a byte-identical
-// fleet digest: per-request firing logs, cold-start breakdowns, host
-// books, migration records, the routing hash and the fleet summary.
+// and 8 threads, with the shared registries both detached (parallel
+// epochs) and attached (the Cluster falls back to the single wheel,
+// because handlers touch cross-host state).  Every replay must produce a
+// byte-identical fleet digest: per-request firing logs, cold-start
+// breakdowns, host books, migration records, the routing hash and the
+// fleet summary.
 class ShardedVsSingleQueueFuzzTest
     : public testing::TestWithParam<std::tuple<bool /*registries*/, uint64_t /*seed*/>> {};
 
@@ -2334,7 +2335,7 @@ inline std::string FleetDigest(Cluster& cluster, TimeNs horizon) {
 // leak into it.
 inline std::string RunChurn(EventQueue::Impl impl, size_t threads, bool registries,
                             uint64_t seed,
-                            PlacementImpl placement_impl = PlacementImpl::kDefault,
+                            PlacementImpl placement_impl = PlacementImpl::kIndexed,
                             PlacementPolicy policy = PlacementPolicy::kMemoryAwareBinPack) {
   constexpr int kFunctions = 4;
   constexpr uint32_t kConcurrency = 8;

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -14,6 +15,7 @@
 #include "src/sim/cpu_accountant.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/rng.h"
+#include "src/sim/sharded_event_queue.h"
 #include "src/sim/time.h"
 
 namespace squeezy {
@@ -496,6 +498,33 @@ TEST(EventQueueTest, PeekNextAndSyncNowCoordinatorContract) {
   EXPECT_EQ(fired, (std::vector<int>{0, 1, 2}));
   EXPECT_FALSE(q.PeekNext(&when, &seq));
   EXPECT_FALSE(q.RunOne());
+}
+
+// The runaway guard: a handler that reschedules itself forever never
+// drains, and returning after max_events would hand the caller a
+// truncated run with work still pending.  Both kernels stop the process
+// instead, with asserts compiled out or not.
+TEST(EventQueueDeathTest, RunAllAbortsPastMaxEvents) {
+  EXPECT_DEATH(
+      {
+        EventQueue q;
+        std::function<void()> again = [&] { q.ScheduleAfter(Msec(1), again); };
+        q.ScheduleAt(0, again);
+        q.RunAll(100);
+      },
+      "max_events");
+}
+
+TEST(EventQueueDeathTest, ShardedRunAllAbortsPastMaxEvents) {
+  EXPECT_DEATH(
+      {
+        ShardedEventQueue q(2, 1);
+        EventQueue& shard = q.shard(1);
+        std::function<void()> again = [&] { shard.ScheduleAfter(Msec(1), again); };
+        shard.ScheduleAt(0, again);
+        q.RunAll(100);
+      },
+      "max_events");
 }
 
 // --- CpuAccountant ----------------------------------------------------------------

@@ -138,7 +138,7 @@ void BM_MigrateBlock(benchmark::State& state) {
 BENCHMARK(BM_MigrateBlock);
 
 void BM_MigratePageCacheBlock(benchmark::State& state) {
-  std::vector<Pfn> pages(kPagesPerBlock / 2);
+  std::vector<PageRun> runs;
   for (auto _ : state) {
     state.PauseTiming();
     MemMap memmap(GiB(1));
@@ -148,7 +148,8 @@ void BM_MigratePageCacheBlock(benchmark::State& state) {
       zone.AddFreeRange(MemMap::BlockStart(b), kPagesPerBlock);
     }
     // Half-occupy block 0 with one page-cache fill of order-0 pages.
-    zone.AllocPages(kPagesPerBlock / 2, PageKind::kFile, 1, 0, pages.data());
+    runs.clear();
+    zone.AllocPages(kPagesPerBlock / 2, PageKind::kFile, 1, 0, &runs);
     zone.IsolateFreeRange(0, kPagesPerBlock);
     state.ResumeTiming();
     const MigrateOutcome out =

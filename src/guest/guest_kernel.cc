@@ -116,10 +116,9 @@ void GuestKernel::Exit(Pid pid) {
     uint32_t pages;
   };
   std::vector<ExitingFolio> folios;
-  const MemMap& view = *memmap_;
   FolioRef folio;
   while (proc.PopFolio(&folio)) {
-    folios.push_back({view.record(folio.head).zone_id, folio.head, folio.pages()});
+    folios.push_back({ZoneOf(folio.head).id(), folio.head, folio.pages()});
   }
   std::stable_sort(folios.begin(), folios.end(),
                    [](const ExitingFolio& a, const ExitingFolio& b) {
@@ -156,24 +155,12 @@ void GuestKernel::OomKill(Pid pid) {
 
 // --- Fault paths -----------------------------------------------------------------
 
-namespace {
-
-// Calls fn(head, pages) for each maximal run of consecutive pfns in
-// pfns[0, n) that stays inside one memory block.
-template <typename Fn>
-void ForEachBlockRun(const Pfn* pfns, uint32_t n, Fn&& fn) {
-  uint32_t i = 0;
-  while (i < n) {
-    uint32_t j = i + 1;
-    while (j < n && pfns[j] == pfns[j - 1] + 1 && pfns[j] % kPagesPerBlock != 0) {
-      ++j;
-    }
-    fn(pfns[i], j - i);
-    i = j;
-  }
+Zone& GuestKernel::ZoneOf(Pfn pfn) const {
+  // Zones hold whole blocks, and a block start always begins an extent.
+  const int16_t zone_id = memmap_->record(MemMap::BlockStart(MemMap::BlockOf(pfn))).zone_id;
+  assert(zone_id >= 0 && memmap_->page(pfn).zone_id == zone_id);
+  return *zones_[static_cast<size_t>(zone_id)];
 }
-
-}  // namespace
 
 uint64_t GuestKernel::MarkHostBacking(Pfn head, uint32_t pages, uint64_t* new_pages) {
   const uint32_t granule_pages = static_cast<uint32_t>(cost().host_thp_bytes / kPageSize);
@@ -195,11 +182,11 @@ uint64_t GuestKernel::MarkHostBacking(Pfn head, uint32_t pages, uint64_t* new_pa
   return extents;
 }
 
-uint64_t GuestKernel::MarkHostBacking(const Pfn* pfns, uint32_t n, uint64_t* new_pages) {
+uint64_t GuestKernel::MarkHostBacking(const std::vector<PageRun>& runs, uint64_t* new_pages) {
   uint64_t extents = 0;
-  ForEachBlockRun(pfns, n, [&](Pfn head, uint32_t pages) {
-    extents += MarkHostBacking(head, pages, new_pages);
-  });
+  for (const PageRun& run : runs) {
+    extents += MarkHostBacking(run.start, run.pages, new_pages);
+  }
   return extents;
 }
 
@@ -225,18 +212,20 @@ uint32_t GuestKernel::MissRun(int32_t file_id, uint64_t idx, uint64_t end) const
 }
 
 uint32_t GuestKernel::FillFileRun(int32_t file_id, uint64_t idx, uint32_t n,
-                                  bool normal_fallback, Pfn* out) {
+                                  bool normal_fallback, std::vector<PageRun>* runs) {
   // A zone that ran dry stays dry for the rest of a fill loop, so taking
   // the whole run from the file zone first and only then from ZONE_NORMAL
   // gives the pages a per-page fallback would.
   const auto slot = static_cast<uint32_t>(idx);
-  uint32_t got = file_zone_->AllocPages(n, PageKind::kFile, file_id, slot, out);
+  runs->clear();
+  uint32_t got = file_zone_->AllocPages(n, PageKind::kFile, file_id, slot, runs);
   if (got < n && normal_fallback && file_zone_ != normal_zone_) {
-    got += normal_zone_->AllocPages(n - got, PageKind::kFile, file_id, slot + got,
-                                    out + got);
+    got += normal_zone_->AllocPages(n - got, PageKind::kFile, file_id, slot + got, runs);
   }
-  for (uint32_t i = 0; i < got; ++i) {
-    page_cache_.Insert(file_id, idx + i, out[i]);
+  for (const PageRun& run : *runs) {
+    for (uint32_t i = 0; i < run.pages; ++i) {
+      page_cache_.Insert(file_id, idx++, run.start + i);
+    }
   }
   return got;
 }
@@ -330,7 +319,7 @@ TouchResult GuestKernel::TouchFile(Pid pid, int32_t file_id, uint64_t bytes, Tim
   const bool normal_fallback = proc.anon_zone() == nullptr;
   uint64_t faults = 0;
   uint64_t fault_pages = 0;
-  Pfn pfns[kFillBatch] = {};
+  std::vector<PageRun> runs;
   for (uint64_t idx = 0; idx < pages;) {
     if (page_cache_.Cached(file_id, idx)) {
       result.latency += cost().fault_page;
@@ -338,14 +327,14 @@ TouchResult GuestKernel::TouchFile(Pid pid, int32_t file_id, uint64_t bytes, Tim
       continue;
     }
     const uint32_t run = MissRun(file_id, idx, pages);
-    const uint32_t got = FillFileRun(file_id, idx, run, normal_fallback, pfns);
+    const uint32_t got = FillFileRun(file_id, idx, run, normal_fallback, &runs);
     result.latency += miss_cost * static_cast<int64_t>(got);
     if (backing_x1000 < 0) {
       page_cache_.CountDiskRead(file_id, PagesToBytes(got));
     } else {
       page_cache_.CountRemoteRead(file_id, PagesToBytes(got));
     }
-    faults += MarkHostBacking(pfns, got, &fault_pages);
+    faults += MarkHostBacking(runs, &fault_pages);
     if (got < run) {
       result.oom = true;
       break;
@@ -376,15 +365,17 @@ RestoreOutcome GuestKernel::RestoreWorkingSet(Pid pid, int32_t file_id,
   // the snapshot file carries their contents.
   const uint64_t pages = std::min(file_pages, page_cache_.FilePages(file_id));
   const bool normal_fallback = proc.anon_zone() == nullptr;
-  Pfn pfns[kFillBatch] = {};
+  std::vector<PageRun> runs;
   for (uint64_t idx = 0; idx < pages;) {
     if (page_cache_.Cached(file_id, idx)) {
       ++idx;
       continue;
     }
     const uint32_t run = MissRun(file_id, idx, pages);
-    const uint32_t got = FillFileRun(file_id, idx, run, normal_fallback, pfns);
-    ForEachBlockRun(pfns, got, mark_populated);
+    const uint32_t got = FillFileRun(file_id, idx, run, normal_fallback, &runs);
+    for (const PageRun& filled : runs) {
+      mark_populated(filled.start, filled.pages);
+    }
     out.file_bytes += PagesToBytes(got);
     if (got < run) {
       break;  // Partial restore; the rest demand-faults as tail.
@@ -445,20 +436,20 @@ TouchResult GuestKernel::AdoptFileCache(int32_t file_id, TimeNs now, bool popula
   uint64_t adopted = 0;
   uint64_t faults = 0;
   uint64_t fault_pages = 0;
-  Pfn pfns[kFillBatch] = {};
+  std::vector<PageRun> runs;
   for (uint64_t idx = 0; idx < pages;) {
     if (page_cache_.Cached(file_id, idx)) {
       ++idx;
       continue;
     }
     const uint32_t run = MissRun(file_id, idx, pages);
-    const uint32_t got = FillFileRun(file_id, idx, run, /*normal_fallback=*/false, pfns);
+    const uint32_t got = FillFileRun(file_id, idx, run, /*normal_fallback=*/false, &runs);
     adopted += got;
     // Sibling sharing (populate_host == false) adds no host frames — the
     // host already backs the image for another VM; migration-landed bytes
     // need frames of their own.
     if (populate_host) {
-      faults += MarkHostBacking(pfns, got, &fault_pages);
+      faults += MarkHostBacking(runs, &fault_pages);
     }
     if (got < run) {
       break;  // Partial adoption; the remainder faults in normally.
@@ -484,7 +475,7 @@ uint64_t GuestKernel::DropFileCache(int32_t file_id, TimeNs now) {
     }
     const Pfn pfn = page_cache_.Remove(file_id, idx);
     unpop_pages += memmap_->ClearHostPopulated(pfn, 1);
-    zones_[static_cast<size_t>(memmap_->record(pfn).zone_id)]->Free(pfn);
+    ZoneOf(pfn).Free(pfn);
     ++dropped_pages;
   }
   if (unpop_pages > 0) {
@@ -498,8 +489,7 @@ uint64_t GuestKernel::FreeAnon(Pid pid, uint64_t bytes) {
   uint64_t freed = 0;
   FolioRef folio;
   while (freed < bytes && proc.PopFolio(&folio)) {
-    Zone& zone = *zones_[static_cast<size_t>(memmap_->record(folio.head).zone_id)];
-    zone.Free(folio.head);
+    ZoneOf(folio.head).Free(folio.head);
     freed += PagesToBytes(folio.pages());
   }
   return freed;

@@ -206,8 +206,8 @@ class GuestKernel : public OwnerRegistry, public VirtioMemHooks {
   // [head, head+pages) as backed and returns how many were newly backed
   // (one exit each); `new_pages` grows by the frames they add.
   uint64_t MarkHostBacking(Pfn head, uint32_t pages, uint64_t* new_pages);
-  // MarkHostBacking over every page in pfns[0, n).
-  uint64_t MarkHostBacking(const Pfn* pfns, uint32_t n, uint64_t* new_pages);
+  // MarkHostBacking over every run in `runs`.
+  uint64_t MarkHostBacking(const std::vector<PageRun>& runs, uint64_t* new_pages);
   // Books `faults` first-touch nested faults adding `pages` host frames at
   // `now` in one hypervisor call and adds their latency to `result`.
   void ChargeNestedFaults(uint64_t faults, uint64_t pages, TimeNs now,
@@ -221,10 +221,13 @@ class GuestKernel : public OwnerRegistry, public VirtioMemHooks {
   uint32_t MissRun(int32_t file_id, uint64_t idx, uint64_t end) const;
   // Allocates page-cache pages for the n uncached pages [idx, idx + n) of
   // `file_id`, from the file zone and then, with `normal_fallback`, from
-  // ZONE_NORMAL, and inserts them.  Their pfns go to `out`.  Returns how
-  // many were filled: fewer than n only when the zones ran dry.
+  // ZONE_NORMAL, and inserts them one page at a time.  `runs` is replaced
+  // by their runs, in page order.  Returns how many were filled: fewer
+  // than n only when the zones ran dry.
   uint32_t FillFileRun(int32_t file_id, uint64_t idx, uint32_t n, bool normal_fallback,
-                       Pfn* out);
+                       std::vector<PageRun>* runs);
+  // The zone that owns allocated page `pfn`, found in O(1) from its block.
+  Zone& ZoneOf(Pfn pfn) const;
   void OomKill(Pid pid);
 
   GuestConfig config_;

@@ -1,8 +1,8 @@
 #include "src/hotplug/balloon.h"
 
 #include <algorithm>
-#include <array>
 #include <cassert>
+#include <vector>
 
 namespace squeezy {
 
@@ -57,27 +57,15 @@ BalloonOutcome BalloonDevice::Inflate(uint64_t bytes, Zone* zone, TimeNs now) {
     }
   };
 
-  std::array<Pfn, MemMap::kSlotPages> pfns;
-  while (out.pages < want) {
-    // The driver pins pages it inflates: they become unmovable kernel
-    // allocations until deflation.
-    const auto ask = static_cast<uint32_t>(std::min<uint64_t>(want - out.pages, pfns.size()));
-    const uint32_t got = zone->AllocPages(ask, PageKind::kKernel, kNoOwner,
-                                          static_cast<uint32_t>(out.pages), pfns.data());
-    // Each buddy chunk comes back ascending; cut the pfns into in-block runs.
-    for (uint32_t i = 0; i < got;) {
-      uint32_t end = i + 1;
-      while (end < got && pfns[end] == pfns[end - 1] + 1 && pfns[end] % kPagesPerBlock != 0) {
-        ++end;
-      }
-      Hold(pfns[i], end - i);
-      report(pfns[i], end - i);
-      i = end;
-    }
-    out.pages += got;
-    if (got < ask) {
-      break;  // Zone exhausted; inflation stalls (complete=false).
-    }
+  // The driver pins pages it inflates: they become unmovable kernel
+  // allocations until deflation.  Each buddy chunk comes back as one run.
+  assert(want <= UINT32_MAX);
+  std::vector<PageRun> runs;
+  out.pages = zone->AllocPages(static_cast<uint32_t>(want), PageKind::kKernel, kNoOwner, 0,
+                               &runs);
+  for (const PageRun& run : runs) {
+    Hold(run.start, run.pages);
+    report(run.start, run.pages);
   }
   if (open_pages > 0) {
     ++reports[open_populated];
@@ -102,7 +90,7 @@ BalloonOutcome BalloonDevice::Inflate(uint64_t bytes, Zone* zone, TimeNs now) {
 void BalloonDevice::Hold(Pfn start, uint32_t pages) {
   held_pages_ += pages;
   if (!held_.empty()) {
-    Run& last = held_.back();
+    PageRun& last = held_.back();
     if (last.start + last.pages == start && start % kPagesPerBlock != 0) {
       last.pages += pages;
       return;
@@ -117,7 +105,7 @@ DurationNs BalloonDevice::Deflate(uint64_t bytes, Zone* zone) {
   const DurationNs latency = cost_->balloon_guest_page * static_cast<int64_t>(left);
   while (left > 0) {
     // The most recently inflated page is the last of the last run.
-    Run& run = held_.back();
+    PageRun& run = held_.back();
     const auto take = static_cast<uint32_t>(std::min<uint64_t>(left, run.pages));
     for (uint32_t i = 0; i < take; ++i) {
       zone->Free(run.start + run.pages - 1 - i);

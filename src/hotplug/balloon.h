@@ -55,12 +55,6 @@ class BalloonDevice {
   uint64_t held_bytes() const { return PagesToBytes(held_pages_); }
 
  private:
-  // Pages [start, start + pages), inflated in ascending order.
-  struct Run {
-    Pfn start;
-    uint32_t pages;
-  };
-
   // Holds an inflated run, extending the last one when it continues it in
   // the same block.
   void Hold(Pfn start, uint32_t pages);
@@ -72,7 +66,8 @@ class BalloonDevice {
   CpuAccountant* cpu_;
   std::string guest_thread_;
   std::string host_thread_;
-  std::vector<Run> held_;  // In inflation order.
+  // In-block runs, each inflated in ascending order, in inflation order.
+  std::vector<PageRun> held_;
   uint64_t held_pages_ = 0;
 };
 

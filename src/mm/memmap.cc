@@ -63,14 +63,21 @@ void ForEachHostWord(uint32_t off, uint32_t n, Fn&& fn) {
   }
 }
 
-// What a page of the extent whose record is `rec` reads as: the start
-// reads as the record, the rest with no head flag and no links; isolated,
-// offline and hole pages read order 0.
-Page ReadAs(Page rec, bool start) {
+// What the page `offset` pages into the extent whose record is `rec` reads
+// as: the start reads as the record, the rest with no head flag and no
+// links; isolated, offline and hole pages read order 0; a run's pages read
+// as order-0 heads at consecutive owner slots.
+Page ReadAs(Page rec, uint32_t offset) {
+  if (rec.run) {
+    rec.run = false;
+    rec.order = 0;
+    rec.SetOwner(rec.owner(), rec.owner_slot() + offset);
+    return rec;
+  }
   if (rec.state != PageState::kFree && rec.state != PageState::kAllocated) {
     rec.order = 0;
   }
-  if (!start) {
+  if (offset != 0) {
     rec.head = false;
     rec.free = FreeLink{};
   }
@@ -163,15 +170,21 @@ Pfn MemMap::ExtentStart(Pfn pfn) const {
 
 Page MemMap::page(Pfn pfn) const {
   const Pfn start = ExtentStart(pfn);
-  return ReadAs(Raw(start), start == pfn);
+  return ReadAs(Raw(start), pfn - start);
 }
 
 void MemMap::ReadBlock(BlockIndex b, Page* out) const {
   for (Pfn pfn = BlockStart(b); pfn < BlockStart(b + 1); pfn = NextExtent(pfn)) {
     const Page& rec = Raw(pfn);
     Page* pages = out + (pfn - BlockStart(b));
-    pages[0] = ReadAs(rec, /*start=*/true);
-    std::fill_n(pages + 1, (1u << rec.order) - 1, ReadAs(rec, /*start=*/false));
+    pages[0] = ReadAs(rec, 0);
+    if (rec.run) {
+      for (uint32_t i = 1; i < (1u << rec.order); ++i) {
+        pages[i] = ReadAs(rec, i);
+      }
+    } else {
+      std::fill_n(pages + 1, (1u << rec.order) - 1, ReadAs(rec, 1));
+    }
   }
 }
 

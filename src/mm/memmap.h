@@ -3,20 +3,26 @@
 // and removes memory in 128 MiB blocks on x86).
 //
 // Extent records.  Only the Page record at the start of each extent — an
-// allocated folio, a free buddy chunk or an isolated run — is stored, and
-// every other page reads by page.h's record rule.  Extents are naturally
-// aligned and at most one max-order (1024-page) slot long, so they tile
-// each slot like the nodes of a binary tree, and every slot start begins
-// one.  Production code reads and writes records only at known extent
-// starts: a folio head, a free chunk's buddy (an extent that held the
-// buddy and was any larger would hold the chunk too), or the next start
-// of an ascending walk (NextExtent).  So alloc, split, free, coalesce,
-// isolate and migrate write O(1) records per folio or chunk, and the range
-// operations step once per extent.  A merge writes only the merged
-// chunk's record: the records left inside it are stale but unreachable,
-// since walks jump over them.  The const page(pfn) finds pfn's extent by
-// descending the slot's tree (at most kMaxPageOrder + 1 reads); it serves
-// tests and asserts, and ReadBlock expands a whole block in one pass.
+// allocated folio, a run of allocated single pages, a free buddy chunk or
+// an isolated run — is stored, and every other page reads by page.h's
+// record rule.  Extents are naturally aligned and at most one max-order
+// (1024-page) slot long, so they tile each slot like the nodes of a binary
+// tree, and every slot start begins one.  Production code reads and writes
+// records only at known extent starts: a folio head, a free chunk's buddy
+// (an extent that held the buddy and was any larger would hold the chunk
+// too), the next start of an ascending walk (NextExtent), or the start
+// ExtentStart finds for a page that may sit inside a run.  So alloc,
+// split, free, coalesce, isolate and migrate write O(1) records per folio
+// or chunk, and the range operations step once per extent.  A bulk
+// allocation of single pages (Zone::AllocPages) writes at most
+// popcount(n) run records per buddy chunk it takes n pages from, not one
+// per page; freeing or isolating part of a run cuts it into aligned runs
+// around the pages it releases, in at most order + 1 records.  A merge
+// writes only the merged chunk's record: the records left inside it are
+// stale but unreachable, since walks jump over them.  The const page(pfn)
+// finds pfn's extent by descending the slot's tree (at most kMaxPageOrder
+// + 1 reads) and expands a run; it serves tests and asserts, and ReadBlock
+// expands a whole block in one pass.
 //
 // Uniform blocks.  Squeezy plugs and reclaims partitions whole (paper
 // §3-4), so a hot-plugged block often comes and goes without the guest
@@ -111,10 +117,10 @@ class MemMap {
   void ReadBlock(BlockIndex b, Page* out) const;
 
   // --- Extent records ---------------------------------------------------------
-  // An extent is an allocated folio, a free buddy chunk or an isolated run:
-  // 2^order naturally aligned pages inside one max-order slot, so every
-  // slot start begins one.  Point reads and writes go through the record at
-  // an extent's start.
+  // An extent is an allocated folio, a run of single pages, a free buddy
+  // chunk or an isolated run: 2^order naturally aligned pages inside one
+  // max-order slot, so every slot start begins one.  Point reads and writes
+  // go through the record at an extent's start.
   Page record(Pfn start) const {
     assert(ExtentStart(start) == start && "not an extent start");
     return Raw(start);
@@ -124,8 +130,8 @@ class MemMap {
   // extent.
   Page& mutable_record(Pfn start);
   // Makes [start, start + 2^rec.order) one extent described by `rec` (for
-  // kIsolated, rec.order is the extent's order, and its pages read order 0).
-  // Writes that record only.
+  // kIsolated or a run, rec.order is the extent's order, and its pages read
+  // order 0).  Writes that record only.
   void Stamp(Pfn start, const Page& rec) {
     assert(rec.order <= kMaxPageOrder && start % (1u << rec.order) == 0 &&
            "extents are naturally aligned");

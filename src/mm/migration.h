@@ -9,7 +9,9 @@
 // fixed cost per folio.  The simulator still executes runs of order-0
 // pages in bulk: a run of one owner's pages at consecutive owner slots
 // (what a page-cache fill's AllocPages leaves) takes all its targets in
-// one Zone::AllocPages, with the same result as one Alloc(0) per page.
+// one Zone::AllocPages, with the same result as one Alloc(0) per page, and
+// isolates its source extents with one record each.  The owners are still
+// patched one page at a time.
 #ifndef SQUEEZY_MM_MIGRATION_H_
 #define SQUEEZY_MM_MIGRATION_H_
 

@@ -2,16 +2,20 @@
 //
 // A materialized block has a slot for one 12-byte Page per 4 KiB guest
 // frame, but only extent starts hold one.  An extent is an allocated folio
-// (compound page), a free buddy chunk or an isolated run: 2^order
-// contiguous, naturally aligned frames, order <= kMaxPageOrder, so it
-// never crosses a max-order (4 MiB) slot.  The record at its start is the
-// only authoritative state, and every frame reads by the record rule
-// (MemMap::page):
+// (compound page), a run of allocated single pages, a free buddy chunk or
+// an isolated run: 2^order contiguous, naturally aligned frames, order <=
+// kMaxPageOrder, so it never crosses a max-order (4 MiB) slot.  The record
+// at its start is the only authoritative state, and every frame reads by
+// the record rule (MemMap::page):
 //   - the start reads as the record;
 //   - any other frame reads as the record with head = false and
 //     free = FreeLink{};
 //   - kIsolated, kOffline and kHole frames read order 0, although their
-//     record's order holds the extent's order.
+//     record's order holds the extent's order;
+//   - a run record (run = true) stands for 2^order order-0 pages of one
+//     kind, zone and owner at owner slots base .. base + 2^order - 1 (base
+//     is the record's owner_slot): frame i of the run reads as an order-0
+//     allocated head with owner_slot = base + i and run = false.
 // Free buddy chunks thread an intrusive doubly-linked free list through
 // their start records (max-order chunks link through a MemMap side table
 // instead; see memmap.h).
@@ -19,7 +23,8 @@
 // Like Linux's `struct page`, the owner and the free-list link share one
 // 8-byte word pair: a free head has no owner, and an allocated head is on
 // no list.  Other records hold the "unlinked" value FreeLink{}.  State,
-// kind, order and the head flag pack into two bytes of bit-fields.  Host
+// kind, order and the head and run flags pack into two bytes of
+// bit-fields.  Host
 // (EPT) backing is not a Page field: MemMap keeps it in a per-block bitmap,
 // so it outlives a block's Page chunk (memmap.h).
 #ifndef SQUEEZY_MM_PAGE_H_
@@ -63,12 +68,13 @@ struct FreeLink {
 
 struct Page {
   // C++17 has no default member initializers for bit-fields.
-  Page() : state(PageState::kHole), kind(PageKind::kNone), order(0), head(false) {}
+  Page() : state(PageState::kHole), kind(PageKind::kNone), order(0), head(false), run(false) {}
 
   PageState state : 4;
   PageKind kind : 4;
   uint8_t order : 4;     // Extent order (page.h's record rule for views).
   bool head : 1;         // True at the start of a folio or free chunk.
+  bool run : 1;          // A run record of 2^order single pages; never in a view.
   int16_t zone_id = -1;  // Owning zone, -1 while offline/hole.
   // Free-list linkage of a free head below max order (max-order links live
   // in MemMap); on an allocated head the same two words hold its owner.
@@ -102,6 +108,12 @@ struct FolioRef {
   uint8_t order = 0;
 
   uint32_t pages() const { return 1u << order; }
+};
+
+// Pages [start, start + pages).
+struct PageRun {
+  Pfn start = kInvalidPfn;
+  uint32_t pages = 0;
 };
 
 }  // namespace squeezy

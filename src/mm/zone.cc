@@ -16,6 +16,32 @@ void AssertWholeBlocks(Pfn start, uint64_t npages) {
   (void)npages;
 }
 
+// Calls fn(pfn, order) for each piece of the tiling of [start, start + n)
+// by its largest naturally aligned pieces, in ascending order.  A range
+// that starts on a 2^k boundary and is at most 2^k long takes popcount(n)
+// pieces; one that ends on such a boundary takes one per set bit of n too.
+template <typename Fn>
+void ForEachPiece(Pfn start, uint64_t n, Fn&& fn) {
+  while (n > 0) {
+    const auto align = static_cast<uint32_t>(__builtin_ctz(start | (1u << kMaxPageOrder)));
+    const auto fit = static_cast<uint32_t>(63 - __builtin_clzll(n));
+    const auto order = static_cast<uint8_t>(std::min(align, fit));
+    fn(start, order);
+    start += 1u << order;
+    n -= uint64_t{1} << order;
+  }
+}
+
+// The record of the 2^order pages `offset` pages into the run whose record
+// is `run`: a run record, or a single page's record.
+Page RunPiece(const Page& run, uint32_t offset, uint8_t order) {
+  Page rec = run;
+  rec.order = order;
+  rec.run = order > 0;
+  rec.SetOwner(run.owner(), run.owner_slot() + offset);
+  return rec;
+}
+
 }  // namespace
 
 const char* ZoneTypeName(ZoneType t) {
@@ -60,6 +86,15 @@ Page Zone::AllocatedRecord(uint8_t order, PageKind kind, int32_t owner,
   rec.kind = kind;
   rec.SetOwner(owner, owner_slot);
   return rec;
+}
+
+void Zone::CutRun(Pfn start, const Page& run, Pfn lo, Pfn hi) {
+  assert(run.run && start <= lo && lo < hi && hi <= start + (1u << run.order));
+  auto keep = [&](Pfn pfn, uint8_t order) {
+    memmap_->Stamp(pfn, RunPiece(run, pfn - start, order));
+  };
+  ForEachPiece(start, lo - start, keep);
+  ForEachPiece(hi, start + (1u << run.order) - hi, keep);
 }
 
 bool Zone::UniformBlockIs(BlockIndex b, PageState state) const {
@@ -229,7 +264,7 @@ Pfn Zone::Alloc(uint8_t order, PageKind kind, int32_t owner, uint32_t owner_slot
 }
 
 uint32_t Zone::AllocPages(uint32_t n, PageKind kind, int32_t owner, uint32_t first_slot,
-                          Pfn* out) {
+                          std::vector<PageRun>* runs) {
   uint32_t taken = 0;
   while (taken < n) {
     uint8_t from = 0;
@@ -242,36 +277,47 @@ uint32_t Zone::AllocPages(uint32_t n, PageKind kind, int32_t owner, uint32_t fir
     const Pfn chunk = ListPopFront(from);
     const uint32_t size = 1u << from;
     const uint32_t take = std::min(n - taken, size);
-    // Repeated Alloc(0) hands out a chunk's pages in ascending order.
-    for (uint32_t i = 0; i < take; ++i) {
-      memmap_->Stamp(chunk + i, AllocatedRecord(0, kind, owner, first_slot + taken + i));
-      out[taken + i] = chunk + i;
-    }
+    // Repeated Alloc(0) hands out a chunk's pages in ascending order at
+    // ascending slots: the taken prefix, tiled by its largest aligned
+    // pieces, is one run record per piece.
+    const Page run = AllocatedRecord(0, kind, owner, first_slot + taken);
+    ForEachPiece(chunk, take, [&](Pfn pfn, uint8_t order) {
+      memmap_->Stamp(pfn, RunPiece(run, pfn - chunk, order));
+    });
     // The rest ends up as repeated splitting leaves it: tiled by the
     // largest naturally aligned piece at each offset.  The lists below
     // `from` were empty, so each piece is alone at the front of its list.
-    for (uint32_t off = take; off < size;) {
-      const auto order = static_cast<uint8_t>(__builtin_ctz(off));
+    ForEachPiece(chunk + take, size - take, [&](Pfn pfn, uint8_t order) {
       assert(areas_[order].nr_free == 0);
-      StampFreeChunk(chunk + off, order);
-      ListPushFront(order, chunk + off);
-      off += 1u << order;
-    }
+      StampFreeChunk(pfn, order);
+      ListPushFront(order, pfn);
+    });
     assert(free_pages_ >= take);
     free_pages_ -= take;
     memmap_->AdjustBlockAllocated(chunk, take);
+    runs->push_back({chunk, take});
     taken += take;
   }
   return taken;
 }
 
 void Zone::Free(Pfn head) {
-  const Page p = memmap_->record(head);
+  const Pfn start = memmap_->ExtentStart(head);
+  const Page p = memmap_->record(start);
   assert(p.state == PageState::kAllocated && p.head);
   assert(p.zone_id == id_);
-  const uint8_t order = p.order;
+  const uint8_t order = p.run ? 0 : p.order;
   free_pages_ += 1u << order;
   memmap_->AdjustBlockAllocated(head, -static_cast<int64_t>(1u << order));
+  if (p.run) {
+    // The page's order-0 buddy is still in the run, so nothing coalesces:
+    // FreeChunk would stamp and queue it as is.
+    CutRun(start, p, head, head + 1);
+    StampFreeChunk(head, 0);
+    QueueFree(head, 0, /*fresh=*/false);
+    return;
+  }
+  assert(start == head && "not a folio head");
   FreeChunk(head, order);
 }
 
@@ -287,11 +333,13 @@ void Zone::FreeAll(const Pfn* heads, size_t n) {
   std::vector<uint8_t> orders(n);
   uint64_t pages = 0;
   for (size_t i = 0; i < n; ++i) {
-    const Page p = memmap_->record(heads[i]);
+    const Pfn start = memmap_->ExtentStart(heads[i]);
+    const Page p = memmap_->record(start);
     assert(p.state == PageState::kAllocated && p.head && p.zone_id == id_);
-    orders[i] = p.order;
-    slot_pages[(heads[i] >> kMaxPageOrder) - first_slot] += 1u << p.order;
-    pages += 1u << p.order;
+    assert((p.run || start == heads[i]) && "not a folio head");
+    orders[i] = p.run ? 0 : p.order;  // A run frees one page per head.
+    slot_pages[(heads[i] >> kMaxPageOrder) - first_slot] += 1u << orders[i];
+    pages += 1u << orders[i];
   }
   assert(pages == allocated_pages() && "FreeAll takes every allocated folio of the zone");
 #ifndef NDEBUG
@@ -328,12 +376,25 @@ void Zone::FreeAll(const Pfn* heads, size_t n) {
   free_pages_ += pages;
 }
 
-void Zone::FreeIntoIsolation(Pfn head) {
-  const Page p = memmap_->record(head);
-  assert(p.state == PageState::kAllocated && p.head);
-  assert(p.zone_id == id_);
-  memmap_->AdjustBlockAllocated(head, -static_cast<int64_t>(1u << p.order));
-  memmap_->Stamp(head, ExtentRecord(PageState::kIsolated, p.order));
+void Zone::FreeIntoIsolation(Pfn start, uint32_t pages) {
+  const Pfn end = start + pages;
+  Pfn ext = memmap_->ExtentStart(start);
+  for (Pfn pfn = start; pfn < end; ext = pfn) {
+    const Page p = memmap_->record(ext);
+    assert(p.state == PageState::kAllocated && p.head);
+    assert(p.zone_id == id_);
+    const Pfn ext_end = ext + (1u << p.order);
+    const Pfn hi = std::min(ext_end, end);
+    if (ext != pfn || hi != ext_end) {
+      assert(p.run && "only a run is isolated in part");
+      CutRun(ext, p, pfn, hi);
+    }
+    ForEachPiece(pfn, hi - pfn, [&](Pfn piece, uint8_t order) {
+      memmap_->Stamp(piece, ExtentRecord(PageState::kIsolated, order));
+    });
+    memmap_->AdjustBlockAllocated(pfn, -static_cast<int64_t>(hi - pfn));
+    pfn = hi;
+  }
   // Isolated pages no longer count as allocatable; they were allocated, so
   // free_pages_ is unchanged.
 }
@@ -385,17 +446,10 @@ void Zone::UndoIsolation(Pfn start, uint64_t npages) {
     while (run_end < end && memmap_->record(run_end).state == PageState::kIsolated) {
       run_end = memmap_->NextExtent(run_end);
     }
-    uint64_t remaining = run_end - pfn;
-    free_pages_ += remaining;
-    while (remaining > 0) {
-      uint8_t order = kMaxPageOrder;
-      while (order > 0 && (((pfn & ((1u << order) - 1)) != 0) || ((1u << order) > remaining))) {
-        --order;
-      }
-      FreeChunk(pfn, order);
-      pfn += 1u << order;
-      remaining -= 1u << order;
-    }
+    free_pages_ += run_end - pfn;
+    ForEachPiece(pfn, run_end - pfn,
+                 [this](Pfn piece, uint8_t order) { FreeChunk(piece, order); });
+    pfn = run_end;
   }
 }
 

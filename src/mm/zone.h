@@ -10,7 +10,8 @@
 // coalesce or isolation writes O(1) records per folio or chunk, never one
 // per page.  Page-cache fills, balloon inflation and the migration of
 // order-0 runs allocate runs of single pages in bulk (AllocPages), one
-// buddy chunk at a time.  A zone emptied at once (a Squeezy partition at
+// buddy chunk at a time, and keep each chunk's pages as a few run records
+// (page.h).  A zone emptied at once (a Squeezy partition at
 // its last user's exit) drains through FreeAll in O(folios), and every
 // block it empties reverts to uniform.
 //
@@ -26,6 +27,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "src/mm/memmap.h"
 #include "src/mm/page.h"
@@ -86,29 +88,38 @@ class Zone {
   Pfn Alloc(uint8_t order, PageKind kind, int32_t owner, uint32_t owner_slot);
 
   // Allocates up to n single pages, equal to n calls of
-  // Alloc(0, kind, owner, first_slot + i) — the same pfns in `out`, free
-  // lists and memmap — but one pass per buddy chunk (Linux's
-  // alloc_pages_bulk).  Returns how many were allocated: fewer than n only
-  // when the zone ran dry.
+  // Alloc(0, kind, owner, first_slot + i) — the same pages in the same
+  // order, free lists and memmap views — but one pass per buddy chunk
+  // (Linux's alloc_pages_bulk).  Each chunk's taken pages are stamped as at
+  // most popcount(taken) run records (page.h) and appended to `runs` as one
+  // PageRun, in allocation order.  Returns how many pages were allocated:
+  // fewer than n only when the zone ran dry.
   uint32_t AllocPages(uint32_t n, PageKind kind, int32_t owner, uint32_t first_slot,
-                      Pfn* out);
+                      std::vector<PageRun>* runs);
 
-  // Frees an allocated folio (by head pfn), coalescing with buddies.
+  // Frees the allocated folio headed at `head`, coalescing with buddies.
+  // `head` is what the view reads as a head: a folio's first page, or any
+  // page of a run, whose run it first cuts down to that page (at most
+  // order + 1 records in all).
   void Free(Pfn head);
 
   // Frees every allocated folio of the zone: equal to Free(heads[i]) for
   // i = 0..n-1, and requires the heads to be exactly the zone's allocated
-  // folios and the zone to hold whole blocks (as every GuestKernel zone
-  // does).  Costs O(folios + touched max-order slots), not O(pages): each
-  // slot goes on the max-order list when its last page is freed (where
-  // the sequential frees would put it), the lower-order lists empty, and
-  // each block it drains drops its Page chunk (MemMap::Dematerialize).
+  // folios (every page of a run is one) and the zone to hold whole blocks
+  // (as every GuestKernel zone does).  Costs O(folios + touched max-order
+  // slots), not O(pages): each slot goes on the max-order list when its
+  // last page is freed (where the sequential frees would put it), the
+  // lower-order lists empty, and each block it drains drops its Page chunk
+  // (MemMap::Dematerialize).
   void FreeAll(const Pfn* heads, size_t n);
 
-  // Frees an allocated folio whose frames lie in an isolating range: the
-  // frames go straight to kIsolated instead of back to the free lists
-  // (migration source path).
-  void FreeIntoIsolation(Pfn head);
+  // Frees the allocated pages [start, start + pages) of an isolating range:
+  // they go straight to kIsolated instead of back to the free lists
+  // (migration source path).  The range starts at a head (as Free) and
+  // holds whole folios; it may begin or end inside a run.  Each extent it
+  // covers whole is isolated with one record, and a run it covers in part
+  // is cut first.
+  void FreeIntoIsolation(Pfn start, uint32_t pages);
 
   // --- Stats ------------------------------------------------------------------
   uint64_t free_pages() const { return free_pages_; }
@@ -143,6 +154,11 @@ class Zone {
   // The record of a kFree, kIsolated or kAllocated extent of this zone.
   Page ExtentRecord(PageState state, uint8_t order) const;
   Page AllocatedRecord(uint8_t order, PageKind kind, int32_t owner, uint32_t owner_slot) const;
+
+  // Cuts the run extent at `start` (record `run`) so that [lo, hi), a part
+  // of it, begins and ends on extent boundaries: the run's pages outside
+  // [lo, hi) are restamped as aligned runs.  The caller stamps [lo, hi).
+  void CutRun(Pfn start, const Page& run, Pfn lo, Pfn hi);
 
   // Whether block b is unmaterialized and uniformly `state`: the range
   // operations then handle it in O(1) or O(max-order heads).

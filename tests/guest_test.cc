@@ -4,6 +4,7 @@
 
 #include <memory>
 #include <set>
+#include <vector>
 
 #include "src/core/squeezy.h"
 #include "src/guest/guest_kernel.h"
@@ -140,6 +141,90 @@ TEST_F(GuestTest, TouchFilePopulatesSharedCacheOnce) {
   EXPECT_LT(second.latency, first.latency / 10);
   // Cache population is not duplicated.
   EXPECT_EQ(guest_->page_cache().cached_pages(file), MiB(32) / kPageSize);
+}
+
+// Every page's view and host bit, one block at a time.
+struct GuestMmSnapshot {
+  explicit GuestMmSnapshot(const MemMap& m) : pages(m.span_pages()), host(m.span_pages()) {
+    for (BlockIndex b = 0; b < m.block_count(); ++b) {
+      m.ReadBlock(b, &pages[MemMap::BlockStart(b)]);
+    }
+    for (Pfn pfn = 0; pfn < m.span_pages(); ++pfn) {
+      host[pfn] = m.host_populated(pfn);
+    }
+  }
+  std::vector<Page> pages;
+  std::vector<bool> host;
+};
+
+TEST_F(GuestTest, DropFileCacheFreesEveryRunAndReleasesItsBacking) {
+  guest_->PlugMemory(MiB(256), 0);
+  const Pid pid = guest_->CreateProcess();
+  const uint64_t file_pages = MiB(12) / kPageSize;
+  const int32_t file = guest_->CreateFile("dep-image", MiB(12));
+  // The first 1024 pages fill one max-order chunk.  The anon page then
+  // splits the next chunk, so the rest of the file lands on its free
+  // pieces and further chunks: runs of many sizes, with the anon page
+  // between owner slots 1023 and 1024.
+  guest_->TouchFile(pid, file, MiB(4), 0);
+  ASSERT_FALSE(guest_->TouchAnon(pid, kPageSize, 0).oom);
+  ASSERT_FALSE(guest_->TouchFile(pid, file, MiB(12), 0).oom);
+  ASSERT_EQ(guest_->page_cache().cached_pages(file), file_pages);
+
+  const MemMap& m = guest_->memmap();
+  std::vector<bool> is_file(m.span_pages());
+  uint64_t file_backed = 0;
+  uint32_t runs = 0;
+  Pfn prev = kInvalidPfn;
+  for (uint64_t idx = 0; idx < file_pages; ++idx) {
+    const Pfn pfn = guest_->page_cache().Lookup(file, idx);
+    ASSERT_EQ(m.page(pfn).owner_slot(), idx);
+    is_file[pfn] = true;
+    file_backed += m.host_populated(pfn) ? 1 : 0;
+    runs += prev + 1 != pfn ? 1 : 0;
+    prev = pfn;
+  }
+  EXPECT_GT(runs, 1u) << "the file must span several runs";
+  EXPECT_GT(file_backed, 0u);
+  const GuestMmSnapshot before(m);
+  const uint64_t free_before = guest_->movable_zone().free_pages();
+  const uint64_t host_before = host_->populated();
+
+  EXPECT_EQ(guest_->DropFileCache(file, Msec(1)), MiB(12));
+  EXPECT_EQ(guest_->page_cache().cached_pages(file), 0u);
+  EXPECT_EQ(guest_->movable_zone().free_pages(), free_before + file_pages);
+  EXPECT_TRUE(guest_->movable_zone().CheckFreeLists());
+  EXPECT_TRUE(guest_->normal_zone().CheckFreeLists());
+  // Only the file's own backed pages go back to the host, in one madvise.
+  EXPECT_EQ(host_before - host_->populated(), PagesToBytes(file_backed));
+
+  // Every file page is free and unbacked; every other page is allocated
+  // and backed exactly as before; and the free chunks are coalesced as far
+  // as the buddy rule allows.
+  const GuestMmSnapshot after(m);
+  for (Pfn pfn = 0; pfn < m.span_pages(); ++pfn) {
+    const Page& p = after.pages[pfn];
+    const Page& q = before.pages[pfn];
+    ASSERT_FALSE(p.run) << "pfn " << pfn;
+    if (is_file[pfn]) {
+      ASSERT_EQ(p.state, PageState::kFree) << "pfn " << pfn;
+      ASSERT_FALSE(after.host[pfn]) << "pfn " << pfn;
+      continue;
+    }
+    ASSERT_EQ(after.host[pfn], before.host[pfn]) << "pfn " << pfn;
+    ASSERT_EQ(p.state, q.state) << "pfn " << pfn;
+    if (p.state == PageState::kAllocated) {
+      ASSERT_TRUE(p.kind == q.kind && p.order == q.order && p.head == q.head &&
+                  p.zone_id == q.zone_id && p.owner() == q.owner() &&
+                  p.owner_slot() == q.owner_slot())
+          << "pfn " << pfn;
+    }
+    if (p.state == PageState::kFree && p.head && p.order < kMaxPageOrder) {
+      const Page& buddy = after.pages[pfn ^ (1u << p.order)];
+      ASSERT_FALSE(buddy.state == PageState::kFree && buddy.head && buddy.order == p.order)
+          << "pfn " << pfn << " left uncoalesced";
+    }
+  }
 }
 
 TEST_F(GuestTest, FileRereadCostsScaleWithSize) {

@@ -123,12 +123,12 @@ TEST_F(HotplugTest, FailedOfflineStillCountsThePagesItMoved) {
   // Block 0 is full: a 20000-page file run, then anon pages.  Block 1 has
   // room for 5000 pages, so the migration runs dry inside the file run.
   AddOnline(0);
-  std::vector<Pfn> pages(kPagesPerBlock);
-  ASSERT_EQ(zone_->AllocPages(20000, PageKind::kFile, 3, 0, pages.data()), 20000u);
-  ASSERT_EQ(zone_->AllocPages(kPagesPerBlock - 20000, PageKind::kAnon, 1, 0, pages.data()),
+  std::vector<PageRun> runs;
+  ASSERT_EQ(zone_->AllocPages(20000, PageKind::kFile, 3, 0, &runs), 20000u);
+  ASSERT_EQ(zone_->AllocPages(kPagesPerBlock - 20000, PageKind::kAnon, 1, 0, &runs),
             kPagesPerBlock - 20000);
   AddOnline(1);
-  ASSERT_EQ(zone_->AllocPages(kPagesPerBlock - 5000, PageKind::kAnon, 2, 0, pages.data()),
+  ASSERT_EQ(zone_->AllocPages(kPagesPerBlock - 5000, PageKind::kAnon, 2, 0, &runs),
             kPagesPerBlock - 5000);
 
   const OfflineResult res = mgr_->OfflineBlock(0, zone_.get(), zone_.get(), OfflineOptions{});

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/mm/memmap.h"
@@ -385,14 +386,112 @@ TEST(MemMapTest, RecordsWrittenCountsExtentsNotPages) {
 
   // Migrated-out folios are isolated with one record each, and the abort
   // frees the block's single isolated run as 32 max-order chunks.
-  zone.FreeIntoIsolation(a);
-  zone.FreeIntoIsolation(b);
+  zone.FreeIntoIsolation(a, 1);
+  zone.FreeIntoIsolation(b, 1);
   EXPECT_EQ(m.records_written() - before_isolate, chunks + 2u);
   const uint64_t before_undo = m.records_written();
   zone.UndoIsolation(0, kPagesPerBlock);
   EXPECT_EQ(m.records_written() - before_undo, 32u);
   EXPECT_EQ(zone.free_chunks(kMaxPageOrder), 64u);
   EXPECT_TRUE(zone.CheckFreeLists());
+
+  // Bulk single pages cost run records per buddy chunk, not one per page.
+  // A whole max-order slot of a fresh block: 32 slot starts to
+  // materialize, then one run record.
+  Zone bulk(1, ZoneType::kMovable, "bulk", &m);
+  m.InitBlock(2);
+  const Pfn base = MemMap::BlockStart(2);
+  bulk.AddFreeRange(base, kPagesPerBlock);
+  std::vector<PageRun> runs;
+  const uint64_t before_run = m.records_written();
+  ASSERT_EQ(bulk.AllocPages(1024, PageKind::kFile, 7, 0, &runs), 1024u);
+  EXPECT_EQ(m.records_written() - before_run, 32u + 1u);
+  ASSERT_EQ(runs.size(), 1u);
+  EXPECT_EQ(runs[0].start, base);
+  EXPECT_EQ(runs[0].pages, 1024u);
+
+  // 300 pages from the next slot: popcount(300) run records for the
+  // pages, and one free record per set bit of the 724-page remainder.
+  const uint64_t before_take = m.records_written();
+  ASSERT_EQ(bulk.AllocPages(300, PageKind::kFile, 7, 1024, &runs), 300u);
+  EXPECT_EQ(m.records_written() - before_take,
+            uint64_t{__builtin_popcount(300)} + __builtin_popcount(1024 - 300));
+  ASSERT_EQ(runs.size(), 2u);
+  EXPECT_EQ(runs[1].start, base + 1024);
+  EXPECT_EQ(runs[1].pages, 300u);
+
+  // Freeing one page inside the 1024-page run cuts the run into 10 runs
+  // around the page, plus the page's free record: 11 in all.
+  const uint64_t before_cut = m.records_written();
+  bulk.Free(base + 517);
+  EXPECT_EQ(m.records_written() - before_cut, 11u);
+  EXPECT_EQ(m.page(base + 517).state, PageState::kFree);
+  EXPECT_TRUE(bulk.CheckFreeLists());
+  EXPECT_EQ(m.BlockOccupied(2), 1024u + 300u - 1u);
+}
+
+// Every page of a run reads as an order-0 head at its own owner slot, with
+// no run bit, before and after its run is cut by a free and by isolation.
+TEST(MemMapTest, RunPagesReadAsSingleHeads) {
+  MemMap m(GiB(1));
+  Zone zone(0, ZoneType::kMovable, "z", &m);
+  m.InitBlock(0);
+  zone.AddFreeRange(0, kPagesPerBlock);
+  std::vector<PageRun> runs;
+  ASSERT_EQ(zone.AllocPages(1024, PageKind::kFile, 5, 100, &runs), 1024u);
+  ASSERT_TRUE(m.record(0).run);
+  ASSERT_EQ(m.record(0).order, kMaxPageOrder);
+
+  std::vector<Page> block(kPagesPerBlock);
+  // Pages [0, 1024) outside `isolated` read as the run's pages, except
+  // `freed`.
+  auto expect_run_view = [&](Pfn freed, Pfn iso_lo, Pfn iso_hi) {
+    m.ReadBlock(0, block.data());
+    for (Pfn pfn = 0; pfn < 1024; ++pfn) {
+      const Page p = m.page(pfn);
+      SCOPED_TRACE("pfn " + std::to_string(pfn));
+      EXPECT_FALSE(p.run);
+      EXPECT_EQ(p.order, 0);
+      EXPECT_EQ(block[pfn].state, p.state);
+      EXPECT_EQ(block[pfn].head, p.head);
+      EXPECT_EQ(block[pfn].free.prev, p.free.prev);
+      EXPECT_FALSE(block[pfn].run);
+      if (pfn == freed) {
+        EXPECT_EQ(p.state, PageState::kFree);
+      } else if (pfn >= iso_lo && pfn < iso_hi) {
+        EXPECT_EQ(p.state, PageState::kIsolated);
+        EXPECT_FALSE(p.head);
+      } else {
+        EXPECT_EQ(p.state, PageState::kAllocated);
+        EXPECT_TRUE(p.head);
+        EXPECT_EQ(p.kind, PageKind::kFile);
+        EXPECT_EQ(p.zone_id, 0);
+        EXPECT_EQ(p.owner(), 5);
+        EXPECT_EQ(p.owner_slot(), 100 + pfn);
+        EXPECT_EQ(block[pfn].owner_slot(), 100 + pfn);
+      }
+    }
+  };
+  expect_run_view(kInvalidPfn, 0, 0);
+  if (testing::Test::HasFailure()) {
+    return;
+  }
+
+  zone.Free(300);
+  expect_run_view(300, 0, 0);
+  if (testing::Test::HasFailure()) {
+    return;
+  }
+
+  // Isolation takes [100, 700): it starts inside a cut piece and ends
+  // inside another, and covers the freed page's neighbours whole.
+  EXPECT_EQ(zone.IsolateFreeRange(0, kPagesPerBlock), kPagesPerBlock - 1023u);
+  zone.FreeIntoIsolation(100, 200);
+  zone.FreeIntoIsolation(301, 399);
+  expect_run_view(kInvalidPfn, 100, 700);
+  EXPECT_EQ(m.page(300).state, PageState::kIsolated);
+  EXPECT_EQ(m.BlockOccupied(0), 1023u - 599u);
+  EXPECT_EQ(m.CountBlockPages(0, PageState::kAllocated), 1023u - 599u);
 }
 
 TEST(MemMapTest, CountBlockPagesOnAbsentChunk) {
@@ -516,13 +615,14 @@ struct OneBlockGuest {
 // Runs one script on g's block (a THP, which materializes it, an order-0
 // page-cache run, smaller anon folios and frees) and returns its view.
 std::vector<Page> RunScriptAndRead(OneBlockGuest& g) {
-  std::vector<Pfn> pfns(300);
+  std::vector<PageRun> runs;
   EXPECT_NE(g.zone.Alloc(kThpOrder, PageKind::kAnon, 1, 0), kInvalidPfn);
-  EXPECT_EQ(g.zone.AllocPages(300, PageKind::kFile, 2, 10, pfns.data()), 300u);
+  EXPECT_EQ(g.zone.AllocPages(300, PageKind::kFile, 2, 10, &runs), 300u);
   const Pfn folio = g.zone.Alloc(3, PageKind::kAnon, 3, 5);
   EXPECT_NE(g.zone.Alloc(2, PageKind::kAnon, 3, 6), kInvalidPfn);
-  for (size_t i = 0; i < pfns.size(); i += 3) {
-    g.zone.Free(pfns[i]);
+  EXPECT_EQ(runs.size(), 1u);
+  for (uint32_t i = 0; i < runs[0].pages; i += 3) {
+    g.zone.Free(runs[0].start + i);
   }
   g.zone.Free(folio);
   EXPECT_NE(g.zone.Alloc(0, PageKind::kKernel, kNoOwner, 0), kInvalidPfn);
@@ -549,11 +649,11 @@ TEST(MemMapTest, RecycledChunkReadsAsAFreshOne) {
   const std::vector<Page> want = RunScriptAndRead(fresh);
   ASSERT_EQ(MemMap::chunks_allocated(), ++allocated);
   {
-    // Dirty a chunk with a full order-0 fill: a record at every page.
+    // Dirty a chunk with order-0 folios: a record at every page.
     OneBlockGuest dirty;
-    std::vector<Pfn> pfns(kPagesPerBlock);
-    ASSERT_EQ(dirty.zone.AllocPages(kPagesPerBlock, PageKind::kFile, 9, 0, pfns.data()),
-              kPagesPerBlock);
+    for (uint32_t i = 0; i < kPagesPerBlock; ++i) {
+      ASSERT_EQ(dirty.zone.Alloc(0, PageKind::kFile, 9, i), i);
+    }
     ASSERT_EQ(MemMap::chunks_allocated(), ++allocated);
   }
   OneBlockGuest reused;

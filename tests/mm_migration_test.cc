@@ -14,6 +14,20 @@
 namespace squeezy {
 namespace {
 
+// Allocates n single pages with one AllocPages; returns them in order.
+std::vector<Pfn> AllocPfns(Zone& zone, uint32_t n, PageKind kind, int32_t owner,
+                           uint32_t first_slot) {
+  std::vector<PageRun> runs;
+  zone.AllocPages(n, kind, owner, first_slot, &runs);
+  std::vector<Pfn> pfns;
+  for (const PageRun& run : runs) {
+    for (uint32_t i = 0; i < run.pages; ++i) {
+      pfns.push_back(run.start + i);
+    }
+  }
+  return pfns;
+}
+
 class RecordingRegistry : public OwnerRegistry {
  public:
   void RelocateFolio(PageKind kind, int32_t owner, uint32_t owner_slot, Pfn new_head) override {
@@ -161,14 +175,14 @@ TEST_F(MigrationTest, OrderZeroRunsMoveInPageOrderAndPayPerFolio) {
   // and refilled under slot 100 (a slot gap), an anon page, a THP at 512
   // and a kernel page at 1024.  A placeholder takes 9..511 so the THP and
   // the kernel page land above it, then goes.
-  Pfn file[8];
-  ASSERT_EQ(zone_->AllocPages(8, PageKind::kFile, 5, 0, file), 8u);
+  const std::vector<Pfn> file = AllocPfns(*zone_, 8, PageKind::kFile, 5, 0);
+  ASSERT_EQ(file.size(), 8u);
   ASSERT_EQ(file[0], 0u);
   zone_->Free(file[3]);
   ASSERT_EQ(zone_->Alloc(0, PageKind::kFile, 5, 100), file[3]);
   ASSERT_EQ(zone_->Alloc(0, PageKind::kAnon, 6, 0), 8u);
-  std::vector<Pfn> placeholder(503);
-  ASSERT_EQ(zone_->AllocPages(503, PageKind::kAnon, 7, 0, placeholder.data()), 503u);
+  const std::vector<Pfn> placeholder = AllocPfns(*zone_, 503, PageKind::kAnon, 7, 0);
+  ASSERT_EQ(placeholder.size(), 503u);
   ASSERT_EQ(zone_->Alloc(kThpOrder, PageKind::kAnon, 6, 1), 512u);
   ASSERT_EQ(zone_->Alloc(0, PageKind::kKernel, kNoOwner, 0), 1024u);
   for (const Pfn pfn : placeholder) {
@@ -214,11 +228,10 @@ TEST_F(MigrationTest, TargetRunningDryMidRunMovesThePagesBefore) {
   memmap.InitBlock(1);
   src.AddFreeRange(MemMap::BlockStart(0), kPagesPerBlock);
   dst.AddFreeRange(MemMap::BlockStart(1), kPagesPerBlock);
-  std::vector<Pfn> filler(kPagesPerBlock - 5);
-  ASSERT_EQ(dst.AllocPages(kPagesPerBlock - 5, PageKind::kAnon, 9, 0, filler.data()),
+  ASSERT_EQ(AllocPfns(dst, kPagesPerBlock - 5, PageKind::kAnon, 9, 0).size(),
             kPagesPerBlock - 5);
-  Pfn file[8];
-  ASSERT_EQ(src.AllocPages(8, PageKind::kFile, 5, 40, file), 8u);
+  const std::vector<Pfn> file = AllocPfns(src, 8, PageKind::kFile, 5, 40);
+  ASSERT_EQ(file.size(), 8u);
   src.IsolateFreeRange(0, kPagesPerBlock);
 
   const MigrateOutcome out =
@@ -235,6 +248,7 @@ TEST_F(MigrationTest, TargetRunningDryMidRunMovesThePagesBefore) {
   }
   for (uint32_t i = 5; i < 8; ++i) {
     EXPECT_EQ(memmap.page(file[i]).state, PageState::kAllocated);
+    EXPECT_EQ(memmap.page(file[i]).owner_slot(), 40 + i);
   }
   EXPECT_EQ(dst.free_pages(), 0u);
   EXPECT_EQ(memmap.BlockOccupied(0), 3u);

@@ -189,7 +189,7 @@ TEST_F(ZoneTest, FreeIntoIsolationBypassesFreeLists) {
   const Pfn held = zone_->Alloc(kThpOrder, PageKind::kAnon, 1, 0);
   zone_->IsolateFreeRange(0, kPagesPerBlock);
   const uint64_t free_before = zone_->free_pages();
-  zone_->FreeIntoIsolation(held);
+  zone_->FreeIntoIsolation(held, 1u << kThpOrder);
   EXPECT_EQ(zone_->free_pages(), free_before);  // Not returned to buddy.
   EXPECT_EQ(memmap_->page(held).state, PageState::kIsolated);
   EXPECT_EQ(memmap_->BlockOccupied(0), 0u);

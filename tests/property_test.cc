@@ -274,8 +274,10 @@ INSTANTIATE_TEST_SUITE_P(Sizes, ReclaimScalingTest,
 //
 // ExpectSame also holds each set to the record rule (memmap.h): every page
 // of an extent reads as the extent's start without the head flag and the
-// links, and folds the view into a digest that each test locks per seed,
-// so a change of representation must keep every view of every step.
+// links, or, in a run, as an order-0 head at the next owner slot; no view
+// shows the run bit.  It folds the view into a digest that each test locks
+// per seed, so a change of representation must keep every view of every
+// step.
 namespace uniform_oracle {
 
 constexpr uint32_t kBlocks = 6;
@@ -313,6 +315,9 @@ void Fold(uint64_t* digest, uint64_t word) { *digest = (*digest ^ word) * 0x1000
 std::vector<Page> ReadRuled(const MemMap& m, BlockIndex b) {
   std::vector<Page> pages(kPagesPerBlock);
   m.ReadBlock(b, pages.data());
+  for (const Page& p : pages) {
+    EXPECT_FALSE(p.run) << "a view shows the run bit";
+  }
   const Pfn base = MemMap::BlockStart(b);
   for (Pfn pfn = base; m.BlockMaterialized(b) && pfn < base + kPagesPerBlock;) {
     const Pfn next = m.NextExtent(pfn);
@@ -321,12 +326,22 @@ std::vector<Page> ReadRuled(const MemMap& m, BlockIndex b) {
     if (next <= pfn || next - pfn > MemMap::kSlotPages) {
       break;
     }
+    const bool run = m.record(pfn).run;
+    EXPECT_TRUE(!run || (pages[pfn - base].state == PageState::kAllocated && next - pfn > 1))
+        << "pfn " << pfn;
     Page tail = pages[pfn - base];
-    tail.head = false;
-    tail.free = FreeLink{};
+    if (!run) {
+      tail.head = false;
+      tail.free = FreeLink{};
+    }
     Pfn q = pfn + 1;
-    while (q < next && SamePage(pages[q - base], tail)) {
-      ++q;
+    for (; q < next; ++q) {
+      if (run) {
+        tail.SetOwner(tail.owner(), tail.owner_slot() + 1);
+      }
+      if (!SamePage(pages[q - base], tail)) {
+        break;
+      }
     }
     EXPECT_EQ(q, next) << "pfn " << q << " breaks the record rule of extent " << pfn;
     EXPECT_TRUE(SamePage(m.page(pfn), pages[pfn - base])) << "pfn " << pfn;
@@ -383,20 +398,34 @@ void ExpectSame(const MmSet& lazy, const MmSet& eager, int step, uint64_t* diges
 }
 
 // Leaves 2 * kBlocks chunks, as many as both sets can hold, on top of the
-// MemMap free list, each dirtied by a full order-0 fill: a stale record at
+// MemMap free list, each dirtied by order-0 folios: a stale record at
 // every page.
 void DirtyChunkPool() {
   MemMap memmap(2 * kBlocks * kMemoryBlockBytes);
   Zone zone(0, ZoneType::kMovable, "z", &memmap);
-  std::vector<Pfn> pfns(kPagesPerBlock);
   for (BlockIndex b = 0; b < 2 * kBlocks; ++b) {
     memmap.InitBlock(b);
     zone.AddFreeRange(MemMap::BlockStart(b), kPagesPerBlock);
-    ASSERT_EQ(zone.AllocPages(kPagesPerBlock, PageKind::kFile, static_cast<int32_t>(b), 0,
-                              pfns.data()),
-              kPagesPerBlock);
+    for (uint32_t i = 0; i < kPagesPerBlock; ++i) {
+      ASSERT_NE(zone.Alloc(0, PageKind::kFile, static_cast<int32_t>(b), i), kInvalidPfn);
+    }
   }
   ASSERT_EQ(memmap.materialized_blocks(), 2 * kBlocks);
+}
+
+// Allocates n single pages with one AllocPages; returns them in order.
+std::vector<Pfn> AllocPfns(Zone& zone, uint32_t n, PageKind kind, int32_t owner,
+                           uint32_t first_slot) {
+  std::vector<PageRun> runs;
+  const uint32_t taken = zone.AllocPages(n, kind, owner, first_slot, &runs);
+  std::vector<Pfn> pfns;
+  for (const PageRun& run : runs) {
+    for (uint32_t i = 0; i < run.pages; ++i) {
+      pfns.push_back(run.start + i);
+    }
+  }
+  EXPECT_EQ(pfns.size(), taken);
+  return pfns;
 }
 
 }  // namespace uniform_oracle
@@ -719,9 +748,9 @@ TEST_P(BulkVsRepeatedAllocTest, AllocPagesEqualsRepeatedSinglePageAlloc) {
             break;
         }
         saw_fragments = saw_fragments || (n > 0 && bulk.zones[zi]->free_chunks(0) > 0);
-        std::vector<Pfn> got(n, kInvalidPfn);
-        const uint32_t taken =
-            bulk.zones[zi]->AllocPages(n, PageKind::kFile, 3, next_slot, got.data());
+        std::vector<Pfn> got =
+            uniform_oracle::AllocPfns(*bulk.zones[zi], n, PageKind::kFile, 3, next_slot);
+        const auto taken = static_cast<uint32_t>(got.size());
         std::vector<Pfn> want;
         for (uint32_t i = 0; i < n; ++i) {
           const Pfn pfn = single.zones[zi]->Alloc(0, PageKind::kFile, 3, next_slot + i);
@@ -733,7 +762,6 @@ TEST_P(BulkVsRepeatedAllocTest, AllocPagesEqualsRepeatedSinglePageAlloc) {
         next_slot += n;
         ASSERT_EQ(taken, want.size()) << "step " << step;
         ASSERT_EQ(taken, std::min<uint64_t>(n, free_before)) << "step " << step;
-        got.resize(taken);
         ASSERT_EQ(got, want) << "step " << step;
         saw_zero = saw_zero || n == 0;
         saw_multi_chunk = saw_multi_chunk || taken > (1u << kMaxPageOrder);
@@ -854,13 +882,10 @@ TEST_P(DrainOracleTest, FreeAllEqualsPerFolioFrees) {
       }
       case 2: {  // Bulk single pages.
         const auto n = static_cast<uint32_t>(rng.UniformInt(1, 3000));
-        std::vector<Pfn> a(n);
-        std::vector<Pfn> b(n);
-        const uint32_t got =
-            each.zones[zi]->AllocPages(n, PageKind::kFile, 3, 0, a.data());
-        ASSERT_EQ(got, all.zones[zi]->AllocPages(n, PageKind::kFile, 3, 0, b.data()));
-        a.resize(got);
-        b.resize(got);
+        const std::vector<Pfn> a =
+            uniform_oracle::AllocPfns(*each.zones[zi], n, PageKind::kFile, 3, 0);
+        const std::vector<Pfn> b =
+            uniform_oracle::AllocPfns(*all.zones[zi], n, PageKind::kFile, 3, 0);
         ASSERT_EQ(a, b) << "step " << step;
         for (const Pfn pfn : a) {
           held.push_back({pfn, z});
@@ -977,14 +1002,15 @@ INSTANTIATE_TEST_SUITE_P(
 // MigrateOutOfRange moves each run of order-0 pages (one kind and owner,
 // consecutive owner slots) with one Zone::AllocPages.  It must leave
 // exactly what the folio-at-a-time loop it replaced leaves
-// (PerFolioMigrate below, a copy of that loop).  Twin sets fill zone 0's
-// two source blocks with one random script: page-cache runs
-// (AllocPages), runs with a slot gap (a page freed and refilled under
-// another slot), order-0 anon pages of two owners, THPs, frees, and on
-// some seeds a kernel page.  The target is zone 0 itself or zone 1, with
-// some host-backed frames; on even seeds it has too little room, so it
-// runs dry part-way through a run.  Then each source block is isolated and
-// migrated, one set with each function, and the mm state
+// (PerFolioMigrate below, a copy of that loop, on a twin whose page-cache
+// runs were filled one Alloc(0) at a time, so it holds no run records).
+// Twin sets fill zone 0's two source blocks with one random script:
+// page-cache runs (AllocPages), runs with a slot gap (a page freed and
+// refilled under another slot), order-0 anon pages of two owners, THPs,
+// frees, and on some seeds a kernel page.  The target is zone 0 itself or
+// zone 1, with some host-backed frames; on even seeds it has too little
+// room, so it runs dry part-way through a run.  Then each source block is
+// isolated and migrated, one set with each function, and the mm state
 // (uniform_oracle::ExpectSame: every page view, host bit, free list and
 // per-order count), block occupancy, every MigrateOutcome field and the
 // owners' move sequence must agree; again after the offline is retired
@@ -1032,7 +1058,7 @@ MigrateOutcome PerFolioMigrate(MemMap& memmap, Zone& src_zone, Zone& target_zone
       return outcome;
     }
     outcome.pages_newly_backed += memmap.SetHostPopulated(target, folio_pages);
-    src_zone.FreeIntoIsolation(pfn);
+    src_zone.FreeIntoIsolation(pfn, folio_pages);
     owners->RelocateFolio(p.kind, p.owner(), p.owner_slot(), target);
     outcome.folios_moved += 1;
     outcome.pages_moved += folio_pages;
@@ -1116,14 +1142,16 @@ TEST_P(MigrateRunsVsPerFolioTest, RunsMoveExactlyAsPerFolioMigration) {
       case 1:
       case 2: {  // A page-cache fill of file 0 (owner slots run on).
         const auto n = static_cast<uint32_t>(rng.UniformInt(1, 900));
-        std::vector<Pfn> a(n);
-        std::vector<Pfn> b(n);
-        const uint32_t got =
-            runs.zones[0]->AllocPages(n, PageKind::kFile, 0, next_slot[0], a.data());
-        ASSERT_EQ(got, folios.zones[0]->AllocPages(n, PageKind::kFile, 0, next_slot[0],
-                                                   b.data()));
-        a.resize(got);
-        b.resize(got);
+        const std::vector<Pfn> a =
+            uniform_oracle::AllocPfns(*runs.zones[0], n, PageKind::kFile, 0, next_slot[0]);
+        std::vector<Pfn> b;
+        for (uint32_t i = 0; i < n; ++i) {
+          const Pfn pfn = folios.zones[0]->Alloc(0, PageKind::kFile, 0, next_slot[0] + i);
+          if (pfn == kInvalidPfn) {
+            break;
+          }
+          b.push_back(pfn);
+        }
         ASSERT_EQ(a, b) << "step " << step;
         next_slot[0] += n;
         for (const Pfn pfn : a) {
@@ -1183,10 +1211,11 @@ TEST_P(MigrateRunsVsPerFolioTest, RunsMoveExactlyAsPerFolioMigration) {
   if (dry && separate_target) {
     const auto room = static_cast<uint32_t>(rng.UniformInt(
         static_cast<int64_t>(occupied0 / 4), static_cast<int64_t>(occupied0 * 3 / 4)));
-    std::vector<Pfn> a(kPagesPerBlock - room);
     for (MmSet* s : sets) {
-      ASSERT_EQ(s->zones[1]->AllocPages(kPagesPerBlock - room, PageKind::kAnon, 9, 0, a.data()),
-                kPagesPerBlock - room);
+      ASSERT_EQ(
+          uniform_oracle::AllocPfns(*s->zones[1], kPagesPerBlock - room, PageKind::kAnon, 9, 0)
+              .size(),
+          kPagesPerBlock - room);
     }
   }
   expect_same(0);
@@ -1234,7 +1263,7 @@ TEST_P(MigrateRunsVsPerFolioTest, RunsMoveExactlyAsPerFolioMigration) {
       while (runs.memmap.record(pfn).state != PageState::kAllocated) {
         pfn = runs.memmap.NextExtent(pfn);
       }
-      const Page left = runs.memmap.record(pfn);
+      const Page left = runs.memmap.page(pfn);
       if (!runs_log.moves.empty()) {
         const migration_oracle::Move& last = runs_log.moves.back();
         dry_mid_run = dry_mid_run || (left.order == 0 && left.kind == last.kind &&

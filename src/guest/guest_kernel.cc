@@ -202,15 +202,6 @@ void GuestKernel::ChargeNestedFaults(uint64_t faults, uint64_t pages, TimeNs now
   }
 }
 
-uint32_t GuestKernel::MissRun(int32_t file_id, uint64_t idx, uint64_t end) const {
-  const uint64_t cap = std::min<uint64_t>(end, idx + kFillBatch);
-  uint64_t i = idx;
-  while (i < cap && !page_cache_.Cached(file_id, i)) {
-    ++i;
-  }
-  return static_cast<uint32_t>(i - idx);
-}
-
 uint32_t GuestKernel::FillFileRun(int32_t file_id, uint64_t idx, uint32_t n,
                                   bool normal_fallback, std::vector<PageRun>* runs) {
   // A zone that ran dry stays dry for the rest of a fill loop, so taking
@@ -223,11 +214,32 @@ uint32_t GuestKernel::FillFileRun(int32_t file_id, uint64_t idx, uint32_t n,
     got += normal_zone_->AllocPages(n - got, PageKind::kFile, file_id, slot + got, runs);
   }
   for (const PageRun& run : *runs) {
-    for (uint32_t i = 0; i < run.pages; ++i) {
-      page_cache_.Insert(file_id, idx++, run.start + i);
-    }
+    page_cache_.InsertRun(file_id, idx, run.start, run.pages);
+    idx += run.pages;
   }
   return got;
+}
+
+template <typename OnCached, typename OnFill>
+bool GuestKernel::FillFile(int32_t file_id, uint64_t pages, bool normal_fallback,
+                           OnCached&& on_cached, OnFill&& on_fill) {
+  std::vector<PageRun> runs;
+  for (uint64_t idx = 0; idx < pages;) {
+    const PageCache::Span span = page_cache_.SpanAt(file_id, idx, pages);
+    if (span.cached) {
+      on_cached(span.pages);
+      idx += span.pages;
+      continue;
+    }
+    const auto run = static_cast<uint32_t>(std::min<uint64_t>(span.pages, kFillBatch));
+    const uint32_t got = FillFileRun(file_id, idx, run, normal_fallback, &runs);
+    on_fill(got, runs);
+    if (got < run) {
+      return false;
+    }
+    idx += run;
+  }
+  return true;
 }
 
 DurationNs GuestKernel::PopulateHostBacking(Pfn head, uint32_t pages, TimeNs now) {
@@ -257,14 +269,11 @@ TouchResult GuestKernel::TouchAnon(Pid pid, uint64_t bytes, TimeNs now) {
     uint8_t order = static_cast<uint8_t>(
         std::min<uint64_t>(kThpOrder, 63 - __builtin_clzll(remaining)));
     Pfn head = kInvalidPfn;
-    Zone* zone = nullptr;
     for (;;) {
       const uint32_t slot = proc.ReserveSlot();
       head = primary->Alloc(order, PageKind::kAnon, pid, slot);
-      zone = primary;
       if (head == kInvalidPfn && fallback != nullptr) {
         head = fallback->Alloc(order, PageKind::kAnon, pid, slot);
-        zone = fallback;
       }
       if (head != kInvalidPfn) {
         proc.CommitSlot(slot, head, order);
@@ -283,7 +292,6 @@ TouchResult GuestKernel::TouchAnon(Pid pid, uint64_t bytes, TimeNs now) {
       result.oom = true;
       return result;
     }
-    (void)zone;
     const uint32_t folio_pages = 1u << order;
     result.latency += cost().fault_folio_fixed + cost().fault_page * folio_pages;
     const DurationNs nested = PopulateHostBacking(head, folio_pages, now);
@@ -319,28 +327,20 @@ TouchResult GuestKernel::TouchFile(Pid pid, int32_t file_id, uint64_t bytes, Tim
   const bool normal_fallback = proc.anon_zone() == nullptr;
   uint64_t faults = 0;
   uint64_t fault_pages = 0;
-  std::vector<PageRun> runs;
-  for (uint64_t idx = 0; idx < pages;) {
-    if (page_cache_.Cached(file_id, idx)) {
-      result.latency += cost().fault_page;
-      ++idx;
-      continue;
-    }
-    const uint32_t run = MissRun(file_id, idx, pages);
-    const uint32_t got = FillFileRun(file_id, idx, run, normal_fallback, &runs);
-    result.latency += miss_cost * static_cast<int64_t>(got);
-    if (backing_x1000 < 0) {
-      page_cache_.CountDiskRead(file_id, PagesToBytes(got));
-    } else {
-      page_cache_.CountRemoteRead(file_id, PagesToBytes(got));
-    }
-    faults += MarkHostBacking(runs, &fault_pages);
-    if (got < run) {
-      result.oom = true;
-      break;
-    }
-    idx += run;
-  }
+  result.oom = !FillFile(
+      file_id, pages, normal_fallback,
+      [&](uint64_t hits) {
+        result.latency += cost().fault_page * static_cast<int64_t>(hits);
+      },
+      [&](uint32_t got, const std::vector<PageRun>& runs) {
+        result.latency += miss_cost * static_cast<int64_t>(got);
+        if (backing_x1000 < 0) {
+          page_cache_.CountDiskRead(file_id, PagesToBytes(got));
+        } else {
+          page_cache_.CountRemoteRead(file_id, PagesToBytes(got));
+        }
+        faults += MarkHostBacking(runs, &fault_pages);
+      });
   ChargeNestedFaults(faults, fault_pages, now, &result);
   if (result.oom) {
     OomKill(pid);
@@ -364,24 +364,15 @@ RestoreOutcome GuestKernel::RestoreWorkingSet(Pid pid, int32_t file_id,
   // Recorded file pages: straight into the page cache, no backing read —
   // the snapshot file carries their contents.
   const uint64_t pages = std::min(file_pages, page_cache_.FilePages(file_id));
-  const bool normal_fallback = proc.anon_zone() == nullptr;
-  std::vector<PageRun> runs;
-  for (uint64_t idx = 0; idx < pages;) {
-    if (page_cache_.Cached(file_id, idx)) {
-      ++idx;
-      continue;
-    }
-    const uint32_t run = MissRun(file_id, idx, pages);
-    const uint32_t got = FillFileRun(file_id, idx, run, normal_fallback, &runs);
-    for (const PageRun& filled : runs) {
-      mark_populated(filled.start, filled.pages);
-    }
-    out.file_bytes += PagesToBytes(got);
-    if (got < run) {
-      break;  // Partial restore; the rest demand-faults as tail.
-    }
-    idx += run;
-  }
+  // A short fill is a partial restore: the rest demand-faults as tail.
+  FillFile(
+      file_id, pages, proc.anon_zone() == nullptr, [](uint64_t) {},
+      [&](uint32_t got, const std::vector<PageRun>& runs) {
+        for (const PageRun& filled : runs) {
+          mark_populated(filled.start, filled.pages);
+        }
+        out.file_bytes += PagesToBytes(got);
+      });
   page_cache_.CountRestored(file_id, out.file_bytes);
 
   // Recorded heap: committed to the process under the same placement rules
@@ -436,26 +427,18 @@ TouchResult GuestKernel::AdoptFileCache(int32_t file_id, TimeNs now, bool popula
   uint64_t adopted = 0;
   uint64_t faults = 0;
   uint64_t fault_pages = 0;
-  std::vector<PageRun> runs;
-  for (uint64_t idx = 0; idx < pages;) {
-    if (page_cache_.Cached(file_id, idx)) {
-      ++idx;
-      continue;
-    }
-    const uint32_t run = MissRun(file_id, idx, pages);
-    const uint32_t got = FillFileRun(file_id, idx, run, /*normal_fallback=*/false, &runs);
-    adopted += got;
-    // Sibling sharing (populate_host == false) adds no host frames — the
-    // host already backs the image for another VM; migration-landed bytes
-    // need frames of their own.
-    if (populate_host) {
-      faults += MarkHostBacking(runs, &fault_pages);
-    }
-    if (got < run) {
-      break;  // Partial adoption; the remainder faults in normally.
-    }
-    idx += run;
-  }
+  // A short fill is a partial adoption: the remainder faults in normally.
+  FillFile(
+      file_id, pages, /*normal_fallback=*/false, [](uint64_t) {},
+      [&](uint32_t got, const std::vector<PageRun>& runs) {
+        adopted += got;
+        // Sibling sharing (populate_host == false) adds no host frames —
+        // the host already backs the image for another VM;
+        // migration-landed bytes need frames of their own.
+        if (populate_host) {
+          faults += MarkHostBacking(runs, &fault_pages);
+        }
+      });
   // Fault cost, no backing read.
   result.latency +=
       (cost().fault_folio_fixed + cost().fault_page) * static_cast<int64_t>(adopted);
@@ -468,15 +451,18 @@ TouchResult GuestKernel::AdoptFileCache(int32_t file_id, TimeNs now, bool popula
 uint64_t GuestKernel::DropFileCache(int32_t file_id, TimeNs now) {
   uint64_t dropped_pages = 0;
   uint64_t unpop_pages = 0;
-  const uint64_t pages = page_cache_.FilePages(file_id);
-  for (uint64_t idx = 0; idx < pages; ++idx) {
-    if (!page_cache_.Cached(file_id, idx)) {
-      continue;
+  // In page_idx order, as page-by-page frees would go.  An extent is split
+  // where its pfns cross a block boundary, since the next block may belong
+  // to another zone.
+  for (const PageCache::Extent& e : page_cache_.RemoveAll(file_id)) {
+    const Pfn extent_end = e.pfn + e.pages;
+    for (Pfn pfn = e.pfn; pfn < extent_end;) {
+      const Pfn end = std::min(extent_end, MemMap::BlockStart(MemMap::BlockOf(pfn) + 1));
+      unpop_pages += memmap_->ClearHostPopulated(pfn, end - pfn);
+      ZoneOf(pfn).Free(pfn, end - pfn);
+      dropped_pages += end - pfn;
+      pfn = end;
     }
-    const Pfn pfn = page_cache_.Remove(file_id, idx);
-    unpop_pages += memmap_->ClearHostPopulated(pfn, 1);
-    ZoneOf(pfn).Free(pfn);
-    ++dropped_pages;
   }
   if (unpop_pages > 0) {
     hv_->MadviseRelease(vm_, PagesToBytes(unpop_pages), now);
@@ -549,11 +535,16 @@ uint64_t GuestKernel::online_bytes() const {
 
 // --- OwnerRegistry ------------------------------------------------------------------
 
-void GuestKernel::RelocateFolio(PageKind kind, int32_t owner, uint32_t owner_slot, Pfn new_head) {
+void GuestKernel::RelocateRun(PageKind kind, int32_t owner, uint32_t first_slot,
+                              uint8_t order, PageRun to) {
   if (kind == PageKind::kAnon) {
-    process(owner).Relocate(owner_slot, new_head);
+    Process& proc = process(owner);
+    for (uint32_t i = 0; i < to.pages >> order; ++i) {
+      proc.Relocate(first_slot + i, to.start + (i << order));
+    }
   } else if (kind == PageKind::kFile) {
-    page_cache_.Relocate(owner, owner_slot, new_head);
+    assert(order == 0);
+    page_cache_.RelocateRun(owner, first_slot, to.start, to.pages);
   }
 }
 

@@ -186,7 +186,8 @@ class GuestKernel : public OwnerRegistry, public VirtioMemHooks {
   uint64_t online_bytes() const;
 
   // --- OwnerRegistry ------------------------------------------------------------------
-  void RelocateFolio(PageKind kind, int32_t owner, uint32_t owner_slot, Pfn new_head) override;
+  void RelocateRun(PageKind kind, int32_t owner, uint32_t first_slot, uint8_t order,
+                   PageRun to) override;
 
   // --- VirtioMemHooks (vanilla policy; delegates when overridden) ----------------------
   std::vector<BlockIndex> SelectPlugBlocks(uint64_t max_blocks) override;
@@ -216,16 +217,21 @@ class GuestKernel : public OwnerRegistry, public VirtioMemHooks {
   // Page-cache fills take runs of consecutive misses, at most this many
   // pages per bulk allocation.
   static constexpr uint32_t kFillBatch = 1024;
-  // Length of the run of uncached pages of `file_id` at [idx, end), capped
-  // at kFillBatch.
-  uint32_t MissRun(int32_t file_id, uint64_t idx, uint64_t end) const;
   // Allocates page-cache pages for the n uncached pages [idx, idx + n) of
   // `file_id`, from the file zone and then, with `normal_fallback`, from
-  // ZONE_NORMAL, and inserts them one page at a time.  `runs` is replaced
-  // by their runs, in page order.  Returns how many were filled: fewer
-  // than n only when the zones ran dry.
+  // ZONE_NORMAL, and inserts them into the page cache one run at a time.
+  // `runs` is replaced by their runs, in page order.  Returns how many
+  // were filled: fewer than n only when the zones ran dry.
   uint32_t FillFileRun(int32_t file_id, uint64_t idx, uint32_t n, bool normal_fallback,
                        std::vector<PageRun>* runs);
+  // Walks pages [0, pages) of `file_id` one span at a time: each span of n
+  // cached pages goes to on_cached(n), and each run of misses is filled
+  // kFillBatch pages at a time (FillFileRun), each fill then going to
+  // on_fill(got, runs).  Returns false after the first short fill (the
+  // zones ran dry), true once every page is cached.
+  template <typename OnCached, typename OnFill>
+  bool FillFile(int32_t file_id, uint64_t pages, bool normal_fallback,
+                OnCached&& on_cached, OnFill&& on_fill);
   // The zone that owns allocated page `pfn`, found in O(1) from its block.
   Zone& ZoneOf(Pfn pfn) const;
   void OomKill(Pid pid);

@@ -17,7 +17,9 @@
 // allocation of single pages (Zone::AllocPages) writes at most
 // popcount(n) run records per buddy chunk it takes n pages from, not one
 // per page; freeing or isolating part of a run cuts it into aligned runs
-// around the pages it releases, in at most order + 1 records.  A merge
+// around the pages it releases, in at most order + 1 records (a range free
+// also restamps the run's pages inside the range when they take more than
+// one piece).  A merge
 // writes only the merged chunk's record: the records left inside it are
 // stale but unreachable, since walks jump over them.  The const page(pfn)
 // finds pfn's extent by descending the slot's tree (at most kMaxPageOrder

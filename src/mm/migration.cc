@@ -52,12 +52,13 @@ MigrateOutcome MigrateOutOfRange(MemMap& memmap, Zone& src_zone, Zone& target_zo
     // Alloc(0) per page.  Freeing the sources and patching the owners
     // never touch the target's free lists, so the result is the
     // folio-at-a-time one, also where the target runs dry.
-    const uint32_t folio_pages = p.run ? 1 : 1u << p.order;
+    const uint8_t folio_order = p.run ? 0 : p.order;
+    const uint32_t folio_pages = 1u << folio_order;
     uint32_t n = 1;
     uint32_t got = 0;
     targets.clear();
     if (folio_pages > 1) {
-      const Pfn target = target_zone.Alloc(p.order, kind, owner, owner_slot);
+      const Pfn target = target_zone.Alloc(folio_order, kind, owner, owner_slot);
       if (target != kInvalidPfn) {
         targets.push_back({target, folio_pages});
         got = 1;
@@ -68,19 +69,18 @@ MigrateOutcome MigrateOutOfRange(MemMap& memmap, Zone& src_zone, Zone& target_zo
     }
 
     // The copy writes every byte of the target folios; the host backs them
-    // as a side effect (cost folded into migrate_page), one update per
-    // target run.  The sources go to kIsolated with one record per extent.
+    // as a side effect (cost folded into migrate_page), and the owners are
+    // patched, one update each per target run.  The sources go to
+    // kIsolated with one record per extent.
     uint32_t slot = owner_slot;
     for (const PageRun& run : targets) {
       assert(!(run.start < end && run.start + run.pages > start) &&
              "target allocated inside isolating range");
       outcome.pages_newly_backed += memmap.SetHostPopulated(run.start, run.pages);
-      for (Pfn to = run.start; to < run.start + run.pages; to += folio_pages) {
-        if (owners != nullptr) {
-          owners->RelocateFolio(kind, owner, slot, to);
-        }
-        ++slot;
+      if (owners != nullptr) {
+        owners->RelocateRun(kind, owner, slot, folio_order, run);
       }
+      slot += run.pages / folio_pages;
     }
     if (got > 0) {
       src_zone.FreeIntoIsolation(pfn, got * folio_pages);

@@ -10,8 +10,9 @@
 // pages in bulk: a run of one owner's pages at consecutive owner slots
 // (what a page-cache fill's AllocPages leaves) takes all its targets in
 // one Zone::AllocPages, with the same result as one Alloc(0) per page, and
-// isolates its source extents with one record each.  The owners are still
-// patched one page at a time.
+// isolates its source extents with one record each.  The owners are
+// patched once per target run: the page cache moves one extent, and a
+// process patches each of its folio slots.
 #ifndef SQUEEZY_MM_MIGRATION_H_
 #define SQUEEZY_MM_MIGRATION_H_
 
@@ -24,13 +25,15 @@
 namespace squeezy {
 
 // Consumers that track folio locations (processes, the page cache)
-// implement this so migration can patch their tables in O(1).
+// implement this so migration can patch their tables.
 class OwnerRegistry {
  public:
   virtual ~OwnerRegistry() = default;
-  // The folio identified by (kind, owner, owner_slot) now lives at
-  // `new_head`.
-  virtual void RelocateFolio(PageKind kind, int32_t owner, uint32_t owner_slot, Pfn new_head) = 0;
+  // The folios of (kind, owner) at owner slots first_slot, first_slot + 1,
+  // ... now lie back to back over `to`, 2^order pages each: one larger
+  // folio, or a run of single pages.  Called once per target run.
+  virtual void RelocateRun(PageKind kind, int32_t owner, uint32_t first_slot,
+                           uint8_t order, PageRun to) = 0;
 };
 
 // What one MigrateOutOfRange did.  Every field reads as if the folios had

@@ -97,6 +97,25 @@ void Zone::CutRun(Pfn start, const Page& run, Pfn lo, Pfn hi) {
   ForEachPiece(hi, start + (1u << run.order) - hi, keep);
 }
 
+void Zone::CutRunEdges(Pfn ext, const Page& run, Pfn start, Pfn end) {
+  const Pfn lo = std::max(ext, start);
+  const Pfn hi = std::min<Pfn>(ext + (1u << run.order), end);
+  CutRun(ext, run, lo, hi);
+  // The run's pages inside the range keep run records of their own, so
+  // each piece begins an extent that reads allocated until its free, and
+  // the extent tree stays whole for the buddy checks.  The one exception
+  // needs no record: a lone piece that is its tree node's right half is
+  // the range's first piece, and only its own free, which stamps it, reads
+  // past its start (to its left).  A single page freed from a run is one.
+  const uint32_t n = hi - lo;
+  const bool lone_right_half = (n & (n - 1)) == 0 && (lo & (2 * n - 1)) == n;
+  if (!lone_right_half) {
+    ForEachPiece(lo, n, [&](Pfn pfn, uint8_t order) {
+      memmap_->Stamp(pfn, RunPiece(run, pfn - ext, order));
+    });
+  }
+}
+
 bool Zone::UniformBlockIs(BlockIndex b, PageState state) const {
   if (memmap_->BlockMaterialized(b)) {
     return false;
@@ -302,23 +321,45 @@ uint32_t Zone::AllocPages(uint32_t n, PageKind kind, int32_t owner, uint32_t fir
 }
 
 void Zone::Free(Pfn head) {
-  const Pfn start = memmap_->ExtentStart(head);
-  const Page p = memmap_->record(start);
-  assert(p.state == PageState::kAllocated && p.head);
-  assert(p.zone_id == id_);
-  const uint8_t order = p.run ? 0 : p.order;
-  free_pages_ += 1u << order;
-  memmap_->AdjustBlockAllocated(head, -static_cast<int64_t>(1u << order));
-  if (p.run) {
-    // The page's order-0 buddy is still in the run, so nothing coalesces:
-    // FreeChunk would stamp and queue it as is.
-    CutRun(start, p, head, head + 1);
-    StampFreeChunk(head, 0);
-    QueueFree(head, 0, /*fresh=*/false);
-    return;
+  const Pfn first = memmap_->ExtentStart(head);
+  const Page p = memmap_->record(first);
+  FreeFrom(first, p, head, p.run ? 1 : 1u << p.order);
+}
+
+void Zone::Free(Pfn start, uint32_t pages) {
+  const Pfn first = memmap_->ExtentStart(start);
+  FreeFrom(first, memmap_->record(first), start, pages);
+}
+
+void Zone::FreeFrom(Pfn first, const Page& fp, Pfn start, uint32_t pages) {
+  const Pfn end = start + pages;
+  const Pfn first_end = first + (1u << fp.order);
+#ifndef NDEBUG
+  for (Pfn ext = first; ext < end; ext = memmap_->NextExtent(ext)) {
+    const Page p = memmap_->record(ext);
+    assert(p.state == PageState::kAllocated && p.head && p.zone_id == id_);
+    assert((p.run || (ext >= start && ext + (1u << p.order) <= end)) &&
+           "only a run is freed in part");
   }
-  assert(start == head && "not a folio head");
-  FreeChunk(head, order);
+#endif
+  if (first < start || first_end > end) {
+    CutRunEdges(first, fp, start, end);
+  }
+  if (first_end < end) {
+    const Pfn last = memmap_->ExtentStart(end - 1);
+    const Page lp = memmap_->record(last);
+    if (last + (1u << lp.order) > end) {
+      CutRunEdges(last, lp, start, end);
+    }
+  }
+  // Each piece's pages are all allocated, so the sequential frees of its
+  // heads would leave it one free chunk, coalesced and queued exactly as
+  // FreeChunk leaves it.
+  free_pages_ += pages;
+  ForEachPiece(start, pages, [this](Pfn piece, uint8_t order) {
+    memmap_->AdjustBlockAllocated(piece, -static_cast<int64_t>(1u << order));
+    FreeChunk(piece, order);
+  });
 }
 
 void Zone::FreeAll(const Pfn* heads, size_t n) {

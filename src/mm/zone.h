@@ -11,7 +11,8 @@
 // per page.  Page-cache fills, balloon inflation and the migration of
 // order-0 runs allocate runs of single pages in bulk (AllocPages), one
 // buddy chunk at a time, and keep each chunk's pages as a few run records
-// (page.h).  A zone emptied at once (a Squeezy partition at
+// (page.h); a range of them goes back in one Free(start, pages), one chunk
+// per aligned piece.  A zone emptied at once (a Squeezy partition at
 // its last user's exit) drains through FreeAll in O(folios), and every
 // block it empties reverts to uniform.
 //
@@ -97,10 +98,17 @@ class Zone {
   uint32_t AllocPages(uint32_t n, PageKind kind, int32_t owner, uint32_t first_slot,
                       std::vector<PageRun>* runs);
 
-  // Frees the allocated folio headed at `head`, coalescing with buddies.
-  // `head` is what the view reads as a head: a folio's first page, or any
-  // page of a run, whose run it first cuts down to that page (at most
-  // order + 1 records in all).
+  // Frees the allocated pages [start, start + pages), coalescing with
+  // buddies: equal to Free(head) on each head of the range in ascending
+  // order — the same views, free lists in the same order, and counts.  The
+  // range holds whole folios and run pages; it may begin or end inside a
+  // run, which it first cuts at its edges.  Then each piece of the range's
+  // tiling by its largest aligned pieces is freed as one chunk.  Costs
+  // O(pieces), not O(pages): freeing a whole 1024-page run writes one
+  // record.
+  void Free(Pfn start, uint32_t pages);
+  // Frees the allocated folio headed at `head`: a folio's first page, or
+  // any page of a run.  The range free above, with the folio as its range.
   void Free(Pfn head);
 
   // Frees every allocated folio of the zone: equal to Free(heads[i]) for
@@ -159,6 +167,12 @@ class Zone {
   // of it, begins and ends on extent boundaries: the run's pages outside
   // [lo, hi) are restamped as aligned runs.  The caller stamps [lo, hi).
   void CutRun(Pfn start, const Page& run, Pfn lo, Pfn hi);
+  // Cuts the run extent at `ext` (record `run`) where [start, end), the
+  // range Free releases, begins or ends inside it.
+  void CutRunEdges(Pfn ext, const Page& run, Pfn start, Pfn end);
+  // Free(start, pages), given the extent that holds `start`: its start
+  // `first` and its record `fp`.
+  void FreeFrom(Pfn first, const Page& fp, Pfn start, uint32_t pages);
 
   // Whether block b is unmaterialized and uniformly `state`: the range
   // operations then handle it in O(1) or O(max-order heads).

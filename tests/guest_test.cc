@@ -227,6 +227,65 @@ TEST_F(GuestTest, DropFileCacheFreesEveryRunAndReleasesItsBacking) {
   }
 }
 
+// The page cache holds a file as O(runs) extents, and dropping it frees
+// each extent with one range free.
+TEST_F(GuestTest, PageCacheExtentsCountRunsNotPages) {
+  guest_->PlugMemory(MiB(256), 0);
+  const Pid pid = guest_->CreateProcess();
+  PageCache& pc = guest_->page_cache();
+  MemMap& m = guest_->memmap();
+
+  // A file filled from one max-order chunk is one extent, and dropping it
+  // frees that chunk with one record, not one per page.
+  const int32_t dropped = guest_->CreateFile("dropped", MiB(4));
+  ASSERT_FALSE(guest_->TouchFile(pid, dropped, MiB(4), 0).oom);
+  EXPECT_EQ(pc.extent_count(dropped), 1u);
+  const uint64_t records = m.records_written();
+  EXPECT_EQ(guest_->DropFileCache(dropped, 0), MiB(4));
+  EXPECT_LE(m.records_written() - records, 2u);
+  EXPECT_EQ(pc.extent_count(dropped), 0u);
+
+  // Migrated onto n target chunks, a one-extent file is n extents.  The
+  // target zone's free space is 64 order-8 chunks, no two adjacent.
+  const int32_t moved = guest_->CreateFile("moved", MiB(4));
+  ASSERT_FALSE(guest_->TouchFile(pid, moved, MiB(4), 0).oom);
+  ASSERT_EQ(pc.extent_count(moved), 1u);
+  Zone* target = guest_->CreateZone(ZoneType::kMovable, "target");
+  const BlockIndex tb = guest_->hotplug_first_block() + 2;
+  m.InitBlock(tb);
+  target->AddFreeRange(MemMap::BlockStart(tb), kPagesPerBlock);
+  m.set_block_state(tb, BlockState::kOnline);
+  std::vector<Pfn> quarters;
+  for (uint32_t i = 0; i < kPagesPerBlock / 256; ++i) {
+    quarters.push_back(target->Alloc(8, PageKind::kKernel, kNoOwner, 0));
+  }
+  for (size_t i = 1; i < quarters.size(); i += 2) {
+    target->Free(quarters[i]);
+  }
+  const uint64_t target_free = target->free_pages();
+  const Pfn src = MemMap::BlockStart(MemMap::BlockOf(pc.Lookup(moved, 0)));
+  Zone& movable = guest_->movable_zone();
+  movable.IsolateFreeRange(src, kPagesPerBlock);
+  const MigrateOutcome out = MigrateOutOfRange(m, movable, *target, src, kPagesPerBlock,
+                                               guest_->cost(), guest_.get());
+  ASSERT_TRUE(out.ok);
+  EXPECT_EQ(out.pages_moved, 1024u);
+  EXPECT_EQ(pc.extent_count(moved), 4u);
+  for (uint64_t idx = 0; idx < 1024; ++idx) {
+    const Pfn pfn = pc.Lookup(moved, idx);
+    ASSERT_EQ(MemMap::BlockOf(pfn), tb) << "page " << idx;
+    ASSERT_EQ(m.page(pfn).owner_slot(), idx) << "page " << idx;
+  }
+  movable.UndoIsolation(src, kPagesPerBlock);
+
+  // The drop frees the moved pages back into the target zone.
+  EXPECT_EQ(guest_->DropFileCache(moved, 0), MiB(4));
+  EXPECT_EQ(target->free_pages(), target_free);
+  EXPECT_EQ(target->free_chunks(8), kPagesPerBlock / 512);
+  EXPECT_TRUE(target->CheckFreeLists());
+  EXPECT_TRUE(movable.CheckFreeLists());
+}
+
 TEST_F(GuestTest, FileRereadCostsScaleWithSize) {
   guest_->PlugMemory(MiB(512), 0);
   const int32_t small = guest_->CreateFile("small", MiB(8));

@@ -549,9 +549,11 @@ TEST(MemMapTest, OwnerOverlaySurvivesNeighbourFreesAndMigration) {
   EXPECT_EQ(cm.page(file).owner_slot(), 77u);
 
   struct Registry : OwnerRegistry {
-    void RelocateFolio(PageKind kind, int32_t owner, uint32_t owner_slot,
-                       Pfn new_head) override {
-      moves.push_back({kind, owner, owner_slot, new_head});
+    void RelocateRun(PageKind kind, int32_t owner, uint32_t first_slot, uint8_t order,
+                     PageRun to) override {
+      for (uint32_t i = 0; i < to.pages >> order; ++i) {
+        moves.push_back({kind, owner, first_slot + i, to.start + (i << order)});
+      }
     }
     struct Move {
       PageKind kind;

@@ -30,8 +30,11 @@ std::vector<Pfn> AllocPfns(Zone& zone, uint32_t n, PageKind kind, int32_t owner,
 
 class RecordingRegistry : public OwnerRegistry {
  public:
-  void RelocateFolio(PageKind kind, int32_t owner, uint32_t owner_slot, Pfn new_head) override {
-    moves.push_back({kind, owner, owner_slot, new_head});
+  void RelocateRun(PageKind kind, int32_t owner, uint32_t first_slot, uint8_t order,
+                   PageRun to) override {
+    for (uint32_t i = 0; i < to.pages >> order; ++i) {
+      moves.push_back({kind, owner, first_slot + i, to.start + (i << order)});
+    }
   }
   struct Move {
     PageKind kind;

@@ -24,11 +24,13 @@
 #include "src/hotplug/hotplug.h"
 #include "src/mm/memmap.h"
 #include "src/mm/migration.h"
+#include "src/mm/page_cache.h"
 #include "src/mm/zone.h"
 #include "src/sim/cpu_accountant.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/rng.h"
 #include "src/trace/cluster_trace.h"
+#include "tests/oracles/dense_page_cache.h"
 #include "tests/oracles/heap_event_queue.h"
 
 namespace squeezy {
@@ -1029,8 +1031,11 @@ struct Move {
 
 class MoveLog : public OwnerRegistry {
  public:
-  void RelocateFolio(PageKind kind, int32_t owner, uint32_t owner_slot, Pfn new_head) override {
-    moves.push_back({kind, owner, owner_slot, new_head});
+  void RelocateRun(PageKind kind, int32_t owner, uint32_t first_slot, uint8_t order,
+                   PageRun to) override {
+    for (uint32_t i = 0; i < to.pages >> order; ++i) {
+      moves.push_back({kind, owner, first_slot + i, to.start + (i << order)});
+    }
   }
   std::vector<Move> moves;
 };
@@ -1059,7 +1064,8 @@ MigrateOutcome PerFolioMigrate(MemMap& memmap, Zone& src_zone, Zone& target_zone
     }
     outcome.pages_newly_backed += memmap.SetHostPopulated(target, folio_pages);
     src_zone.FreeIntoIsolation(pfn, folio_pages);
-    owners->RelocateFolio(p.kind, p.owner(), p.owner_slot(), target);
+    owners->RelocateRun(p.kind, p.owner(), p.owner_slot(), p.order,
+                        {target, folio_pages});
     outcome.folios_moved += 1;
     outcome.pages_moved += folio_pages;
     outcome.cost += cost.MigrateFolio(folio_pages);
@@ -1301,6 +1307,328 @@ INSTANTIATE_TEST_SUITE_P(
              (std::get<1>(param_info.param) ? "_separate" : "_same") +
              (std::get<2>(param_info.param) ? "_shuffled" : "_ascending");
     });
+
+// --- Range-free oracle: Zone::Free(start, pages) vs per-head frees ---------------
+
+// Zone::Free(start, pages) cuts the runs at the range's edges and frees
+// each aligned piece of the range as one chunk.  It must leave exactly what
+// Free(head) on each head of the range in ascending order leaves, which is
+// how the page cache used to drop a file, one page at a time.  Twin sets
+// replay one random script in zones whose blocks interleave: page-cache
+// runs (AllocPages), order-0 pages, THPs and max-order folios, and frees
+// that leave free buddies on both sides of later ranges.  Every few steps
+// a random allocated stretch of one zone — whole folios and run pages,
+// often beginning or ending inside a run, sometimes across a block — is
+// freed, on one set with one range free and on the other head by head.
+// After every step uniform_oracle::ExpectSame compares the FNV view digest
+// of every page (a free head's view carries its list links, so every free
+// list compares in walk order, max-order ones through the max links),
+// free_pages, the per-order counts and CheckFreeLists; block occupancy
+// must agree too, and the range free must write no more records.
+class RangeFreeVsPerHeadFreeTest
+    : public testing::TestWithParam<std::tuple<uint64_t, bool>> {};
+
+TEST_P(RangeFreeVsPerHeadFreeTest, RangeFreeEqualsAscendingPerHeadFrees) {
+  using uniform_oracle::kBlocks;
+  using uniform_oracle::kZones;
+  using uniform_oracle::MmSet;
+  const auto [seed, shuffled] = GetParam();
+  uint64_t digest = uniform_oracle::kFnvOffset;
+  MmSet range(seed + 71, shuffled);
+  MmSet heads(seed + 71, shuffled);
+  MmSet* const sets[] = {&range, &heads};
+  Rng rng(seed);
+  // Blocks 0 and 1 are zone 0's first two; the rest interleave.
+  for (BlockIndex b = 0; b < kBlocks; ++b) {
+    const auto z = b < 2 ? size_t{0} : static_cast<size_t>(rng.UniformInt(0, kZones - 1));
+    for (MmSet* s : sets) {
+      s->memmap.InitBlock(b);
+      s->zones[z]->AddFreeRange(MemMap::BlockStart(b), kPagesPerBlock);
+      s->memmap.set_block_state(b, BlockState::kOnline);
+    }
+  }
+  std::vector<Pfn> held;  // Every allocated head; each page of a run is one.
+  // Max-order ballast: in an ascending zone 0 it fills block 0 up to its
+  // last slot, so the page-cache fill after it crosses into block 1.
+  for (int i = 0; i < 31; ++i) {
+    const Pfn a = range.zones[0]->Alloc(kMaxPageOrder, PageKind::kAnon, 1, 0);
+    ASSERT_EQ(a, heads.zones[0]->Alloc(kMaxPageOrder, PageKind::kAnon, 1, 0));
+    held.push_back(a);
+  }
+  uint32_t next_slot = 1536;
+  const std::vector<Pfn> fill =
+      uniform_oracle::AllocPfns(*range.zones[0], next_slot, PageKind::kFile, 3, 0);
+  ASSERT_EQ(fill,
+            uniform_oracle::AllocPfns(*heads.zones[0], next_slot, PageKind::kFile, 3, 0));
+  held.insert(held.end(), fill.begin(), fill.end());
+  auto pick = [&rng](size_t n) {
+    return static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(n) - 1));
+  };
+  int ranges = 0;
+  bool saw_cut_start = false;
+  bool saw_cut_end = false;
+  bool saw_cross_block = false;
+  bool saw_folio = false;
+
+  for (int step = 0; step < 200; ++step) {
+    const auto zi = static_cast<size_t>(rng.UniformInt(0, kZones - 1));
+    switch (rng.UniformInt(0, 5)) {
+      case 0:
+      case 1: {  // A page-cache fill.
+        const auto n = static_cast<uint32_t>(rng.UniformInt(1, 1500));
+        const std::vector<Pfn> a =
+            uniform_oracle::AllocPfns(*range.zones[zi], n, PageKind::kFile, 3, next_slot);
+        ASSERT_EQ(a, uniform_oracle::AllocPfns(*heads.zones[zi], n, PageKind::kFile, 3,
+                                               next_slot))
+            << "step " << step;
+        next_slot += n;
+        held.insert(held.end(), a.begin(), a.end());
+        break;
+      }
+      case 2: {  // A folio at order 0, 9 or 10.
+        const uint8_t orders[] = {0, 0, kThpOrder, kMaxPageOrder};
+        const uint8_t order = orders[rng.UniformInt(0, 3)];
+        const Pfn a = range.zones[zi]->Alloc(order, PageKind::kAnon, 1, 0);
+        ASSERT_EQ(a, heads.zones[zi]->Alloc(order, PageKind::kAnon, 1, 0))
+            << "step " << step;
+        if (a != kInvalidPfn) {
+          held.push_back(a);
+        }
+        break;
+      }
+      case 3: {  // Free a few heads: free buddies around later ranges.
+        for (int k = 0; k < 6 && !held.empty(); ++k) {
+          const size_t i = pick(held.size());
+          const auto z = static_cast<size_t>(range.memmap.page(held[i]).zone_id);
+          for (MmSet* s : sets) {
+            s->zones[z]->Free(held[i]);
+          }
+          held[i] = held.back();
+          held.pop_back();
+        }
+        break;
+      }
+      default: {  // The range free: a stretch of one zone's heads.
+        if (held.empty()) {
+          break;
+        }
+        const MemMap& m = range.memmap;
+        Pfn start = held[pick(held.size())];
+        auto limit = static_cast<Pfn>(rng.UniformInt(1, 2500));
+        if (rng.Chance(0.3)) {
+          // The last head below a block boundary, so the stretch may cross it.
+          const auto b = static_cast<BlockIndex>(rng.UniformInt(1, kBlocks - 1));
+          const Pfn boundary = MemMap::BlockStart(rng.Chance(0.5) ? 1 : b);
+          auto below_boundary = [boundary](Pfn h) { return h < boundary ? h : 0; };
+          const auto below =
+              std::max_element(held.begin(), held.end(), [&](Pfn x, Pfn y) {
+                return below_boundary(x) < below_boundary(y);
+              });
+          if (*below < boundary) {
+            start = *below;
+            limit += boundary - start;
+          }
+        }
+        const int16_t zone = m.page(start).zone_id;
+        std::vector<Pfn> range_heads;
+        Pfn end = start;
+        while (end < m.span_pages() && end - start < limit) {
+          const Page v = m.page(end);
+          if (v.state != PageState::kAllocated || v.zone_id != zone) {
+            break;
+          }
+          range_heads.push_back(end);
+          saw_folio = saw_folio || v.order > 0;
+          end += 1u << v.order;
+        }
+        const Pfn last = m.ExtentStart(end - 1);
+        saw_cut_start = saw_cut_start || m.ExtentStart(start) != start;
+        saw_cut_end = saw_cut_end || last + (1u << m.record(last).order) > end;
+        saw_cross_block =
+            saw_cross_block || MemMap::BlockOf(start) != MemMap::BlockOf(end - 1);
+        const uint64_t range_records = range.memmap.records_written();
+        const uint64_t head_records = heads.memmap.records_written();
+        range.zones[static_cast<size_t>(zone)]->Free(start, end - start);
+        for (const Pfn head : range_heads) {
+          heads.zones[static_cast<size_t>(zone)]->Free(head);
+        }
+        EXPECT_LE(range.memmap.records_written() - range_records,
+                  heads.memmap.records_written() - head_records)
+            << "step " << step;
+        held.erase(std::remove_if(held.begin(), held.end(),
+                                  [&](Pfn h) { return h >= start && h < end; }),
+                   held.end());
+        ++ranges;
+        break;
+      }
+    }
+    uniform_oracle::ExpectSame(range, heads, step, &digest);
+    if (testing::Test::HasFatalFailure()) {
+      return;
+    }
+    for (BlockIndex b = 0; b < kBlocks; ++b) {
+      ASSERT_EQ(range.memmap.BlockOccupied(b), heads.memmap.BlockOccupied(b))
+          << "step " << step << " block " << b;
+    }
+  }
+  EXPECT_GE(ranges, 20);
+  EXPECT_TRUE(saw_cut_start);
+  EXPECT_TRUE(saw_cut_end);
+  EXPECT_TRUE(saw_cross_block || shuffled);
+  EXPECT_TRUE(saw_folio);
+  EXPECT_EQ(range.shuffle_rng.Next(), heads.shuffle_rng.Next());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, RangeFreeVsPerHeadFreeTest,
+    testing::Combine(testing::Values(1u, 2u, 3u, 4u), testing::Bool()),
+    [](const testing::TestParamInfo<std::tuple<uint64_t, bool>>& param_info) {
+      return "seed" + std::to_string(std::get<0>(param_info.param)) +
+             (std::get<1>(param_info.param) ? "_shuffled" : "_ascending");
+    });
+
+// --- Run-vs-dense page cache ------------------------------------------------------
+
+// PageCache keeps each file as sorted, maximal extents; it must answer
+// exactly as the dense per-page table it replaced
+// (tests/oracles/dense_page_cache.h).  Both replay one random script over
+// three files: InsertRun of part of an uncached span, at a pfn that often
+// continues a neighbour so extents merge; RelocateRun of part of a cached
+// span, often across extents, sometimes onto pfns that continue the left
+// neighbour; span queries, bounded and not; and whole-file drops, whose
+// extents must list the dense table's pages in page order.  After every
+// step every Lookup, cached_pages and total_cached_pages must agree, and
+// extent_count must equal the dense table's number of maximal runs.
+namespace page_cache_fuzz {
+
+// The span from idx (before end) cached as idx is, read page by page.
+PageCache::Span DenseSpan(const DensePageCache& d, int32_t f, uint64_t idx,
+                          uint64_t end) {
+  const bool cached = d.Cached(f, idx);
+  uint64_t n = 1;
+  while (idx + n < end && d.Cached(f, idx + n) == cached) {
+    ++n;
+  }
+  return {cached, n};
+}
+
+// Runs of cached pages that continue in both page index and pfn.
+size_t DenseRuns(const DensePageCache& d, int32_t f) {
+  size_t n = 0;
+  for (uint64_t i = 0; i < d.FilePages(f); ++i) {
+    const Pfn pfn = d.Lookup(f, i);
+    const bool continues = i > 0 && d.Lookup(f, i - 1) != kInvalidPfn &&
+                           d.Lookup(f, i - 1) + 1 == pfn;
+    n += pfn != kInvalidPfn && !continues ? 1 : 0;
+  }
+  return n;
+}
+
+}  // namespace page_cache_fuzz
+
+class RunVsDensePageCacheFuzzTest : public testing::TestWithParam<uint64_t> {};
+
+TEST_P(RunVsDensePageCacheFuzzTest, ExtentsAnswerAsTheDenseTable) {
+  using page_cache_fuzz::DenseSpan;
+  Rng rng(GetParam());
+  PageCache runs;
+  DensePageCache dense;
+  constexpr int32_t kFiles = 3;
+  for (int32_t f = 0; f < kFiles; ++f) {
+    const uint64_t bytes = static_cast<uint64_t>(rng.UniformInt(1, 3000)) * kPageSize -
+                           static_cast<uint64_t>(rng.UniformInt(0, kPageSize - 1));
+    ASSERT_EQ(runs.RegisterFile("f", bytes), dense.RegisterFile("f", bytes));
+    ASSERT_EQ(runs.FilePages(f), dense.FilePages(f));
+  }
+  auto random_in = [&rng](uint64_t lo, uint64_t hi) {
+    return static_cast<uint64_t>(
+        rng.UniformInt(static_cast<int64_t>(lo), static_cast<int64_t>(hi)));
+  };
+  Pfn fresh = 1000;  // Pfns no page has used yet.
+  int inserts = 0;
+  int merges = 0;
+  int relocates = 0;
+  int multi_extent_relocates = 0;
+  int drops = 0;
+
+  for (int step = 0; step < 600; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    const auto f = static_cast<int32_t>(rng.UniformInt(0, kFiles - 1));
+    const uint64_t pages = runs.FilePages(f);
+    const uint64_t idx = random_in(0, pages - 1);
+    const PageCache::Span span = runs.SpanAt(f, idx, pages);
+    const PageCache::Span want = DenseSpan(dense, f, idx, pages);
+    ASSERT_EQ(span.cached, want.cached);
+    ASSERT_EQ(span.pages, want.pages);
+    const uint64_t bound = random_in(idx + 1, pages);
+    ASSERT_EQ(runs.SpanAt(f, idx, bound).cached, DenseSpan(dense, f, idx, bound).cached);
+    ASSERT_EQ(runs.SpanAt(f, idx, bound).pages, DenseSpan(dense, f, idx, bound).pages);
+
+    const size_t extents_before = runs.extent_count(f);
+    const uint64_t at = idx + random_in(0, span.pages - 1);
+    const auto n = static_cast<uint32_t>(random_in(1, idx + span.pages - at));
+    const Pfn left = at > 0 ? dense.Lookup(f, at - 1) : kInvalidPfn;
+    const Pfn right = at + n < pages ? dense.Lookup(f, at + n) : kInvalidPfn;
+    Pfn pfn = fresh + static_cast<Pfn>(rng.UniformInt(0, 2));
+    if (left != kInvalidPfn && rng.Chance(0.5)) {
+      pfn = left + 1;  // Continues the left neighbour.
+    } else if (right != kInvalidPfn && right >= n && rng.Chance(0.4)) {
+      pfn = right - n;  // Runs into the right neighbour.
+    }
+    fresh = std::max(fresh, pfn + n) + 1;
+    if (rng.UniformInt(0, 11) == 0) {
+      const std::vector<PageCache::Extent> removed = runs.RemoveAll(f);
+      uint64_t next_idx = 0;
+      for (const PageCache::Extent& e : removed) {
+        ASSERT_GT(e.pages, 0u);
+        ASSERT_GE(e.page_idx, next_idx) << "extents out of page order";
+        for (uint32_t k = 0; k < e.pages; ++k) {
+          ASSERT_EQ(dense.Remove(f, e.page_idx + k), e.pfn + k)
+              << "page " << e.page_idx + k;
+        }
+        next_idx = e.end_idx();
+      }
+      ++drops;
+    } else if (!span.cached) {
+      runs.InsertRun(f, at, pfn, n);
+      for (uint32_t k = 0; k < n; ++k) {
+        dense.Insert(f, at + k, pfn + k);
+      }
+      ++inserts;
+      merges += runs.extent_count(f) <= extents_before ? 1 : 0;
+    } else {
+      for (uint32_t k = 1; k < n; ++k) {
+        if (dense.Lookup(f, at + k) != dense.Lookup(f, at + k - 1) + 1) {
+          ++multi_extent_relocates;
+          break;
+        }
+      }
+      runs.RelocateRun(f, at, pfn, n);
+      for (uint32_t k = 0; k < n; ++k) {
+        dense.Relocate(f, at + k, pfn + k);
+      }
+      ++relocates;
+    }
+
+    for (int32_t g = 0; g < kFiles; ++g) {
+      for (uint64_t i = 0; i < runs.FilePages(g); ++i) {
+        ASSERT_EQ(runs.Lookup(g, i), dense.Lookup(g, i)) << "file " << g << " page " << i;
+      }
+      ASSERT_EQ(runs.cached_pages(g), dense.cached_pages(g)) << "file " << g;
+      ASSERT_EQ(runs.extent_count(g), page_cache_fuzz::DenseRuns(dense, g))
+          << "file " << g;
+    }
+    ASSERT_EQ(runs.total_cached_pages(), dense.total_cached_pages());
+  }
+  EXPECT_GT(inserts, 50);
+  EXPECT_GT(merges, 5);
+  EXPECT_GT(relocates, 50);
+  EXPECT_GT(multi_extent_relocates, 5);
+  EXPECT_GT(drops, 5);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RunVsDensePageCacheFuzzTest,
+                         testing::Values(1u, 2u, 3u, 4u, 5u, 6u));
 
 // --- Balloon oracle: run-batched inflation vs the per-page driver ---------------
 

@@ -75,10 +75,10 @@ inline std::string Ratio(double r) {
 class BenchJson {
  public:
   // `file_prefix` selects the artifact family: "BENCH" (default) holds
-  // ONLY deterministic metrics — CI byte-diffs BENCH_*.json across
-  // SQUEEZY_SIM_THREADS values, so anything wall-clock-derived
-  // (events/sec, speedups) must go into a separate "TIMING" file that
-  // the determinism diff never sees.
+  // ONLY deterministic metrics — CI byte-diffs BENCH_*.json across two
+  // runs of the same build, so anything wall-clock-derived (events/sec,
+  // speedups) must go into a separate "TIMING" file that the determinism
+  // diff never sees.
   explicit BenchJson(const std::string& bench_name,
                      const std::string& file_prefix = "BENCH")
       : name_(bench_name), prefix_(file_prefix) {}

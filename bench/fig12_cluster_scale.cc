@@ -64,7 +64,7 @@ struct ComboResult {
   double wall_sec = 0;        // Wall-clock spent inside RunUntil only.
   std::vector<uint64_t> shard_events;  // Per-shard counts (kSharded runs).
   // Placement-path instrumentation (deterministic: identical under either
-  // placement_impl and any thread count, so all BENCH-safe).
+  // placement_impl and either queue kernel, so all BENCH-safe).
   uint64_t decisions = 0;          // Routing decisions the scheduler took.
   uint64_t index_updates = 0;      // Host deltas the HostIndex absorbed.
   size_t index_max_replicas = 0;   // Widest per-function candidate tree.
@@ -100,7 +100,6 @@ struct ComboResult {
 // rows.
 struct ComboOpts {
   EventQueue::Impl impl = EventQueue::Impl::kTimerWheel;
-  size_t sim_threads = 0;  // kSharded pool width; 0 = SQUEEZY_SIM_THREADS env.
   const ClusterTraceConfig* trace = nullptr;  // nullptr = fig12::TraceConfig().
   TimeNs horizon = kHorizon;
   // Shard-sweep sizing (see fig12_config.h): nullptr/0 = the paper
@@ -118,7 +117,6 @@ ComboResult RunCombo(ReclaimPolicy reclaim, PlacementPolicy placement,
   WallTimer wall;
   ClusterConfig cfg = fig12::SweepConfig(reclaim, placement, host_capacity, hosts);
   cfg.queue_impl = opts.impl;
-  cfg.sim_threads = opts.sim_threads;
   cfg.placement_impl = opts.placement;
   if (opts.vm_base > 0) {
     cfg.host.vm_base_memory = opts.vm_base;
@@ -326,8 +324,8 @@ int main() {
                 {"reclaim", "placement", "admitted", "completed", "p50_ms", "p99_ms",
                  "peak_gib", "gib_s", "pending_scaleups", "unplug_failures", "hints"});
   // BENCH json holds deterministic metrics only (CI byte-diffs it across
-  // SQUEEZY_SIM_THREADS values); everything wall-clock-derived goes into
-  // the TIMING sibling the determinism diff never reads.
+  // two runs); everything wall-clock-derived goes into the TIMING sibling
+  // the determinism diff never reads.
   BenchJson json("fig12_cluster_scale");
   BenchJson timing("fig12_cluster_scale", "TIMING");
   json.SetColumns({"reclaim", "placement", "admitted", "completed", "p50_ms", "p99_ms",
@@ -593,11 +591,9 @@ int main() {
   }
   scale.Print(std::cout);
 
-  // Sharded-kernel scale-out: per-host shards on a thread pool in
-  // deterministic lockstep epochs carry the fleet to 256/512/1024 hosts
-  // (load scaled with the fleet, arrivals quantized into fat parallel
-  // phases).  All deterministic outputs — admitted, events, per-shard
-  // counts, routing hash — are thread-count-invariant; the identity gate
+  // Sharded-kernel scale-out: per-host shards in deterministic lockstep
+  // epochs carry the fleet to 256/512/1024 hosts (load scaled with the
+  // fleet, arrivals quantized into fat shard phases).  The identity gate
   // at kShardIdentityHosts replays the same run on the single-queue
   // wheel and requires bit-identical results.
   std::cout << "\nSharded kernel scale-out (Squeezy + HintedBinPack, paper-sized "
@@ -684,40 +680,6 @@ int main() {
                 << hosts << " hosts -> " << (sharded_identical ? "PASS" : "FAIL")
                 << "\n";
       timing.Metric("shard_ref_single_queue_run_sec_" + tag, ref.wall_sec);
-
-      // Thread scaling at the gate point: explicit 1-thread vs 4-thread
-      // pools over the identical run.  Results are bit-identical by
-      // construction; only the wall-clock may differ, so the >=2x check
-      // is reported but never gates the exit code.
-      ComboOpts t1 = shard_opts;
-      t1.sim_threads = 1;
-      ComboOpts t4 = shard_opts;
-      t4.sim_threads = 4;
-      const ComboResult r1 = RunCombo(ReclaimPolicy::kSqueezy,
-                                      PlacementPolicy::kHintedBinPack,
-                                      fig12::kShardHostCapacity, hosts,
-                                      nullptr, nullptr, t1);
-      const ComboResult r4 = RunCombo(ReclaimPolicy::kSqueezy,
-                                      PlacementPolicy::kHintedBinPack,
-                                      fig12::kShardHostCapacity, hosts,
-                                      nullptr, nullptr, t4);
-      const bool threads_identical =
-          r1.events == r4.events && r1.routing_hash == r4.routing_hash &&
-          r1.admitted == r4.admitted;
-      sharded_identical = sharded_identical && threads_identical;
-      const double shard_speedup =
-          r1.events_per_sec() > 0 ? r4.events_per_sec() / r1.events_per_sec() : 0.0;
-      std::cout << "Check: sharded results identical at 1 vs 4 threads -> "
-                << (threads_identical ? "PASS" : "FAIL") << "\n"
-                << "Check: 4-thread sharded >= 2x 1-thread events/sec at " << hosts
-                << " hosts -> "
-                << (shard_speedup >= 2.0 ? "PASS" : "FAIL (timing-sensitive)")
-                << " (" << Ratio(shard_speedup) << ", "
-                << TablePrinter::Num(r1.events_per_sec() / 1e6) << " -> "
-                << TablePrinter::Num(r4.events_per_sec() / 1e6) << " M events/s)\n";
-      timing.Metric("shard_events_per_sec_1t_" + tag, r1.events_per_sec());
-      timing.Metric("shard_events_per_sec_4t_" + tag, r4.events_per_sec());
-      timing.Metric("shard_thread_speedup_4t_" + tag, shard_speedup);
 
       // Placement-impl identity gate: the indexed path must reproduce the
       // full-snapshot scan BIT-IDENTICALLY — same admissions, same event

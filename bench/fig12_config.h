@@ -34,10 +34,10 @@ inline constexpr size_t kScaleHostCounts[] = {4, 8, 16, 32, 64};
 // and hosts together made the sweep O(hosts^2) wall-clock; the indexed
 // placement path (src/cluster/host_index.*) decides in O(log hosts), so
 // the rows now measure a genuinely growing fleet serving genuinely
-// growing traffic.  Arrivals are quantized so concurrent per-host work
-// lands between cross-shard barriers in fat parallel phases — still a
-// pure function of (config, seed), so any thread count fires the
-// identical sequence.
+// growing traffic.  Arrivals are quantized so per-host work lands
+// between cross-shard barriers in fat shard phases — still a pure
+// function of (config, seed), so both queue kernels fire the identical
+// sequence.
 inline constexpr size_t kShardScaleHostCounts[] = {256, 512, 1024};
 inline constexpr size_t kShardIdentityHosts = 256;  // Sharded-vs-single gate.
 inline constexpr TimeNs kShardArrivalQuantum = Msec(1);

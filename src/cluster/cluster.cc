@@ -2,28 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
 
 namespace squeezy {
-
-namespace {
-
-// Pool width for kSharded: the config value, or — when 0 — the
-// SQUEEZY_SIM_THREADS environment knob (the CI matrix leg drives this),
-// defaulting to 1.  Clamped to at least the coordinator thread.
-size_t ResolveSimThreads(size_t configured) {
-  if (configured > 0) {
-    return configured;
-  }
-  const char* env = std::getenv("SQUEEZY_SIM_THREADS");
-  if (env == nullptr) {
-    return 1;
-  }
-  const long parsed = std::atol(env);
-  return parsed > 1 ? static_cast<size_t>(parsed) : 1;
-}
-
-}  // namespace
 
 Cluster::Cluster(const ClusterConfig& config) : config_(config) {
   assert(config_.nr_hosts > 0);
@@ -32,8 +12,7 @@ Cluster::Cluster(const ClusterConfig& config) : config_(config) {
   // one-event-at-a-time order keeps exact — so they get the wheel.
   const bool registries = config_.shared_dep_cache || config_.shared_snapshots;
   if (config_.queue_impl == EventQueue::Impl::kSharded && !registries) {
-    sharded_ = std::make_unique<ShardedEventQueue>(
-        config_.nr_hosts, ResolveSimThreads(config_.sim_threads));
+    sharded_ = std::make_unique<ShardedEventQueue>(config_.nr_hosts);
     events_ = &sharded_->global();
   } else {
     single_ = std::make_unique<EventQueue>();
@@ -80,7 +59,6 @@ Cluster::Cluster(const ClusterConfig& config) : config_(config) {
 Cluster::~Cluster() = default;
 
 int Cluster::AddFunction(const FunctionSpec& spec, uint32_t max_concurrency) {
-  MutexLock lock(&mu_);
   const int cluster_fn = static_cast<int>(functions_.size());
   const uint64_t boot_commit =
       FaasRuntime::BootCommitment(config_.host, spec, max_concurrency);
@@ -110,13 +88,6 @@ int Cluster::AddFunction(const FunctionSpec& spec, uint32_t max_concurrency) {
 }
 
 void Cluster::DrainHost(size_t h) {
-  // One lock scope for the whole drain decision: the old code read
-  // draining() and called Drain() outside mu_, so two racing DrainHost
-  // calls could both see !draining() and run the migration sweep twice.
-  // Holding mu_ end-to-end makes the drain idempotent — check, migrate,
-  // drain are one atomic step (lock order Cluster::mu_ → host runtime,
-  // per src/base/mutex.h).
-  MutexLock lock(&mu_);
   if (hosts_[h]->draining()) {
     return;  // Already draining: nothing to migrate, nothing to re-drain.
   }
@@ -134,7 +105,6 @@ size_t Cluster::MigratePressured() {
   if (victim < 0) {
     return 0;
   }
-  MutexLock lock(&mu_);
   return MigrateOff(static_cast<size_t>(victim));
 }
 
@@ -273,10 +243,7 @@ size_t Cluster::MigrateOff(size_t src) {
       rec.done_at = done_at;
       migrations_.push_back(rec);
       ++in_flight_migrations_;
-      events_->ScheduleAt(done_at, [this] {
-        MutexLock handler_lock(&mu_);
-        --in_flight_migrations_;
-      });
+      events_->ScheduleAt(done_at, [this] { --in_flight_migrations_; });
       ++started;
       break;
     }
@@ -287,7 +254,6 @@ size_t Cluster::MigrateOff(size_t src) {
 }
 
 void Cluster::SubmitTrace(const std::vector<Invocation>& trace) {
-  MutexLock lock(&mu_);
   for (const Invocation& inv : trace) {
     const int cluster_fn = inv.function;
     assert(cluster_fn >= 0 && static_cast<size_t>(cluster_fn) < functions_.size());
@@ -296,7 +262,6 @@ void Cluster::SubmitTrace(const std::vector<Invocation>& trace) {
 }
 
 void Cluster::Dispatch(int cluster_fn) {
-  MutexLock lock(&mu_);
   if (functions_[static_cast<size_t>(cluster_fn)].empty()) {
     ++unplaced_;  // No host could ever fit this function's VM.
     return;
@@ -351,12 +316,9 @@ FleetSummary Cluster::Summarize(TimeNs horizon) const {
     s.pending_scaleups_total += h->total_pending_scaleups();
     s.unplug_failures += h->total_unplug_failures();
   }
-  {
-    MutexLock lock(&mu_);
-    s.unplaced_invocations = unplaced_;
-    s.migrations = migrations_.size();
-    s.migrated_instances = migrated_instances_;
-  }
+  s.unplaced_invocations = unplaced_;
+  s.migrations = migrations_.size();
+  s.migrated_instances = migrated_instances_;
   const LatencyRecorder fleet = MergeLatencies(recorders);
   if (!fleet.empty()) {
     s.latency_p50 = fleet.Percentile(50);

@@ -30,8 +30,6 @@
 #include <memory>
 #include <vector>
 
-#include "src/base/mutex.h"
-#include "src/base/thread_annotations.h"
 #include "src/cluster/dep_cache.h"
 #include "src/cluster/host_index.h"
 #include "src/cluster/migration_planner.h"
@@ -82,10 +80,9 @@ struct ClusterConfig {
   // (locked by tests and the property fuzz), so this knob never changes
   // results — only wall-clock speed.
   EventQueue::Impl queue_impl = EventQueue::Impl::kTimerWheel;
-  // Thread-pool width for kSharded parallel epochs (coordinator thread
-  // included).  0 = read SQUEEZY_SIM_THREADS from the environment
-  // (defaulting to 1 when unset); ignored by the single wheel.  Any
-  // value yields bit-identical results — threads only change wall-clock.
+  // Ignored: every kernel runs on the calling thread.  The field stays
+  // only because the benchmark driver (perfbench/squeezy_perfbench.cc)
+  // still assigns it; it goes when that driver stops doing so.
   size_t sim_threads = 0;
   // Placement decision implementation: the incrementally-maintained
   // HostIndex (kIndexed — O(log hosts) per route) or the full-snapshot
@@ -95,13 +92,6 @@ struct ClusterConfig {
   PlacementImpl placement_impl = PlacementImpl::kIndexed;
 };
 
-// Lock discipline: the cluster self-locks (`mu_`) around its routing and
-// migration book.  `mu_` is the TOP of the cluster lock ordering
-// (src/base/mutex.h): cluster methods call down into the scheduler,
-// planner, registries, hosts and the event queue while holding it, and
-// none of those layers ever calls back up into the Cluster — event
-// handlers the cluster schedules re-acquire `mu_` themselves (the queue
-// invokes them with its own lock released).
 class Cluster : private HostStateListener {
  public:
   explicit Cluster(const ClusterConfig& config);
@@ -113,15 +103,14 @@ class Cluster : private HostStateListener {
   // (replicas(fn).empty()), in which case its invocations are rejected and
   // counted as unplaced.  That is the fleet-capacity lever: a reclaim
   // policy that hoards commitment (kStatic) loses registrable functions.
-  int AddFunction(const FunctionSpec& spec, uint32_t max_concurrency)
-      SQZ_EXCLUDES(mu_);
+  int AddFunction(const FunctionSpec& spec, uint32_t max_concurrency);
 
   // Schedules the merged fleet trace (Invocation::function is a cluster
   // function index).  Routing happens per invocation at its arrival time.
-  void SubmitTrace(const std::vector<Invocation>& trace) SQZ_EXCLUDES(mu_);
+  void SubmitTrace(const std::vector<Invocation>& trace);
 
-  // Under kSharded these drive the epoch coordinator: advance all shards
-  // to the next cross-shard barrier in parallel, merge the barrier
+  // Under kSharded these drive the epoch coordinator: advance each shard
+  // to the next cross-shard barrier, merge the barrier
   // instant in (when, seq) order, repeat.  The single wheel just runs.
   void RunUntil(TimeNs t) {
     if (sharded_ != nullptr) {
@@ -164,29 +153,24 @@ class Cluster : private HostStateListener {
   // The placement candidate indexes (always maintained, in BOTH
   // placement_impl modes — so index stats are impl-independent).
   const HostIndex& host_index() const { return *host_index_; }
-  size_t function_count() const SQZ_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return functions_.size();
-  }
-  // Returns a reference into the (locked) function table; callers run at
-  // quiescence (tests/benches between Run* calls) — under sharding this
-  // accessor is an epoch-barrier read.
-  const std::vector<Replica>& replicas(int cluster_fn) const SQZ_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
+  size_t function_count() const { return functions_.size(); }
+  // Returns a reference into the function table; callers run at
+  // quiescence (tests/benches between Run* calls).
+  const std::vector<Replica>& replicas(int cluster_fn) const {
     return functions_[static_cast<size_t>(cluster_fn)];
   }
 
   // --- Maintenance (the HostControl plane, fleet-side) -----------------------------
   // Under kMigrateOnDrain, live-migrates the host's warm replicas to
   // planner-chosen destinations before flipping it into draining.
-  void DrainHost(size_t h) SQZ_EXCLUDES(mu_);
+  void DrainHost(size_t h);
   void UndrainHost(size_t h) { hosts_[h]->Undrain(); }
   // One pressure-relief pass (kMigrateOnDrain only): if some host is
   // starving scale-ups (>= config.pressure_migrate_min_pending pending),
   // migrate its warm-but-idle replicas to hosts with headroom, freeing the
   // donor's commitment for the work it is actually serving.  Returns the
   // migrations started.
-  size_t MigratePressured() SQZ_EXCLUDES(mu_);
+  size_t MigratePressured();
 
   // --- Shared dependency cache ------------------------------------------------------
   // Null unless ClusterConfig::shared_dep_cache.
@@ -209,64 +193,40 @@ class Cluster : private HostStateListener {
 
   // --- Migration introspection ------------------------------------------------------
   MigrationPlanner& planner() { return *planner_; }
-  // Reference into the locked migration log — same quiescence contract
-  // as replicas().
-  const std::vector<MigrationRecord>& migrations() const SQZ_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return migrations_;
-  }
+  // Reference into the migration log — same quiescence contract as
+  // replicas().
+  const std::vector<MigrationRecord>& migrations() const { return migrations_; }
   // Transfers started whose completion instant has not passed yet.
-  uint64_t migrations_in_flight() const SQZ_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return in_flight_migrations_;
-  }
+  uint64_t migrations_in_flight() const { return in_flight_migrations_; }
   // Warm instances that landed on (were admitted by) destination hosts.
-  uint64_t migrated_instances() const SQZ_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return migrated_instances_;
-  }
+  uint64_t migrated_instances() const { return migrated_instances_; }
   // Warm instances captured off donors but dropped (no destination fit or
   // the destination's admission ran out) — these cost future cold starts.
-  uint64_t migration_reaped_instances() const SQZ_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return migration_reaped_instances_;
-  }
+  uint64_t migration_reaped_instances() const { return migration_reaped_instances_; }
 
   // Invocations routed to host h so far.
-  uint64_t routed_to(size_t h) const SQZ_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return routed_[h];
-  }
+  uint64_t routed_to(size_t h) const { return routed_[h]; }
   // Invocations rejected because their function has no replica anywhere.
-  uint64_t unplaced_invocations() const SQZ_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return unplaced_;
-  }
+  uint64_t unplaced_invocations() const { return unplaced_; }
   // Order-sensitive FNV-1a digest of every routing decision; equal hashes
   // across runs mean identical placement streams (determinism tests).
-  uint64_t routing_hash() const SQZ_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return routing_hash_;
-  }
+  uint64_t routing_hash() const { return routing_hash_; }
 
   // --- Fleet metrics ---------------------------------------------------------------
   // Pointwise sum of per-host committed-memory series.
   StepSeries FleetCommittedSeries() const;
   // Fleet rollup over [0, horizon] (latency percentiles merge every
   // replica's recorder; totals sum across hosts).
-  FleetSummary Summarize(TimeNs horizon) const SQZ_EXCLUDES(mu_);
+  FleetSummary Summarize(TimeNs horizon) const;
 
  private:
-  // Event-handler entry point (locks mu_ itself; the queue invokes
-  // handlers with its own lock released).
-  void Dispatch(int cluster_fn) SQZ_EXCLUDES(mu_);
+  // Event-handler entry point: routes one arrival of `cluster_fn`.
+  void Dispatch(int cluster_fn);
   // Migrates every warm replica off host `src`; returns transfers started.
-  size_t MigrateOff(size_t src) SQZ_REQUIRES(mu_);
+  size_t MigrateOff(size_t src);
   // HostStateListener: hosts push (committed, pending, draining) deltas
-  // here at their mutation choke points.  Forwards straight into the
-  // leaf-locked HostIndex WITHOUT taking Cluster::mu_ — this runs from
-  // host context below the cluster in the lock order (often while a
-  // cluster method already holds mu_ further up the stack).
+  // here at their mutation choke points; forwarded straight into the
+  // HostIndex.
   void OnHostState(size_t host, uint64_t committed, size_t pending_scaleups,
                    bool draining) override {
     host_index_->Update(host, committed, pending_scaleups, draining);
@@ -281,7 +241,7 @@ class Cluster : private HostStateListener {
   std::unique_ptr<EventQueue> single_;
   EventQueue* events_;  // Never null; &sharded_->global() or single_.get().
   // The unique_ptr targets below are installed once in the constructor
-  // and never reseated; the pointed-to objects self-lock.
+  // and never reseated.
   std::unique_ptr<DepCache> dep_cache_;  // Null unless shared_dep_cache.
   std::unique_ptr<SnapshotStore> snapshot_store_;  // Null unless shared_snapshots.
   // Declared BEFORE hosts_: hosts notify the index through the listener,
@@ -291,21 +251,20 @@ class Cluster : private HostStateListener {
   std::unique_ptr<ClusterScheduler> scheduler_;
   std::unique_ptr<MigrationPlanner> planner_;
 
-  // Guards the routing/migration book below.
-  mutable Mutex mu_;
-  std::vector<std::vector<Replica>> functions_ SQZ_GUARDED_BY(mu_);
+  // The routing/migration book.
+  std::vector<std::vector<Replica>> functions_;
   // Destination sizing per function.
-  std::vector<uint64_t> fn_plug_unit_ SQZ_GUARDED_BY(mu_);
+  std::vector<uint64_t> fn_plug_unit_;
   // Registry image per function.
-  std::vector<DepImageId> fn_dep_image_ SQZ_GUARDED_BY(mu_);
-  std::vector<uint64_t> routed_ SQZ_GUARDED_BY(mu_);
-  std::vector<MigrationRecord> migrations_ SQZ_GUARDED_BY(mu_);
-  uint64_t in_flight_migrations_ SQZ_GUARDED_BY(mu_) = 0;
-  uint64_t migrated_instances_ SQZ_GUARDED_BY(mu_) = 0;
-  uint64_t migration_reaped_instances_ SQZ_GUARDED_BY(mu_) = 0;
-  uint64_t unplaced_ SQZ_GUARDED_BY(mu_) = 0;
+  std::vector<DepImageId> fn_dep_image_;
+  std::vector<uint64_t> routed_;
+  std::vector<MigrationRecord> migrations_;
+  uint64_t in_flight_migrations_ = 0;
+  uint64_t migrated_instances_ = 0;
+  uint64_t migration_reaped_instances_ = 0;
+  uint64_t unplaced_ = 0;
   // FNV-1a offset basis.
-  uint64_t routing_hash_ SQZ_GUARDED_BY(mu_) = 0xcbf29ce484222325ULL;
+  uint64_t routing_hash_ = 0xcbf29ce484222325ULL;
 };
 
 }  // namespace squeezy

@@ -9,7 +9,6 @@ DepCache::DepCache(size_t nr_hosts) : nr_hosts_(nr_hosts), hosts_(nr_hosts) {
 }
 
 DepImageId DepCache::Intern(const std::string& key, uint64_t region_bytes) {
-  MutexLock lock(&mu_);
   const auto it = by_key_.find(key);
   if (it != by_key_.end()) {
     assert(images_[static_cast<size_t>(it->second)].region_bytes == region_bytes &&
@@ -27,7 +26,6 @@ DepImageId DepCache::Intern(const std::string& key, uint64_t region_bytes) {
 }
 
 uint64_t DepCache::region_bytes(DepImageId img) const {
-  MutexLock lock(&mu_);
   return images_[static_cast<size_t>(img)].region_bytes;
 }
 
@@ -42,7 +40,6 @@ const DepCache::Residency& DepCache::at(size_t host, DepImageId img) const {
 }
 
 bool DepCache::PinImage(size_t host, DepImageId img) {
-  MutexLock lock(&mu_);
   Residency& r = at(host, img);
   ++stats_.pins;
   if (r.resident) {
@@ -55,7 +52,6 @@ bool DepCache::PinImage(size_t host, DepImageId img) {
 }
 
 uint64_t DepCache::EvictImage(size_t host, DepImageId img) {
-  MutexLock lock(&mu_);
   Residency& r = at(host, img);
   if (!r.resident) {
     return 0;
@@ -70,43 +66,36 @@ uint64_t DepCache::EvictImage(size_t host, DepImageId img) {
 }
 
 bool DepCache::Resident(size_t host, DepImageId img) const {
-  MutexLock lock(&mu_);
   return at(host, img).resident;
 }
 
 void DepCache::AddRef(size_t host, DepImageId img) {
-  MutexLock lock(&mu_);
   Residency& r = at(host, img);
   assert(r.resident && "references only on resident images");
   ++r.refs;
 }
 
 void DepCache::ReleaseRef(size_t host, DepImageId img) {
-  MutexLock lock(&mu_);
   Residency& r = at(host, img);
   assert(r.refs > 0);
   --r.refs;
 }
 
 uint64_t DepCache::RefCount(size_t host, DepImageId img) const {
-  MutexLock lock(&mu_);
   return at(host, img).refs;
 }
 
 void DepCache::MarkPopulated(size_t host, DepImageId img) {
-  MutexLock lock(&mu_);
   Residency& r = at(host, img);
   assert(r.resident && "population implies residency");
   r.populated = true;
 }
 
 bool DepCache::Populated(size_t host, DepImageId img) const {
-  MutexLock lock(&mu_);
   return at(host, img).populated;
 }
 
 bool DepCache::PopulatedElsewhere(size_t host, DepImageId img) const {
-  MutexLock lock(&mu_);
   for (size_t h = 0; h < hosts_.size(); ++h) {
     if (h != host && hosts_[h][static_cast<size_t>(img)].populated) {
       return true;
@@ -116,13 +105,11 @@ bool DepCache::PopulatedElsewhere(size_t host, DepImageId img) const {
 }
 
 void DepCache::RecordWireHit(uint64_t bytes) {
-  MutexLock lock(&mu_);
   ++stats_.wire_hits;
   stats_.wire_bytes_saved += bytes;
 }
 
 uint64_t DepCache::charged_bytes(size_t host) const {
-  MutexLock lock(&mu_);
   uint64_t total = 0;
   for (size_t i = 0; i < images_.size(); ++i) {
     if (hosts_[host][i].resident) {
@@ -134,7 +121,6 @@ uint64_t DepCache::charged_bytes(size_t host) const {
 
 std::vector<std::pair<std::string, uint64_t>> DepCache::ChargedImages(
     size_t host) const {
-  MutexLock lock(&mu_);
   std::vector<std::pair<std::string, uint64_t>> out;
   // by_key_ is ordered: the dump is key-sorted no matter what order the
   // images were interned in.

@@ -40,8 +40,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/base/mutex.h"
-#include "src/base/thread_annotations.h"
 #include "src/faas/dep_registry.h"
 
 namespace squeezy {
@@ -59,52 +57,39 @@ struct DepCacheStats {
   uint64_t wire_bytes_saved = 0;  // deps_bytes that never crossed the wire.
 };
 
-// Lock discipline: the cache self-locks (`mu_`) — it is exactly the
-// cross-host shared state the per-host queue sharding will contend on.
-// Methods never call out of the class while holding `mu_`, so the lock
-// is a leaf in the cluster ordering (see src/base/mutex.h).
 class DepCache : public DepImageRegistry {
  public:
   explicit DepCache(size_t nr_hosts);
 
   // --- DepImageRegistry ------------------------------------------------------------
-  DepImageId Intern(const std::string& key, uint64_t region_bytes) override
-      SQZ_EXCLUDES(mu_);
-  uint64_t region_bytes(DepImageId img) const override SQZ_EXCLUDES(mu_);
-  bool PinImage(size_t host, DepImageId img) override SQZ_EXCLUDES(mu_);
-  uint64_t EvictImage(size_t host, DepImageId img) override SQZ_EXCLUDES(mu_);
-  bool Resident(size_t host, DepImageId img) const override SQZ_EXCLUDES(mu_);
-  void AddRef(size_t host, DepImageId img) override SQZ_EXCLUDES(mu_);
-  void ReleaseRef(size_t host, DepImageId img) override SQZ_EXCLUDES(mu_);
-  uint64_t RefCount(size_t host, DepImageId img) const override SQZ_EXCLUDES(mu_);
-  void MarkPopulated(size_t host, DepImageId img) override SQZ_EXCLUDES(mu_);
-  bool Populated(size_t host, DepImageId img) const override SQZ_EXCLUDES(mu_);
-  bool PopulatedElsewhere(size_t host, DepImageId img) const override
-      SQZ_EXCLUDES(mu_);
+  DepImageId Intern(const std::string& key, uint64_t region_bytes) override;
+  uint64_t region_bytes(DepImageId img) const override;
+  bool PinImage(size_t host, DepImageId img) override;
+  uint64_t EvictImage(size_t host, DepImageId img) override;
+  bool Resident(size_t host, DepImageId img) const override;
+  void AddRef(size_t host, DepImageId img) override;
+  void ReleaseRef(size_t host, DepImageId img) override;
+  uint64_t RefCount(size_t host, DepImageId img) const override;
+  void MarkPopulated(size_t host, DepImageId img) override;
+  bool Populated(size_t host, DepImageId img) const override;
+  bool PopulatedElsewhere(size_t host, DepImageId img) const override;
 
   // --- Fleet-side bookkeeping --------------------------------------------------------
   // A migration to a populated destination skipped `bytes` on the wire.
-  void RecordWireHit(uint64_t bytes) SQZ_EXCLUDES(mu_);
+  void RecordWireHit(uint64_t bytes);
 
-  size_t image_count() const SQZ_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return images_.size();
-  }
+  size_t image_count() const { return images_.size(); }
   size_t host_count() const { return nr_hosts_; }
   // Commitment currently charged for resident images on `host` (the
   // host's book at quiescence is boot bases + plugged units + this).
-  uint64_t charged_bytes(size_t host) const SQZ_EXCLUDES(mu_);
+  uint64_t charged_bytes(size_t host) const;
   // (key, region_bytes) of every image resident on `host`, in key order.
   // Sim-visible dump path (stats tables, bench rows): iteration runs over
   // the ordered key index, NEVER a hash table, so the output is a pure
   // function of the inserted set — insertion order cannot leak into it
   // (locked by tests/determinism_order_test.cc).
-  std::vector<std::pair<std::string, uint64_t>> ChargedImages(size_t host) const
-      SQZ_EXCLUDES(mu_);
-  DepCacheStats stats() const SQZ_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return stats_;
-  }
+  std::vector<std::pair<std::string, uint64_t>> ChargedImages(size_t host) const;
+  DepCacheStats stats() const { return stats_; }
 
  private:
   struct Residency {
@@ -117,20 +102,19 @@ class DepCache : public DepImageRegistry {
     uint64_t region_bytes = 0;
   };
 
-  Residency& at(size_t host, DepImageId img) SQZ_REQUIRES(mu_);
-  const Residency& at(size_t host, DepImageId img) const SQZ_REQUIRES(mu_);
+  Residency& at(size_t host, DepImageId img);
+  const Residency& at(size_t host, DepImageId img) const;
 
   const size_t nr_hosts_;  // Set at construction, immutable after.
-  mutable Mutex mu_;
-  std::vector<Image> images_ SQZ_GUARDED_BY(mu_);
+  std::vector<Image> images_;
   // Ordered key index: Intern() is lookup-dominated and off the hot path,
   // and an ordered map makes every future key iteration (dumps, eviction
   // sweeps) deterministic BY CONSTRUCTION instead of by audit.
-  std::map<std::string, DepImageId> by_key_ SQZ_GUARDED_BY(mu_);
+  std::map<std::string, DepImageId> by_key_;
   // hosts_[host][img] — images are few (one per function spec), so a
   // dense per-host vector keeps lookups allocation-free on the hot path.
-  std::vector<std::vector<Residency>> hosts_ SQZ_GUARDED_BY(mu_);
-  DepCacheStats stats_ SQZ_GUARDED_BY(mu_);
+  std::vector<std::vector<Residency>> hosts_;
+  DepCacheStats stats_;
 };
 
 }  // namespace squeezy

@@ -2,19 +2,18 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 
 namespace squeezy {
 
 HostIndex::HostIndex(size_t nr_hosts) : nr_hosts_(nr_hosts) {
   assert(nr_hosts_ > 0);
-  MutexLock lock(&mu_);
   rows_.resize(nr_hosts_);
   host_fns_.resize(nr_hosts_);
 }
 
 void HostIndex::InitHost(size_t host, uint64_t committed, uint64_t capacity,
                          size_t pending, bool draining) {
-  MutexLock lock(&mu_);
   assert(host < nr_hosts_);
   HostRow& row = rows_[host];
   // Idempotent re-seed: drop any prior keys before inserting the new ones.
@@ -26,7 +25,6 @@ void HostIndex::InitHost(size_t host, uint64_t committed, uint64_t capacity,
 
 void HostIndex::Update(size_t host, uint64_t committed, size_t pending,
                        bool draining) {
-  MutexLock lock(&mu_);
   assert(host < nr_hosts_);
   HostRow& row = rows_[host];
   ++stats_.updates;
@@ -66,7 +64,6 @@ void HostIndex::ApplyRow(size_t host, uint64_t committed, size_t pending,
 }
 
 void HostIndex::RegisterFunction(int fn, const std::vector<size_t>& replica_hosts) {
-  MutexLock lock(&mu_);
   assert(fn >= 0);
   assert(static_cast<size_t>(fn) == fns_.size());  // Cluster-fn order.
   fns_.emplace_back();
@@ -86,14 +83,12 @@ void HostIndex::RegisterFunction(int fn, const std::vector<size_t>& replica_host
 }
 
 HostIndex::HostRow HostIndex::row(size_t host) const {
-  MutexLock lock(&mu_);
   assert(host < nr_hosts_);
   return rows_[host];
 }
 
 std::vector<HostIndex::Candidate> HostIndex::CandidatesByAvailable(
     uint64_t need) const {
-  MutexLock lock(&mu_);
   std::vector<Candidate> out;
   for (auto it = by_available_.lower_bound({need, 0}); it != by_available_.end();
        ++it) {
@@ -112,35 +107,23 @@ std::vector<HostIndex::Candidate> HostIndex::CandidatesByAvailable(
 
 int HostIndex::FirstAdmittingByCommittedDesc(
     int fn, const std::function<bool(size_t)>& can_admit) const {
-  // Snapshot the probe order under the lock, probe without it: can_admit
-  // reaches into the host layer and must not run below `mu_`.
-  std::vector<size_t> order;
-  {
-    MutexLock lock(&mu_);
-    assert(static_cast<size_t>(fn) < fns_.size());
-    const FnIndex& idx = fns_[fn];
-    order.reserve(idx.hosts.size());
-    auto it = idx.by_committed.rbegin();
-    std::vector<size_t> group;
-    while (it != idx.by_committed.rend()) {
-      const uint64_t committed = it->first;
-      group.clear();
-      for (; it != idx.by_committed.rend() && it->first == committed; ++it) {
-        group.push_back(it->second);  // Descending replica index.
+  assert(static_cast<size_t>(fn) < fns_.size());
+  const auto& tree = fns_[fn].by_committed;
+  // Committed groups from the top down; replicas ascending inside each.
+  auto group_end = tree.end();
+  while (group_end != tree.begin()) {
+    const auto group = tree.lower_bound({std::prev(group_end)->first, 0});
+    for (auto it = group; it != group_end; ++it) {
+      if (can_admit(it->second)) {
+        return static_cast<int>(it->second);
       }
-      order.insert(order.end(), group.rbegin(), group.rend());  // Ascending.
     }
-  }
-  for (size_t replica : order) {
-    if (can_admit(replica)) {
-      return static_cast<int>(replica);
-    }
+    group_end = group;
   }
   return -1;
 }
 
 std::vector<size_t> HostIndex::LeastCommittedTied(int fn) const {
-  MutexLock lock(&mu_);
   assert(static_cast<size_t>(fn) < fns_.size());
   const FnIndex& idx = fns_[fn];
   // The scan treats every replica as eligible when ALL of them drain.
@@ -164,13 +147,11 @@ std::vector<size_t> HostIndex::LeastCommittedTied(int fn) const {
 }
 
 size_t HostIndex::EligibleCount(int fn) const {
-  MutexLock lock(&mu_);
   assert(static_cast<size_t>(fn) < fns_.size());
   return fns_[fn].hosts.size() - fns_[fn].draining_replicas;
 }
 
 size_t HostIndex::EligibleAt(int fn, size_t k) const {
-  MutexLock lock(&mu_);
   assert(static_cast<size_t>(fn) < fns_.size());
   const FnIndex& idx = fns_[fn];
   if (idx.draining_replicas == 0) {
@@ -190,7 +171,6 @@ size_t HostIndex::EligibleAt(int fn, size_t k) const {
 }
 
 int HostIndex::MostPressured(size_t min_pending) const {
-  MutexLock lock(&mu_);
   for (const auto& [pending, host] : by_pressure_) {
     if (rows_[host].draining) {
       continue;

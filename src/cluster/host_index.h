@@ -34,14 +34,8 @@
 // Determinism: every ordered structure is keyed by absolute values
 // (bytes, counts, stable indices) — never pointers or hashes — so the
 // index contents are a pure function of the host states regardless of
-// update arrival order across shard threads (tools/determinism_lint.py
-// rejects unordered or pointer-keyed containers in index-named state).
-//
-// Lock discipline: the index self-locks (`mu_`), a LEAF in the cluster
-// ordering (src/base/mutex.h): updates arrive from host layers below the
-// scheduler (possibly from shard threads mid-epoch), queries from the
-// decision layers above, and no method ever calls out of the class while
-// holding `mu_`.
+// update arrival order (tools/determinism_lint.py rejects unordered or
+// pointer-keyed containers in index-named state).
 #ifndef SQUEEZY_CLUSTER_HOST_INDEX_H_
 #define SQUEEZY_CLUSTER_HOST_INDEX_H_
 
@@ -52,8 +46,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/base/mutex.h"
-#include "src/base/thread_annotations.h"
 
 namespace squeezy {
 
@@ -86,7 +78,7 @@ class HostIndex {
   };
 
   // One PlaceFunction candidate: host plus the cached quantities the
-  // placement comparators rank on (read under one lock).
+  // placement comparators rank on.
   struct Candidate {
     size_t host = 0;
     uint64_t committed = 0;
@@ -96,56 +88,48 @@ class HostIndex {
   // --- Maintenance ---------------------------------------------------------------
   // Seeds host's row before any delta can arrive (cluster construction).
   void InitHost(size_t host, uint64_t committed, uint64_t capacity, size_t pending,
-                bool draining) SQZ_EXCLUDES(mu_);
+                bool draining);
   // Absorbs one delta notification (HostStateListener).  Any subset of
   // the fields may have changed; capacity is fixed at InitHost.
-  void Update(size_t host, uint64_t committed, size_t pending, bool draining)
-      SQZ_EXCLUDES(mu_);
+  void Update(size_t host, uint64_t committed, size_t pending, bool draining);
   // Registers cluster function `fn`'s replica hosts (replica order).
   // Calls must happen in cluster-function-index order, right after
   // placement — before any routing decision for `fn`.
-  void RegisterFunction(int fn, const std::vector<size_t>& replica_hosts)
-      SQZ_EXCLUDES(mu_);
+  void RegisterFunction(int fn, const std::vector<size_t>& replica_hosts);
 
   // --- Queries (each reproduces its scan counterpart bit-identically) -------------
-  HostRow row(size_t host) const SQZ_EXCLUDES(mu_);
+  HostRow row(size_t host) const;
 
   // Non-draining hosts with available >= need, ascending host index, each
   // carrying the cached values the placement comparators sort on
   // (PlaceFunction's candidate filter).
-  std::vector<Candidate> CandidatesByAvailable(uint64_t need) const SQZ_EXCLUDES(mu_);
+  std::vector<Candidate> CandidatesByAvailable(uint64_t need) const;
 
   // Bin-pack routing: first replica of `fn` in (committed descending,
   // replica index ascending) order for which `can_admit(replica)` holds;
-  // -1 when none admits.  `can_admit` is invoked WITHOUT `mu_` held (it
-  // calls into the host layer), against an order fixed before the first
-  // probe — admission checks are const, so the probe order alone
-  // determines the pick, exactly like the scan's max-committed
-  // first-match loop.
+  // -1 when none admits.  Admission checks are const (they leave the
+  // index untouched), so the probe order alone determines the pick,
+  // exactly like the scan's max-committed first-match loop.
   int FirstAdmittingByCommittedDesc(int fn,
-                                    const std::function<bool(size_t)>& can_admit) const
-      SQZ_EXCLUDES(mu_);
+                                    const std::function<bool(size_t)>& can_admit) const;
 
   // Least-committed routing: the scan's tied set — replicas of the least
   // committed eligible group (non-draining, unless every replica drains),
   // ascending replica index.  Never empty for a registered non-empty fn.
-  std::vector<size_t> LeastCommittedTied(int fn) const SQZ_EXCLUDES(mu_);
+  std::vector<size_t> LeastCommittedTied(int fn) const;
 
   // Round-robin routing: non-draining replica count of `fn`, and the
   // k-th non-draining replica (k < EligibleCount(fn)).
-  size_t EligibleCount(int fn) const SQZ_EXCLUDES(mu_);
-  size_t EligibleAt(int fn, size_t k) const SQZ_EXCLUDES(mu_);
+  size_t EligibleCount(int fn) const;
+  size_t EligibleAt(int fn, size_t k) const;
 
   // The non-draining host with the most pending scale-ups (at least
   // `min_pending`), ties to the lowest host index; -1 when none
   // qualifies (MostPressuredHost's max-scan).
-  int MostPressured(size_t min_pending) const SQZ_EXCLUDES(mu_);
+  int MostPressured(size_t min_pending) const;
 
   size_t host_count() const { return nr_hosts_; }
-  HostIndexStats stats() const SQZ_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return stats_;
-  }
+  HostIndexStats stats() const { return stats_; }
 
  private:
   // One function's replica tree: (committed, replica index) ascending —
@@ -158,14 +142,12 @@ class HostIndex {
     size_t draining_replicas = 0;
   };
 
-  void ApplyRow(size_t host, uint64_t committed, size_t pending, bool draining)
-      SQZ_REQUIRES(mu_);
+  void ApplyRow(size_t host, uint64_t committed, size_t pending, bool draining);
 
   const size_t nr_hosts_;  // Set at construction, immutable after.
-  mutable Mutex mu_;
-  std::vector<HostRow> rows_ SQZ_GUARDED_BY(mu_);
+  std::vector<HostRow> rows_;
   // (available, host) ascending.
-  std::set<std::pair<uint64_t, size_t>> by_available_ SQZ_GUARDED_BY(mu_);
+  std::set<std::pair<uint64_t, size_t>> by_available_;
   // (pending desc, host asc): begin() is the pressure-scan winner.
   struct PressureOrder {
     bool operator()(const std::pair<size_t, size_t>& a,
@@ -176,12 +158,12 @@ class HostIndex {
       return a.second < b.second;
     }
   };
-  std::set<std::pair<size_t, size_t>, PressureOrder> by_pressure_ SQZ_GUARDED_BY(mu_);
-  std::vector<FnIndex> fns_ SQZ_GUARDED_BY(mu_);
+  std::set<std::pair<size_t, size_t>, PressureOrder> by_pressure_;
+  std::vector<FnIndex> fns_;
   // host -> (fn, replica index) memberships, so one host delta updates
   // every tree it appears in.
-  std::vector<std::vector<std::pair<size_t, size_t>>> host_fns_ SQZ_GUARDED_BY(mu_);
-  HostIndexStats stats_ SQZ_GUARDED_BY(mu_);
+  std::vector<std::vector<std::pair<size_t, size_t>>> host_fns_;
+  HostIndexStats stats_;
 };
 
 }  // namespace squeezy

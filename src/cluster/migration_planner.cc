@@ -14,10 +14,7 @@ MigrationPlanner::MigrationPlanner(std::vector<HostControl*> hosts, const CostMo
 std::vector<size_t> MigrationPlanner::RankDestinations(
     size_t src_host, const std::vector<Replica>& replicas, uint64_t unit_bytes,
     size_t wanted) const {
-  {
-    MutexLock lock(&mu_);
-    ++plans_considered_;
-  }
+  ++plans_considered_;
   struct Candidate {
     size_t idx;
     bool fits_all;

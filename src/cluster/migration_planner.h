@@ -22,8 +22,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/base/mutex.h"
-#include "src/base/thread_annotations.h"
 #include "src/cluster/scheduler.h"
 #include "src/faas/host_control.h"
 #include "src/sim/cost_model.h"
@@ -73,8 +71,7 @@ class MigrationPlanner {
   // admits more warm replicas than its raw plug-unit headroom suggests.
   std::vector<size_t> RankDestinations(size_t src_host,
                                        const std::vector<Replica>& replicas,
-                                       uint64_t unit_bytes, size_t wanted) const
-      SQZ_EXCLUDES(mu_);
+                                       uint64_t unit_bytes, size_t wanted) const;
 
   // The non-draining host with the most memory-starved scale-ups right
   // now (at least `min_pending` of them; min_pending == 0 admits any
@@ -101,19 +98,15 @@ class MigrationPlanner {
                                  bool dep_cache_hit = false,
                                  bool snapshot_hit = false) const;
 
-  uint64_t plans_considered() const SQZ_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return plans_considered_;
-  }
+  uint64_t plans_considered() const { return plans_considered_; }
 
  private:
   const std::vector<HostControl*> hosts_;  // Pointer set fixed at construction.
   const CostModel cost_;                   // Immutable after construction.
   const HostIndex* const index_;           // Null => full-scan reference path.
-  // Guards the decision counter (the planner's only mutable state; the
-  // ranking itself is a pure function of the snapshots it takes).
-  mutable Mutex mu_;
-  mutable uint64_t plans_considered_ SQZ_GUARDED_BY(mu_) = 0;
+  // The planner's only mutable state; the ranking itself is a pure
+  // function of the snapshots it takes.
+  mutable uint64_t plans_considered_ = 0;
 };
 
 }  // namespace squeezy

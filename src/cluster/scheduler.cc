@@ -39,7 +39,6 @@ ClusterScheduler::ClusterScheduler(PlacementPolicy policy, std::vector<HostContr
 std::vector<size_t> ClusterScheduler::PlaceFunction(uint64_t boot_commit,
                                                     uint64_t plug_unit,
                                                     size_t replicas) {
-  MutexLock lock(&mu_);
   fn_plug_unit_.push_back(plug_unit);
   replicas = std::min(std::max<size_t>(replicas, 1), hosts_.size());
   // Hard admission: only non-draining hosts that can commit the VM's boot
@@ -213,7 +212,6 @@ const Replica& ClusterScheduler::RouteIndexed(int cluster_fn,
 const Replica& ClusterScheduler::Route(int cluster_fn,
                                        const std::vector<Replica>& replicas) {
   assert(!replicas.empty());
-  MutexLock lock(&mu_);
   ++decisions_;
 
   if (index_ != nullptr) {

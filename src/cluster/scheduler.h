@@ -55,8 +55,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/base/mutex.h"
-#include "src/base/thread_annotations.h"
 #include "src/cluster/host_index.h"
 #include "src/faas/host_control.h"
 
@@ -106,11 +104,6 @@ struct Replica {
   int local_fn = -1;
 };
 
-// Lock discipline: the scheduler self-locks (`mu_`) around its decision
-// state (cursors, per-function plug units, counters).  HostControl
-// snapshots are taken while holding `mu_` — hosts sit BELOW the
-// scheduler in the cluster lock ordering (src/base/mutex.h) and never
-// call back up into it.
 class ClusterScheduler {
  public:
   // `hosts` must outlive the scheduler.  With a non-null `index` (which
@@ -128,53 +121,43 @@ class ClusterScheduler {
   // function's invocations).  Calls must happen in cluster-function-index
   // order: the plug unit is recorded per function for routing hints.
   std::vector<size_t> PlaceFunction(uint64_t boot_commit, uint64_t plug_unit,
-                                    size_t replicas) SQZ_EXCLUDES(mu_);
+                                    size_t replicas);
 
   // Routing: picks the serving replica for one invocation of cluster
   // function `cluster_fn` arriving now.  `replicas` is non-empty.
-  const Replica& Route(int cluster_fn, const std::vector<Replica>& replicas)
-      SQZ_EXCLUDES(mu_);
+  const Replica& Route(int cluster_fn, const std::vector<Replica>& replicas);
 
   PlacementPolicy policy() const { return policy_; }
-  uint64_t decisions() const SQZ_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return decisions_;
-  }
+  uint64_t decisions() const { return decisions_; }
   // ProactiveReclaim hints fired at donor hosts (kHintedBinPack only).
-  uint64_t hints_fired() const SQZ_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return hints_fired_;
-  }
+  uint64_t hints_fired() const { return hints_fired_; }
 
  private:
   // Index into `replicas`/`snaps` of the least-committed non-draining host
   // (all hosts when every one drains); exact ties rotate per function (see
   // .cc) to avoid sticky-host herding.
   size_t LeastCommittedOf(const std::vector<Replica>& replicas,
-                          const std::vector<HostSnapshot>& snaps, int cluster_fn)
-      SQZ_REQUIRES(mu_);
+                          const std::vector<HostSnapshot>& snaps, int cluster_fn);
   // Index-backed Route body: no snapshot vector is materialized — the
   // candidate order comes from the HostIndex trees and only the narrow
   // live reads a decision still needs (CanAdmitNow probes) touch hosts.
-  const Replica& RouteIndexed(int cluster_fn, const std::vector<Replica>& replicas)
-      SQZ_REQUIRES(mu_);
-  size_t& RouteCursor(int cluster_fn) SQZ_REQUIRES(mu_);
+  const Replica& RouteIndexed(int cluster_fn, const std::vector<Replica>& replicas);
+  size_t& RouteCursor(int cluster_fn);
 
   const PlacementPolicy policy_;           // Immutable after construction.
   const std::vector<HostControl*> hosts_;  // Pointer set fixed at construction.
   const HostIndex* const index_;           // Null => full-scan reference path.
-  mutable Mutex mu_;
   // Registration round-robin cursor, in STABLE host-index space: it
   // names the next host to start from, never a position in the filtered
   // candidate list (which shifts whenever a host is full or draining and
   // skews placement toward low-index hosts).
-  size_t place_cursor_ SQZ_GUARDED_BY(mu_) = 0;
+  size_t place_cursor_ = 0;
   // Per-function routing round-robin.
-  std::vector<size_t> route_cursor_ SQZ_GUARDED_BY(mu_);
+  std::vector<size_t> route_cursor_;
   // Per-function plug unit (hint sizing).
-  std::vector<uint64_t> fn_plug_unit_ SQZ_GUARDED_BY(mu_);
-  uint64_t decisions_ SQZ_GUARDED_BY(mu_) = 0;
-  uint64_t hints_fired_ SQZ_GUARDED_BY(mu_) = 0;
+  std::vector<uint64_t> fn_plug_unit_;
+  uint64_t decisions_ = 0;
+  uint64_t hints_fired_ = 0;
 };
 
 }  // namespace squeezy

@@ -145,9 +145,6 @@ class Agent {
   // demand-fault path bit-identical.
   void AdoptWarmInstance(uint64_t anon_bytes, uint64_t recorded_bytes,
                          TimeNs available_at);
-  void AdoptWarmInstance(uint64_t anon_bytes, TimeNs available_at) {
-    AdoptWarmInstance(anon_bytes, 0, available_at);
-  }
 
   // Idle-since time of the longest-idle instance, or -1 if none is idle.
   TimeNs OldestIdleSince() const;

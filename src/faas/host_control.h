@@ -77,9 +77,8 @@ struct HostSnapshot {
 // A host fires it synchronously after ANY change to its committed book,
 // pending scale-up queue, or draining flag — the three quantities routing
 // ranks on — carrying the new absolute values (deltas are idempotent and
-// order-free to absorb).  This runs BELOW the cluster layers in the lock
-// order (src/base/mutex.h): implementations must only touch leaf-locked
-// state (the placement HostIndex) and never call back into the host.
+// order-free to absorb).  Implementations must only touch state below
+// the host (the placement HostIndex) and never call back into it.
 class HostStateListener {
  public:
   virtual ~HostStateListener() = default;

@@ -255,36 +255,39 @@ Zone* GuestKernel::AnonZoneFor(const Process& proc) {
   return proc.anon_zone() != nullptr ? proc.anon_zone() : movable_zone_;
 }
 
-TouchResult GuestKernel::TouchAnon(Pid pid, uint64_t bytes, TimeNs now) {
-  TouchResult result;
-  Process& proc = process(pid);
-  assert(proc.state() == ProcessState::kRunning);
+Pfn GuestKernel::AllocAnonFolio(Process& proc, uint64_t remaining, uint8_t* order) {
   Zone* primary = AnonZoneFor(proc);
   // Squeezy processes are confined to their partition; vanilla movable
   // allocations may spill into ZONE_NORMAL like Linux's zonelist fallback.
   Zone* fallback = (proc.anon_zone() == nullptr) ? normal_zone_ : nullptr;
+  *order = static_cast<uint8_t>(
+      std::min<uint64_t>(kThpOrder, 63 - __builtin_clzll(remaining)));
+  for (;;) {
+    const uint32_t slot = proc.ReserveSlot();
+    Pfn head = primary->Alloc(*order, PageKind::kAnon, proc.pid(), slot);
+    if (head == kInvalidPfn && fallback != nullptr) {
+      head = fallback->Alloc(*order, PageKind::kAnon, proc.pid(), slot);
+    }
+    if (head != kInvalidPfn) {
+      proc.CommitSlot(slot, head, *order);
+      return head;
+    }
+    proc.AbandonSlot(slot);  // Nothing was allocated into it.
+    if (*order == 0) {
+      return kInvalidPfn;
+    }
+    --*order;  // Fall back to smaller folios under fragmentation.
+  }
+}
 
+TouchResult GuestKernel::TouchAnon(Pid pid, uint64_t bytes, TimeNs now) {
+  TouchResult result;
+  Process& proc = process(pid);
+  assert(proc.state() == ProcessState::kRunning);
   uint64_t remaining = BytesToPages(bytes);
   while (remaining > 0) {
-    uint8_t order = static_cast<uint8_t>(
-        std::min<uint64_t>(kThpOrder, 63 - __builtin_clzll(remaining)));
-    Pfn head = kInvalidPfn;
-    for (;;) {
-      const uint32_t slot = proc.ReserveSlot();
-      head = primary->Alloc(order, PageKind::kAnon, pid, slot);
-      if (head == kInvalidPfn && fallback != nullptr) {
-        head = fallback->Alloc(order, PageKind::kAnon, pid, slot);
-      }
-      if (head != kInvalidPfn) {
-        proc.CommitSlot(slot, head, order);
-        break;
-      }
-      proc.AbandonSlot(slot);  // Nothing was allocated into it.
-      if (order == 0) {
-        break;
-      }
-      --order;  // Fall back to smaller folios under fragmentation.
-    }
+    uint8_t order = 0;
+    const Pfn head = AllocAnonFolio(proc, remaining, &order);
     if (head == kInvalidPfn) {
       // Out of memory: the partition cap (or the VM) was exhausted.  The
       // OOM killer reaps the process (paper §4.1).
@@ -379,28 +382,9 @@ RestoreOutcome GuestKernel::RestoreWorkingSet(Pid pid, int32_t file_id,
   // as TouchAnon (partition confinement with vanilla normal-zone spill),
   // without the per-folio fault charges the demand path pays.
   uint64_t remaining = BytesToPages(anon_bytes);
-  Zone* primary = AnonZoneFor(proc);
-  Zone* fallback = (proc.anon_zone() == nullptr) ? normal_zone_ : nullptr;
   while (remaining > 0) {
-    uint8_t order = static_cast<uint8_t>(
-        std::min<uint64_t>(kThpOrder, 63 - __builtin_clzll(remaining)));
-    Pfn head = kInvalidPfn;
-    for (;;) {
-      const uint32_t slot = proc.ReserveSlot();
-      head = primary->Alloc(order, PageKind::kAnon, pid, slot);
-      if (head == kInvalidPfn && fallback != nullptr) {
-        head = fallback->Alloc(order, PageKind::kAnon, pid, slot);
-      }
-      if (head != kInvalidPfn) {
-        proc.CommitSlot(slot, head, order);
-        break;
-      }
-      proc.AbandonSlot(slot);
-      if (order == 0) {
-        break;
-      }
-      --order;
-    }
+    uint8_t order = 0;
+    const Pfn head = AllocAnonFolio(proc, remaining, &order);
     if (head == kInvalidPfn) {
       OomKill(pid);
       out.oom = true;

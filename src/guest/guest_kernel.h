@@ -200,6 +200,12 @@ class GuestKernel : public OwnerRegistry, public VirtioMemHooks {
   void OnBlockUnplugged(BlockIndex b) override;
 
  private:
+  // Allocates and commits the next anonymous folio of `proc`: order
+  // min(kThpOrder, log2 remaining), stepping down under fragmentation,
+  // from the process's anon zone and then (vanilla processes only)
+  // ZONE_NORMAL.  Returns its head with *order set, or kInvalidPfn once
+  // order 0 fails too.
+  Pfn AllocAnonFolio(Process& proc, uint64_t remaining, uint8_t* order);
   // Backs [head, head+pages) with host memory where missing; returns the
   // nested-fault latency (one exit per host-THP granule).
   DurationNs PopulateHostBacking(Pfn head, uint32_t pages, TimeNs now);

@@ -9,8 +9,6 @@
 #include <new>
 #include <vector>
 
-#include "src/base/mutex.h"
-
 namespace squeezy {
 
 namespace {
@@ -18,9 +16,8 @@ namespace {
 // The process-wide LIFO free list of released chunks (see memmap.h).  The
 // links live here, not in the chunks, so a poisoned chunk is never read.
 struct ChunkPool {
-  Mutex mu;
-  std::vector<Page*> free SQZ_GUARDED_BY(mu);
-  uint64_t allocated SQZ_GUARDED_BY(mu) = 0;
+  std::vector<Page*> free;
+  uint64_t allocated = 0;
 };
 
 // Leaked, so a MemMap destroyed during static teardown still has a pool
@@ -33,16 +30,13 @@ ChunkPool& Pool() {
 // The most recently released chunk, or a fresh one when none is pooled.
 Page* TakeChunk() {
   ChunkPool& pool = Pool();
-  {
-    MutexLock lock(&pool.mu);
-    if (!pool.free.empty()) {
-      Page* chunk = pool.free.back();
-      pool.free.pop_back();
-      ASAN_UNPOISON_MEMORY_REGION(chunk, MemMap::ChunkBytes());
-      return chunk;
-    }
-    ++pool.allocated;
+  if (!pool.free.empty()) {
+    Page* chunk = pool.free.back();
+    pool.free.pop_back();
+    ASAN_UNPOISON_MEMORY_REGION(chunk, MemMap::ChunkBytes());
+    return chunk;
   }
+  ++pool.allocated;
   return std::allocator<Page>().allocate(kPagesPerBlock);
 }
 
@@ -109,16 +103,10 @@ void MemMap::ChunkDeleter::operator()(Page* chunk) const {
   std::memset(static_cast<void*>(chunk), 0xA5, ChunkBytes());
 #endif
   ASAN_POISON_MEMORY_REGION(chunk, ChunkBytes());
-  ChunkPool& pool = Pool();
-  MutexLock lock(&pool.mu);
-  pool.free.push_back(chunk);
+  Pool().free.push_back(chunk);
 }
 
-uint64_t MemMap::chunks_allocated() {
-  ChunkPool& pool = Pool();
-  MutexLock lock(&pool.mu);
-  return pool.allocated;
-}
+uint64_t MemMap::chunks_allocated() { return Pool().allocated; }
 
 void MemMap::SetUniform(BlockIndex b, PageState state, int16_t zone_id) {
   assert(state != PageState::kAllocated && "allocated pages always have a chunk");

@@ -47,8 +47,7 @@
 // O(1) or O(32 max-order heads).
 //
 // Chunks are recycled.  A dropped chunk goes onto one process-wide LIFO
-// free list (shared by every MemMap and guarded by a leaf mutex, since the
-// sharded kernel's workers materialize concurrently), and Materialize
+// free list (shared by every MemMap), and Materialize
 // takes the most recently dropped one before it allocates: a recycled
 // chunk's pages are already faulted in, so materializing stops paying a
 // first-touch fault per 4 KiB.  Chunks are never handed back to malloc;

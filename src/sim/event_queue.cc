@@ -18,35 +18,26 @@ constexpr size_t kCompactMinStored = 64;
 EventQueue::EventQueue()
     : fine_slots_(kFineSlots), coarse_slots_(kCoarseSlots), super_slots_(kSuperSlots) {}
 
-EventId EventQueue::ScheduleAtLocked(TimeNs when, std::function<void()> fn) {
+EventId EventQueue::ScheduleAt(TimeNs when, std::function<void()> fn) {
   if (when < now_) {
     when = now_;
   }
   const EventId id = next_id_++;
-  const uint64_t seq = seq_source_ != nullptr
-                           ? seq_source_->fetch_add(1, std::memory_order_relaxed) + 1
-                           : next_seq_++;
+  const uint64_t seq = seq_source_ != nullptr ? ++*seq_source_ : next_seq_++;
   Insert(Entry{when, seq, id, std::move(fn)});
   live_.insert(id);
-  change_version_.fetch_add(1, std::memory_order_relaxed);
+  ++change_version_;
   return id;
-}
-
-void EventQueue::SetSequenceSource(std::atomic<uint64_t>* source) {
-  MutexLock lock(&mu_);
-  assert(next_seq_ == 1 && "sequence source must be set before any scheduling");
-  seq_source_ = source;
-}
-
-EventId EventQueue::ScheduleAt(TimeNs when, std::function<void()> fn) {
-  MutexLock lock(&mu_);
-  return ScheduleAtLocked(when, std::move(fn));
 }
 
 EventId EventQueue::ScheduleAfter(DurationNs delay, std::function<void()> fn) {
   assert(delay >= 0);
-  MutexLock lock(&mu_);
-  return ScheduleAtLocked(now_ + delay, std::move(fn));
+  return ScheduleAt(now_ + delay, std::move(fn));
+}
+
+void EventQueue::SetSequenceSource(uint64_t* source) {
+  assert(next_seq_ == 1 && "sequence source must be set before any scheduling");
+  seq_source_ = source;
 }
 
 void EventQueue::PushFine(Entry e) {
@@ -263,18 +254,17 @@ EventQueue::Entry EventQueue::PopPeeked() {
 }
 
 bool EventQueue::Cancel(EventId id) {
-  MutexLock lock(&mu_);
   // Lazy deletion: forget the id, skip its entry when popped.  Only an
   // issued-and-still-live id cancels; already-run, already-cancelled and
   // never-issued ids (including kInvalidEventId) are no-ops.
   if (!live_.erase(id)) {
     return false;
   }
-  change_version_.fetch_add(1, std::memory_order_relaxed);
+  ++change_version_;
   // Storage bound: a cancel-heavy workload (keep-alive churn) must not
   // grow the structures — or the closures its tombstones own — without
   // limit.  Compact once tombstones outnumber live entries.
-  const size_t stored = StoredEntriesLocked();
+  const size_t stored = stored_entries();
   if (stored >= kCompactMinStored && live_.size() * 2 < stored) {
     Compact();
   }
@@ -306,7 +296,6 @@ void EventQueue::Compact() {
 
 void EventQueue::AdvanceBy(DurationNs d) {
   assert(d >= 0);
-  MutexLock lock(&mu_);
   now_ += d;
 }
 
@@ -317,12 +306,11 @@ std::function<void()> EventQueue::TakePeeked() {
     now_ = top.when;
   }
   ++processed_;
-  change_version_.fetch_add(1, std::memory_order_relaxed);
+  ++change_version_;
   return std::move(top.fn);
 }
 
 bool EventQueue::PeekNext(TimeNs* when, uint64_t* seq) {
-  MutexLock lock(&mu_);
   const Entry* e = PeekEarliestLive();
   if (e == nullptr) {
     return false;
@@ -333,43 +321,29 @@ bool EventQueue::PeekNext(TimeNs* when, uint64_t* seq) {
 }
 
 void EventQueue::SyncNow(TimeNs t) {
-  MutexLock lock(&mu_);
   if (now_ < t) {
     now_ = t;
   }
 }
 
 bool EventQueue::RunOne() {
-  std::function<void()> fn;
-  {
-    MutexLock lock(&mu_);
-    if (PeekEarliestLive() == nullptr) {
-      return false;
-    }
-    fn = TakePeeked();
+  if (PeekEarliestLive() == nullptr) {
+    return false;
   }
-  fn();  // Handler runs unlocked: it may re-enter Schedule*/Cancel.
+  TakePeeked()();
   return true;
 }
 
 void EventQueue::RunUntil(TimeNs deadline) {
-  // Peek-then-pop under ONE acquisition per event (RunOne would re-peek
-  // what the deadline check already positioned — measurable at
-  // fleet-scale event rates), handler invocation outside it.
   for (;;) {
-    std::function<void()> fn;
-    {
-      MutexLock lock(&mu_);
-      const Entry* peeked = PeekEarliestLive();
-      if (peeked == nullptr || peeked->when > deadline) {
-        if (now_ < deadline) {
-          now_ = deadline;
-        }
-        return;
+    const Entry* peeked = PeekEarliestLive();
+    if (peeked == nullptr || peeked->when > deadline) {
+      if (now_ < deadline) {
+        now_ = deadline;
       }
-      fn = TakePeeked();
+      return;
     }
-    fn();  // Handler runs unlocked: it may re-enter Schedule*/Cancel.
+    TakePeeked()();
   }
 }
 

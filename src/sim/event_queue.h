@@ -27,13 +27,10 @@
 #ifndef SQUEEZY_SIM_EVENT_QUEUE_H_
 #define SQUEEZY_SIM_EVENT_QUEUE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <vector>
 
-#include "src/base/mutex.h"
-#include "src/base/thread_annotations.h"
 #include "src/sim/time.h"
 
 namespace squeezy {
@@ -138,12 +135,9 @@ class EventIdSet {
   size_t size_ = 0;
 };
 
-// Lock discipline: the queue self-locks (`mu_`), and event handlers are
-// ALWAYS invoked with `mu_` released — a handler may freely call
-// ScheduleAt/ScheduleAfter/Cancel back into the queue (the simulator does
-// this constantly).  Under the sharded kernel each shard is one queue
-// and `mu_` is its serialization point; the discipline below is
-// machine-checked by clang.
+// A handler may freely call ScheduleAt/ScheduleAfter/Cancel back into
+// the queue (the simulator does this constantly): its closure is moved
+// out of storage before it runs.
 class EventQueue {
  public:
   // The fleet kernel a Cluster builds (ClusterConfig::queue_impl); an
@@ -159,16 +153,13 @@ class EventQueue {
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
-  TimeNs now() const SQZ_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return now_;
-  }
+  TimeNs now() const { return now_; }
 
   // Schedules `fn` to run at absolute virtual time `when` (clamped to now).
-  EventId ScheduleAt(TimeNs when, std::function<void()> fn) SQZ_EXCLUDES(mu_);
+  EventId ScheduleAt(TimeNs when, std::function<void()> fn);
 
   // Schedules `fn` to run `delay` after the current virtual time.
-  EventId ScheduleAfter(DurationNs delay, std::function<void()> fn) SQZ_EXCLUDES(mu_);
+  EventId ScheduleAfter(DurationNs delay, std::function<void()> fn);
 
   // Cancels a pending event.  Returns false if it already ran, was
   // cancelled, or was never issued.  Cancelling kInvalidEventId is a
@@ -176,68 +167,56 @@ class EventQueue {
   // but storage stays bounded: once live entries fall below half of the
   // stored ones, the tombstones — and the closures they own — are
   // compacted away instead of lingering until naturally popped.
-  bool Cancel(EventId id) SQZ_EXCLUDES(mu_);
+  bool Cancel(EventId id);
 
   // Advances the clock without running events (used by synchronous cost
   // accounting: an operation that "takes" 5 ms simply advances time).
   // Events that become due are NOT run; call Run* to drain them.
-  void AdvanceBy(DurationNs d) SQZ_EXCLUDES(mu_);
+  void AdvanceBy(DurationNs d);
 
   // Runs events until the queue is empty or the clock passes `deadline`.
   // The clock ends at max(deadline, last event time <= deadline).
-  void RunUntil(TimeNs deadline) SQZ_EXCLUDES(mu_);
+  void RunUntil(TimeNs deadline);
 
   // Runs every pending event (including ones scheduled while draining).
   // `max_events` guards against runaway self-rescheduling loops: running
   // that many aborts the process, in every build.
-  void RunAll(uint64_t max_events = 50'000'000) SQZ_EXCLUDES(mu_);
+  void RunAll(uint64_t max_events = 50'000'000);
 
   // --- Sharded-coordinator primitives (src/sim/sharded_event_queue.h) ------
   // The earliest live event's (when, seq) without running it; false when
   // drained.  Prunes tombstones and positions the scan cursor, so
   // repeated peeks on an unchanged queue are cheap (pair with
   // change_version() to skip re-peeking unchanged shards entirely).
-  bool PeekNext(TimeNs* when, uint64_t* seq) SQZ_EXCLUDES(mu_);
-  // Pops and runs the earliest live event (handler invoked unlocked);
-  // false when drained.  The coordinator's (when, seq) merge primitive.
-  bool RunOne() SQZ_EXCLUDES(mu_);
+  bool PeekNext(TimeNs* when, uint64_t* seq);
+  // Pops and runs the earliest live event; false when drained.  The
+  // coordinator's (when, seq) merge primitive.
+  bool RunOne();
   // Advances the clock to `t` when behind, without running events — the
   // epoch-barrier clock sync.  Unlike AdvanceBy it is idempotent and
   // never moves the clock backwards.  Contract: the caller has already
   // drained every event earlier than `t` (the coordinator's RunUntil(t-1)
   // phase); events pending at exactly `t` still fire normally.
-  void SyncNow(TimeNs t) SQZ_EXCLUDES(mu_);
+  void SyncNow(TimeNs t);
   // Draws scheduling sequence numbers from `source` instead of the
   // internal counter.  Every shard of a ShardedEventQueue shares one
   // source, so (when, seq) totally orders events fleet-wide and the
   // barrier merge is deterministic.  Set before any event is scheduled.
-  void SetSequenceSource(std::atomic<uint64_t>* source) SQZ_EXCLUDES(mu_);
+  void SetSequenceSource(uint64_t* source);
   // Monotone counter bumped by every mutation that can change the
   // earliest pending event (schedule, cancel, pop).  The coordinator
   // caches PeekNext() per shard and re-peeks only on a version change.
-  uint64_t change_version() const {
-    return change_version_.load(std::memory_order_relaxed);
-  }
+  uint64_t change_version() const { return change_version_; }
 
-  bool empty() const SQZ_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return live_.empty();
-  }
-  size_t pending() const SQZ_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return live_.size();
-  }
+  bool empty() const { return live_.empty(); }
+  size_t pending() const { return live_.size(); }
   // Entries physically stored (live + not-yet-compacted tombstones);
   // the cancel-heavy-workload bound locked by tests/sim_test.cc.
-  size_t stored_entries() const SQZ_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return StoredEntriesLocked();
+  size_t stored_entries() const {
+    return fine_count_ + coarse_count_ + super_count_ + overflow_.size();
   }
   // Events actually executed so far (bench throughput accounting).
-  uint64_t processed_events() const SQZ_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return processed_;
-  }
+  uint64_t processed_events() const { return processed_; }
 
  private:
   struct Entry {
@@ -279,83 +258,72 @@ class EventQueue {
     return static_cast<uint64_t>(when) >> kCoarseShift;
   }
 
-  // Issues the id and stores the entry; the locked core of ScheduleAt
-  // (ScheduleAfter reads now_ under the same acquisition, so it cannot
-  // re-lock through the public entry point).
-  EventId ScheduleAtLocked(TimeNs when, std::function<void()> fn) SQZ_REQUIRES(mu_);
-  void Insert(Entry e) SQZ_REQUIRES(mu_);
+  void Insert(Entry e);
   // Slot-heap push into the fine wheel (rewinds the scan cursor).
-  void PushFine(Entry e) SQZ_REQUIRES(mu_);
+  void PushFine(Entry e);
   // Moves overflow entries that entered the coarse window into their
   // slots (current-region entries go straight to the fine wheel).
   // Entries *before* the window stay put — the peek comparison finds
   // them there.
-  void CascadeOverflow() SQZ_REQUIRES(mu_);
+  void CascadeOverflow();
   // Refills the empty fine wheel: cascades overflow, then advances (or
   // jumps) the region to the next non-empty coarse slot and dumps it;
   // when the coarse window drains too, jumps to the next non-empty super
   // slot and dumps that block into the coarse window first.  Returns
   // whether the fine wheel is non-empty afterwards; false means the only
   // remaining entries (if any) sit in the overflow heap.
-  bool RefillFine() SQZ_REQUIRES(mu_);
+  bool RefillFine();
   // Dumps super slot `super_pos_` into the fine/coarse window.  Caller
   // has just positioned region_ at the block's first region, so every
   // entry in the slot fits the coarse window (or the fine region).
-  void DumpSuperSlot() SQZ_REQUIRES(mu_);
+  void DumpSuperSlot();
   // After region_ advanced: if it crossed into a new super block, move
   // super_pos_ with it and dump the block's slot into the window.
-  void MaybeEnterSuperBlock() SQZ_REQUIRES(mu_);
+  void MaybeEnterSuperBlock();
   // Prunes cancelled tombstones, positions the fine cursor at the
   // wheel's earliest entry, and returns the earliest live entry (wheel
   // vs overflow decided by (when, seq)) — or nullptr when drained.
   // Sets peek_overflow_ for PopPeeked.
-  const Entry* PeekEarliestLive() SQZ_REQUIRES(mu_);
-  Entry PopPeeked() SQZ_REQUIRES(mu_);
+  const Entry* PeekEarliestLive();
+  Entry PopPeeked();
   // Pops the entry PeekEarliestLive just positioned, retires its id,
-  // advances the clock and returns its closure — which the CALLER must
-  // invoke after releasing mu_ (handlers re-enter the queue).
-  std::function<void()> TakePeeked() SQZ_REQUIRES(mu_);
+  // advances the clock and returns its closure for the caller to run
+  // (handlers re-enter the queue, so the closure must leave its storage).
+  std::function<void()> TakePeeked();
   // Drops every tombstone from the wheels and overflow (storage bound).
-  void Compact() SQZ_REQUIRES(mu_);
-  size_t StoredEntriesLocked() const SQZ_REQUIRES(mu_) {
-    return fine_count_ + coarse_count_ + super_count_ + overflow_.size();
-  }
+  void Compact();
 
-  // Guards every piece of queue state below.  mutable: const observers
-  // (now, pending, ...) take it too — a torn read is still a race.
-  mutable Mutex mu_;
-  TimeNs now_ SQZ_GUARDED_BY(mu_) = 0;
-  uint64_t next_seq_ SQZ_GUARDED_BY(mu_) = 1;
+  TimeNs now_ = 0;
+  uint64_t next_seq_ = 1;
   // Shared fleet-wide sequence source (sharded mode); null = next_seq_.
-  std::atomic<uint64_t>* seq_source_ SQZ_GUARDED_BY(mu_) = nullptr;
-  EventId next_id_ SQZ_GUARDED_BY(mu_) = 1;
-  uint64_t processed_ SQZ_GUARDED_BY(mu_) = 0;
-  // Bumped on schedule/cancel/pop; read unlocked by the coordinator
-  // between epochs (never concurrently with this shard's phase).
-  std::atomic<uint64_t> change_version_{0};
-  bool peek_overflow_ SQZ_GUARDED_BY(mu_) = false;
+  uint64_t* seq_source_ = nullptr;
+  EventId next_id_ = 1;
+  uint64_t processed_ = 0;
+  // Bumped on schedule/cancel/pop.
+  uint64_t change_version_ = 0;
+  bool peek_overflow_ = false;
   // Coarse tick covered by the fine wheel.
-  uint64_t region_ SQZ_GUARDED_BY(mu_) = 0;
+  uint64_t region_ = 0;
   // Super block containing region_ (invariant: region_ >> kSuperRegionShift).
-  uint64_t super_pos_ SQZ_GUARDED_BY(mu_) = 0;
+  uint64_t super_pos_ = 0;
   // Fine-tick scan position within region_.
-  uint64_t fine_cursor_ SQZ_GUARDED_BY(mu_) = 0;
-  size_t fine_count_ SQZ_GUARDED_BY(mu_) = 0;    // Entries across fine slots.
-  size_t coarse_count_ SQZ_GUARDED_BY(mu_) = 0;  // Entries across coarse slots.
-  size_t super_count_ SQZ_GUARDED_BY(mu_) = 0;   // Entries across super slots.
+  uint64_t fine_cursor_ = 0;
+  size_t fine_count_ = 0;    // Entries across fine slots.
+  size_t coarse_count_ = 0;  // Entries across coarse slots.
+  size_t super_count_ = 0;   // Entries across super slots.
   // Min-heaps by (when, seq).
-  std::vector<std::vector<Entry>> fine_slots_ SQZ_GUARDED_BY(mu_);
+  std::vector<std::vector<Entry>> fine_slots_;
   // Unsorted buckets.
-  std::vector<std::vector<Entry>> coarse_slots_ SQZ_GUARDED_BY(mu_);
+  std::vector<std::vector<Entry>> coarse_slots_;
   // Unsorted buckets, one per 1024-region block.
-  std::vector<std::vector<Entry>> super_slots_ SQZ_GUARDED_BY(mu_);
+  std::vector<std::vector<Entry>> super_slots_;
   // Min-heap by (when, seq).
-  std::vector<Entry> overflow_ SQZ_GUARDED_BY(mu_);
+  std::vector<Entry> overflow_;
   // Ids issued and neither run nor cancelled yet.  Ids are unique and
   // never reused, so a stored entry whose id is absent here is a
   // cancellation tombstone — no separate cancelled set that could leak
   // entries for already-run or never-issued ids.
-  EventIdSet live_ SQZ_GUARDED_BY(mu_);
+  EventIdSet live_;
 };
 
 // One persistent closure re-armed in place.  Per-host periodic work

@@ -6,7 +6,7 @@
 
 namespace squeezy {
 
-ShardedEventQueue::ShardedEventQueue(size_t nr_shards, size_t threads) {
+ShardedEventQueue::ShardedEventQueue(size_t nr_shards) {
   assert(nr_shards > 0);
   shards_.reserve(nr_shards);
   for (size_t i = 0; i < nr_shards; ++i) {
@@ -15,23 +15,6 @@ ShardedEventQueue::ShardedEventQueue(size_t nr_shards, size_t threads) {
   }
   global_.SetSequenceSource(&seq_);
   next_.resize(nr_shards + 1);
-  if (threads > 1) {
-    workers_.reserve(threads - 1);
-    for (size_t t = 1; t < threads; ++t) {
-      workers_.emplace_back([this, t] { WorkerLoop(t); });
-    }
-  }
-}
-
-ShardedEventQueue::~ShardedEventQueue() {
-  {
-    std::lock_guard<std::mutex> lock(pool_mu_);
-    stop_ = true;
-  }
-  pool_cv_.notify_all();
-  for (std::thread& w : workers_) {
-    w.join();
-  }
 }
 
 void ShardedEventQueue::RefreshChanged() {
@@ -73,16 +56,12 @@ void ShardedEventQueue::RunUntil(TimeNs deadline) {
     if (g.valid && g.when < b) {
       b = g.when;
     }
-    // Parallel phase: shards with work strictly before the barrier burn
-    // it down concurrently — shard-local by construction.
-    phase_shards_.clear();
+    // Shard phase: each shard with work strictly before the barrier
+    // burns it down — shard-local by construction.
     for (size_t s = 0; s < shards_.size(); ++s) {
       if (next_[s].valid && next_[s].when < b) {
-        phase_shards_.push_back(s);
+        shards_[s]->RunUntil(b - 1);
       }
-    }
-    if (!phase_shards_.empty()) {
-      ParallelPhase(b - 1);
     }
     // Align every clock before the merge: barrier handlers route and
     // adopt into arbitrary shards relative to those shards' clocks.
@@ -124,53 +103,6 @@ void ShardedEventQueue::RunAll(uint64_t max_events) {
                    static_cast<unsigned long long>(max_events));
       std::abort();
     }
-  }
-}
-
-void ShardedEventQueue::ParallelPhase(TimeNs limit) {
-  if (workers_.empty()) {
-    for (const size_t s : phase_shards_) {
-      shards_[s]->RunUntil(limit);
-    }
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(pool_mu_);
-    phase_limit_ = limit;
-    phase_done_ = 0;
-    ++phase_gen_;
-  }
-  pool_cv_.notify_all();
-  RunPhaseSlice(0);
-  std::unique_lock<std::mutex> lock(pool_mu_);
-  ++phase_done_;
-  done_cv_.wait(lock, [this] { return phase_done_ == workers_.size() + 1; });
-}
-
-void ShardedEventQueue::RunPhaseSlice(size_t slice) {
-  const size_t stride = workers_.size() + 1;
-  for (size_t i = slice; i < phase_shards_.size(); i += stride) {
-    shards_[phase_shards_[i]]->RunUntil(phase_limit_);
-  }
-}
-
-void ShardedEventQueue::WorkerLoop(size_t slice) {
-  uint64_t seen = 0;
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(pool_mu_);
-      pool_cv_.wait(lock, [&] { return stop_ || phase_gen_ != seen; });
-      if (stop_) {
-        return;
-      }
-      seen = phase_gen_;
-    }
-    RunPhaseSlice(slice);
-    {
-      std::lock_guard<std::mutex> lock(pool_mu_);
-      ++phase_done_;
-    }
-    done_cv_.notify_one();
   }
 }
 

@@ -2,34 +2,30 @@
 //
 // One wheel (EventQueue) per host plus one cross-shard mailbox queue for
 // fleet-level events (trace dispatch, migration completions — everything
-// scheduled from a sequential coordinator context).  All queues draw
-// their scheduling sequence numbers from ONE shared atomic counter, so
-// (when, seq) totally orders events fleet-wide exactly as the single
-// global queue would have ordered them.
+// scheduled from the coordinator context).  All queues draw their
+// scheduling sequence numbers from ONE shared counter, so (when, seq)
+// totally orders events fleet-wide exactly as the single global queue
+// would have ordered them.
 //
-// Epoch algorithm:
+// Epoch algorithm (every phase runs on the calling thread):
 //   1. Pick the next barrier B = min(earliest mailbox event, deadline).
-//   2. Every shard with work before B runs RunUntil(B - 1) on the thread
-//      pool — shard-local events only; hosts cannot touch each other
-//      between barriers, so the phases are embarrassingly parallel.
+//   2. Every shard with work before B runs RunUntil(B - 1), one shard
+//      after another — shard-local events only; hosts cannot touch each
+//      other between barriers.
 //   3. Sync every queue's clock to B, then run ALL events at exactly B
 //      (mailbox + shards) one at a time in (when, seq) merge order — the
 //      cross-shard events (route, migrate-off/adopt) all fire here, in
-//      the same sequential context and the same order as the single
-//      queue.
+//      the same order as the single queue.
 //   4. Repeat until the deadline.
 //
-// Why the result is bit-identical to the single queue at any thread
-// count: per-shard firing order is (when, seq) by construction; events
-// *scheduled* during a parallel phase take racing counter values, but
-// (a) they stay inside their shard, (b) every sequentially-assigned seq
-// lies outside the phase's counter window [pre, post), so ordering
-// against any sequential event is unchanged, and (c) the phase consumes
-// exactly as many counter ticks as the single-queue run would, so later
-// sequential events get the exact single-queue values.  Two
-// phase-scheduled events on different shards can swap seq values between
-// runs — but they never interact (different hosts, no shared registry),
-// so no observable state depends on that order.
+// Why the result is bit-identical to the single queue: per-shard firing
+// order is (when, seq) by construction, and an event scheduled during a
+// shard phase stays inside its shard.  Two phase-scheduled events on
+// different shards may take their seq values in a different order than
+// the single queue would give them, but they never interact (different
+// hosts, no shared registry), and the phase consumes exactly as many
+// counter ticks as the single-queue run would, so every barrier event
+// gets the exact single-queue value.
 //
 // That argument needs hosts that share nothing.  A fleet with a shared
 // DepCache or SnapshotStore attached lets host handlers touch cross-host
@@ -39,12 +35,8 @@
 #ifndef SQUEEZY_SIM_SHARDED_EVENT_QUEUE_H_
 #define SQUEEZY_SIM_SHARDED_EVENT_QUEUE_H_
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "src/sim/event_queue.h"
@@ -54,11 +46,8 @@ namespace squeezy {
 
 class ShardedEventQueue {
  public:
-  // `nr_shards` per-host wheels + one mailbox queue; `threads` is the
-  // total parallelism including the coordinator thread (1 = no workers,
-  // phases run inline).
-  ShardedEventQueue(size_t nr_shards, size_t threads);
-  ~ShardedEventQueue();
+  // `nr_shards` per-host wheels + one mailbox queue.
+  explicit ShardedEventQueue(size_t nr_shards);
   ShardedEventQueue(const ShardedEventQueue&) = delete;
   ShardedEventQueue& operator=(const ShardedEventQueue&) = delete;
 
@@ -67,12 +56,11 @@ class ShardedEventQueue {
   EventQueue& shard(size_t i) { return *shards_[i]; }
   const EventQueue& shard(size_t i) const { return *shards_[i]; }
   // The cross-shard mailbox: dispatch, migration completions, anything
-  // posted from the sequential coordinator context.
+  // posted from the coordinator context.
   EventQueue& global() { return global_; }
   const EventQueue& global() const { return global_; }
 
   size_t nr_shards() const { return shards_.size(); }
-  size_t threads() const { return workers_.size() + 1; }
 
   // The fleet clock (the mailbox queue's clock; all queues agree at
   // every quiescent point).
@@ -113,37 +101,12 @@ class ShardedEventQueue {
   // RefreshChanged() first.
   int EarliestQueue() const;
 
-  // Parallel-epoch helpers.  Each phase statically stripes the listed
-  // shards over {coordinator, workers}: slice t runs shards t, t+T,
-  // t+2T, ...  Static striping (vs a shared work-stealing cursor) means
-  // no cross-phase cursor reuse, and the coordinator waits for every
-  // worker each phase, so phase state is never re-armed under a
-  // straggler.  Shard->slice assignment only affects wall-clock, never
-  // results (shards are independent within a phase).
-  void ParallelPhase(TimeNs limit);  // Listed shards RunUntil(limit) on the pool.
-  void RunPhaseSlice(size_t slice);
-  void WorkerLoop(size_t slice);
-
   // Fleet-wide scheduling sequence; shared by every queue via
   // EventQueue::SetSequenceSource.
-  std::atomic<uint64_t> seq_{0};
+  uint64_t seq_ = 0;
   std::vector<std::unique_ptr<EventQueue>> shards_;
   EventQueue global_;
   std::vector<Next> next_;  // One per shard + one for the mailbox.
-
-  // Persistent worker pool.  The pool only ever runs shard-local
-  // RunUntil phases; all cross-shard work happens on the coordinator
-  // thread between phases (pool_mu_ hand-offs give the happens-before
-  // edges for the coordinator's reads of shard state).
-  std::vector<std::thread> workers_;
-  std::mutex pool_mu_;
-  std::condition_variable pool_cv_;  // Coordinator -> workers: new phase.
-  std::condition_variable done_cv_;  // Workers -> coordinator: slice done.
-  std::vector<size_t> phase_shards_;  // Shard ids of the current phase.
-  TimeNs phase_limit_ = 0;            // RunUntil bound for the phase.
-  size_t phase_done_ = 0;             // Finished slices (under pool_mu_).
-  uint64_t phase_gen_ = 0;            // Bumped per phase (under pool_mu_).
-  bool stop_ = false;                 // Pool shutdown (under pool_mu_).
 };
 
 }  // namespace squeezy

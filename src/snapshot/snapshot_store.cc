@@ -5,7 +5,6 @@
 namespace squeezy {
 
 SnapshotId SnapshotStore::Intern(const std::string& key) {
-  MutexLock lock(&mu_);
   auto it = by_key_.find(key);
   if (it != by_key_.end()) {
     return it->second;
@@ -18,31 +17,26 @@ SnapshotId SnapshotStore::Intern(const std::string& key) {
 }
 
 bool SnapshotStore::Recorded(SnapshotId snap) const {
-  MutexLock lock(&mu_);
   return slot(snap).recorded;
 }
 
 SnapshotImage SnapshotStore::Image(SnapshotId snap) const {
-  MutexLock lock(&mu_);
   assert(slot(snap).recorded);
   return slot(snap).image;
 }
 
 uint64_t SnapshotStore::RecordedHeapBytes(SnapshotId snap) const {
-  MutexLock lock(&mu_);
   const Slot& s = slot(snap);
   return s.recorded ? s.image.heap_bytes : 0;
 }
 
 void SnapshotStore::RecordMigrationHit(uint64_t wire_saved_bytes, uint64_t restores) {
-  MutexLock lock(&mu_);
   ++stats_.migration_hits;
   stats_.migration_restores += restores;
   stats_.migration_wire_saved_bytes += wire_saved_bytes;
 }
 
 bool SnapshotStore::Record(SnapshotId snap, const SnapshotImage& image) {
-  MutexLock lock(&mu_);
   Slot& s = slots_[static_cast<size_t>(snap)];
   if (s.recorded) {
     return false;  // Record-once: a valid recording is never overwritten.
@@ -58,7 +52,7 @@ bool SnapshotStore::Record(SnapshotId snap, const SnapshotImage& image) {
   return true;
 }
 
-void SnapshotStore::InvalidateLocked(SnapshotId snap) {
+void SnapshotStore::Invalidate(SnapshotId snap) {
   Slot& s = slots_[static_cast<size_t>(snap)];
   if (!s.recorded) {
     return;
@@ -67,14 +61,8 @@ void SnapshotStore::InvalidateLocked(SnapshotId snap) {
   ++stats_.invalidations;
 }
 
-void SnapshotStore::Invalidate(SnapshotId snap) {
-  MutexLock lock(&mu_);
-  InvalidateLocked(snap);
-}
-
 void SnapshotStore::NoteRestore(SnapshotId snap, uint64_t prefetch_bytes,
                                 uint64_t deps_bytes_zeroed) {
-  MutexLock lock(&mu_);
   ++stats_.restores;
   stats_.prefetch_bytes += prefetch_bytes;
   stats_.deps_bytes_zeroed += deps_bytes_zeroed;
@@ -82,7 +70,6 @@ void SnapshotStore::NoteRestore(SnapshotId snap, uint64_t prefetch_bytes,
 }
 
 bool SnapshotStore::NoteTail(SnapshotId snap, uint64_t tail_bytes) {
-  MutexLock lock(&mu_);
   stats_.tail_bytes += tail_bytes;
   const Slot& s = slot(snap);
   if (!s.recorded) {
@@ -95,12 +82,11 @@ bool SnapshotStore::NoteTail(SnapshotId snap, uint64_t tail_bytes) {
   }
   // The workload shifted past the recording: drop it; the next fully
   // warmed idle re-records the grown working set.
-  InvalidateLocked(snap);
+  Invalidate(snap);
   return true;
 }
 
 std::vector<std::string> SnapshotStore::RecordedKeys() const {
-  MutexLock lock(&mu_);
   std::vector<std::string> out;
   // by_key_ is ordered: key-sorted regardless of Intern() order.
   for (const auto& [key, snap] : by_key_) {

@@ -18,8 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "src/base/mutex.h"
-#include "src/base/thread_annotations.h"
 #include "src/faas/snapshot_registry.h"
 
 namespace squeezy {
@@ -58,43 +56,37 @@ struct SnapshotStats {
   }
 };
 
-// Lock discipline: the store self-locks (`mu_`) — recordings live on
-// shared storage, so every host's runtime reaches into this one object.
-// Methods never call out of the class while holding `mu_`; the lock is a
-// leaf in the cluster ordering (see src/base/mutex.h).
+// Recordings live on shared storage, so every host's runtime reaches
+// into this one object.
 class SnapshotStore : public SnapshotRegistry {
  public:
   SnapshotStore() = default;
   explicit SnapshotStore(const SnapshotStoreConfig& config) : config_(config) {}
 
-  SnapshotId Intern(const std::string& key) override SQZ_EXCLUDES(mu_);
-  bool Recorded(SnapshotId snap) const override SQZ_EXCLUDES(mu_);
-  SnapshotImage Image(SnapshotId snap) const override SQZ_EXCLUDES(mu_);
-  uint64_t RecordedHeapBytes(SnapshotId snap) const override SQZ_EXCLUDES(mu_);
-  bool Record(SnapshotId snap, const SnapshotImage& image) override SQZ_EXCLUDES(mu_);
-  void Invalidate(SnapshotId snap) override SQZ_EXCLUDES(mu_);
+  SnapshotId Intern(const std::string& key) override;
+  bool Recorded(SnapshotId snap) const override;
+  SnapshotImage Image(SnapshotId snap) const override;
+  uint64_t RecordedHeapBytes(SnapshotId snap) const override;
+  bool Record(SnapshotId snap, const SnapshotImage& image) override;
+  void Invalidate(SnapshotId snap) override;
   void NoteRestore(SnapshotId snap, uint64_t prefetch_bytes,
-                   uint64_t deps_bytes_zeroed) override SQZ_EXCLUDES(mu_);
-  bool NoteTail(SnapshotId snap, uint64_t tail_bytes) override SQZ_EXCLUDES(mu_);
+                   uint64_t deps_bytes_zeroed) override;
+  bool NoteTail(SnapshotId snap, uint64_t tail_bytes) override;
 
   // Fleet-side bookkeeping for one snapshot-hit migration transfer
   // (mirrors DepCache::RecordWireHit): `wire_saved_bytes` of recorded
   // state skipped the wire and `restores` adopted instances bulk-restored
   // it from the store at the destination.  Cluster-only — the per-host
   // runtime never prices migrations.
-  void RecordMigrationHit(uint64_t wire_saved_bytes, uint64_t restores)
-      SQZ_EXCLUDES(mu_);
+  void RecordMigrationHit(uint64_t wire_saved_bytes, uint64_t restores);
 
-  SnapshotStats stats() const SQZ_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return stats_;
-  }
+  SnapshotStats stats() const { return stats_; }
   const SnapshotStoreConfig& config() const { return config_; }
   // Keys of every currently-valid recording, in key order.  Sim-visible
   // dump path: iteration runs over the ordered key index, never a hash
   // table, so the listing is a pure function of the recorded set
   // (insertion-order invariance locked by tests/determinism_order_test.cc).
-  std::vector<std::string> RecordedKeys() const SQZ_EXCLUDES(mu_);
+  std::vector<std::string> RecordedKeys() const;
 
  private:
   struct Slot {
@@ -103,19 +95,16 @@ class SnapshotStore : public SnapshotRegistry {
     bool ever_recorded = false;  // Distinguishes re-recordings for stats.
   };
 
-  const Slot& slot(SnapshotId snap) const SQZ_REQUIRES(mu_) {
+  const Slot& slot(SnapshotId snap) const {
     return slots_[static_cast<size_t>(snap)];
   }
-  // Locked core shared by Invalidate and NoteTail's stale path.
-  void InvalidateLocked(SnapshotId snap) SQZ_REQUIRES(mu_);
 
   const SnapshotStoreConfig config_;  // Set at construction, immutable after.
-  mutable Mutex mu_;
   // Ordered key index — same rationale as DepCache::by_key_: key
   // iteration is deterministic by construction, not by audit.
-  std::map<std::string, SnapshotId> by_key_ SQZ_GUARDED_BY(mu_);
-  std::vector<Slot> slots_ SQZ_GUARDED_BY(mu_);
-  SnapshotStats stats_ SQZ_GUARDED_BY(mu_);
+  std::map<std::string, SnapshotId> by_key_;
+  std::vector<Slot> slots_;
+  SnapshotStats stats_;
 };
 
 }  // namespace squeezy

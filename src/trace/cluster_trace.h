@@ -40,7 +40,7 @@ struct ClusterTraceConfig {
   // (0 = off, the default — existing traces are bit-identical).  Fleet
   // sweeps on the sharded kernel use a coarse quantum (e.g. 1 ms) so
   // arrivals land on few distinct instants: each instant is one epoch
-  // barrier, and fewer barriers means fatter parallel phases between
+  // barrier, and fewer barriers means fatter shard phases between
   // them.  Results stay a pure function of (config, seed) — both queue
   // impls consume the same quantized trace.
   DurationNs arrival_quantum = 0;

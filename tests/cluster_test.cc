@@ -3,7 +3,10 @@
 // routing under skewed load.
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <memory>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/cluster/cluster.h"
@@ -66,6 +69,46 @@ TEST(ClusterTest, ShardedKernelOnlyForRegistryFreeFleets) {
     EXPECT_EQ(cluster.sharded(), nullptr);
     EXPECT_EQ(&cluster.host(3).events(), &cluster.events());
   }
+}
+
+// The process's thread count from /proc/self/status (0 when unreadable).
+int ProcessThreads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) {
+      return std::stoi(line.substr(8));
+    }
+  }
+  return 0;
+}
+
+// ClusterConfig::sim_threads is ignored: the sharded kernel runs every
+// epoch phase on the calling thread, so a fleet asked for four threads
+// starts none and routes exactly like one asked for one.
+TEST(ClusterTest, ShardedFleetRunsOnTheCallingThreadAtAnySimThreads) {
+  auto run = [](size_t sim_threads) {
+    ClusterConfig cfg = BaseConfig(4, PlacementPolicy::kMemoryAwareBinPack, GiB(3));
+    cfg.queue_impl = EventQueue::Impl::kSharded;
+    cfg.sim_threads = sim_threads;
+    Cluster cluster(cfg);
+    EXPECT_NE(cluster.sharded(), nullptr);
+    const ClusterTraceConfig tcfg = SkewedTrace();
+    for (int32_t f = 0; f < tcfg.nr_functions; ++f) {
+      cluster.AddFunction(TinySpec("threads"), 6);
+    }
+    const std::vector<Invocation> trace = GenerateClusterTrace(tcfg, 42);
+    cluster.SubmitTrace(trace);
+    int threads_mid_run = 0;
+    cluster.events().ScheduleAt(Minutes(3), [&] { threads_mid_run = ProcessThreads(); });
+    cluster.RunUntil(Minutes(8));
+    EXPECT_EQ(threads_mid_run, 1) << "sim_threads " << sim_threads;
+    const uint64_t admitted = trace.size() - cluster.unplaced_invocations();
+    return std::make_tuple(cluster.routing_hash(), cluster.processed_events(), admitted);
+  };
+  const auto one = run(1);
+  EXPECT_GT(std::get<2>(one), 0u);
+  EXPECT_EQ(run(4), one);
 }
 
 TEST(ClusterTest, PlacementPolicyNames) {

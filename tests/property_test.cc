@@ -2628,12 +2628,12 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SnapshotMigrationFuzzTest,
 // --- Sharded kernel fuzz: per-host shards vs the single global queue ------------
 
 // The sharded kernel's whole contract is "bit-identical to the single
-// queue at any thread count" (src/sim/sharded_event_queue.h).  One random
-// churn script — drain/undrain/pressure-migrate while a skewed trace runs
-// — is replayed under the single-queue wheel and under kSharded at 1, 2
-// and 8 threads, with the shared registries both detached (parallel
-// epochs) and attached (the Cluster falls back to the single wheel,
-// because handlers touch cross-host state).  Every replay must produce a
+// queue" (src/sim/sharded_event_queue.h).  One random churn script —
+// drain/undrain/pressure-migrate while a skewed trace runs — is replayed
+// under the single-queue wheel and under kSharded, with the shared
+// registries both detached (lockstep epochs) and attached (the Cluster
+// falls back to the single wheel, because handlers touch cross-host
+// state).  Every replay must produce a
 // byte-identical fleet digest: per-request firing logs, cold-start
 // breakdowns, host books, migration records, the routing hash and the
 // fleet summary.
@@ -2686,12 +2686,10 @@ inline std::string FleetDigest(Cluster& cluster, TimeNs horizon) {
 
 // One full churn run: build the fleet, run the trace with random
 // drain/undrain/pressure churn, quiesce, digest.  Every input is a pure
-// function of (impl, threads, registries, seed, placement knobs) — and
-// the digest must be a pure function of (registries, seed, policy) alone:
-// neither the kernel impl, the thread count, nor the placement impl may
-// leak into it.
-inline std::string RunChurn(EventQueue::Impl impl, size_t threads, bool registries,
-                            uint64_t seed,
+// function of (impl, registries, seed, placement knobs) — and the digest
+// must be a pure function of (registries, seed, policy) alone: neither
+// the kernel impl nor the placement impl may leak into it.
+inline std::string RunChurn(EventQueue::Impl impl, bool registries, uint64_t seed,
                             PlacementImpl placement_impl = PlacementImpl::kIndexed,
                             PlacementPolicy policy = PlacementPolicy::kMemoryAwareBinPack) {
   constexpr int kFunctions = 4;
@@ -2705,7 +2703,6 @@ inline std::string RunChurn(EventQueue::Impl impl, size_t threads, bool registri
   cfg.shared_dep_cache = registries;
   cfg.shared_snapshots = registries;
   cfg.queue_impl = impl;
-  cfg.sim_threads = threads;
   cfg.host.policy = ReclaimPolicy::kSqueezy;
   cfg.host.host_capacity = MiB(2560);
   cfg.host.vm_base_memory = MiB(128);
@@ -2766,18 +2763,15 @@ inline std::string RunChurn(EventQueue::Impl impl, size_t threads, bool registri
 
 }  // namespace sharded_fuzz
 
-TEST_P(ShardedVsSingleQueueFuzzTest, ShardedMatchesSingleQueueAtAnyThreadCount) {
+TEST_P(ShardedVsSingleQueueFuzzTest, ShardedMatchesSingleQueue) {
   const auto [registries, seed] = GetParam();
   const std::string reference =
-      sharded_fuzz::RunChurn(EventQueue::Impl::kTimerWheel, 1, registries, seed);
-  for (const size_t threads : {1u, 2u, 8u}) {
-    const std::string sharded =
-        sharded_fuzz::RunChurn(EventQueue::Impl::kSharded, threads, registries, seed);
-    EXPECT_EQ(reference, sharded)
-        << "sharded kernel diverged from the single queue at " << threads
-        << " threads (registries " << (registries ? "on" : "off") << ", seed " << seed
-        << ")";
-  }
+      sharded_fuzz::RunChurn(EventQueue::Impl::kTimerWheel, registries, seed);
+  const std::string sharded =
+      sharded_fuzz::RunChurn(EventQueue::Impl::kSharded, registries, seed);
+  EXPECT_EQ(reference, sharded)
+      << "sharded kernel diverged from the single queue (registries "
+      << (registries ? "on" : "off") << ", seed " << seed << ")";
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -2807,10 +2801,10 @@ TEST_P(IndexedVsScanPlacementFuzzTest, IndexedMatchesScanThroughChurn) {
   const auto [policy, registries] = GetParam();
   for (const uint64_t seed : {1u, 2u, 3u}) {
     const std::string scan =
-        sharded_fuzz::RunChurn(EventQueue::Impl::kTimerWheel, 1, registries, seed,
+        sharded_fuzz::RunChurn(EventQueue::Impl::kTimerWheel, registries, seed,
                                PlacementImpl::kScan, policy);
     const std::string indexed =
-        sharded_fuzz::RunChurn(EventQueue::Impl::kTimerWheel, 1, registries, seed,
+        sharded_fuzz::RunChurn(EventQueue::Impl::kTimerWheel, registries, seed,
                                PlacementImpl::kIndexed, policy);
     EXPECT_EQ(scan, indexed)
         << "indexed placement diverged from the snapshot scan under "

@@ -518,7 +518,7 @@ TEST(EventQueueDeathTest, RunAllAbortsPastMaxEvents) {
 TEST(EventQueueDeathTest, ShardedRunAllAbortsPastMaxEvents) {
   EXPECT_DEATH(
       {
-        ShardedEventQueue q(2, 1);
+        ShardedEventQueue q(2);
         EventQueue& shard = q.shard(1);
         std::function<void()> again = [&] { shard.ScheduleAfter(Msec(1), again); };
         shard.ScheduleAt(0, again);

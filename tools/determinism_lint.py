@@ -29,10 +29,14 @@ rejects the constructs that silently break that property:
   address-format       "%p" in a format string or streaming a void* cast —
                        addresses in sim-visible output are nondeterminism
                        made visible.
-  thread-id-key        std::thread::id used as a container key (or
-                       std::hash over it) — the OS assigns thread ids,
-                       they differ run to run even at a fixed pool size.
-                       Key on the shard or slice index instead.
+  thread-primitive     std::thread/jthread/async, std::mutex (any
+                       kind), std::atomic, std::condition_variable, or
+                       one of their headers (<thread>, <mutex>,
+                       <shared_mutex>, <atomic>, <condition_variable>,
+                       <future>).  The simulator runs on one thread; that
+                       is why no class guards its state with a lock.  A
+                       thread would bring back both the races and the
+                       run-to-run firing order they cause.
   unordered-mailbox    a cross-shard mailbox/inbox declared as an
                        unordered container — cross-shard events must
                        drain in (when, seq) order or sharded replays
@@ -109,12 +113,13 @@ POINTER_ORDER_RES = [
 
 ADDRESS_STREAM_RE = re.compile(r"<<\s*(?:static_cast\s*<\s*(?:const\s+)?void\s*\*\s*>|\(\s*(?:const\s+)?void\s*\*\s*\))")
 
-THREAD_ID_KEY_RES = [
-    re.compile(r"std::hash\s*<\s*std::thread::id\s*>"),
-    # std::thread::id as the key of any associative container.
-    re.compile(
-        r"std::(?:map|set|multimap|multiset|unordered_map|unordered_set|"
-        r"unordered_multimap|unordered_multiset)\s*<\s*std::thread::id"),
+THREAD_PRIMITIVE_RES = [
+    re.compile(r"std::(?:thread|jthread|async|this_thread)\b"),
+    re.compile(r"std::(?:recursive_|timed_|recursive_timed_|shared_|shared_timed_)?mutex\b"),
+    re.compile(r"std::atomic\w*"),
+    re.compile(r"std::condition_variable(?:_any)?\b"),
+    re.compile(r"#\s*include\s*<(?:thread|mutex|shared_mutex|atomic|condition_variable|"
+               r"future)>"),
 ]
 
 # Cross-shard mail must be drained in deterministic order; an unordered
@@ -241,13 +246,12 @@ def lint_file(relpath, lines, unordered_names, findings):
                 "address-format",
                 "formatting a raw address: addresses differ across runs; "
                 "print a stable id instead"))
-        for rx in THREAD_ID_KEY_RES:
+        for rx in THREAD_PRIMITIVE_RES:
             if rx.search(code):
                 line_findings.append((
-                    "thread-id-key",
-                    "std::thread::id keyed/hashed: the OS assigns thread ids "
-                    "and they differ run to run; key on the shard or pool "
-                    "slice index instead"))
+                    "thread-primitive",
+                    "thread primitive: the simulator runs on one thread and "
+                    "its state carries no locks; run the work inline"))
                 break
         for m in UNORDERED_DECL_RE.finditer(code):
             if MAILBOX_NAME_RE.search(m.group(1)):

@@ -80,9 +80,10 @@ class BadFixtures(unittest.TestCase):
         # "%p" format string and streaming a void* cast.
         self.expect("bad_address_format.cc", "address-format", 2)
 
-    def test_thread_id_key(self):
-        # thread::id-keyed map, thread::id unordered_set, std::hash over it.
-        self.expect("bad_thread_id_key.cc", "thread-id-key", 3)
+    def test_thread_primitive(self):
+        # Five headers (<cstdint> stays clean), then atomic, mutex,
+        # condition_variable, thread, jthread and async.
+        self.expect("bad_thread_primitive.cc", "thread-primitive", 11)
 
     def test_unordered_mailbox(self):
         # Flagged at the declaration: no iteration anywhere in the fixture.
@@ -114,6 +115,14 @@ class GoodFixtures(unittest.TestCase):
         code, lines = run_lint(
             "--root", TESTDATA, "--allowlist", EMPTY_ALLOWLIST,
             "good/good_clean.cc")
+        self.assertEqual(code, 0, lines)
+
+    def test_thread_words_pass(self):
+        # Comments, string literals and identifiers that merely contain
+        # "thread", "mutex" or "atomic" are not thread primitives.
+        code, lines = run_lint(
+            "--root", TESTDATA, "--allowlist", EMPTY_ALLOWLIST,
+            "good/good_thread_words.cc")
         self.assertEqual(code, 0, lines)
 
     def test_ordered_mailbox_passes(self):

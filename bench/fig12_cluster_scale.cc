@@ -66,6 +66,7 @@ struct ComboResult {
   // Placement-path instrumentation (deterministic: identical under either
   // placement_impl and either queue kernel, so all BENCH-safe).
   uint64_t decisions = 0;          // Routing decisions the scheduler took.
+  uint64_t admit_probes = 0;       // Admission evaluations those decisions made.
   uint64_t index_updates = 0;      // Host deltas the HostIndex absorbed.
   size_t index_max_replicas = 0;   // Widest per-function candidate tree.
   uint64_t memmap_peak_bytes = 0;  // Sum of per-VM extent-chunk peaks.
@@ -150,6 +151,7 @@ ComboResult RunCombo(ReclaimPolicy reclaim, PlacementPolicy placement,
   r.fleet = cluster.Summarize(opts.horizon);
   r.admitted = trace.size() - r.fleet.unplaced_invocations;
   r.decisions = cluster.scheduler().decisions();
+  r.admit_probes = cluster.scheduler().admit_probes();
   const HostIndexStats index_stats = cluster.host_index().stats();
   r.index_updates = index_stats.updates;
   r.index_max_replicas = index_stats.max_fn_replicas;
@@ -599,7 +601,7 @@ int main() {
   std::cout << "\nSharded kernel scale-out (Squeezy + HintedBinPack, paper-sized "
                "functions, load scaled with hosts):\n";
   TablePrinter shard_scale({"Hosts", "Admitted", "PendingUps", "Events", "Decisions",
-                            "IdxDepth", "MemMapGiB", "Balance%", "Ev/s"});
+                            "IdxDepth", "Probes/dec", "MemMapGiB", "Balance%", "Ev/s"});
   bool sharded_identical = true;
   bool placement_identical = true;
   const std::vector<FunctionSpec> shard_fns = fig12::ShardFunctions();
@@ -623,6 +625,9 @@ int main() {
          TablePrinter::Int(static_cast<int64_t>(sh.events)),
          TablePrinter::Int(static_cast<int64_t>(sh.decisions)),
          TablePrinter::Int(static_cast<int64_t>(sh.index_depth())),
+         TablePrinter::Num(sh.decisions > 0 ? static_cast<double>(sh.admit_probes) /
+                                                  static_cast<double>(sh.decisions)
+                                            : 0.0),
          TablePrinter::Num(static_cast<double>(sh.memmap_peak_bytes) /
                            static_cast<double>(GiB(1))),
          TablePrinter::Num(sh.shard_balance_pct()),
@@ -637,6 +642,10 @@ int main() {
     // trees, and the depth an indexed decision walks instead of scanning
     // `hosts` snapshots.  All deterministic -> BENCH.
     json.Metric("shard_route_decisions_" + tag, sh.decisions);
+    // CanAdmitNow evaluations behind those decisions (re-probes of marked
+    // replicas): the per-decision routing cost that index depth alone
+    // does not show.  Deterministic -> BENCH.
+    json.Metric("shard_route_probes_" + tag, sh.admit_probes);
     json.Metric("shard_index_updates_" + tag, sh.index_updates);
     json.Metric("shard_index_depth_" + tag, sh.index_depth());
     // Extent-MemMap footprint: peak materialized chunk bytes across every

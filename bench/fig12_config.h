@@ -32,7 +32,7 @@ inline constexpr size_t kScaleHostCounts[] = {4, 8, 16, 32, 64};
 // kHosts).  The former cap at the identity point existed because
 // placement was an O(hosts) snapshot scan per dispatch — scaling load
 // and hosts together made the sweep O(hosts^2) wall-clock; the indexed
-// placement path (src/cluster/host_index.*) decides in O(log hosts), so
+// placement path (src/cluster/host_index.*) decides from ordered trees, so
 // the rows now measure a genuinely growing fleet serving genuinely
 // growing traffic.  Arrivals are quantized so per-host work lands
 // between cross-shard barriers in fat shard phases — still a pure

@@ -23,12 +23,22 @@ Cluster::Cluster(const ClusterConfig& config) : config_(config) {
   }
   if (config_.shared_snapshots) {
     snapshot_store_ = std::make_unique<SnapshotStore>(SnapshotStoreConfig{});
+    // A recording (or its invalidation) resizes the fresh-plug commitment
+    // of every replica of every function on that slot: their admission
+    // must be re-probed.
+    snapshot_store_->set_change_observer([this](SnapshotId snap) {
+      for (size_t fn = 0; fn < fn_snapshot_.size(); ++fn) {
+        if (fn_snapshot_[fn] == snap) {
+          host_index_->MarkFunctionAdmitDirty(static_cast<int>(fn));
+        }
+      }
+    });
   }
   // The candidate indexes are maintained in BOTH placement modes (hosts
   // always notify), so index stats stay impl-independent — but only the
   // indexed mode lets the deciders read them.
   host_index_ = std::make_unique<HostIndex>(config_.nr_hosts);
-  const HostIndex* decide_index =
+  HostIndex* decide_index =
       config_.placement_impl == PlacementImpl::kIndexed ? host_index_.get() : nullptr;
   // The scheduler gets the narrow control plane, not the runtimes.
   std::vector<HostControl*> raw;
@@ -72,15 +82,20 @@ int Cluster::AddFunction(const FunctionSpec& spec, uint32_t max_concurrency) {
   std::vector<Replica> replicas;
   replicas.reserve(placed.size());
   DepImageId img = kNoDepImage;
+  SnapshotId snap = kNoSnapshot;
   for (const size_t h : placed) {
     replicas.push_back(Replica{h, hosts_[h]->AddFunction(spec, max_concurrency)});
     if (img == kNoDepImage) {
       img = hosts_[h]->dep_image(replicas.back().local_fn);
     }
+    if (snap == kNoSnapshot) {
+      snap = hosts_[h]->snapshot_id(replicas.back().local_fn);
+    }
   }
   functions_.push_back(std::move(replicas));
   fn_plug_unit_.push_back(plug_unit);
   fn_dep_image_.push_back(img);
+  fn_snapshot_.push_back(snap);
   // Register the replica set with the candidate indexes before any
   // routing decision for this function can arrive.
   host_index_->RegisterFunction(cluster_fn, placed);

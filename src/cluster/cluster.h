@@ -85,7 +85,8 @@ struct ClusterConfig {
   // still assigns it; it goes when that driver stops doing so.
   size_t sim_threads = 0;
   // Placement decision implementation: the incrementally-maintained
-  // HostIndex (kIndexed — O(log hosts) per route) or the full-snapshot
+  // HostIndex (kIndexed — O(log replicas) per route plus one probe per
+  // admission mark) or the full-snapshot
   // scan (kScan), kept as the bit-identical reference that the
   // placement fuzz, fig12_regression_test and fig12's 256-host gate
   // select explicitly.  Decisions are IDENTICAL either way.
@@ -231,6 +232,9 @@ class Cluster : private HostStateListener {
                    bool draining) override {
     host_index_->Update(host, committed, pending_scaleups, draining);
   }
+  void OnAdmitInputs(size_t host, int local_fn) override {
+    host_index_->MarkAdmitDirty(host, local_fn);
+  }
 
   const ClusterConfig config_;  // Immutable after construction.
   // Exactly one of the two kernels below is live: the per-host shard
@@ -257,6 +261,8 @@ class Cluster : private HostStateListener {
   std::vector<uint64_t> fn_plug_unit_;
   // Registry image per function.
   std::vector<DepImageId> fn_dep_image_;
+  // Snapshot slot per function (kNoSnapshot without a registry).
+  std::vector<SnapshotId> fn_snapshot_;
   std::vector<uint64_t> routed_;
   std::vector<MigrationRecord> migrations_;
   uint64_t in_flight_migrations_ = 0;

@@ -7,8 +7,8 @@
 // HostIndex keeps the quantities those scans ranked on in ordered
 // structures that hosts update as their state changes, so the deciders
 // (`ClusterScheduler::PlaceFunction`/`Route`, `MigrationPlanner::
-// RankDestinations`/`MostPressuredHost`) pick from a tree in O(log hosts)
-// instead of materializing snapshots:
+// RankDestinations`/`MostPressuredHost`) pick from a tree instead of
+// materializing snapshots:
 //   * per-host rows      — cached (committed, capacity, pending, draining),
 //     refreshed through HostStateListener deltas (host_control.h) fired at
 //     the books' choke points (HostMemory commit observer, pending queue,
@@ -17,19 +17,28 @@
 //     gathers every host that fits a boot footprint from one lower_bound;
 //   * by_pressure_       — (pending desc, host asc): MostPressuredHost is
 //     the first non-draining entry;
-//   * per-function trees — (committed, replica) ascending over the
-//     function's replica hosts: bin-pack routing walks committed groups
-//     descending (ties ascending replica index — the scan's first-match
-//     semantics), least-committed routing takes the first eligible group.
+//   * per-function committed groups — committed value -> the function's
+//     replicas at that value, ascending: least-committed routing reads the
+//     lowest group in place (count plus k-th member);
+//   * per-function admission sets — (committed, replica) of the replicas
+//     whose host admits one more instance right now: bin-pack routing
+//     takes the first replica of the highest committed group, O(log
+//     replicas).  Admission is not a host-row quantity, so the set is kept
+//     exact lazily: hosts mark (host, local fn) pairs whose admission
+//     inputs changed (HostStateListener::OnAdmitInputs; a committed or
+//     draining delta marks the whole host), and the scheduler re-probes
+//     only the marked replicas of the function it is about to route
+//     (RefreshAdmission) before reading the set.
 //
 // Exactness contract: every query reproduces the retained full-scan
 // reference BIT-IDENTICALLY — same candidate sets, same tie-breaks
 // (lowest host / replica index), same all-draining fallbacks.  The cached
 // values are maintained, never recomputed, so the contract holds only if
-// every mutation of committed/pending/draining notifies; the
-// IndexedVsScanPlacementFuzzTest replays churn through both paths and
-// asserts identical decision streams, and the fig12 gate compares whole
-// sweeps.
+// every mutation of committed/pending/draining notifies and every change
+// to an admission input marks; the IndexedVsScanPlacementFuzzTest replays
+// churn through both paths and asserts identical decision streams, the
+// fig12 gate compares whole sweeps, and builds with asserts re-run the
+// probe walk (FirstAdmittingByCommittedDesc) on every bin-pack decision.
 //
 // Determinism: every ordered structure is keyed by absolute values
 // (bytes, counts, stable indices) — never pointers or hashes — so the
@@ -42,6 +51,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <set>
 #include <utility>
 #include <vector>
@@ -50,9 +60,9 @@
 namespace squeezy {
 
 // Bench-visible counters.  Deterministic: update counts are a pure
-// function of the simulated event stream (identical at any thread count
-// and under either placement_impl, since the index is maintained in both
-// modes), so they belong in BENCH_*.json.
+// function of the simulated event stream (identical under either
+// placement_impl, since the index is maintained in both modes), so they
+// belong in BENCH_*.json.
 struct HostIndexStats {
   uint64_t updates = 0;        // Delta notifications absorbed.
   uint64_t functions = 0;      // Per-function trees registered.
@@ -94,8 +104,32 @@ class HostIndex {
   void Update(size_t host, uint64_t committed, size_t pending, bool draining);
   // Registers cluster function `fn`'s replica hosts (replica order).
   // Calls must happen in cluster-function-index order, right after
-  // placement — before any routing decision for `fn`.
+  // placement — before any routing decision for `fn`.  A host's local
+  // function indices are its registrations in this order (local fn i is
+  // the i-th registered function with a replica there).  Every new
+  // replica starts marked, so its first decision probes it.
   void RegisterFunction(int fn, const std::vector<size_t>& replica_hosts);
+  // Admission marks: local function `local_fn` of `host` (-1: every
+  // function there) may have changed whether it admits.  Marks for a
+  // local function not registered yet are dropped (registration marks).
+  void MarkAdmitDirty(size_t host, int local_fn);
+  // Marks every replica of cluster function `fn` (a cluster-wide input of
+  // its admission changed: its snapshot recording).
+  void MarkFunctionAdmitDirty(int fn);
+  // Re-evaluates `can_admit(replica)` for fn's marked replicas only and
+  // clears their marks; returns the number of probes made.  After it,
+  // FirstAdmitting(fn) is exact.
+  template <typename Probe>
+  size_t RefreshAdmission(int fn, const Probe& can_admit) {
+    FnIndex& idx = fns_[static_cast<size_t>(fn)];
+    const size_t probes = idx.dirty_list.size();
+    for (const size_t replica : idx.dirty_list) {
+      idx.dirty[replica] = false;
+      SetAdmits(idx, replica, can_admit(replica));
+    }
+    idx.dirty_list.clear();
+    return probes;
+  }
 
   // --- Queries (each reproduces its scan counterpart bit-identically) -------------
   HostRow row(size_t host) const;
@@ -105,18 +139,25 @@ class HostIndex {
   // (PlaceFunction's candidate filter).
   std::vector<Candidate> CandidatesByAvailable(uint64_t need) const;
 
-  // Bin-pack routing: first replica of `fn` in (committed descending,
-  // replica index ascending) order for which `can_admit(replica)` holds;
-  // -1 when none admits.  Admission checks are const (they leave the
-  // index untouched), so the probe order alone determines the pick,
-  // exactly like the scan's max-committed first-match loop.
+  // Bin-pack routing: the first admitting replica of `fn` in (committed
+  // descending, replica index ascending) order — the scan's max-committed
+  // first-match — or -1 when none admits.  O(log replicas); requires a
+  // RefreshAdmission(fn, ...) since the last mark.
+  int FirstAdmitting(int fn) const;
+  // The same pick by the probe walk the admission set replaced: calls
+  // `can_admit` on fn's replicas in that order until the first hit.
+  // Builds with asserts cross-check every FirstAdmitting against it.
   int FirstAdmittingByCommittedDesc(int fn,
                                     const std::function<bool(size_t)>& can_admit) const;
 
-  // Least-committed routing: the scan's tied set — replicas of the least
-  // committed eligible group (non-draining, unless every replica drains),
-  // ascending replica index.  Never empty for a registered non-empty fn.
-  std::vector<size_t> LeastCommittedTied(int fn) const;
+  // Least-committed routing: the scan's tied set is the least committed
+  // eligible group (non-draining, unless every replica drains), ascending
+  // replica index.  LeastCommittedCount is its size (> 0 for a registered
+  // non-empty fn) and LeastCommittedAt(fn, k) its k-th member.  O(log
+  // replicas) when no replica of fn drains or all do; a filtered walk
+  // otherwise.
+  size_t LeastCommittedCount(int fn) const;
+  size_t LeastCommittedAt(int fn, size_t k) const;
 
   // Round-robin routing: non-draining replica count of `fn`, and the
   // k-th non-draining replica (k < EligibleCount(fn)).
@@ -132,16 +173,27 @@ class HostIndex {
   HostIndexStats stats() const { return stats_; }
 
  private:
-  // One function's replica tree: (committed, replica index) ascending —
-  // natural pair order gives committed groups ascending with replica
-  // order inside each group, walked forward for least-committed and
-  // backward (group-reversed) for bin-pack.
+  // One function's replica indexes.
   struct FnIndex {
     std::vector<size_t> hosts;  // replica index -> host.
-    std::set<std::pair<uint64_t, size_t>> by_committed;
+    // committed -> the replicas at that value, ascending index: groups
+    // ascending for least-committed, descending for the bin-pack walk.
+    std::map<uint64_t, std::vector<size_t>> by_committed;
+    // (committed, replica) of every replica whose host admits right now
+    // (as of the last probe; marked replicas may be stale).
+    std::set<std::pair<uint64_t, size_t>> admitting;
+    std::vector<bool> admits;  // replica -> member of `admitting`.
+    std::vector<bool> dirty;   // replica -> member of `dirty_list`.
+    std::vector<size_t> dirty_list;
     size_t draining_replicas = 0;
   };
 
+  void MarkReplica(FnIndex& idx, size_t replica);
+  void SetAdmits(FnIndex& idx, size_t replica, bool admits);
+  bool Eligible(const FnIndex& idx, size_t replica) const;
+  // The least committed group of fn with an eligible member (the scan's
+  // tied set before its eligibility filter).
+  const std::vector<size_t>& LeastEligibleGroup(const FnIndex& idx) const;
   void ApplyRow(size_t host, uint64_t committed, size_t pending, bool draining);
 
   const size_t nr_hosts_;  // Set at construction, immutable after.
@@ -161,7 +213,7 @@ class HostIndex {
   std::set<std::pair<size_t, size_t>, PressureOrder> by_pressure_;
   std::vector<FnIndex> fns_;
   // host -> (fn, replica index) memberships, so one host delta updates
-  // every tree it appears in.
+  // every tree it appears in.  Position = the host's local fn index.
   std::vector<std::vector<std::pair<size_t, size_t>>> host_fns_;
   HostIndexStats stats_;
 };

@@ -31,7 +31,7 @@ const char* MigrationModeName(MigrationMode m) {
 }
 
 ClusterScheduler::ClusterScheduler(PlacementPolicy policy, std::vector<HostControl*> hosts,
-                                   const HostIndex* index)
+                                   HostIndex* index)
     : policy_(policy), hosts_(std::move(hosts)), index_(index) {
   assert(!hosts_.empty());
 }
@@ -163,6 +163,11 @@ size_t ClusterScheduler::LeastCommittedOf(const std::vector<Replica>& replicas,
   return tied[RouteCursor(cluster_fn)++ % tied.size()];
 }
 
+size_t ClusterScheduler::LeastCommittedIndexed(int cluster_fn) {
+  const size_t tied = index_->LeastCommittedCount(cluster_fn);
+  return index_->LeastCommittedAt(cluster_fn, RouteCursor(cluster_fn)++ % tied);
+}
+
 const Replica& ClusterScheduler::RouteIndexed(int cluster_fn,
                                               const std::vector<Replica>& replicas) {
   switch (policy_) {
@@ -177,25 +182,25 @@ const Replica& ClusterScheduler::RouteIndexed(int cluster_fn,
       const size_t k = RouteCursor(cluster_fn)++ % eligible;
       return replicas[index_->EligibleAt(cluster_fn, k)];
     }
-    case PlacementPolicy::kLeastCommitted: {
-      const std::vector<size_t> tied = index_->LeastCommittedTied(cluster_fn);
-      return replicas[tied[RouteCursor(cluster_fn)++ % tied.size()]];
-    }
+    case PlacementPolicy::kLeastCommitted:
+      return replicas[LeastCommittedIndexed(cluster_fn)];
     case PlacementPolicy::kMemoryAwareBinPack:
     case PlacementPolicy::kHintedBinPack: {
-      // Most committed replica that can admit, probed in the index's
-      // (committed desc, replica asc) order — the scan's max-committed
-      // first-match — with only the narrow CanAdmitNow read going live to
-      // a host, and only until the first hit.
-      const int best = index_->FirstAdmittingByCommittedDesc(
-          cluster_fn, [&](size_t i) {
-            return hosts_[replicas[i].host]->CanAdmitNow(replicas[i].local_fn);
-          });
+      // Most committed replica that can admit — the scan's max-committed
+      // first-match — read off the index's admission set once the
+      // replicas marked since this function's last decision are
+      // re-probed.
+      const auto can_admit = [&](size_t i) {
+        return hosts_[replicas[i].host]->CanAdmitNow(replicas[i].local_fn);
+      };
+      admit_probes_ += index_->RefreshAdmission(cluster_fn, can_admit);
+      const int best = index_->FirstAdmitting(cluster_fn);
+      assert(best == index_->FirstAdmittingByCommittedDesc(cluster_fn, can_admit) &&
+             "admission set diverged from the probe walk: an input went unmarked");
       if (best < 0) {
         // No replica admits: overflow onto the least committed one (its
         // reclamation backlog is the smallest, so it unblocks first).
-        const std::vector<size_t> tied = index_->LeastCommittedTied(cluster_fn);
-        const size_t donor = tied[RouteCursor(cluster_fn)++ % tied.size()];
+        const size_t donor = LeastCommittedIndexed(cluster_fn);
         if (policy_ == PlacementPolicy::kHintedBinPack) {
           const uint64_t unit = fn_plug_unit_[static_cast<size_t>(cluster_fn)];
           hosts_[replicas[donor].host]->ProactiveReclaim(unit);
@@ -228,6 +233,9 @@ const Replica& ClusterScheduler::Route(int cluster_fn,
   snaps.reserve(replicas.size());
   for (const Replica& r : replicas) {
     snaps.push_back(hosts_[r.host]->Snapshot(wants_admit ? r.local_fn : -1));
+  }
+  if (wants_admit) {
+    admit_probes_ += replicas.size();
   }
 
   switch (policy_) {

@@ -64,8 +64,13 @@ namespace squeezy {
 //   kScan    — the original full pass over every candidate HostSnapshot
 //              per decision, retained as the bit-identical reference
 //              that the placement fuzz and fig12's gates select;
-//   kIndexed — the incrementally-maintained HostIndex (O(log hosts) per
-//              decision; identical decisions, locked by fuzz + fig12).
+//   kIndexed — the incrementally-maintained HostIndex (identical
+//              decisions, locked by fuzz + fig12).  Bin-pack routing
+//              re-probes only the replicas whose admission inputs changed
+//              since the function's last decision, then reads the first
+//              admitting replica in O(log replicas); before the admission
+//              set it probed CanAdmitNow on replicas in committed order
+//              until the first hit, O(replicas) when none admits.
 enum class PlacementImpl : uint8_t {
   kScan,
   kIndexed,
@@ -109,9 +114,11 @@ class ClusterScheduler {
   // `hosts` must outlive the scheduler.  With a non-null `index` (which
   // must also outlive the scheduler and mirror these hosts) decisions run
   // against the incrementally-maintained HostIndex instead of scanning a
-  // HostSnapshot per candidate — same decisions, O(log hosts) per route.
+  // HostSnapshot per candidate — same decisions, O(log replicas) per
+  // route plus one probe per admission mark (the scheduler refreshes the
+  // index's admission sets before each bin-pack decision).
   ClusterScheduler(PlacementPolicy policy, std::vector<HostControl*> hosts,
-                   const HostIndex* index = nullptr);
+                   HostIndex* index = nullptr);
 
   // Registration: picks up to `replicas` distinct hosts for a function
   // whose VM commits `boot_commit` bytes at boot and `plug_unit` bytes per
@@ -131,6 +138,11 @@ class ClusterScheduler {
   uint64_t decisions() const { return decisions_; }
   // ProactiveReclaim hints fired at donor hosts (kHintedBinPack only).
   uint64_t hints_fired() const { return hints_fired_; }
+  // Admission evaluations (CanAdmitNow, or a snapshot's can_admit on the
+  // scan path) the bin-pack decisions made, dirty-mark refreshes
+  // included.  Deterministic; the asserts-only cross-check walk is not
+  // counted.
+  uint64_t admit_probes() const { return admit_probes_; }
 
  private:
   // Index into `replicas`/`snaps` of the least-committed non-draining host
@@ -139,14 +151,18 @@ class ClusterScheduler {
   size_t LeastCommittedOf(const std::vector<Replica>& replicas,
                           const std::vector<HostSnapshot>& snaps, int cluster_fn);
   // Index-backed Route body: no snapshot vector is materialized — the
-  // candidate order comes from the HostIndex trees and only the narrow
-  // live reads a decision still needs (CanAdmitNow probes) touch hosts.
+  // candidate order comes from the HostIndex and only the narrow live
+  // reads a decision still needs (CanAdmitNow on marked replicas) touch
+  // hosts.
   const Replica& RouteIndexed(int cluster_fn, const std::vector<Replica>& replicas);
+  // Index-backed LeastCommittedOf: the tied group's cursor-th member, read
+  // in place.
+  size_t LeastCommittedIndexed(int cluster_fn);
   size_t& RouteCursor(int cluster_fn);
 
   const PlacementPolicy policy_;           // Immutable after construction.
   const std::vector<HostControl*> hosts_;  // Pointer set fixed at construction.
-  const HostIndex* const index_;           // Null => full-scan reference path.
+  HostIndex* const index_;                 // Null => full-scan reference path.
   // Registration round-robin cursor, in STABLE host-index space: it
   // names the next host to start from, never a position in the filtered
   // candidate list (which shifts whenever a host is full or draining and
@@ -158,6 +174,7 @@ class ClusterScheduler {
   std::vector<uint64_t> fn_plug_unit_;
   uint64_t decisions_ = 0;
   uint64_t hints_fired_ = 0;
+  uint64_t admit_probes_ = 0;
 };
 
 }  // namespace squeezy

@@ -123,14 +123,19 @@ int32_t Agent::NewInstance() {
   instances_.push_back(std::make_unique<Instance>());
   instance(id).id = id;
   ++state_counts_[static_cast<size_t>(instance(id).state)];
+  NoteAdmitInputs();
   return id;
 }
 
 void Agent::SetState(Instance& inst, InstanceState state) {
+  if (inst.state == InstanceState::kIdle) {
+    idle_order_.erase({inst.idle_since, inst.id});
+  }
   --state_counts_[static_cast<size_t>(inst.state)];
   ++state_counts_[static_cast<size_t>(state)];
   inst.state = state;
   assert(CountsMatchScan());
+  NoteAdmitInputs();
 }
 
 bool Agent::CountsMatchScan() const {
@@ -251,6 +256,7 @@ void Agent::BecomeIdle(int32_t instance_id) {
   Instance& inst = instance(instance_id);
   SetState(inst, InstanceState::kIdle);
   inst.idle_since = events_->now();
+  idle_order_.insert({inst.idle_since, inst.id});
   ScheduleKeepAlive(instance_id);
   instance_series_.Push(events_->now(), static_cast<double>(live_instances()));
   if (callbacks_.instance_idle) {
@@ -260,18 +266,11 @@ void Agent::BecomeIdle(int32_t instance_id) {
 }
 
 void Agent::DispatchQueue() {
-  while (!queue_.empty()) {
-    // Most recently idled instance first (warm caches).
-    int32_t best = -1;
-    for (const auto& inst : instances_) {
-      if (inst->state == InstanceState::kIdle &&
-          (best < 0 || inst->idle_since > instance(best).idle_since)) {
-        best = inst->id;
-      }
-    }
-    if (best < 0) {
-      return;
-    }
+  while (!queue_.empty() && !idle_order_.empty()) {
+    // Most recently idled instance first (warm caches); among instances
+    // idled at the same instant, the lowest id.
+    const TimeNs newest = idle_order_.rbegin()->first;
+    const int32_t best = idle_order_.lower_bound({newest, 0})->second;
     const TimeNs arrival = queue_.front();
     queue_.pop_front();
     StartExec(best, arrival);
@@ -358,10 +357,9 @@ void Agent::Evict(int32_t instance_id) {
 
 Agent::WarmCapture Agent::CaptureAndEvictIdle() {
   WarmCapture cap;
-  for (const auto& inst : instances_) {
-    if (inst->state != InstanceState::kIdle) {
-      continue;
-    }
+  for (const auto& [since, id] : idle_order_) {
+    (void)since;
+    const Instance* inst = instances_[static_cast<size_t>(id)].get();
     ++cap.instances;
     // A fully-warmed instance's transferable state is its whole working
     // set; one still in its first lifetime has only touched the init part.
@@ -457,28 +455,11 @@ uint64_t Agent::MaxWarmAnonBytes() const {
   return 0;
 }
 
-TimeNs Agent::OldestIdleSince() const {
-  TimeNs best = -1;
-  for (const auto& inst : instances_) {
-    if (inst->state == InstanceState::kIdle && (best < 0 || inst->idle_since < best)) {
-      best = inst->idle_since;
-    }
-  }
-  return best;
-}
-
 bool Agent::EvictOldestIdle() {
-  int32_t oldest = -1;
-  for (const auto& inst : instances_) {
-    if (inst->state == InstanceState::kIdle &&
-        (oldest < 0 || inst->idle_since < instance(oldest).idle_since)) {
-      oldest = inst->id;
-    }
-  }
-  if (oldest < 0) {
+  if (idle_order_.empty()) {
     return false;
   }
-  Evict(oldest);
+  Evict(idle_order_.begin()->second);
   return true;
 }
 

@@ -17,6 +17,8 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "src/core/squeezy.h"
@@ -97,6 +99,10 @@ struct AgentCallbacks {
   // RestoreWorkingSet bulk prefetches on one host — migration landings
   // and cold-start restores — serialize through it.
   std::function<DurationNs(DurationNs busy)> restore_channel;
+  // Optional: an instance was created or changed state, so the idle and
+  // live counts that host admission reads may have moved (the cluster
+  // placement index re-checks this VM before its next decision).
+  std::function<void()> admit_inputs_changed;
 };
 
 class Agent {
@@ -147,7 +153,10 @@ class Agent {
                          TimeNs available_at);
 
   // Idle-since time of the longest-idle instance, or -1 if none is idle.
-  TimeNs OldestIdleSince() const;
+  // O(1): the first entry of the idle order.
+  TimeNs OldestIdleSince() const {
+    return idle_order_.empty() ? -1 : idle_order_.begin()->first;
+  }
 
   // --- Introspection ------------------------------------------------------------
   size_t idle_instances() const;
@@ -172,6 +181,16 @@ class Agent {
   LatencyRecorder& latencies() { return latencies_; }
   const LatencyRecorder& latencies() const { return latencies_; }
   const std::vector<ColdStartBreakdown>& cold_starts() const { return cold_starts_; }
+  // Every instance ever created, evicted ones included (ids 0..n-1), and
+  // the two fields the idle picks rank on — for oracles that re-derive
+  // those picks by scanning.
+  size_t instances_created() const { return instances_.size(); }
+  InstanceState instance_state(int32_t id) const {
+    return instances_[static_cast<size_t>(id)]->state;
+  }
+  TimeNs instance_idle_since(int32_t id) const {
+    return instances_[static_cast<size_t>(id)]->idle_since;
+  }
   const StepSeries& instance_series() const { return instance_series_; }
   uint64_t total_evictions() const { return evictions_; }
   uint64_t total_spawns() const { return spawns_; }
@@ -224,8 +243,15 @@ class Agent {
   // Appends a new instance (in kWaitingMemory) and returns its id.
   int32_t NewInstance();
   // Every instance state change goes through here, so the per-state counts
-  // stay O(1) to read even though instances_ never shrinks.
+  // stay O(1) to read even though instances_ never shrinks.  Leaving
+  // kIdle drops the instance from the idle order; entering it does not
+  // add it (BecomeIdle does, once idle_since is set).
   void SetState(Instance& inst, InstanceState state);
+  void NoteAdmitInputs() {
+    if (callbacks_.admit_inputs_changed) {
+      callbacks_.admit_inputs_changed();
+    }
+  }
   size_t CountIn(InstanceState state) const {
     return state_counts_[static_cast<size_t>(state)];
   }
@@ -245,6 +271,10 @@ class Agent {
   static constexpr size_t kInstanceStates =
       static_cast<size_t>(InstanceState::kEvicted) + 1;
   std::array<size_t, kInstanceStates> state_counts_{};  // Instances per state.
+  // (idle_since, id) of every idle instance.  begin() is the eviction
+  // pick (oldest, ties to the lowest id); the first entry of the last
+  // idle_since group is the dispatch pick (newest, ties to the lowest id).
+  std::set<std::pair<TimeNs, int32_t>> idle_order_;
   std::deque<TimeNs> queue_;  // Arrival times of waiting requests.
   size_t spawning_ = 0;
 

@@ -74,16 +74,23 @@ struct HostSnapshot {
 };
 
 // Receives one delta per host-state change instead of polling snapshots.
-// A host fires it synchronously after ANY change to its committed book,
-// pending scale-up queue, or draining flag — the three quantities routing
-// ranks on — carrying the new absolute values (deltas are idempotent and
-// order-free to absorb).  Implementations must only touch state below
-// the host (the placement HostIndex) and never call back into it.
+// A host fires OnHostState synchronously after ANY change to its committed
+// book, pending scale-up queue, or draining flag — the three quantities
+// routing ranks on — carrying the new absolute values (deltas are
+// idempotent and order-free to absorb).  It fires OnAdmitInputs after any
+// change to the OTHER inputs of CanAdmitNow(local_fn): the VM's instance
+// states, its reusable plugged memory (spare, cancellable unplugs, driver
+// slack) and the host's dependency-image residency (local_fn -1: every
+// VM on the host).  A committed or draining change is itself an
+// admission input; OnHostState covers it.  Implementations must only
+// touch state below the host (the placement HostIndex) and never call
+// back into it.
 class HostStateListener {
  public:
   virtual ~HostStateListener() = default;
   virtual void OnHostState(size_t host, uint64_t committed,
                            size_t pending_scaleups, bool draining) = 0;
+  virtual void OnAdmitInputs(size_t host, int local_fn) = 0;
 };
 
 class HostControl {

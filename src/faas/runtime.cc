@@ -104,6 +104,7 @@ int FaasRuntime::AddFunction(const FunctionSpec& spec, uint32_t max_concurrency)
         spec.name + "/" + std::to_string(spec.file_deps_bytes), sizing.deps_region);
     vm(fn).dep_image = img;
     const bool already = dep_registry_->PinImage(host_id_, img);
+    NoteAdmitInputs(-1);
     driver_->OnImageResident(fn, sizing.deps_region, already);
     if (already) {
       assert(boot_commit >= sizing.deps_region);
@@ -133,6 +134,7 @@ int FaasRuntime::AddFunction(const FunctionSpec& spec, uint32_t max_concurrency)
     AcquireInstanceMemory(fn, std::move(ready));
   };
   callbacks.release_memory = [this, fn] { ReleaseInstanceMemory(fn); };
+  callbacks.admit_inputs_changed = [this, fn] { NoteAdmitInputs(fn); };
   if (vm(fn).dep_image != kNoDepImage || vm(fn).snapshot != kNoSnapshot) {
     // Population signal: the first idle transition follows the cold
     // start that faulted the whole image in — peers can fetch it now.
@@ -190,6 +192,7 @@ uint64_t FaasRuntime::ImageChargeNeeded(int fn) const {
 
 void FaasRuntime::ChargeImage(int fn, uint64_t image_bytes) {
   dep_registry_->PinImage(host_id_, vm(fn).dep_image);
+  NoteAdmitInputs(-1);
   driver_->OnImageResident(fn, image_bytes, false);
 }
 
@@ -307,6 +310,7 @@ void FaasRuntime::MaybeEvictImages() {
     // (guest pages freed, host backing madvised away), and the charged
     // commitment flows back through the active driver.
     const uint64_t charged = dep_registry_->EvictImage(host_id_, img);
+    NoteAdmitInputs(-1);
     for (const auto& b : vms_) {
       if (b->dep_image == img) {
         b->guest->DropFileCache(b->agent->deps_file(), events_->now());
@@ -430,10 +434,14 @@ uint64_t FaasRuntime::TakeSpare(int fn, uint64_t max_bytes) {
   VmBundle& b = vm(fn);
   const uint64_t taken = std::min(b.spare_plugged, max_bytes);
   b.spare_plugged -= taken;
+  NoteAdmitInputs(fn);
   return taken;
 }
 
-void FaasRuntime::AddSpare(int fn, uint64_t bytes) { vm(fn).spare_plugged += bytes; }
+void FaasRuntime::AddSpare(int fn, uint64_t bytes) {
+  vm(fn).spare_plugged += bytes;
+  NoteAdmitInputs(fn);
+}
 
 bool FaasRuntime::HasCancellableUnplug(int fn) const {
   const VmBundle& b = *vms_[static_cast<size_t>(fn)];
@@ -445,6 +453,7 @@ bool FaasRuntime::TryCancelQueuedUnplug(int fn) {
     return false;
   }
   ++vm(fn).cancelled_unplugs;
+  NoteAdmitInputs(fn);
   return true;
 }
 
@@ -462,9 +471,11 @@ void FaasRuntime::StartUnplug(int fn) {
   // is still migrating/offlining queue up behind it.
   if (events_->now() < b.unplug_busy_until) {
     ++b.queued_unplugs;
+    NoteAdmitInputs(fn);
     events_->ScheduleAt(b.unplug_busy_until, [this, fn] {
       VmBundle& vb = vm(fn);
       --vb.queued_unplugs;
+      NoteAdmitInputs(fn);
       if (vb.cancelled_unplugs > 0) {
         --vb.cancelled_unplugs;  // A scale-up already reused this memory.
         return;
@@ -680,6 +691,12 @@ void FaasRuntime::NotifyHostState() {
   if (state_listener_ != nullptr) {
     state_listener_->OnHostState(listener_host_, host_.committed(), pending_.size(),
                                  draining_);
+  }
+}
+
+void FaasRuntime::NoteAdmitInputs(int fn) {
+  if (state_listener_ != nullptr) {
+    state_listener_->OnAdmitInputs(listener_host_, fn);
   }
 }
 

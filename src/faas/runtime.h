@@ -226,6 +226,7 @@ class FaasRuntime : public HostControl, private ReclaimHost {
   void NoteUnreservedPlug(int fn, uint64_t shortfall) override;
   uint64_t TakeSpare(int fn, uint64_t max_bytes) override;
   void AddSpare(int fn, uint64_t bytes) override;
+  void NoteReusableChanged(int fn) override { NoteAdmitInputs(fn); }
   bool HasCancellableUnplug(int fn) const override;
   bool TryCancelQueuedUnplug(int fn) override;
   // Plugs `bytes` for fn and schedules `ready` at plug completion.
@@ -306,6 +307,10 @@ class FaasRuntime : public HostControl, private ReclaimHost {
   // one of the three books: the HostMemory commit observer, the
   // pending-queue push/erase, and Drain/Undrain.
   void NotifyHostState();
+  // Tells the attached state listener that an admission input of local
+  // function fn (-1: of every VM on this host) other than committed or
+  // draining changed (HostStateListener::OnAdmitInputs).
+  void NoteAdmitInputs(int fn);
 
   RuntimeConfig config_;
   CostModel cost_;

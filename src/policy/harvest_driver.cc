@@ -22,6 +22,7 @@ void HarvestDriver::Acquire(int fn, std::function<void(DurationNs)> ready) {
     // Serve from the pre-plugged slack buffer: near-instant, the whole
     // point of the HarvestVM buffering optimization.
     --buffered;
+    host_->NoteReusableChanged(fn);
     GrantFast(std::move(ready));
     return;
   }
@@ -35,6 +36,7 @@ void HarvestDriver::Release(int fn) {
     // Keep the memory plugged as slack for the next spike (drained by
     // the pressure tick when the host runs low).
     ++buffered;
+    host_->NoteReusableChanged(fn);
     return;
   }
   host_->StartUnplug(fn);
@@ -69,6 +71,7 @@ uint64_t HarvestDriver::DrainBuffers() {
   for (size_t fn = 0; fn < buffer_units_.size(); ++fn) {
     while (buffer_units_[fn] > 0) {
       --buffer_units_[fn];
+      host_->NoteReusableChanged(static_cast<int>(fn));
       expected += host_->plug_unit(static_cast<int>(fn));
       host_->StartUnplug(static_cast<int>(fn));
     }

@@ -65,6 +65,10 @@ class ReclaimHost {
   // Consumes up to `max_bytes` of spare; returns the bytes taken.
   virtual uint64_t TakeSpare(int fn, uint64_t max_bytes) = 0;
   virtual void AddSpare(int fn, uint64_t bytes) = 0;
+  // A driver calls this after changing plugged memory it reports through
+  // ReusablePlugged beyond spare and cancellable unplugs (Harvest's
+  // slack buffers): admission for fn may have changed.
+  virtual void NoteReusableChanged(int fn) = 0;
   // True if an unplug for fn is queued behind the worker but not started
   // (its memory is still plugged and committed, so a scale-up can absorb
   // it directly).

@@ -49,6 +49,9 @@ bool SnapshotStore::Record(SnapshotId snap, const SnapshotImage& image) {
     s.ever_recorded = true;
     ++stats_.recordings;
   }
+  if (change_observer_) {
+    change_observer_(snap);
+  }
   return true;
 }
 
@@ -59,6 +62,9 @@ void SnapshotStore::Invalidate(SnapshotId snap) {
   }
   s.recorded = false;
   ++stats_.invalidations;
+  if (change_observer_) {
+    change_observer_(snap);
+  }
 }
 
 void SnapshotStore::NoteRestore(SnapshotId snap, uint64_t prefetch_bytes,

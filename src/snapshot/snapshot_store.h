@@ -14,8 +14,10 @@
 #define SQUEEZY_SNAPSHOT_SNAPSHOT_STORE_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/faas/snapshot_registry.h"
@@ -80,6 +82,13 @@ class SnapshotStore : public SnapshotRegistry {
   // runtime never prices migrations.
   void RecordMigrationHit(uint64_t wire_saved_bytes, uint64_t restores);
 
+  // Called with the slot whenever its valid/invalid state flips (a
+  // recording taken, or one invalidated) — what a cached view of
+  // Recorded()/Image() (the cluster's admission index) must re-read.
+  void set_change_observer(std::function<void(SnapshotId)> observer) {
+    change_observer_ = std::move(observer);
+  }
+
   SnapshotStats stats() const { return stats_; }
   const SnapshotStoreConfig& config() const { return config_; }
   // Keys of every currently-valid recording, in key order.  Sim-visible
@@ -105,6 +114,7 @@ class SnapshotStore : public SnapshotRegistry {
   std::map<std::string, SnapshotId> by_key_;
   std::vector<Slot> slots_;
   SnapshotStats stats_;
+  std::function<void(SnapshotId)> change_observer_;  // Empty: nobody caches.
 };
 
 }  // namespace squeezy

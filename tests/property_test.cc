@@ -32,6 +32,7 @@
 #include "src/trace/cluster_trace.h"
 #include "tests/oracles/dense_page_cache.h"
 #include "tests/oracles/heap_event_queue.h"
+#include "tests/oracles/idle_scan.h"
 
 namespace squeezy {
 namespace {
@@ -2684,14 +2685,24 @@ inline std::string FleetDigest(Cluster& cluster, TimeNs horizon) {
   return os.str();
 }
 
+// Scheduler counters of one churn run (not part of the digest: the
+// admission probe count differs between placement impls by design).
+struct ChurnCounters {
+  uint64_t decisions = 0;
+  uint64_t hints_fired = 0;
+};
+
 // One full churn run: build the fleet, run the trace with random
 // drain/undrain/pressure churn, quiesce, digest.  Every input is a pure
-// function of (impl, registries, seed, placement knobs) — and the digest
-// must be a pure function of (registries, seed, policy) alone: neither
-// the kernel impl nor the placement impl may leak into it.
+// function of (impl, registries, seed, placement knobs, reclaim policy,
+// host capacity) — and the digest must not depend on the kernel impl or
+// the placement impl.
 inline std::string RunChurn(EventQueue::Impl impl, bool registries, uint64_t seed,
                             PlacementImpl placement_impl = PlacementImpl::kIndexed,
-                            PlacementPolicy policy = PlacementPolicy::kMemoryAwareBinPack) {
+                            PlacementPolicy policy = PlacementPolicy::kMemoryAwareBinPack,
+                            ReclaimPolicy reclaim = ReclaimPolicy::kSqueezy,
+                            uint64_t host_capacity = MiB(2560),
+                            ChurnCounters* counters = nullptr) {
   constexpr int kFunctions = 4;
   constexpr uint32_t kConcurrency = 8;
   ClusterConfig cfg;
@@ -2703,8 +2714,8 @@ inline std::string RunChurn(EventQueue::Impl impl, bool registries, uint64_t see
   cfg.shared_dep_cache = registries;
   cfg.shared_snapshots = registries;
   cfg.queue_impl = impl;
-  cfg.host.policy = ReclaimPolicy::kSqueezy;
-  cfg.host.host_capacity = MiB(2560);
+  cfg.host.policy = reclaim;
+  cfg.host.host_capacity = host_capacity;
   cfg.host.vm_base_memory = MiB(128);
   cfg.host.keep_alive = Sec(30);
   cfg.host.pressure_check_period = Msec(500);
@@ -2758,6 +2769,10 @@ inline std::string RunChurn(EventQueue::Impl impl, bool registries, uint64_t see
     }
   }
   cluster.RunAll();
+  if (counters != nullptr) {
+    counters->decisions = cluster.scheduler().decisions();
+    counters->hints_fired = cluster.scheduler().hints_fired();
+  }
   return FleetDigest(cluster, Minutes(6));
 }
 
@@ -2813,6 +2828,51 @@ TEST_P(IndexedVsScanPlacementFuzzTest, IndexedMatchesScanThroughChurn) {
   }
 }
 
+// The saturated leg: hosts sized so that most bin-pack decisions find no
+// replica that admits — the empty-admission-set and hint path a saturated
+// fleet lives on — under every reclaim driver that plugs on demand
+// (Harvest's slack buffers and VirtioMem's spare and cancelled unplugs
+// are admission inputs Squeezy never exercises).  The hint counter proves
+// the leg still reaches that path.
+TEST_P(IndexedVsScanPlacementFuzzTest, IndexedMatchesScanWhenSaturated) {
+  const auto [policy, registries] = GetParam();
+  // Without the dep cache four VMs boot into 1024 MiB of it, leaving room
+  // for one 256 MiB plug unit.  Below one unit of headroom no scale-up
+  // can ever be served and the pressure tick re-arms forever.
+  constexpr uint64_t kSaturatedCapacity = MiB(1280);
+  sharded_fuzz::ChurnCounters leg;
+  for (const ReclaimPolicy reclaim : {ReclaimPolicy::kSqueezy, ReclaimPolicy::kVirtioMem,
+                                      ReclaimPolicy::kHarvestOpts}) {
+    uint64_t hints = 0;
+    for (const uint64_t seed : {1u, 2u, 3u}) {
+      const std::string scan = sharded_fuzz::RunChurn(
+          EventQueue::Impl::kTimerWheel, registries, seed, PlacementImpl::kScan, policy,
+          reclaim, kSaturatedCapacity);
+      sharded_fuzz::ChurnCounters counters;
+      const std::string indexed = sharded_fuzz::RunChurn(
+          EventQueue::Impl::kTimerWheel, registries, seed, PlacementImpl::kIndexed, policy,
+          reclaim, kSaturatedCapacity, &counters);
+      EXPECT_EQ(scan, indexed)
+          << "indexed placement diverged from the snapshot scan under "
+          << PlacementPolicyName(policy) << " / " << ReclaimPolicyName(reclaim)
+          << " at saturation (registries " << (registries ? "on" : "off") << ", seed "
+          << seed << ")";
+      hints += counters.hints_fired;
+      leg.decisions += counters.decisions;
+      leg.hints_fired += counters.hints_fired;
+    }
+    if (policy == PlacementPolicy::kHintedBinPack) {
+      EXPECT_GT(hints, 0u) << ReclaimPolicyName(reclaim) << " never fired a hint";
+    }
+  }
+  if (policy == PlacementPolicy::kHintedBinPack) {
+    // Every hint is a decision that found no admitting replica.
+    EXPECT_GT(2 * leg.hints_fired, leg.decisions)
+        << "only " << leg.hints_fired << " of " << leg.decisions
+        << " decisions found no admitting replica";
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Placements, IndexedVsScanPlacementFuzzTest,
     testing::Combine(testing::Values(PlacementPolicy::kRoundRobin,
@@ -2824,6 +2884,131 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(PlacementPolicyName(std::get<0>(param_info.param))) + "_" +
              (std::get<1>(param_info.param) ? "registries" : "plain");
     });
+
+// --- Idle-order fuzz: the agent's ordered idle set vs the instance scans -----------
+//
+// Agent keeps its idle instances in (idle_since, id) order, and the three
+// picks that used to scan every instance ever created read that order
+// instead: EvictOldestIdle and FaasRuntime::MakeRoom take the oldest
+// (ties to the lowest id, and across VMs to the lowest VM), DispatchQueue
+// the newest (ties to the lowest id — the first entry of the last
+// idle_since group, not the last entry).  Random bursts, evictions and
+// MakeRoom passes on a host of identical deterministic functions make
+// instances idle at the same nanosecond, and every pick is checked
+// against tests/oracles/idle_scan.h right before it is taken.
+class IdleOrderFuzzTest : public testing::TestWithParam<uint64_t> {};
+
+TEST_P(IdleOrderFuzzTest, PicksMatchTheInstanceScans) {
+  const uint64_t seed = GetParam();
+  constexpr int kFunctions = 3;
+  RuntimeConfig cfg;
+  cfg.policy = ReclaimPolicy::kSqueezy;
+  cfg.host_capacity = GiB(64);
+  cfg.keep_alive = Sec(20);
+  cfg.seed = seed;
+  FaasRuntime rt(cfg);
+  FunctionSpec spec;
+  spec.name = "idle_fuzz";
+  spec.vcpu_shares = 1.0;
+  spec.memory_limit = MiB(256);
+  spec.anon_working_set = MiB(32);
+  spec.file_deps_bytes = MiB(16);
+  spec.container_init_cpu = Msec(50);
+  spec.function_init_cpu = Msec(50);
+  spec.exec_cpu_mean = Msec(100);
+  spec.exec_cv = 0.0;  // Equal work: instances started together idle together.
+  for (int f = 0; f < kFunctions; ++f) {
+    rt.AddFunction(spec, 6);
+  }
+
+  Rng rng(seed * 7919 + 17);
+  TimeNs t = 0;
+  int newest_picks = 0;
+  int oldest_picks = 0;
+  int make_room_picks = 0;
+  int tied_picks = 0;  // Picks made while another idle instance shared the key.
+  const auto tied = [](const Agent& agent, int32_t pick) {
+    int same = 0;
+    for (size_t i = 0; i < agent.instances_created(); ++i) {
+      const auto id = static_cast<int32_t>(i);
+      same += agent.instance_state(id) == InstanceState::kIdle &&
+              agent.instance_idle_since(id) == agent.instance_idle_since(pick);
+    }
+    return same > 1;
+  };
+  for (int step = 0; step < 600; ++step) {
+    switch (rng.UniformInt(0, 2)) {
+      case 0:
+        break;  // Same instant: the next op sees this op's idle set.
+      case 1:
+        t += Msec(rng.UniformInt(1, 400));
+        break;
+      case 2:
+        t += Sec(rng.UniformInt(1, 8));
+        break;
+    }
+    rt.RunUntil(t);
+    const int fn = static_cast<int>(rng.UniformInt(0, kFunctions - 1));
+    Agent& agent = rt.agent(fn);
+    switch (rng.UniformInt(0, 3)) {
+      case 0:
+      case 1: {
+        // A burst of arrivals: each takes the newest idle instance.
+        const int64_t burst = rng.UniformInt(1, 4);
+        for (int64_t i = 0; i < burst; ++i) {
+          const int32_t want = ScanNewestIdle(agent);
+          const bool had_tie = want >= 0 && tied(agent, want);
+          agent.Submit();
+          if (want >= 0) {
+            ASSERT_NE(agent.instance_state(want), InstanceState::kIdle)
+                << "dispatch skipped the newest idle instance " << want << " (seed "
+                << seed << ", step " << step << ")";
+            ++newest_picks;
+            tied_picks += had_tie;
+          }
+        }
+        break;
+      }
+      case 2: {
+        const int32_t want = ScanOldestIdle(agent);
+        const bool had_tie = want >= 0 && tied(agent, want);
+        ASSERT_EQ(agent.EvictOldestIdle(), want >= 0);
+        if (want >= 0) {
+          ASSERT_EQ(agent.instance_state(want), InstanceState::kEvicted)
+              << "eviction skipped the oldest idle instance " << want << " (seed "
+              << seed << ", step " << step << ")";
+          ++oldest_picks;
+          tied_picks += had_tie;
+        }
+        break;
+      }
+      case 3: {
+        // One MakeRoom step (a 1-byte ProactiveReclaim evicts exactly one
+        // instance when any has idled for 2 s).
+        const int vm = ScanMakeRoomVm(rt, t, Sec(2));
+        const int32_t want = vm >= 0 ? ScanOldestIdle(rt.agent(vm)) : -1;
+        const bool had_tie = want >= 0 && tied(rt.agent(vm), want);
+        rt.ProactiveReclaim(1);
+        if (want >= 0) {
+          ASSERT_EQ(rt.agent(vm).instance_state(want), InstanceState::kEvicted)
+              << "MakeRoom skipped VM " << vm << "'s instance " << want << " (seed "
+              << seed << ", step " << step << ")";
+          ++make_room_picks;
+          tied_picks += had_tie;
+        }
+        break;
+      }
+    }
+  }
+  rt.RunAll();
+  // The run must exercise every pick, and ties among them.
+  EXPECT_GT(newest_picks, 0);
+  EXPECT_GT(oldest_picks, 0);
+  EXPECT_GT(make_room_picks, 0);
+  EXPECT_GT(tied_picks, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, IdleOrderFuzzTest, testing::Values(1u, 2u, 3u, 4u));
 
 }  // namespace
 }  // namespace squeezy

@@ -22,6 +22,12 @@ metric's bound (a fraction of the parent median) and a label:
                        inside the bound cannot be told from noise;
   within bound         none of these.
 
+After the table it prints each workload's median `attempted` (the
+simulated runs perfbench completed, which grow with the iterations that
+fit in the fixed run time) per side: a metric that grows with the
+iteration count, such as fleet-128's peak RSS, reads worse on the side
+that ran more iterations, so a faster change can look bigger.
+
 With --check it validates each file against bench_history/README.md:
 the keys of every line, `side`, `trace`, complete alternating pairs and
 one trace line per workload per side.  It exits 1 on any problem.
@@ -188,6 +194,13 @@ def summarize(path, spec, out):
     out.write("%s\n" % path)
     for row in [header] + table:
         out.write("  ".join(str(c).ljust(w) for c, w in zip(row, widths)).rstrip() + "\n")
+    out.write("\nmedian attempted per side (more iterations, more runs):\n")
+    for workload in workloads:
+        runs = [r for r in timed if r["workload"] == workload]
+        medians = ["%s %g" % (side, statistics.median(
+            r["result"]["attempted"] for r in runs if r["side"] == side))
+            for side in SIDES if any(r["side"] == side for r in runs)]
+        out.write("  %s: %s\n" % (workload, ", ".join(medians)))
     failed = [r for r in rows if r.get("result", {}).get("failed")]
     if failed:
         out.write("%d run(s) reported failures\n" % len(failed))

@@ -77,7 +77,8 @@ class HistoryCase(unittest.TestCase):
         code, text = self.run_tool(self.write(rows))
         self.assertEqual(code, 0)
         found = {}
-        for row in text.splitlines()[2:]:
+        table = text.split("\n\n")[0]
+        for row in table.splitlines()[2:]:
             # Columns are separated by at least two spaces; the label is last.
             cells = row.split()
             found[(cells[0], cells[1])] = row.rsplit("  ", 1)[1].strip()
@@ -141,6 +142,18 @@ class Summary(HistoryCase):
                 row["result"]["metrics"]["ops"]["value"] = 150.0
         found, _ = self.labels(rows)
         self.assertEqual(found[("alpha", "ops")], "improved")
+
+
+    def test_median_attempted_per_side(self):
+        rows = history(self.PARENT, [x * 0.7 for x in self.PARENT])
+        for row in rows:
+            if row["trace"] == 0:
+                # The faster side fits more iterations into the same time.
+                row["result"]["attempted"] = (9 if row["side"] == "parent" else
+                                              11 + row["pair"] % 2)
+        _, text = self.labels(rows)
+        self.assertIn("median attempted per side", text)
+        self.assertIn("alpha: parent 9, change 11.5", text)
 
 
 class Check(HistoryCase):

@@ -5,7 +5,15 @@
 
 namespace squeezy {
 
-Cluster::Cluster(const ClusterConfig& config) : config_(config) {
+Cluster::Deciders Cluster::IndexedDeciders(const ClusterConfig& config,
+                                           const std::vector<HostControl*>& hosts,
+                                           HostIndex& index) {
+  return {std::make_unique<ClusterScheduler>(config.placement, hosts, index),
+          std::make_unique<MigrationPlanner>(hosts, config.host.cost, index)};
+}
+
+Cluster::Cluster(const ClusterConfig& config, MakeDeciders make_deciders)
+    : config_(config) {
   assert(config_.nr_hosts > 0);
   // Hosts sharing a registry (dep cache / snapshot store) touch
   // cross-host state from host handlers, which only the single queue's
@@ -34,13 +42,8 @@ Cluster::Cluster(const ClusterConfig& config) : config_(config) {
       }
     });
   }
-  // The candidate indexes are maintained in BOTH placement modes (hosts
-  // always notify), so index stats stay impl-independent — but only the
-  // indexed mode lets the deciders read them.
   host_index_ = std::make_unique<HostIndex>(config_.nr_hosts);
-  HostIndex* decide_index =
-      config_.placement_impl == PlacementImpl::kIndexed ? host_index_.get() : nullptr;
-  // The scheduler gets the narrow control plane, not the runtimes.
+  // The deciders get the narrow control plane, not the runtimes.
   std::vector<HostControl*> raw;
   raw.reserve(config_.nr_hosts);
   for (size_t h = 0; h < config_.nr_hosts; ++h) {
@@ -61,9 +64,9 @@ Cluster::Cluster(const ClusterConfig& config) : config_(config) {
     raw.push_back(hosts_.back().get());
   }
   routed_.assign(config_.nr_hosts, 0);
-  scheduler_ = std::make_unique<ClusterScheduler>(config_.placement, raw, decide_index);
-  planner_ =
-      std::make_unique<MigrationPlanner>(std::move(raw), config_.host.cost, decide_index);
+  Deciders deciders = make_deciders(config_, raw, *host_index_);
+  scheduler_ = std::move(deciders.scheduler);
+  planner_ = std::move(deciders.planner);
 }
 
 Cluster::~Cluster() = default;

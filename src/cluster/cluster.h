@@ -6,8 +6,9 @@
 // whole fleet, so cluster runs are as bit-deterministic as single-host
 // ones.  A ClusterScheduler routes
 // function registration (replica VM placement) and every invocation
-// (picked at arrival time against live per-host committed memory) across
-// the hosts; see src/cluster/scheduler.h for the policies.
+// (picked at arrival time from the HostIndex, which every host keeps
+// current through state deltas) across the hosts; see
+// src/cluster/scheduler.h for the policies.
 //
 // Layering: sim → mm/guest/hotplug → core → host/faas(+policy) → cluster.
 // The scheduler sees hosts only through the HostControl plane
@@ -84,18 +85,32 @@ struct ClusterConfig {
   // only because the benchmark driver (perfbench/squeezy_perfbench.cc)
   // still assigns it; it goes when that driver stops doing so.
   size_t sim_threads = 0;
-  // Placement decision implementation: the incrementally-maintained
-  // HostIndex (kIndexed — O(log replicas) per route plus one probe per
-  // admission mark) or the full-snapshot
-  // scan (kScan), kept as the bit-identical reference that the
-  // placement fuzz, fig12_regression_test and fig12's 256-host gate
-  // select explicitly.  Decisions are IDENTICAL either way.
+  // Ignored: the HostIndex is the only placement path.  The field stays
+  // only because the benchmark driver (perfbench/squeezy_perfbench.cc)
+  // still assigns it; it goes when that driver stops doing so.
   PlacementImpl placement_impl = PlacementImpl::kIndexed;
 };
 
 class Cluster : private HostStateListener {
  public:
-  explicit Cluster(const ClusterConfig& config);
+  // The placement and migration deciders over the fleet's hosts and
+  // candidate index.
+  struct Deciders {
+    std::unique_ptr<ClusterScheduler> scheduler;
+    std::unique_ptr<MigrationPlanner> planner;
+  };
+  using MakeDeciders = Deciders (*)(const ClusterConfig& config,
+                                    const std::vector<HostControl*>& hosts,
+                                    HostIndex& index);
+  // The production ClusterScheduler and MigrationPlanner.
+  static Deciders IndexedDeciders(const ClusterConfig& config,
+                                  const std::vector<HostControl*>& hosts, HostIndex& index);
+
+  // `make_deciders` is a test seam: the placement fuzz and the fig12
+  // regression test pass the full-scan oracle
+  // (tests/oracles/scan_placement.h) to replay production against it.
+  explicit Cluster(const ClusterConfig& config,
+                   MakeDeciders make_deciders = &IndexedDeciders);
   ~Cluster();
 
   // Registers `spec` on scheduler-chosen hosts; returns the cluster-level
@@ -151,8 +166,7 @@ class Cluster : private HostStateListener {
   FaasRuntime& host(size_t h) { return *hosts_[h]; }
   const FaasRuntime& host(size_t h) const { return *hosts_[h]; }
   ClusterScheduler& scheduler() { return *scheduler_; }
-  // The placement candidate indexes (always maintained, in BOTH
-  // placement_impl modes — so index stats are impl-independent).
+  // The placement candidate indexes the deciders read.
   const HostIndex& host_index() const { return *host_index_; }
   size_t function_count() const { return functions_.size(); }
   // Returns a reference into the function table; callers run at

@@ -30,15 +30,17 @@
 //     only the marked replicas of the function it is about to route
 //     (RefreshAdmission) before reading the set.
 //
-// Exactness contract: every query reproduces the retained full-scan
-// reference BIT-IDENTICALLY — same candidate sets, same tie-breaks
-// (lowest host / replica index), same all-draining fallbacks.  The cached
-// values are maintained, never recomputed, so the contract holds only if
-// every mutation of committed/pending/draining notifies and every change
-// to an admission input marks; the IndexedVsScanPlacementFuzzTest replays
-// churn through both paths and asserts identical decision streams, the
-// fig12 gate compares whole sweeps, and builds with asserts re-run the
-// probe walk (FirstAdmittingByCommittedDesc) on every bin-pack decision.
+// Exactness contract: every query reproduces the full snapshot scan it
+// replaced BIT-IDENTICALLY — same candidate sets, same tie-breaks (lowest
+// host / replica index), same all-draining fallbacks.  That scan is now a
+// test oracle (tests/oracles/scan_placement.h).  The cached values are
+// maintained, never recomputed, so the contract holds only if every
+// mutation of committed/pending/draining notifies and every change to an
+// admission input marks; IndexedVsScanPlacementFuzzTest and
+// fig12_regression_test replay churn through production and the oracle
+// and assert identical decision streams, and builds with asserts re-run
+// the probe walk (FirstAdmittingByCommittedDesc) on every bin-pack
+// decision.
 //
 // Determinism: every ordered structure is keyed by absolute values
 // (bytes, counts, stable indices) — never pointers or hashes — so the
@@ -60,9 +62,8 @@
 namespace squeezy {
 
 // Bench-visible counters.  Deterministic: update counts are a pure
-// function of the simulated event stream (identical under either
-// placement_impl, since the index is maintained in both modes), so they
-// belong in BENCH_*.json.
+// function of the simulated event stream, so they belong in
+// BENCH_*.json.
 struct HostIndexStats {
   uint64_t updates = 0;        // Delta notifications absorbed.
   uint64_t functions = 0;      // Per-function trees registered.
@@ -131,7 +132,7 @@ class HostIndex {
     return probes;
   }
 
-  // --- Queries (each reproduces its scan counterpart bit-identically) -------------
+  // --- Queries (each reproduces its oracle counterpart bit-identically) -----------
   HostRow row(size_t host) const;
 
   // Non-draining hosts with available >= need, ascending host index, each

@@ -6,9 +6,22 @@
 namespace squeezy {
 
 MigrationPlanner::MigrationPlanner(std::vector<HostControl*> hosts, const CostModel& cost,
-                                   const HostIndex* index)
+                                   const HostIndex& index)
     : hosts_(std::move(hosts)), cost_(cost), index_(index) {
   assert(!hosts_.empty());
+}
+
+HostSnapshot MigrationPlanner::Destination(const Replica& r) const {
+  const HostIndex::HostRow row = index_.row(r.host);
+  const HostControl* hc = hosts_[r.host];
+  HostSnapshot s;
+  s.committed = row.committed;
+  s.available = row.available();
+  s.draining = row.draining;
+  s.dep_image_populated = hc->DepImagePopulated(r.local_fn);
+  s.snapshot_restorable = hc->SnapshotRestorableFor(r.local_fn);
+  s.restores_in_flight = hc->RestoresInFlight();
+  return s;
 }
 
 std::vector<size_t> MigrationPlanner::RankDestinations(
@@ -25,26 +38,10 @@ std::vector<size_t> MigrationPlanner::RankDestinations(
   };
   std::vector<Candidate> cands;
   for (size_t i = 0; i < replicas.size(); ++i) {
-    const size_t h = replicas[i].host;
-    if (h == src_host) {
+    if (replicas[i].host == src_host) {
       continue;
     }
-    if (index_ != nullptr) {
-      // Indexed: the cached row answers the filter (draining/headroom)
-      // and the committed score; only the residency/channel dimensions —
-      // narrow O(1) reads — go live to the host.
-      const HostIndex::HostRow row = index_->row(h);
-      if (row.draining || row.available() < unit_bytes) {
-        continue;  // Cannot take even one instance's commitment.
-      }
-      const HostControl* hc = hosts_[h];
-      cands.push_back(Candidate{i, row.available() >= wanted * unit_bytes,
-                                hc->DepImagePopulated(replicas[i].local_fn),
-                                hc->SnapshotRestorableFor(replicas[i].local_fn),
-                                hc->RestoresInFlight(), row.committed});
-      continue;
-    }
-    const HostSnapshot s = hosts_[h]->Snapshot(replicas[i].local_fn);
+    const HostSnapshot s = Destination(replicas[i]);
     if (s.draining || s.available < unit_bytes) {
       continue;  // Cannot take even one instance's commitment.
     }
@@ -89,28 +86,9 @@ std::vector<size_t> MigrationPlanner::RankDestinations(
 }
 
 int MigrationPlanner::MostPressuredHost(size_t min_pending) const {
-  if (index_ != nullptr) {
-    // The by-pressure tree's first non-draining entry IS the scan winner:
-    // max pending, ties to the lowest host index, -1 below the threshold.
-    return index_->MostPressured(min_pending);
-  }
-  int victim = -1;
-  size_t worst = 0;
-  for (size_t h = 0; h < hosts_.size(); ++h) {
-    const HostSnapshot s = hosts_[h]->Snapshot();
-    // A host qualifies when it is not draining and meets the threshold —
-    // with min_pending == 0 that is every non-draining host (the old
-    // `worst = min_pending - 1` seed silently turned 0 into 1 and could
-    // return -1 from an all-idle fleet that should have yielded host 0).
-    if (s.draining || s.pending_scaleups < min_pending) {
-      continue;
-    }
-    if (victim < 0 || s.pending_scaleups > worst) {
-      worst = s.pending_scaleups;
-      victim = static_cast<int>(h);
-    }
-  }
-  return victim;
+  // The by-pressure tree's first non-draining entry: max pending, ties to
+  // the lowest host index, -1 below the threshold.
+  return index_.MostPressured(min_pending);
 }
 
 StateTransferCost MigrationPlanner::TransferCost(const ReplicaMigrationState& state,

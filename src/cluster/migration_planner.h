@@ -4,9 +4,9 @@
 // replicas hold exactly the state the paper works to keep cheap: faulted
 // working sets and hot dependency caches.  PR 2's drain path reaped them
 // and paid cold starts elsewhere.  The MigrationPlanner instead selects
-// victim replicas and destination hosts, judging every candidate from one
-// consistent HostControl::Snapshot with the same bin-pack scoring the
-// scheduler uses for placement (most committed host that still fits, ties
+// victim replicas and destination hosts, judging every candidate from the
+// HostIndex row plus the narrow residency reads HostControl offers, with
+// the same bin-pack scoring the scheduler uses for placement (most committed host that still fits, ties
 // to the lowest index), and prices the move with the CostModel's pre-copy
 // state-transfer model: cost scales with the replica's touched footprint
 // and its dirty rate (busy fraction at capture), not a flat constant.
@@ -43,19 +43,17 @@ struct MigrationRecord {
 
 class MigrationPlanner {
  public:
-  // `hosts` must outlive the planner (same contract as ClusterScheduler).
-  // With a non-null `index` (same lifetime/mirroring contract) the
-  // ranking filters and scores from the incrementally-maintained
-  // HostIndex rows plus narrow residency reads instead of materializing a
-  // HostSnapshot per candidate; decisions are identical.
+  // `hosts` and `index` must outlive the planner, and `index` must mirror
+  // these hosts (same contract as ClusterScheduler).
   MigrationPlanner(std::vector<HostControl*> hosts, const CostModel& cost,
-                   const HostIndex* index = nullptr);
+                   const HostIndex& index);
+  virtual ~MigrationPlanner() = default;
 
   // Destination candidates for migrating `wanted` warm instances (of
   // `unit_bytes` each) off `src_host`: indices into `replicas` (the
   // function's replica set), best first.  Reuses the bin-pack scoring
-  // through one Snapshot per candidate — non-draining hosts other than
-  // the source with headroom for at least one unit; hosts that fit the
+  // over each candidate's Destination() view — non-draining hosts other
+  // than the source with headroom for at least one unit; hosts that fit the
   // whole move before partial fits, then hosts holding the function's
   // dependency image warm (HostSnapshot::dep_image_populated — the move
   // skips deps_bytes on the wire there), then hosts able to restore the
@@ -79,8 +77,9 @@ class MigrationPlanner {
   // Ties go to the lowest host index.  The victim of pressure-triggered
   // migration: moving its warm-but-idle replicas elsewhere frees
   // commitment for the scale-ups it is starving on, without throwing the
-  // warm state away.
-  int MostPressuredHost(size_t min_pending) const;
+  // warm state away.  Virtual only for the full-scan test oracle
+  // (tests/oracles/scan_placement.h).
+  virtual int MostPressuredHost(size_t min_pending) const;
 
   // Prices one state transfer: pre-copy + stop-and-copy over the touched
   // footprint, the per-round redirty fraction scaled by the replica's
@@ -100,10 +99,18 @@ class MigrationPlanner {
 
   uint64_t plans_considered() const { return plans_considered_; }
 
- private:
+ protected:
+  // The fields RankDestinations reads of replica `r`'s host: draining,
+  // available and committed from the HostIndex row, the residency and
+  // restore-channel fields live from the host.  Overridden only by the
+  // full-scan test oracle, which reads one HostSnapshot instead.
+  virtual HostSnapshot Destination(const Replica& r) const;
+
   const std::vector<HostControl*> hosts_;  // Pointer set fixed at construction.
+
+ private:
   const CostModel cost_;                   // Immutable after construction.
-  const HostIndex* const index_;           // Null => full-scan reference path.
+  const HostIndex& index_;
   // The planner's only mutable state; the ranking itself is a pure
   // function of the snapshots it takes.
   mutable uint64_t plans_considered_ = 0;

@@ -7,9 +7,13 @@
 //     decided at arrival time against live host state.
 //
 // The scheduler sees hosts ONLY through HostControl (src/faas/
-// host_control.h): each candidate is judged from a single HostSnapshot —
-// one consistent committed/pressure/admit read per decision — and the
-// co-design policies drive reclamation through the same interface.
+// host_control.h) and the HostIndex those hosts keep current
+// (src/cluster/host_index.h): committed, draining and the per-function
+// admission sets come from the index, the only live reads are CanAdmitNow
+// probes of replicas marked since the function's last decision, and the
+// co-design policies drive reclamation through HostControl.  The
+// full-scan reference that judged every candidate from one HostSnapshot
+// is a test oracle (tests/oracles/scan_placement.h).
 //
 // Policies:
 //   kRoundRobin        — classic load spreading, memory-blind.
@@ -45,7 +49,7 @@
 // Squeezy) instead of the full plug unit — so the bin-packers see the
 // extra density that snapshot restore buys without any scheduler change.
 //
-// Every decision is a deterministic function of (policy, host snapshots,
+// Every decision is a deterministic function of (policy, host state,
 // per-function round-robin cursor); ties break toward the lowest host
 // index so cluster runs are bit-reproducible for a given seed.
 #ifndef SQUEEZY_CLUSTER_SCHEDULER_H_
@@ -60,19 +64,10 @@
 
 namespace squeezy {
 
-// Which implementation backs the placement decisions:
-//   kScan    — the original full pass over every candidate HostSnapshot
-//              per decision, retained as the bit-identical reference
-//              that the placement fuzz and fig12's gates select;
-//   kIndexed — the incrementally-maintained HostIndex (identical
-//              decisions, locked by fuzz + fig12).  Bin-pack routing
-//              re-probes only the replicas whose admission inputs changed
-//              since the function's last decision, then reads the first
-//              admitting replica in O(log replicas); before the admission
-//              set it probed CanAdmitNow on replicas in committed order
-//              until the first hit, O(replicas) when none admits.
+// Kept only because the benchmark driver (perfbench/squeezy_perfbench.cc)
+// still assigns ClusterConfig::placement_impl; the HostIndex is the only
+// placement path.  Goes with that field.
 enum class PlacementImpl : uint8_t {
-  kScan,
   kIndexed,
 };
 
@@ -111,14 +106,11 @@ struct Replica {
 
 class ClusterScheduler {
  public:
-  // `hosts` must outlive the scheduler.  With a non-null `index` (which
-  // must also outlive the scheduler and mirror these hosts) decisions run
-  // against the incrementally-maintained HostIndex instead of scanning a
-  // HostSnapshot per candidate — same decisions, O(log replicas) per
-  // route plus one probe per admission mark (the scheduler refreshes the
-  // index's admission sets before each bin-pack decision).
+  // `hosts` and `index` must outlive the scheduler, and `index` must
+  // mirror these hosts (they notify it through HostStateListener).
   ClusterScheduler(PlacementPolicy policy, std::vector<HostControl*> hosts,
-                   HostIndex* index = nullptr);
+                   HostIndex& index);
+  virtual ~ClusterScheduler() = default;
 
   // Registration: picks up to `replicas` distinct hosts for a function
   // whose VM commits `boot_commit` bytes at boot and `plug_unit` bytes per
@@ -131,38 +123,43 @@ class ClusterScheduler {
                                     size_t replicas);
 
   // Routing: picks the serving replica for one invocation of cluster
-  // function `cluster_fn` arriving now.  `replicas` is non-empty.
+  // function `cluster_fn` arriving now.  `replicas` is non-empty and
+  // registered with the index.  O(log replicas) plus one probe per
+  // admission mark.
   const Replica& Route(int cluster_fn, const std::vector<Replica>& replicas);
 
   PlacementPolicy policy() const { return policy_; }
   uint64_t decisions() const { return decisions_; }
   // ProactiveReclaim hints fired at donor hosts (kHintedBinPack only).
   uint64_t hints_fired() const { return hints_fired_; }
-  // Admission evaluations (CanAdmitNow, or a snapshot's can_admit on the
-  // scan path) the bin-pack decisions made, dirty-mark refreshes
-  // included.  Deterministic; the asserts-only cross-check walk is not
-  // counted.
+  // CanAdmitNow evaluations the bin-pack decisions made (re-probes of
+  // marked replicas).  Deterministic; the asserts-only cross-check walk
+  // is not counted.
   uint64_t admit_probes() const { return admit_probes_; }
 
- private:
-  // Index into `replicas`/`snaps` of the least-committed non-draining host
-  // (all hosts when every one drains); exact ties rotate per function (see
-  // .cc) to avoid sticky-host herding.
-  size_t LeastCommittedOf(const std::vector<Replica>& replicas,
-                          const std::vector<HostSnapshot>& snaps, int cluster_fn);
-  // Index-backed Route body: no snapshot vector is materialized — the
-  // candidate order comes from the HostIndex and only the narrow live
-  // reads a decision still needs (CanAdmitNow on marked replicas) touch
-  // hosts.
-  const Replica& RouteIndexed(int cluster_fn, const std::vector<Replica>& replicas);
-  // Index-backed LeastCommittedOf: the tied group's cursor-th member, read
-  // in place.
-  size_t LeastCommittedIndexed(int cluster_fn);
+ protected:
+  // The two deciders, overridden only by the full-scan test oracle
+  // (tests/oracles/scan_placement.h).  Candidates: the non-draining hosts
+  // with available >= boot_commit, ascending host index.  Pick: Route's
+  // choice, after the decision is counted.
+  virtual std::vector<HostIndex::Candidate> Candidates(uint64_t boot_commit) const;
+  virtual const Replica& Pick(int cluster_fn, const std::vector<Replica>& replicas);
+  // Per-function routing round-robin cursor.
   size_t& RouteCursor(int cluster_fn);
+  // The bin-pack fallback when no replica admits: route to `donor` and,
+  // under kHintedBinPack, fire ProactiveReclaim(plug unit) at its host.
+  const Replica& Overflow(int cluster_fn, const std::vector<Replica>& replicas,
+                          size_t donor);
 
-  const PlacementPolicy policy_;           // Immutable after construction.
   const std::vector<HostControl*> hosts_;  // Pointer set fixed at construction.
-  HostIndex* const index_;                 // Null => full-scan reference path.
+
+ private:
+  // The least committed eligible replica; exact ties rotate per function
+  // (see .cc) to avoid sticky-host herding.
+  size_t LeastCommitted(int cluster_fn);
+
+  const PlacementPolicy policy_;  // Immutable after construction.
+  HostIndex& index_;
   // Registration round-robin cursor, in STABLE host-index space: it
   // names the next host to start from, never a position in the filtered
   // candidate list (which shifts whenever a host is full or draining and

@@ -1,8 +1,9 @@
 // The narrow control-plane surface a cluster scheduler sees of one host.
 //
-// Placement–reclaim co-design happens through this interface: the
-// scheduler reads ONE consistent HostSnapshot per routing decision (no
-// torn committed/admit reads), and can drive reclamation on the data
+// Placement–reclaim co-design happens through this interface: hosts push
+// committed/pending/draining deltas and admission marks to the cluster's
+// HostIndex (HostStateListener), the scheduler probes CanAdmitNow on the
+// replicas those marks name, and it can drive reclamation on the data
 // plane — ProactiveReclaim before routing a burst at a donor host,
 // Drain/Undrain for maintenance, and the EvictReplica/AdoptReplica pair
 // for live replica migration (src/cluster/migration_planner.h).
@@ -108,9 +109,9 @@ class HostControl {
   // instant; the defaults derive them from Snapshot() so alternative
   // HostControl implementations (mocks, remote agents) stay correct
   // without overriding.  FaasRuntime overrides them with direct O(1)
-  // reads — the indexed placement path asks only for the fields a
-  // decision still needs live (admission probes, residency bits) after
-  // the HostIndex has pre-narrowed the candidates.
+  // reads — placement asks only for the fields a decision still needs
+  // live (admission probes, residency bits) after the HostIndex has
+  // pre-narrowed the candidates.
   virtual bool CanAdmitNow(int local_fn) const {
     return Snapshot(local_fn).can_admit;
   }
@@ -126,8 +127,10 @@ class HostControl {
 
   // Subscribes `listener` to this host's state deltas as `host_id` (one
   // listener per host; the host immediately fires one delta with its
-  // current state so the listener starts exact).  Default: snapshots-only
-  // hosts simply never notify.
+  // current state so the listener starts exact).  The deciders read
+  // committed/pending/draining only from the index this listener feeds,
+  // so a host whose state changes later must override this and keep
+  // notifying; the default fires the one delta and never again.
   virtual void AttachStateListener(HostStateListener* listener, size_t host_id) {
     if (listener != nullptr) {
       const HostSnapshot snap = Snapshot(-1);

@@ -96,7 +96,11 @@ int FaasRuntime::AddFunction(const FunctionSpec& spec, uint32_t max_concurrency)
   // the dynamic drivers).
   driver_->OnVmBoot(fn, gcfg.hotplug_region, sizing.deps_region);
   uint64_t boot_commit = driver_->BootCommitment(sizing);
+  // The part no reclamation ever returns (a shared image's charge goes
+  // once the image is unreferenced and evicted).
+  uint64_t vm_floor = boot_commit;
   if (dep_registry_ != nullptr && driver_->SharedDepsSupported() && sizing.deps_region > 0) {
+    vm_floor -= sizing.deps_region;
     // Cluster dep cache: the read-only dependency image is charged once
     // per host per image — a VM joining an already-resident image skips
     // its deps share of the boot commitment.
@@ -120,6 +124,7 @@ int FaasRuntime::AddFunction(const FunctionSpec& spec, uint32_t max_concurrency)
                                              std::to_string(spec.file_deps_bytes) + "/" +
                                              std::to_string(spec.anon_working_set));
   }
+  boot_floor_ += vm_floor;
   const bool reserved = host_.TryReserve(boot_commit, 0);
   assert(reserved && "host must fit the boot-time footprint of every VM");
   (void)reserved;
@@ -600,7 +605,22 @@ bool FaasRuntime::PressureTick() {
   // freeing them first gives the driver's tick room to serve with.
   MaybeEvictImages();
   driver_->PressureTick();
-  return !pending_.empty();
+  // Keep ticking while some parked scale-up can still be served.  One that
+  // can never be stays parked, but re-arming for it would tick forever.
+  return std::any_of(pending_.begin(), pending_.end(),
+                     [this](const PendingScaleUp& p) { return EverServable(p.fn); });
+}
+
+bool FaasRuntime::EverServable(int fn) const {
+  const VmBundle& b = *vms_[static_cast<size_t>(fn)];
+  uint64_t least = b.plug_unit;
+  if (b.snapshot != kNoSnapshot) {
+    // A recording can shrink the reservation down to the driver's
+    // restored commitment for an empty working set.
+    least = std::min(least, driver_->RestoredCommitment(
+                                SizingFor(b.spec, b.max_concurrency), 0));
+  }
+  return boot_floor_ + least <= host_.capacity();
 }
 
 bool FaasRuntime::HasMemoryForFresh(int fn) const {
@@ -824,18 +844,16 @@ bool FaasRuntime::DrainTick() {
     return false;
   }
   // Busy instances finish their requests, go idle, and are reaped on the
-  // next tick; keep ticking until the host is empty (or undrained).
+  // next tick; keep ticking until the host is empty (or undrained), not
+  // counting spawns parked on a scale-up that can never be served.
   ReapAllIdle();
-  return AnyLiveInstances();
-}
-
-bool FaasRuntime::AnyLiveInstances() const {
+  size_t live = 0;
   for (const auto& b : vms_) {
-    if (b->agent->live_instances() > 0) {
-      return true;
-    }
+    live += b->agent->live_instances();
   }
-  return false;
+  const auto stuck = std::count_if(pending_.begin(), pending_.end(),
+                                   [this](const PendingScaleUp& p) { return !EverServable(p.fn); });
+  return live > static_cast<size_t>(stuck);
 }
 
 double FaasRuntime::ReclaimThroughputMiBps(int fn) const {

@@ -298,9 +298,11 @@ class FaasRuntime : public HostControl, private ReclaimHost {
   // timers below (one persistent closure each, re-armed in place).  The
   // return value is the timer contract: keep firing while work remains.
   bool PressureTick();
+  // Whether a scale-up of fn can ever be served: its smallest possible
+  // reservation fits beside every VM's boot floor.
+  bool EverServable(int fn) const;
   // Drain loop: reap newly-idle instances until the host is empty.
   bool DrainTick();
-  bool AnyLiveInstances() const;
 
   // Pushes the current (committed, pending, draining) triple to the
   // attached state listener.  Called at every choke point that mutates
@@ -325,6 +327,9 @@ class FaasRuntime : public HostControl, private ReclaimHost {
   SnapshotRegistry* snap_registry_ = nullptr;  // Null outside a snapshot cluster.
   std::vector<std::unique_ptr<VmBundle>> vms_;
   std::deque<PendingScaleUp> pending_;
+  // Sum of the VMs' boot commitments that no reclamation returns (shared
+  // dependency images excluded): committed never drops below it.
+  uint64_t boot_floor_ = 0;
   uint64_t pending_total_ = 0;
   uint64_t unplug_incomplete_ = 0;
   uint64_t proactive_reclaims_ = 0;

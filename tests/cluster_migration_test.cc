@@ -22,6 +22,7 @@
 #include "src/cluster/migration_planner.h"
 #include "src/faas/function.h"
 #include "src/trace/cluster_trace.h"
+#include "tests/support/mirrored_host_index.h"
 
 namespace squeezy {
 namespace {
@@ -476,21 +477,36 @@ TEST(ClusterMigrationTest, DrainHostIsIdempotent) {
 
 // --- MigrationPlanner decision plane (mocked hosts) -------------------------------
 
-// A scriptable HostControl: the planner judges hosts purely through
-// Snapshot(), so the mock only has to stage those.
+// A scriptable HostControl: the planner judges hosts through the HostIndex
+// rows the mock's state deltas feed and the narrow reads that default to
+// Snapshot(), so the mock only has to stage a snapshot and report drains.
 class MockHost : public HostControl {
  public:
   explicit MockHost(HostSnapshot snap) : snap_(snap) {}
   HostSnapshot Snapshot(int) const override { return snap_; }
+  void AttachStateListener(HostStateListener* listener, size_t host_id) override {
+    listener_ = listener;
+    host_id_ = host_id;
+    HostControl::AttachStateListener(listener, host_id);
+  }
   uint64_t ProactiveReclaim(uint64_t) override { return 0; }
-  void Drain() override { snap_.draining = true; }
-  void Undrain() override { snap_.draining = false; }
+  void Drain() override { SetDraining(true); }
+  void Undrain() override { SetDraining(false); }
   ReplicaMigrationState EvictReplica(int) override { return {}; }
   size_t AdoptableReplicas(int, size_t) const override { return 0; }
   size_t AdoptReplica(int, const ReplicaMigrationState&, TimeNs) override { return 0; }
 
  private:
+  void SetDraining(bool draining) {
+    snap_.draining = draining;
+    if (listener_ != nullptr) {
+      listener_->OnHostState(host_id_, snap_.committed, snap_.pending_scaleups, draining);
+    }
+  }
+
   HostSnapshot snap_;
+  HostStateListener* listener_ = nullptr;
+  size_t host_id_ = 0;
 };
 
 HostSnapshot PressureSnap(size_t pending, bool draining = false) {
@@ -513,7 +529,8 @@ TEST(MigrationPlannerTest, MostPressuredHostHonorsZeroThreshold) {
     owned.push_back(std::make_unique<MockHost>(PressureSnap(pending)));
     hosts.push_back(owned.back().get());
   }
-  const MigrationPlanner planner(hosts, CostModel::Default());
+  MirroredHostIndex mirror(hosts);
+  const MigrationPlanner planner(hosts, CostModel::Default(), mirror.index());
   // Threshold 0: every non-draining host qualifies; ties -> lowest index.
   EXPECT_EQ(planner.MostPressuredHost(0), 0);
   // Threshold 1: nobody is starved, so nobody qualifies.
@@ -527,7 +544,8 @@ TEST(MigrationPlannerTest, MostPressuredHostPicksMaxAboveThreshold) {
     owned.push_back(std::make_unique<MockHost>(PressureSnap(pending)));
     hosts.push_back(owned.back().get());
   }
-  const MigrationPlanner planner(hosts, CostModel::Default());
+  MirroredHostIndex mirror(hosts);
+  const MigrationPlanner planner(hosts, CostModel::Default(), mirror.index());
   EXPECT_EQ(planner.MostPressuredHost(1), 1);  // Max pending, tie -> lowest.
   EXPECT_EQ(planner.MostPressuredHost(5), 1);
   EXPECT_EQ(planner.MostPressuredHost(8), -1);  // Nobody meets the bar.
@@ -558,7 +576,8 @@ TEST(MigrationPlannerTest, RankDestinationsPrefersSnapshotRestorableHosts) {
   for (auto& h : owned) {
     hosts.push_back(h.get());
   }
-  const MigrationPlanner planner(hosts, CostModel::Default());
+  MirroredHostIndex mirror(hosts);
+  const MigrationPlanner planner(hosts, CostModel::Default(), mirror.index());
   std::vector<Replica> reps;
   for (size_t h = 0; h < hosts.size(); ++h) {
     reps.push_back(Replica{h, 0});

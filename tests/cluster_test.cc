@@ -12,6 +12,7 @@
 #include "src/cluster/cluster.h"
 #include "src/faas/function.h"
 #include "src/trace/cluster_trace.h"
+#include "tests/support/mirrored_host_index.h"
 
 namespace squeezy {
 namespace {
@@ -241,7 +242,8 @@ TEST(ClusterTest, RoundRobinPlacementFairUnderFlappingEligibility) {
     hosts.push_back(std::make_unique<FaasRuntime>(rc));
     raw.push_back(hosts.back().get());
   }
-  ClusterScheduler sched(PlacementPolicy::kRoundRobin, raw);
+  MirroredHostIndex mirror(raw);
+  ClusterScheduler sched(PlacementPolicy::kRoundRobin, raw, mirror.index());
   std::vector<int> placed_on(4, 0);
   for (int i = 0; i < 24; ++i) {
     if (i % 2 == 1) {

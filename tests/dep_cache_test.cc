@@ -23,6 +23,7 @@
 #include "src/faas/function.h"
 #include "src/faas/runtime.h"
 #include "src/trace/cluster_trace.h"
+#include "tests/support/mirrored_host_index.h"
 
 namespace squeezy {
 namespace {
@@ -310,7 +311,9 @@ TEST(DepCacheColdStartTest, SiblingVmAdoptsHostResidentImage) {
 TEST(DepCachePricingTest, DepHitPricesStrictlyCheaperThanFullTransfer) {
   RuntimeConfig cfg;
   FaasRuntime host(cfg);
-  MigrationPlanner planner({static_cast<HostControl*>(&host)}, cfg.cost);
+  const std::vector<HostControl*> hosts = {&host};
+  MirroredHostIndex mirror(hosts);
+  MigrationPlanner planner(hosts, cfg.cost, mirror.index());
 
   ReplicaMigrationState full;
   full.warm_instances = 2;

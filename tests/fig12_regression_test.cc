@@ -20,6 +20,7 @@
 #include "src/cluster/cluster.h"
 #include "src/faas/function.h"
 #include "src/trace/cluster_trace.h"
+#include "tests/oracles/scan_placement.h"
 
 namespace squeezy {
 namespace {
@@ -38,11 +39,10 @@ struct SweepPoint {
 };
 
 SweepPoint RunCombo(PlacementPolicy placement, uint64_t host_capacity,
-                    PlacementImpl impl = PlacementImpl::kIndexed) {
-  ClusterConfig cfg =
+                    Cluster::MakeDeciders deciders = &Cluster::IndexedDeciders) {
+  const ClusterConfig cfg =
       fig12::SweepConfig(ReclaimPolicy::kSqueezy, placement, host_capacity);
-  cfg.placement_impl = impl;
-  Cluster cluster(cfg);
+  Cluster cluster(cfg, deciders);
   for (const FunctionSpec& spec : PaperFunctions()) {
     cluster.AddFunction(spec, fig12::kConcurrency);
   }
@@ -88,9 +88,9 @@ TEST(Fig12RegressionTest, HintedBinPackHeadlineIsLocked) {
   EXPECT_EQ(hinted.fleet.unplug_failures, 0u);  // Squeezy never times out here.
 }
 
-TEST(Fig12RegressionTest, PlacementImplsBothReproduceTheGoldenConstants) {
-  // The golden headline must hold under BOTH placement machineries,
-  // explicitly — not just under the default one.  The indexed path's
+TEST(Fig12RegressionTest, ScanOracleReproducesTheGoldenConstants) {
+  // The golden headline must hold under the production deciders AND the
+  // snapshot-scan oracle (tests/oracles/scan_placement.h).  The index's
   // exactness contract (src/cluster/host_index.h) says the recorded
   // constants are a property of the *decisions*, never of the
   // implementation that computes them.
@@ -99,10 +99,9 @@ TEST(Fig12RegressionTest, PlacementImplsBothReproduceTheGoldenConstants) {
       fig12::kCapacityFraction *
       static_cast<double>(abundant.fleet.committed_peak / fig12::kHosts));
 
-  const SweepPoint scan =
-      RunCombo(PlacementPolicy::kHintedBinPack, cap, PlacementImpl::kScan);
+  const SweepPoint scan = RunCombo(PlacementPolicy::kHintedBinPack, cap, &ScanDeciders);
   const SweepPoint indexed =
-      RunCombo(PlacementPolicy::kHintedBinPack, cap, PlacementImpl::kIndexed);
+      RunCombo(PlacementPolicy::kHintedBinPack, cap, &Cluster::IndexedDeciders);
 
   EXPECT_EQ(scan.admitted, kGoldenHintedAdmitted);
   EXPECT_EQ(scan.fleet.pending_scaleups_total, kGoldenHintedPending);

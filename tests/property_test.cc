@@ -33,6 +33,7 @@
 #include "tests/oracles/dense_page_cache.h"
 #include "tests/oracles/heap_event_queue.h"
 #include "tests/oracles/idle_scan.h"
+#include "tests/oracles/scan_placement.h"
 
 namespace squeezy {
 namespace {
@@ -2685,20 +2686,20 @@ inline std::string FleetDigest(Cluster& cluster, TimeNs horizon) {
   return os.str();
 }
 
-// Scheduler counters of one churn run (not part of the digest: the
-// admission probe count differs between placement impls by design).
+// Scheduler counters of one churn run (not part of the digest).
 struct ChurnCounters {
   uint64_t decisions = 0;
   uint64_t hints_fired = 0;
+  size_t parked_scaleups = 0;  // Still pending once RunAll returns.
 };
 
 // One full churn run: build the fleet, run the trace with random
 // drain/undrain/pressure churn, quiesce, digest.  Every input is a pure
 // function of (impl, registries, seed, placement knobs, reclaim policy,
 // host capacity) — and the digest must not depend on the kernel impl or
-// the placement impl.
+// on whether the production deciders or the scan oracle decide.
 inline std::string RunChurn(EventQueue::Impl impl, bool registries, uint64_t seed,
-                            PlacementImpl placement_impl = PlacementImpl::kIndexed,
+                            Cluster::MakeDeciders deciders = &Cluster::IndexedDeciders,
                             PlacementPolicy policy = PlacementPolicy::kMemoryAwareBinPack,
                             ReclaimPolicy reclaim = ReclaimPolicy::kSqueezy,
                             uint64_t host_capacity = MiB(2560),
@@ -2708,7 +2709,6 @@ inline std::string RunChurn(EventQueue::Impl impl, bool registries, uint64_t see
   ClusterConfig cfg;
   cfg.nr_hosts = 4;
   cfg.placement = policy;
-  cfg.placement_impl = placement_impl;
   cfg.migration = MigrationMode::kMigrateOnDrain;
   cfg.pressure_migrate_min_pending = 1;
   cfg.shared_dep_cache = registries;
@@ -2720,7 +2720,7 @@ inline std::string RunChurn(EventQueue::Impl impl, bool registries, uint64_t see
   cfg.host.keep_alive = Sec(30);
   cfg.host.pressure_check_period = Msec(500);
   cfg.host.seed = seed;
-  Cluster cluster(cfg);
+  Cluster cluster(cfg, deciders);
 
   FunctionSpec spec;
   spec.name = "shard_fuzz";
@@ -2772,6 +2772,9 @@ inline std::string RunChurn(EventQueue::Impl impl, bool registries, uint64_t see
   if (counters != nullptr) {
     counters->decisions = cluster.scheduler().decisions();
     counters->hints_fired = cluster.scheduler().hints_fired();
+    for (size_t h = 0; h < cluster.host_count(); ++h) {
+      counters->parked_scaleups += cluster.host(h).pending_scaleups();
+    }
   }
   return FleetDigest(cluster, Minutes(6));
 }
@@ -2797,14 +2800,15 @@ INSTANTIATE_TEST_SUITE_P(
              "_s" + std::to_string(std::get<1>(param_info.param));
     });
 
-// --- Indexed placement fuzz: HostIndex decisions vs the snapshot scan ------------
+// --- Indexed placement fuzz: production deciders vs the snapshot-scan oracle -----
 //
 // The placement index's whole contract is "bit-identical decisions to the
 // full O(hosts) snapshot scan" (src/cluster/host_index.h).  The same churn
 // script as the sharded fuzz — drains, undrains and pressure migrations
 // interleaved with a skewed trace, i.e. every operation that mutates the
-// index mid-run — is replayed op-for-op under PlacementImpl::kScan and
-// PlacementImpl::kIndexed for every placement policy, with the shared
+// index mid-run — is replayed op-for-op by the production deciders and by
+// the scan oracle (tests/oracles/scan_placement.h) for every placement
+// policy, with the shared
 // registries both on (snapshot restores + dep-cache adoption change which
 // hosts can admit) and off.  The byte-identical fleet digest covers every
 // placement consequence: per-request logs, routing hash, migration
@@ -2815,12 +2819,11 @@ class IndexedVsScanPlacementFuzzTest
 TEST_P(IndexedVsScanPlacementFuzzTest, IndexedMatchesScanThroughChurn) {
   const auto [policy, registries] = GetParam();
   for (const uint64_t seed : {1u, 2u, 3u}) {
-    const std::string scan =
-        sharded_fuzz::RunChurn(EventQueue::Impl::kTimerWheel, registries, seed,
-                               PlacementImpl::kScan, policy);
+    const std::string scan = sharded_fuzz::RunChurn(EventQueue::Impl::kTimerWheel,
+                                                    registries, seed, &ScanDeciders, policy);
     const std::string indexed =
         sharded_fuzz::RunChurn(EventQueue::Impl::kTimerWheel, registries, seed,
-                               PlacementImpl::kIndexed, policy);
+                               &Cluster::IndexedDeciders, policy);
     EXPECT_EQ(scan, indexed)
         << "indexed placement diverged from the snapshot scan under "
         << PlacementPolicyName(policy) << " (registries "
@@ -2838,20 +2841,20 @@ TEST_P(IndexedVsScanPlacementFuzzTest, IndexedMatchesScanWhenSaturated) {
   const auto [policy, registries] = GetParam();
   // Without the dep cache four VMs boot into 1024 MiB of it, leaving room
   // for one 256 MiB plug unit.  Below one unit of headroom no scale-up
-  // can ever be served and the pressure tick re-arms forever.
+  // can ever be served, so no admission input would ever change.
   constexpr uint64_t kSaturatedCapacity = MiB(1280);
   sharded_fuzz::ChurnCounters leg;
   for (const ReclaimPolicy reclaim : {ReclaimPolicy::kSqueezy, ReclaimPolicy::kVirtioMem,
                                       ReclaimPolicy::kHarvestOpts}) {
     uint64_t hints = 0;
     for (const uint64_t seed : {1u, 2u, 3u}) {
-      const std::string scan = sharded_fuzz::RunChurn(
-          EventQueue::Impl::kTimerWheel, registries, seed, PlacementImpl::kScan, policy,
-          reclaim, kSaturatedCapacity);
+      const std::string scan =
+          sharded_fuzz::RunChurn(EventQueue::Impl::kTimerWheel, registries, seed,
+                                 &ScanDeciders, policy, reclaim, kSaturatedCapacity);
       sharded_fuzz::ChurnCounters counters;
       const std::string indexed = sharded_fuzz::RunChurn(
-          EventQueue::Impl::kTimerWheel, registries, seed, PlacementImpl::kIndexed, policy,
-          reclaim, kSaturatedCapacity, &counters);
+          EventQueue::Impl::kTimerWheel, registries, seed, &Cluster::IndexedDeciders,
+          policy, reclaim, kSaturatedCapacity, &counters);
       EXPECT_EQ(scan, indexed)
           << "indexed placement diverged from the snapshot scan under "
           << PlacementPolicyName(policy) << " / " << ReclaimPolicyName(reclaim)
@@ -2884,6 +2887,24 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(PlacementPolicyName(std::get<0>(param_info.param))) + "_" +
              (std::get<1>(param_info.param) ? "registries" : "plain");
     });
+
+// A host whose boot commitments leave less than one plug unit of headroom
+// can never serve a scale-up, so each one parks for good.  Neither the
+// pressure tick nor a draining host's drain tick may keep re-arming for
+// them: RunAll would only stop at its runaway guard (which aborts).  The
+// churn script at 1152 MiB hosts — four VMs boot into 1024 MiB, plug unit
+// 256 MiB, hosts drained at random — must drain.
+TEST(PressureTickTest, UnservableScaleUpsLetRunAllDrain) {
+  for (const ReclaimPolicy reclaim : {ReclaimPolicy::kSqueezy, ReclaimPolicy::kVirtioMem,
+                                      ReclaimPolicy::kHarvestOpts}) {
+    sharded_fuzz::ChurnCounters counters;
+    sharded_fuzz::RunChurn(EventQueue::Impl::kTimerWheel, /*registries=*/false, 1,
+                           &Cluster::IndexedDeciders, PlacementPolicy::kHintedBinPack,
+                           reclaim, MiB(1152), &counters);
+    EXPECT_GT(counters.parked_scaleups, 0u)
+        << ReclaimPolicyName(reclaim) << ": no scale-up was left unservable";
+  }
+}
 
 // --- Idle-order fuzz: the agent's ordered idle set vs the instance scans -----------
 //

@@ -30,6 +30,7 @@
 #include "src/policy/driver_factory.h"
 #include "src/snapshot/snapshot_store.h"
 #include "src/trace/cluster_trace.h"
+#include "tests/support/mirrored_host_index.h"
 
 namespace squeezy {
 namespace {
@@ -148,7 +149,9 @@ class InertHost : public HostControl {
 // outweighs the fixed restore setup.
 TEST(SnapshotMigrationCostTest, SnapshotHitPricesBelowDepHitBelowFull) {
   InertHost host;
-  const MigrationPlanner planner({&host}, CostModel::Default());
+  const std::vector<HostControl*> hosts = {&host};
+  MirroredHostIndex mirror(hosts);
+  const MigrationPlanner planner(hosts, CostModel::Default(), mirror.index());
 
   ReplicaMigrationState full;
   full.warm_instances = 4;

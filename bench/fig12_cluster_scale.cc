@@ -69,7 +69,7 @@ struct ComboResult {
   uint64_t admit_probes = 0;       // Admission evaluations those decisions made.
   uint64_t index_updates = 0;      // Host deltas the HostIndex absorbed.
   size_t index_max_replicas = 0;   // Widest per-function candidate tree.
-  uint64_t memmap_peak_bytes = 0;  // Sum of per-VM extent-chunk peaks.
+  uint64_t memmap_peak_bytes = 0;  // Sum of per-VM record-storage peaks.
   FleetSummary fleet;
 
   // Depth of the widest per-function ordered index — the comparisons one
@@ -597,7 +597,7 @@ int main() {
   std::cout << "\nSharded kernel scale-out (Squeezy + HintedBinPack, paper-sized "
                "functions, load scaled with hosts):\n";
   TablePrinter shard_scale({"Hosts", "Admitted", "PendingUps", "Events", "Decisions",
-                            "IdxDepth", "Probes/dec", "MemMapGiB", "Balance%", "Ev/s"});
+                            "IdxDepth", "Probes/dec", "MemMapMiB", "Balance%", "Ev/s"});
   bool sharded_identical = true;
   const std::vector<FunctionSpec> shard_fns = fig12::ShardFunctions();
   for (const size_t hosts : fig12::kShardScaleHostCounts) {
@@ -624,7 +624,7 @@ int main() {
                                                   static_cast<double>(sh.decisions)
                                             : 0.0),
          TablePrinter::Num(static_cast<double>(sh.memmap_peak_bytes) /
-                           static_cast<double>(GiB(1))),
+                           static_cast<double>(MiB(1))),
          TablePrinter::Num(sh.shard_balance_pct()),
          TablePrinter::Num(sh.events_per_sec(), 0)});
     const std::string tag = std::to_string(hosts) + "h";
@@ -643,10 +643,10 @@ int main() {
     json.Metric("shard_route_probes_" + tag, sh.admit_probes);
     json.Metric("shard_index_updates_" + tag, sh.index_updates);
     json.Metric("shard_index_depth_" + tag, sh.index_depth());
-    // Extent-MemMap footprint: peak materialized chunk bytes across every
-    // VM in the fleet (the flat page array made this hosts x guest span —
-    // the per-host figure is what lets paper-sized functions run at 1024
-    // hosts).  Deterministic -> BENCH.
+    // MemMap footprint: the sum over every VM in the fleet of its peak
+    // bytes of records stored past slot starts (the flat page array made
+    // this hosts x guest span — the per-host figure is what lets
+    // paper-sized functions run at 1024 hosts).  Deterministic -> BENCH.
     const double memmap_peak_mib =
         static_cast<double>(sh.memmap_peak_bytes) / static_cast<double>(MiB(1));
     json.Metric("shard_memmap_peak_mib_" + tag, memmap_peak_mib);

@@ -41,9 +41,10 @@ inline constexpr size_t kScaleHostCounts[] = {4, 8, 16, 32, 64};
 inline constexpr size_t kShardScaleHostCounts[] = {256, 512, 1024};
 inline constexpr size_t kShardIdentityHosts = 256;  // Sharded-vs-single gate.
 inline constexpr TimeNs kShardArrivalQuantum = Msec(1);
-// The sharded rows run the PAPER-sized functions: the extent MemMap
-// materializes per-page chunks only where blocks are touched, so sim RSS
-// goes as the fleet's actually-faulted footprint, not hosts x guest span
+// The sharded rows run the PAPER-sized functions: the MemMap stores
+// records only at extent starts, and a slot that is one extent stores
+// just its start record, so sim RSS goes as the fleet's split slots, not
+// hosts x guest span
 // (the flat per-page array needed >200 GiB at 1024 hosts — the reason
 // this sweep used to shrink functions to 64 MiB).
 inline constexpr TimeNs kShardDuration = Minutes(2);

@@ -98,9 +98,9 @@ void BM_IsolateUndo(benchmark::State& state) {
 }
 BENCHMARK(BM_IsolateUndo);
 
-// One block per cycle: Alloc(9) materializes it, and FreeAll drains it,
-// so MemMap::Dematerialize drops its chunk again.
-void BM_MaterializeDrainCycle(benchmark::State& state) {
+// One THP per cycle: Alloc(9) splits a max-order slot into two records,
+// and FreeAll drains it, resetting the slot to one extent.
+void BM_ThpAllocDrainCycle(benchmark::State& state) {
   MemMap memmap(kMemoryBlockBytes);
   Zone zone(0, ZoneType::kMovable, "z", &memmap);
   memmap.InitBlock(0);
@@ -108,11 +108,11 @@ void BM_MaterializeDrainCycle(benchmark::State& state) {
   for (auto _ : state) {
     const Pfn pfn = zone.Alloc(kThpOrder, PageKind::kAnon, 1, 0);
     zone.FreeAll(&pfn, 1);
-    benchmark::DoNotOptimize(memmap.materialized_blocks());
+    benchmark::DoNotOptimize(memmap.storage_bytes());
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_MaterializeDrainCycle);
+BENCHMARK(BM_ThpAllocDrainCycle);
 
 void BM_MigrateBlock(benchmark::State& state) {
   for (auto _ : state) {

@@ -1,43 +1,28 @@
 #include "src/mm/memmap.h"
 
-#include <sanitizer/asan_interface.h>
-
 #include <algorithm>
 #include <cassert>
-#include <cstring>
+#include <cstddef>
 #include <memory>
-#include <new>
 #include <vector>
 
 namespace squeezy {
 
 namespace {
 
-// The process-wide LIFO free list of released chunks (see memmap.h).  The
-// links live here, not in the chunks, so a poisoned chunk is never read.
-struct ChunkPool {
-  std::vector<Page*> free;
-  uint64_t allocated = 0;
-};
-
-// Leaked, so a MemMap destroyed during static teardown still has a pool
-// to push onto; its chunks are never handed back to malloc.
-ChunkPool& Pool() {
-  static ChunkPool* pool = new ChunkPool;
-  return *pool;
-}
-
-// The most recently released chunk, or a fresh one when none is pooled.
-Page* TakeChunk() {
-  ChunkPool& pool = Pool();
-  if (!pool.free.empty()) {
-    Page* chunk = pool.free.back();
-    pool.free.pop_back();
-    ASAN_UNPOISON_MEMORY_REGION(chunk, MemMap::ChunkBytes());
-    return chunk;
+// The index of the first of a slot's records, sorted by offset, at or past
+// offset `off`.  Branch-free: a dense slot holds up to 1023 of them, and
+// the free-list updates search it on every link write.
+template <typename Entries>
+size_t FirstAtOrPast(const Entries& rest, uint32_t off) {
+  if (rest.empty()) {
+    return 0;
   }
-  ++pool.allocated;
-  return std::allocator<Page>().allocate(kPagesPerBlock);
+  const auto* base = rest.data();
+  for (size_t n = rest.size(); n > 1; n -= n / 2) {
+    base = base[n / 2].offset < off ? base + n / 2 : base;
+  }
+  return static_cast<size_t>(base - rest.data()) + (base->offset < off ? 1 : 0);
 }
 
 constexpr uint32_t kHostWords = kPagesPerBlock / 64;
@@ -85,85 +70,99 @@ MemMap::MemMap(uint64_t span_bytes) {
   assert(blocks > 0);
   assert(blocks * kPagesPerBlock < kInvalidPfn);
   span_pages_ = blocks * kPagesPerBlock;
-  chunks_.resize(blocks);
-  uniform_.resize(blocks);
-  max_links_.resize(span_pages_ >> kMaxPageOrder);
+  slots_.resize(blocks);
   blocks_.assign(blocks, BlockState::kAbsent);
   allocated_per_block_.assign(blocks, 0);
+  split_slots_.assign(blocks, 0);
   host_bits_.resize(blocks);
   host_count_.assign(blocks, 0);
-  for (BlockIndex b = 0; b < blocks; ++b) {
-    SetUniform(b, PageState::kHole);
-  }
 }
 
-void MemMap::ChunkDeleter::operator()(Page* chunk) const {
-#ifndef NDEBUG
-  // A record read before a Stamp rewrites it breaks asserts and digests.
-  std::memset(static_cast<void*>(chunk), 0xA5, ChunkBytes());
-#endif
-  ASAN_POISON_MEMORY_REGION(chunk, ChunkBytes());
-  Pool().free.push_back(chunk);
-}
-
-uint64_t MemMap::chunks_allocated() { return Pool().allocated; }
-
-void MemMap::SetUniform(BlockIndex b, PageState state, int16_t zone_id) {
-  assert(state != PageState::kAllocated && "allocated pages always have a chunk");
-  assert((zone_id >= 0) == (state == PageState::kFree || state == PageState::kIsolated));
-  ReleaseChunk(b);
-  // Every slot is one max-order extent with no kind, owner or links.
+Page MemMap::SlotRecord(PageState state) {
+  assert(state == PageState::kHole || state == PageState::kOffline);
   Page rec;
   rec.state = state;
   rec.order = kMaxPageOrder;
-  rec.head = state == PageState::kFree;
-  rec.zone_id = zone_id;
-  uniform_[b] = rec;
+  return rec;
 }
 
-Page* MemMap::Materialize(BlockIndex b) {
-  assert(chunks_[b] == nullptr);
-  assert((uniform_[b].state == PageState::kFree || uniform_[b].state == PageState::kIsolated) &&
-         "only zone-owned blocks materialize");
-  // A pooled or fresh chunk with the template at each slot start: nothing
-  // else is read before a Stamp writes it.
-  Page* chunk = TakeChunk();
-  for (uint32_t i = 0; i < kPagesPerBlock; i += kSlotPages) {
-    ::new (static_cast<void*>(chunk + i)) Page(uniform_[b]);
+const MemMap::Slot& MemMap::HoleSlot() {
+  static const Slot hole{SlotRecord(PageState::kHole), FreeLink{}, {}};
+  return hole;
+}
+
+MemMap::Found MemMap::Find(Pfn pfn) const {
+  const Slot& s = SlotOf(pfn);
+  const Pfn base = pfn & ~(kSlotPages - 1);
+  const size_t i = FirstAtOrPast(s.rest, pfn - base + 1);
+  if (i == 0) {
+    return Found{base, &s.first};
   }
-  records_written_ += kPagesPerBlock / kSlotPages;
-  chunks_[b].reset(chunk);
-  ++materialized_;
-  materialized_peak_ = materialized_ > materialized_peak_ ? materialized_ : materialized_peak_;
-  return chunk;
+  return Found{base + s.rest[i - 1].offset, &s.rest[i - 1].rec};
+}
+
+void MemMap::Stamp(Pfn start, const Page& rec) {
+  assert(rec.order <= kMaxPageOrder && start % (1u << rec.order) == 0 &&
+         "extents are naturally aligned");
+  ++records_written_;
+  Slot& s = MutableSlotOf(start);
+  const uint32_t off = start & (kSlotPages - 1);
+  const bool was_split = !s.rest.empty();
+  // The records at offsets [off, off + 2^order) are the starts the extent
+  // covers; its own start keeps the first of them, or is inserted.
+  const auto at = [&](uint32_t o) {
+    return s.rest.begin() + static_cast<std::ptrdiff_t>(FirstAtOrPast(s.rest, o));
+  };
+  auto lo = at(off);
+  const auto hi = at(off + (1u << rec.order));
+  if (off > 0 && lo == hi) {
+    s.rest.insert(lo, Entry{static_cast<uint16_t>(off), rec});
+    stored_peak_ = std::max(stored_peak_, ++stored_);
+  } else {
+    if (off == 0) {
+      s.first = rec;
+    } else {
+      *lo++ = Entry{static_cast<uint16_t>(off), rec};
+    }
+    stored_ -= static_cast<uint64_t>(hi - lo);
+    s.rest.erase(lo, hi);
+  }
+  const BlockIndex b = BlockOf(start);
+  if (!was_split && !s.rest.empty() && split_slots_[b]++ == 0) {
+    split_blocks_peak_ = std::max(split_blocks_peak_, ++split_blocks_);
+  } else if (was_split && s.rest.empty()) {
+    std::vector<Entry>().swap(s.rest);
+    if (--split_slots_[b] == 0) {
+      --split_blocks_;
+    }
+  }
 }
 
 Page& MemMap::mutable_record(Pfn start) {
-  const BlockIndex b = BlockOf(start);
-  Page* chunk = WritableChunk(b);
   assert(ExtentStart(start) == start && "not an extent start");
-  return chunk[start - BlockStart(b)];
-}
-
-Pfn MemMap::ExtentStart(Pfn pfn) const {
-  // Extents tile each slot as nodes of a binary tree.  When the extent at
-  // a node's start is smaller than the node, no extent straddles the
-  // node's midpoint, so the half holding pfn begins an extent too.
-  Pfn start = pfn & ~(kSlotPages - 1);
-  for (uint32_t order = kMaxPageOrder; Raw(start).order < order; --order) {
-    start |= pfn & (1u << (order - 1));
-  }
-  return start;
+  Slot& s = MutableSlotOf(start);
+  const uint32_t off = start & (kSlotPages - 1);
+  return off == 0 ? s.first : s.rest[FirstAtOrPast(s.rest, off)].rec;
 }
 
 Page MemMap::page(Pfn pfn) const {
-  const Pfn start = ExtentStart(pfn);
-  return ReadAs(Raw(start), pfn - start);
+  const Found f = Find(pfn);
+  return ReadAs(*f.rec, pfn - f.start);
+}
+
+template <typename Fn>
+void MemMap::ForEachExtent(BlockIndex b, Fn&& fn) const {
+  for (Pfn slot = BlockStart(b); slot < BlockStart(b + 1); slot += kSlotPages) {
+    const Slot& s = SlotOf(slot);
+    fn(slot, s.first);
+    for (const Entry& e : s.rest) {
+      fn(slot + e.offset, e.rec);
+    }
+  }
 }
 
 void MemMap::ReadBlock(BlockIndex b, Page* out) const {
-  for (Pfn pfn = BlockStart(b); pfn < BlockStart(b + 1); pfn = NextExtent(pfn)) {
-    const Page& rec = Raw(pfn);
+  ForEachExtent(b, [&](Pfn pfn, const Page& rec) {
     Page* pages = out + (pfn - BlockStart(b));
     pages[0] = ReadAs(rec, 0);
     if (rec.run) {
@@ -173,14 +172,7 @@ void MemMap::ReadBlock(BlockIndex b, Page* out) const {
     } else {
       std::fill_n(pages + 1, (1u << rec.order) - 1, ReadAs(rec, 1));
     }
-  }
-}
-
-void MemMap::ReleaseChunk(BlockIndex b) {
-  if (chunks_[b] != nullptr) {
-    chunks_[b].reset();
-    --materialized_;
-  }
+  });
 }
 
 void MemMap::ReleaseHostBacking(BlockIndex b) {
@@ -189,9 +181,12 @@ void MemMap::ReleaseHostBacking(BlockIndex b) {
 }
 
 void MemMap::InitBlock(BlockIndex b) {
-  assert(blocks_[b] == BlockState::kAbsent);
+  assert(blocks_[b] == BlockState::kAbsent && slots_[b] == nullptr);
   ReleaseHostBacking(b);
-  SetUniform(b, PageState::kOffline);
+  slots_[b] = std::make_unique<Slot[]>(kSlotsPerBlock);
+  for (Pfn pfn = BlockStart(b); pfn < BlockStart(b + 1); pfn += kSlotPages) {
+    Stamp(pfn, SlotRecord(PageState::kOffline));
+  }
   blocks_[b] = BlockState::kPresent;
 }
 
@@ -201,14 +196,14 @@ uint64_t MemMap::RemoveBlock(BlockIndex b) {
   assert(CountBlockPopulated(b) == host_count_[b]);
   const uint64_t populated = host_count_[b];
   ReleaseHostBacking(b);
-  SetUniform(b, PageState::kHole);
+  for (uint32_t i = 0; i < kSlotsPerBlock; ++i) {
+    stored_ -= slots_[b][i].rest.size();
+  }
+  split_blocks_ -= split_slots_[b] > 0 ? 1 : 0;
+  split_slots_[b] = 0;
+  slots_[b].reset();
   blocks_[b] = BlockState::kAbsent;
   return populated;
-}
-
-void MemMap::Dematerialize(BlockIndex b, int16_t zone_id) {
-  assert(allocated_per_block_[b] == 0 && "only a drained block reverts to uniform");
-  SetUniform(b, PageState::kFree, zone_id);
 }
 
 uint32_t MemMap::SetHostPopulated(Pfn pfn, uint32_t n) {
@@ -254,9 +249,9 @@ uint32_t MemMap::CountBlockPopulated(BlockIndex b) const {
 
 uint64_t MemMap::CountBlockPages(BlockIndex b, PageState state) const {
   uint64_t n = 0;
-  for (Pfn pfn = BlockStart(b); pfn < BlockStart(b + 1); pfn = NextExtent(pfn)) {
-    n += Raw(pfn).state == state ? uint64_t{1} << Raw(pfn).order : 0;
-  }
+  ForEachExtent(b, [&](Pfn, const Page& rec) {
+    n += rec.state == state ? uint64_t{1} << rec.order : 0;
+  });
   return n;
 }
 

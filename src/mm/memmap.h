@@ -19,67 +19,43 @@
 // per page; freeing or isolating part of a run cuts it into aligned runs
 // around the pages it releases, in at most order + 1 records (a range free
 // also restamps the run's pages inside the range when they take more than
-// one piece).  A merge
-// writes only the merged chunk's record: the records left inside it are
-// stale but unreachable, since walks jump over them.  The const page(pfn)
-// finds pfn's extent by descending the slot's tree (at most kMaxPageOrder
-// + 1 reads) and expands a run; it serves tests and asserts, and ReadBlock
-// expands a whole block in one pass.
+// one piece).
 //
-// Uniform blocks.  Squeezy plugs and reclaims partitions whole (paper
-// §3-4), so a hot-plugged block often comes and goes without the guest
-// ever allocating from it.  Such a block keeps no per-page array: it is
-// *uniform*, and each of its 32 slots is one max-order extent whose record
-// is the block's template, in one of four states —
-//   kHole      nothing behind the block (never added, or removed);
-//   kOffline   hot-added but in no zone (InitBlock, Zone::RetireRange);
-//   kFree      online in zone Z as 32 free max-order (4 MiB) chunks;
-//   kIsolated  offlining: all of it pulled out of zone Z's free lists.
-// The first mutable touch of a kFree or kIsolated block — in practice the
-// first Zone::Alloc inside it — materializes the block: a chunk with room
-// for 32768 12-byte Pages (384 KiB), of which only the 32 slot-start
-// records are written.  kHole and kOffline blocks never materialize.  The
-// block stays materialized until Zone::RetireRange offlines it, or until
-// Zone::FreeAll drains it whole: Dematerialize then drops the chunk and
-// the block reads as uniformly free again, so a Squeezy partition emptied
-// by its last exit unplugs without per-page work.  So hot-add, online,
-// isolate, retire and hot-remove of an untouched or drained block cost
-// O(1) or O(32 max-order heads).
+// One record store per slot.  Each slot keeps its start record inline and,
+// only while it is split into more than one extent, the records past its
+// start in an array sorted by offset.  Stamp writes its start's record and
+// drops every start the new extent covers, so the stored starts are always
+// exactly the extent starts, and ExtentStart is the last stored start at or
+// before a page (a binary search of the slot's array).  Squeezy plugs and
+// reclaims partitions whole (paper §3-4), and a slot that is one extent —
+// offline, whole-free, isolated or retired — allocates nothing: online,
+// isolate and retire of an untouched or drained block write 32 slot-start
+// records.  A merge back into a whole max-order chunk (Zone::FreeChunk, or
+// Zone::FreeAll draining a slot) drops the slot's array.  Like Linux's
+// SPARSEMEM, a block that is not present has no slot table at all: hot-add
+// allocates its 32 slots and hot-remove frees them, and a hole reads as one
+// hole extent per slot.
 //
-// Chunks are recycled.  A dropped chunk goes onto one process-wide LIFO
-// free list (shared by every MemMap), and Materialize
-// takes the most recently dropped one before it allocates: a recycled
-// chunk's pages are already faulted in, so materializing stops paying a
-// first-touch fault per 4 KiB.  Chunks are never handed back to malloc;
-// the list holds at most the process's peak of live chunks minus the live
-// ones.  A chunk's contents are stale until stamped — records of whatever
-// block last held it — which is safe because only the 32 slot starts are
-// read before a Stamp writes them.  To keep that checkable, a pooled chunk
-// is ASan-poisoned, and builds without NDEBUG fill it with 0xA5 first.
-//
-// Max-order free-list links live here, one {next, prev} pair per 1024-page
-// slot (8 B per 4 MiB), not in Page: that is what lets a whole-free block
-// sit on its zone's free lists with no per-page storage.  Smaller orders
-// keep their links in the head Page, overlaid on the owner fields (see
-// page.h).
+// Max-order free-list links live beside each slot's start record, one
+// {next, prev} pair per present 1024-page slot, not in Page, so a
+// whole-free slot's record reads with no links; smaller orders keep their
+// links in the head Page, overlaid on the owner fields (see page.h).
 //
 // Host (EPT) backing is not Page state: each block keeps a bitmap (4 KiB,
-// allocated on the first set bit) and a count of its backed pages, so a
-// block drops its chunk without losing its backing, and hot-remove reads
-// the populated count in O(1).
+// allocated on the first set bit) and a count of its backed pages, so
+// hot-remove reads the populated count in O(1).
 //
-// Every transition reads back exactly as a fully materialized map would;
-// only host time and sim RSS change (tests/property_test.cc replays random
-// scripts against a map forced to materialize after every step).  Views
-// are returned by value; the only reference handed out, mutable_record's,
-// is used at once, within one free-list update.
+// Views are returned by value; the only reference handed out,
+// mutable_record's, points at a record that exists already and is used at
+// once, within one free-list update.  tests/oracles/dense_memmap.h keeps
+// one Page per pfn as the reference that property_test fuzzes this store
+// against.
 #ifndef SQUEEZY_MM_MEMMAP_H_
 #define SQUEEZY_MM_MEMMAP_H_
 
 #include <cassert>
 #include <cstdint>
 #include <memory>
-#include <new>
 #include <vector>
 
 #include "src/mm/page.h"
@@ -100,7 +76,7 @@ enum class BlockState : uint8_t {
 class MemMap {
  public:
   // Creates the map for a guest span of `span_bytes` (rounded up to whole
-  // 128 MiB blocks).  All blocks start kAbsent, uniform holes.
+  // 128 MiB blocks).  All blocks start kAbsent: holes with no slot table.
   explicit MemMap(uint64_t span_bytes);
 
   MemMap(const MemMap&) = delete;
@@ -110,11 +86,10 @@ class MemMap {
   uint32_t block_count() const { return static_cast<uint32_t>(blocks_.size()); }
 
   // --- The const view (tests and asserts) -----------------------------------
-  // What pfn reads as under the record rule: its extent's start record,
-  // found in at most kMaxPageOrder + 1 reads.  Never materializes.
+  // What pfn reads as under the record rule: its extent's start record.
   Page page(Pfn pfn) const;
   // Writes page(BlockStart(b) + i) to out[i] for every page of block b, in
-  // one extent walk.
+  // one pass over its stored records.
   void ReadBlock(BlockIndex b, Page* out) const;
 
   // --- Extent records ---------------------------------------------------------
@@ -124,40 +99,31 @@ class MemMap {
   // go through the record at an extent's start.
   Page record(Pfn start) const {
     assert(ExtentStart(start) == start && "not an extent start");
-    return Raw(start);
+    return *Find(start).rec;
   }
-  // The same record for writing its free-list link in place.  Materializes
-  // the block on first touch; debug builds check that `start` begins an
-  // extent.
+  // The same record for writing its free-list link in place.  It never
+  // inserts or moves a record, so two of these references stay valid
+  // together; debug builds check that `start` begins an extent.
   Page& mutable_record(Pfn start);
   // Makes [start, start + 2^rec.order) one extent described by `rec` (for
   // kIsolated or a run, rec.order is the extent's order, and its pages read
-  // order 0).  Writes that record only.
-  void Stamp(Pfn start, const Page& rec) {
-    assert(rec.order <= kMaxPageOrder && start % (1u << rec.order) == 0 &&
-           "extents are naturally aligned");
-    const BlockIndex b = BlockOf(start);
-    ::new (static_cast<void*>(WritableChunk(b) + (start - BlockStart(b)))) Page(rec);
-    ++records_written_;
-  }
+  // order 0): writes that record and drops the starts it covers.  Moves
+  // the records of start's slot only.
+  void Stamp(Pfn start, const Page& rec);
   // The start of the extent after the one beginning at `start`.
-  Pfn NextExtent(Pfn start) const { return start + (1u << Raw(start).order); }
-  // The start of the extent that holds pfn, in at most kMaxPageOrder + 1
-  // record reads.
-  Pfn ExtentStart(Pfn pfn) const;
+  Pfn NextExtent(Pfn start) const { return start + (1u << Find(start).rec->order); }
+  // The start of the extent that holds pfn: the last stored start at or
+  // before it in its slot.
+  Pfn ExtentStart(Pfn pfn) const { return Find(pfn).start; }
 
-  // Whether block b holds a per-page chunk.  An unmaterialized block is
-  // uniform: page() const reads its template.
-  bool BlockMaterialized(BlockIndex b) const { return chunks_[b] != nullptr; }
+  // The record of a whole slot in `state` that belongs to no zone (kHole or
+  // kOffline): max order, no head, kind, owner or links.
+  static Page SlotRecord(PageState state);
 
-  // Makes block b uniform in `state`, dropping its chunk if it has one.
-  // `zone_id` owns the kFree/kIsolated states; kHole/kOffline pages belong
-  // to no zone.
-  void SetUniform(BlockIndex b, PageState state, int16_t zone_id = -1);
-
-  // Free-list links of the max-order chunk headed at `head`.
-  FreeLink& max_link(Pfn head) { return max_links_[head >> kMaxPageOrder]; }
-  const FreeLink& max_link(Pfn head) const { return max_links_[head >> kMaxPageOrder]; }
+  // Free-list links of the max-order chunk headed at `head`.  A slot of a
+  // block that is not present reads unlinked.
+  FreeLink& max_link(Pfn head) { return MutableSlotOf(head).max_link; }
+  const FreeLink& max_link(Pfn head) const { return SlotOf(head).max_link; }
 
   BlockState block_state(BlockIndex b) const { return blocks_[b]; }
   void set_block_state(BlockIndex b, BlockState s) { blocks_[b] = s; }
@@ -166,17 +132,14 @@ class MemMap {
   static BlockIndex BlockOf(Pfn pfn) { return pfn / kPagesPerBlock; }
   static Pfn BlockStart(BlockIndex b) { return b * kPagesPerBlock; }
 
-  // Hot-add: the block becomes uniformly offline (kHole -> kOffline).  O(1).
+  // Hot-add: gives the block its slot table, every slot one offline extent
+  // (kHole -> kOffline).  O(32).
   void InitBlock(BlockIndex b);
-  // Hot-remove: tears the block down to a uniform hole and frees its chunk
-  // and host-backing bitmap.  Requires every page to be kOffline.  Returns
+  // Hot-remove: frees the block's slot table, with any records stored in
+  // it, and its host-backing bitmap, so it reads as holes again.  Requires
+  // every page to be kOffline.  Returns
   // how many pages were host-populated — the span the hypervisor releases.
-  // O(1).
   uint64_t RemoveBlock(BlockIndex b);
-  // Drops the chunk of a block that Zone::FreeAll drained: every page is
-  // free in zone `zone_id` as whole max-order chunks, so the block reads as
-  // the uniform kFree template again.  Requires BlockOccupied(b) == 0.
-  void Dematerialize(BlockIndex b, int16_t zone_id);
 
   // --- Host (EPT) backing ---------------------------------------------------
   bool host_populated(Pfn pfn) const {
@@ -194,8 +157,8 @@ class MemMap {
   uint32_t BlockPopulated(BlockIndex b) const { return host_count_[b]; }
   uint32_t CountBlockPopulated(BlockIndex b) const;
 
-  // Number of pages in the block with the given state (one extent walk of a
-  // materialized block; the tests use it to cross-check the counter below).
+  // Number of pages in the block with the given state (one pass over its
+  // stored records; the tests use it to cross-check the counter below).
   uint64_t CountBlockPages(BlockIndex b, PageState state) const;
 
   // Incrementally maintained count of allocated pages per block, updated
@@ -209,58 +172,70 @@ class MemMap {
   // Count of blocks in each state (diagnostics).
   uint32_t CountBlocks(BlockState s) const;
 
-  // --- Materialization accounting (the per-host sim-RSS signal) ------------
-  static uint64_t ChunkBytes() { return kPagesPerBlock * sizeof(Page); }
-  uint32_t materialized_blocks() const { return materialized_; }
-  uint32_t materialized_peak_blocks() const { return materialized_peak_; }
-  uint64_t materialized_bytes() const { return materialized_ * ChunkBytes(); }
-  uint64_t materialized_peak_bytes() const { return materialized_peak_ * ChunkBytes(); }
-  // Extent records written so far: 32 per materialized block plus one per
-  // Stamp.  Deterministic; the cost model of guest-mm bookkeeping.
+  // --- Record storage (the per-host sim-RSS signal) ---------------------------
+  // Bytes of the records stored past slot starts (16 B each); a slot that
+  // is one extent stores none.  Beside them, each present block holds a
+  // fixed table of its 32 slots.  The materialized_peak_* names, kept
+  // because perfbench reads them, are the peaks of these two.
+  uint64_t storage_bytes() const { return stored_ * sizeof(Entry); }
+  uint64_t materialized_peak_bytes() const { return stored_peak_ * sizeof(Entry); }
+  // Blocks with any slot split into more than one extent.
+  uint32_t split_blocks() const { return split_blocks_; }
+  uint32_t materialized_peak_blocks() const { return split_blocks_peak_; }
+  // Extent records written so far, one per Stamp.  Deterministic; the cost
+  // model of guest-mm bookkeeping.
   uint64_t records_written() const { return records_written_; }
-  // Chunks allocated fresh, process-wide: Materialize found the free list
-  // empty.  Depends on every MemMap in the process, so it is not a
-  // simulated result.
-  static uint64_t chunks_allocated();
 
  private:
-  // Chunks hold records at extent starts only, constructed in place, so
-  // they are pooled without running Page destructors (page.h asserts that
-  // Page is trivially copyable and trivially destructible).
-  struct ChunkDeleter {
-    void operator()(Page* chunk) const;
+  // A record past its slot's start.
+  struct Entry {
+    uint16_t offset;  // Pages from the slot start, 1 .. kSlotPages - 1.
+    Page rec;
   };
+  struct Slot {
+    Page first;               // The record at the slot start.
+    FreeLink max_link;        // Its links while a free max-order chunk.
+    std::vector<Entry> rest;  // Sorted by offset; empty while one extent.
+  };
+  static constexpr uint32_t kSlotsPerBlock = kPagesPerBlock / kSlotPages;
 
-  // Block b's chunk, materialized from its template on first touch.
-  Page* WritableChunk(BlockIndex b) {
-    Page* chunk = chunks_[b].get();
-    return chunk != nullptr ? chunk : Materialize(b);
+  static uint32_t SlotIndex(Pfn pfn) { return (pfn >> kMaxPageOrder) % kSlotsPerBlock; }
+  // Every slot of a block that is not present: one hole extent.
+  static const Slot& HoleSlot();
+  const Slot& SlotOf(Pfn pfn) const {
+    const Slot* table = slots_[BlockOf(pfn)].get();
+    return table == nullptr ? HoleSlot() : table[SlotIndex(pfn)];
   }
-  // The record stored at pfn: the template in a uniform block.  Only an
-  // extent start's is meaningful.
-  const Page& Raw(Pfn pfn) const {
-    const BlockIndex b = BlockOf(pfn);
-    const Page* chunk = chunks_[b].get();
-    return chunk != nullptr ? chunk[pfn - BlockStart(b)] : uniform_[b];
+  Slot& MutableSlotOf(Pfn pfn) {
+    assert(slots_[BlockOf(pfn)] != nullptr && "a hole has no records");
+    return slots_[BlockOf(pfn)][SlotIndex(pfn)];
   }
-  Page* Materialize(BlockIndex b);
-  void ReleaseChunk(BlockIndex b);
+  // The last stored start at or before pfn in its slot, and its record.
+  struct Found {
+    Pfn start;
+    const Page* rec;
+  };
+  Found Find(Pfn pfn) const;
+  // Calls fn(start, record) for each extent of block b, in ascending order.
+  template <typename Fn>
+  void ForEachExtent(BlockIndex b, Fn&& fn) const;
   void ReleaseHostBacking(BlockIndex b);
 
   uint64_t span_pages_ = 0;
-  // One Page[kPagesPerBlock] chunk per 128 MiB block, null while uniform.
-  std::vector<std::unique_ptr<Page[], ChunkDeleter>> chunks_;
-  // Each block's template: the record of every slot of a uniform block.
-  std::vector<Page> uniform_;
-  std::vector<FreeLink> max_links_;  // One per max-order slot of the span.
+  // Each present block's 32 slots, null while the block is a hole: a map
+  // allocates nothing per slot until its blocks are hot-added.
+  std::vector<std::unique_ptr<Slot[]>> slots_;
   std::vector<BlockState> blocks_;
   std::vector<uint32_t> allocated_per_block_;
+  std::vector<uint8_t> split_slots_;  // Per block.
   // One bit per page, kPagesPerBlock / 64 words per block, null while no
   // page of the block is backed.
   std::vector<std::unique_ptr<uint64_t[]>> host_bits_;
   std::vector<uint32_t> host_count_;
-  uint32_t materialized_ = 0;
-  uint32_t materialized_peak_ = 0;
+  uint64_t stored_ = 0;
+  uint64_t stored_peak_ = 0;
+  uint32_t split_blocks_ = 0;
+  uint32_t split_blocks_peak_ = 0;
   uint64_t records_written_ = 0;
 };
 

@@ -1,7 +1,7 @@
 // Guest physical page model (the simulator's `struct page`).
 //
-// A materialized block has a slot for one 12-byte Page per 4 KiB guest
-// frame, but only extent starts hold one.  An extent is an allocated folio
+// A 12-byte Page record is stored only at extent starts, never one per
+// 4 KiB guest frame (memmap.h).  An extent is an allocated folio
 // (compound page), a run of allocated single pages, a free buddy chunk or
 // an isolated run: 2^order contiguous, naturally aligned frames, order <=
 // kMaxPageOrder, so it never crosses a max-order (4 MiB) slot.  The record
@@ -17,7 +17,7 @@
 //     is the record's owner_slot): frame i of the run reads as an order-0
 //     allocated head with owner_slot = base + i and run = false.
 // Free buddy chunks thread an intrusive doubly-linked free list through
-// their start records (max-order chunks link through a MemMap side table
+// their start records (max-order chunks link beside their MemMap slot
 // instead; see memmap.h).
 //
 // Like Linux's `struct page`, the owner and the free-list link share one
@@ -25,8 +25,8 @@
 // no list.  Other records hold the "unlinked" value FreeLink{}.  State,
 // kind, order and the head and run flags pack into two bytes of
 // bit-fields.  Host
-// (EPT) backing is not a Page field: MemMap keeps it in a per-block bitmap,
-// so it outlives a block's Page chunk (memmap.h).
+// (EPT) backing is not a Page field: MemMap keeps it in a per-block bitmap
+// (memmap.h).
 #ifndef SQUEEZY_MM_PAGE_H_
 #define SQUEEZY_MM_PAGE_H_
 
@@ -96,10 +96,9 @@ struct Page {
   }
 };
 
-// Records are constructed in raw chunk storage and released without
-// destructors.
+// Records are copied as plain bytes when a slot's record array shifts.
 static_assert(sizeof(Page) == 12,
-              "Page grew: every materialized 128 MiB block reserves 32768 of them");
+              "Page grew: every slot start and every stored extent start holds one");
 static_assert(std::is_trivially_copyable_v<Page>);
 static_assert(std::is_trivially_destructible_v<Page>);
 

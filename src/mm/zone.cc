@@ -116,16 +116,6 @@ void Zone::CutRunEdges(Pfn ext, const Page& run, Pfn start, Pfn end) {
   }
 }
 
-bool Zone::UniformBlockIs(BlockIndex b, PageState state) const {
-  if (memmap_->BlockMaterialized(b)) {
-    return false;
-  }
-  const Page rec = memmap_->record(MemMap::BlockStart(b));
-  assert(rec.state != state || state == PageState::kOffline || rec.zone_id == id_);
-  return rec.state == state;
-}
-
-
 void Zone::ListPushFront(uint8_t order, Pfn pfn) {
   FreeArea& area = areas_[order];
   FreeLink& link = Link(order, pfn);
@@ -231,15 +221,12 @@ void Zone::AddFreeRange(Pfn start, uint64_t npages) {
   managed_pages_ += npages;
   free_pages_ += npages;
 
-  // An offline block is always uniform, so onlining needs no per-page
-  // work: the block becomes uniformly free in this zone, and only its
-  // max-order chunks are queued.
+  // Every slot of an offline block is one offline extent, so onlining
+  // writes one record per slot and queues it as a max-order chunk.
   std::vector<Pfn> chunks;
   for (Pfn pfn = start; pfn < end; pfn += MemMap::kSlotPages) {
-    if (pfn % kPagesPerBlock == 0) {
-      assert(UniformBlockIs(MemMap::BlockOf(pfn), PageState::kOffline));
-      memmap_->SetUniform(MemMap::BlockOf(pfn), PageState::kFree, id_);
-    }
+    assert(memmap_->record(pfn).state == PageState::kOffline);
+    StampFreeChunk(pfn, kMaxPageOrder);
     chunks.push_back(pfn);
   }
   // Linux's shuffle_page_allocator randomizes the free-list order of
@@ -404,11 +391,9 @@ void Zone::FreeAll(const Pfn* heads, size_t n) {
     if (left == 0) {
       // The free of the slot's last page forms its max-order chunk, queued
       // at the head like any runtime free.
-      ListPushFront(kMaxPageOrder, head & ~((1u << kMaxPageOrder) - 1));
-    }
-    const BlockIndex b = MemMap::BlockOf(head);
-    if (memmap_->BlockOccupied(b) == 0) {
-      memmap_->Dematerialize(b, id_);
+      const Pfn slot = head & ~(MemMap::kSlotPages - 1);
+      StampFreeChunk(slot, kMaxPageOrder);
+      ListPushFront(kMaxPageOrder, slot);
     }
   }
   for (uint8_t order = 0; order < kMaxPageOrder; ++order) {
@@ -445,16 +430,6 @@ uint64_t Zone::IsolateFreeRange(Pfn start, uint64_t npages) {
   uint64_t isolated = 0;
   const Pfn end = start + npages;
   for (Pfn pfn = start; pfn < end;) {
-    if (pfn % kPagesPerBlock == 0 && UniformBlockIs(MemMap::BlockOf(pfn), PageState::kFree)) {
-      // A whole-free untouched block: unlink its max-order heads only.
-      for (Pfn head = pfn; head < pfn + kPagesPerBlock; head += MemMap::kSlotPages) {
-        ListRemove(kMaxPageOrder, head);
-      }
-      memmap_->SetUniform(MemMap::BlockOf(pfn), PageState::kIsolated, id_);
-      isolated += kPagesPerBlock;
-      pfn += kPagesPerBlock;
-      continue;
-    }
     const Page p = memmap_->record(pfn);
     const uint32_t n = 1u << p.order;
     if (p.state == PageState::kFree) {
@@ -496,12 +471,13 @@ void Zone::UndoIsolation(Pfn start, uint64_t npages) {
 
 void Zone::RetireRange(Pfn start, uint64_t npages) {
   AssertWholeBlocks(start, npages);
-  // A retired block is uniformly offline: its chunk, if any, goes.
-  for (Pfn pfn = start; pfn < start + npages; pfn += kPagesPerBlock) {
-    const BlockIndex b = MemMap::BlockOf(pfn);
-    assert(memmap_->CountBlockPages(b, PageState::kIsolated) == kPagesPerBlock);
+  // Each slot becomes one offline extent, dropping its isolated pieces.
+  for (Pfn pfn = start; pfn < start + npages; pfn += MemMap::kSlotPages) {
+    assert(pfn % kPagesPerBlock != 0 ||
+           memmap_->CountBlockPages(MemMap::BlockOf(pfn), PageState::kIsolated) ==
+               kPagesPerBlock);
     assert(memmap_->record(pfn).zone_id == id_);
-    memmap_->SetUniform(b, PageState::kOffline);
+    memmap_->Stamp(pfn, MemMap::SlotRecord(PageState::kOffline));
   }
   assert(present_pages_ >= npages && managed_pages_ >= npages);
   present_pages_ -= npages;

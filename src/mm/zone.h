@@ -3,18 +3,18 @@
 // Mirrors the Linux design the paper builds on: hot-plugged memory is
 // onlined into ZONE_MOVABLE (or, under Squeezy, into a per-partition
 // zone); the buddy allocator serves folios of order 0..kMaxPageOrder from
-// intrusive per-order free lists threaded through the memmap.  A block
-// onlined whole stays a uniform MemMap block (no per-page state) until the
-// first allocation inside it.  The allocator keeps state only in the
-// record at each extent start (memmap.h), so an alloc, split, free,
-// coalesce or isolation writes O(1) records per folio or chunk, never one
-// per page.  Page-cache fills, balloon inflation and the migration of
-// order-0 runs allocate runs of single pages in bulk (AllocPages), one
+// intrusive per-order free lists threaded through the memmap.  The
+// allocator keeps state only in the record at each extent start
+// (memmap.h), so an alloc, split, free, coalesce or isolation writes O(1)
+// records per folio or chunk, never one per page, and a block onlined
+// whole is 32 max-order records until the first allocation inside it.
+// Page-cache fills, balloon inflation and the migration of order-0 runs
+// allocate runs of single pages in bulk (AllocPages), one
 // buddy chunk at a time, and keep each chunk's pages as a few run records
 // (page.h); a range of them goes back in one Free(start, pages), one chunk
 // per aligned piece.  A zone emptied at once (a Squeezy partition at
 // its last user's exit) drains through FreeAll in O(folios), and every
-// block it empties reverts to uniform.
+// slot it empties is one max-order record again.
 //
 // The offline path uses the isolation primitives: free chunks in a range
 // are pulled out of the free lists (kIsolated) so concurrent allocations
@@ -79,8 +79,8 @@ class Zone {
   void UndoIsolation(Pfn start, uint64_t npages);
 
   // Retires a fully-isolated range from the zone (-> kOffline, zone stats
-  // shrink): each block becomes uniformly offline in O(1).  Every page in
-  // the range must be kIsolated.
+  // shrink): each slot becomes one offline extent.  Every page in the
+  // range must be kIsolated.
   void RetireRange(Pfn start, uint64_t npages);
 
   // --- Allocation ------------------------------------------------------------
@@ -115,10 +115,9 @@ class Zone {
   // i = 0..n-1, and requires the heads to be exactly the zone's allocated
   // folios (every page of a run is one) and the zone to hold whole blocks
   // (as every GuestKernel zone does).  Costs O(folios + touched max-order
-  // slots), not O(pages): each slot goes on the max-order list when its
-  // last page is freed (where the sequential frees would put it), the
-  // lower-order lists empty, and each block it drains drops its Page chunk
-  // (MemMap::Dematerialize).
+  // slots), not O(pages): each slot is stamped one max-order chunk and goes
+  // on the max-order list when its last page is freed (where the
+  // sequential frees would put it), and the lower-order lists empty.
   void FreeAll(const Pfn* heads, size_t n);
 
   // Frees the allocated pages [start, start + pages) of an isolating range:
@@ -154,8 +153,8 @@ class Zone {
     uint64_t nr_free = 0;  // Chunks (not pages) in this list.
   };
 
-  // Free-list links of a chunk head: max-order heads link through the
-  // MemMap side table, smaller orders through their head Page.
+  // Free-list links of a chunk head: max-order heads link beside their
+  // MemMap slot, smaller orders through their head Page.
   FreeLink& Link(uint8_t order, Pfn pfn);
   FreeLink Link(uint8_t order, Pfn pfn) const;
 
@@ -173,10 +172,6 @@ class Zone {
   // Free(start, pages), given the extent that holds `start`: its start
   // `first` and its record `fp`.
   void FreeFrom(Pfn first, const Page& fp, Pfn start, uint32_t pages);
-
-  // Whether block b is unmaterialized and uniformly `state`: the range
-  // operations then handle it in O(1) or O(max-order heads).
-  bool UniformBlockIs(BlockIndex b, PageState state) const;
 
   void ListPushFront(uint8_t order, Pfn pfn);
   void ListPushBack(uint8_t order, Pfn pfn);

@@ -388,11 +388,10 @@ TEST_F(GuestTest, HostPopulationGrowsWithTouches) {
 }
 
 // A Squeezy partition's last exit drains its zone through Zone::FreeAll:
-// every block it empties drops its Page chunk and reads as uniformly free
-// again, so the unplug that follows does no per-page work.  An exit that
-// leaves pages behind in its zone frees folio by folio and keeps its
-// blocks materialized.
-TEST(GuestSqueezyExitTest, SoleOccupantExitDematerializesPartitionBlocks) {
+// every slot it empties is one free max-order extent again and stores no
+// record past its start, so the unplug that follows does no per-page work.
+// An exit that leaves pages behind in its zone frees folio by folio.
+TEST(GuestSqueezyExitTest, SoleOccupantExitLeavesPartitionSlotsWhole) {
   HostMemory host(GiB(16));
   CostModel cost = CostModel::Default();
   Hypervisor hv(&host, &cost);
@@ -407,6 +406,8 @@ TEST(GuestSqueezyExitTest, SoleOccupantExitDematerializesPartitionBlocks) {
   GuestKernel guest(cfg, &hv);
   SqueezyManager sqz(&guest, scfg);
   guest.PlugMemory(scfg.partition_bytes, 0);
+  const MemMap& memmap = guest.memmap();
+  const uint64_t stored_before = memmap.storage_bytes();
 
   const Pid parent = guest.CreateProcess();
   ASSERT_TRUE(sqz.SqueezyEnable(parent).has_value());
@@ -414,17 +415,16 @@ TEST(GuestSqueezyExitTest, SoleOccupantExitDematerializesPartitionBlocks) {
   const Pid child = guest.Fork(parent);
   guest.TouchAnon(child, MiB(20), 0);
   const Partition& part = sqz.partition(0);
-  const MemMap& memmap = guest.memmap();
   const BlockIndex first = part.first_block;
-  ASSERT_TRUE(memmap.BlockMaterialized(first));
-  ASSERT_TRUE(memmap.BlockMaterialized(first + 1));
+  const uint64_t stored_touched = memmap.storage_bytes();
+  ASSERT_GT(stored_touched, stored_before);
 
-  // The child still holds pages in the zone: per-folio frees.  The first
-  // block is empty now but keeps its chunk.
+  // The child still holds pages in the zone: per-folio frees, which merge
+  // the slots they empty.
   guest.Exit(parent);
   EXPECT_EQ(memmap.BlockOccupied(first), 0u);
-  EXPECT_TRUE(memmap.BlockMaterialized(first));
-  EXPECT_TRUE(memmap.BlockMaterialized(first + 1));
+  EXPECT_LT(memmap.storage_bytes(), stored_touched);
+  EXPECT_GT(memmap.storage_bytes(), stored_before);
   EXPECT_TRUE(part.zone->CheckFreeLists());
 
   // The sole occupant's exit drains the zone whole.
@@ -432,8 +432,7 @@ TEST(GuestSqueezyExitTest, SoleOccupantExitDematerializesPartitionBlocks) {
   EXPECT_GT(populated, 0u);
   guest.Exit(child);
   EXPECT_EQ(part.zone->allocated_pages(), 0u);
-  EXPECT_FALSE(memmap.BlockMaterialized(first + 1));
-  EXPECT_TRUE(memmap.BlockMaterialized(first));  // Drained before FreeAll.
+  EXPECT_EQ(memmap.storage_bytes(), stored_before);
   EXPECT_TRUE(part.zone->CheckFreeLists());
   EXPECT_EQ(part.zone->free_chunks(kMaxPageOrder), 64u);
   const Page p = memmap.page(MemMap::BlockStart(first + 1));
@@ -447,7 +446,7 @@ TEST(GuestSqueezyExitTest, SoleOccupantExitDematerializesPartitionBlocks) {
   EXPECT_TRUE(out.complete);
   EXPECT_EQ(out.pages_migrated, 0u);
   EXPECT_EQ(part.state, PartitionState::kUnplugged);
-  EXPECT_FALSE(memmap.BlockMaterialized(first));
+  EXPECT_EQ(memmap.page(MemMap::BlockStart(first)).state, PageState::kHole);
   EXPECT_LT(host.populated(), host_before);
   EXPECT_EQ(memmap.BlockPopulated(first), 0u);
   EXPECT_EQ(memmap.BlockPopulated(first + 1), 0u);

@@ -1,7 +1,6 @@
 // Unit tests for the memory map and block state machine.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -34,8 +33,9 @@ TEST(MemMapTest, InitBlockMakesPagesOffline) {
   const MemMap& cm = m;
   m.InitBlock(3);
   EXPECT_EQ(m.block_state(3), BlockState::kPresent);
-  // Hot-add is O(1): the block is uniformly offline, with no chunk.
-  EXPECT_FALSE(m.BlockMaterialized(3));
+  // Hot-add writes one offline record per slot and stores nothing more.
+  EXPECT_EQ(m.records_written(), 32u);
+  EXPECT_EQ(m.storage_bytes(), 0u);
   EXPECT_EQ(m.materialized_peak_blocks(), 0u);
   const Pfn start = MemMap::BlockStart(3);
   EXPECT_EQ(cm.page(start).state, PageState::kOffline);
@@ -106,7 +106,7 @@ TEST(MemMapTest, ExtentStartResolvesFromTail) {
 TEST(MemMapTest, RemoveBlockCountsAndDropsHostBacking) {
   // Hot-remove returns the block's populated count for the unplug
   // acknowledgement in O(1) and drops the host-backing bitmap with the
-  // chunk.
+  // slot table.
   MemMap m(GiB(1));
   m.InitBlock(0);
   m.SetHostPopulated(17, 1);
@@ -117,61 +117,58 @@ TEST(MemMapTest, RemoveBlockCountsAndDropsHostBacking) {
   EXPECT_FALSE(cm.host_populated(17));
   EXPECT_EQ(cm.BlockPopulated(0), 0u);
   EXPECT_EQ(cm.page(17).state, PageState::kHole);
-  EXPECT_FALSE(m.BlockMaterialized(0));
 }
 
-TEST(MemMapTest, ConstReadsNeverMaterialize) {
+TEST(MemMapTest, ConstReadsOfAFreshMapStoreNothing) {
   MemMap m(GiB(1));
   const MemMap& cm = m;
-  // A fresh map holds no chunks at all: span RSS is bounded by touch, not
-  // by span size.
-  EXPECT_EQ(m.materialized_blocks(), 0u);
+  // A fresh map stores no record: span RSS is bounded by touch, not by
+  // span size.
   for (Pfn pfn = 0; pfn < cm.span_pages(); pfn += kPagesPerBlock / 3) {
     EXPECT_EQ(cm.page(pfn).state, PageState::kHole);
+    EXPECT_EQ(cm.ExtentStart(pfn), pfn & ~(MemMap::kSlotPages - 1));
     EXPECT_FALSE(cm.host_populated(pfn));
   }
-  EXPECT_EQ(m.materialized_blocks(), 0u);
-  EXPECT_EQ(m.materialized_bytes(), 0u);
-  for (BlockIndex b = 0; b < m.block_count(); ++b) {
-    EXPECT_FALSE(m.BlockMaterialized(b));
-  }
+  EXPECT_EQ(m.storage_bytes(), 0u);
+  EXPECT_EQ(m.split_blocks(), 0u);
+  EXPECT_EQ(m.records_written(), 0u);
 }
 
-TEST(MemMapTest, MutableTouchMaterializesOneChunk) {
+TEST(MemMapTest, MutableRecordOfAWholeSlotStoresNothing) {
   MemMap m(GiB(1));
   Zone zone(0, ZoneType::kMovable, "z", &m);
   m.InitBlock(3);
   zone.AddFreeRange(MemMap::BlockStart(3), kPagesPerBlock);
-  EXPECT_EQ(m.materialized_blocks(), 0u);
   Page& p = m.mutable_record(MemMap::BlockStart(3) + (1u << kMaxPageOrder));
-  // First mutable touch sees the template's max-order chunk.
   EXPECT_EQ(p.state, PageState::kFree);
   EXPECT_TRUE(p.head);
   EXPECT_EQ(p.order, kMaxPageOrder);
-  EXPECT_EQ(m.materialized_blocks(), 1u);
-  EXPECT_TRUE(m.BlockMaterialized(3));
-  EXPECT_FALSE(m.BlockMaterialized(2));
-  EXPECT_EQ(m.materialized_bytes(), MemMap::ChunkBytes());
-  EXPECT_EQ(m.materialized_peak_blocks(), 1u);
+  EXPECT_EQ(m.storage_bytes(), 0u);
+  EXPECT_EQ(m.split_blocks(), 0u);
 }
 
-TEST(MemMapTest, RetireRangeFreesTheChunk) {
-  // Offlining returns a materialized block's sim memory: a retired block
-  // is uniformly offline, so hot-remove never meets a chunk.
+TEST(MemMapTest, RetireRangeDropsTheSplitSlots) {
+  // Offlining returns a block's record storage: a retired slot is one
+  // offline extent, however many isolated pieces it held.
   MemMap m(GiB(1));
   Zone zone(0, ZoneType::kMovable, "z", &m);
   m.InitBlock(0);
   zone.AddFreeRange(0, kPagesPerBlock);
-  const Pfn pfn = zone.Alloc(0, PageKind::kAnon, 1, 0);  // Materializes the block.
+  const Pfn pfn = zone.Alloc(0, PageKind::kAnon, 1, 0);  // Splits slot 0.
   ASSERT_EQ(pfn, 0u);
   m.SetHostPopulated(9, 1);
-  EXPECT_EQ(m.materialized_blocks(), 1u);
-  zone.Free(pfn);
-  EXPECT_EQ(zone.IsolateFreeRange(0, kPagesPerBlock), static_cast<uint64_t>(kPagesPerBlock));
+  EXPECT_EQ(m.split_blocks(), 1u);
+  // The page and the free chunks of orders 0..9 beside it: 10 records past
+  // the slot start.
+  EXPECT_EQ(m.storage_bytes(), 10u * 16u);
+  EXPECT_EQ(zone.IsolateFreeRange(0, kPagesPerBlock), kPagesPerBlock - 1u);
+  zone.FreeIntoIsolation(pfn, 1);
+  EXPECT_EQ(m.storage_bytes(), 10u * 16u);
   zone.RetireRange(0, kPagesPerBlock);
-  EXPECT_FALSE(m.BlockMaterialized(0));
-  EXPECT_EQ(m.materialized_blocks(), 0u);
-  EXPECT_EQ(m.materialized_peak_blocks(), 1u);  // Peak is sticky.
+  EXPECT_EQ(m.split_blocks(), 0u);
+  EXPECT_EQ(m.storage_bytes(), 0u);
+  EXPECT_EQ(m.materialized_peak_blocks(), 1u);  // Peaks are sticky.
+  EXPECT_EQ(m.materialized_peak_bytes(), 10u * 16u);
   EXPECT_EQ(m.CountBlockPages(0, PageState::kOffline), static_cast<uint64_t>(kPagesPerBlock));
   m.set_block_state(0, BlockState::kOffline);
   EXPECT_EQ(m.RemoveBlock(0), 1u);
@@ -214,11 +211,11 @@ TEST(MemMapTest, HostBackingCountsAcrossWordEdges) {
   EXPECT_EQ(m.CountBlockPopulated(1), 0u);
   // A block that was never backed clears nothing.
   EXPECT_EQ(m.ClearHostPopulated(MemMap::BlockStart(3), 100), 0u);
-  // Host backing is not Page state: none of this materialized a block.
+  // Host backing is not Page state: none of this split a slot.
   EXPECT_EQ(m.materialized_peak_blocks(), 0u);
 }
 
-TEST(MemMapTest, HostBackingSurvivesDematerializeAndRematerialize) {
+TEST(MemMapTest, HostBackingSurvivesMergeAndSplit) {
   MemMap m(GiB(1));
   const MemMap& cm = m;
   Zone zone(3, ZoneType::kSqueezyPrivate, "p", &m);
@@ -229,20 +226,19 @@ TEST(MemMapTest, HostBackingSurvivesDematerializeAndRematerialize) {
   const Pfn head = zone.Alloc(kThpOrder, PageKind::kAnon, 1, 0);
   ASSERT_EQ(head, start);
   EXPECT_EQ(m.SetHostPopulated(head, 1u << kThpOrder), 1u << kThpOrder);
-  zone.Free(head);
-  EXPECT_TRUE(m.BlockMaterialized(1));  // A plain Free never dematerializes.
-  m.Dematerialize(1, zone.id());
-  EXPECT_FALSE(m.BlockMaterialized(1));
-  EXPECT_EQ(m.materialized_blocks(), 0u);
+  EXPECT_EQ(m.split_blocks(), 1u);
+  zone.Free(head);  // Merges the slot back into one max-order chunk.
+  EXPECT_EQ(m.split_blocks(), 0u);
+  EXPECT_EQ(m.storage_bytes(), 0u);
   EXPECT_EQ(cm.page(start).state, PageState::kFree);
   EXPECT_EQ(cm.page(start).zone_id, 3);
   EXPECT_TRUE(zone.CheckFreeLists());
   EXPECT_TRUE(m.host_populated(head + 511));
   EXPECT_FALSE(m.host_populated(head + 512));
   EXPECT_EQ(m.BlockPopulated(1), 1u << kThpOrder);
-  // The next allocation re-materializes the block; the bits stay.
+  // The next allocation splits the slot again; the bits stay.
   EXPECT_EQ(zone.Alloc(0, PageKind::kAnon, 1, 0), start);
-  EXPECT_TRUE(m.BlockMaterialized(1));
+  EXPECT_EQ(m.split_blocks(), 1u);
   EXPECT_TRUE(m.host_populated(head + 511));
   EXPECT_EQ(m.CountBlockPopulated(1), 1u << kThpOrder);
 }
@@ -265,16 +261,16 @@ TEST(MemMapTest, RemoveBlockResetsHostBackingAndInitBlockStartsUnbacked) {
   EXPECT_EQ(m.BlockPopulated(2), 0u);
 }
 
-TEST(MemMapTest, OnlineWholeBlockStaysUniformFree) {
+TEST(MemMapTest, OnlineWholeBlockStoresNothing) {
   MemMap m(GiB(1));
   const MemMap& cm = m;
   Zone zone(4, ZoneType::kMovable, "z", &m);
   m.InitBlock(1);
   zone.AddFreeRange(MemMap::BlockStart(1), kPagesPerBlock);
-  EXPECT_FALSE(m.BlockMaterialized(1));
+  EXPECT_EQ(m.storage_bytes(), 0u);
   EXPECT_EQ(zone.free_chunks(kMaxPageOrder), 32u);
   EXPECT_TRUE(zone.CheckFreeLists());
-  // Synthesized exactly as StampFreeChunk writes max-order chunks.
+  // One max-order free chunk per slot.
   for (Pfn pfn = MemMap::BlockStart(1); pfn < MemMap::BlockStart(2); pfn += 511) {
     const Page p = cm.page(pfn);
     EXPECT_EQ(p.state, PageState::kFree);
@@ -292,7 +288,7 @@ TEST(MemMapTest, OnlineWholeBlockStaysUniformFree) {
   EXPECT_EQ(m.materialized_peak_blocks(), 0u);
 }
 
-TEST(MemMapTest, FirstAllocMaterializesTheFreeTemplate) {
+TEST(MemMapTest, FirstAllocSplitsOneSlot) {
   MemMap m(GiB(1));
   const MemMap& cm = m;
   Zone zone(0, ZoneType::kMovable, "z", &m);
@@ -300,8 +296,8 @@ TEST(MemMapTest, FirstAllocMaterializesTheFreeTemplate) {
   zone.AddFreeRange(0, kPagesPerBlock);
   const Pfn head = zone.Alloc(0, PageKind::kAnon, 1, 0);
   ASSERT_EQ(head, 0u);
-  EXPECT_TRUE(m.BlockMaterialized(0));
-  EXPECT_EQ(m.materialized_blocks(), 1u);
+  EXPECT_EQ(m.split_blocks(), 1u);
+  EXPECT_EQ(m.storage_bytes(), 10u * 16u);
   // The untouched max-order chunks read as before.
   EXPECT_EQ(cm.page(1u << kMaxPageOrder).state, PageState::kFree);
   EXPECT_TRUE(cm.page(1u << kMaxPageOrder).head);
@@ -310,7 +306,7 @@ TEST(MemMapTest, FirstAllocMaterializesTheFreeTemplate) {
   EXPECT_TRUE(zone.CheckFreeLists());
 }
 
-TEST(MemMapTest, UntouchedBlockIsolatesRetiresAndRemovesUniformly) {
+TEST(MemMapTest, UntouchedBlockIsolatesRetiresAndRemovesWithoutStorage) {
   MemMap m(GiB(1));
   const MemMap& cm = m;
   Zone zone(2, ZoneType::kSqueezyPrivate, "p", &m);
@@ -320,7 +316,7 @@ TEST(MemMapTest, UntouchedBlockIsolatesRetiresAndRemovesUniformly) {
 
   EXPECT_EQ(zone.IsolateFreeRange(start, kPagesPerBlock),
             static_cast<uint64_t>(kPagesPerBlock));
-  EXPECT_FALSE(m.BlockMaterialized(3));
+  EXPECT_EQ(m.storage_bytes(), 0u);
   EXPECT_EQ(zone.free_chunks(kMaxPageOrder), 0u);
   EXPECT_EQ(zone.free_pages(), 0u);
   EXPECT_EQ(cm.page(start).state, PageState::kIsolated);
@@ -331,7 +327,7 @@ TEST(MemMapTest, UntouchedBlockIsolatesRetiresAndRemovesUniformly) {
             static_cast<uint64_t>(kPagesPerBlock));
 
   zone.RetireRange(start, kPagesPerBlock);
-  EXPECT_FALSE(m.BlockMaterialized(3));
+  EXPECT_EQ(m.storage_bytes(), 0u);
   EXPECT_EQ(zone.present_pages(), 0u);
   EXPECT_EQ(cm.page(start + 77).state, PageState::kOffline);
   EXPECT_EQ(cm.page(start + 77).zone_id, -1);
@@ -351,17 +347,14 @@ TEST(MemMapTest, RecordsWrittenCountsExtentsNotPages) {
     m.InitBlock(b);
     zone.AddFreeRange(MemMap::BlockStart(b), kPagesPerBlock);
   }
-  EXPECT_EQ(m.records_written(), 0u);  // Online is O(1) per block.
+  // Hot-add and online write one record per slot each.
+  EXPECT_EQ(m.records_written(), 2u * (32u + 32u));
 
-  // Materializing a block writes its 32 slot-start records.
-  (void)m.mutable_record(MemMap::BlockStart(1));
-  EXPECT_EQ(m.records_written(), 32u);
-
-  // A THP in a fresh block: 32 slot starts, the folio and the upper half.
+  // A THP: the folio and the upper half.
   const uint64_t before_alloc = m.records_written();
   const Pfn thp = zone.Alloc(kThpOrder, PageKind::kAnon, 1, 0);
   ASSERT_EQ(thp, 0u);
-  EXPECT_EQ(m.records_written() - before_alloc, 32u + 2u);
+  EXPECT_EQ(m.records_written() - before_alloc, 2u);
 
   // Freeing it coalesces once, with its upper half: one record.
   const uint64_t before_free = m.records_written();
@@ -396,8 +389,7 @@ TEST(MemMapTest, RecordsWrittenCountsExtentsNotPages) {
   EXPECT_TRUE(zone.CheckFreeLists());
 
   // Bulk single pages cost run records per buddy chunk, not one per page.
-  // A whole max-order slot of a fresh block: 32 slot starts to
-  // materialize, then one run record.
+  // A whole max-order slot of a fresh block: one run record.
   Zone bulk(1, ZoneType::kMovable, "bulk", &m);
   m.InitBlock(2);
   const Pfn base = MemMap::BlockStart(2);
@@ -405,7 +397,7 @@ TEST(MemMapTest, RecordsWrittenCountsExtentsNotPages) {
   std::vector<PageRun> runs;
   const uint64_t before_run = m.records_written();
   ASSERT_EQ(bulk.AllocPages(1024, PageKind::kFile, 7, 0, &runs), 1024u);
-  EXPECT_EQ(m.records_written() - before_run, 32u + 1u);
+  EXPECT_EQ(m.records_written() - before_run, 1u);
   ASSERT_EQ(runs.size(), 1u);
   EXPECT_EQ(runs[0].start, base);
   EXPECT_EQ(runs[0].pages, 1024u);
@@ -494,11 +486,10 @@ TEST(MemMapTest, RunPagesReadAsSingleHeads) {
   EXPECT_EQ(m.CountBlockPages(0, PageState::kAllocated), 1023u - 599u);
 }
 
-TEST(MemMapTest, CountBlockPagesOnAbsentChunk) {
+TEST(MemMapTest, CountBlockPagesOnAHole) {
   MemMap m(GiB(1));
   EXPECT_EQ(m.CountBlockPages(2, PageState::kHole), static_cast<uint64_t>(kPagesPerBlock));
   EXPECT_EQ(m.CountBlockPages(2, PageState::kOffline), 0u);
-  EXPECT_EQ(m.materialized_blocks(), 0u);  // Counting must not materialize.
 }
 
 TEST(MemMapTest, OccupancyCounterStartsZero) {
@@ -580,96 +571,107 @@ TEST(MemMapTest, OwnerOverlaySurvivesNeighbourFreesAndMigration) {
   EXPECT_TRUE(zone.CheckFreeLists());
 }
 
-// --- Chunk recycling ----------------------------------------------------------
+// --- Record storage -------------------------------------------------------------
 
-// Materializes the first n blocks of m as uniformly free blocks of zone 0.
-void MaterializeBlocks(MemMap& m, BlockIndex n) {
-  for (BlockIndex b = 0; b < n; ++b) {
-    m.InitBlock(b);
-    m.SetUniform(b, PageState::kFree, 0);
-    (void)m.mutable_record(MemMap::BlockStart(b));
-  }
-}
-
-TEST(MemMapTest, DroppedChunksAreRecycledWithoutAllocating) {
-  {
-    MemMap m(3 * kMemoryBlockBytes);
-    MaterializeBlocks(m, 3);
-  }
-  const uint64_t allocated = MemMap::chunks_allocated();
-  MemMap m(3 * kMemoryBlockBytes);
-  MaterializeBlocks(m, 3);
-  EXPECT_EQ(m.materialized_blocks(), 3u);
-  EXPECT_EQ(MemMap::chunks_allocated(), allocated);
-}
-
-// One block online in one zone.
-struct OneBlockGuest {
-  OneBlockGuest() {
-    memmap.InitBlock(0);
-    zone.AddFreeRange(0, kPagesPerBlock);
-    memmap.set_block_state(0, BlockState::kOnline);
-  }
-  MemMap memmap{kMemoryBlockBytes};
-  Zone zone{0, ZoneType::kMovable, "z", &memmap};
-};
-
-// Runs one script on g's block (a THP, which materializes it, an order-0
-// page-cache run, smaller anon folios and frees) and returns its view.
-std::vector<Page> RunScriptAndRead(OneBlockGuest& g) {
+// A slot that is one extent stores no record past its start, whatever the
+// extent: a whole-slot folio, a 1024-page run or a free chunk.
+TEST(MemMapStorageTest, OneExtentSlotsStoreNothing) {
+  MemMap m(GiB(1));
+  Zone zone(0, ZoneType::kMovable, "z", &m);
+  m.InitBlock(0);
+  zone.AddFreeRange(0, kPagesPerBlock);
+  ASSERT_EQ(zone.Alloc(kMaxPageOrder, PageKind::kAnon, 1, 0), 0u);
   std::vector<PageRun> runs;
-  EXPECT_NE(g.zone.Alloc(kThpOrder, PageKind::kAnon, 1, 0), kInvalidPfn);
-  EXPECT_EQ(g.zone.AllocPages(300, PageKind::kFile, 2, 10, &runs), 300u);
-  const Pfn folio = g.zone.Alloc(3, PageKind::kAnon, 3, 5);
-  EXPECT_NE(g.zone.Alloc(2, PageKind::kAnon, 3, 6), kInvalidPfn);
-  EXPECT_EQ(runs.size(), 1u);
-  for (uint32_t i = 0; i < runs[0].pages; i += 3) {
-    g.zone.Free(runs[0].start + i);
-  }
-  g.zone.Free(folio);
-  EXPECT_NE(g.zone.Alloc(0, PageKind::kKernel, kNoOwner, 0), kInvalidPfn);
-  EXPECT_TRUE(g.zone.CheckFreeLists());
-  std::vector<Page> pages(kPagesPerBlock);
-  g.memmap.ReadBlock(0, pages.data());
-  return pages;
+  ASSERT_EQ(zone.AllocPages(1024, PageKind::kFile, 2, 0, &runs), 1024u);
+  EXPECT_TRUE(m.record(1024).run);
+  EXPECT_EQ(m.storage_bytes(), 0u);
+  EXPECT_EQ(m.materialized_peak_bytes(), 0u);
+  EXPECT_EQ(m.materialized_peak_blocks(), 0u);
 }
 
-// A recycled chunk holds the stale records of the block that dropped it
-// (0xA5 bytes in builds without NDEBUG): a block built on one must read
-// exactly as a block built on a fresh chunk.
-TEST(MemMapTest, RecycledChunkReadsAsAFreshOne) {
-  // Empty the free list: materialize held blocks until one allocates.
-  std::vector<std::unique_ptr<MemMap>> held;
-  for (uint64_t before = MemMap::chunks_allocated();
-       MemMap::chunks_allocated() == before;) {
-    ASSERT_LT(held.size(), 4096u);
-    held.push_back(std::make_unique<MemMap>(kMemoryBlockBytes));
-    MaterializeBlocks(*held.back(), 1);
+// Zone::FreeAll restamps every slot it drains as one max-order chunk, so a
+// drained block stores nothing, however split its slots were.
+TEST(MemMapStorageTest, FreeAllOfADrainedBlockReleasesItsStorage) {
+  MemMap m(GiB(1));
+  Zone zone(0, ZoneType::kSqueezyPrivate, "p", &m);
+  m.InitBlock(1);
+  zone.AddFreeRange(MemMap::BlockStart(1), kPagesPerBlock);
+  std::vector<Pfn> heads;
+  for (uint32_t i = 0; i < 5; ++i) {
+    heads.push_back(zone.Alloc(kThpOrder, PageKind::kAnon, 1, i));
+    heads.push_back(zone.Alloc(0, PageKind::kAnon, 1, 100 + i));
   }
-  uint64_t allocated = MemMap::chunks_allocated();
-  OneBlockGuest fresh;
-  const std::vector<Page> want = RunScriptAndRead(fresh);
-  ASSERT_EQ(MemMap::chunks_allocated(), ++allocated);
-  {
-    // Dirty a chunk with order-0 folios: a record at every page.
-    OneBlockGuest dirty;
-    for (uint32_t i = 0; i < kPagesPerBlock; ++i) {
-      ASSERT_EQ(dirty.zone.Alloc(0, PageKind::kFile, 9, i), i);
+  std::vector<PageRun> runs;
+  ASSERT_EQ(zone.AllocPages(777, PageKind::kFile, 2, 0, &runs), 777u);
+  for (const PageRun& run : runs) {
+    for (uint32_t i = 0; i < run.pages; ++i) {
+      heads.push_back(run.start + i);
     }
-    ASSERT_EQ(MemMap::chunks_allocated(), ++allocated);
   }
-  OneBlockGuest reused;
-  const std::vector<Page> got = RunScriptAndRead(reused);
-  ASSERT_EQ(MemMap::chunks_allocated(), allocated) << "the dirty chunk was not reused";
-  for (uint32_t i = 0; i < kPagesPerBlock; ++i) {
-    const Page& p = got[i];
-    const Page& q = want[i];
-    ASSERT_TRUE(p.state == q.state && p.kind == q.kind && p.order == q.order &&
-                p.head == q.head && p.zone_id == q.zone_id &&
-                p.free.next == q.free.next && p.free.prev == q.free.prev)
-        << "pfn " << i;
+  EXPECT_EQ(m.split_blocks(), 1u);
+  const uint64_t peak = m.storage_bytes();
+  EXPECT_GT(peak, 0u);
+  zone.FreeAll(heads.data(), heads.size());
+  EXPECT_EQ(m.storage_bytes(), 0u);
+  EXPECT_EQ(m.split_blocks(), 0u);
+  EXPECT_EQ(m.materialized_peak_bytes(), peak);
+  EXPECT_EQ(m.materialized_peak_blocks(), 1u);
+  EXPECT_EQ(zone.free_chunks(kMaxPageOrder), 32u);
+  EXPECT_TRUE(zone.CheckFreeLists());
+}
+
+// Hot-remove frees the block's slot table with whatever records it holds:
+// here an offline slot stamped in two halves.
+TEST(MemMapStorageTest, RemoveBlockReleasesItsStorage) {
+  MemMap m(GiB(1));
+  m.InitBlock(2);
+  Page half = MemMap::SlotRecord(PageState::kOffline);
+  half.order = kThpOrder;
+  const Pfn start = MemMap::BlockStart(2);
+  m.Stamp(start, half);
+  m.Stamp(start + (1u << kThpOrder), half);
+  EXPECT_EQ(m.ExtentStart(start + 600), start + (1u << kThpOrder));
+  EXPECT_EQ(m.split_blocks(), 1u);
+  EXPECT_EQ(m.storage_bytes(), 16u);
+  EXPECT_EQ(m.RemoveBlock(2), 0u);
+  EXPECT_EQ(m.storage_bytes(), 0u);
+  EXPECT_EQ(m.split_blocks(), 0u);
+  EXPECT_EQ(m.ExtentStart(start + 600), start);
+  EXPECT_EQ(m.page(start + 600).state, PageState::kHole);
+}
+
+// mutable_record hands out references to records that exist already, so
+// two of them in one split slot stay valid together, and a Stamp in one
+// slot moves no record of another.
+TEST(MemMapStorageTest, MutableRecordsStayPutTogether) {
+  MemMap m(GiB(1));
+  m.InitBlock(0);
+  // Slot 0 in four order-8 pieces, slot 1 in two order-9 halves.
+  auto stamp = [&](Pfn start, uint8_t order) {
+    Page rec = MemMap::SlotRecord(PageState::kOffline);
+    rec.order = order;
+    m.Stamp(start, rec);
+  };
+  for (Pfn pfn = 0; pfn < 1024; pfn += 256) {
+    stamp(pfn, 8);
   }
-  EXPECT_EQ(reused.memmap.records_written(), fresh.memmap.records_written());
+  stamp(1024, kThpOrder);
+  stamp(1536, kThpOrder);
+  const uint64_t stored = m.storage_bytes();
+  EXPECT_EQ(stored, 4u * 16u);
+  Page& a = m.mutable_record(256);
+  Page& b = m.mutable_record(768);
+  a.free = FreeLink{7, 8};
+  b.free = FreeLink{9, 10};
+  EXPECT_EQ(m.storage_bytes(), stored);
+  EXPECT_EQ(m.record(256).free.next, 7u);
+  EXPECT_EQ(m.record(768).free.prev, 10u);
+  const Page* other = &m.mutable_record(1536);
+  for (Pfn pfn = 0; pfn < 256; pfn += 16) {
+    stamp(pfn, 4);  // 15 more records in slot 0.
+  }
+  EXPECT_EQ(&m.mutable_record(1536), other);
+  EXPECT_EQ(m.storage_bytes(), stored + 15u * 16u);
 }
 
 }  // namespace

@@ -30,6 +30,7 @@
 #include "src/sim/event_queue.h"
 #include "src/sim/rng.h"
 #include "src/trace/cluster_trace.h"
+#include "tests/oracles/dense_memmap.h"
 #include "tests/oracles/dense_page_cache.h"
 #include "tests/oracles/heap_event_queue.h"
 #include "tests/oracles/idle_scan.h"
@@ -262,27 +263,17 @@ INSTANTIATE_TEST_SUITE_P(Sizes, ReclaimScalingTest,
                            return std::to_string(param_info.param) + "mib";
                          });
 
-// --- Uniform vs eager MemMap: the oracle for uniform blocks ------------------
+// --- MemMap views: the shared checks of the mm oracles -----------------------
 
-// An untouched block keeps no per-page state (memmap.h): hot-add, online,
-// isolate, retire and remove act on its uniform template.  The oracle is
-// the same MemMap + Zone code with every online block forced to
-// materialize right after each step, through the public mutable_record()
-// — the eager representation (offline and hole blocks never materialize).
-// One random script of hot-add, online, Alloc at orders 0/9/10, Free,
-// isolate + retire-or-undo and remove runs on both sets, and every
-// observable must agree after every op: Alloc results, free-list counts
-// and linkage, per-state block page counts and the const view of every
-// pfn.  Shuffled zones also check that online draws the same Rng calls in
-// the same order.
-//
-// ExpectSame also holds each set to the record rule (memmap.h): every page
-// of an extent reads as the extent's start without the head flag and the
-// links, or, in a run, as an order-0 head at the next owner slot; no view
-// shows the run bit.  It folds the view into a digest that each test locks
-// per seed, so a change of representation must keep every view of every
-// step.
-namespace uniform_oracle {
+// ExpectSame holds two sets of MemMap + Zones to the same observables:
+// free-list counts and linkage, per-state block page counts, the const
+// view of every pfn, host bits and max-order links.  It also holds each
+// set to the record rule (memmap.h): every page of an extent reads as the
+// extent's start without the head flag and the links, or, in a run, as an
+// order-0 head at the next owner slot; no view shows the run bit.  It
+// folds the view into a digest that each test locks per seed, so a change
+// of representation must keep every view of every step.
+namespace mm_oracle {
 
 constexpr uint32_t kBlocks = 6;
 constexpr int16_t kZones = 2;
@@ -312,10 +303,21 @@ bool SamePage(const Page& a, const Page& b) {
 // 64-bit FNV-1a, one word at a time.
 constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ull;
 void Fold(uint64_t* digest, uint64_t word) { *digest = (*digest ^ word) * 0x100000001b3ull; }
+void FoldPage(uint64_t* digest, const Page& p, bool populated) {
+  Fold(digest, uint64_t{static_cast<uint8_t>(p.state)} |
+                   uint64_t{static_cast<uint8_t>(p.kind)} << 4 | uint64_t{p.order} << 8 |
+                   uint64_t{p.head} << 12 | uint64_t{populated} << 13 |
+                   uint64_t{static_cast<uint16_t>(p.zone_id)} << 16);
+  Fold(digest, uint64_t{p.free.next} | uint64_t{p.free.prev} << 32);
+}
+void FoldLinks(const MemMap& m, uint64_t* digest) {
+  for (Pfn head = 0; head < m.span_pages(); head += 1u << kMaxPageOrder) {
+    Fold(digest, uint64_t{m.max_link(head).next} | uint64_t{m.max_link(head).prev} << 32);
+  }
+}
 
-// Every page of block b through ReadBlock.  A materialized block is held
-// to the record rule and checked against the point view at each extent's
-// first and last page.
+// Every page of block b through ReadBlock, held to the record rule and
+// checked against the point view at each extent's first and last page.
 std::vector<Page> ReadRuled(const MemMap& m, BlockIndex b) {
   std::vector<Page> pages(kPagesPerBlock);
   m.ReadBlock(b, pages.data());
@@ -323,7 +325,7 @@ std::vector<Page> ReadRuled(const MemMap& m, BlockIndex b) {
     EXPECT_FALSE(p.run) << "a view shows the run bit";
   }
   const Pfn base = MemMap::BlockStart(b);
-  for (Pfn pfn = base; m.BlockMaterialized(b) && pfn < base + kPagesPerBlock;) {
+  for (Pfn pfn = base; pfn < base + kPagesPerBlock;) {
     const Pfn next = m.NextExtent(pfn);
     EXPECT_GT(next, pfn);
     EXPECT_LE(next - pfn, MemMap::kSlotPages) << "pfn " << pfn;
@@ -387,34 +389,33 @@ void ExpectSame(const MmSet& lazy, const MmSet& eager, int step, uint64_t* diges
       if (!SamePage(p, ep[i]) || lm.host_populated(pfn) != em.host_populated(pfn)) {
         FAIL() << "pfn " << pfn << " differs";
       }
-      Fold(digest, uint64_t{static_cast<uint8_t>(p.state)} |
-                       uint64_t{static_cast<uint8_t>(p.kind)} << 4 | uint64_t{p.order} << 8 |
-                       uint64_t{p.head} << 12 | uint64_t{lm.host_populated(pfn)} << 13 |
-                       uint64_t{static_cast<uint16_t>(p.zone_id)} << 16);
-      Fold(digest, uint64_t{p.free.next} | uint64_t{p.free.prev} << 32);
+      FoldPage(digest, p, lm.host_populated(pfn));
     }
   }
   for (Pfn head = 0; head < lm.span_pages(); head += 1u << kMaxPageOrder) {
     ASSERT_EQ(lm.max_link(head).next, em.max_link(head).next) << "pfn " << head;
     ASSERT_EQ(lm.max_link(head).prev, em.max_link(head).prev) << "pfn " << head;
-    Fold(digest, uint64_t{lm.max_link(head).next} | uint64_t{lm.max_link(head).prev} << 32);
   }
+  FoldLinks(lm, digest);
 }
 
-// Leaves 2 * kBlocks chunks, as many as both sets can hold, on top of the
-// MemMap free list, each dirtied by order-0 folios: a stale record at
-// every page.
-void DirtyChunkPool() {
-  MemMap memmap(2 * kBlocks * kMemoryBlockBytes);
-  Zone zone(0, ZoneType::kMovable, "z", &memmap);
-  for (BlockIndex b = 0; b < 2 * kBlocks; ++b) {
-    memmap.InitBlock(b);
-    zone.AddFreeRange(MemMap::BlockStart(b), kPagesPerBlock);
+// ExpectSame's checks and digest on one set: its free lists, the record
+// rule, and every page view, host bit and max-order link folded in the
+// same order.
+void ExpectRuled(const MmSet& set, int step, uint64_t* digest) {
+  SCOPED_TRACE("step " + std::to_string(step));
+  for (const auto& zone : set.zones) {
+    ASSERT_TRUE(zone->CheckFreeLists());
+  }
+  const MemMap& m = set.memmap;
+  for (BlockIndex b = 0; b < kBlocks; ++b) {
+    const std::vector<Page> pages = ReadRuled(m, b);
+    ASSERT_FALSE(testing::Test::HasFailure()) << "block " << b;
     for (uint32_t i = 0; i < kPagesPerBlock; ++i) {
-      ASSERT_NE(zone.Alloc(0, PageKind::kFile, static_cast<int32_t>(b), i), kInvalidPfn);
+      FoldPage(digest, pages[i], m.host_populated(MemMap::BlockStart(b) + i));
     }
   }
-  ASSERT_EQ(memmap.materialized_blocks(), 2 * kBlocks);
+  FoldLinks(m, digest);
 }
 
 // Allocates n single pages with one AllocPages; returns them in order.
@@ -432,17 +433,25 @@ std::vector<Pfn> AllocPfns(Zone& zone, uint32_t n, PageKind kind, int32_t owner,
   return pfns;
 }
 
-}  // namespace uniform_oracle
+}  // namespace mm_oracle
 
-// One random script of the seed on a lazy and an eager set (see above).
-void RunUniformVsEagerScript(uint64_t seed, bool shuffled) {
-  using uniform_oracle::kBlocks;
-  using uniform_oracle::kZones;
-  using uniform_oracle::MmSet;
-  uint64_t digest = uniform_oracle::kFnvOffset;
-  MmSet lazy(seed + 17, shuffled);
-  MmSet eager(seed + 17, shuffled);
-  MmSet* const sets[] = {&lazy, &eager};
+// --- Zone script view digests ----------------------------------------------
+
+// One random script of hot-add, online, Alloc at orders 0/9/10, Free,
+// isolate + retire-or-undo and remove on one set, held after every op to
+// the record rule and free-list linkage (mm_oracle::ExpectRuled), with the
+// view digest of every step locked per seed and shuffle.  The digests were
+// recorded when every page of an extent was still written, and held while
+// untouched blocks kept a uniform template and touched ones a dense chunk,
+// so they pin the views across every representation since.
+class ZoneScriptDigestTest : public testing::TestWithParam<std::tuple<uint64_t, bool>> {};
+
+TEST_P(ZoneScriptDigestTest, ViewsMatchLockedDigests) {
+  const auto [seed, shuffled] = GetParam();
+  using mm_oracle::kBlocks;
+  using mm_oracle::kZones;
+  uint64_t digest = mm_oracle::kFnvOffset;
+  mm_oracle::MmSet set(seed + 17, shuffled);
   Rng rng(seed);
   std::vector<int16_t> block_zone(kBlocks, -1);
   struct Held {
@@ -455,7 +464,7 @@ void RunUniformVsEagerScript(uint64_t seed, bool shuffled) {
   auto pick_block = [&](BlockState want) -> int64_t {
     std::vector<BlockIndex> cands;
     for (BlockIndex b = 0; b < kBlocks; ++b) {
-      if (lazy.memmap.block_state(b) == want) {
+      if (set.memmap.block_state(b) == want) {
         cands.push_back(b);
       }
     }
@@ -470,9 +479,7 @@ void RunUniformVsEagerScript(uint64_t seed, bool shuffled) {
       case 0: {  // Hot-add.
         const int64_t b = pick_block(BlockState::kAbsent);
         if (b >= 0) {
-          for (MmSet* s : sets) {
-            s->memmap.InitBlock(static_cast<BlockIndex>(b));
-          }
+          set.memmap.InitBlock(static_cast<BlockIndex>(b));
         }
         break;
       }
@@ -481,11 +488,9 @@ void RunUniformVsEagerScript(uint64_t seed, bool shuffled) {
         if (b >= 0) {
           const auto z = static_cast<int16_t>(rng.UniformInt(0, kZones - 1));
           block_zone[static_cast<size_t>(b)] = z;
-          for (MmSet* s : sets) {
-            s->zones[static_cast<size_t>(z)]->AddFreeRange(
-                MemMap::BlockStart(static_cast<BlockIndex>(b)), kPagesPerBlock);
-            s->memmap.set_block_state(static_cast<BlockIndex>(b), BlockState::kOnline);
-          }
+          set.zones[static_cast<size_t>(z)]->AddFreeRange(
+              MemMap::BlockStart(static_cast<BlockIndex>(b)), kPagesPerBlock);
+          set.memmap.set_block_state(static_cast<BlockIndex>(b), BlockState::kOnline);
         }
         break;
       }
@@ -495,15 +500,11 @@ void RunUniformVsEagerScript(uint64_t seed, bool shuffled) {
         const uint8_t order = orders[rng.UniformInt(0, 2)];
         const auto z = static_cast<int16_t>(rng.UniformInt(0, kZones - 1));
         const auto zi = static_cast<size_t>(z);
-        const Pfn a = lazy.zones[zi]->Alloc(order, PageKind::kAnon, 1, 0);
-        const Pfn e = eager.zones[zi]->Alloc(order, PageKind::kAnon, 1, 0);
-        ASSERT_EQ(a, e) << "step " << step;
+        const Pfn a = set.zones[zi]->Alloc(order, PageKind::kAnon, 1, 0);
         if (a != kInvalidPfn) {
           held.push_back({a, z});
           if (rng.Chance(0.5)) {  // Host-back the head, as a fault would.
-            for (MmSet* s : sets) {
-              s->memmap.SetHostPopulated(a, 1);
-            }
+            set.memmap.SetHostPopulated(a, 1);
           }
         }
         break;
@@ -511,9 +512,7 @@ void RunUniformVsEagerScript(uint64_t seed, bool shuffled) {
       case 4: {  // Free.
         if (!held.empty()) {
           const size_t i = pick(static_cast<int64_t>(held.size()));
-          for (MmSet* s : sets) {
-            s->zones[static_cast<size_t>(held[i].zone)]->Free(held[i].head);
-          }
+          set.zones[static_cast<size_t>(held[i].zone)]->Free(held[i].head);
           held.erase(held.begin() + static_cast<std::ptrdiff_t>(i));
         }
         break;
@@ -523,17 +522,12 @@ void RunUniformVsEagerScript(uint64_t seed, bool shuffled) {
         if (b >= 0) {
           const Pfn start = MemMap::BlockStart(static_cast<BlockIndex>(b));
           const auto z = static_cast<size_t>(block_zone[static_cast<size_t>(b)]);
-          const uint64_t li = lazy.zones[z]->IsolateFreeRange(start, kPagesPerBlock);
-          const uint64_t ei = eager.zones[z]->IsolateFreeRange(start, kPagesPerBlock);
-          ASSERT_EQ(li, ei) << "step " << step;
-          const bool retire = li == kPagesPerBlock && rng.Chance(0.7);
-          for (MmSet* s : sets) {
-            if (retire) {
-              s->zones[z]->RetireRange(start, kPagesPerBlock);
-              s->memmap.set_block_state(static_cast<BlockIndex>(b), BlockState::kOffline);
-            } else {
-              s->zones[z]->UndoIsolation(start, kPagesPerBlock);
-            }
+          const uint64_t isolated = set.zones[z]->IsolateFreeRange(start, kPagesPerBlock);
+          if (isolated == kPagesPerBlock && rng.Chance(0.7)) {
+            set.zones[z]->RetireRange(start, kPagesPerBlock);
+            set.memmap.set_block_state(static_cast<BlockIndex>(b), BlockState::kOffline);
+          } else {
+            set.zones[z]->UndoIsolation(start, kPagesPerBlock);
           }
         }
         break;
@@ -544,30 +538,19 @@ void RunUniformVsEagerScript(uint64_t seed, bool shuffled) {
           b = pick_block(BlockState::kPresent);
         }
         if (b >= 0) {
-          const uint64_t lp = lazy.memmap.RemoveBlock(static_cast<BlockIndex>(b));
-          const uint64_t ep = eager.memmap.RemoveBlock(static_cast<BlockIndex>(b));
-          ASSERT_EQ(lp, ep) << "step " << step;
+          const auto rb = static_cast<BlockIndex>(b);
+          const uint32_t populated = set.memmap.CountBlockPopulated(rb);
+          ASSERT_EQ(set.memmap.RemoveBlock(rb), populated) << "step " << step;
         }
         break;
       }
     }
-    // The eager set materializes every online block after every transition.
-    for (BlockIndex b = 0; b < kBlocks; ++b) {
-      if (eager.memmap.block_state(b) == BlockState::kOnline) {
-        (void)eager.memmap.mutable_record(MemMap::BlockStart(b));
-      }
-    }
-    uniform_oracle::ExpectSame(lazy, eager, step, &digest);
+    mm_oracle::ExpectRuled(set, step, &digest);
     if (testing::Test::HasFatalFailure()) {
       return;
     }
   }
-  // The two sets drew the same shuffle randomness.
-  EXPECT_EQ(lazy.shuffle_rng.Next(), eager.shuffle_rng.Next());
-  EXPECT_LE(lazy.memmap.materialized_peak_blocks(),
-            eager.memmap.materialized_peak_blocks());
-  // The view digest of every step, by seed and shuffle, recorded when
-  // every page of an extent was still written.
+  // The view digest of every step, by seed and shuffle.
   static const uint64_t kDigests[][2] = {
       {0x90a7281773166864ull, 0x83d3b9c4bd352978ull},
       {0x451cfbf044dc941dull, 0xd0f461ed3da036ccull},
@@ -577,32 +560,17 @@ void RunUniformVsEagerScript(uint64_t seed, bool shuffled) {
   EXPECT_EQ(digest, kDigests[seed - 1][shuffled ? 1 : 0]);
 }
 
-class UniformVsEagerMemMapTest
-    : public testing::TestWithParam<std::tuple<uint64_t, bool>> {};
-
-TEST_P(UniformVsEagerMemMapTest, UniformBlocksReadExactlyAsMaterialized) {
-  const auto [seed, shuffled] = GetParam();
-  RunUniformVsEagerScript(seed, shuffled);
-}
-
-// Materialized blocks start on recycled chunks that hold stale records
-// (memmap.h), and every view and digest must stay the same.
-TEST_P(UniformVsEagerMemMapTest, RecycledChunksReadExactlyAsMaterialized) {
-  const auto [seed, shuffled] = GetParam();
-  uniform_oracle::DirtyChunkPool();
-  ASSERT_FALSE(HasFatalFailure());
-  RunUniformVsEagerScript(seed, shuffled);
-}
-
 INSTANTIATE_TEST_SUITE_P(
-    Seeds, UniformVsEagerMemMapTest,
+    Seeds, ZoneScriptDigestTest,
     testing::Combine(testing::Values(1u, 2u, 3u, 4u), testing::Bool()),
     [](const testing::TestParamInfo<std::tuple<uint64_t, bool>>& param_info) {
       return "seed" + std::to_string(std::get<0>(param_info.param)) +
              (std::get<1>(param_info.param) ? "_shuffled" : "_ascending");
     });
 
-TEST(UniformMemMapTest, PlugUnplugOfUntouchedBlockNeverMaterializes) {
+// Plugging and unplugging a block the guest never allocates from splits no
+// slot: every slot stays one extent and stores nothing past its start.
+TEST(UntouchedBlockTest, PlugUnplugNeverSplitsASlot) {
   HostMemory host(GiB(4));
   CostModel cost = CostModel::Default();
   Hypervisor hv(&host, &cost);
@@ -626,8 +594,249 @@ TEST(UniformMemMapTest, PlugUnplugOfUntouchedBlockNeverMaterializes) {
   }
   EXPECT_EQ(mgr.blocks_removed(), 12u);
   EXPECT_EQ(memmap.materialized_peak_blocks(), 0u);
+  EXPECT_EQ(memmap.materialized_peak_bytes(), 0u);
   EXPECT_EQ(zone.present_pages(), 0u);
 }
+
+// --- Record store vs the dense map ------------------------------------------
+
+// MemMap keeps, per slot, its start record inline and the records past the
+// start in an array sorted by offset, and Stamp drops the starts the new
+// extent covers.  tests/oracles/dense_memmap.h keeps one Page per pfn,
+// leaves covered records behind, and finds extents by tree descent.  Both
+// maps take one random script of whole transitions, each leaving every
+// slot tiled by stamped extents: hot-add and hot-remove, reset a slot to
+// one extent, split a free extent into buddies, merge free buddies,
+// allocate an extent as a folio or a run, free or isolate one, and cut a
+// run around a range of its pages.  After each, every slot of the touched
+// block must answer ExtentStart, page, record, NextExtent and ReadBlock
+// alike.  Each step also writes the links of two records of one slot
+// through two live mutable_record references, and checks that a record
+// in another slot did not move.
+namespace memmap_fuzz {
+
+constexpr uint32_t kBlocks = 3;
+
+// Every field, the run bit included.
+bool SameRecord(const Page& a, const Page& b) {
+  return a.state == b.state && a.kind == b.kind && a.order == b.order &&
+         a.head == b.head && a.run == b.run && a.zone_id == b.zone_id &&
+         a.free.next == b.free.next && a.free.prev == b.free.prev;
+}
+
+// Calls fn(pfn, order) for the largest aligned pieces of [start, start + n).
+template <typename Fn>
+void ForEachPiece(Pfn start, uint32_t n, Fn&& fn) {
+  while (n > 0) {
+    const auto align = static_cast<uint32_t>(__builtin_ctz(start | MemMap::kSlotPages));
+    const auto fit = static_cast<uint32_t>(31 - __builtin_clz(n));
+    const auto order = static_cast<uint8_t>(std::min(align, fit));
+    fn(start, order);
+    start += 1u << order;
+    n -= 1u << order;
+  }
+}
+
+void ExpectSameBlock(const MemMap& m, const DenseMemMap& d, BlockIndex b) {
+  const Pfn base = MemMap::BlockStart(b);
+  for (Pfn pfn = base; pfn < base + kPagesPerBlock; ++pfn) {
+    ASSERT_EQ(m.ExtentStart(pfn), d.ExtentStart(pfn)) << "pfn " << pfn;
+    ASSERT_TRUE(SameRecord(m.page(pfn), d.page(pfn))) << "pfn " << pfn;
+  }
+  for (Pfn pfn = base; pfn < base + kPagesPerBlock; pfn = d.NextExtent(pfn)) {
+    ASSERT_TRUE(SameRecord(m.record(pfn), d.record(pfn))) << "pfn " << pfn;
+    ASSERT_EQ(m.NextExtent(pfn), d.NextExtent(pfn)) << "pfn " << pfn;
+  }
+  std::vector<Page> mv(kPagesPerBlock);
+  std::vector<Page> dv(kPagesPerBlock);
+  m.ReadBlock(b, mv.data());
+  d.ReadBlock(b, dv.data());
+  for (uint32_t i = 0; i < kPagesPerBlock; ++i) {
+    ASSERT_TRUE(SameRecord(mv[i], dv[i])) << "pfn " << base + i;
+  }
+}
+
+}  // namespace memmap_fuzz
+
+class MemMapVsDenseFuzzTest : public testing::TestWithParam<uint64_t> {};
+
+TEST_P(MemMapVsDenseFuzzTest, StoreReadsAsTheDenseMap) {
+  using memmap_fuzz::kBlocks;
+  MemMap m(kBlocks * kMemoryBlockBytes);
+  DenseMemMap d(kBlocks * kMemoryBlockBytes);
+  EXPECT_EQ(m.storage_bytes(), 0u);
+  Rng rng(GetParam());
+  auto pick = [&rng](size_t n) {
+    return static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(n) - 1));
+  };
+  auto both = [&](Pfn start, const Page& rec) {
+    m.Stamp(start, rec);
+    d.Stamp(start, rec);
+  };
+  auto make = [&](PageState state, uint8_t order) {
+    Page rec;
+    rec.state = state;
+    rec.order = order;
+    rec.head = state != PageState::kIsolated;
+    rec.zone_id = static_cast<int16_t>(rng.UniformInt(0, 1));
+    if (state == PageState::kAllocated) {
+      rec.kind = rng.Chance(0.5) ? PageKind::kAnon : PageKind::kFile;
+      rec.SetOwner(static_cast<int32_t>(rng.UniformInt(0, 9)),
+                   static_cast<uint32_t>(rng.UniformInt(0, 1 << 20)));
+      rec.run = order > 0 && rng.Chance(0.5);
+    }
+    return rec;
+  };
+  // The extents of the slot holding pfn, in ascending order.
+  auto extents = [&](Pfn pfn) {
+    std::vector<Pfn> out;
+    const Pfn slot = pfn & ~(MemMap::kSlotPages - 1);
+    for (Pfn e = slot; e < slot + MemMap::kSlotPages; e = d.NextExtent(e)) {
+      out.push_back(e);
+    }
+    return out;
+  };
+  std::vector<bool> present(kBlocks, false);
+  bool saw_split = false;
+  bool saw_merge = false;
+  bool saw_cut = false;
+  for (int step = 0; step < 300; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    auto b = static_cast<BlockIndex>(rng.UniformInt(0, kBlocks - 1));
+    if (!present[b]) {  // Hot-add.
+      m.InitBlock(b);
+      d.InitBlock(b);
+      present[b] = true;
+    } else if (rng.Chance(0.03)) {  // Offline every slot, then hot-remove.
+      for (Pfn pfn = MemMap::BlockStart(b); pfn < MemMap::BlockStart(b + 1);
+           pfn += MemMap::kSlotPages) {
+        both(pfn, MemMap::SlotRecord(PageState::kOffline));
+      }
+      m.RemoveBlock(b);
+      d.RemoveBlock(b);
+      present[b] = false;
+    } else {
+      // Four slots per block, so that transitions pile up on each.
+      const Pfn slot =
+          MemMap::BlockStart(b) + static_cast<Pfn>(pick(4)) * MemMap::kSlotPages;
+      const std::vector<Pfn> ext = extents(slot);
+      const Pfn e = ext[pick(ext.size())];
+      const Page rec = d.record(e);
+      const uint32_t n = 1u << rec.order;
+      switch (rec.state == PageState::kOffline ? 0 : rng.UniformInt(0, 8)) {
+        case 0: {  // Reset the slot to one extent.
+          const PageState states[] = {PageState::kFree, PageState::kFree,
+                                      PageState::kIsolated, PageState::kOffline};
+          const PageState st = states[rng.UniformInt(0, 3)];
+          both(slot, st == PageState::kOffline ? MemMap::SlotRecord(st)
+                                               : make(st, kMaxPageOrder));
+          break;
+        }
+        case 1:
+        case 7:
+        case 8:  // Split a free extent into buddies.
+          if (rec.state == PageState::kFree && rec.order > 0) {
+            const auto half = static_cast<uint8_t>(rec.order - 1);
+            both(e, make(PageState::kFree, half));
+            both(e + n / 2, make(PageState::kFree, half));
+            saw_split = true;
+          }
+          break;
+        case 2: {  // Merge free buddies.
+          const Pfn buddy = e ^ n;
+          if (rec.state == PageState::kFree && rec.order < kMaxPageOrder &&
+              std::find(ext.begin(), ext.end(), buddy) != ext.end() &&
+              d.record(buddy).state == PageState::kFree &&
+              d.record(buddy).order == rec.order) {
+            const auto merged = static_cast<uint8_t>(rec.order + 1);
+            both(std::min(e, buddy), make(PageState::kFree, merged));
+            saw_merge = true;
+          }
+          break;
+        }
+        case 3:  // Allocate a free extent as a folio or a run.
+          if (rec.state == PageState::kFree) {
+            both(e, make(PageState::kAllocated, rec.order));
+          }
+          break;
+        case 4:  // Free or isolate an allocated or isolated extent.
+          if (rec.state == PageState::kAllocated || rec.state == PageState::kIsolated) {
+            const PageState st = rng.Chance(0.5) ? PageState::kFree : PageState::kIsolated;
+            both(e, make(st, rec.order));
+          }
+          break;
+        case 5:
+        case 6: {  // Cut a run around [lo, hi), which is freed, isolated or kept.
+          Page run = rec;
+          if (!run.run) {  // Allocate a free extent as the run first.
+            if (rec.state != PageState::kFree || rec.order == 0) {
+              break;
+            }
+            run = make(PageState::kAllocated, rec.order);
+            run.run = true;
+            both(e, run);
+          }
+          const auto lo = static_cast<uint32_t>(pick(n));
+          const auto hi = static_cast<uint32_t>(rng.UniformInt(lo + 1, n));
+          auto keep = [&](Pfn pfn, uint8_t order) {
+            Page piece = run;
+            piece.order = order;
+            piece.run = order > 0;
+            piece.SetOwner(run.owner(), run.owner_slot() + (pfn - e));
+            both(pfn, piece);
+          };
+          memmap_fuzz::ForEachPiece(e, lo, keep);
+          memmap_fuzz::ForEachPiece(e + hi, n - hi, keep);
+          const int fate = static_cast<int>(rng.UniformInt(0, 2));
+          memmap_fuzz::ForEachPiece(e + lo, hi - lo, [&](Pfn pfn, uint8_t order) {
+            if (fate == 0) {
+              keep(pfn, order);
+            } else {
+              both(pfn, make(fate == 1 ? PageState::kFree : PageState::kIsolated, order));
+            }
+          });
+          saw_cut = true;
+          break;
+        }
+      }
+      // Two live references into one slot, both written.
+      const std::vector<Pfn> now = extents(slot);
+      const Pfn x = now[pick(now.size())];
+      const Pfn y = now[pick(now.size())];
+      const uint64_t stored = m.storage_bytes();
+      Page& rx = m.mutable_record(x);
+      Page& ry = m.mutable_record(y);
+      rx.free = FreeLink{static_cast<Pfn>(step), x};
+      ry.free = FreeLink{static_cast<Pfn>(step), y};
+      for (const Pfn pfn : {x, y}) {
+        Page rec2 = d.record(pfn);
+        rec2.free = FreeLink{static_cast<Pfn>(step), pfn};
+        d.Stamp(pfn, rec2);
+      }
+      EXPECT_EQ(m.storage_bytes(), stored);
+    }
+    memmap_fuzz::ExpectSameBlock(m, d, b);
+    if (HasFatalFailure()) {
+      return;
+    }
+    // A record in another present block's slot stays where it was through
+    // a Stamp of this one.
+    const auto other = static_cast<BlockIndex>((b + 1) % kBlocks);
+    if (present[b] && present[other]) {
+      const Pfn far = d.ExtentStart(MemMap::BlockStart(other) + 5000);
+      const Page* before = &m.mutable_record(far);
+      const Pfn near = MemMap::BlockStart(b);
+      both(near, d.record(near));
+      EXPECT_EQ(&m.mutable_record(far), before);
+    }
+  }
+  EXPECT_TRUE(saw_split);
+  EXPECT_TRUE(saw_merge);
+  EXPECT_TRUE(saw_cut);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MemMapVsDenseFuzzTest,
+                         testing::Values(1u, 2u, 3u, 4u, 5u, 6u));
 
 // --- Bulk allocation oracle: AllocPages(n) vs n single-page Allocs ------------
 
@@ -641,11 +850,11 @@ class BulkVsRepeatedAllocTest
     : public testing::TestWithParam<std::tuple<uint64_t, bool>> {};
 
 TEST_P(BulkVsRepeatedAllocTest, AllocPagesEqualsRepeatedSinglePageAlloc) {
-  using uniform_oracle::kBlocks;
-  using uniform_oracle::kZones;
-  using uniform_oracle::MmSet;
+  using mm_oracle::kBlocks;
+  using mm_oracle::kZones;
+  using mm_oracle::MmSet;
   const auto [seed, shuffled] = GetParam();
-  uint64_t digest = uniform_oracle::kFnvOffset;
+  uint64_t digest = mm_oracle::kFnvOffset;
   MmSet bulk(seed + 31, shuffled);
   MmSet single(seed + 31, shuffled);
   MmSet* const sets[] = {&bulk, &single};
@@ -753,7 +962,7 @@ TEST_P(BulkVsRepeatedAllocTest, AllocPagesEqualsRepeatedSinglePageAlloc) {
         }
         saw_fragments = saw_fragments || (n > 0 && bulk.zones[zi]->free_chunks(0) > 0);
         std::vector<Pfn> got =
-            uniform_oracle::AllocPfns(*bulk.zones[zi], n, PageKind::kFile, 3, next_slot);
+            mm_oracle::AllocPfns(*bulk.zones[zi], n, PageKind::kFile, 3, next_slot);
         const auto taken = static_cast<uint32_t>(got.size());
         std::vector<Pfn> want;
         for (uint32_t i = 0; i < n; ++i) {
@@ -786,7 +995,7 @@ TEST_P(BulkVsRepeatedAllocTest, AllocPagesEqualsRepeatedSinglePageAlloc) {
         break;
       }
     }
-    uniform_oracle::ExpectSame(bulk, single, step, &digest);
+    mm_oracle::ExpectSame(bulk, single, step, &digest);
     if (testing::Test::HasFatalFailure()) {
       return;
     }
@@ -794,7 +1003,7 @@ TEST_P(BulkVsRepeatedAllocTest, AllocPagesEqualsRepeatedSinglePageAlloc) {
       ASSERT_EQ(bulk.memmap.BlockOccupied(b), single.memmap.BlockOccupied(b))
           << "step " << step << " block " << b;
     }
-    ASSERT_EQ(bulk.memmap.materialized_blocks(), single.memmap.materialized_blocks())
+    ASSERT_EQ(bulk.memmap.split_blocks(), single.memmap.split_blocks())
         << "step " << step;
   }
   EXPECT_TRUE(saw_zero);
@@ -823,8 +1032,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 // Zone::FreeAll(heads, n) must leave exactly what Free(heads[i]) for
 // i = 0..n-1 leaves, without the per-page work: the same const view of
-// every pfn (Dematerialize turns a drained block back into the uniform
-// kFree template, which reads like the restamped pages), max-order links
+// every pfn (each drained slot is one max-order record again), max-order links
 // in the same order, per-order counts, occupancy and host backing, and
 // the same allocations afterwards.  Twin sets replay one random script
 // (online, Alloc at orders 0/9/10, AllocPages, Free, isolate then undo);
@@ -833,11 +1041,11 @@ INSTANTIATE_TEST_SUITE_P(
 class DrainOracleTest : public testing::TestWithParam<std::tuple<uint64_t, bool>> {};
 
 TEST_P(DrainOracleTest, FreeAllEqualsPerFolioFrees) {
-  using uniform_oracle::kBlocks;
-  using uniform_oracle::kZones;
-  using uniform_oracle::MmSet;
+  using mm_oracle::kBlocks;
+  using mm_oracle::kZones;
+  using mm_oracle::MmSet;
   const auto [seed, shuffled] = GetParam();
-  uint64_t digest = uniform_oracle::kFnvOffset;
+  uint64_t digest = mm_oracle::kFnvOffset;
   MmSet each(seed + 43, shuffled);
   MmSet all(seed + 43, shuffled);
   MmSet* const sets[] = {&each, &all};
@@ -887,9 +1095,9 @@ TEST_P(DrainOracleTest, FreeAllEqualsPerFolioFrees) {
       case 2: {  // Bulk single pages.
         const auto n = static_cast<uint32_t>(rng.UniformInt(1, 3000));
         const std::vector<Pfn> a =
-            uniform_oracle::AllocPfns(*each.zones[zi], n, PageKind::kFile, 3, 0);
+            mm_oracle::AllocPfns(*each.zones[zi], n, PageKind::kFile, 3, 0);
         const std::vector<Pfn> b =
-            uniform_oracle::AllocPfns(*all.zones[zi], n, PageKind::kFile, 3, 0);
+            mm_oracle::AllocPfns(*all.zones[zi], n, PageKind::kFile, 3, 0);
         ASSERT_EQ(a, b) << "step " << step;
         for (const Pfn pfn : a) {
           held.push_back({pfn, z});
@@ -922,7 +1130,7 @@ TEST_P(DrainOracleTest, FreeAllEqualsPerFolioFrees) {
       }
     }
   }
-  uniform_oracle::ExpectSame(each, all, -1, &digest);
+  mm_oracle::ExpectSame(each, all, -1, &digest);
   if (testing::Test::HasFatalFailure()) {
     return;
   }
@@ -953,7 +1161,7 @@ TEST_P(DrainOracleTest, FreeAllEqualsPerFolioFrees) {
     }
     all.zones[zi]->FreeAll(heads.data(), heads.size());
     EXPECT_EQ(all.zones[zi]->allocated_pages(), 0u);
-    uniform_oracle::ExpectSame(each, all, 1000 + z, &digest);
+    mm_oracle::ExpectSame(each, all, 1000 + z, &digest);
     if (testing::Test::HasFatalFailure()) {
       return;
     }
@@ -964,13 +1172,12 @@ TEST_P(DrainOracleTest, FreeAllEqualsPerFolioFrees) {
           << "block " << b;
     }
   }
-  // Every block FreeAll drained reverted to uniform; per-folio frees keep
-  // the chunks.
+  // Drained either way, every slot is one extent and stores no record past
+  // its start.
   EXPECT_FALSE(occupied.empty());
-  for (const BlockIndex b : occupied) {
-    EXPECT_FALSE(all.memmap.BlockMaterialized(b)) << "block " << b;
-    EXPECT_TRUE(each.memmap.BlockMaterialized(b)) << "block " << b;
-  }
+  EXPECT_EQ(all.memmap.storage_bytes(), 0u);
+  EXPECT_EQ(each.memmap.storage_bytes(), 0u);
+  EXPECT_GT(all.memmap.materialized_peak_blocks(), 0u);
 
   // Both sets hand out the same memory afterwards.
   for (int i = 0; i < 50; ++i) {
@@ -981,7 +1188,7 @@ TEST_P(DrainOracleTest, FreeAllEqualsPerFolioFrees) {
               all.zones[zi]->Alloc(order, PageKind::kAnon, 1, 0))
         << "follow-up alloc " << i;
   }
-  uniform_oracle::ExpectSame(each, all, 2000, &digest);
+  mm_oracle::ExpectSame(each, all, 2000, &digest);
   EXPECT_EQ(each.shuffle_rng.Next(), all.shuffle_rng.Next());
   static const uint64_t kDigests[][2] = {
       {0xfa015ce519d9b5c6ull, 0x672b7534f976d302ull},
@@ -1015,7 +1222,7 @@ INSTANTIATE_TEST_SUITE_P(
 // zone 1, with some host-backed frames; on even seeds it has too little
 // room, so it runs dry part-way through a run.  Then each source block is
 // isolated and migrated, one set with each function, and the mm state
-// (uniform_oracle::ExpectSame: every page view, host bit, free list and
+// (mm_oracle::ExpectSame: every page view, host bit, free list and
 // per-order count), block occupancy, every MigrateOutcome field and the
 // owners' move sequence must agree; again after the offline is retired
 // or, on failure, undone.
@@ -1083,15 +1290,15 @@ class MigrateRunsVsPerFolioTest
 
 TEST_P(MigrateRunsVsPerFolioTest, RunsMoveExactlyAsPerFolioMigration) {
   using migration_oracle::MoveLog;
-  using uniform_oracle::kBlocks;
-  using uniform_oracle::MmSet;
+  using mm_oracle::kBlocks;
+  using mm_oracle::MmSet;
   const auto [seed, separate_target, shuffled] = GetParam();
   const bool dry = seed % 2 == 0;
   const bool kernel_page = seed == 3 || seed == 5;
   const CostModel cost = CostModel::Default();
   // The twins are compared with each other, so the digest ExpectSame
   // folds is not pinned here.
-  uint64_t digest = uniform_oracle::kFnvOffset;
+  uint64_t digest = mm_oracle::kFnvOffset;
   MmSet runs(seed + 57, shuffled);
   MmSet folios(seed + 57, shuffled);
   MmSet* const sets[] = {&runs, &folios};
@@ -1105,7 +1312,7 @@ TEST_P(MigrateRunsVsPerFolioTest, RunsMoveExactlyAsPerFolioMigration) {
     }
   };
   auto expect_same = [&](int step) {
-    uniform_oracle::ExpectSame(runs, folios, step, &digest);
+    mm_oracle::ExpectSame(runs, folios, step, &digest);
     for (BlockIndex b = 0; b < kBlocks; ++b) {
       ASSERT_EQ(runs.memmap.BlockOccupied(b), folios.memmap.BlockOccupied(b))
           << "step " << step << " block " << b;
@@ -1151,7 +1358,7 @@ TEST_P(MigrateRunsVsPerFolioTest, RunsMoveExactlyAsPerFolioMigration) {
       case 2: {  // A page-cache fill of file 0 (owner slots run on).
         const auto n = static_cast<uint32_t>(rng.UniformInt(1, 900));
         const std::vector<Pfn> a =
-            uniform_oracle::AllocPfns(*runs.zones[0], n, PageKind::kFile, 0, next_slot[0]);
+            mm_oracle::AllocPfns(*runs.zones[0], n, PageKind::kFile, 0, next_slot[0]);
         std::vector<Pfn> b;
         for (uint32_t i = 0; i < n; ++i) {
           const Pfn pfn = folios.zones[0]->Alloc(0, PageKind::kFile, 0, next_slot[0] + i);
@@ -1221,7 +1428,7 @@ TEST_P(MigrateRunsVsPerFolioTest, RunsMoveExactlyAsPerFolioMigration) {
         static_cast<int64_t>(occupied0 / 4), static_cast<int64_t>(occupied0 * 3 / 4)));
     for (MmSet* s : sets) {
       ASSERT_EQ(
-          uniform_oracle::AllocPfns(*s->zones[1], kPagesPerBlock - room, PageKind::kAnon, 9, 0)
+          mm_oracle::AllocPfns(*s->zones[1], kPagesPerBlock - room, PageKind::kAnon, 9, 0)
               .size(),
           kPagesPerBlock - room);
     }
@@ -1322,7 +1529,7 @@ INSTANTIATE_TEST_SUITE_P(
 // a random allocated stretch of one zone — whole folios and run pages,
 // often beginning or ending inside a run, sometimes across a block — is
 // freed, on one set with one range free and on the other head by head.
-// After every step uniform_oracle::ExpectSame compares the FNV view digest
+// After every step mm_oracle::ExpectSame compares the FNV view digest
 // of every page (a free head's view carries its list links, so every free
 // list compares in walk order, max-order ones through the max links),
 // free_pages, the per-order counts and CheckFreeLists; block occupancy
@@ -1331,11 +1538,11 @@ class RangeFreeVsPerHeadFreeTest
     : public testing::TestWithParam<std::tuple<uint64_t, bool>> {};
 
 TEST_P(RangeFreeVsPerHeadFreeTest, RangeFreeEqualsAscendingPerHeadFrees) {
-  using uniform_oracle::kBlocks;
-  using uniform_oracle::kZones;
-  using uniform_oracle::MmSet;
+  using mm_oracle::kBlocks;
+  using mm_oracle::kZones;
+  using mm_oracle::MmSet;
   const auto [seed, shuffled] = GetParam();
-  uint64_t digest = uniform_oracle::kFnvOffset;
+  uint64_t digest = mm_oracle::kFnvOffset;
   MmSet range(seed + 71, shuffled);
   MmSet heads(seed + 71, shuffled);
   MmSet* const sets[] = {&range, &heads};
@@ -1359,9 +1566,9 @@ TEST_P(RangeFreeVsPerHeadFreeTest, RangeFreeEqualsAscendingPerHeadFrees) {
   }
   uint32_t next_slot = 1536;
   const std::vector<Pfn> fill =
-      uniform_oracle::AllocPfns(*range.zones[0], next_slot, PageKind::kFile, 3, 0);
+      mm_oracle::AllocPfns(*range.zones[0], next_slot, PageKind::kFile, 3, 0);
   ASSERT_EQ(fill,
-            uniform_oracle::AllocPfns(*heads.zones[0], next_slot, PageKind::kFile, 3, 0));
+            mm_oracle::AllocPfns(*heads.zones[0], next_slot, PageKind::kFile, 3, 0));
   held.insert(held.end(), fill.begin(), fill.end());
   auto pick = [&rng](size_t n) {
     return static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(n) - 1));
@@ -1379,8 +1586,8 @@ TEST_P(RangeFreeVsPerHeadFreeTest, RangeFreeEqualsAscendingPerHeadFrees) {
       case 1: {  // A page-cache fill.
         const auto n = static_cast<uint32_t>(rng.UniformInt(1, 1500));
         const std::vector<Pfn> a =
-            uniform_oracle::AllocPfns(*range.zones[zi], n, PageKind::kFile, 3, next_slot);
-        ASSERT_EQ(a, uniform_oracle::AllocPfns(*heads.zones[zi], n, PageKind::kFile, 3,
+            mm_oracle::AllocPfns(*range.zones[zi], n, PageKind::kFile, 3, next_slot);
+        ASSERT_EQ(a, mm_oracle::AllocPfns(*heads.zones[zi], n, PageKind::kFile, 3,
                                                next_slot))
             << "step " << step;
         next_slot += n;
@@ -1464,7 +1671,7 @@ TEST_P(RangeFreeVsPerHeadFreeTest, RangeFreeEqualsAscendingPerHeadFrees) {
         break;
       }
     }
-    uniform_oracle::ExpectSame(range, heads, step, &digest);
+    mm_oracle::ExpectSame(range, heads, step, &digest);
     if (testing::Test::HasFatalFailure()) {
       return;
     }
@@ -1642,7 +1849,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RunVsDensePageCacheFuzzTest,
 // through PerPageBalloon below, a copy of the old loop with its
 // per-report host release written out on the host books and the CPU
 // accountant.  After every inflate and every deflate the mm state
-// (uniform_oracle::ExpectSame: every page view, host bit, free list and
+// (mm_oracle::ExpectSame: every page view, host bit, free list and
 // per-order count), the host and hypervisor books, every accountant
 // thread's busy windows, every BalloonOutcome field and the held pages
 // must agree.  Zone 1 holds one block and is inflated until it runs dry
@@ -1676,7 +1883,7 @@ struct Guest {
       : mm(shuffle_seed, /*shuffled=*/true), host(GiB(64)), cpu(kWindow), hv(&host, cost, &cpu) {
     vm = hv.RegisterVm("vm", 1);
   }
-  uniform_oracle::MmSet mm;
+  mm_oracle::MmSet mm;
   HostMemory host;
   CpuAccountant cpu;
   Hypervisor hv;
@@ -1788,9 +1995,9 @@ void Back(Backing backing, BlockIndex b, Guest* g, TimeNs now) {
 
 void ExpectSame(const Guest& dev, const Guest& ref, const std::vector<BalloonDevice>& devs,
                 const std::vector<PerPageBalloon>& refs, int step) {
-  uint64_t digest = uniform_oracle::kFnvOffset;
+  uint64_t digest = mm_oracle::kFnvOffset;
   SCOPED_TRACE("balloon step " + std::to_string(step));
-  uniform_oracle::ExpectSame(dev.mm, ref.mm, step, &digest);
+  mm_oracle::ExpectSame(dev.mm, ref.mm, step, &digest);
   ASSERT_FALSE(testing::Test::HasFatalFailure());
   EXPECT_EQ(dev.hv.stats(dev.vm).populated_bytes, ref.vm_populated);
   EXPECT_EQ(dev.host.populated(), ref.host.populated());
@@ -1833,8 +2040,8 @@ TEST_P(BalloonRunsVsPerPageTest, InflateAndDeflateEqualThePerPageDriver) {
   using balloon_oracle::Guest;
   using balloon_oracle::kWindow;
   using balloon_oracle::PerPageBalloon;
-  using uniform_oracle::kBlocks;
-  using uniform_oracle::kZones;
+  using mm_oracle::kBlocks;
+  using mm_oracle::kZones;
   const auto [seed, batch, backing] = GetParam();
   CostModel cost = CostModel::Default();
   cost.balloon_batch_pages = batch;

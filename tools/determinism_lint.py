@@ -56,6 +56,16 @@ rejects the constructs that silently break that property:
                        wrong before anyone walks it.  Use ordered
                        containers over stable value keys (host id,
                        replica index).
+  process-state        a non-const static variable (namespace scope,
+                       function-local or a static data member) or any
+                       thread_local.  Such state outlives the simulation
+                       that wrote it and is shared by every simulation in
+                       the process, so one run's results can depend on
+                       what ran before it in the same process (a pooled
+                       allocator handing out blocks dirtied by an earlier
+                       run was one).  Keep state in the object that owns
+                       it.  static const / constexpr data and static
+                       functions are fine.
 
 Escape hatches (both require a written justification):
   * inline:     ... // NOLINT(determinism): <reason>   (same line)
@@ -137,6 +147,15 @@ ASSOC_DECL_RE = re.compile(
     r"std::(?P<kind>(?:unordered_)?(?:map|set|multimap|multiset))"
     r"\s*<(?P<args>.*)>\s+(?P<name>\w+)\s*[;={(]"
 )
+
+# A static variable declaration: `static` (after an optional `inline`) at
+# the start of the line, declaration specifiers with no parenthesis, then
+# the name followed by an initializer, an array bound or the end of the
+# declaration.  A parenthesis before that makes it a function.
+STATIC_VAR_RE = re.compile(
+    r"^\s*(?:inline\s+)?static\s+(?P<decl>[^;=(){}]*?)\s*\b\w+\s*(?:\[[^\]]*\]\s*)*[=;{]")
+CONST_DECL_RE = re.compile(r"\b(?:const|constexpr)\b")
+THREAD_LOCAL_RE = re.compile(r"\bthread_local\b")
 
 STRING_LITERAL_RE = re.compile(r'"(?:\\.|[^"\\])*"')
 
@@ -262,6 +281,14 @@ def lint_file(relpath, lines, unordered_names, findings):
                     "structure (an EventQueue, like the sharded kernel's "
                     "mailbox shard)"))
                 break
+        static_var = STATIC_VAR_RE.search(code)
+        if ((static_var and not CONST_DECL_RE.search(static_var.group("decl")))
+                or THREAD_LOCAL_RE.search(code)):
+            line_findings.append((
+                "process-state",
+                "process-wide mutable state: a non-const static or "
+                "thread_local is shared by every simulation in the process "
+                "and outlives each one; keep the state in its owner"))
         for m in ASSOC_DECL_RE.finditer(code):
             if not (file_is_index or INDEX_NAME_RE.search(m.group("name"))):
                 continue

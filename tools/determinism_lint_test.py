@@ -103,6 +103,12 @@ class BadFixtures(unittest.TestCase):
         # variable fires; the neutral-named twin declaration does not.
         self.expect("bad_candidate_tree.cc", "index-container", 1)
 
+    def test_process_state(self):
+        # The leaked function-local pool, two namespace-scope statics, a
+        # function-local counter, a thread_local and three static data
+        # members.
+        self.expect("bad_process_state.cc", "process-state", 8)
+
     def test_nolint_without_reason_is_rejected(self):
         self.expect("bad_nolint_missing_reason.cc", "nolint-missing-reason", 1)
         # The bare directive must NOT suppress the underlying finding's
@@ -123,6 +129,12 @@ class GoodFixtures(unittest.TestCase):
         code, lines = run_lint(
             "--root", TESTDATA, "--allowlist", EMPTY_ALLOWLIST,
             "good/good_thread_words.cc")
+        self.assertEqual(code, 0, lines)
+
+    def test_const_statics_and_static_functions_pass(self):
+        code, lines = run_lint(
+            "--root", TESTDATA, "--allowlist", EMPTY_ALLOWLIST,
+            "good/good_process_state.cc")
         self.assertEqual(code, 0, lines)
 
     def test_ordered_mailbox_passes(self):

@@ -59,6 +59,8 @@ struct ComboResult {
   PlacementPolicy placement;
   uint64_t admitted = 0;      // Invocations that reached a host (not rejected).
   uint64_t events = 0;        // Events the sim kernel executed for this run.
+  uint64_t scheduled = 0;     // Events it stored (EventQueue::scheduled_events).
+  size_t peak_pending = 0;    // Its peak live set, summed over its queues.
   uint64_t routing_hash = 0;  // Order-sensitive digest of every routing decision.
   double setup_sec = 0;       // Cluster build + trace gen + SubmitTrace.
   double wall_sec = 0;        // Wall-clock spent inside RunUntil only.
@@ -140,6 +142,8 @@ ComboResult RunCombo(ReclaimPolicy reclaim, PlacementPolicy placement,
   r.reclaim = reclaim;
   r.placement = placement;
   r.events = cluster.processed_events();
+  r.scheduled = cluster.scheduled_events();
+  r.peak_pending = cluster.peak_pending_events();
   r.routing_hash = cluster.routing_hash();
   if (cluster.sharded() != nullptr) {
     r.shard_events = cluster.sharded()->ShardProcessed();
@@ -585,6 +589,10 @@ int main() {
     const std::string tag = std::to_string(hosts) + "h";
     json.Metric("scale_pending_hinted_" + tag, hb.fleet.pending_scaleups_total);
     json.Metric("sim_events_" + tag, hb.events);
+    // Event-kernel work behind those events: how many it stored and its
+    // peak live set (deterministic -> BENCH).
+    json.Metric("sim_scheduled_events_" + tag, hb.scheduled);
+    json.Metric("sim_peak_pending_" + tag, static_cast<uint64_t>(hb.peak_pending));
     timing.Metric("sim_events_per_sec_" + tag, hb.events_per_sec());
   }
   scale.Print(std::cout);
@@ -631,6 +639,9 @@ int main() {
     json.Metric("shard_admitted_" + tag, sh.admitted);
     json.Metric("shard_pending_" + tag, sh.fleet.pending_scaleups_total);
     json.Metric("shard_events_" + tag, sh.events);
+    json.Metric("shard_scheduled_events_" + tag, sh.scheduled);
+    // Sum of the per-shard and mailbox peaks.
+    json.Metric("shard_peak_pending_" + tag, static_cast<uint64_t>(sh.peak_pending));
     json.Metric("shard_balance_pct_" + tag, sh.shard_balance_pct());
     // Placement-path instrumentation: how many routing decisions the row
     // took, how many host deltas the index absorbed maintaining its

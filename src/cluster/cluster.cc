@@ -272,11 +272,17 @@ size_t Cluster::MigrateOff(size_t src) {
 }
 
 void Cluster::SubmitTrace(const std::vector<Invocation>& trace) {
+  std::vector<TimeNs> whens;
+  std::vector<int> fns;
+  whens.reserve(trace.size());
+  fns.reserve(trace.size());
   for (const Invocation& inv : trace) {
-    const int cluster_fn = inv.function;
-    assert(cluster_fn >= 0 && static_cast<size_t>(cluster_fn) < functions_.size());
-    events_->ScheduleAt(inv.at, [this, cluster_fn] { Dispatch(cluster_fn); });
+    assert(inv.function >= 0 && static_cast<size_t>(inv.function) < functions_.size());
+    whens.push_back(inv.at);
+    fns.push_back(inv.function);
   }
+  events_->ScheduleEach(std::move(whens),
+                        [this, fns = std::move(fns)](size_t i) { Dispatch(fns[i]); });
 }
 
 void Cluster::Dispatch(int cluster_fn) {

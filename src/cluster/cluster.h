@@ -121,8 +121,10 @@ class Cluster : private HostStateListener {
   // policy that hoards commitment (kStatic) loses registrable functions.
   int AddFunction(const FunctionSpec& spec, uint32_t max_concurrency);
 
-  // Schedules the merged fleet trace (Invocation::function is a cluster
-  // function index).  Routing happens per invocation at its arrival time.
+  // Submits the merged fleet trace (Invocation::function is a cluster
+  // function index) as one EventQueue::ScheduleEach series on the
+  // fleet-level queue: one live event at a time, the next arrival.
+  // Routing happens per invocation at its arrival time.
   void SubmitTrace(const std::vector<Invocation>& trace);
 
   // Under kSharded these drive the epoch coordinator: advance each shard
@@ -161,6 +163,15 @@ class Cluster : private HostStateListener {
   uint64_t processed_events() const {
     return sharded_ != nullptr ? sharded_->processed_events()
                                : events_->processed_events();
+  }
+  // Events stored and the peak live set, summed over the same queues
+  // (EventQueue::scheduled_events() / peak_pending()).
+  uint64_t scheduled_events() const {
+    return sharded_ != nullptr ? sharded_->scheduled_events()
+                               : events_->scheduled_events();
+  }
+  size_t peak_pending_events() const {
+    return sharded_ != nullptr ? sharded_->peak_pending() : events_->peak_pending();
   }
   size_t host_count() const { return hosts_.size(); }
   FaasRuntime& host(size_t h) { return *hosts_[h]; }

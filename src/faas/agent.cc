@@ -42,22 +42,37 @@ void Agent::UpdateProgressAndCancel() {
       item.remaining = 0;
     }
     item.last_update = now;
-    if (item.completion != kInvalidEventId) {
-      events_->Cancel(item.completion);
-      item.completion = kInvalidEventId;
-    }
+  }
+  if (completion_ != kInvalidEventId) {
+    events_->Cancel(completion_);
+    completion_ = kInvalidEventId;
   }
 }
 
-void Agent::RescheduleAll() {
+std::pair<TimeNs, uint64_t> Agent::EarliestCompletion() const {
+  assert(!work_.empty());
   const double rate = CurrentRate();
-  for (auto& [id, item] : work_) {
-    assert(item.completion == kInvalidEventId);
+  std::pair<TimeNs, uint64_t> best{0, 0};
+  for (const auto& [id, item] : work_) {
     const DurationNs eta = Sec(item.remaining / rate);
-    const uint64_t wid = id;
-    item.completion = events_->ScheduleAfter(std::max<DurationNs>(eta, 0),
-                                             [this, wid] { CompleteWork(wid); });
+    const TimeNs when = item.last_update + std::max<DurationNs>(eta, 0);
+    // Ids ascend, so a strict < keeps the lowest id among equal times.
+    if (best.second == 0 || when < best.first) {
+      best = {when, id};
+    }
   }
+  return best;
+}
+
+void Agent::RescheduleAll() {
+  assert(completion_ == kInvalidEventId);
+  if (work_.empty()) {
+    return;
+  }
+  // Every item was just brought up to now, so each completion time is
+  // now + its eta, as if each item had its own event.
+  const auto [when, wid] = EarliestCompletion();
+  completion_ = events_->ScheduleAt(when, [this, wid = wid] { CompleteWork(wid); });
 }
 
 uint64_t Agent::StartWork(double share, DurationNs work, std::function<void()> on_done) {
@@ -77,7 +92,11 @@ uint64_t Agent::StartWork(double share, DurationNs work, std::function<void()> o
 void Agent::CompleteWork(uint64_t id) {
   auto it = work_.find(id);
   assert(it != work_.end());
-  it->second.completion = kInvalidEventId;  // Our event just fired.
+  // The rate has not changed since the batch was scheduled (a change
+  // cancels it), so the batch is recomputed exactly: the firing item must
+  // be its earliest.
+  assert(EarliestCompletion().second == id);
+  completion_ = kInvalidEventId;  // Our event just fired.
   UpdateProgressAndCancel();
   std::function<void()> on_done = std::move(it->second.on_done);
   instance_demand_ -= it->second.share;

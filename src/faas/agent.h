@@ -208,11 +208,12 @@ class Agent {
     uint64_t anon_touched = 0;
   };
 
+  // One running piece of instance work.  It has no event of its own: the
+  // agent keeps one completion event, for the item that finishes first.
   struct WorkItem {
     double share = 1.0;    // vCPU demand while running.
     double remaining = 0;  // Seconds of wall-work left at rate 1.
     TimeNs last_update = 0;
-    EventId completion = kInvalidEventId;
     std::function<void()> on_done;
   };
 
@@ -220,10 +221,15 @@ class Agent {
   // Current progress rate for instance work: min(1, cpus_left / demand).
   double CurrentRate() const;
   // Applies the current rate to every item's remaining work and cancels
-  // their pending completion events (call before any demand change).
+  // the pending completion event (call before any demand change).
   void UpdateProgressAndCancel();
-  // Schedules fresh completion events under the current rate.
+  // Schedules the completion of the item with the smallest (eta, work id)
+  // under the current rate.  Every rate change cancels the whole batch,
+  // so that item is the only one whose completion could ever fire.
   void RescheduleAll();
+  // (completion time, work id) of the item that finishes first under the
+  // current rate, measured from each item's last update; work_ non-empty.
+  std::pair<TimeNs, uint64_t> EarliestCompletion() const;
   uint64_t StartWork(double share, DurationNs work, std::function<void()> on_done);
   void CompleteWork(uint64_t id);
 
@@ -281,6 +287,8 @@ class Agent {
   // Processor-sharing state.
   std::map<uint64_t, WorkItem> work_;
   uint64_t next_work_id_ = 1;
+  // The one pending completion event (kInvalidEventId when none).
+  EventId completion_ = kInvalidEventId;
   double instance_demand_ = 0;  // Sum of shares of running work items.
   int kernel_threads_busy_ = 0;
 

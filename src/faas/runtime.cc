@@ -177,11 +177,17 @@ int FaasRuntime::AddFunction(const FunctionSpec& spec, uint32_t max_concurrency)
 }
 
 void FaasRuntime::SubmitTrace(const std::vector<Invocation>& trace) {
+  std::vector<TimeNs> whens;
+  std::vector<int> fns;
+  whens.reserve(trace.size());
+  fns.reserve(trace.size());
   for (const Invocation& inv : trace) {
-    const int fn = inv.function;
-    assert(fn >= 0 && static_cast<size_t>(fn) < vms_.size());
-    events_->ScheduleAt(inv.at, [this, fn] { agent(fn).Submit(); });
+    assert(inv.function >= 0 && static_cast<size_t>(inv.function) < vms_.size());
+    whens.push_back(inv.at);
+    fns.push_back(inv.function);
   }
+  events_->ScheduleEach(std::move(whens),
+                        [this, fns = std::move(fns)](size_t i) { agent(fns[i]).Submit(); });
 }
 
 // --- Shared dependency images ------------------------------------------------------

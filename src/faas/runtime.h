@@ -81,8 +81,9 @@ class FaasRuntime : public HostControl, private ReclaimHost {
   static uint64_t BootCommitment(const RuntimeConfig& config, const FunctionSpec& spec,
                                  uint32_t max_concurrency);
 
-  // Schedules every invocation of the merged trace (Invocation::function
-  // indexes functions in AddFunction order).
+  // Submits the merged trace (Invocation::function indexes functions in
+  // AddFunction order) as one EventQueue::ScheduleEach series: one live
+  // event at a time, the next arrival.
   void SubmitTrace(const std::vector<Invocation>& trace);
 
   void RunUntil(TimeNs t) { events_->RunUntil(t); }

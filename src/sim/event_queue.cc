@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
+#include <numeric>
 #include <utility>
 
 namespace squeezy {
@@ -19,15 +20,63 @@ EventQueue::EventQueue()
     : fine_slots_(kFineSlots), coarse_slots_(kCoarseSlots), super_slots_(kSuperSlots) {}
 
 EventId EventQueue::ScheduleAt(TimeNs when, std::function<void()> fn) {
-  if (when < now_) {
-    when = now_;
-  }
-  const EventId id = next_id_++;
   const uint64_t seq = seq_source_ != nullptr ? ++*seq_source_ : next_seq_++;
+  return Schedule(std::max(when, now_), seq, std::move(fn));
+}
+
+EventId EventQueue::Schedule(TimeNs when, uint64_t seq, std::function<void()> fn) {
+  const EventId id = next_id_++;
   Insert(Entry{when, seq, id, std::move(fn)});
   live_.insert(id);
+  peak_pending_ = std::max(peak_pending_, live_.size());
+  ++scheduled_;
   ++change_version_;
   return id;
+}
+
+void EventQueue::ScheduleEach(std::vector<TimeNs> whens, std::function<void(size_t)> fn) {
+  if (whens.empty()) {
+    return;
+  }
+  assert(whens.size() <= UINT32_MAX);
+  auto series = std::make_shared<Series>();
+  series->queue = this;
+  for (TimeNs& when : whens) {
+    when = std::max(when, now_);
+  }
+  series->order.resize(whens.size());
+  std::iota(series->order.begin(), series->order.end(), 0u);
+  std::stable_sort(series->order.begin(), series->order.end(),
+                   [&whens](uint32_t a, uint32_t b) { return whens[a] < whens[b]; });
+  // Reserve the n sequence numbers n ScheduleAt calls would draw now.
+  const uint64_t n = whens.size();
+  if (seq_source_ != nullptr) {
+    series->first_seq = *seq_source_ + 1;
+    *seq_source_ += n;
+  } else {
+    series->first_seq = next_seq_;
+    next_seq_ += n;
+  }
+  series->whens = std::move(whens);
+  series->fn = std::move(fn);
+  ArmNext(std::move(series));
+}
+
+void EventQueue::ArmNext(std::shared_ptr<Series> series) {
+  const uint32_t i = series->order[series->next++];
+  const TimeNs when = series->whens[i];
+  const uint64_t seq = series->first_seq + i;
+  // Capturing only the shared_ptr keeps the closure in std::function's
+  // inline buffer: no allocation per call.
+  Schedule(when, seq, [series = std::move(series)] {
+    const uint32_t call = series->order[series->next - 1];
+    // Re-arm first: the next call is pending while this one's handler
+    // runs, as it would be had every call been scheduled up front.
+    if (series->next < series->order.size()) {
+      series->queue->ArmNext(series);
+    }
+    series->fn(call);
+  });
 }
 
 EventId EventQueue::ScheduleAfter(DurationNs delay, std::function<void()> fn) {

@@ -8,15 +8,14 @@
 //   * fine wheel  — ~2.1 ms ticks over the current ~2.1 s region; the
 //     hot path (grant latencies, unplug completions, pressure ticks)
 //     inserts and pops here in O(log slot) with tiny slots;
-//   * coarse wheel — ~2.1 s slots over the next ~36 min; bulk far-future
-//     work (upfront trace arrivals, keep-alive timers) lands here O(1)
-//     and cascades into the fine wheel one region at a time, lazily, as
-//     the clock reaches it;
-//   * super wheel — ~36.6 min slots over the next ~26 days; multi-hour
-//     traces (the sharded fleet sweeps) land their far arrivals here
-//     O(1) and each slot is dumped into the coarse window when the
-//     clock enters its block, so long traces no longer pile the whole
-//     tail onto the overflow heap;
+//   * coarse wheel — ~2.1 s slots over the next ~36 min; far-future work
+//     (keep-alive timers, the next arrival of a sparse trace) lands here
+//     O(1) and cascades into the fine wheel one region at a time, lazily,
+//     as the clock reaches it;
+//   * super wheel — ~36.6 min slots over the next ~26 days; anything
+//     scheduled hours ahead lands here O(1) and each slot is dumped into
+//     the coarse window when the clock enters its block, so it never
+//     piles onto the overflow heap;
 //   * overflow heap — anything beyond the super horizon, plus entries
 //     scheduled behind an already-advanced region; rare, and always
 //     consulted by the peek so order can never be lost.
@@ -24,11 +23,17 @@
 // sequence), so the wheel is bit-identical to the single binary heap it
 // replaced; that heap lives on only as the test oracle the wheel fuzz
 // replays against (tests/oracles/heap_event_queue.h).
+//
+// A trace is not stored whole: ScheduleEach keeps one live event per
+// submitted series (its next call that is due), so the live set stays
+// O(hosts + agents) however long the trace is.
 #ifndef SQUEEZY_SIM_EVENT_QUEUE_H_
 #define SQUEEZY_SIM_EVENT_QUEUE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "src/sim/time.h"
@@ -161,6 +166,16 @@ class EventQueue {
   // Schedules `fn` to run `delay` after the current virtual time.
   EventId ScheduleAfter(DurationNs delay, std::function<void()> fn);
 
+  // Runs `fn(i)` at `whens[i]` for every i: fires exactly as calling
+  // ScheduleAt(whens[i], [fn, i] { fn(i); }) for i = 0..n-1 in order
+  // would, but stores only the next call that is due.  At submission
+  // every time is clamped to now() and the n sequence numbers those
+  // calls would draw are reserved, so a tie with any event scheduled
+  // later still goes to the series.  Calls fire in stable (when, i)
+  // order; each re-arms the next before `fn` runs.  They cannot be
+  // cancelled.
+  void ScheduleEach(std::vector<TimeNs> whens, std::function<void(size_t)> fn);
+
   // Cancels a pending event.  Returns false if it already ran, was
   // cancelled, or was never issued.  Cancelling kInvalidEventId is a
   // no-op.  Cancellation is lazy (the stored entry becomes a tombstone),
@@ -208,8 +223,15 @@ class EventQueue {
   // caches PeekNext() per shard and re-peeks only on a version change.
   uint64_t change_version() const { return change_version_; }
 
+  // Live events: scheduled and neither run nor cancelled.  A series from
+  // ScheduleEach counts as one until its last call runs.
   bool empty() const { return live_.empty(); }
   size_t pending() const { return live_.size(); }
+  // High-water mark of pending().
+  size_t peak_pending() const { return peak_pending_; }
+  // Events put into storage so far: one per ScheduleAt, one per call of
+  // a ScheduleEach series (each is stored when the previous one runs).
+  uint64_t scheduled_events() const { return scheduled_; }
   // Entries physically stored (live + not-yet-compacted tombstones);
   // the cancel-heavy-workload bound locked by tests/sim_test.cc.
   size_t stored_entries() const {
@@ -258,6 +280,20 @@ class EventQueue {
     return static_cast<uint64_t>(when) >> kCoarseShift;
   }
 
+  // A ScheduleEach series: its calls in firing order and the next one.
+  struct Series {
+    EventQueue* queue = nullptr;
+    std::vector<TimeNs> whens;    // Clamped at submission.
+    std::vector<uint32_t> order;  // Call indices, stable-sorted by when.
+    size_t next = 0;              // Position in `order` of the next call.
+    uint64_t first_seq = 0;       // Call i carries first_seq + i.
+    std::function<void(size_t)> fn;
+  };
+
+  // Stores one event under a fresh id and returns the id.
+  EventId Schedule(TimeNs when, uint64_t seq, std::function<void()> fn);
+  // Stores the series' next call, which re-arms the one after it.
+  void ArmNext(std::shared_ptr<Series> series);
   void Insert(Entry e);
   // Slot-heap push into the fine wheel (rewinds the scan cursor).
   void PushFine(Entry e);
@@ -299,6 +335,8 @@ class EventQueue {
   uint64_t* seq_source_ = nullptr;
   EventId next_id_ = 1;
   uint64_t processed_ = 0;
+  uint64_t scheduled_ = 0;
+  size_t peak_pending_ = 0;
   // Bumped on schedule/cancel/pop.
   uint64_t change_version_ = 0;
   bool peek_overflow_ = false;

@@ -114,6 +114,22 @@ uint64_t ShardedEventQueue::processed_events() const {
   return total;
 }
 
+uint64_t ShardedEventQueue::scheduled_events() const {
+  uint64_t total = global_.scheduled_events();
+  for (const auto& s : shards_) {
+    total += s->scheduled_events();
+  }
+  return total;
+}
+
+size_t ShardedEventQueue::peak_pending() const {
+  size_t total = global_.peak_pending();
+  for (const auto& s : shards_) {
+    total += s->peak_pending();
+  }
+  return total;
+}
+
 std::vector<uint64_t> ShardedEventQueue::ShardProcessed() const {
   std::vector<uint64_t> counts;
   counts.reserve(shards_.size());

@@ -75,6 +75,11 @@ class ShardedEventQueue {
 
   // Events executed across all queues (bench throughput accounting).
   uint64_t processed_events() const;
+  // Sums over all queues of EventQueue::scheduled_events() and of
+  // EventQueue::peak_pending() (each queue's own high-water mark, so an
+  // upper bound on the fleet's peak live set).
+  uint64_t scheduled_events() const;
+  size_t peak_pending() const;
   // Per-shard executed-event counts (mailbox excluded) — the shard
   // balance the bench reports.
   std::vector<uint64_t> ShardProcessed() const;

@@ -2,7 +2,10 @@
 // keep-alive, the processor-sharing scheduler, and kernel interference.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <memory>
+#include <vector>
 
 #include "src/faas/agent.h"
 #include "src/faas/function.h"
@@ -54,6 +57,11 @@ class AgentTest : public testing::Test {
                             [ready = std::move(ready), grant_delay] { ready(grant_delay); });
     };
     cbs.release_memory = [this] { ++releases_; };
+    cbs.instance_idle = [this] {
+      if (on_idle_) {
+        on_idle_();
+      }
+    };
     return std::make_unique<Agent>(&events_, guest_.get(), nullptr, TinySpec(), acfg,
                                    std::move(cbs), 42);
   }
@@ -65,6 +73,7 @@ class AgentTest : public testing::Test {
   std::unique_ptr<GuestKernel> guest_;
   int acquires_ = 0;
   int releases_ = 0;
+  std::function<void()> on_idle_;  // Runs whenever an instance goes idle.
 };
 
 TEST_F(AgentTest, ColdStartThenWarmReuse) {
@@ -244,6 +253,91 @@ TEST_F(AgentTest, MemoryStarvedRequestsWaitForGrant) {
   ASSERT_EQ(agent->requests().size(), 1u);
   // Latency includes the 10 s wait.
   EXPECT_GT(agent->requests()[0].latency(), Sec(10));
+}
+
+// Ids of the agent's instances in `state`, lowest first.
+std::vector<int32_t> InstancesIn(const Agent& agent, InstanceState state) {
+  std::vector<int32_t> ids;
+  for (size_t id = 0; id < agent.instances_created(); ++id) {
+    if (agent.instance_state(static_cast<int32_t>(id)) == state) {
+      ids.push_back(static_cast<int32_t>(id));
+    }
+  }
+  return ids;
+}
+
+TEST_F(AgentTest, EqualEtaItemsCompleteInStartOrder) {
+  // Three warm requests of equal work start at one instant on 3 vCPUs, so
+  // all three finish at one instant.  They complete in the order they
+  // started, and the agent holds one completion event for all of them.
+  AgentConfig acfg;
+  acfg.max_concurrency = 3;
+  acfg.vcpus = 3;
+  auto agent = MakeAgent(acfg);
+  for (int round = 0; round < 2; ++round) {  // Two rounds warm every instance.
+    for (int i = 0; i < 3; ++i) {
+      agent->Submit();
+    }
+    events_.RunUntil(Minutes(1 + round));
+  }
+  ASSERT_EQ(agent->idle_instances(), 3u);
+  std::vector<int32_t> started;
+  for (int i = 0; i < 3; ++i) {
+    agent->Submit();
+    for (const int32_t id : InstancesIn(*agent, InstanceState::kBusy)) {
+      if (std::find(started.begin(), started.end(), id) == started.end()) {
+        started.push_back(id);
+      }
+    }
+  }
+  ASSERT_EQ(started.size(), 3u);
+  EXPECT_EQ(events_.pending(), 1u);  // One completion, no keep-alives.
+  std::vector<int32_t> finished;
+  on_idle_ = [&] {
+    for (const int32_t id : InstancesIn(*agent, InstanceState::kIdle)) {
+      if (std::find(finished.begin(), finished.end(), id) == finished.end()) {
+        finished.push_back(id);
+      }
+    }
+  };
+  events_.RunUntil(Minutes(3));
+  EXPECT_EQ(finished, started);
+  const std::vector<RequestRecord>& reqs = agent->requests();
+  ASSERT_EQ(reqs.size(), 9u);
+  for (size_t i = 6; i < 9; ++i) {
+    EXPECT_FALSE(reqs[i].cold);
+    EXPECT_EQ(reqs[i].done, reqs[6].done);
+  }
+}
+
+TEST_F(AgentTest, CompletionBeatsATiedEventScheduledAfterItsBatch) {
+  // The pending completion keeps the sequence number it drew when its
+  // batch was scheduled: an unrelated event scheduled later for the same
+  // instant runs after it.
+  AgentConfig acfg;
+  acfg.max_concurrency = 2;
+  acfg.vcpus = 2;
+  auto agent = MakeAgent(acfg);
+  for (int round = 0; round < 2; ++round) {
+    agent->Submit();
+    agent->Submit();
+    events_.RunUntil(Minutes(1 + round));
+  }
+  ASSERT_EQ(agent->idle_instances(), 2u);
+  const size_t before = agent->requests().size();
+  agent->Submit();
+  events_.RunUntil(Minutes(2) + Msec(30));
+  agent->Submit();  // Batch: the first request (70 ms left) and this one.
+  TimeNs when = 0;
+  uint64_t seq = 0;
+  ASSERT_TRUE(events_.PeekNext(&when, &seq));
+  EXPECT_EQ(events_.pending(), 1u);
+  size_t done_at_tie = 0;
+  events_.ScheduleAt(when, [&] { done_at_tie = agent->requests().size(); });
+  events_.RunUntil(Minutes(3));
+  EXPECT_EQ(done_at_tie, before + 1);  // The first request was done; the second was not.
+  ASSERT_EQ(agent->requests().size(), before + 2);
+  EXPECT_EQ(agent->requests()[before].done, when);
 }
 
 }  // namespace

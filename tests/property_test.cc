@@ -29,6 +29,7 @@
 #include "src/sim/cpu_accountant.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/rng.h"
+#include "src/sim/sharded_event_queue.h"
 #include "src/trace/cluster_trace.h"
 #include "tests/oracles/dense_memmap.h"
 #include "tests/oracles/dense_page_cache.h"
@@ -2289,6 +2290,266 @@ INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueWheelFuzzTest,
                          [](const testing::TestParamInfo<uint64_t>& param_info) {
                            return "seed" + std::to_string(param_info.param);
                          });
+
+// --- ScheduleEach vs per-call ScheduleAt ----------------------------------------
+
+// EventQueue::ScheduleEach stores only a series' next call, yet must fire
+// exactly as the n ScheduleAt calls it replaces, made at submission.  The
+// heap oracle expands every series into those calls; the single wheel and
+// the sharded kernel's mailbox run the real primitive.  Scripts mix
+// unsorted series with duplicate and already-past times, timers on a 1 ms
+// grid that tie with the calls (scheduled before and after the series),
+// zero-delay chains, series submitted mid-run from handlers, overlapping
+// series, cancels and (single queue only) clock advances.
+class ScheduleEachFuzzTest : public testing::TestWithParam<std::tuple<uint64_t, bool>> {};
+
+namespace schedule_each_fuzz {
+
+constexpr int kShards = 3;
+// Queue label of the mailbox.  A single-queue kernel ignores labels, but
+// handlers act on them the same way in every kernel.
+constexpr int kMailbox = kShards;
+constexpr int kChildBase = 1'000'000;   // Tags of chained children.
+constexpr int kNestedBase = 2'000'000;  // Tags of series submitted by handlers.
+
+struct Op {
+  enum Kind { kTimer, kSeries, kCancel, kAdvance, kRunUntil };
+  Op(Kind k, int64_t arg = 0) : kind(k), a(arg) {}
+  Kind kind;
+  int queue = kMailbox;          // kTimer: the queue it goes to.
+  int64_t a = 0;                 // kTimer: delay; kCancel: timer index;
+                                 // kAdvance/kRunUntil: duration.
+  std::vector<int64_t> offsets;  // kSeries: call times minus now (may be < 0).
+  int tag = 0;                   // kTimer: tag; kSeries: tag of call 0.
+};
+
+struct Fired {
+  int tag;
+  int queue;
+  TimeNs at;
+  bool operator==(const Fired& o) const {
+    return tag == o.tag && queue == o.queue && at == o.at;
+  }
+};
+
+struct Replay {
+  std::vector<Fired> fired;
+  std::vector<bool> cancel_results;
+  std::vector<TimeNs> clocks;  // now() after every RunUntil, and at the end.
+};
+
+// The oracle: a series is n ScheduleAt calls.
+struct HeapKernel {
+  HeapEventQueue q;
+  HeapEventQueue& queue(int) { return q; }
+  void Each(std::vector<TimeNs> whens, std::function<void(size_t)> fn) {
+    for (size_t i = 0; i < whens.size(); ++i) {
+      q.ScheduleAt(whens[i], [fn, i] { fn(i); });
+    }
+  }
+  TimeNs now() const { return q.now(); }
+  void AdvanceBy(DurationNs d) { q.AdvanceBy(d); }
+  void RunUntil(TimeNs t) { q.RunUntil(t); }
+  void RunAll() { q.RunAll(); }
+};
+
+struct WheelKernel {
+  EventQueue q;
+  EventQueue& queue(int) { return q; }
+  void Each(std::vector<TimeNs> whens, std::function<void(size_t)> fn) {
+    q.ScheduleEach(std::move(whens), std::move(fn));
+  }
+  TimeNs now() const { return q.now(); }
+  void AdvanceBy(DurationNs d) { q.AdvanceBy(d); }
+  void RunUntil(TimeNs t) { q.RunUntil(t); }
+  void RunAll() { q.RunAll(); }
+};
+
+// Series go to the mailbox, as Cluster::SubmitTrace's do.
+struct ShardedKernel {
+  ShardedEventQueue s{kShards};
+  EventQueue& queue(int i) { return i == kMailbox ? s.global() : s.shard(static_cast<size_t>(i)); }
+  void Each(std::vector<TimeNs> whens, std::function<void(size_t)> fn) {
+    s.global().ScheduleEach(std::move(whens), std::move(fn));
+  }
+  TimeNs now() const { return s.now(); }
+  void AdvanceBy(DurationNs) { ADD_FAILURE() << "sharded scripts never advance"; }
+  void RunUntil(TimeNs t) { s.RunUntil(t); }
+  void RunAll() { s.RunAll(); }
+};
+
+template <typename Kernel>
+Replay Run(const std::vector<Op>& script) {
+  Kernel k;
+  Replay r;
+  std::vector<std::pair<int, EventId>> timers;  // (queue, id) of every timer.
+  const auto cancel = [&](size_t index) {
+    const auto& [q, id] = timers[index % timers.size()];
+    r.cancel_results.push_back(k.queue(q).Cancel(id));
+  };
+  // Handlers are pure functions of (tag, queue).  Only mailbox handlers
+  // reach other queues or submit series: the sharded kernel runs them at
+  // barriers, where every clock agrees.
+  std::function<void(int, int)> on_fire = [&](int tag, int q) {
+    r.fired.push_back({tag, q, k.queue(q).now()});  // A shard runs ahead of the fleet clock.
+    if (tag < kChildBase && tag % 4 == 1) {
+      // A chained event at +0, +1 or +2 ms: ties with the 1 ms grid.
+      const int child = tag + kChildBase;
+      const int child_q = q == kMailbox ? tag % kShards : q;
+      k.queue(child_q).ScheduleAfter(Msec(tag % 3),
+                                     [&on_fire, child, child_q] { on_fire(child, child_q); });
+    }
+    if (q != kMailbox || tag >= kChildBase) {
+      return;
+    }
+    if (tag % 7 == 2) {
+      // Mid-run submission: two calls already in the past clamp to now.
+      const int base = kNestedBase + tag * 8;
+      const TimeNs now = k.now();
+      k.Each({now + Msec(3), now - Msec(2), now, now + Msec(1), now - Msec(1)},
+             [&on_fire, base](size_t i) { on_fire(base + static_cast<int>(i), kMailbox); });
+    }
+    if (tag % 11 == 4 && !timers.empty()) {
+      cancel(static_cast<size_t>(tag));
+    }
+  };
+  for (const Op& op : script) {
+    switch (op.kind) {
+      case Op::kTimer: {
+        const int tag = op.tag;
+        const int q = op.queue;
+        timers.push_back({q, k.queue(q).ScheduleAt(k.now() + op.a,
+                                                   [&on_fire, tag, q] { on_fire(tag, q); })});
+        break;
+      }
+      case Op::kSeries: {
+        std::vector<TimeNs> whens;
+        for (const int64_t off : op.offsets) {
+          whens.push_back(k.now() + off);
+        }
+        const int base = op.tag;
+        k.Each(std::move(whens),
+               [&on_fire, base](size_t i) { on_fire(base + static_cast<int>(i), kMailbox); });
+        break;
+      }
+      case Op::kCancel:
+        if (!timers.empty()) {
+          cancel(static_cast<size_t>(op.a));
+        }
+        break;
+      case Op::kAdvance:
+        k.AdvanceBy(op.a);
+        break;
+      case Op::kRunUntil:
+        k.RunUntil(k.now() + op.a);
+        r.clocks.push_back(k.now());
+        break;
+    }
+  }
+  k.RunAll();
+  r.clocks.push_back(k.now());
+  return r;
+}
+
+// What shard `s` observes: its own events and the mailbox's, in order.
+// Across shards the sharded kernel may interleave differently from one
+// queue, but never within that view.
+std::vector<Fired> ViewOf(const std::vector<Fired>& fired, int s) {
+  std::vector<Fired> view;
+  for (const Fired& f : fired) {
+    if (f.queue == s || f.queue == kMailbox) {
+      view.push_back(f);
+    }
+  }
+  return view;
+}
+
+}  // namespace schedule_each_fuzz
+
+TEST_P(ScheduleEachFuzzTest, SeriesFireAsPerCallScheduleAt) {
+  using schedule_each_fuzz::Op;
+  const auto [seed, sharded] = GetParam();
+  Rng rng(seed * 0x2545f4914f6cdd1dull + 11);
+  std::vector<Op> script;
+  int next_tag = 0;
+  for (int i = 0; i < 300; ++i) {
+    const int64_t kind = rng.UniformInt(0, 9);
+    switch (kind) {
+      case 0:
+      case 1:
+      case 2: {
+        Op op(Op::kTimer, Msec(rng.UniformInt(0, 40)));
+        op.queue = static_cast<int>(rng.UniformInt(0, schedule_each_fuzz::kMailbox));
+        op.tag = next_tag++;
+        script.push_back(op);
+        break;
+      }
+      case 3:
+      case 4: {
+        // Unsorted, with duplicates and calls behind now; case 4 draws
+        // from four times only, so most calls tie.
+        Op op(Op::kSeries);
+        const int64_t n = rng.UniformInt(1, 12);
+        for (int64_t j = 0; j < n; ++j) {
+          op.offsets.push_back(kind == 4 ? Msec(10 * rng.UniformInt(0, 3) - 5)
+                                         : Msec(rng.UniformInt(-5, 40)));
+        }
+        op.tag = next_tag;
+        next_tag += static_cast<int>(n);
+        script.push_back(op);
+        break;
+      }
+      case 5:
+        script.push_back(Op(Op::kCancel, rng.UniformInt(0, 1 << 20)));
+        break;
+      case 6:
+        script.push_back(Op(sharded ? Op::kRunUntil : Op::kAdvance, Msec(rng.UniformInt(0, 6))));
+        break;
+      case 7:
+      case 8:
+        script.push_back(Op(Op::kRunUntil, Msec(rng.UniformInt(0, 30))));
+        break;
+      case 9:  // Run only what is due now (zero-delay chains included).
+        script.push_back(Op(Op::kRunUntil));
+        break;
+    }
+  }
+
+  const schedule_each_fuzz::Replay heap =
+      schedule_each_fuzz::Run<schedule_each_fuzz::HeapKernel>(script);
+  const schedule_each_fuzz::Replay got =
+      sharded ? schedule_each_fuzz::Run<schedule_each_fuzz::ShardedKernel>(script)
+              : schedule_each_fuzz::Run<schedule_each_fuzz::WheelKernel>(script);
+  EXPECT_EQ(got.cancel_results, heap.cancel_results);
+  EXPECT_EQ(got.clocks, heap.clocks);
+  ASSERT_EQ(got.fired.size(), heap.fired.size());
+  for (int s = 0; s < (sharded ? schedule_each_fuzz::kShards : 1); ++s) {
+    const std::vector<schedule_each_fuzz::Fired> want =
+        sharded ? schedule_each_fuzz::ViewOf(heap.fired, s) : heap.fired;
+    const std::vector<schedule_each_fuzz::Fired> saw =
+        sharded ? schedule_each_fuzz::ViewOf(got.fired, s) : got.fired;
+    ASSERT_EQ(saw.size(), want.size());
+    for (size_t i = 0; i < saw.size(); ++i) {
+      ASSERT_TRUE(saw[i] == want[i])
+          << "shard view " << s << " diverges at event " << i << ": tag " << saw[i].tag
+          << " at " << saw[i].at << " vs tag " << want[i].tag << " at " << want[i].at;
+    }
+  }
+  // The script exercised what it is for.
+  EXPECT_GT(heap.fired.size(), 200u);
+  EXPECT_FALSE(heap.cancel_results.empty());
+  EXPECT_TRUE(std::any_of(heap.fired.begin(), heap.fired.end(), [](const auto& f) {
+    return f.tag >= schedule_each_fuzz::kNestedBase;
+  }));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, ScheduleEachFuzzTest,
+    testing::Combine(testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u), testing::Bool()),
+    [](const testing::TestParamInfo<std::tuple<uint64_t, bool>>& param_info) {
+      return "seed" + std::to_string(std::get<0>(param_info.param)) +
+             (std::get<1>(param_info.param) ? "_sharded" : "_wheel");
+    });
 
 // --- Cluster migration fuzz: drain/migrate/undrain sequences -------------------
 

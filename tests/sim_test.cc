@@ -500,6 +500,74 @@ TEST(EventQueueTest, PeekNextAndSyncNowCoordinatorContract) {
   EXPECT_FALSE(q.RunOne());
 }
 
+TEST(EventQueueTest, ScheduleEachHoldsOneLiveEventAndFiresInStableOrder) {
+  // A series stores only its next call.  Calls fire in (when, index)
+  // order, and a time already in the past runs at the submission instant.
+  EventQueue q;
+  q.RunUntil(Msec(10));
+  std::vector<std::pair<size_t, TimeNs>> fired;
+  q.ScheduleEach({Msec(30), Msec(20), Msec(5), Msec(20), Msec(30)},
+                 [&](size_t i) { fired.push_back({i, q.now()}); });
+  EXPECT_EQ(q.pending(), 1u);
+  EXPECT_EQ(q.scheduled_events(), 1u);
+  q.RunAll();
+  EXPECT_EQ(fired, (std::vector<std::pair<size_t, TimeNs>>{
+                       {2, Msec(10)}, {1, Msec(20)}, {3, Msec(20)}, {0, Msec(30)},
+                       {4, Msec(30)}}));
+  EXPECT_EQ(q.scheduled_events(), 5u);  // One stored event per call.
+  EXPECT_EQ(q.processed_events(), 5u);
+  EXPECT_EQ(q.peak_pending(), 1u);
+  EXPECT_TRUE(q.empty());
+  q.ScheduleEach({}, [](size_t) { ADD_FAILURE() << "an empty series never fires"; });
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueueTest, ScheduleEachWinsTiesWithEventsScheduledAfterIt) {
+  // The series draws its sequence numbers at submission, so an event
+  // scheduled afterwards for a call's instant fires after that call — on
+  // the single wheel and on the sharded mailbox alike.
+  for (const bool sharded : {false, true}) {
+    ShardedEventQueue fleet(2);
+    EventQueue single;
+    EventQueue& q = sharded ? fleet.global() : single;
+    EventQueue& host = sharded ? fleet.shard(1) : single;
+    std::vector<std::string> log;
+    q.ScheduleEach({Msec(1), Msec(2)},
+                   [&](size_t i) { log.push_back("call" + std::to_string(i)); });
+    host.ScheduleAt(Msec(2), [&] { log.push_back("host timer"); });
+    q.ScheduleAt(Msec(2), [&] { log.push_back("timer"); });
+    if (sharded) {
+      fleet.RunAll();
+    } else {
+      single.RunAll();
+    }
+    EXPECT_EQ(log, (std::vector<std::string>{"call0", "call1", "host timer", "timer"}))
+        << (sharded ? "sharded" : "wheel");
+  }
+}
+
+TEST(EventQueueTest, PeakPendingAndScheduledEventsCountTheLiveSet) {
+  EventQueue q;
+  const EventId a = q.ScheduleAt(Msec(1), [] {});
+  q.ScheduleAt(Msec(2), [] {});
+  q.Cancel(a);
+  q.ScheduleAt(Msec(3), [] {});
+  EXPECT_EQ(q.pending(), 2u);
+  EXPECT_EQ(q.peak_pending(), 2u);
+  EXPECT_EQ(q.scheduled_events(), 3u);  // Cancelled events were stored too.
+  q.RunAll();
+  EXPECT_EQ(q.peak_pending(), 2u);
+  EXPECT_EQ(q.processed_events(), 2u);
+  // The sharded kernel sums its queues' counters.
+  ShardedEventQueue fleet(2);
+  fleet.shard(0).ScheduleAt(Msec(1), [] {});
+  fleet.shard(1).ScheduleAt(Msec(1), [] {});
+  fleet.global().ScheduleAt(Msec(2), [] {});
+  fleet.RunAll();
+  EXPECT_EQ(fleet.scheduled_events(), 3u);
+  EXPECT_EQ(fleet.peak_pending(), 3u);
+}
+
 // The runaway guard: a handler that reschedules itself forever never
 // drains, and returning after max_events would hand the caller a
 // truncated run with work still pending.  Both kernels stop the process

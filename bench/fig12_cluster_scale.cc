@@ -60,7 +60,7 @@ struct ComboResult {
   uint64_t admitted = 0;      // Invocations that reached a host (not rejected).
   uint64_t events = 0;        // Events the sim kernel executed for this run.
   uint64_t scheduled = 0;     // Events it stored (EventQueue::scheduled_events).
-  size_t peak_pending = 0;    // Its peak live set, summed over its queues.
+  uint64_t peak_pending = 0;  // Its peak live set, summed over its queues.
   uint64_t routing_hash = 0;  // Order-sensitive digest of every routing decision.
   double setup_sec = 0;       // Cluster build + trace gen + SubmitTrace.
   double wall_sec = 0;        // Wall-clock spent inside RunUntil only.
@@ -592,7 +592,7 @@ int main() {
     // Event-kernel work behind those events: how many it stored and its
     // peak live set (deterministic -> BENCH).
     json.Metric("sim_scheduled_events_" + tag, hb.scheduled);
-    json.Metric("sim_peak_pending_" + tag, static_cast<uint64_t>(hb.peak_pending));
+    json.Metric("sim_peak_pending_" + tag, hb.peak_pending);
     timing.Metric("sim_events_per_sec_" + tag, hb.events_per_sec());
   }
   scale.Print(std::cout);
@@ -641,7 +641,7 @@ int main() {
     json.Metric("shard_events_" + tag, sh.events);
     json.Metric("shard_scheduled_events_" + tag, sh.scheduled);
     // Sum of the per-shard and mailbox peaks.
-    json.Metric("shard_peak_pending_" + tag, static_cast<uint64_t>(sh.peak_pending));
+    json.Metric("shard_peak_pending_" + tag, sh.peak_pending);
     json.Metric("shard_balance_pct_" + tag, sh.shard_balance_pct());
     // Placement-path instrumentation: how many routing decisions the row
     // took, how many host deltas the index absorbed maintaining its

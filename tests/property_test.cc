@@ -2314,7 +2314,7 @@ constexpr int kNestedBase = 2'000'000;  // Tags of series submitted by handlers.
 
 struct Op {
   enum Kind { kTimer, kSeries, kCancel, kAdvance, kRunUntil };
-  Op(Kind k, int64_t arg = 0) : kind(k), a(arg) {}
+  explicit Op(Kind k, int64_t arg = 0) : kind(k), a(arg) {}
   Kind kind;
   int queue = kMailbox;          // kTimer: the queue it goes to.
   int64_t a = 0;                 // kTimer: delay; kCancel: timer index;

@@ -71,12 +71,12 @@ struct ClusterConfig {
   // restored working set instead of the full plug unit.  Off by default —
   // every existing experiment is bit-identical with it off.
   bool shared_snapshots = false;
-  // Event kernel for the fleet clock.  The single timer wheel is the
-  // default.  kSharded gives every host its own wheel plus a cross-shard
+  // Event kernel for the fleet clock.  The single queue is the
+  // default.  kSharded gives every host its own queue plus a cross-shard
   // mailbox, driven by the Cluster in deterministic lockstep epochs
   // (src/sim/sharded_event_queue.h) — but only for registry-free fleets:
   // with shared_dep_cache or shared_snapshots set, host handlers touch
-  // cross-host state, so the Cluster builds the single wheel instead and
+  // cross-host state, so the Cluster builds the single queue instead and
   // sharded() stays null.  Both kernels fire events in identical order
   // (locked by tests and the property fuzz), so this knob never changes
   // results — only wall-clock speed.
@@ -129,7 +129,7 @@ class Cluster : private HostStateListener {
 
   // Under kSharded these drive the epoch coordinator: advance each shard
   // to the next cross-shard barrier, merge the barrier
-  // instant in (when, seq) order, repeat.  The single wheel just runs.
+  // instant in (when, seq) order, repeat.  The single queue just runs.
   void RunUntil(TimeNs t) {
     if (sharded_ != nullptr) {
       sharded_->RunUntil(t);
@@ -263,7 +263,7 @@ class Cluster : private HostStateListener {
 
   const ClusterConfig config_;  // Immutable after construction.
   // Exactly one of the two kernels below is live: the per-host shard
-  // array + mailbox (kSharded, no registries), or one global wheel.
+  // array + mailbox (kSharded, no registries), or one global queue.
   // `events_` always points at the fleet-level queue (the mailbox when
   // sharded) so the scheduling sites read uniformly.
   std::unique_ptr<ShardedEventQueue> sharded_;

@@ -345,8 +345,8 @@ class FaasRuntime : public HostControl, private ReclaimHost {
   size_t listener_host_ = 0;  // This host's index at the listener.
   // Per-host periodic work, coalesced: each timer owns its closure once
   // and re-arms in place every pressure_check_period instead of
-  // scheduling a fresh closure per tick per host (the fleet-scale event
-  // churn the timer wheel exists to absorb).
+  // scheduling a fresh closure per tick per host (fleet-scale event
+  // churn).
   RepeatingTimer pressure_timer_;
   RepeatingTimer drain_timer_;
 };

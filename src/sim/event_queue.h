@@ -4,25 +4,14 @@
 // for the same instant fire in scheduling order (stable), which keeps
 // every experiment bit-deterministic for a given seed.
 //
-// Storage is a hierarchical timer wheel:
-//   * fine wheel  — ~2.1 ms ticks over the current ~2.1 s region; the
-//     hot path (grant latencies, unplug completions, pressure ticks)
-//     inserts and pops here in O(log slot) with tiny slots;
-//   * coarse wheel — ~2.1 s slots over the next ~36 min; far-future work
-//     (keep-alive timers, the next arrival of a sparse trace) lands here
-//     O(1) and cascades into the fine wheel one region at a time, lazily,
-//     as the clock reaches it;
-//   * super wheel — ~36.6 min slots over the next ~26 days; anything
-//     scheduled hours ahead lands here O(1) and each slot is dumped into
-//     the coarse window when the clock enters its block, so it never
-//     piles onto the overflow heap;
-//   * overflow heap — anything beyond the super horizon, plus entries
-//     scheduled behind an already-advanced region; rare, and always
-//     consulted by the peek so order can never be lost.
+// Storage is one 4-ary min-heap ordered by (when, seq) whose entries
+// point into a slot table; a slot holds the event's closure, its heap
+// position and a generation counter.  An EventId names (slot,
+// generation), so Cancel finds its entry without hashing, removes it in
+// O(log n) and destroys the closure at once: nothing cancelled lingers.
 // Firing order is a pure function of (timestamp, global scheduling
-// sequence), so the wheel is bit-identical to the single binary heap it
-// replaced; that heap lives on only as the test oracle the wheel fuzz
-// replays against (tests/oracles/heap_event_queue.h).
+// sequence); tests/oracles/heap_event_queue.h is the independent
+// reference the oracle fuzz replays against.
 //
 // A trace is not stored whole: ScheduleEach keeps one live event per
 // submitted series (its next call that is due), so the live set stays
@@ -40,105 +29,9 @@
 
 namespace squeezy {
 
+// An opaque handle: (slot, generation) of the event it names.
 using EventId = uint64_t;
 inline constexpr EventId kInvalidEventId = 0;
-
-// Open-addressed set of live event ids (linear probing, backward-shift
-// deletion, power-of-two capacity).  Every event pays one insert, one
-// liveness check and one erase here, so this is the queue's shared
-// constant factor; a flat uint64 table with one multiply-mix hash beats
-// std::unordered_set's node allocations by a wide margin.  EventIds are
-// never 0 (kInvalidEventId), so 0 marks an empty slot and no tombstones
-// are needed.
-class EventIdSet {
- public:
-  EventIdSet() : table_(kMinCapacity, 0) {}
-
-  size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-
-  bool contains(EventId id) const {
-    size_t i = Hash(id) & Mask();
-    while (table_[i] != 0) {
-      if (table_[i] == id) {
-        return true;
-      }
-      i = (i + 1) & Mask();
-    }
-    return false;
-  }
-
-  void insert(EventId id) {
-    if ((size_ + 1) * 2 > table_.size()) {
-      Grow();
-    }
-    size_t i = Hash(id) & Mask();
-    while (table_[i] != 0) {
-      if (table_[i] == id) {
-        return;
-      }
-      i = (i + 1) & Mask();
-    }
-    table_[i] = id;
-    ++size_;
-  }
-
-  bool erase(EventId id) {
-    if (id == kInvalidEventId) {
-      return false;  // 0 is the empty sentinel, never a stored id.
-    }
-    size_t i = Hash(id) & Mask();
-    while (table_[i] != id) {
-      if (table_[i] == 0) {
-        return false;
-      }
-      i = (i + 1) & Mask();
-    }
-    // Backward-shift deletion: pull displaced probe-chain members back
-    // over the hole so lookups never need tombstone markers (this set is
-    // erase-heavy — one erase per event ever scheduled).
-    size_t hole = i;
-    for (size_t j = (i + 1) & Mask(); table_[j] != 0; j = (j + 1) & Mask()) {
-      const size_t home = Hash(table_[j]) & Mask();
-      if (((j - home) & Mask()) >= ((j - hole) & Mask())) {
-        table_[hole] = table_[j];
-        hole = j;
-      }
-    }
-    table_[hole] = 0;
-    --size_;
-    return true;
-  }
-
- private:
-  static constexpr size_t kMinCapacity = 64;
-  static uint64_t Hash(uint64_t x) {
-    // splitmix64 finalizer: sequential ids spread over the whole table.
-    x ^= x >> 33;
-    x *= 0xff51afd7ed558ccdull;
-    x ^= x >> 33;
-    x *= 0xc4ceb9fe1a85ec53ull;
-    x ^= x >> 33;
-    return x;
-  }
-  size_t Mask() const { return table_.size() - 1; }
-  void Grow() {
-    std::vector<uint64_t> old = std::move(table_);
-    table_.assign(old.size() * 2, 0);
-    for (const uint64_t id : old) {
-      if (id != 0) {
-        size_t i = Hash(id) & Mask();
-        while (table_[i] != 0) {
-          i = (i + 1) & Mask();
-        }
-        table_[i] = id;
-      }
-    }
-  }
-
-  std::vector<uint64_t> table_;
-  size_t size_ = 0;
-};
 
 // A handler may freely call ScheduleAt/ScheduleAfter/Cancel back into
 // the queue (the simulator does this constantly): its closure is moved
@@ -146,15 +39,15 @@ class EventIdSet {
 class EventQueue {
  public:
   // The fleet kernel a Cluster builds (ClusterConfig::queue_impl); an
-  // EventQueue itself is always the wheel.
+  // EventQueue itself is always one heap.
   enum class Impl {
-    kTimerWheel,  // One wheel for the whole fleet (default).
-    // Per-host wheel shards driven in deterministic lockstep epochs
+    kTimerWheel,  // One queue for the whole fleet (default).
+    // Per-host queue shards driven in deterministic lockstep epochs
     // (src/sim/sharded_event_queue.h); each shard is one EventQueue.
     kSharded,
   };
 
-  EventQueue();
+  EventQueue() = default;
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
@@ -176,12 +69,11 @@ class EventQueue {
   // cancelled.
   void ScheduleEach(std::vector<TimeNs> whens, std::function<void(size_t)> fn);
 
-  // Cancels a pending event.  Returns false if it already ran, was
-  // cancelled, or was never issued.  Cancelling kInvalidEventId is a
-  // no-op.  Cancellation is lazy (the stored entry becomes a tombstone),
-  // but storage stays bounded: once live entries fall below half of the
-  // stored ones, the tombstones — and the closures they own — are
-  // compacted away instead of lingering until naturally popped.
+  // Cancels a pending event: removes it and destroys its closure before
+  // returning.  Returns false if it already ran (or is running), was
+  // cancelled, or was never issued; kInvalidEventId is never issued.  A
+  // slot is reused only under a new generation, so a stale id never
+  // cancels a later event.
   bool Cancel(EventId id);
 
   // Advances the clock without running events (used by synchronous cost
@@ -199,12 +91,11 @@ class EventQueue {
   void RunAll(uint64_t max_events = 50'000'000);
 
   // --- Sharded-coordinator primitives (src/sim/sharded_event_queue.h) ------
-  // The earliest live event's (when, seq) without running it; false when
-  // drained.  Prunes tombstones and positions the scan cursor, so
-  // repeated peeks on an unchanged queue are cheap (pair with
+  // The earliest pending event's (when, seq) without running it; false
+  // when drained.  O(1): it reads the heap top (pair with
   // change_version() to skip re-peeking unchanged shards entirely).
-  bool PeekNext(TimeNs* when, uint64_t* seq);
-  // Pops and runs the earliest live event; false when drained.  The
+  bool PeekNext(TimeNs* when, uint64_t* seq) const;
+  // Pops and runs the earliest pending event; false when drained.  The
   // coordinator's (when, seq) merge primitive.
   bool RunOne();
   // Advances the clock to `t` when behind, without running events — the
@@ -225,60 +116,32 @@ class EventQueue {
 
   // Live events: scheduled and neither run nor cancelled.  A series from
   // ScheduleEach counts as one until its last call runs.
-  bool empty() const { return live_.empty(); }
-  size_t pending() const { return live_.size(); }
+  bool empty() const { return heap_.empty(); }
+  size_t pending() const { return heap_.size(); }
   // High-water mark of pending().
   size_t peak_pending() const { return peak_pending_; }
   // Events put into storage so far: one per ScheduleAt, one per call of
   // a ScheduleEach series (each is stored when the previous one runs).
   uint64_t scheduled_events() const { return scheduled_; }
-  // Entries physically stored (live + not-yet-compacted tombstones);
-  // the cancel-heavy-workload bound locked by tests/sim_test.cc.
-  size_t stored_entries() const {
-    return fine_count_ + coarse_count_ + super_count_ + overflow_.size();
-  }
   // Events actually executed so far (bench throughput accounting).
   uint64_t processed_events() const { return processed_; }
 
  private:
-  struct Entry {
+  // A heap entry; `slot` indexes slots_.
+  struct Node {
     TimeNs when;
     uint64_t seq;
-    EventId id;
+    uint32_t slot;
+  };
+  // A pending event's closure and heap position (kFree when the slot
+  // holds none); `gen` is the generation its current id carries.
+  struct Slot {
     std::function<void()> fn;
+    uint32_t pos = kFree;
+    uint32_t gen = 1;
   };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.when != b.when) {
-        return a.when > b.when;
-      }
-      return a.seq > b.seq;
-    }
-  };
-
-  // Wheel geometry.  Fine: 2^21 ns (~2.1 ms) ticks, 1024 slots — one
-  // region spans 2^31 ns (~2.15 s).  Coarse: one slot per region, 1024
-  // slots (~36.6 min horizon).  Super: one slot per 1024-region block
-  // (2^41 ns ≈ 36.6 min each), 1024 slots — ~26 day horizon.  The fine
-  // region always covers exactly the coarse tick `region_`, and the
-  // coarse window always starts inside the super block `super_pos_`.
-  static constexpr int kFineShift = 21;
-  static constexpr int kCoarseShift = 31;
-  static constexpr int kSuperShift = 41;
-  static constexpr uint64_t kFineSlots = 1024;
-  static constexpr uint64_t kFineMask = kFineSlots - 1;
-  static constexpr uint64_t kCoarseSlots = 1024;
-  static constexpr uint64_t kCoarseMask = kCoarseSlots - 1;
-  static constexpr uint64_t kSuperSlots = 1024;
-  static constexpr uint64_t kSuperMask = kSuperSlots - 1;
-  // Regions per super block: super index = region >> kSuperRegionShift.
-  static constexpr int kSuperRegionShift = kSuperShift - kCoarseShift;
-  static uint64_t FineTickOf(TimeNs when) {
-    return static_cast<uint64_t>(when) >> kFineShift;
-  }
-  static uint64_t RegionOf(TimeNs when) {
-    return static_cast<uint64_t>(when) >> kCoarseShift;
-  }
+  static constexpr uint32_t kFree = UINT32_MAX;
+  static constexpr size_t kArity = 4;
 
   // A ScheduleEach series: its calls in firing order and the next one.
   struct Series {
@@ -290,78 +153,39 @@ class EventQueue {
     std::function<void(size_t)> fn;
   };
 
-  // Stores one event under a fresh id and returns the id.
+  // Stores one event in a free slot and returns its id.
   EventId Schedule(TimeNs when, uint64_t seq, std::function<void()> fn);
   // Stores the series' next call, which re-arms the one after it.
   void ArmNext(std::shared_ptr<Series> series);
-  void Insert(Entry e);
-  // Slot-heap push into the fine wheel (rewinds the scan cursor).
-  void PushFine(Entry e);
-  // Moves overflow entries that entered the coarse window into their
-  // slots (current-region entries go straight to the fine wheel).
-  // Entries *before* the window stay put — the peek comparison finds
-  // them there.
-  void CascadeOverflow();
-  // Refills the empty fine wheel: cascades overflow, then advances (or
-  // jumps) the region to the next non-empty coarse slot and dumps it;
-  // when the coarse window drains too, jumps to the next non-empty super
-  // slot and dumps that block into the coarse window first.  Returns
-  // whether the fine wheel is non-empty afterwards; false means the only
-  // remaining entries (if any) sit in the overflow heap.
-  bool RefillFine();
-  // Dumps super slot `super_pos_` into the fine/coarse window.  Caller
-  // has just positioned region_ at the block's first region, so every
-  // entry in the slot fits the coarse window (or the fine region).
-  void DumpSuperSlot();
-  // After region_ advanced: if it crossed into a new super block, move
-  // super_pos_ with it and dump the block's slot into the window.
-  void MaybeEnterSuperBlock();
-  // Prunes cancelled tombstones, positions the fine cursor at the
-  // wheel's earliest entry, and returns the earliest live entry (wheel
-  // vs overflow decided by (when, seq)) — or nullptr when drained.
-  // Sets peek_overflow_ for PopPeeked.
-  const Entry* PeekEarliestLive();
-  Entry PopPeeked();
-  // Pops the entry PeekEarliestLive just positioned, retires its id,
-  // advances the clock and returns its closure for the caller to run
-  // (handlers re-enter the queue, so the closure must leave its storage).
-  std::function<void()> TakePeeked();
-  // Drops every tombstone from the wheels and overflow (storage bound).
-  void Compact();
+  static bool Earlier(const Node& a, const Node& b) {
+    return a.when != b.when ? a.when < b.when : a.seq < b.seq;
+  }
+  // Writes `node` at heap position `pos` and records it in its slot.
+  void Place(size_t pos, const Node& node) {
+    heap_[pos] = node;
+    slots_[node.slot].pos = static_cast<uint32_t>(pos);
+  }
+  // Moves the entry at heap position `pos` up or down to its place.
+  void Sift(size_t pos);
+  // Removes the entry at heap position `pos` and frees its slot under
+  // the next generation; the slot's closure must already be moved out.
+  void Remove(size_t pos);
 
   TimeNs now_ = 0;
-  uint64_t next_seq_ = 1;
-  // Shared fleet-wide sequence source (sharded mode); null = next_seq_.
-  uint64_t* seq_source_ = nullptr;
-  EventId next_id_ = 1;
+  // The last sequence number drawn: own_seq_, or the shared fleet-wide
+  // source in sharded mode.
+  uint64_t own_seq_ = 0;
+  uint64_t* seq_ = &own_seq_;
   uint64_t processed_ = 0;
   uint64_t scheduled_ = 0;
   size_t peak_pending_ = 0;
   // Bumped on schedule/cancel/pop.
   uint64_t change_version_ = 0;
-  bool peek_overflow_ = false;
-  // Coarse tick covered by the fine wheel.
-  uint64_t region_ = 0;
-  // Super block containing region_ (invariant: region_ >> kSuperRegionShift).
-  uint64_t super_pos_ = 0;
-  // Fine-tick scan position within region_.
-  uint64_t fine_cursor_ = 0;
-  size_t fine_count_ = 0;    // Entries across fine slots.
-  size_t coarse_count_ = 0;  // Entries across coarse slots.
-  size_t super_count_ = 0;   // Entries across super slots.
-  // Min-heaps by (when, seq).
-  std::vector<std::vector<Entry>> fine_slots_;
-  // Unsorted buckets.
-  std::vector<std::vector<Entry>> coarse_slots_;
-  // Unsorted buckets, one per 1024-region block.
-  std::vector<std::vector<Entry>> super_slots_;
-  // Min-heap by (when, seq).
-  std::vector<Entry> overflow_;
-  // Ids issued and neither run nor cancelled yet.  Ids are unique and
-  // never reused, so a stored entry whose id is absent here is a
-  // cancellation tombstone — no separate cancelled set that could leak
-  // entries for already-run or never-issued ids.
-  EventIdSet live_;
+  // 4-ary min-heap by (when, seq): exactly the pending events.
+  std::vector<Node> heap_;
+  std::vector<Slot> slots_;
+  // Slots holding no event, reused last-in first-out.
+  std::vector<uint32_t> free_;
 };
 
 // One persistent closure re-armed in place.  Per-host periodic work

@@ -1,6 +1,6 @@
 // Per-host event-queue shards driven in deterministic lockstep epochs.
 //
-// One wheel (EventQueue) per host plus one cross-shard mailbox queue for
+// One EventQueue per host plus one cross-shard mailbox queue for
 // fleet-level events (trace dispatch, migration completions — everything
 // scheduled from the coordinator context).  All queues draw their
 // scheduling sequence numbers from ONE shared counter, so (when, seq)
@@ -29,7 +29,7 @@
 //
 // That argument needs hosts that share nothing.  A fleet with a shared
 // DepCache or SnapshotStore attached lets host handlers touch cross-host
-// state, so the Cluster runs it on the single wheel instead (see
+// state, so the Cluster runs it on the single queue instead (see
 // ClusterConfig::queue_impl); this kernel only ever drives registry-free
 // fleets.
 #ifndef SQUEEZY_SIM_SHARDED_EVENT_QUEUE_H_
@@ -46,7 +46,7 @@ namespace squeezy {
 
 class ShardedEventQueue {
  public:
-  // `nr_shards` per-host wheels + one mailbox queue.
+  // `nr_shards` per-host queues + one mailbox queue.
   explicit ShardedEventQueue(size_t nr_shards);
   ShardedEventQueue(const ShardedEventQueue&) = delete;
   ShardedEventQueue& operator=(const ShardedEventQueue&) = delete;

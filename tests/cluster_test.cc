@@ -58,7 +58,7 @@ ClusterTraceConfig SkewedTrace() {
 
 TEST(ClusterTest, ShardedKernelOnlyForRegistryFreeFleets) {
   // A shared registry lets host handlers touch cross-host state, so a
-  // kSharded config with one attached runs on the single wheel instead.
+  // kSharded config with one attached runs on the single queue instead.
   ClusterConfig cfg = BaseConfig(4, PlacementPolicy::kRoundRobin, GiB(8));
   cfg.queue_impl = EventQueue::Impl::kSharded;
   EXPECT_NE(Cluster(cfg).sharded(), nullptr);

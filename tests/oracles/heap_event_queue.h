@@ -1,11 +1,12 @@
-// Reference model for the timer-wheel fuzz (tests/property_test.cc): the
-// single binary heap that src/sim/event_queue.h's wheel replaced, kept
-// only as a test oracle.  Same contract as EventQueue — events fire in
-// (when, scheduling sequence) order, ScheduleAt clamps to now, the clock
-// never moves backwards, and cancellation is lazy (a dead entry is
-// skipped when it reaches the top) — with none of the wheel's levels,
-// cursors, compaction or locking.  Ids double as the sequence: both are
-// issued once per ScheduleAt, in order.
+// Reference model for the event-queue fuzz (tests/property_test.cc): a
+// plain binary heap kept only as a test oracle.  Same contract as
+// EventQueue — events fire in (when, scheduling sequence) order,
+// ScheduleAt clamps to now, the clock never moves backwards, and a dead
+// id cancels nothing — built differently: cancellation is lazy (a dead
+// entry is skipped when it reaches the top) and liveness is a std::set,
+// with none of EventQueue's slot table, generations or in-place removal.
+// Ids double as the sequence: both are issued once per ScheduleAt, in
+// order.
 #ifndef SQUEEZY_TESTS_ORACLES_HEAP_EVENT_QUEUE_H_
 #define SQUEEZY_TESTS_ORACLES_HEAP_EVENT_QUEUE_H_
 

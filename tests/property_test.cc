@@ -2146,18 +2146,18 @@ INSTANTIATE_TEST_SUITE_P(
              balloon_oracle::BackingName(std::get<2>(param_info.param));
     });
 
-// --- Timer-wheel fuzz: wheel vs the binary-heap oracle, op for op ---------------
+// --- Event-queue fuzz: EventQueue vs the binary-heap oracle, op for op ----------
 
 // The determinism contract — events fire in pure (timestamp, scheduling
 // sequence) order, cancellations only remove their own event, the clock
 // advances identically — must hold for ANY interleaving of ScheduleAt /
 // ScheduleAfter / Cancel / AdvanceBy / RunUntil, including events that
-// schedule and cancel other events from inside their handlers.  The old
-// single priority queue survives as tests/oracles/heap_event_queue.h, so
-// it IS the reference model: both queues replay one random op script and
-// must produce identical ids, cancel results, firing logs, clocks and
-// pending counts at every checkpoint.
-class EventQueueWheelFuzzTest : public testing::TestWithParam<uint64_t> {};
+// schedule and cancel other events from inside their handlers.  The
+// reference model is tests/oracles/heap_event_queue.h: both queues replay
+// one random op script and must produce identical cancel results, firing
+// logs, clocks and pending counts at every checkpoint.  Ids are opaque
+// handles, so they are only checked to be nonzero and all distinct.
+class EventQueueVsHeapOracleFuzzTest : public testing::TestWithParam<uint64_t> {};
 
 namespace event_queue_fuzz {
 
@@ -2227,7 +2227,7 @@ Replay Run(const std::vector<Op>& script) {
 
 }  // namespace event_queue_fuzz
 
-TEST_P(EventQueueWheelFuzzTest, WheelMatchesHeapReferenceExactly) {
+TEST_P(EventQueueVsHeapOracleFuzzTest, MatchesHeapReferenceExactly) {
   using event_queue_fuzz::Op;
   const uint64_t seed = GetParam();
   Rng rng(seed * 0x9e3779b97f4a7c15ull + 3);
@@ -2238,16 +2238,15 @@ TEST_P(EventQueueWheelFuzzTest, WheelMatchesHeapReferenceExactly) {
       case 0:
       case 1:
       case 2:
-      case 3: {  // Near-future: lands in the wheel window.
+      case 3: {  // Near-future.
         script.push_back({Op::kSchedule, Msec(rng.UniformInt(0, 2000)), next_tag++});
         break;
       }
-      case 4: {  // Far-future: lands in the coarse wheel, cascades in later.
+      case 4: {  // Far-future: seconds to minutes out.
         script.push_back({Op::kSchedule, Sec(rng.UniformInt(3, 120)), next_tag++});
         break;
       }
-      case 5: {  // Multi-hour: beyond the ~36 min coarse horizon — lands
-                 // in the super wheel (or overflow past its ~26 day span).
+      case 5: {  // Multi-hour: up to two days out.
         script.push_back({Op::kSchedule, Minutes(rng.UniformInt(30, 2880)), next_tag++});
         break;
       }
@@ -2269,23 +2268,29 @@ TEST_P(EventQueueWheelFuzzTest, WheelMatchesHeapReferenceExactly) {
   }
   script.push_back({Op::kRunUntil, Minutes(3), 0});
 
-  const event_queue_fuzz::Replay wheel = event_queue_fuzz::Run<EventQueue>(script);
+  const event_queue_fuzz::Replay queue = event_queue_fuzz::Run<EventQueue>(script);
   const event_queue_fuzz::Replay heap = event_queue_fuzz::Run<HeapEventQueue>(script);
 
-  EXPECT_EQ(wheel.ids, heap.ids);
-  EXPECT_EQ(wheel.cancel_results, heap.cancel_results);
-  EXPECT_EQ(wheel.clocks, heap.clocks);
-  EXPECT_EQ(wheel.pendings, heap.pendings);
-  ASSERT_EQ(wheel.fired.size(), heap.fired.size());
-  for (size_t i = 0; i < wheel.fired.size(); ++i) {
-    EXPECT_EQ(wheel.fired[i], heap.fired[i]) << "divergence at event " << i;
+  ASSERT_EQ(queue.ids.size(), heap.ids.size());
+  std::vector<EventId> ids = queue.ids;
+  ASSERT_FALSE(ids.empty());
+  std::sort(ids.begin(), ids.end());
+  EXPECT_NE(ids.front(), kInvalidEventId);
+  EXPECT_EQ(std::adjacent_find(ids.begin(), ids.end()), ids.end())
+      << "an id was issued twice";
+  EXPECT_EQ(queue.cancel_results, heap.cancel_results);
+  EXPECT_EQ(queue.clocks, heap.clocks);
+  EXPECT_EQ(queue.pendings, heap.pendings);
+  ASSERT_EQ(queue.fired.size(), heap.fired.size());
+  for (size_t i = 0; i < queue.fired.size(); ++i) {
+    EXPECT_EQ(queue.fired[i], heap.fired[i]) << "divergence at event " << i;
   }
   // Sanity on the scenario itself: events fired and some were cancelled.
-  EXPECT_GT(wheel.fired.size(), 100u);
-  EXPECT_FALSE(wheel.cancel_results.empty());
+  EXPECT_GT(queue.fired.size(), 100u);
+  EXPECT_FALSE(queue.cancel_results.empty());
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueWheelFuzzTest,
+INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueVsHeapOracleFuzzTest,
                          testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u),
                          [](const testing::TestParamInfo<uint64_t>& param_info) {
                            return "seed" + std::to_string(param_info.param);
@@ -2295,7 +2300,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueWheelFuzzTest,
 
 // EventQueue::ScheduleEach stores only a series' next call, yet must fire
 // exactly as the n ScheduleAt calls it replaces, made at submission.  The
-// heap oracle expands every series into those calls; the single wheel and
+// heap oracle expands every series into those calls; the single queue and
 // the sharded kernel's mailbox run the real primitive.  Scripts mix
 // unsorted series with duplicate and already-past times, timers on a 1 ms
 // grid that tie with the calls (scheduled before and after the series),
@@ -2353,7 +2358,7 @@ struct HeapKernel {
   void RunAll() { q.RunAll(); }
 };
 
-struct WheelKernel {
+struct SingleKernel {
   EventQueue q;
   EventQueue& queue(int) { return q; }
   void Each(std::vector<TimeNs> whens, std::function<void(size_t)> fn) {
@@ -2519,7 +2524,7 @@ TEST_P(ScheduleEachFuzzTest, SeriesFireAsPerCallScheduleAt) {
       schedule_each_fuzz::Run<schedule_each_fuzz::HeapKernel>(script);
   const schedule_each_fuzz::Replay got =
       sharded ? schedule_each_fuzz::Run<schedule_each_fuzz::ShardedKernel>(script)
-              : schedule_each_fuzz::Run<schedule_each_fuzz::WheelKernel>(script);
+              : schedule_each_fuzz::Run<schedule_each_fuzz::SingleKernel>(script);
   EXPECT_EQ(got.cancel_results, heap.cancel_results);
   EXPECT_EQ(got.clocks, heap.clocks);
   ASSERT_EQ(got.fired.size(), heap.fired.size());
@@ -2548,7 +2553,7 @@ INSTANTIATE_TEST_SUITE_P(
     testing::Combine(testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u), testing::Bool()),
     [](const testing::TestParamInfo<std::tuple<uint64_t, bool>>& param_info) {
       return "seed" + std::to_string(std::get<0>(param_info.param)) +
-             (std::get<1>(param_info.param) ? "_sharded" : "_wheel");
+             (std::get<1>(param_info.param) ? "_sharded" : "_single");
     });
 
 // --- Cluster migration fuzz: drain/migrate/undrain sequences -------------------
@@ -3100,9 +3105,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SnapshotMigrationFuzzTest,
 // The sharded kernel's whole contract is "bit-identical to the single
 // queue" (src/sim/sharded_event_queue.h).  One random churn script —
 // drain/undrain/pressure-migrate while a skewed trace runs — is replayed
-// under the single-queue wheel and under kSharded, with the shared
+// under the single queue and under kSharded, with the shared
 // registries both detached (lockstep epochs) and attached (the Cluster
-// falls back to the single wheel, because handlers touch cross-host
+// falls back to the single queue, because handlers touch cross-host
 // state).  Every replay must produce a
 // byte-identical fleet digest: per-request firing logs, cold-start
 // breakdowns, host books, migration records, the routing hash and the

@@ -257,6 +257,44 @@ TEST(EventQueueTest, CancelBogusIdDoesNotCorruptBooks) {
   EXPECT_EQ(q.pending(), 0u);
 }
 
+TEST(EventQueueTest, HandlerCancellingItsOwnIdGetsFalse) {
+  // A firing event's id is dead before its handler runs, so the handler
+  // cannot cancel itself, and its attempt leaves the other event alone.
+  EventQueue q;
+  EventId self = kInvalidEventId;
+  bool own_cancel = true;
+  bool other_ran = false;
+  self = q.ScheduleAt(Sec(1), [&] { own_cancel = q.Cancel(self); });
+  q.ScheduleAt(Sec(2), [&] { other_ran = true; });
+  q.RunUntil(Sec(1));
+  EXPECT_FALSE(own_cancel);
+  EXPECT_EQ(q.pending(), 1u);
+  q.RunAll();
+  EXPECT_TRUE(other_ran);
+  EXPECT_EQ(q.processed_events(), 2u);
+}
+
+TEST(EventQueueTest, StaleIdDoesNotCancelALaterEventInItsSlot) {
+  // Storage slots are reused once their event ran or was cancelled; the
+  // old id must not reach the new event that took the slot.
+  for (const bool cancel_first : {false, true}) {
+    EventQueue q;
+    const EventId old_id = q.ScheduleAt(Msec(1), [] {});
+    if (cancel_first) {
+      ASSERT_TRUE(q.Cancel(old_id));
+    }
+    q.RunAll();
+    bool fired = false;
+    const EventId new_id = q.ScheduleAt(Msec(2), [&] { fired = true; });
+    EXPECT_NE(new_id, old_id);
+    EXPECT_NE(new_id, kInvalidEventId);
+    EXPECT_FALSE(q.Cancel(old_id)) << (cancel_first ? "cancelled" : "ran");
+    EXPECT_EQ(q.pending(), 1u);
+    q.RunAll();
+    EXPECT_TRUE(fired) << (cancel_first ? "cancelled" : "ran");
+  }
+}
+
 TEST(EventQueueTest, DoubleCancelSecondFails) {
   EventQueue q;
   const EventId a = q.ScheduleAt(Sec(1), [] {});
@@ -340,11 +378,10 @@ TEST(EventQueueTest, PastDeadlineScheduleClampsToNow) {
 }
 
 TEST(EventQueueTest, CancelHeavyWorkloadKeepsStorageBounded) {
-  // Lazy cancellation must not grow the queue without bound: tombstones
-  // (and the closures they own) are compacted once they outnumber live
-  // entries, instead of lingering until naturally popped.  The old
-  // behavior kept every cancelled entry until its timestamp drained, so
-  // this loop would have held ~200k dead closures (and their payloads).
+  // Cancellation must not grow the queue without bound: Cancel removes
+  // the entry and destroys its closure (and what the closure owns) before
+  // it returns.  Keeping cancelled entries until their timestamp drained
+  // would hold ~200k dead closures (and their payloads) here.
   EventQueue q;
   auto payload = std::make_shared<int>(7);  // Owned by every dead closure.
   std::vector<EventId> live;
@@ -357,32 +394,33 @@ TEST(EventQueueTest, CancelHeavyWorkloadKeepsStorageBounded) {
     ASSERT_TRUE(q.Cancel(id));
     // Live set and storage stay bounded at every step, not just at the end.
     ASSERT_EQ(q.pending(), 16u);
-    ASSERT_LE(q.stored_entries(), 2 * q.pending() + 64);
+    ASSERT_EQ(payload.use_count(), 1);  // The dead closure is already gone.
   }
-  // All but the last (not-yet-compacted) few dead closures were freed;
-  // without compaction this would be ~200001.
-  EXPECT_LE(payload.use_count(), 65);
   q.RunAll();
   EXPECT_EQ(*payload, 7);  // None of the cancelled events ever ran.
   EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.stored_entries(), 0u);
 }
 
-TEST(EventQueueTest, CompactionPreservesFiringOrder) {
-  // Force compactions mid-stream and check survivors still fire in exact
-  // (when, seq) order across wheel slots and the overflow heap.
+TEST(EventQueueTest, CancelsKeepSurvivorFiringOrder) {
+  // Cancel every other event, from all over the heap, and check the
+  // survivors still fire in exact (when, seq) order.
   EventQueue q;
   std::vector<int> fired;
   std::vector<EventId> ids;
+  std::vector<std::shared_ptr<int>> payloads;  // One owned by each closure.
   for (int i = 0; i < 512; ++i) {
-    // Mix of near-window and far-future timestamps.
+    // Mix of near and far-future timestamps.
     const TimeNs when = (i % 3 == 0) ? Msec(10 + i) : Sec(30) + Msec(i);
-    ids.push_back(q.ScheduleAt(when, [&fired, i] { fired.push_back(i); }));
+    payloads.push_back(std::make_shared<int>(i));
+    ids.push_back(
+        q.ScheduleAt(when, [&fired, p = payloads.back()] { fired.push_back(*p); }));
   }
   for (int i = 0; i < 512; i += 2) {
     ASSERT_TRUE(q.Cancel(ids[static_cast<size_t>(i)]));
+    // The cancelled closure is destroyed inside Cancel.
+    ASSERT_EQ(payloads[static_cast<size_t>(i)].use_count(), 1) << i;
+    ASSERT_EQ(payloads[static_cast<size_t>(i) + 1].use_count(), 2) << i;
   }
-  ASSERT_LE(q.stored_entries(), 2 * q.pending() + 64);
   q.RunAll();
   ASSERT_EQ(fired.size(), 256u);
   // Survivors (odd i) must appear in (when, seq) order: rebuild expected.
@@ -397,21 +435,18 @@ TEST(EventQueueTest, CompactionPreservesFiringOrder) {
   }
 }
 
-TEST(EventQueueTest, SuperWheelOrdersMultiHourTimestamps) {
-  // Timestamps far beyond the coarse wheel's ~36 min horizon land in the
-  // third (super) wheel level; mixed near/coarse/super/overflow schedules
-  // must still fire in exact (when, seq) order.  Before the super level,
-  // every multi-hour event sat in the overflow heap — multi-hour traces
-  // degenerated to the pre-wheel kernel.
+TEST(EventQueueTest, OrdersMultiHourTimestamps) {
+  // Timestamps from milliseconds to 30 hours out, scheduled interleaved,
+  // must fire in exact (when, seq) order.
   EventQueue q;
   std::vector<int> fired;
   std::vector<TimeNs> whens;
   int tag = 0;
   for (int i = 0; i < 40; ++i) {
-    whens.push_back(Msec(5 + 17 * i));             // Fine wheel.
-    whens.push_back(Sec(40) + Msec(13 * i));       // Coarse wheel.
-    whens.push_back(Minutes(90) + Sec(7 * i));     // Super wheel.
-    whens.push_back(Minutes(60 * 30) + Sec(3 * i));  // Deep super (30 h).
+    whens.push_back(Msec(5 + 17 * i));
+    whens.push_back(Sec(40) + Msec(13 * i));
+    whens.push_back(Minutes(90) + Sec(7 * i));
+    whens.push_back(Minutes(60 * 30) + Sec(3 * i));  // 30 h.
   }
   for (const TimeNs when : whens) {
     const int t = tag++;
@@ -431,10 +466,9 @@ TEST(EventQueueTest, SuperWheelOrdersMultiHourTimestamps) {
   EXPECT_EQ(q.now(), whens.back());
 }
 
-TEST(EventQueueTest, SuperWheelHandlerChainsAcrossHorizons) {
-  // A handler firing hours in scheduling more work near and far keeps
-  // working: the super wheel dumps into coarse, coarse into fine, and
-  // freshly scheduled events route against the advanced cursor.
+TEST(EventQueueTest, HandlerChainsAcrossMultiHourGaps) {
+  // A handler firing hours in schedules more work near and far; both
+  // fire in (when, seq) order against the advanced clock.
   EventQueue q;
   std::vector<std::pair<int, TimeNs>> fired;
   q.ScheduleAt(Minutes(100), [&] {
@@ -451,24 +485,23 @@ TEST(EventQueueTest, SuperWheelHandlerChainsAcrossHorizons) {
   EXPECT_EQ(fired[3], (std::pair<int, TimeNs>{2, Minutes(300)}));
 }
 
-TEST(EventQueueTest, SuperWheelCancelAndCompactStayBounded) {
-  // Cancel-heavy churn across all three wheel levels: lazy deletion plus
-  // compaction keeps storage proportional to live events even when the
-  // dead ones sit hours out.
+TEST(EventQueueTest, MultiHourCancelsFreeClosuresAtOnce) {
+  // Cancel-heavy churn hours out: each cancelled closure is destroyed
+  // inside Cancel, however far away its timestamp sits.
   EventQueue q;
   std::vector<EventId> ids;
-  int fired = 0;
+  auto fired = std::make_shared<int>(0);  // Owned by every pending closure.
   for (int i = 0; i < 4096; ++i) {
     const TimeNs when = Minutes(30 + i) + Msec(i);
-    ids.push_back(q.ScheduleAt(when, [&fired] { ++fired; }));
+    ids.push_back(q.ScheduleAt(when, [fired] { ++*fired; }));
     if (i % 2 == 1) {
       ASSERT_TRUE(q.Cancel(ids.back()));
     }
-    ASSERT_LE(q.stored_entries(), 2 * q.pending() + 64);
+    ASSERT_EQ(fired.use_count(), 1 + static_cast<long>(q.pending()));
   }
   q.RunAll();
-  EXPECT_EQ(fired, 2048);
-  EXPECT_EQ(q.stored_entries(), 0u);
+  EXPECT_EQ(*fired, 2048);
+  EXPECT_EQ(fired.use_count(), 1);
 }
 
 TEST(EventQueueTest, PeekNextAndSyncNowCoordinatorContract) {
@@ -525,7 +558,7 @@ TEST(EventQueueTest, ScheduleEachHoldsOneLiveEventAndFiresInStableOrder) {
 TEST(EventQueueTest, ScheduleEachWinsTiesWithEventsScheduledAfterIt) {
   // The series draws its sequence numbers at submission, so an event
   // scheduled afterwards for a call's instant fires after that call — on
-  // the single wheel and on the sharded mailbox alike.
+  // the single queue and on the sharded mailbox alike.
   for (const bool sharded : {false, true}) {
     ShardedEventQueue fleet(2);
     EventQueue single;
@@ -542,7 +575,7 @@ TEST(EventQueueTest, ScheduleEachWinsTiesWithEventsScheduledAfterIt) {
       single.RunAll();
     }
     EXPECT_EQ(log, (std::vector<std::string>{"call0", "call1", "host timer", "timer"}))
-        << (sharded ? "sharded" : "wheel");
+        << (sharded ? "sharded" : "single");
   }
 }
 

@@ -65,6 +65,7 @@ struct ComboResult {
   double setup_sec = 0;       // Cluster build + trace gen + SubmitTrace.
   double wall_sec = 0;        // Wall-clock spent inside RunUntil only.
   std::vector<uint64_t> shard_events;  // Per-shard counts (kSharded runs).
+  uint64_t head_updates = 0;  // Merge-heap re-sifts (kSharded runs).
   // Placement-path instrumentation (deterministic: identical under either
   // queue kernel, so all BENCH-safe).
   uint64_t decisions = 0;          // Routing decisions the scheduler took.
@@ -147,6 +148,7 @@ ComboResult RunCombo(ReclaimPolicy reclaim, PlacementPolicy placement,
   r.routing_hash = cluster.routing_hash();
   if (cluster.sharded() != nullptr) {
     r.shard_events = cluster.sharded()->ShardProcessed();
+    r.head_updates = cluster.sharded()->head_updates();
   }
   r.fleet = cluster.Summarize(opts.horizon);
   r.admitted = trace.size() - r.fleet.unplaced_invocations;
@@ -567,10 +569,10 @@ int main() {
   // Scale-out: does the memory-aware packer keep its edge as the fleet
   // grows?  (Same per-host capacity; the trace stays fixed, so bigger
   // fleets are progressively less constrained.)  Each row also reports
-  // the sim kernel's whole-run events/sec on the timer wheel.
+  // the sim kernel's whole-run events/sec on the single queue.
   std::cout << "\nScale-out (Squeezy): pending scale-ups by host count\n";
   TablePrinter scale({"Hosts", "RoundRobin", "MemBinPack", "HintedBinPack", "Events",
-                      "Wheel Ev/s"});
+                      "Ev/s"});
   for (const size_t hosts : fig12::kScaleHostCounts) {
     const ComboResult rr = RunCombo(ReclaimPolicy::kSqueezy,
                                     PlacementPolicy::kRoundRobin, cap, hosts, nullptr);
@@ -597,11 +599,10 @@ int main() {
   }
   scale.Print(std::cout);
 
-  // Sharded-kernel scale-out: per-host shards in deterministic lockstep
-  // epochs carry the fleet to 256/512/1024 hosts (load scaled with the
-  // fleet, arrivals quantized into fat shard phases).  The identity gate
-  // at kShardIdentityHosts replays the same run on the single-queue
-  // wheel and requires bit-identical results.
+  // Sharded-kernel scale-out: per-host shards merged in (when, seq)
+  // order carry the fleet to 256/512/1024 hosts (load scaled with the
+  // fleet).  The identity gate at kShardIdentityHosts replays the same
+  // run on the single queue and requires bit-identical results.
   std::cout << "\nSharded kernel scale-out (Squeezy + HintedBinPack, paper-sized "
                "functions, load scaled with hosts):\n";
   TablePrinter shard_scale({"Hosts", "Admitted", "PendingUps", "Events", "Decisions",
@@ -643,6 +644,8 @@ int main() {
     // Sum of the per-shard and mailbox peaks.
     json.Metric("shard_peak_pending_" + tag, sh.peak_pending);
     json.Metric("shard_balance_pct_" + tag, sh.shard_balance_pct());
+    // Merge work behind those events: re-sifts of the heap of queue heads.
+    json.Metric("shard_head_updates_" + tag, sh.head_updates);
     // Placement-path instrumentation: how many routing decisions the row
     // took, how many host deltas the index absorbed maintaining its
     // trees, and the depth an indexed decision walks instead of scanning
@@ -677,8 +680,8 @@ int main() {
       }
       json.Text("shard_per_shard_events_" + tag, per_shard);
 
-      // Bit-identity gate: same config and seed on the single-queue
-      // wheel must reproduce the sharded run exactly.
+      // Bit-identity gate: same config and seed on the single queue
+      // must reproduce the sharded run exactly.
       ComboOpts ref_opts = shard_opts;
       ref_opts.impl = EventQueue::Impl::kTimerWheel;
       const ComboResult ref = RunCombo(ReclaimPolicy::kSqueezy,
@@ -691,7 +694,7 @@ int main() {
           ref.fleet.pending_scaleups_total == sh.fleet.pending_scaleups_total &&
           ref.fleet.completed_requests == sh.fleet.completed_requests &&
           ref.fleet.committed_peak == sh.fleet.committed_peak;
-      std::cout << "Check: sharded kernel bit-identical to single-queue wheel at "
+      std::cout << "Check: sharded kernel bit-identical to the single queue at "
                 << hosts << " hosts -> " << (sharded_identical ? "PASS" : "FAIL")
                 << "\n";
       timing.Metric("shard_ref_single_queue_run_sec_" + tag, ref.wall_sec);

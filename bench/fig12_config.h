@@ -34,8 +34,7 @@ inline constexpr size_t kScaleHostCounts[] = {4, 8, 16, 32, 64};
 // and hosts together made the sweep O(hosts^2) wall-clock; the indexed
 // placement path (src/cluster/host_index.*) decides from ordered trees, so
 // the rows now measure a genuinely growing fleet serving genuinely
-// growing traffic.  Arrivals are quantized so per-host work lands
-// between cross-shard barriers in fat shard phases — still a pure
+// growing traffic.  Arrivals are quantized to 1 ms — still a pure
 // function of (config, seed), so both queue kernels fire the identical
 // sequence.
 inline constexpr size_t kShardScaleHostCounts[] = {256, 512, 1024};

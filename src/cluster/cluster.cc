@@ -16,8 +16,7 @@ Cluster::Cluster(const ClusterConfig& config, MakeDeciders make_deciders)
     : config_(config) {
   assert(config_.nr_hosts > 0);
   // Hosts sharing a registry (dep cache / snapshot store) touch
-  // cross-host state from host handlers, which only the single queue's
-  // one-event-at-a-time order keeps exact — so they get the single queue.
+  // cross-host state from host handlers; they get the single queue.
   const bool registries = config_.shared_dep_cache || config_.shared_snapshots;
   if (config_.queue_impl == EventQueue::Impl::kSharded && !registries) {
     sharded_ = std::make_unique<ShardedEventQueue>(config_.nr_hosts);

@@ -73,10 +73,9 @@ struct ClusterConfig {
   bool shared_snapshots = false;
   // Event kernel for the fleet clock.  The single queue is the
   // default.  kSharded gives every host its own queue plus a cross-shard
-  // mailbox, driven by the Cluster in deterministic lockstep epochs
-  // (src/sim/sharded_event_queue.h) — but only for registry-free fleets:
-  // with shared_dep_cache or shared_snapshots set, host handlers touch
-  // cross-host state, so the Cluster builds the single queue instead and
+  // mailbox, merged in (when, seq) order (src/sim/sharded_event_queue.h)
+  // — but only for registry-free fleets: with shared_dep_cache or
+  // shared_snapshots set, the Cluster builds the single queue instead and
   // sharded() stays null.  Both kernels fire events in identical order
   // (locked by tests and the property fuzz), so this knob never changes
   // results — only wall-clock speed.
@@ -127,9 +126,8 @@ class Cluster : private HostStateListener {
   // Routing happens per invocation at its arrival time.
   void SubmitTrace(const std::vector<Invocation>& trace);
 
-  // Under kSharded these drive the epoch coordinator: advance each shard
-  // to the next cross-shard barrier, merge the barrier
-  // instant in (when, seq) order, repeat.  The single queue just runs.
+  // Under kSharded these merge the shards and the mailbox in (when, seq)
+  // order.  The single queue just runs.
   void RunUntil(TimeNs t) {
     if (sharded_ != nullptr) {
       sharded_->RunUntil(t);

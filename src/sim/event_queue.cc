@@ -10,7 +10,7 @@
 namespace squeezy {
 
 EventId EventQueue::ScheduleAt(TimeNs when, std::function<void()> fn) {
-  return Schedule(std::max(when, now_), ++*seq_, std::move(fn));
+  return Schedule(std::max(when, clock_->now), ++clock_->seq, std::move(fn));
 }
 
 EventId EventQueue::Schedule(TimeNs when, uint64_t seq, std::function<void()> fn) {
@@ -26,7 +26,7 @@ EventId EventQueue::Schedule(TimeNs when, uint64_t seq, std::function<void()> fn
   Sift(heap_.size() - 1);
   peak_pending_ = std::max(peak_pending_, heap_.size());
   ++scheduled_;
-  ++change_version_;
+  NoteChange();
   return (static_cast<EventId>(slots_[slot].gen) << 32) | slot;
 }
 
@@ -38,15 +38,15 @@ void EventQueue::ScheduleEach(std::vector<TimeNs> whens, std::function<void(size
   auto series = std::make_shared<Series>();
   series->queue = this;
   for (TimeNs& when : whens) {
-    when = std::max(when, now_);
+    when = std::max(when, clock_->now);
   }
   series->order.resize(whens.size());
   std::iota(series->order.begin(), series->order.end(), 0u);
   std::stable_sort(series->order.begin(), series->order.end(),
                    [&whens](uint32_t a, uint32_t b) { return whens[a] < whens[b]; });
   // Reserve the n sequence numbers n ScheduleAt calls would draw now.
-  series->first_seq = *seq_ + 1;
-  *seq_ += whens.size();
+  series->first_seq = clock_->seq + 1;
+  clock_->seq += whens.size();
   series->whens = std::move(whens);
   series->fn = std::move(fn);
   ArmNext(std::move(series));
@@ -71,12 +71,15 @@ void EventQueue::ArmNext(std::shared_ptr<Series> series) {
 
 EventId EventQueue::ScheduleAfter(DurationNs delay, std::function<void()> fn) {
   assert(delay >= 0);
-  return ScheduleAt(now_ + delay, std::move(fn));
+  return ScheduleAt(clock_->now + delay, std::move(fn));
 }
 
-void EventQueue::SetSequenceSource(uint64_t* source) {
-  assert(own_seq_ == 0 && "sequence source must be set before any scheduling");
-  seq_ = source;
+void EventQueue::JoinFleet(Fleet* fleet, uint32_t id) {
+  assert(own_clock_.seq == 0 && "a queue joins its fleet before any scheduling");
+  assert(id < fleet->listed.size());
+  clock_ = &fleet->clock;
+  fleet_ = fleet;
+  fleet_id_ = id;
 }
 
 void EventQueue::Sift(size_t pos) {
@@ -126,13 +129,13 @@ bool EventQueue::Cancel(EventId id) {
   // destructor may re-enter the queue.
   const std::function<void()> dead = std::move(slots_[index].fn);
   Remove(slots_[index].pos);
-  ++change_version_;
+  NoteChange();
   return true;
 }
 
 void EventQueue::AdvanceBy(DurationNs d) {
   assert(d >= 0);
-  now_ += d;
+  clock_->now += d;
 }
 
 bool EventQueue::PeekNext(TimeNs* when, uint64_t* seq) const {
@@ -144,8 +147,6 @@ bool EventQueue::PeekNext(TimeNs* when, uint64_t* seq) const {
   return true;
 }
 
-void EventQueue::SyncNow(TimeNs t) { now_ = std::max(now_, t); }
-
 bool EventQueue::RunOne() {
   if (heap_.empty()) {
     return false;
@@ -155,9 +156,9 @@ bool EventQueue::RunOne() {
   const Node top = heap_.front();
   const std::function<void()> fn = std::move(slots_[top.slot].fn);
   Remove(0);
-  now_ = std::max(now_, top.when);
+  clock_->now = std::max(clock_->now, top.when);
   ++processed_;
-  ++change_version_;
+  NoteChange();
   fn();
   return true;
 }
@@ -166,7 +167,7 @@ void EventQueue::RunUntil(TimeNs deadline) {
   while (!heap_.empty() && heap_.front().when <= deadline) {
     RunOne();
   }
-  now_ = std::max(now_, deadline);
+  clock_->now = std::max(clock_->now, deadline);
 }
 
 void EventQueue::RunAll(uint64_t max_events) {

@@ -42,7 +42,7 @@ class EventQueue {
   // EventQueue itself is always one heap.
   enum class Impl {
     kTimerWheel,  // One queue for the whole fleet (default).
-    // Per-host queue shards driven in deterministic lockstep epochs
+    // Per-host queue shards merged in global (when, seq) order
     // (src/sim/sharded_event_queue.h); each shard is one EventQueue.
     kSharded,
   };
@@ -51,7 +51,7 @@ class EventQueue {
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
-  TimeNs now() const { return now_; }
+  TimeNs now() const { return clock_->now; }
 
   // Schedules `fn` to run at absolute virtual time `when` (clamped to now).
   EventId ScheduleAt(TimeNs when, std::function<void()> fn);
@@ -91,28 +91,31 @@ class EventQueue {
   void RunAll(uint64_t max_events = 50'000'000);
 
   // --- Sharded-coordinator primitives (src/sim/sharded_event_queue.h) ------
+  // The clock and sequence counter a queue reads: its own, or under a
+  // ShardedEventQueue the pair every queue of the fleet shares.
+  struct Clock {
+    TimeNs now = 0;
+    uint64_t seq = 0;  // The last sequence number drawn.
+  };
+  // What the queues of one ShardedEventQueue share: one clock, so
+  // (when, seq) totally orders events fleet-wide and a handler sees fleet
+  // time on any queue, and the list of queues whose head may have moved
+  // since the coordinator last looked (each listed at most once).
+  struct Fleet {
+    Clock clock;
+    std::vector<uint32_t> changed;
+    std::vector<uint8_t> listed;  // listed[q]: queue q is in `changed`.
+  };
+  // Makes this queue queue `id` of `fleet`: it reads fleet->clock, and
+  // every schedule, cancel and pop lists it in fleet->changed.  Call
+  // before any event is scheduled.
+  void JoinFleet(Fleet* fleet, uint32_t id);
   // The earliest pending event's (when, seq) without running it; false
-  // when drained.  O(1): it reads the heap top (pair with
-  // change_version() to skip re-peeking unchanged shards entirely).
+  // when drained.  O(1): it reads the heap top.
   bool PeekNext(TimeNs* when, uint64_t* seq) const;
   // Pops and runs the earliest pending event; false when drained.  The
   // coordinator's (when, seq) merge primitive.
   bool RunOne();
-  // Advances the clock to `t` when behind, without running events — the
-  // epoch-barrier clock sync.  Unlike AdvanceBy it is idempotent and
-  // never moves the clock backwards.  Contract: the caller has already
-  // drained every event earlier than `t` (the coordinator's RunUntil(t-1)
-  // phase); events pending at exactly `t` still fire normally.
-  void SyncNow(TimeNs t);
-  // Draws scheduling sequence numbers from `source` instead of the
-  // internal counter.  Every shard of a ShardedEventQueue shares one
-  // source, so (when, seq) totally orders events fleet-wide and the
-  // barrier merge is deterministic.  Set before any event is scheduled.
-  void SetSequenceSource(uint64_t* source);
-  // Monotone counter bumped by every mutation that can change the
-  // earliest pending event (schedule, cancel, pop).  The coordinator
-  // caches PeekNext() per shard and re-peeks only on a version change.
-  uint64_t change_version() const { return change_version_; }
 
   // Live events: scheduled and neither run nor cancelled.  A series from
   // ScheduleEach counts as one until its last call runs.
@@ -171,16 +174,22 @@ class EventQueue {
   // the next generation; the slot's closure must already be moved out.
   void Remove(size_t pos);
 
-  TimeNs now_ = 0;
-  // The last sequence number drawn: own_seq_, or the shared fleet-wide
-  // source in sharded mode.
-  uint64_t own_seq_ = 0;
-  uint64_t* seq_ = &own_seq_;
+  // Tells the fleet, if any, that this queue's head may have moved.
+  void NoteChange() {
+    if (fleet_ != nullptr && fleet_->listed[fleet_id_] == 0) {
+      fleet_->listed[fleet_id_] = 1;
+      fleet_->changed.push_back(fleet_id_);
+    }
+  }
+
+  // own_clock_, or the fleet's shared clock once JoinFleet is called.
+  Clock own_clock_;
+  Clock* clock_ = &own_clock_;
+  Fleet* fleet_ = nullptr;
+  uint32_t fleet_id_ = 0;
   uint64_t processed_ = 0;
   uint64_t scheduled_ = 0;
   size_t peak_pending_ = 0;
-  // Bumped on schedule/cancel/pop.
-  uint64_t change_version_ = 0;
   // 4-ary min-heap by (when, seq): exactly the pending events.
   std::vector<Node> heap_;
   std::vector<Slot> slots_;

@@ -85,7 +85,7 @@ int ProcessThreads() {
 }
 
 // ClusterConfig::sim_threads is ignored: the sharded kernel runs every
-// epoch phase on the calling thread, so a fleet asked for four threads
+// event on the calling thread, so a fleet asked for four threads
 // starts none and routes exactly like one asked for one.
 TEST(ClusterTest, ShardedFleetRunsOnTheCallingThreadAtAnySimThreads) {
   auto run = [](size_t sim_threads) {

@@ -2393,10 +2393,9 @@ Replay Run(const std::vector<Op>& script) {
     r.cancel_results.push_back(k.queue(q).Cancel(id));
   };
   // Handlers are pure functions of (tag, queue).  Only mailbox handlers
-  // reach other queues or submit series: the sharded kernel runs them at
-  // barriers, where every clock agrees.
+  // reach other queues or submit series.
   std::function<void(int, int)> on_fire = [&](int tag, int q) {
-    r.fired.push_back({tag, q, k.queue(q).now()});  // A shard runs ahead of the fleet clock.
+    r.fired.push_back({tag, q, k.queue(q).now()});
     if (tag < kChildBase && tag % 4 == 1) {
       // A chained event at +0, +1 or +2 ms: ties with the 1 ms grid.
       const int child = tag + kChildBase;
@@ -2454,19 +2453,6 @@ Replay Run(const std::vector<Op>& script) {
   k.RunAll();
   r.clocks.push_back(k.now());
   return r;
-}
-
-// What shard `s` observes: its own events and the mailbox's, in order.
-// Across shards the sharded kernel may interleave differently from one
-// queue, but never within that view.
-std::vector<Fired> ViewOf(const std::vector<Fired>& fired, int s) {
-  std::vector<Fired> view;
-  for (const Fired& f : fired) {
-    if (f.queue == s || f.queue == kMailbox) {
-      view.push_back(f);
-    }
-  }
-  return view;
 }
 
 }  // namespace schedule_each_fuzz
@@ -2528,17 +2514,11 @@ TEST_P(ScheduleEachFuzzTest, SeriesFireAsPerCallScheduleAt) {
   EXPECT_EQ(got.cancel_results, heap.cancel_results);
   EXPECT_EQ(got.clocks, heap.clocks);
   ASSERT_EQ(got.fired.size(), heap.fired.size());
-  for (int s = 0; s < (sharded ? schedule_each_fuzz::kShards : 1); ++s) {
-    const std::vector<schedule_each_fuzz::Fired> want =
-        sharded ? schedule_each_fuzz::ViewOf(heap.fired, s) : heap.fired;
-    const std::vector<schedule_each_fuzz::Fired> saw =
-        sharded ? schedule_each_fuzz::ViewOf(got.fired, s) : got.fired;
-    ASSERT_EQ(saw.size(), want.size());
-    for (size_t i = 0; i < saw.size(); ++i) {
-      ASSERT_TRUE(saw[i] == want[i])
-          << "shard view " << s << " diverges at event " << i << ": tag " << saw[i].tag
-          << " at " << saw[i].at << " vs tag " << want[i].tag << " at " << want[i].at;
-    }
+  for (size_t i = 0; i < got.fired.size(); ++i) {
+    ASSERT_TRUE(got.fired[i] == heap.fired[i])
+        << "diverges at event " << i << ": tag " << got.fired[i].tag << " at "
+        << got.fired[i].at << " vs tag " << heap.fired[i].tag << " at "
+        << heap.fired[i].at;
   }
   // The script exercised what it is for.
   EXPECT_GT(heap.fired.size(), 200u);
@@ -2555,6 +2535,233 @@ INSTANTIATE_TEST_SUITE_P(
       return "seed" + std::to_string(std::get<0>(param_info.param)) +
              (std::get<1>(param_info.param) ? "_sharded" : "_single");
     });
+
+// --- Sharded merge vs the heap oracle -------------------------------------------
+
+// ShardedEventQueue must fire every event in the single queue's global
+// (when, seq) order on one shared clock.  The heap oracle runs each
+// script on one queue; the sharded kernel spreads it over shards and the
+// mailbox.  Scripts mix cross-queue scheduling from handlers (mailbox to
+// shard, shard to mailbox, shard to shard), mailbox handlers scheduling
+// onto a shard that is idle for seconds, handler cancels of ids held by
+// other queues, mailbox ScheduleEach series, timers on a 1 ms grid that
+// tie across queues, and RunUntil deadlines that fall between events.
+// The firing log (tag, queue, clock) and the clock after every RunUntil
+// must match exactly.
+class ShardedMergeVsHeapOracleFuzzTest : public testing::TestWithParam<uint64_t> {};
+
+namespace sharded_merge_fuzz {
+
+constexpr int kShards = 4;
+constexpr int kMailbox = kShards;
+// Only mailbox handlers schedule onto this shard; scripts never do.
+constexpr int kIdleShard = kShards - 1;
+constexpr int kChildBase = 1'000'000;  // Tags of events scheduled by handlers.
+
+struct Op {
+  enum Kind { kTimer, kSeries, kCancel, kRunUntil } kind;
+  int queue = kMailbox;          // kTimer: the queue it goes to.
+  int64_t a = 0;                 // kTimer: delay; kCancel: timer index;
+                                 // kRunUntil: duration.
+  std::vector<int64_t> offsets;  // kSeries: call times minus now.
+  int tag = 0;                   // kTimer: tag; kSeries: tag of call 0.
+};
+
+struct Fired {
+  int tag;
+  int queue;
+  TimeNs at;
+  bool operator==(const Fired& o) const {
+    return tag == o.tag && queue == o.queue && at == o.at;
+  }
+};
+
+struct Replay {
+  std::vector<Fired> fired;
+  std::vector<bool> cancel_results;
+  std::vector<TimeNs> clocks;  // now() after every RunUntil, and at the end.
+};
+
+struct HeapKernel {
+  HeapEventQueue q;
+  HeapEventQueue& queue(int) { return q; }
+  void Each(std::vector<TimeNs> whens, std::function<void(size_t)> fn) {
+    for (size_t i = 0; i < whens.size(); ++i) {
+      q.ScheduleAt(whens[i], [fn, i] { fn(i); });
+    }
+  }
+  TimeNs now() const { return q.now(); }
+  void RunUntil(TimeNs t) { q.RunUntil(t); }
+  void RunAll() { q.RunAll(); }
+};
+
+struct ShardedKernel {
+  ShardedEventQueue s{kShards};
+  EventQueue& queue(int i) {
+    return i == kMailbox ? s.global() : s.shard(static_cast<size_t>(i));
+  }
+  void Each(std::vector<TimeNs> whens, std::function<void(size_t)> fn) {
+    s.global().ScheduleEach(std::move(whens), std::move(fn));
+  }
+  TimeNs now() const { return s.now(); }
+  void RunUntil(TimeNs t) { s.RunUntil(t); }
+  void RunAll() { s.RunAll(); }
+};
+
+template <typename Kernel>
+Replay Run(const std::vector<Op>& script) {
+  Kernel k;
+  Replay r;
+  std::vector<std::pair<int, EventId>> timers;  // (queue, id), handler-made ones too.
+  // Cancels one of the last 16 timers, which are most likely still pending.
+  const auto cancel = [&](size_t index) {
+    const size_t back = index % std::min<size_t>(timers.size(), 16);
+    const auto& [q, id] = timers[timers.size() - 1 - back];
+    r.cancel_results.push_back(k.queue(q).Cancel(id));
+  };
+  // Handlers are pure functions of (tag, queue) and read the clock of the
+  // queue they run on.
+  std::function<void(int, int)> on_fire = [&](int tag, int q) {
+    r.fired.push_back({tag, q, k.queue(q).now()});
+    if (tag % 5 == 3 && !timers.empty()) {
+      cancel(static_cast<size_t>(tag) * 7);  // Usually an id another queue holds.
+    }
+    if (tag >= kChildBase) {
+      return;  // Children schedule nothing.
+    }
+    const auto schedule = [&](int to, DurationNs delay, int child) {
+      timers.push_back({to, k.queue(to).ScheduleAfter(
+                                delay, [&on_fire, child, to] { on_fire(child, to); })});
+    };
+    const int child = kChildBase + tag * 2;
+    if (tag % 3 == 1) {
+      // Mailbox to a shard, a shard to the mailbox or to the next shard,
+      // at +0..2 ms: ties with the grid.
+      const int to = q == kMailbox      ? tag % (kShards - 1)
+                     : tag % 2 == 0     ? kMailbox
+                                        : (q + 1) % (kShards - 1);
+      schedule(to, Msec(tag % 3), child);
+    }
+    if (q == kMailbox && tag % 4 == 2) {
+      // Onto the idle shard, at fleet time plus a few microseconds.
+      schedule(kIdleShard, Usec(tag % 5), child + 1);
+    }
+  };
+  for (const Op& op : script) {
+    switch (op.kind) {
+      case Op::kTimer: {
+        const int tag = op.tag;
+        const int q = op.queue;
+        timers.push_back(
+            {q, k.queue(q).ScheduleAt(k.now() + op.a,
+                                      [&on_fire, tag, q] { on_fire(tag, q); })});
+        break;
+      }
+      case Op::kSeries: {
+        std::vector<TimeNs> whens;
+        for (const int64_t off : op.offsets) {
+          whens.push_back(k.now() + off);
+        }
+        const int base = op.tag;
+        k.Each(std::move(whens), [&on_fire, base](size_t i) {
+          on_fire(base + static_cast<int>(i), kMailbox);
+        });
+        break;
+      }
+      case Op::kCancel:
+        if (!timers.empty()) {
+          cancel(static_cast<size_t>(op.a));
+        }
+        break;
+      case Op::kRunUntil:
+        k.RunUntil(k.now() + op.a);
+        r.clocks.push_back(k.now());
+        break;
+    }
+  }
+  k.RunAll();
+  r.clocks.push_back(k.now());
+  return r;
+}
+
+}  // namespace sharded_merge_fuzz
+
+TEST_P(ShardedMergeVsHeapOracleFuzzTest, FiresInTheSingleQueueOrderOnOneClock) {
+  using sharded_merge_fuzz::Op;
+  const uint64_t seed = GetParam();
+  Rng rng(seed * 0xd1b54a32d192ed03ull + 5);
+  std::vector<Op> script;
+  int next_tag = 0;
+  for (int i = 0; i < 400; ++i) {
+    Op op{};
+    const int64_t kind = rng.UniformInt(0, 9);
+    switch (kind) {
+      case 0:
+      case 1:
+      case 2:  // On the 1 ms grid, so queues tie.
+      case 3:  // Anywhere in the next few seconds.
+        op.kind = Op::kTimer;
+        op.queue = static_cast<int>(rng.UniformInt(0, sharded_merge_fuzz::kMailbox));
+        if (op.queue == sharded_merge_fuzz::kIdleShard) {
+          op.queue = sharded_merge_fuzz::kMailbox;
+        }
+        op.a = kind == 3 ? Usec(rng.UniformInt(0, 3'000'000))
+                         : Msec(rng.UniformInt(0, 40));
+        op.tag = next_tag++;
+        break;
+      case 4: {  // A mailbox series, unsorted, some calls in the past.
+        op.kind = Op::kSeries;
+        const int64_t n = rng.UniformInt(1, 8);
+        for (int64_t j = 0; j < n; ++j) {
+          op.offsets.push_back(Msec(rng.UniformInt(-3, 30)));
+        }
+        op.tag = next_tag;
+        next_tag += static_cast<int>(n);
+        break;
+      }
+      case 5:
+        op.kind = Op::kCancel;
+        op.a = rng.UniformInt(0, 1 << 20);
+        break;
+      case 6:  // A long gap: the idle shard stays idle for seconds.
+        op.kind = Op::kRunUntil;
+        op.a = Sec(rng.UniformInt(1, 4)) + 1;
+        break;
+      default:  // Deadlines between events: off the grid by odd nanoseconds.
+        op.kind = Op::kRunUntil;
+        op.a = rng.UniformInt(0, 2) == 0 ? 0 : Usec(rng.UniformInt(0, 30'000)) + 7;
+        break;
+    }
+    script.push_back(op);
+  }
+
+  const sharded_merge_fuzz::Replay heap =
+      sharded_merge_fuzz::Run<sharded_merge_fuzz::HeapKernel>(script);
+  const sharded_merge_fuzz::Replay got =
+      sharded_merge_fuzz::Run<sharded_merge_fuzz::ShardedKernel>(script);
+  EXPECT_EQ(got.cancel_results, heap.cancel_results);
+  EXPECT_EQ(got.clocks, heap.clocks);
+  ASSERT_EQ(got.fired.size(), heap.fired.size());
+  for (size_t i = 0; i < got.fired.size(); ++i) {
+    ASSERT_TRUE(got.fired[i] == heap.fired[i])
+        << "diverges at event " << i << ": tag " << got.fired[i].tag << " on queue "
+        << got.fired[i].queue << " at " << got.fired[i].at << " vs tag "
+        << heap.fired[i].tag << " on queue " << heap.fired[i].queue << " at "
+        << heap.fired[i].at;
+  }
+  // The script exercised what it is for.
+  EXPECT_GT(heap.fired.size(), 300u);
+  EXPECT_GT(std::count(heap.cancel_results.begin(), heap.cancel_results.end(), true), 10);
+  EXPECT_TRUE(std::any_of(heap.fired.begin(), heap.fired.end(), [](const auto& f) {
+    return f.queue == sharded_merge_fuzz::kIdleShard;
+  }));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ShardedMergeVsHeapOracleFuzzTest,
+                         testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u),
+                         [](const testing::TestParamInfo<uint64_t>& param_info) {
+                           return "seed" + std::to_string(param_info.param);
+                         });
 
 // --- Cluster migration fuzz: drain/migrate/undrain sequences -------------------
 
@@ -3106,9 +3313,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SnapshotMigrationFuzzTest,
 // queue" (src/sim/sharded_event_queue.h).  One random churn script —
 // drain/undrain/pressure-migrate while a skewed trace runs — is replayed
 // under the single queue and under kSharded, with the shared
-// registries both detached (lockstep epochs) and attached (the Cluster
-// falls back to the single queue, because handlers touch cross-host
-// state).  Every replay must produce a
+// registries both detached (shards merged by queue head) and attached
+// (the Cluster builds the single queue).  Every replay must produce a
 // byte-identical fleet digest: per-request firing logs, cold-start
 // breakdowns, host books, migration records, the routing hash and the
 // fleet summary.

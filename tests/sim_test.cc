@@ -504,10 +504,10 @@ TEST(EventQueueTest, MultiHourCancelsFreeClosuresAtOnce) {
   EXPECT_EQ(fired.use_count(), 1);
 }
 
-TEST(EventQueueTest, PeekNextAndSyncNowCoordinatorContract) {
+TEST(EventQueueTest, PeekNextAndRunOneCoordinatorContract) {
   // The sharded coordinator's primitives: PeekNext reports the exact
-  // (when, seq) head without running it, RunOne fires precisely one
-  // event, and SyncNow only ever moves the clock forward.
+  // (when, seq) head without running it, and RunOne fires precisely one
+  // event and moves the clock to it.
   EventQueue q;
   std::vector<int> fired;
   q.ScheduleAt(Msec(5), [&] { fired.push_back(0); });
@@ -523,10 +523,7 @@ TEST(EventQueueTest, PeekNextAndSyncNowCoordinatorContract) {
   ASSERT_TRUE(q.PeekNext(&when, &seq));
   EXPECT_EQ(when, Msec(5));
   EXPECT_GT(seq, first_seq);  // Same instant, later seq: FIFO tiebreak.
-  q.SyncNow(Sec(1));
-  EXPECT_EQ(q.now(), Sec(1));
-  q.SyncNow(Msec(1));  // Never backwards.
-  EXPECT_EQ(q.now(), Sec(1));
+  EXPECT_EQ(q.now(), Msec(5));
   q.RunAll();
   EXPECT_EQ(fired, (std::vector<int>{0, 1, 2}));
   EXPECT_FALSE(q.PeekNext(&when, &seq));
@@ -577,6 +574,37 @@ TEST(EventQueueTest, ScheduleEachWinsTiesWithEventsScheduledAfterIt) {
     EXPECT_EQ(log, (std::vector<std::string>{"call0", "call1", "host timer", "timer"}))
         << (sharded ? "sharded" : "single");
   }
+}
+
+TEST(EventQueueTest, MailboxScheduleAfterOnAnIdleShardUsesTheFleetClock) {
+  // Every queue of the sharded kernel reads one clock.  A shard that has
+  // run nothing for seconds still reads fleet time, so a mailbox handler's
+  // ScheduleAfter onto it lands `delay` after the mailbox event, and a
+  // ScheduleAt in the past clamps to fleet time, as on the single queue.
+  ShardedEventQueue fleet(2);
+  EventQueue& busy = fleet.shard(0);
+  EventQueue& idle = fleet.shard(1);
+  std::vector<std::pair<std::string, TimeNs>> log;
+  const auto note = [&](const char* what, EventQueue& q) {
+    log.push_back({what, q.now()});
+  };
+  idle.ScheduleAt(Msec(1), [&] { note("idle", idle); });
+  busy.ScheduleAt(Sec(2), [&] { note("busy", busy); });
+  fleet.global().ScheduleAt(Sec(5), [&] {
+    note("mailbox", fleet.global());
+    idle.ScheduleAfter(Msec(2), [&] { note("after", idle); });
+    idle.ScheduleAt(Msec(1), [&] { note("clamped", idle); });
+  });
+  fleet.RunUntil(Sec(10));
+  EXPECT_EQ(log, (std::vector<std::pair<std::string, TimeNs>>{
+                     {"idle", Msec(1)},
+                     {"busy", Sec(2)},
+                     {"mailbox", Sec(5)},
+                     {"clamped", Sec(5)},
+                     {"after", Sec(5) + Msec(2)}}));
+  EXPECT_EQ(fleet.now(), Sec(10));
+  EXPECT_EQ(idle.now(), Sec(10));
+  EXPECT_EQ(busy.now(), Sec(10));
 }
 
 TEST(EventQueueTest, PeakPendingAndScheduledEventsCountTheLiveSet) {

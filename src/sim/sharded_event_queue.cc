@@ -86,9 +86,20 @@ bool ShardedEventQueue::TopIsEarliest() const {
   return best == kAbsent ? heap_.empty() : !heap_.empty() && heap_.front() == best;
 }
 
+void ShardedEventQueue::RunTop() {
+  const uint32_t q = heap_.front();
+  if (!queues_[q]->RunOne()) {
+    // The heap lists only queues that hold events, so some change to this
+    // queue went unreported; running on would spin on its stale head.
+    std::fprintf(stderr, "ShardedEventQueue: %s %u is on top but empty\n",
+                 q == nr_shards() ? "mailbox queue" : "shard", q);
+    std::abort();
+  }
+}
+
 void ShardedEventQueue::RunUntil(TimeNs deadline) {
   for (Refresh(); !heap_.empty() && head_[heap_.front()].when <= deadline; Refresh()) {
-    queues_[heap_.front()]->RunOne();
+    RunTop();
   }
   fleet_.clock.now = std::max(fleet_.clock.now, deadline);
 }
@@ -96,7 +107,7 @@ void ShardedEventQueue::RunUntil(TimeNs deadline) {
 void ShardedEventQueue::RunAll(uint64_t max_events) {
   uint64_t ran = 0;
   for (Refresh(); !heap_.empty(); Refresh()) {
-    queues_[heap_.front()]->RunOne();
+    RunTop();
     if (++ran >= max_events) {
       std::fprintf(stderr, "ShardedEventQueue::RunAll: ran max_events (%llu) events\n",
                    static_cast<unsigned long long>(max_events));

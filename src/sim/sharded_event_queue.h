@@ -58,7 +58,8 @@ class ShardedEventQueue {
   TimeNs now() const { return fleet_.clock.now; }
 
   // Runs every event with when <= deadline across all queues, leaving
-  // the clock at max(deadline, last event time).
+  // the clock at max(deadline, last event time).  RunUntil and RunAll
+  // abort, in every build, if the top queue holds no event (RunTop).
   void RunUntil(TimeNs deadline);
   // Runs until every queue is drained.  Like EventQueue::RunAll, running
   // `max_events` events aborts the process, in every build.
@@ -115,6 +116,10 @@ class ShardedEventQueue {
   // Re-keys every queue listed in fleet_.changed whose head moved, and
   // empties the list.
   void Refresh();
+  // Runs the top queue's head event.  A top queue with no event means one
+  // of its changes was never listed in fleet_.changed: that aborts the
+  // process, in every build, instead of looping forever.
+  void RunTop();
   // Whether heap_'s top is the queue a linear scan finds earliest (the
   // debug-build check after every Refresh).
   bool TopIsEarliest() const;

@@ -20,73 +20,26 @@
 #include "src/faas/function.h"
 #include "src/policy/harvest_driver.h"
 #include "src/trace/cluster_trace.h"
+#include "tests/support/cluster_churn.h"
 
 namespace squeezy {
 namespace {
 
-FunctionSpec TinySpec(const char* name) {
-  FunctionSpec s;
-  s.name = name;
-  s.vcpu_shares = 1.0;
-  s.memory_limit = MiB(256);
-  s.anon_working_set = MiB(96);
-  s.file_deps_bytes = MiB(64);
-  s.container_init_cpu = Msec(80);
-  s.function_init_cpu = Msec(120);
-  s.exec_cpu_mean = Msec(100);
-  s.exec_cv = 0.0;
-  return s;
-}
-
-ClusterConfig BaseConfig(PlacementPolicy placement, ReclaimPolicy reclaim) {
-  ClusterConfig cfg;
-  cfg.nr_hosts = 4;
-  cfg.placement = placement;
+// The shared fleet on tight (2176 MiB) hosts, reaping a drained host's
+// replicas, checking pressure every 500 ms.
+ClusterConfig DrainConfig(PlacementPolicy placement, ReclaimPolicy reclaim) {
+  ClusterConfig cfg = FleetConfig(placement, MiB(2176));
   cfg.host.policy = reclaim;
-  cfg.host.host_capacity = MiB(2176);
-  cfg.host.vm_base_memory = MiB(128);
-  cfg.host.keep_alive = Sec(30);
   cfg.host.pressure_check_period = Msec(500);
-  cfg.host.seed = 42;
   return cfg;
-}
-
-ClusterTraceConfig SkewedTrace() {
-  ClusterTraceConfig t;
-  t.duration = Minutes(6);
-  t.nr_functions = 4;
-  t.total_base_rate_per_sec = 2.0;
-  t.zipf_s = 1.2;
-  t.bursty_fraction = 0.5;
-  t.burst_multiplier = 30.0;
-  t.mean_burst_len = Sec(20);
-  t.mean_gap = Sec(60);
-  return t;
-}
-
-// Builds the cluster, runs to `drain_at`, drains the most-committed host.
-// Returns the victim host index.
-size_t DrainMostCommitted(Cluster& cluster, TimeNs drain_at) {
-  cluster.RunUntil(drain_at);
-  size_t victim = 0;
-  for (size_t h = 1; h < cluster.host_count(); ++h) {
-    if (cluster.host(h).committed() > cluster.host(victim).committed()) {
-      victim = h;
-    }
-  }
-  cluster.DrainHost(victim);
-  return victim;
 }
 
 TEST(ClusterDrainTest, DrainingHostStopsReceivingRoutes) {
   for (const PlacementPolicy placement :
        {PlacementPolicy::kRoundRobin, PlacementPolicy::kMemoryAwareBinPack,
         PlacementPolicy::kHintedBinPack}) {
-    Cluster cluster(BaseConfig(placement, ReclaimPolicy::kSqueezy));
-    for (int f = 0; f < 4; ++f) {
-      cluster.AddFunction(TinySpec("drainroute"), 8);
-    }
-    cluster.SubmitTrace(GenerateClusterTrace(SkewedTrace(), 42));
+    Cluster cluster(DrainConfig(placement, ReclaimPolicy::kSqueezy));
+    AddSkewedLoad(cluster, TinySpec("drainroute"), 42);
     const size_t victim = DrainMostCommitted(cluster, Minutes(3));
     const uint64_t routed_at_drain = cluster.routed_to(victim);
     EXPECT_GT(routed_at_drain, 0u) << PlacementPolicyName(placement);
@@ -111,15 +64,11 @@ TEST(ClusterDrainTest, DrainingHostStopsReceivingRoutes) {
 // than under VirtioMemDriver (same trace, same drain instant).
 TEST(ClusterDrainTest, SqueezyDrainsCommittedMemoryFasterThanVirtio) {
   auto reclaim_time = [](ReclaimPolicy reclaim) {
-    ClusterConfig cfg = BaseConfig(PlacementPolicy::kMemoryAwareBinPack, reclaim);
+    ClusterConfig cfg = DrainConfig(PlacementPolicy::kMemoryAwareBinPack, reclaim);
     Cluster cluster(cfg);
     const FunctionSpec spec = TinySpec("drainspeed");
-    uint64_t boot_commit = 0;
-    for (int f = 0; f < 4; ++f) {
-      cluster.AddFunction(spec, 8);
-      boot_commit += FaasRuntime::BootCommitment(cfg.host, spec, 8);
-    }
-    cluster.SubmitTrace(GenerateClusterTrace(SkewedTrace(), 42));
+    AddSkewedLoad(cluster, spec, 42);
+    const uint64_t boot_commit = 4 * FaasRuntime::BootCommitment(cfg.host, spec, 8);
     const TimeNs drain_at = Minutes(3);
     const size_t victim = DrainMostCommitted(cluster, drain_at);
     // The victim was carrying scale-ups beyond its boot commitment.
@@ -148,20 +97,12 @@ TEST(ClusterDrainTest, DrainConservesFleetHostMemoryAccounting) {
   for (const ReclaimPolicy reclaim :
        {ReclaimPolicy::kVirtioMem, ReclaimPolicy::kSqueezy,
         ReclaimPolicy::kHarvestOpts}) {
-    ClusterConfig cfg = BaseConfig(PlacementPolicy::kMemoryAwareBinPack, reclaim);
+    ClusterConfig cfg = DrainConfig(PlacementPolicy::kMemoryAwareBinPack, reclaim);
     Cluster cluster(cfg);
     const FunctionSpec spec = TinySpec("drainbook");
-    std::vector<int> fns;
-    for (int f = 0; f < 4; ++f) {
-      fns.push_back(cluster.AddFunction(spec, 8));
-    }
-    std::vector<uint64_t> boot(cluster.host_count(), 0);
-    for (const int fn : fns) {
-      for (const Replica& r : cluster.replicas(fn)) {
-        boot[r.host] += FaasRuntime::BootCommitment(cfg.host, spec, 8);
-      }
-    }
-    cluster.SubmitTrace(GenerateClusterTrace(SkewedTrace(), 42));
+    AddSkewedLoad(cluster, spec, 42);
+    const std::vector<uint64_t> boot =
+        PerReplica(cluster, FaasRuntime::BootCommitment(cfg.host, spec, 8));
     const size_t victim = DrainMostCommitted(cluster, Minutes(3));
     cluster.RunAll();  // Every keep-alive expiry, drain tick and unplug completes.
     for (size_t h = 0; h < cluster.host_count(); ++h) {
@@ -192,11 +133,8 @@ TEST(ClusterDrainTest, DrainConservesFleetHostMemoryAccounting) {
 
 // Undrain restores the host to rotation: routes flow to it again.
 TEST(ClusterDrainTest, UndrainRestoresRouting) {
-  Cluster cluster(BaseConfig(PlacementPolicy::kRoundRobin, ReclaimPolicy::kSqueezy));
-  for (int f = 0; f < 4; ++f) {
-    cluster.AddFunction(TinySpec("undrain"), 8);
-  }
-  cluster.SubmitTrace(GenerateClusterTrace(SkewedTrace(), 42));
+  Cluster cluster(DrainConfig(PlacementPolicy::kRoundRobin, ReclaimPolicy::kSqueezy));
+  AddSkewedLoad(cluster, TinySpec("undrain"), 42);
   const size_t victim = DrainMostCommitted(cluster, Minutes(2));
   cluster.RunUntil(Minutes(3));
   const uint64_t routed_while_drained = cluster.routed_to(victim);
@@ -211,13 +149,10 @@ TEST(ClusterDrainTest, UndrainRestoresRouting) {
 TEST(ClusterDrainTest, HintedBinPackFiresProactiveReclaimsDeterministically) {
   auto run = [](uint64_t seed) {
     ClusterConfig cfg =
-        BaseConfig(PlacementPolicy::kHintedBinPack, ReclaimPolicy::kSqueezy);
+        DrainConfig(PlacementPolicy::kHintedBinPack, ReclaimPolicy::kSqueezy);
     cfg.host.seed = seed;
     Cluster cluster(cfg);
-    for (int f = 0; f < 4; ++f) {
-      cluster.AddFunction(TinySpec("hinted"), 8);
-    }
-    cluster.SubmitTrace(GenerateClusterTrace(SkewedTrace(), seed));
+    AddSkewedLoad(cluster, TinySpec("hinted"), seed);
     cluster.RunUntil(Minutes(8));
     uint64_t proactive = 0;
     for (size_t h = 0; h < cluster.host_count(); ++h) {

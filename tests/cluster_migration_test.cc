@@ -22,63 +22,11 @@
 #include "src/cluster/migration_planner.h"
 #include "src/faas/function.h"
 #include "src/trace/cluster_trace.h"
+#include "tests/support/cluster_churn.h"
 #include "tests/support/mirrored_host_index.h"
 
 namespace squeezy {
 namespace {
-
-FunctionSpec TinySpec(const char* name) {
-  FunctionSpec s;
-  s.name = name;
-  s.vcpu_shares = 1.0;
-  s.memory_limit = MiB(256);
-  s.anon_working_set = MiB(96);
-  s.file_deps_bytes = MiB(64);
-  s.container_init_cpu = Msec(80);
-  s.function_init_cpu = Msec(120);
-  s.exec_cpu_mean = Msec(100);
-  s.exec_cv = 0.0;
-  return s;
-}
-
-ClusterConfig BaseConfig(ReclaimPolicy reclaim, MigrationMode mode) {
-  ClusterConfig cfg;
-  cfg.nr_hosts = 4;
-  cfg.placement = PlacementPolicy::kMemoryAwareBinPack;
-  cfg.migration = mode;
-  cfg.host.policy = reclaim;
-  cfg.host.host_capacity = MiB(2560);
-  cfg.host.vm_base_memory = MiB(128);
-  cfg.host.keep_alive = Sec(30);
-  cfg.host.pressure_check_period = Msec(500);
-  cfg.host.seed = 42;
-  return cfg;
-}
-
-ClusterTraceConfig SkewedTrace() {
-  ClusterTraceConfig t;
-  t.duration = Minutes(6);
-  t.nr_functions = 4;
-  t.total_base_rate_per_sec = 2.0;
-  t.zipf_s = 1.2;
-  t.bursty_fraction = 0.5;
-  t.burst_multiplier = 30.0;
-  t.mean_burst_len = Sec(20);
-  t.mean_gap = Sec(60);
-  return t;
-}
-
-size_t DrainMostCommitted(Cluster& cluster, TimeNs drain_at) {
-  cluster.RunUntil(drain_at);
-  size_t victim = 0;
-  for (size_t h = 1; h < cluster.host_count(); ++h) {
-    if (cluster.host(h).committed() > cluster.host(victim).committed()) {
-      victim = h;
-    }
-  }
-  cluster.DrainHost(victim);
-  return victim;
-}
 
 // Cold-start executions whose request arrived at or after `since`.
 uint64_t ColdStartsSince(const Cluster& cluster, TimeNs since) {
@@ -135,11 +83,8 @@ TEST(StateTransferCostTest, CostScalesWithTouchedFootprintNotAFlatConstant) {
 // --- Drain migration: warm replicas land elsewhere --------------------------------
 
 TEST(ClusterMigrationTest, DrainMigratesWarmReplicasToOtherHosts) {
-  Cluster cluster(BaseConfig(ReclaimPolicy::kSqueezy, MigrationMode::kMigrateOnDrain));
-  for (int f = 0; f < 4; ++f) {
-    cluster.AddFunction(TinySpec("migrate"), 8);
-  }
-  cluster.SubmitTrace(GenerateClusterTrace(SkewedTrace(), 42));
+  Cluster cluster(cluster_churn::Config(ReclaimPolicy::kSqueezy, 42));
+  AddSkewedLoad(cluster, TinySpec("migrate"), 42);
   const size_t victim = DrainMostCommitted(cluster, Minutes(3));
   const uint64_t routed_at_drain = cluster.routed_to(victim);
 
@@ -170,15 +115,11 @@ TEST(ClusterMigrationTest, DrainMigratesWarmReplicasToOtherHosts) {
 // reclaim driver.
 TEST(ClusterMigrationTest, DonorCommittedMemoryReturnsAtDriverSpeed) {
   auto reclaim_time = [](ReclaimPolicy reclaim) {
-    ClusterConfig cfg = BaseConfig(reclaim, MigrationMode::kMigrateOnDrain);
+    ClusterConfig cfg = cluster_churn::Config(reclaim, 42);
     Cluster cluster(cfg);
     const FunctionSpec spec = TinySpec("migratespeed");
-    uint64_t boot_commit = 0;
-    for (int f = 0; f < 4; ++f) {
-      cluster.AddFunction(spec, 8);
-      boot_commit += FaasRuntime::BootCommitment(cfg.host, spec, 8);
-    }
-    cluster.SubmitTrace(GenerateClusterTrace(SkewedTrace(), 42));
+    AddSkewedLoad(cluster, spec, 42);
+    const uint64_t boot_commit = 4 * FaasRuntime::BootCommitment(cfg.host, spec, 8);
     const TimeNs drain_at = Minutes(3);
     const size_t victim = DrainMostCommitted(cluster, drain_at);
     EXPECT_GT(cluster.host(victim).committed(), boot_commit);
@@ -203,11 +144,10 @@ TEST(ClusterMigrationTest, DonorCommittedMemoryReturnsAtDriverSpeed) {
 // warm replicas beats reaping them on post-drain cold starts.
 TEST(ClusterMigrationTest, FewerPostDrainColdStartsThanReapOnly) {
   auto run = [](MigrationMode mode, uint64_t* migrated) {
-    Cluster cluster(BaseConfig(ReclaimPolicy::kSqueezy, mode));
-    for (int f = 0; f < 4; ++f) {
-      cluster.AddFunction(TinySpec("coldcount"), 8);
-    }
-    cluster.SubmitTrace(GenerateClusterTrace(SkewedTrace(), 42));
+    ClusterConfig cfg = cluster_churn::Config(ReclaimPolicy::kSqueezy, 42);
+    cfg.migration = mode;
+    Cluster cluster(cfg);
+    AddSkewedLoad(cluster, TinySpec("coldcount"), 42);
     const TimeNs drain_at = Minutes(3);
     DrainMostCommitted(cluster, drain_at);
     cluster.RunUntil(Minutes(8));
@@ -459,11 +399,8 @@ TEST(ClusterMigrationTest, AdoptableQuoteMatchesImmediateAdoption) {
 // migration sweep, and Drain() now sit in one lock scope — a second
 // DrainHost on an already-draining host is a no-op, never a second sweep.
 TEST(ClusterMigrationTest, DrainHostIsIdempotent) {
-  Cluster cluster(BaseConfig(ReclaimPolicy::kSqueezy, MigrationMode::kMigrateOnDrain));
-  for (int f = 0; f < 4; ++f) {
-    cluster.AddFunction(TinySpec("idem"), 8);
-  }
-  cluster.SubmitTrace(GenerateClusterTrace(SkewedTrace(), 42));
+  Cluster cluster(cluster_churn::Config(ReclaimPolicy::kSqueezy, 42));
+  AddSkewedLoad(cluster, TinySpec("idem"), 42);
   const size_t victim = DrainMostCommitted(cluster, Minutes(3));
   ASSERT_TRUE(cluster.host(victim).draining());
   const size_t migrations_after_first = cluster.migrations().size();
@@ -602,13 +539,10 @@ TEST(MigrationPlannerTest, RankDestinationsPrefersSnapshotRestorableHosts) {
 // adopted instances bulk-restore it on arrival, then serve warm.
 TEST(ClusterMigrationTest, SnapshotHitMigrationShipsOnlyTheDelta) {
   auto run = [](bool snapshots, uint64_t* wire_bytes) {
-    ClusterConfig cfg = BaseConfig(ReclaimPolicy::kSqueezy, MigrationMode::kMigrateOnDrain);
+    ClusterConfig cfg = cluster_churn::Config(ReclaimPolicy::kSqueezy, 42);
     cfg.shared_snapshots = snapshots;
     Cluster cluster(cfg);
-    for (int f = 0; f < 4; ++f) {
-      cluster.AddFunction(TinySpec("snapmig"), 8);
-    }
-    cluster.SubmitTrace(GenerateClusterTrace(SkewedTrace(), 42));
+    AddSkewedLoad(cluster, TinySpec("snapmig"), 42);
     const TimeNs drain_at = Minutes(3);
     const size_t victim = DrainMostCommitted(cluster, drain_at);
     uint64_t migrated = cluster.migrated_instances();
@@ -651,11 +585,10 @@ TEST(ClusterMigrationTest, SnapshotHitMigrationShipsOnlyTheDelta) {
 
 // Reap-only clusters never migrate, by construction.
 TEST(ClusterMigrationTest, ReapOnlyModeNeverMigrates) {
-  Cluster cluster(BaseConfig(ReclaimPolicy::kSqueezy, MigrationMode::kReapOnDrain));
-  for (int f = 0; f < 4; ++f) {
-    cluster.AddFunction(TinySpec("reaponly"), 8);
-  }
-  cluster.SubmitTrace(GenerateClusterTrace(SkewedTrace(), 42));
+  ClusterConfig cfg = cluster_churn::Config(ReclaimPolicy::kSqueezy, 42);
+  cfg.migration = MigrationMode::kReapOnDrain;
+  Cluster cluster(cfg);
+  AddSkewedLoad(cluster, TinySpec("reaponly"), 42);
   DrainMostCommitted(cluster, Minutes(3));
   EXPECT_EQ(cluster.MigratePressured(), 0u);
   cluster.RunUntil(Minutes(8));

@@ -12,54 +12,16 @@
 #include "src/cluster/cluster.h"
 #include "src/faas/function.h"
 #include "src/trace/cluster_trace.h"
+#include "tests/support/cluster_churn.h"
 #include "tests/support/mirrored_host_index.h"
 
 namespace squeezy {
 namespace {
 
-FunctionSpec TinySpec(const char* name) {
-  FunctionSpec s;
-  s.name = name;
-  s.vcpu_shares = 1.0;
-  s.memory_limit = MiB(256);
-  s.anon_working_set = MiB(96);
-  s.file_deps_bytes = MiB(64);
-  s.container_init_cpu = Msec(80);
-  s.function_init_cpu = Msec(120);
-  s.exec_cpu_mean = Msec(100);
-  s.exec_cv = 0.0;
-  return s;
-}
-
-ClusterConfig BaseConfig(size_t hosts, PlacementPolicy placement, uint64_t capacity) {
-  ClusterConfig cfg;
-  cfg.nr_hosts = hosts;
-  cfg.placement = placement;
-  cfg.host.policy = ReclaimPolicy::kSqueezy;
-  cfg.host.host_capacity = capacity;
-  cfg.host.vm_base_memory = MiB(128);
-  cfg.host.keep_alive = Sec(30);
-  cfg.host.seed = 42;
-  return cfg;
-}
-
-ClusterTraceConfig SkewedTrace() {
-  ClusterTraceConfig t;
-  t.duration = Minutes(6);
-  t.nr_functions = 4;
-  t.total_base_rate_per_sec = 2.0;
-  t.zipf_s = 1.2;
-  t.bursty_fraction = 0.5;
-  t.burst_multiplier = 30.0;
-  t.mean_burst_len = Sec(20);
-  t.mean_gap = Sec(60);
-  return t;
-}
-
 TEST(ClusterTest, ShardedKernelOnlyForRegistryFreeFleets) {
   // A shared registry lets host handlers touch cross-host state, so a
   // kSharded config with one attached runs on the single queue instead.
-  ClusterConfig cfg = BaseConfig(4, PlacementPolicy::kRoundRobin, GiB(8));
+  ClusterConfig cfg = FleetConfig(PlacementPolicy::kRoundRobin, GiB(8));
   cfg.queue_impl = EventQueue::Impl::kSharded;
   EXPECT_NE(Cluster(cfg).sharded(), nullptr);
   for (const bool dep_cache : {false, true}) {
@@ -89,16 +51,15 @@ int ProcessThreads() {
 // starts none and routes exactly like one asked for one.
 TEST(ClusterTest, ShardedFleetRunsOnTheCallingThreadAtAnySimThreads) {
   auto run = [](size_t sim_threads) {
-    ClusterConfig cfg = BaseConfig(4, PlacementPolicy::kMemoryAwareBinPack, GiB(3));
+    ClusterConfig cfg = FleetConfig(PlacementPolicy::kMemoryAwareBinPack, GiB(3));
     cfg.queue_impl = EventQueue::Impl::kSharded;
     cfg.sim_threads = sim_threads;
     Cluster cluster(cfg);
     EXPECT_NE(cluster.sharded(), nullptr);
-    const ClusterTraceConfig tcfg = SkewedTrace();
-    for (int32_t f = 0; f < tcfg.nr_functions; ++f) {
+    for (int f = 0; f < 4; ++f) {
       cluster.AddFunction(TinySpec("threads"), 6);
     }
-    const std::vector<Invocation> trace = GenerateClusterTrace(tcfg, 42);
+    const std::vector<Invocation> trace = GenerateClusterTrace(SkewedTrace(), 42);
     cluster.SubmitTrace(trace);
     int threads_mid_run = 0;
     cluster.events().ScheduleAt(Minutes(3), [&] { threads_mid_run = ProcessThreads(); });
@@ -119,7 +80,7 @@ TEST(ClusterTest, PlacementPolicyNames) {
 }
 
 TEST(ClusterTest, HostsShareOneVirtualClock) {
-  Cluster cluster(BaseConfig(4, PlacementPolicy::kRoundRobin, GiB(8)));
+  Cluster cluster(FleetConfig(PlacementPolicy::kRoundRobin, GiB(8)));
   for (size_t h = 0; h < cluster.host_count(); ++h) {
     EXPECT_EQ(&cluster.host(h).events(), &cluster.events());
   }
@@ -139,14 +100,10 @@ TEST(ClusterTest, HostsShareOneVirtualClock) {
 // function of (config, seed); a different seed must diverge.
 TEST(ClusterTest, PlacementDeterministicUnderFixedSeed) {
   auto run = [](uint64_t seed, PlacementPolicy placement) {
-    ClusterConfig cfg = BaseConfig(4, placement, GiB(3));
+    ClusterConfig cfg = FleetConfig(placement, GiB(3));
     cfg.host.seed = seed;
     Cluster cluster(cfg);
-    ClusterTraceConfig tcfg = SkewedTrace();
-    for (int32_t f = 0; f < tcfg.nr_functions; ++f) {
-      cluster.AddFunction(TinySpec("det"), 6);
-    }
-    cluster.SubmitTrace(GenerateClusterTrace(tcfg, seed));
+    AddSkewedLoad(cluster, TinySpec("det"), seed, 6);
     cluster.RunUntil(Minutes(8));
     const FleetSummary s = cluster.Summarize(Minutes(8));
     return std::make_tuple(cluster.routing_hash(), s.completed_requests,
@@ -165,27 +122,20 @@ TEST(ClusterTest, PlacementDeterministicUnderFixedSeed) {
 // evicted, all unplugs drained) every host's committed book returns
 // exactly to its boot-time commitment.
 TEST(ClusterTest, HostMemoryConservedAcrossScaleUpDown) {
-  ClusterConfig cfg = BaseConfig(4, PlacementPolicy::kLeastCommitted, GiB(3));
+  ClusterConfig cfg = FleetConfig(PlacementPolicy::kLeastCommitted, GiB(3));
   Cluster cluster(cfg);
   const FunctionSpec spec = TinySpec("conserve");
-  std::vector<int> fns;
   for (int f = 0; f < 3; ++f) {
-    fns.push_back(cluster.AddFunction(spec, 6));
+    cluster.AddFunction(spec, 6);
   }
   // Boot-time commitment per host: sum over the replicas placed there.
-  std::vector<uint64_t> boot(cluster.host_count(), 0);
-  for (const int fn : fns) {
-    for (const Replica& r : cluster.replicas(fn)) {
-      boot[r.host] += FaasRuntime::BootCommitment(cfg.host, spec, 6);
-    }
-  }
+  const std::vector<uint64_t> boot =
+      PerReplica(cluster, FaasRuntime::BootCommitment(cfg.host, spec, 6));
   for (size_t h = 0; h < cluster.host_count(); ++h) {
     EXPECT_EQ(cluster.host(h).committed(), boot[h]) << "host " << h;
   }
 
-  ClusterTraceConfig tcfg = SkewedTrace();
-  tcfg.nr_functions = static_cast<int32_t>(fns.size());
-  cluster.SubmitTrace(GenerateClusterTrace(tcfg, 42));
+  cluster.SubmitTrace(GenerateClusterTrace(SkewedTrace(Minutes(6), 3), 42));
   cluster.RunAll();  // Drain: every keep-alive expiry and unplug completes.
 
   for (size_t h = 0; h < cluster.host_count(); ++h) {
@@ -211,13 +161,9 @@ TEST(ClusterTest, HostMemoryConservedAcrossScaleUpDown) {
 TEST(ClusterTest, BinPackBeatsRoundRobinOnPendingScaleups) {
   auto pending_total = [](PlacementPolicy placement) {
     // Tight fleet: each host fits boot plus only a few extra instances.
-    ClusterConfig cfg = BaseConfig(4, placement, MiB(2176));
+    ClusterConfig cfg = FleetConfig(placement, MiB(2176));
     Cluster cluster(cfg);
-    ClusterTraceConfig tcfg = SkewedTrace();
-    for (int32_t f = 0; f < tcfg.nr_functions; ++f) {
-      cluster.AddFunction(TinySpec("skew"), 8);
-    }
-    cluster.SubmitTrace(GenerateClusterTrace(tcfg, 42));
+    AddSkewedLoad(cluster, TinySpec("skew"), 42);
     cluster.RunUntil(Minutes(8));
     return cluster.Summarize(Minutes(8)).pending_scaleups_total;
   };
@@ -266,7 +212,7 @@ TEST(ClusterTest, RoundRobinPlacementFairUnderFlappingEligibility) {
 // one replica per function and more functions than one host can hold, it
 // still never over-commits a host at boot.
 TEST(ClusterTest, SingleReplicaPlacementRespectsCapacity) {
-  ClusterConfig cfg = BaseConfig(4, PlacementPolicy::kMemoryAwareBinPack, GiB(2));
+  ClusterConfig cfg = FleetConfig(PlacementPolicy::kMemoryAwareBinPack, GiB(2));
   cfg.replicas_per_function = 1;
   Cluster cluster(cfg);
   for (int f = 0; f < 8; ++f) {

@@ -23,24 +23,11 @@
 #include "src/faas/function.h"
 #include "src/faas/runtime.h"
 #include "src/trace/cluster_trace.h"
+#include "tests/support/cluster_churn.h"
 #include "tests/support/mirrored_host_index.h"
 
 namespace squeezy {
 namespace {
-
-FunctionSpec DepSpec(const char* name) {
-  FunctionSpec s;
-  s.name = name;
-  s.vcpu_shares = 1.0;
-  s.memory_limit = MiB(256);
-  s.anon_working_set = MiB(96);
-  s.file_deps_bytes = MiB(64);
-  s.container_init_cpu = Msec(80);
-  s.function_init_cpu = Msec(120);
-  s.exec_cpu_mean = Msec(100);
-  s.exec_cv = 0.0;
-  return s;
-}
 
 uint64_t DepsRegion(const FunctionSpec& s) {
   return BytesToBlocks(s.file_deps_bytes) * kMemoryBlockBytes;
@@ -102,7 +89,7 @@ TEST(DepCacheRegistryTest, PopulationIsPerHost) {
 // --- Boot dedup (once per host per image) --------------------------------------------
 
 TEST(DepCacheBootTest, SqueezyChargesDepsOncePerHostPerImage) {
-  const FunctionSpec spec = DepSpec("dedup");
+  const FunctionSpec spec = TinySpec("dedup");
   RuntimeConfig cfg;
   cfg.policy = ReclaimPolicy::kSqueezy;
   cfg.host_capacity = GiB(32);
@@ -127,7 +114,7 @@ TEST(DepCacheBootTest, SqueezyChargesDepsOncePerHostPerImage) {
   EXPECT_EQ(shared.dep_image(0), shared.dep_image(1));
 
   // Distinct specs are distinct images: both charge.
-  FunctionSpec other = DepSpec("other");
+  FunctionSpec other = TinySpec("other");
   shared.AddFunction(other, 4);
   EXPECT_EQ(cache.charged_bytes(0), 2 * DepsRegion(spec));
 }
@@ -164,18 +151,9 @@ ChurnSummary RunChurn(ReclaimPolicy policy, DepImageRegistry* registry) {
   }
   const int kFunctions = 3;
   for (int f = 0; f < kFunctions; ++f) {
-    rt.AddFunction(DepSpec("parity"), 6);
+    rt.AddFunction(TinySpec("parity"), 6);
   }
-  ClusterTraceConfig trace;
-  trace.duration = Minutes(4);
-  trace.nr_functions = kFunctions;
-  trace.total_base_rate_per_sec = 2.0;
-  trace.zipf_s = 1.2;
-  trace.bursty_fraction = 0.5;
-  trace.burst_multiplier = 30.0;
-  trace.mean_burst_len = Sec(20);
-  trace.mean_gap = Sec(60);
-  rt.SubmitTrace(GenerateClusterTrace(trace, 42));
+  rt.SubmitTrace(GenerateClusterTrace(SkewedTrace(Minutes(4), kFunctions), 42));
   rt.RunUntil(Minutes(6));
 
   ChurnSummary g;
@@ -214,7 +192,7 @@ TEST(DepCacheParityTest, SqueezySharesAndStillCompletesTheChurn) {
   const ChurnSummary without = RunChurn(ReclaimPolicy::kSqueezy, nullptr);
   // Same image for the three VMs: two boot dedups, a full region freed.
   EXPECT_EQ(cache.stats().boot_dedup_hits, 2u);
-  EXPECT_EQ(cache.stats().boot_bytes_saved, 2 * DepsRegion(DepSpec("parity")));
+  EXPECT_EQ(cache.stats().boot_bytes_saved, 2 * DepsRegion(TinySpec("parity")));
   // The freed commitment loosens the whole run: the shared host can only
   // sit at or below the per-VM book, and never loses work to it.  (More
   // headroom admits more instances, so pending/eviction churn may go
@@ -241,7 +219,7 @@ TEST(DepCacheColdStartTest, PeerResidentImageSkipsColdIo) {
     cfg.host.keep_alive = Minutes(5);
     cfg.host.seed = 7;
     auto cluster = std::make_unique<Cluster>(cfg);
-    const int fn = cluster->AddFunction(DepSpec("coldio"), 4);
+    const int fn = cluster->AddFunction(TinySpec("coldio"), 4);
     const std::vector<Replica>& reps = cluster->replicas(fn);
     EXPECT_EQ(reps.size(), 2u);
     // Two invocations on host 0 (the second acquire observes the first
@@ -290,7 +268,7 @@ TEST(DepCacheColdStartTest, SiblingVmAdoptsHostResidentImage) {
   DepCache cache(1);
   FaasRuntime rt(cfg);
   rt.AttachDepRegistry(&cache, 0);
-  const FunctionSpec spec = DepSpec("sibling");
+  const FunctionSpec spec = TinySpec("sibling");
   const int a = rt.AddFunction(spec, 4);
   const int b = rt.AddFunction(spec, 4);
 
@@ -349,7 +327,7 @@ DrainOutcome RunDrainMigration(bool with_cache) {
   cfg.host.keep_alive = Minutes(5);
   cfg.host.seed = 11;
   Cluster cluster(cfg);
-  const int fn = cluster.AddFunction(DepSpec("migrate"), 4);
+  const int fn = cluster.AddFunction(TinySpec("migrate"), 4);
   const std::vector<Replica> reps = cluster.replicas(fn);
 
   // Warm BOTH replicas (two instances on the source, one on the
@@ -390,7 +368,7 @@ TEST(DepCacheMigrationTest, CacheOnWithNonSharingDriverMigratesAtFullPrice) {
   cfg.host.keep_alive = Minutes(5);
   cfg.host.seed = 13;
   Cluster cluster(cfg);
-  const int fn = cluster.AddFunction(DepSpec("nonsharing"), 4);
+  const int fn = cluster.AddFunction(TinySpec("nonsharing"), 4);
   const std::vector<Replica> reps = cluster.replicas(fn);
   EXPECT_EQ(cluster.host(reps[0].host).dep_image(reps[0].local_fn), kNoDepImage);
 
@@ -403,7 +381,7 @@ TEST(DepCacheMigrationTest, CacheOnWithNonSharingDriverMigratesAtFullPrice) {
   ASSERT_EQ(cluster.migrations().size(), 1u);
   EXPECT_EQ(cluster.dep_cache()->stats().wire_hits, 0u);
   // Full price: the image crossed the wire with the anonymous state.
-  EXPECT_GE(cluster.migrations()[0].bytes_sent, DepSpec("nonsharing").file_deps_bytes);
+  EXPECT_GE(cluster.migrations()[0].bytes_sent, TinySpec("nonsharing").file_deps_bytes);
 }
 
 TEST(DepCacheMigrationTest, DestinationResidentImageSkipsTheWire) {
@@ -432,7 +410,7 @@ TEST(DepCacheEvictionTest, DrainReleasesImageCommitmentThroughDriver) {
   cfg.host.keep_alive = Sec(30);
   cfg.host.seed = 5;
   Cluster cluster(cfg);
-  const FunctionSpec spec = DepSpec("evict");
+  const FunctionSpec spec = TinySpec("evict");
   const int fn = cluster.AddFunction(spec, 4);
   const std::vector<Replica> reps = cluster.replicas(fn);
   const size_t victim = reps[0].host;

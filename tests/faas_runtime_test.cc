@@ -8,23 +8,10 @@
 #include "src/faas/microvm.h"
 #include "src/faas/runtime.h"
 #include "src/trace/trace_gen.h"
+#include "tests/support/cluster_churn.h"
 
 namespace squeezy {
 namespace {
-
-FunctionSpec SmallSpec(const char* name) {
-  FunctionSpec s;
-  s.name = name;
-  s.vcpu_shares = 1.0;
-  s.memory_limit = MiB(256);
-  s.anon_working_set = MiB(96);
-  s.file_deps_bytes = MiB(64);
-  s.container_init_cpu = Msec(80);
-  s.function_init_cpu = Msec(120);
-  s.exec_cpu_mean = Msec(100);
-  s.exec_cv = 0.0;
-  return s;
-}
 
 TEST(FaasRuntimeTest, PolicyNames) {
   EXPECT_STREQ(ReclaimPolicyName(ReclaimPolicy::kStatic), "Static");
@@ -39,7 +26,7 @@ TEST(FaasRuntimeTest, SqueezyEndToEndScaleUpDown) {
   cfg.host_capacity = GiB(32);
   cfg.keep_alive = Sec(30);
   FaasRuntime rt(cfg);
-  const int fn = rt.AddFunction(SmallSpec("s"), 4);
+  const int fn = rt.AddFunction(TinySpec("s"), 4);
 
   // Burst of 3 -> 3 instances; after keep-alive everything is reclaimed.
   rt.SubmitTrace({{Sec(1), fn}, {Sec(1), fn}, {Sec(1), fn}});
@@ -63,7 +50,7 @@ TEST(FaasRuntimeTest, VirtioPolicyMigratesOnReclaim) {
   cfg.host_capacity = GiB(32);
   cfg.keep_alive = Sec(30);
   FaasRuntime rt(cfg);
-  const int fn = rt.AddFunction(SmallSpec("v"), 4);
+  const int fn = rt.AddFunction(TinySpec("v"), 4);
   // Enough parallel instances that their footprints interleave.
   rt.SubmitTrace({{Sec(1), fn}, {Sec(1), fn}, {Sec(1), fn}, {Sec(1), fn}});
   rt.RunUntil(Minutes(5));
@@ -78,7 +65,7 @@ TEST(FaasRuntimeTest, StaticPolicyNeverUnplugs) {
   cfg.host_capacity = GiB(32);
   cfg.keep_alive = Sec(30);
   FaasRuntime rt(cfg);
-  const int fn = rt.AddFunction(SmallSpec("st"), 4);
+  const int fn = rt.AddFunction(TinySpec("st"), 4);
   const uint64_t committed_boot = rt.host().committed();
   rt.SubmitTrace({{Sec(1), fn}, {Sec(1), fn}});
   rt.RunUntil(Minutes(3));
@@ -93,7 +80,7 @@ TEST(FaasRuntimeTest, StaticColdStartHasNoVmmDelayAndNoNestedFaults) {
   cfg.policy = ReclaimPolicy::kStatic;
   cfg.host_capacity = GiB(32);
   FaasRuntime rt(cfg);
-  const int fn = rt.AddFunction(SmallSpec("st"), 2);
+  const int fn = rt.AddFunction(TinySpec("st"), 2);
   rt.SubmitTrace({{Sec(1), fn}});
   rt.RunUntil(Minutes(1));
   ASSERT_EQ(rt.agent(fn).cold_starts().size(), 1u);
@@ -104,7 +91,7 @@ TEST(FaasRuntimeTest, StaticColdStartHasNoVmmDelayAndNoNestedFaults) {
   RuntimeConfig cfg2 = cfg;
   cfg2.policy = ReclaimPolicy::kSqueezy;
   FaasRuntime rt2(cfg2);
-  const int fn2 = rt2.AddFunction(SmallSpec("sq"), 2);
+  const int fn2 = rt2.AddFunction(TinySpec("sq"), 2);
   rt2.SubmitTrace({{Sec(1), fn2}});
   rt2.RunUntil(Minutes(1));
   ASSERT_EQ(rt2.agent(fn2).cold_starts().size(), 1u);
@@ -123,7 +110,7 @@ TEST(FaasRuntimeTest, PendingScaleUpsServedAfterReclaim) {
   RuntimeConfig cfg;
   cfg.policy = ReclaimPolicy::kSqueezy;
   cfg.keep_alive = Sec(20);
-  FunctionSpec spec = SmallSpec("tight");
+  FunctionSpec spec = TinySpec("tight");
   // Boot commit: base 512 + shared 64 MiB; 1 unit = 256 MiB.
   cfg.host_capacity = MiB(512) + MiB(64) + MiB(256) + kMemoryBlockBytes + MiB(256);
   FaasRuntime rt(cfg);
@@ -145,7 +132,7 @@ TEST(FaasRuntimeTest, MemoryPressureEvictsIdleInstancesEarly) {
   RuntimeConfig cfg;
   cfg.policy = ReclaimPolicy::kSqueezy;
   cfg.keep_alive = Minutes(10);  // Idle instances would linger...
-  FunctionSpec spec = SmallSpec("p");
+  FunctionSpec spec = TinySpec("p");
   cfg.host_capacity = MiB(512) + MiB(64) + MiB(512) + MiB(128);
   FaasRuntime rt(cfg);
   const int fn = rt.AddFunction(spec, 4);
@@ -165,7 +152,7 @@ TEST(FaasRuntimeTest, HarvestBufferMakesSecondColdStartFast) {
   cfg.keep_alive = Sec(10);
   cfg.harvest_buffer_units = 1;
   FaasRuntime rt(cfg);
-  const int fn = rt.AddFunction(SmallSpec("h"), 4);
+  const int fn = rt.AddFunction(TinySpec("h"), 4);
   // First instance: cold plug.  After eviction its memory goes to the
   // buffer.  Second cold start consumes the buffer: near-zero VMM delay.
   rt.SubmitTrace({{Sec(1), fn}, {Minutes(2), fn}});
@@ -182,7 +169,7 @@ TEST(FaasRuntimeTest, ReclaimThroughputSqueezyBeatsVanilla) {
     cfg.host_capacity = GiB(64);
     cfg.keep_alive = Sec(20);
     FaasRuntime rt(cfg);
-    const int fn = rt.AddFunction(SmallSpec("tp"), 8);
+    const int fn = rt.AddFunction(TinySpec("tp"), 8);
     std::vector<Invocation> trace;
     for (int i = 0; i < 8; ++i) {
       trace.push_back({Sec(1), fn});
@@ -205,7 +192,7 @@ TEST(FaasRuntimeTest, BurstyTraceEndToEndDeterministic) {
     cfg.host_capacity = GiB(64);
     cfg.seed = seed;
     FaasRuntime rt(cfg);
-    const int fn = rt.AddFunction(SmallSpec("d"), 8);
+    const int fn = rt.AddFunction(TinySpec("d"), 8);
     Rng rng(seed);
     BurstyTraceConfig tcfg;
     tcfg.duration = Minutes(5);
@@ -226,7 +213,7 @@ TEST(MicroVmPoolTest, ColdBootThenWarmReuse) {
   EventQueue events;
   MicroVmPoolConfig mcfg;
   mcfg.keep_alive = Sec(30);
-  MicroVmPool pool(&events, &hv, &host, SmallSpec("uvm"), mcfg);
+  MicroVmPool pool(&events, &hv, &host, TinySpec("uvm"), mcfg);
 
   pool.Submit();
   events.RunUntil(Sec(20));
@@ -254,7 +241,7 @@ TEST(MicroVmPoolTest, ParallelRequestsBootParallelVms) {
   CostModel cost = CostModel::Default();
   Hypervisor hv(&host, &cost);
   EventQueue events;
-  MicroVmPool pool(&events, &hv, &host, SmallSpec("uvm"), MicroVmPoolConfig{});
+  MicroVmPool pool(&events, &hv, &host, TinySpec("uvm"), MicroVmPoolConfig{});
   pool.Submit();
   pool.Submit();
   pool.Submit();
@@ -270,7 +257,7 @@ TEST(MicroVmPoolTest, FootprintExceedsSharedModel) {
   CostModel cost = CostModel::Default();
   Hypervisor hv(&host, &cost);
   EventQueue events;
-  const FunctionSpec spec = SmallSpec("fp");
+  const FunctionSpec spec = TinySpec("fp");
   MicroVmPool pool(&events, &hv, &host, spec, MicroVmPoolConfig{});
   pool.Submit();
   events.RunUntil(Minutes(1));

@@ -35,6 +35,7 @@
 #include "src/host/hypervisor.h"
 #include "src/trace/cluster_trace.h"
 #include "src/trace/memhog.h"
+#include "tests/support/cluster_churn.h"
 
 namespace squeezy {
 namespace {
@@ -148,31 +149,11 @@ void ExpectBreakdown(const BreakdownGolden& got, const BreakdownGolden& want,
 
 // --- Host + fleet layers ------------------------------------------------------------
 
+// TinySpec with 20% execution-time jitter.
 FunctionSpec ParitySpec(const char* name) {
-  FunctionSpec s;
-  s.name = name;
-  s.vcpu_shares = 1.0;
-  s.memory_limit = MiB(256);
-  s.anon_working_set = MiB(96);
-  s.file_deps_bytes = MiB(64);
-  s.container_init_cpu = Msec(80);
-  s.function_init_cpu = Msec(120);
-  s.exec_cpu_mean = Msec(100);
+  FunctionSpec s = TinySpec(name);
   s.exec_cv = 0.20;
   return s;
-}
-
-ClusterTraceConfig ParityTrace(int32_t nr_functions) {
-  ClusterTraceConfig t;
-  t.duration = Minutes(4);
-  t.nr_functions = nr_functions;
-  t.total_base_rate_per_sec = 2.0;
-  t.zipf_s = 1.2;
-  t.bursty_fraction = 0.5;
-  t.burst_multiplier = 30.0;
-  t.mean_burst_len = Sec(20);
-  t.mean_gap = Sec(60);
-  return t;
 }
 
 struct HostGolden {
@@ -204,7 +185,7 @@ HostGolden RunHostScenario(ReclaimPolicy policy) {
   for (int f = 0; f < kFunctions; ++f) {
     rt.AddFunction(ParitySpec("parity"), 6);
   }
-  rt.SubmitTrace(GenerateClusterTrace(ParityTrace(kFunctions), 42));
+  rt.SubmitTrace(GenerateClusterTrace(SkewedTrace(Minutes(4), kFunctions), 42));
   rt.RunUntil(Minutes(6));
 
   HostGolden g;
@@ -232,22 +213,12 @@ struct FleetGolden {
 };
 
 FleetGolden RunFleetScenario(ReclaimPolicy policy) {
-  ClusterConfig cfg;
-  cfg.nr_hosts = 4;
-  cfg.placement = PlacementPolicy::kMemoryAwareBinPack;
+  ClusterConfig cfg = FleetConfig(PlacementPolicy::kMemoryAwareBinPack, MiB(2176));
   cfg.host.policy = policy;
-  cfg.host.host_capacity = MiB(2176);
-  cfg.host.vm_base_memory = MiB(128);
-  cfg.host.keep_alive = Sec(30);
   cfg.host.unplug_timeout = Msec(400);
   cfg.host.pressure_check_period = Msec(500);
-  cfg.host.seed = 42;
   Cluster cluster(cfg);
-  const int kFunctions = 4;
-  for (int f = 0; f < kFunctions; ++f) {
-    cluster.AddFunction(ParitySpec("fleet"), 8);
-  }
-  cluster.SubmitTrace(GenerateClusterTrace(ParityTrace(kFunctions), 42));
+  AddSkewedLoad(cluster, ParitySpec("fleet"), 42, 8, Minutes(4));
   cluster.RunUntil(Minutes(6));
 
   const FleetSummary s = cluster.Summarize(Minutes(6));

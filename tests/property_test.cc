@@ -5,10 +5,8 @@
 #include <algorithm>
 #include <cstddef>
 #include <functional>
-#include <ios>
 #include <map>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -36,6 +34,7 @@
 #include "tests/oracles/heap_event_queue.h"
 #include "tests/oracles/idle_scan.h"
 #include "tests/oracles/scan_placement.h"
+#include "tests/support/cluster_churn.h"
 
 namespace squeezy {
 namespace {
@@ -2766,7 +2765,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ShardedMergeVsHeapOracleFuzzTest,
 // --- Cluster migration fuzz: drain/migrate/undrain sequences -------------------
 
 // Fleet-wide memory conservation must survive ARBITRARY interleavings of
-// drains, undrains and pressure migrations while a skewed trace runs:
+// drains, undrains and pressure migrations while a skewed trace runs
+// (the churn script of tests/support/cluster_churn.h):
 //   * per host and at every step, committed + free == capacity with
 //     committed <= capacity (an unbalanced EvictReplica/AdoptReplica pair
 //     would underflow or overflow the book) and populated <= committed;
@@ -2780,80 +2780,18 @@ class ClusterMigrationFuzzTest
 
 TEST_P(ClusterMigrationFuzzTest, RandomDrainMigrateUndrainConservesFleetMemory) {
   const auto [reclaim, seed] = GetParam();
-  constexpr int kFunctions = 4;
-  constexpr uint32_t kConcurrency = 8;
-
-  ClusterConfig cfg;
-  cfg.nr_hosts = 4;
-  cfg.placement = PlacementPolicy::kMemoryAwareBinPack;
-  cfg.migration = MigrationMode::kMigrateOnDrain;
-  cfg.pressure_migrate_min_pending = 1;
-  cfg.host.policy = reclaim;
-  cfg.host.host_capacity = MiB(2560);
-  cfg.host.vm_base_memory = MiB(128);
-  cfg.host.keep_alive = Sec(30);
-  cfg.host.pressure_check_period = Msec(500);
-  cfg.host.seed = seed;
+  using cluster_churn::kConcurrency;
+  const ClusterConfig cfg = cluster_churn::Config(reclaim, seed);
   Cluster cluster(cfg);
+  const FunctionSpec spec = TinySpec("fuzz");
+  AddSkewedLoad(cluster, spec, seed);
+  const std::vector<uint64_t> boot =
+      PerReplica(cluster, FaasRuntime::BootCommitment(cfg.host, spec, kConcurrency));
 
-  FunctionSpec spec;
-  spec.name = "fuzz";
-  spec.vcpu_shares = 1.0;
-  spec.memory_limit = MiB(256);
-  spec.anon_working_set = MiB(96);
-  spec.file_deps_bytes = MiB(64);
-  spec.container_init_cpu = Msec(80);
-  spec.function_init_cpu = Msec(120);
-  spec.exec_cpu_mean = Msec(100);
-  spec.exec_cv = 0.0;
-
-  std::vector<uint64_t> boot(cluster.host_count(), 0);
-  for (int f = 0; f < kFunctions; ++f) {
-    const int fn = cluster.AddFunction(spec, kConcurrency);
-    for (const Replica& r : cluster.replicas(fn)) {
-      boot[r.host] += FaasRuntime::BootCommitment(cfg.host, spec, kConcurrency);
-    }
-  }
-
-  ClusterTraceConfig trace;
-  trace.duration = Minutes(6);
-  trace.nr_functions = kFunctions;
-  trace.total_base_rate_per_sec = 2.0;
-  trace.zipf_s = 1.2;
-  trace.bursty_fraction = 0.5;
-  trace.burst_multiplier = 30.0;
-  trace.mean_burst_len = Sec(20);
-  trace.mean_gap = Sec(60);
-  cluster.SubmitTrace(GenerateClusterTrace(trace, seed));
-
-  Rng rng(seed * 1099511628211ull + 17);
-  TimeNs t = 0;
-  for (int step = 0; step < 30; ++step) {
-    t += Sec(rng.UniformInt(2, 20));
-    cluster.RunUntil(t);
-    const size_t h =
-        static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(cluster.host_count()) - 1));
-    switch (rng.UniformInt(0, 3)) {
-      case 0:
-        cluster.DrainHost(h);  // Migrates warm replicas off, then drains.
-        break;
-      case 1:
-        cluster.UndrainHost(h);
-        break;
-      case 2:
-        cluster.MigratePressured();
-        break;
-      case 3:
-        break;  // Let the trace run.
-    }
-    // Invariants at every step, mid-flight transfers included.
-    for (size_t i = 0; i < cluster.host_count(); ++i) {
-      const FaasRuntime& host = cluster.host(i);
-      ASSERT_LE(host.committed(), host.host_capacity()) << "step " << step;
-      ASSERT_EQ(host.host_capacity() - host.committed(), host.host().available());
-      ASSERT_LE(host.host().populated(), host.committed()) << "step " << step;
-    }
-    for (int fn = 0; fn < kFunctions; ++fn) {
+  const auto check = [&](int step) {
+    // Mid-flight transfers included.
+    ASSERT_NO_FATAL_FAILURE(cluster_churn::AssertBooksHold(cluster, step));
+    for (int fn = 0; fn < cluster_churn::kFunctions; ++fn) {
       size_t live = 0;
       for (const Replica& r : cluster.replicas(fn)) {
         live += cluster.host(r.host).agent(r.local_fn).live_instances();
@@ -2861,23 +2799,13 @@ TEST_P(ClusterMigrationFuzzTest, RandomDrainMigrateUndrainConservesFleetMemory) 
       ASSERT_LE(live, cluster.replicas(fn).size() * kConcurrency)
           << "replica double-counted at step " << step;
     }
-  }
-
-  // Quiesce: undrain nothing further, let keep-alives expire, transfers
-  // land, and every unplug complete.
-  cluster.RunAll();
-  EXPECT_EQ(cluster.migrations_in_flight(), 0u);
-  for (size_t h = 0; h < cluster.host_count(); ++h) {
-    const FaasRuntime& host = cluster.host(h);
-    // HarvestVM slack would stay plugged at quiescence on non-drained
-    // hosts; this fuzz sticks to the slackless drivers, so the book must
-    // return to exactly boot.
-    EXPECT_EQ(host.committed(), boot[h]) << ReclaimPolicyName(reclaim) << " host " << h;
-    EXPECT_LE(host.host().populated(), host.committed());
-    for (size_t fn = 0; fn < host.function_count(); ++fn) {
-      EXPECT_EQ(host.agent(static_cast<int>(fn)).live_instances(), 0u);
-    }
-  }
+  };
+  ASSERT_NO_FATAL_FAILURE(
+      cluster_churn::Churn(cluster, seed, {1099511628211ull, 17}, check));
+  // HarvestVM slack would stay plugged at quiescence on non-drained
+  // hosts; this fuzz sticks to the slackless drivers, so the book must
+  // return to exactly boot.
+  cluster_churn::ExpectQuiesced(cluster, boot);
   // Migration accounting closed out: everything captured was either
   // adopted somewhere or explicitly dropped.
   uint64_t captured = 0;
@@ -2919,59 +2847,17 @@ class DepCacheFuzzTest : public testing::TestWithParam<uint64_t> {};
 
 TEST_P(DepCacheFuzzTest, ResidencyRefcountsAndBooksConserved) {
   const uint64_t seed = GetParam();
-  constexpr int kFunctions = 4;
-  constexpr uint32_t kConcurrency = 8;
-
-  ClusterConfig cfg;
-  cfg.nr_hosts = 4;
-  cfg.placement = PlacementPolicy::kMemoryAwareBinPack;
-  cfg.migration = MigrationMode::kMigrateOnDrain;
-  cfg.pressure_migrate_min_pending = 1;
+  ClusterConfig cfg = cluster_churn::Config(ReclaimPolicy::kSqueezy, seed);
   cfg.shared_dep_cache = true;
-  cfg.host.policy = ReclaimPolicy::kSqueezy;
-  cfg.host.host_capacity = MiB(2560);
-  cfg.host.vm_base_memory = MiB(128);
-  cfg.host.keep_alive = Sec(30);
-  cfg.host.pressure_check_period = Msec(500);
-  cfg.host.seed = seed;
   Cluster cluster(cfg);
-
-  FunctionSpec spec;
-  spec.name = "depfuzz";
-  spec.vcpu_shares = 1.0;
-  spec.memory_limit = MiB(256);
-  spec.anon_working_set = MiB(96);
-  spec.file_deps_bytes = MiB(64);
-  spec.container_init_cpu = Msec(80);
-  spec.function_init_cpu = Msec(120);
-  spec.exec_cpu_mean = Msec(100);
-  spec.exec_cv = 0.0;
-
-  std::vector<uint64_t> base_commit(cluster.host_count(), 0);
-  for (int f = 0; f < kFunctions; ++f) {
-    const int fn = cluster.AddFunction(spec, kConcurrency);
-    for (const Replica& r : cluster.replicas(fn)) {
-      base_commit[r.host] += cfg.host.vm_base_memory;
-    }
-  }
+  AddSkewedLoad(cluster, TinySpec("depfuzz"), seed);
+  const std::vector<uint64_t> base_commit = PerReplica(cluster, cfg.host.vm_base_memory);
   const DepCache& cache = *cluster.dep_cache();
 
-  ClusterTraceConfig trace;
-  trace.duration = Minutes(6);
-  trace.nr_functions = kFunctions;
-  trace.total_base_rate_per_sec = 2.0;
-  trace.zipf_s = 1.2;
-  trace.bursty_fraction = 0.5;
-  trace.burst_multiplier = 30.0;
-  trace.mean_burst_len = Sec(20);
-  trace.mean_gap = Sec(60);
-  cluster.SubmitTrace(GenerateClusterTrace(trace, seed));
-
-  auto check_residency = [&](int step) {
+  const auto check = [&](int step) {
+    ASSERT_NO_FATAL_FAILURE(cluster_churn::AssertBooksHold(cluster, step));
     for (size_t h = 0; h < cluster.host_count(); ++h) {
       const FaasRuntime& host = cluster.host(h);
-      ASSERT_LE(host.committed(), host.host_capacity()) << "step " << step;
-      ASSERT_LE(host.host().populated(), host.committed()) << "step " << step;
       // Refcount conservation per image on this host: the image's refs
       // must equal the granted instances of every VM pinned to it.
       std::map<DepImageId, uint64_t> granted;
@@ -2992,43 +2878,14 @@ TEST_P(DepCacheFuzzTest, ResidencyRefcountsAndBooksConserved) {
       }
     }
   };
-
-  Rng rng(seed * 6364136223846793005ull + 29);
-  TimeNs t = 0;
-  for (int step = 0; step < 30; ++step) {
-    t += Sec(rng.UniformInt(2, 20));
-    cluster.RunUntil(t);
-    const size_t h =
-        static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(cluster.host_count()) - 1));
-    switch (rng.UniformInt(0, 3)) {
-      case 0:
-        cluster.DrainHost(h);
-        break;
-      case 1:
-        cluster.UndrainHost(h);
-        break;
-      case 2:
-        cluster.MigratePressured();
-        break;
-      case 3:
-        break;
-    }
-    check_residency(step);
-  }
-
-  cluster.RunAll();
-  check_residency(999);
-  EXPECT_EQ(cluster.migrations_in_flight(), 0u);
+  ASSERT_NO_FATAL_FAILURE(
+      cluster_churn::Churn(cluster, seed, {6364136223846793005ull, 29}, check));
+  // Quiescence: every instance reaped, every unplug done — the book is
+  // exactly the VM bases plus whatever image residencies survived.
+  cluster_churn::ExpectQuiesced(cluster, base_commit);
   for (size_t h = 0; h < cluster.host_count(); ++h) {
-    const FaasRuntime& host = cluster.host(h);
-    // Quiescence: every instance reaped, every unplug done — the book is
-    // exactly the VM bases plus whatever image residencies survived.
-    EXPECT_EQ(host.committed(), base_commit[h] + cache.charged_bytes(h))
-        << "host " << h;
-    EXPECT_LE(host.host().populated(), host.committed());
-    for (size_t fn = 0; fn < host.function_count(); ++fn) {
-      EXPECT_EQ(host.agent(static_cast<int>(fn)).live_instances(), 0u);
-      EXPECT_EQ(cache.RefCount(h, host.dep_image(static_cast<int>(fn))), 0u);
+    for (size_t fn = 0; fn < cluster.host(h).function_count(); ++fn) {
+      EXPECT_EQ(cache.RefCount(h, cluster.host(h).dep_image(static_cast<int>(fn))), 0u);
     }
   }
 }
@@ -3056,61 +2913,19 @@ class SnapshotFuzzTest : public testing::TestWithParam<uint64_t> {};
 
 TEST_P(SnapshotFuzzTest, RestoreDiscountsUnwindUnderDrainMigrateChurn) {
   const uint64_t seed = GetParam();
-  constexpr int kFunctions = 4;
-  constexpr uint32_t kConcurrency = 8;
-
-  ClusterConfig cfg;
-  cfg.nr_hosts = 4;
-  cfg.placement = PlacementPolicy::kMemoryAwareBinPack;
-  cfg.migration = MigrationMode::kMigrateOnDrain;
-  cfg.pressure_migrate_min_pending = 1;
+  ClusterConfig cfg = cluster_churn::Config(ReclaimPolicy::kSqueezy, seed);
   cfg.shared_dep_cache = true;
   cfg.shared_snapshots = true;
-  cfg.host.policy = ReclaimPolicy::kSqueezy;
-  cfg.host.host_capacity = MiB(2560);
-  cfg.host.vm_base_memory = MiB(128);
-  cfg.host.keep_alive = Sec(30);
-  cfg.host.pressure_check_period = Msec(500);
-  cfg.host.seed = seed;
   Cluster cluster(cfg);
-
-  FunctionSpec spec;
-  spec.name = "snapfuzz";
-  spec.vcpu_shares = 1.0;
-  spec.memory_limit = MiB(256);
-  spec.anon_working_set = MiB(96);
-  spec.file_deps_bytes = MiB(64);
-  spec.container_init_cpu = Msec(80);
-  spec.function_init_cpu = Msec(120);
-  spec.exec_cpu_mean = Msec(100);
-  spec.exec_cv = 0.0;
-
-  std::vector<uint64_t> base_commit(cluster.host_count(), 0);
-  for (int f = 0; f < kFunctions; ++f) {
-    const int fn = cluster.AddFunction(spec, kConcurrency);
-    for (const Replica& r : cluster.replicas(fn)) {
-      base_commit[r.host] += cfg.host.vm_base_memory;
-    }
-  }
-  const DepCache& cache = *cluster.dep_cache();
+  const FunctionSpec spec = TinySpec("snapfuzz");
+  AddSkewedLoad(cluster, spec, seed);
+  const std::vector<uint64_t> base_commit = PerReplica(cluster, cfg.host.vm_base_memory);
   const SnapshotStore& store = *cluster.snapshot_store();
 
-  ClusterTraceConfig trace;
-  trace.duration = Minutes(6);
-  trace.nr_functions = kFunctions;
-  trace.total_base_rate_per_sec = 2.0;
-  trace.zipf_s = 1.2;
-  trace.bursty_fraction = 0.5;
-  trace.burst_multiplier = 30.0;
-  trace.mean_burst_len = Sec(20);
-  trace.mean_gap = Sec(60);
-  cluster.SubmitTrace(GenerateClusterTrace(trace, seed));
-
-  auto check_books = [&](int step) {
+  const auto check = [&](int step) {
+    ASSERT_NO_FATAL_FAILURE(cluster_churn::AssertBooksHold(cluster, step));
     for (size_t h = 0; h < cluster.host_count(); ++h) {
       const FaasRuntime& host = cluster.host(h);
-      ASSERT_LE(host.committed(), host.host_capacity()) << "step " << step;
-      ASSERT_LE(host.host().populated(), host.committed()) << "step " << step;
       for (size_t fn = 0; fn < host.function_count(); ++fn) {
         const SnapshotId snap = host.snapshot_id(static_cast<int>(fn));
         ASSERT_NE(snap, kNoSnapshot) << "step " << step;
@@ -3121,47 +2936,15 @@ TEST_P(SnapshotFuzzTest, RestoreDiscountsUnwindUnderDrainMigrateChurn) {
       }
     }
   };
-
-  Rng rng(seed * 6364136223846793005ull + 31);
-  TimeNs t = 0;
-  for (int step = 0; step < 30; ++step) {
-    t += Sec(rng.UniformInt(2, 20));
-    cluster.RunUntil(t);
-    const size_t h =
-        static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(cluster.host_count()) - 1));
-    switch (rng.UniformInt(0, 3)) {
-      case 0:
-        cluster.DrainHost(h);
-        break;
-      case 1:
-        cluster.UndrainHost(h);
-        break;
-      case 2:
-        cluster.MigratePressured();
-        break;
-      case 3:
-        break;
-    }
-    check_books(step);
-  }
-
-  cluster.RunAll();
-  check_books(999);
+  ASSERT_NO_FATAL_FAILURE(
+      cluster_churn::Churn(cluster, seed, {6364136223846793005ull, 31}, check));
   // All four cluster functions share one spec, so one snapshot slot; the
   // churn is long enough that it recorded and restored at least once.
   EXPECT_EQ(store.stats().functions, 1u);
   EXPECT_GE(store.stats().recordings, 1u);
   EXPECT_GT(store.stats().restores, 0u);
   EXPECT_GT(store.stats().prefetch_bytes, 0u);
-  for (size_t h = 0; h < cluster.host_count(); ++h) {
-    const FaasRuntime& host = cluster.host(h);
-    EXPECT_EQ(host.committed(), base_commit[h] + cache.charged_bytes(h))
-        << "host " << h;
-    EXPECT_LE(host.host().populated(), host.committed());
-    for (size_t fn = 0; fn < host.function_count(); ++fn) {
-      EXPECT_EQ(host.agent(static_cast<int>(fn)).live_instances(), 0u);
-    }
-  }
+  cluster_churn::ExpectQuiesced(cluster, base_commit);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SnapshotFuzzTest, testing::Values(1u, 2u, 3u, 4u, 5u, 6u),
@@ -3188,62 +2971,23 @@ class SnapshotMigrationFuzzTest : public testing::TestWithParam<uint64_t> {};
 
 TEST_P(SnapshotMigrationFuzzTest, DeltaTransfersConserveBooksUnderChurn) {
   const uint64_t seed = GetParam();
-  constexpr int kFunctions = 4;
-  constexpr uint32_t kConcurrency = 8;
-
-  ClusterConfig cfg;
-  cfg.nr_hosts = 4;
-  cfg.placement = PlacementPolicy::kMemoryAwareBinPack;
-  cfg.migration = MigrationMode::kMigrateOnDrain;
-  cfg.pressure_migrate_min_pending = 1;
+  using cluster_churn::Op;
+  ClusterConfig cfg = cluster_churn::Config(ReclaimPolicy::kSqueezy, seed);
   cfg.shared_dep_cache = true;
   cfg.shared_snapshots = true;
-  cfg.host.policy = ReclaimPolicy::kSqueezy;
-  cfg.host.host_capacity = MiB(2560);
-  cfg.host.vm_base_memory = MiB(128);
   cfg.host.keep_alive = Sec(45);
-  cfg.host.pressure_check_period = Msec(500);
-  cfg.host.seed = seed;
   Cluster cluster(cfg);
-
-  FunctionSpec spec;
-  spec.name = "snapmigfuzz";
-  spec.vcpu_shares = 1.0;
-  spec.memory_limit = MiB(256);
-  spec.anon_working_set = MiB(96);
-  spec.file_deps_bytes = MiB(64);
-  spec.container_init_cpu = Msec(80);
-  spec.function_init_cpu = Msec(120);
-  spec.exec_cpu_mean = Msec(100);
-  spec.exec_cv = 0.0;
-
-  std::vector<uint64_t> base_commit(cluster.host_count(), 0);
-  for (int f = 0; f < kFunctions; ++f) {
-    const int fn = cluster.AddFunction(spec, kConcurrency);
-    for (const Replica& r : cluster.replicas(fn)) {
-      base_commit[r.host] += cfg.host.vm_base_memory;
-    }
-  }
-  const DepCache& cache = *cluster.dep_cache();
+  const FunctionSpec spec = TinySpec("snapmigfuzz");
+  AddSkewedLoad(cluster, spec, seed);
+  const std::vector<uint64_t> base_commit = PerReplica(cluster, cfg.host.vm_base_memory);
   const SnapshotStore& store = *cluster.snapshot_store();
 
-  ClusterTraceConfig trace;
-  trace.duration = Minutes(6);
-  trace.nr_functions = kFunctions;
-  trace.total_base_rate_per_sec = 2.0;
-  trace.zipf_s = 1.2;
-  trace.bursty_fraction = 0.5;
-  trace.burst_multiplier = 30.0;
-  trace.mean_burst_len = Sec(20);
-  trace.mean_gap = Sec(60);
-  cluster.SubmitTrace(GenerateClusterTrace(trace, seed));
-
-  auto check_invariants = [&](int step) {
-    for (size_t h = 0; h < cluster.host_count(); ++h) {
-      const FaasRuntime& host = cluster.host(h);
-      ASSERT_LE(host.committed(), host.host_capacity()) << "step " << step;
-      ASSERT_LE(host.host().populated(), host.committed()) << "step " << step;
-    }
+  // Drain-heavy: a drain is the snapshot-hit path's trigger.
+  const cluster_churn::Script script{
+      2862933555777941757ull, 17, /*steps=*/30, /*max_gap_s=*/16,
+      {Op::kDrain, Op::kDrain, Op::kUndrain, Op::kMigratePressured}};
+  const auto check = [&](int step) {
+    ASSERT_NO_FATAL_FAILURE(cluster_churn::AssertBooksHold(cluster, step));
     // Migration restore accounting: every bulk-restored instance was an
     // adopted one, and the recorded bytes that skipped the wire never
     // exceed the anonymous state the captures held (each instance's
@@ -3258,31 +3002,7 @@ TEST_P(SnapshotMigrationFuzzTest, DeltaTransfersConserveBooksUnderChurn) {
     ASSERT_LE(s.migration_wire_saved_bytes, captured_anon_cap) << "step " << step;
     ASSERT_GE(s.migration_restores, s.migration_hits) << "step " << step;
   };
-
-  Rng rng(seed * 2862933555777941757ull + 17);
-  TimeNs t = 0;
-  for (int step = 0; step < 30; ++step) {
-    t += Sec(rng.UniformInt(2, 16));
-    cluster.RunUntil(t);
-    const size_t h =
-        static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(cluster.host_count()) - 1));
-    switch (rng.UniformInt(0, 3)) {
-      case 0:
-      case 1:
-        cluster.DrainHost(h);  // Drain-heavy: the snapshot-hit path's trigger.
-        break;
-      case 2:
-        cluster.UndrainHost(h);
-        break;
-      case 3:
-        cluster.MigratePressured();
-        break;
-    }
-    check_invariants(step);
-  }
-
-  cluster.RunAll();
-  check_invariants(999);
+  ASSERT_NO_FATAL_FAILURE(cluster_churn::Churn(cluster, seed, script, check));
   // The churn migrated warm state, and at least one transfer shipped only
   // the delta (4 hosts share one recording slot, so destinations hold a
   // valid recording whenever the source's capture is fresh).
@@ -3292,13 +3012,7 @@ TEST_P(SnapshotMigrationFuzzTest, DeltaTransfersConserveBooksUnderChurn) {
   // Quiescence: every keep-alive expired and every discount unwound — the
   // book is exactly VM bases + charged dep images, bit-for-bit the same
   // identity the snapshot-off and migration-off fuzzes lock.
-  for (size_t h = 0; h < cluster.host_count(); ++h) {
-    const FaasRuntime& host = cluster.host(h);
-    EXPECT_EQ(host.committed(), base_commit[h] + cache.charged_bytes(h)) << "host " << h;
-    for (size_t fn = 0; fn < host.function_count(); ++fn) {
-      EXPECT_EQ(host.agent(static_cast<int>(fn)).live_instances(), 0u);
-    }
-  }
+  cluster_churn::ExpectQuiesced(cluster, base_commit);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SnapshotMigrationFuzzTest,
@@ -3310,7 +3024,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SnapshotMigrationFuzzTest,
 // --- Sharded kernel fuzz: per-host shards vs the single global queue ------------
 
 // The sharded kernel's whole contract is "bit-identical to the single
-// queue" (src/sim/sharded_event_queue.h).  One random churn script —
+// queue" (src/sim/sharded_event_queue.h).  One random churn script
+// (cluster_churn::RunChurn in tests/support/cluster_churn.h) —
 // drain/undrain/pressure-migrate while a skewed trace runs — is replayed
 // under the single queue and under kSharded, with the shared
 // registries both detached (shards merged by queue head) and attached
@@ -3321,151 +3036,12 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SnapshotMigrationFuzzTest,
 class ShardedVsSingleQueueFuzzTest
     : public testing::TestWithParam<std::tuple<bool /*registries*/, uint64_t /*seed*/>> {};
 
-namespace sharded_fuzz {
-
-// Byte-comparable dump of everything observable about a finished run.
-// Doubles print as hexfloat so equal digests mean bit-equal values.
-inline std::string FleetDigest(Cluster& cluster, TimeNs horizon) {
-  std::ostringstream os;
-  os << std::hexfloat;
-  os << "hash " << cluster.routing_hash() << " unplaced "
-     << cluster.unplaced_invocations() << " migrated "
-     << cluster.migrated_instances() << " reaped "
-     << cluster.migration_reaped_instances() << " inflight "
-     << cluster.migrations_in_flight() << "\n";
-  for (const MigrationRecord& m : cluster.migrations()) {
-    os << "mig " << m.cluster_fn << " " << m.src_host << ">" << m.dst_host << " cap "
-       << m.captured << " ad " << m.adopted << " bytes " << m.bytes_sent << " down "
-       << m.downtime << " t " << m.started_at << ".." << m.done_at << "\n";
-  }
-  for (size_t h = 0; h < cluster.host_count(); ++h) {
-    const FaasRuntime& host = cluster.host(h);
-    os << "host " << h << " committed " << host.committed() << " populated "
-       << host.host().populated() << " routed " << cluster.routed_to(h) << " pending "
-       << host.total_pending_scaleups() << "\n";
-    for (size_t fn = 0; fn < host.function_count(); ++fn) {
-      const Agent& agent = host.agent(static_cast<int>(fn));
-      os << " fn " << fn << " spawns " << agent.total_spawns() << " evict "
-         << agent.total_evictions() << " live " << agent.live_instances() << "\n";
-      for (const RequestRecord& r : agent.requests()) {
-        os << "  req " << r.arrival << " " << r.done << " " << r.cold << "\n";
-      }
-      for (const ColdStartBreakdown& c : agent.cold_starts()) {
-        os << "  cold " << c.vmm << " " << c.container_init << " " << c.function_init
-           << " " << c.first_exec << "\n";
-      }
-    }
-  }
-  const FleetSummary s = cluster.Summarize(horizon);
-  os << "sum req " << s.completed_requests << " cold " << s.cold_starts << " evict "
-     << s.evictions << " pend " << s.pending_scaleups_total << " unplug "
-     << s.unplug_failures << " p50 " << s.latency_p50 << " p99 " << s.latency_p99
-     << " mean " << s.latency_mean << " peak " << s.committed_peak << " gibs "
-     << s.committed_gib_seconds << "\n";
-  return os.str();
-}
-
-// Scheduler counters of one churn run (not part of the digest).
-struct ChurnCounters {
-  uint64_t decisions = 0;
-  uint64_t hints_fired = 0;
-  size_t parked_scaleups = 0;  // Still pending once RunAll returns.
-};
-
-// One full churn run: build the fleet, run the trace with random
-// drain/undrain/pressure churn, quiesce, digest.  Every input is a pure
-// function of (impl, registries, seed, placement knobs, reclaim policy,
-// host capacity) — and the digest must not depend on the kernel impl or
-// on whether the production deciders or the scan oracle decide.
-inline std::string RunChurn(EventQueue::Impl impl, bool registries, uint64_t seed,
-                            Cluster::MakeDeciders deciders = &Cluster::IndexedDeciders,
-                            PlacementPolicy policy = PlacementPolicy::kMemoryAwareBinPack,
-                            ReclaimPolicy reclaim = ReclaimPolicy::kSqueezy,
-                            uint64_t host_capacity = MiB(2560),
-                            ChurnCounters* counters = nullptr) {
-  constexpr int kFunctions = 4;
-  constexpr uint32_t kConcurrency = 8;
-  ClusterConfig cfg;
-  cfg.nr_hosts = 4;
-  cfg.placement = policy;
-  cfg.migration = MigrationMode::kMigrateOnDrain;
-  cfg.pressure_migrate_min_pending = 1;
-  cfg.shared_dep_cache = registries;
-  cfg.shared_snapshots = registries;
-  cfg.queue_impl = impl;
-  cfg.host.policy = reclaim;
-  cfg.host.host_capacity = host_capacity;
-  cfg.host.vm_base_memory = MiB(128);
-  cfg.host.keep_alive = Sec(30);
-  cfg.host.pressure_check_period = Msec(500);
-  cfg.host.seed = seed;
-  Cluster cluster(cfg, deciders);
-
-  FunctionSpec spec;
-  spec.name = "shard_fuzz";
-  spec.vcpu_shares = 1.0;
-  spec.memory_limit = MiB(256);
-  spec.anon_working_set = MiB(96);
-  spec.file_deps_bytes = MiB(64);
-  spec.container_init_cpu = Msec(80);
-  spec.function_init_cpu = Msec(120);
-  spec.exec_cpu_mean = Msec(100);
-  spec.exec_cv = 0.0;
-  for (int f = 0; f < kFunctions; ++f) {
-    cluster.AddFunction(spec, kConcurrency);
-  }
-
-  ClusterTraceConfig trace;
-  trace.duration = Minutes(4);
-  trace.nr_functions = kFunctions;
-  trace.total_base_rate_per_sec = 2.0;
-  trace.zipf_s = 1.2;
-  trace.bursty_fraction = 0.5;
-  trace.burst_multiplier = 30.0;
-  trace.mean_burst_len = Sec(20);
-  trace.mean_gap = Sec(60);
-  cluster.SubmitTrace(GenerateClusterTrace(trace, seed));
-
-  Rng rng(seed * 1099511628211ull + 29);
-  TimeNs t = 0;
-  for (int step = 0; step < 24; ++step) {
-    t += Sec(rng.UniformInt(2, 15));
-    cluster.RunUntil(t);
-    const size_t h = static_cast<size_t>(
-        rng.UniformInt(0, static_cast<int64_t>(cluster.host_count()) - 1));
-    switch (rng.UniformInt(0, 3)) {
-      case 0:
-        cluster.DrainHost(h);
-        break;
-      case 1:
-        cluster.UndrainHost(h);
-        break;
-      case 2:
-        cluster.MigratePressured();
-        break;
-      case 3:
-        break;  // Let the trace run.
-    }
-  }
-  cluster.RunAll();
-  if (counters != nullptr) {
-    counters->decisions = cluster.scheduler().decisions();
-    counters->hints_fired = cluster.scheduler().hints_fired();
-    for (size_t h = 0; h < cluster.host_count(); ++h) {
-      counters->parked_scaleups += cluster.host(h).pending_scaleups();
-    }
-  }
-  return FleetDigest(cluster, Minutes(6));
-}
-
-}  // namespace sharded_fuzz
-
 TEST_P(ShardedVsSingleQueueFuzzTest, ShardedMatchesSingleQueue) {
   const auto [registries, seed] = GetParam();
   const std::string reference =
-      sharded_fuzz::RunChurn(EventQueue::Impl::kTimerWheel, registries, seed);
+      cluster_churn::RunChurn(EventQueue::Impl::kTimerWheel, registries, seed);
   const std::string sharded =
-      sharded_fuzz::RunChurn(EventQueue::Impl::kSharded, registries, seed);
+      cluster_churn::RunChurn(EventQueue::Impl::kSharded, registries, seed);
   EXPECT_EQ(reference, sharded)
       << "sharded kernel diverged from the single queue (registries "
       << (registries ? "on" : "off") << ", seed " << seed << ")";
@@ -3483,25 +3059,25 @@ INSTANTIATE_TEST_SUITE_P(
 //
 // The placement index's whole contract is "bit-identical decisions to the
 // full O(hosts) snapshot scan" (src/cluster/host_index.h).  The same churn
-// script as the sharded fuzz — drains, undrains and pressure migrations
-// interleaved with a skewed trace, i.e. every operation that mutates the
-// index mid-run — is replayed op-for-op by the production deciders and by
-// the scan oracle (tests/oracles/scan_placement.h) for every placement
-// policy, with the shared
-// registries both on (snapshot restores + dep-cache adoption change which
-// hosts can admit) and off.  The byte-identical fleet digest covers every
-// placement consequence: per-request logs, routing hash, migration
-// records, host books and the fleet summary.
+// script as the sharded fuzz (cluster_churn::RunChurn) — drains, undrains
+// and pressure migrations interleaved with a skewed trace, i.e. every
+// operation that mutates the index mid-run — is replayed op-for-op by the
+// production deciders and by the scan oracle (tests/oracles/scan_placement.h)
+// for every placement policy, with the shared registries both on (snapshot
+// restores + dep-cache adoption change which hosts can admit) and off.
+// The byte-identical fleet digest covers every placement consequence:
+// per-request logs, routing hash, migration records, host books and the
+// fleet summary.
 class IndexedVsScanPlacementFuzzTest
     : public testing::TestWithParam<std::tuple<PlacementPolicy, bool /*registries*/>> {};
 
 TEST_P(IndexedVsScanPlacementFuzzTest, IndexedMatchesScanThroughChurn) {
   const auto [policy, registries] = GetParam();
   for (const uint64_t seed : {1u, 2u, 3u}) {
-    const std::string scan = sharded_fuzz::RunChurn(EventQueue::Impl::kTimerWheel,
+    const std::string scan = cluster_churn::RunChurn(EventQueue::Impl::kTimerWheel,
                                                     registries, seed, &ScanDeciders, policy);
     const std::string indexed =
-        sharded_fuzz::RunChurn(EventQueue::Impl::kTimerWheel, registries, seed,
+        cluster_churn::RunChurn(EventQueue::Impl::kTimerWheel, registries, seed,
                                &Cluster::IndexedDeciders, policy);
     EXPECT_EQ(scan, indexed)
         << "indexed placement diverged from the snapshot scan under "
@@ -3522,16 +3098,16 @@ TEST_P(IndexedVsScanPlacementFuzzTest, IndexedMatchesScanWhenSaturated) {
   // for one 256 MiB plug unit.  Below one unit of headroom no scale-up
   // can ever be served, so no admission input would ever change.
   constexpr uint64_t kSaturatedCapacity = MiB(1280);
-  sharded_fuzz::ChurnCounters leg;
+  cluster_churn::ChurnCounters leg;
   for (const ReclaimPolicy reclaim : {ReclaimPolicy::kSqueezy, ReclaimPolicy::kVirtioMem,
                                       ReclaimPolicy::kHarvestOpts}) {
     uint64_t hints = 0;
     for (const uint64_t seed : {1u, 2u, 3u}) {
       const std::string scan =
-          sharded_fuzz::RunChurn(EventQueue::Impl::kTimerWheel, registries, seed,
+          cluster_churn::RunChurn(EventQueue::Impl::kTimerWheel, registries, seed,
                                  &ScanDeciders, policy, reclaim, kSaturatedCapacity);
-      sharded_fuzz::ChurnCounters counters;
-      const std::string indexed = sharded_fuzz::RunChurn(
+      cluster_churn::ChurnCounters counters;
+      const std::string indexed = cluster_churn::RunChurn(
           EventQueue::Impl::kTimerWheel, registries, seed, &Cluster::IndexedDeciders,
           policy, reclaim, kSaturatedCapacity, &counters);
       EXPECT_EQ(scan, indexed)
@@ -3576,8 +3152,8 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(PressureTickTest, UnservableScaleUpsLetRunAllDrain) {
   for (const ReclaimPolicy reclaim : {ReclaimPolicy::kSqueezy, ReclaimPolicy::kVirtioMem,
                                       ReclaimPolicy::kHarvestOpts}) {
-    sharded_fuzz::ChurnCounters counters;
-    sharded_fuzz::RunChurn(EventQueue::Impl::kTimerWheel, /*registries=*/false, 1,
+    cluster_churn::ChurnCounters counters;
+    cluster_churn::RunChurn(EventQueue::Impl::kTimerWheel, /*registries=*/false, 1,
                            &Cluster::IndexedDeciders, PlacementPolicy::kHintedBinPack,
                            reclaim, MiB(1152), &counters);
     EXPECT_GT(counters.parked_scaleups, 0u)
@@ -3607,16 +3183,13 @@ TEST_P(IdleOrderFuzzTest, PicksMatchTheInstanceScans) {
   cfg.keep_alive = Sec(20);
   cfg.seed = seed;
   FaasRuntime rt(cfg);
-  FunctionSpec spec;
-  spec.name = "idle_fuzz";
-  spec.vcpu_shares = 1.0;
-  spec.memory_limit = MiB(256);
+  // Equal work (TinySpec's exec_cv is 0): instances started together idle
+  // together.
+  FunctionSpec spec = TinySpec("idle_fuzz");
   spec.anon_working_set = MiB(32);
   spec.file_deps_bytes = MiB(16);
   spec.container_init_cpu = Msec(50);
   spec.function_init_cpu = Msec(50);
-  spec.exec_cpu_mean = Msec(100);
-  spec.exec_cv = 0.0;  // Equal work: instances started together idle together.
   for (int f = 0; f < kFunctions; ++f) {
     rt.AddFunction(spec, 6);
   }

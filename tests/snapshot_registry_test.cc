@@ -30,24 +30,11 @@
 #include "src/policy/driver_factory.h"
 #include "src/snapshot/snapshot_store.h"
 #include "src/trace/cluster_trace.h"
+#include "tests/support/cluster_churn.h"
 #include "tests/support/mirrored_host_index.h"
 
 namespace squeezy {
 namespace {
-
-FunctionSpec SnapSpec(const char* name) {
-  FunctionSpec s;
-  s.name = name;
-  s.vcpu_shares = 1.0;
-  s.memory_limit = MiB(512);
-  s.anon_working_set = MiB(96);
-  s.file_deps_bytes = MiB(64);
-  s.container_init_cpu = Msec(80);
-  s.function_init_cpu = Msec(120);
-  s.exec_cpu_mean = Msec(100);
-  s.exec_cv = 0.0;
-  return s;
-}
 
 uint64_t DepsRegion(const FunctionSpec& s) {
   return BytesToBlocks(s.file_deps_bytes) * kMemoryBlockBytes;
@@ -197,7 +184,8 @@ TEST(SnapshotRestoreTest, RecordedFunctionRestoresAfterEvict) {
   SnapshotStore store;
   FaasRuntime rt(cfg);
   rt.AttachSnapshotRegistry(&store);
-  const int fn = rt.AddFunction(SnapSpec("restore"), 4);
+  const FunctionSpec spec = TinySpec("restore", MiB(512));
+  const int fn = rt.AddFunction(spec, 4);
   ASSERT_NE(rt.snapshot_id(fn), kNoSnapshot);
 
   // Cold start 1 records at first fully-warm idle; keep-alive evicts the
@@ -208,7 +196,7 @@ TEST(SnapshotRestoreTest, RecordedFunctionRestoresAfterEvict) {
 
   EXPECT_EQ(store.stats().recordings, 1u);
   EXPECT_EQ(store.stats().restores, 1u);
-  EXPECT_EQ(store.Image(rt.snapshot_id(fn)).heap_bytes, SnapSpec("restore").anon_working_set);
+  EXPECT_EQ(store.Image(rt.snapshot_id(fn)).heap_bytes, spec.anon_working_set);
 
   const std::vector<ColdStartBreakdown>& colds = rt.agent(fn).cold_starts();
   ASSERT_EQ(colds.size(), 2u);
@@ -263,7 +251,7 @@ TEST(SnapshotCommitmentTest, SqueezyReservesRestoredCommitmentAndUnwinds) {
   SnapshotStore store;
   FaasRuntime rt(cfg);
   rt.AttachSnapshotRegistry(&store);
-  const FunctionSpec spec = SnapSpec("commit");
+  const FunctionSpec spec = TinySpec("commit", MiB(512));
   const int fn = rt.AddFunction(spec, 4);
   const uint64_t boot = cfg.vm_base_memory + DepsRegion(spec);
   const uint64_t plug_unit = BytesToBlocks(spec.memory_limit) * kMemoryBlockBytes;
@@ -325,21 +313,11 @@ ChurnSummary RunChurn(ReclaimPolicy policy, SnapshotRegistry* registry,
     rt.AttachSnapshotRegistry(registry);
   }
   const int kFunctions = 3;
-  FunctionSpec spec = SnapSpec("parity");
-  spec.memory_limit = MiB(256);
+  const FunctionSpec spec = TinySpec("parity");
   for (int f = 0; f < kFunctions; ++f) {
     rt.AddFunction(spec, 6);
   }
-  ClusterTraceConfig trace;
-  trace.duration = Minutes(4);
-  trace.nr_functions = kFunctions;
-  trace.total_base_rate_per_sec = 2.0;
-  trace.zipf_s = 1.2;
-  trace.bursty_fraction = 0.5;
-  trace.burst_multiplier = 30.0;
-  trace.mean_burst_len = Sec(20);
-  trace.mean_gap = Sec(60);
-  rt.SubmitTrace(GenerateClusterTrace(trace, 42));
+  rt.SubmitTrace(GenerateClusterTrace(SkewedTrace(Minutes(4), kFunctions), 42));
   rt.RunUntil(Minutes(6));
 
   ChurnSummary g;
@@ -401,7 +379,7 @@ TEST(SnapshotStaleTest, OversizedTailInvalidatesAndReRecords) {
   SnapshotStore store;
   FaasRuntime rt(cfg);
   rt.AttachSnapshotRegistry(&store);
-  const FunctionSpec spec = SnapSpec("stale");
+  const FunctionSpec spec = TinySpec("stale", MiB(512));
   const int fn = rt.AddFunction(spec, 4);
   const SnapshotId snap = rt.snapshot_id(fn);
   ASSERT_NE(snap, kNoSnapshot);

@@ -143,6 +143,7 @@ int32_t Agent::NewInstance() {
   instance(id).id = id;
   ++state_counts_[static_cast<size_t>(instance(id).state)];
   NoteAdmitInputs();
+  instance_series_.Push(events_->now(), static_cast<double>(live_instances()));
   return id;
 }
 
@@ -155,6 +156,9 @@ void Agent::SetState(Instance& inst, InstanceState state) {
   inst.state = state;
   assert(CountsMatchScan());
   NoteAdmitInputs();
+  if (state == InstanceState::kEvicted) {
+    instance_series_.Push(events_->now(), static_cast<double>(live_instances()));
+  }
 }
 
 bool Agent::CountsMatchScan() const {
@@ -176,7 +180,6 @@ void Agent::MaybeSpawn() {
     const int32_t id = NewInstance();
     ++spawning_;
     ++spawns_;
-    instance_series_.Push(events_->now(), static_cast<double>(live_instances()));
     // Ask the host runtime for memory (admission + plug); the reply may
     // arrive much later when host memory is scarce.
     callbacks_.acquire_memory(
@@ -277,7 +280,8 @@ void Agent::BecomeIdle(int32_t instance_id) {
   inst.idle_since = events_->now();
   idle_order_.insert({inst.idle_since, inst.id});
   ScheduleKeepAlive(instance_id);
-  instance_series_.Push(events_->now(), static_cast<double>(live_instances()));
+  // Going idle leaves the live count as it was: the series already holds it.
+  assert(instance_series_.points().back().value == static_cast<double>(live_instances()));
   if (callbacks_.instance_idle) {
     callbacks_.instance_idle();
   }
@@ -370,7 +374,6 @@ void Agent::Evict(int32_t instance_id) {
   guest_->Exit(inst.pid);
   SetState(inst, InstanceState::kEvicted);
   ++evictions_;
-  instance_series_.Push(events_->now(), static_cast<double>(live_instances()));
   callbacks_.release_memory();
 }
 
@@ -398,7 +401,6 @@ void Agent::AdoptWarmInstance(uint64_t anon_bytes, uint64_t recorded_bytes,
                               TimeNs available_at) {
   const int32_t id = NewInstance();
   ++spawns_;
-  instance_series_.Push(events_->now(), static_cast<double>(live_instances()));
   callbacks_.acquire_memory(
       [this, id, anon_bytes, recorded_bytes, available_at](DurationNs vmm_latency) {
         Instance& inst = instance(id);
@@ -433,7 +435,6 @@ void Agent::RestoreWarmState(int32_t instance_id, uint64_t anon_bytes,
         inst.pid, deps_file_, /*file_pages=*/0, recorded_bytes, events_->now());
     if (rest.oom) {
       SetState(inst, InstanceState::kEvicted);
-      instance_series_.Push(events_->now(), static_cast<double>(live_instances()));
       callbacks_.release_memory();
       return;
     }
@@ -451,7 +452,6 @@ void Agent::RestoreWarmState(int32_t instance_id, uint64_t anon_bytes,
   const TouchResult anon = guest_->TouchAnon(inst.pid, anon_bytes, events_->now());
   if (anon.oom) {
     SetState(inst, InstanceState::kEvicted);
-    instance_series_.Push(events_->now(), static_cast<double>(live_instances()));
     callbacks_.release_memory();
     return;
   }

@@ -191,6 +191,8 @@ class Agent {
   TimeNs instance_idle_since(int32_t id) const {
     return instances_[static_cast<size_t>(id)]->idle_since;
   }
+  // Live instances over time: one point per instance created (spawn or
+  // adoption) and per eviction, the only changes to live_instances().
   const StepSeries& instance_series() const { return instance_series_; }
   uint64_t total_evictions() const { return evictions_; }
   uint64_t total_spawns() const { return spawns_; }
@@ -246,12 +248,14 @@ class Agent {
                         uint64_t recorded_bytes, TimeNs available_at);
 
   Instance& instance(int32_t id) { return *instances_[static_cast<size_t>(id)]; }
-  // Appends a new instance (in kWaitingMemory) and returns its id.
+  // Appends a new instance (in kWaitingMemory), pushes the live count to
+  // instance_series_ and returns its id.
   int32_t NewInstance();
   // Every instance state change goes through here, so the per-state counts
   // stay O(1) to read even though instances_ never shrinks.  Leaving
   // kIdle drops the instance from the idle order; entering it does not
-  // add it (BecomeIdle does, once idle_since is set).
+  // add it (BecomeIdle does, once idle_since is set).  Entering kEvicted
+  // pushes the live count to instance_series_.
   void SetState(Instance& inst, InstanceState state);
   void NoteAdmitInputs() {
     if (callbacks_.admit_inputs_changed) {

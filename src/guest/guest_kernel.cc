@@ -120,6 +120,7 @@ void GuestKernel::Exit(Pid pid) {
   while (proc.PopFolio(&folio)) {
     folios.push_back({ZoneOf(folio.head).id(), folio.head, folio.pages()});
   }
+  proc.ReleaseFolioTable();  // The exited process keeps no table memory.
   std::stable_sort(folios.begin(), folios.end(),
                    [](const ExitingFolio& a, const ExitingFolio& b) {
                      return a.zone_id < b.zone_id;

@@ -5,11 +5,6 @@
 namespace squeezy {
 
 uint32_t Process::ReserveSlot() {
-  if (!free_slots_.empty()) {
-    const uint32_t slot = free_slots_.back();
-    free_slots_.pop_back();
-    return slot;
-  }
   folios_.push_back(FolioRef{});
   return static_cast<uint32_t>(folios_.size()) - 1;
 }
@@ -20,39 +15,26 @@ void Process::CommitSlot(uint32_t slot, Pfn head, uint8_t order) {
   anon_pages_ += 1u << order;
 }
 
-void Process::ReleaseSlot(uint32_t slot) {
-  assert(folios_[slot].head != kInvalidPfn);
-  anon_pages_ -= folios_[slot].pages();
-  folios_[slot] = FolioRef{};
-  free_slots_.push_back(slot);
-}
-
 void Process::AbandonSlot(uint32_t slot) {
-  assert(folios_[slot].head == kInvalidPfn);
-  free_slots_.push_back(slot);
+  assert(slot + 1 == folios_.size() && folios_[slot].head == kInvalidPfn);
+  (void)slot;
+  folios_.pop_back();
 }
 
 bool Process::PopFolio(FolioRef* out) {
-  while (!folios_.empty()) {
-    const FolioRef last = folios_.back();
-    if (last.head == kInvalidPfn) {
-      // Dead slot at the tail: drop it and compact free_slots_ lazily.
-      folios_.pop_back();
-      for (size_t i = 0; i < free_slots_.size(); ++i) {
-        if (free_slots_[i] == folios_.size()) {
-          free_slots_[i] = free_slots_.back();
-          free_slots_.pop_back();
-          break;
-        }
-      }
-      continue;
-    }
-    *out = last;
-    anon_pages_ -= last.pages();
-    folios_.pop_back();
-    return true;
+  if (folios_.empty()) {
+    return false;
   }
-  return false;
+  *out = folios_.back();
+  assert(out->head != kInvalidPfn);
+  anon_pages_ -= out->pages();
+  folios_.pop_back();
+  return true;
+}
+
+void Process::ReleaseFolioTable() {
+  assert(folios_.empty());
+  std::vector<FolioRef>().swap(folios_);
 }
 
 }  // namespace squeezy

@@ -43,12 +43,12 @@ class Process {
   void set_anon_zone(Zone* z) { anon_zone_ = z; }
 
   // --- Anonymous folio table -------------------------------------------------
-  // Returns the slot index to pass to Zone::Alloc as owner_slot.
+  // Appends a slot and returns its index, to pass to Zone::Alloc as
+  // owner_slot.  Folios leave the table only from its tail (PopFolio), so
+  // every slot below the tail holds a live folio.
   uint32_t ReserveSlot();
   void CommitSlot(uint32_t slot, Pfn head, uint8_t order);
-  // Returns a committed slot's folio to the free pool (caller frees pages).
-  void ReleaseSlot(uint32_t slot);
-  // Returns a never-committed slot (allocation failed).
+  // Drops the slot ReserveSlot just appended (allocation failed).
   void AbandonSlot(uint32_t slot);
   void Relocate(uint32_t slot, Pfn new_head) { folios_[slot].head = new_head; }
 
@@ -56,9 +56,11 @@ class Process {
   uint64_t anon_pages() const { return anon_pages_; }
   uint64_t anon_bytes() const { return PagesToBytes(anon_pages_); }
 
-  // Pops an arbitrary live folio (most recently allocated first), for
-  // partial frees.  Returns false when none remain.
+  // Pops the most recently allocated folio, for partial frees.  Returns
+  // false when none remain.
   bool PopFolio(FolioRef* out);
+  // Frees the folio table's memory once PopFolio has emptied it (exit).
+  void ReleaseFolioTable();
 
   // --- File mappings ------------------------------------------------------------
   void MapFile(int32_t file_id) { files_.push_back(file_id); }
@@ -71,8 +73,7 @@ class Process {
   int32_t partition_id_ = kNoPartition;
   Zone* anon_zone_ = nullptr;
 
-  std::vector<FolioRef> folios_;     // Slot-indexed; head==kInvalidPfn when free.
-  std::vector<uint32_t> free_slots_;
+  std::vector<FolioRef> folios_;  // Slot-indexed; live below the tail.
   uint64_t anon_pages_ = 0;
   std::vector<int32_t> files_;
 };

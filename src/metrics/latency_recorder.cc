@@ -3,33 +3,24 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstddef>
 
 namespace squeezy {
 
 void LatencyRecorder::Record(DurationNs sample) {
   samples_.push_back(sample);
   sum_ += sample;
-  sorted_valid_ = false;
-}
-
-void LatencyRecorder::EnsureSorted() const {
-  if (!sorted_valid_) {
-    sorted_ = samples_;
-    std::sort(sorted_.begin(), sorted_.end());
-    sorted_valid_ = true;
-  }
+  selection_valid_ = false;
 }
 
 DurationNs LatencyRecorder::Min() const {
   assert(!samples_.empty());
-  EnsureSorted();
-  return sorted_.front();
+  return *std::min_element(samples_.begin(), samples_.end());
 }
 
 DurationNs LatencyRecorder::Max() const {
   assert(!samples_.empty());
-  EnsureSorted();
-  return sorted_.back();
+  return *std::max_element(samples_.begin(), samples_.end());
 }
 
 DurationNs LatencyRecorder::Mean() const {
@@ -40,15 +31,24 @@ DurationNs LatencyRecorder::Mean() const {
 DurationNs LatencyRecorder::Percentile(double p) const {
   assert(!samples_.empty());
   assert(p > 0.0 && p <= 100.0);
-  EnsureSorted();
-  const size_t rank = static_cast<size_t>(std::ceil(p / 100.0 * static_cast<double>(sorted_.size())));
-  return sorted_[std::min(sorted_.size() - 1, rank == 0 ? 0 : rank - 1)];
+  if (!selection_valid_) {
+    selection_ = samples_;
+    selection_valid_ = true;
+  }
+  const size_t rank =
+      static_cast<size_t>(std::ceil(p / 100.0 * static_cast<double>(selection_.size())));
+  const size_t index = std::min(selection_.size() - 1, rank == 0 ? 0 : rank - 1);
+  const auto nth = selection_.begin() + static_cast<std::ptrdiff_t>(index);
+  // Earlier selections leave the copy partly ordered; the selected value
+  // does not depend on the order.
+  std::nth_element(selection_.begin(), nth, selection_.end());
+  return *nth;
 }
 
 void LatencyRecorder::Clear() {
   samples_.clear();
-  sorted_.clear();
-  sorted_valid_ = false;
+  selection_.clear();
+  selection_valid_ = false;
   sum_ = 0;
 }
 

@@ -9,8 +9,8 @@
 
 namespace squeezy {
 
-// Collects duration samples; percentiles use nearest-rank on a lazily
-// sorted copy so recording stays O(1).
+// Collects duration samples; percentiles use nearest-rank, selected
+// (std::nth_element, O(n)) from a lazily made copy so recording stays O(1).
 class LatencyRecorder {
  public:
   void Record(DurationNs sample);
@@ -31,11 +31,9 @@ class LatencyRecorder {
   void Clear();
 
  private:
-  void EnsureSorted() const;
-
   std::vector<DurationNs> samples_;
-  mutable std::vector<DurationNs> sorted_;
-  mutable bool sorted_valid_ = false;
+  mutable std::vector<DurationNs> selection_;  // samples_, reordered by selection.
+  mutable bool selection_valid_ = false;
   DurationNs sum_ = 0;
 };
 

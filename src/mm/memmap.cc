@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstddef>
 #include <memory>
 #include <vector>
 
@@ -13,16 +12,16 @@ namespace {
 // The index of the first of a slot's records, sorted by offset, at or past
 // offset `off`.  Branch-free: a dense slot holds up to 1023 of them, and
 // the free-list updates search it on every link write.
-template <typename Entries>
-size_t FirstAtOrPast(const Entries& rest, uint32_t off) {
-  if (rest.empty()) {
+template <typename Entry>
+uint32_t FirstAtOrPast(const Entry* rest, uint32_t size, uint32_t off) {
+  if (size == 0) {
     return 0;
   }
-  const auto* base = rest.data();
-  for (size_t n = rest.size(); n > 1; n -= n / 2) {
+  const Entry* base = rest;
+  for (uint32_t n = size; n > 1; n -= n / 2) {
     base = base[n / 2].offset < off ? base + n / 2 : base;
   }
-  return static_cast<size_t>(base - rest.data()) + (base->offset < off ? 1 : 0);
+  return static_cast<uint32_t>(base - rest) + (base->offset < off ? 1 : 0);
 }
 
 constexpr uint32_t kHostWords = kPagesPerBlock / 64;
@@ -87,18 +86,42 @@ Page MemMap::SlotRecord(PageState state) {
 }
 
 const MemMap::Slot& MemMap::HoleSlot() {
-  static const Slot hole{SlotRecord(PageState::kHole), FreeLink{}, {}};
+  static const Slot hole{SlotRecord(PageState::kHole), FreeLink{}, 0, 0, nullptr};
   return hole;
 }
 
 MemMap::Found MemMap::Find(Pfn pfn) const {
   const Slot& s = SlotOf(pfn);
   const Pfn base = pfn & ~(kSlotPages - 1);
-  const size_t i = FirstAtOrPast(s.rest, pfn - base + 1);
+  const uint32_t i = FirstAtOrPast(s.rest.get(), s.size, pfn - base + 1);
   if (i == 0) {
     return Found{base, &s.first};
   }
   return Found{base + s.rest[i - 1].offset, &s.rest[i - 1].rec};
+}
+
+void MemMap::InsertRecord(Slot& s, uint32_t i, const Entry& e) {
+  assert(s.size < kSlotPages - 1 && i <= s.size);
+  Entry* rest = s.rest.get();
+  if (s.size == s.capacity) {
+    const auto capacity = static_cast<uint16_t>(s.capacity == 0 ? 1 : 2 * s.capacity);
+    std::unique_ptr<Entry[]> grown(new Entry[capacity]);
+    std::copy(rest, rest + i, grown.get());
+    std::copy(rest + i, rest + s.size, grown.get() + i + 1);
+    s.rest = std::move(grown);
+    s.capacity = capacity;
+  } else {
+    std::copy_backward(rest + i, rest + s.size, rest + s.size + 1);
+  }
+  s.rest[i] = e;
+  ++s.size;
+}
+
+void MemMap::EraseRecords(Slot& s, uint32_t lo, uint32_t hi) {
+  assert(lo <= hi && hi <= s.size);
+  Entry* rest = s.rest.get();
+  std::copy(rest + hi, rest + s.size, rest + lo);
+  s.size = static_cast<uint16_t>(s.size - (hi - lo));
 }
 
 void MemMap::Stamp(Pfn start, const Page& rec) {
@@ -107,31 +130,29 @@ void MemMap::Stamp(Pfn start, const Page& rec) {
   ++records_written_;
   Slot& s = MutableSlotOf(start);
   const uint32_t off = start & (kSlotPages - 1);
-  const bool was_split = !s.rest.empty();
+  const bool was_split = s.size > 0;
   // The records at offsets [off, off + 2^order) are the starts the extent
   // covers; its own start keeps the first of them, or is inserted.
-  const auto at = [&](uint32_t o) {
-    return s.rest.begin() + static_cast<std::ptrdiff_t>(FirstAtOrPast(s.rest, o));
-  };
-  auto lo = at(off);
-  const auto hi = at(off + (1u << rec.order));
+  uint32_t lo = FirstAtOrPast(s.rest.get(), s.size, off);
+  const uint32_t hi = FirstAtOrPast(s.rest.get(), s.size, off + (1u << rec.order));
   if (off > 0 && lo == hi) {
-    s.rest.insert(lo, Entry{static_cast<uint16_t>(off), rec});
+    InsertRecord(s, lo, Entry{static_cast<uint16_t>(off), rec});
     stored_peak_ = std::max(stored_peak_, ++stored_);
   } else {
     if (off == 0) {
       s.first = rec;
     } else {
-      *lo++ = Entry{static_cast<uint16_t>(off), rec};
+      s.rest[lo++] = Entry{static_cast<uint16_t>(off), rec};
     }
-    stored_ -= static_cast<uint64_t>(hi - lo);
-    s.rest.erase(lo, hi);
+    stored_ -= hi - lo;
+    EraseRecords(s, lo, hi);
   }
   const BlockIndex b = BlockOf(start);
-  if (!was_split && !s.rest.empty() && split_slots_[b]++ == 0) {
+  if (!was_split && s.size > 0 && split_slots_[b]++ == 0) {
     split_blocks_peak_ = std::max(split_blocks_peak_, ++split_blocks_);
-  } else if (was_split && s.rest.empty()) {
-    std::vector<Entry>().swap(s.rest);
+  } else if (was_split && s.size == 0) {
+    s.rest.reset();
+    s.capacity = 0;
     if (--split_slots_[b] == 0) {
       --split_blocks_;
     }
@@ -142,7 +163,7 @@ Page& MemMap::mutable_record(Pfn start) {
   assert(ExtentStart(start) == start && "not an extent start");
   Slot& s = MutableSlotOf(start);
   const uint32_t off = start & (kSlotPages - 1);
-  return off == 0 ? s.first : s.rest[FirstAtOrPast(s.rest, off)].rec;
+  return off == 0 ? s.first : s.rest[FirstAtOrPast(s.rest.get(), s.size, off)].rec;
 }
 
 Page MemMap::page(Pfn pfn) const {
@@ -155,8 +176,8 @@ void MemMap::ForEachExtent(BlockIndex b, Fn&& fn) const {
   for (Pfn slot = BlockStart(b); slot < BlockStart(b + 1); slot += kSlotPages) {
     const Slot& s = SlotOf(slot);
     fn(slot, s.first);
-    for (const Entry& e : s.rest) {
-      fn(slot + e.offset, e.rec);
+    for (uint32_t i = 0; i < s.size; ++i) {
+      fn(slot + s.rest[i].offset, s.rest[i].rec);
     }
   }
 }
@@ -197,7 +218,7 @@ uint64_t MemMap::RemoveBlock(BlockIndex b) {
   const uint64_t populated = host_count_[b];
   ReleaseHostBacking(b);
   for (uint32_t i = 0; i < kSlotsPerBlock; ++i) {
-    stored_ -= slots_[b][i].rest.size();
+    stored_ -= slots_[b][i].size;
   }
   split_blocks_ -= split_slots_[b] > 0 ? 1 : 0;
   split_slots_[b] = 0;
@@ -209,7 +230,17 @@ uint64_t MemMap::RemoveBlock(BlockIndex b) {
 uint32_t MemMap::SetHostPopulated(Pfn pfn, uint32_t n) {
   assert(n > 0 && BlockOf(pfn) == BlockOf(pfn + n - 1) && "range crosses a block");
   const BlockIndex b = BlockOf(pfn);
+  uint32_t& count = host_count_[b];
   std::unique_ptr<uint64_t[]>& bits = host_bits_[b];
+  if (n == kPagesPerBlock) {
+    const uint32_t changed = kPagesPerBlock - count;
+    count = kPagesPerBlock;
+    bits.reset();
+    return changed;
+  }
+  if (count == kPagesPerBlock) {
+    return 0;
+  }
   if (bits == nullptr) {
     bits = std::make_unique<uint64_t[]>(kHostWords);  // Zero-filled.
   }
@@ -218,13 +249,20 @@ uint32_t MemMap::SetHostPopulated(Pfn pfn, uint32_t n) {
     changed += static_cast<uint32_t>(__builtin_popcountll(mask & ~bits[word]));
     bits[word] |= mask;
   });
-  host_count_[b] += changed;
+  count += changed;
+  if (count == kPagesPerBlock) {
+    bits.reset();
+  }
   return changed;
 }
 
 uint32_t MemMap::ClearHostPopulated(Pfn pfn, uint32_t n) {
   assert(n > 0 && BlockOf(pfn) == BlockOf(pfn + n - 1) && "range crosses a block");
   const BlockIndex b = BlockOf(pfn);
+  if (host_count_[b] == kPagesPerBlock) {
+    host_bits_[b].reset(new uint64_t[kHostWords]);
+    std::fill_n(host_bits_[b].get(), kHostWords, ~uint64_t{0});
+  }
   uint64_t* bits = host_bits_[b].get();
   if (bits == nullptr) {
     return 0;
@@ -240,9 +278,20 @@ uint32_t MemMap::ClearHostPopulated(Pfn pfn, uint32_t n) {
 
 uint32_t MemMap::CountBlockPopulated(BlockIndex b) const {
   const uint64_t* bits = host_bits_[b].get();
+  if (bits == nullptr) {
+    return host_count_[b] == kPagesPerBlock ? kPagesPerBlock : 0;
+  }
   uint32_t n = 0;
-  for (uint32_t w = 0; bits != nullptr && w < kHostWords; ++w) {
+  for (uint32_t w = 0; w < kHostWords; ++w) {
     n += static_cast<uint32_t>(__builtin_popcountll(bits[w]));
+  }
+  return n;
+}
+
+uint32_t MemMap::CountHostBitmaps() const {
+  uint32_t n = 0;
+  for (const auto& bits : host_bits_) {
+    n += bits != nullptr ? 1 : 0;
   }
   return n;
 }

@@ -21,12 +21,15 @@
 // also restamps the run's pages inside the range when they take more than
 // one piece).
 //
-// One record store per slot.  Each slot keeps its start record inline and,
-// only while it is split into more than one extent, the records past its
-// start in an array sorted by offset.  Stamp writes its start's record and
-// drops every start the new extent covers, so the stored starts are always
-// exactly the extent starts, and ExtentStart is the last stored start at or
-// before a page (a binary search of the slot's array).  Squeezy plugs and
+// One record store per slot.  Each slot (32 bytes) keeps its start record
+// inline and, only while it is split into more than one extent, the
+// records past its start in an owned array sorted by offset, whose 16-bit
+// size and capacity sit beside the start record (a slot holds at most
+// 1023 of them).  The array grows by doubling, from one record.  Stamp
+// writes its start's record and drops every start the new extent covers,
+// so the stored starts are always exactly the extent starts, and
+// ExtentStart is the last stored start at or before a page (a binary
+// search of the slot's array).  Squeezy plugs and
 // reclaims partitions whole (paper §3-4), and a slot that is one extent —
 // offline, whole-free, isolated or retired — allocates nothing: online,
 // isolate and retire of an untouched or drained block write 32 slot-start
@@ -41,9 +44,14 @@
 // whole-free slot's record reads with no links; smaller orders keep their
 // links in the head Page, overlaid on the owner fields (see page.h).
 //
-// Host (EPT) backing is not Page state: each block keeps a bitmap (4 KiB,
-// allocated on the first set bit) and a count of its backed pages, so
-// hot-remove reads the populated count in O(1).
+// Host (EPT) backing is not Page state: each block keeps a count of its
+// backed pages, so hot-remove reads the populated count in O(1), and,
+// only while the block is partly backed, a bitmap (4 KiB, allocated on the
+// first set bit).  A fully backed block (count == kPagesPerBlock) keeps no
+// bitmap: the set that fills it frees the bitmap, a whole-block set never
+// allocates one, and a clear rebuilds an all-ones bitmap before it clears
+// bits.  A fault-populated block stays fully backed for most of its life,
+// so most present blocks cost 4 bytes of host state, not 4 KiB.
 //
 // Views are returned by value; the only reference handed out,
 // mutable_record's, points at a record that exists already and is used at
@@ -54,6 +62,7 @@
 #define SQUEEZY_MM_MEMMAP_H_
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -143,7 +152,11 @@ class MemMap {
 
   // --- Host (EPT) backing ---------------------------------------------------
   bool host_populated(Pfn pfn) const {
-    const uint64_t* bits = host_bits_[BlockOf(pfn)].get();
+    const BlockIndex b = BlockOf(pfn);
+    if (host_count_[b] == kPagesPerBlock) {
+      return true;  // Fully backed: no bitmap.
+    }
+    const uint64_t* bits = host_bits_[b].get();
     const Pfn off = pfn % kPagesPerBlock;
     return bits != nullptr && ((bits[off / 64] >> (off % 64)) & 1) != 0;
   }
@@ -152,10 +165,13 @@ class MemMap {
   uint32_t SetHostPopulated(Pfn pfn, uint32_t n);
   uint32_t ClearHostPopulated(Pfn pfn, uint32_t n);
   // Host-populated pages of block b: the incrementally kept count (O(1))
-  // and a popcount of the bitmap (O(512 words); asserts and tests
-  // cross-check the two).
+  // and a popcount of the bitmap (O(512 words), or the count itself for a
+  // fully backed block; asserts and tests cross-check the two).
   uint32_t BlockPopulated(BlockIndex b) const { return host_count_[b]; }
   uint32_t CountBlockPopulated(BlockIndex b) const;
+  // Blocks that hold a host-backing bitmap: the partly backed ones, plus
+  // any whose bits were all cleared again (diagnostics and tests).
+  uint32_t CountHostBitmaps() const;
 
   // Number of pages in the block with the given state (one pass over its
   // stored records; the tests use it to cross-check the counter below).
@@ -186,16 +202,21 @@ class MemMap {
   // model of guest-mm bookkeeping.
   uint64_t records_written() const { return records_written_; }
 
+  // Bytes of one slot in a present block's table.
+  static constexpr size_t SlotBytes() { return sizeof(Slot); }
+
  private:
   // A record past its slot's start.
   struct Entry {
-    uint16_t offset;  // Pages from the slot start, 1 .. kSlotPages - 1.
+    uint16_t offset = 0;  // Pages from the slot start, 1 .. kSlotPages - 1.
     Page rec;
   };
   struct Slot {
-    Page first;               // The record at the slot start.
-    FreeLink max_link;        // Its links while a free max-order chunk.
-    std::vector<Entry> rest;  // Sorted by offset; empty while one extent.
+    Page first;                     // The record at the slot start.
+    FreeLink max_link;              // Its links while a free max-order chunk.
+    uint16_t size = 0;              // Records in `rest`; 0 while one extent.
+    uint16_t capacity = 0;          // Records `rest` has room for.
+    std::unique_ptr<Entry[]> rest;  // Sorted by offset; null while one extent.
   };
   static constexpr uint32_t kSlotsPerBlock = kPagesPerBlock / kSlotPages;
 
@@ -216,6 +237,10 @@ class MemMap {
     const Page* rec;
   };
   Found Find(Pfn pfn) const;
+  // Inserts e at rest[i], doubling the array when it is full, as
+  // std::vector does; erases rest[lo, hi).
+  static void InsertRecord(Slot& s, uint32_t i, const Entry& e);
+  static void EraseRecords(Slot& s, uint32_t lo, uint32_t hi);
   // Calls fn(start, record) for each extent of block b, in ascending order.
   template <typename Fn>
   void ForEachExtent(BlockIndex b, Fn&& fn) const;
@@ -229,7 +254,7 @@ class MemMap {
   std::vector<uint32_t> allocated_per_block_;
   std::vector<uint8_t> split_slots_;  // Per block.
   // One bit per page, kPagesPerBlock / 64 words per block, null while no
-  // page of the block is backed.
+  // page of the block is backed and while every page is.
   std::vector<std::unique_ptr<uint64_t[]>> host_bits_;
   std::vector<uint32_t> host_count_;
   uint64_t stored_ = 0;

@@ -239,6 +239,28 @@ TEST_F(AgentTest, InstanceSeriesTracksScaleUpAndDown) {
   EXPECT_DOUBLE_EQ(agent->instance_series().At(Minutes(5)), 0.0);
 }
 
+TEST_F(AgentTest, InstanceSeriesHasOnePointPerSpawnOrEviction) {
+  AgentConfig acfg;
+  acfg.max_concurrency = 2;
+  acfg.vcpus = 2;
+  acfg.keep_alive = Minutes(2);
+  auto agent = MakeAgent(acfg);
+  // 200 requests a second apart: one instance serves them all warm.
+  constexpr int kRequests = 200;
+  for (int i = 0; i < kRequests; ++i) {
+    events_.ScheduleAt(Sec(i), [&agent] { agent->Submit(); });
+  }
+  events_.RunUntil(Minutes(10));
+  EXPECT_EQ(agent->latencies().count(), static_cast<size_t>(kRequests));
+  EXPECT_EQ(agent->total_spawns(), 1u);
+  EXPECT_EQ(agent->total_evictions(), 1u);
+  const StepSeries& series = agent->instance_series();
+  EXPECT_LE(series.size(), agent->total_spawns() + agent->total_evictions());
+  EXPECT_DOUBLE_EQ(series.Max(), 1.0);
+  EXPECT_DOUBLE_EQ(series.At(Sec(kRequests / 2)), 1.0);
+  EXPECT_DOUBLE_EQ(series.At(Minutes(10)), 0.0);
+}
+
 TEST_F(AgentTest, MemoryStarvedRequestsWaitForGrant) {
   AgentConfig acfg;
   acfg.max_concurrency = 1;

@@ -112,10 +112,14 @@ TEST_F(GuestTest, ExitFreesAllAnonMemory) {
   guest_->TouchAnon(pid, MiB(100), 0);
   const uint64_t allocated_before = guest_->movable_zone().allocated_pages();
   EXPECT_GT(allocated_before, 0u);
+  EXPECT_GT(guest_->process(pid).folios().capacity(), 0u);
   guest_->Exit(pid);
   EXPECT_EQ(guest_->movable_zone().allocated_pages(), 0u);
   EXPECT_EQ(guest_->live_process_count(), 0u);
   EXPECT_TRUE(guest_->movable_zone().CheckFreeLists());
+  // The exited process keeps no folio-table memory.
+  EXPECT_EQ(guest_->process(pid).folios().capacity(), 0u);
+  EXPECT_EQ(guest_->process(pid).anon_pages(), 0u);
 }
 
 TEST_F(GuestTest, FreeAnonPartialRelease) {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -48,8 +49,42 @@ TEST(LatencyRecorderTest, UnsortedInputSortsLazily) {
   r.Record(Msec(10));
   r.Record(Msec(20));
   EXPECT_EQ(r.Percentile(50), Msec(20));
-  r.Record(Msec(5));  // Invalidates the sort cache.
+  r.Record(Msec(5));  // Invalidates the cached copy.
   EXPECT_EQ(r.Min(), Msec(5));
+}
+
+// Nearest rank by selection equals nearest rank over a full sort, also
+// after more samples arrive between queries.
+TEST(LatencyRecorderTest, PercentileMatchesSortedReference) {
+  LatencyRecorder r;
+  std::vector<DurationNs> all;
+  uint64_t x = 0x9e3779b97f4a7c15ull;  // Deterministic LCG stream.
+  auto record = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      x = x * 6364136223846793005ull + 1442695040888963407ull;
+      const auto sample = static_cast<DurationNs>((x >> 33) % 500);  // Many ties.
+      r.Record(sample);
+      all.push_back(sample);
+    }
+  };
+  auto expect_reference = [&]() {
+    std::vector<DurationNs> sorted = all;
+    std::sort(sorted.begin(), sorted.end());
+    for (const double p : {0.1, 50.0, 99.0, 99.9, 100.0}) {
+      const auto rank = static_cast<size_t>(std::ceil(p / 100.0 * sorted.size()));
+      EXPECT_EQ(r.Percentile(p), sorted[rank == 0 ? 0 : rank - 1])
+          << "p " << p << ", " << sorted.size() << " samples";
+    }
+    EXPECT_EQ(r.Min(), sorted.front());
+    EXPECT_EQ(r.Max(), sorted.back());
+  };
+  record(1);
+  expect_reference();
+  record(999);
+  expect_reference();
+  record(4321);
+  expect_reference();
+  expect_reference();  // Again on the reordered copy.
 }
 
 TEST(LatencyRecorderTest, ClearResets) {

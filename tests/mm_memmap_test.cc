@@ -215,6 +215,49 @@ TEST(MemMapTest, HostBackingCountsAcrossWordEdges) {
   EXPECT_EQ(m.materialized_peak_blocks(), 0u);
 }
 
+static_assert(MemMap::SlotBytes() == 32, "a slot is its start record, links and array");
+
+TEST(MemMapTest, FullyBackedBlockHoldsNoBitmap) {
+  MemMap m(GiB(1));
+  const Pfn start = MemMap::BlockStart(1);
+  EXPECT_EQ(m.CountHostBitmaps(), 0u);
+  // A whole-block set never allocates a bitmap; the count answers.
+  EXPECT_EQ(m.SetHostPopulated(start, kPagesPerBlock), kPagesPerBlock);
+  EXPECT_EQ(m.CountHostBitmaps(), 0u);
+  EXPECT_TRUE(m.host_populated(start));
+  EXPECT_TRUE(m.host_populated(start + kPagesPerBlock - 1));
+  EXPECT_EQ(m.CountBlockPopulated(1), kPagesPerBlock);
+  EXPECT_EQ(m.SetHostPopulated(start + 7, 9), 0u);
+  EXPECT_EQ(m.CountHostBitmaps(), 0u);
+  // A partial clear rebuilds the bitmap, all ones but the cleared pages.
+  EXPECT_EQ(m.ClearHostPopulated(start + 100, 3), 3u);
+  EXPECT_EQ(m.CountHostBitmaps(), 1u);
+  EXPECT_TRUE(m.host_populated(start + 99));
+  EXPECT_FALSE(m.host_populated(start + 100));
+  EXPECT_FALSE(m.host_populated(start + 102));
+  EXPECT_TRUE(m.host_populated(start + 103));
+  EXPECT_EQ(m.CountBlockPopulated(1), kPagesPerBlock - 3);
+  // The set that backs the block fully again frees it.
+  EXPECT_EQ(m.SetHostPopulated(start + 96, 8), 3u);
+  EXPECT_EQ(m.CountHostBitmaps(), 0u);
+  EXPECT_EQ(m.BlockPopulated(1), kPagesPerBlock);
+  // Backed THP by THP, a block holds a bitmap until the last piece.
+  m.InitBlock(2);
+  const Pfn two = MemMap::BlockStart(2);
+  for (uint32_t off = 0; off < kPagesPerBlock; off += 1u << kThpOrder) {
+    EXPECT_EQ(m.CountHostBitmaps(), off == 0 ? 0u : 1u) << "offset " << off;
+    EXPECT_EQ(m.SetHostPopulated(two + off, 1u << kThpOrder), 1u << kThpOrder);
+  }
+  EXPECT_EQ(m.CountHostBitmaps(), 0u);
+  EXPECT_EQ(m.CountBlockPopulated(2), kPagesPerBlock);
+  // Hot-remove hands back the whole block's backing.
+  m.set_block_state(2, BlockState::kOffline);
+  EXPECT_EQ(m.RemoveBlock(2), kPagesPerBlock);
+  EXPECT_FALSE(m.host_populated(two));
+  EXPECT_EQ(m.CountBlockPopulated(2), 0u);
+  EXPECT_EQ(m.CountHostBitmaps(), 0u);
+}
+
 TEST(MemMapTest, HostBackingSurvivesMergeAndSplit) {
   MemMap m(GiB(1));
   const MemMap& cm = m;

@@ -4,7 +4,8 @@
 // the record at the extent's start and nothing else, so the records a
 // larger extent covers stay behind, stale but unreachable, and ExtentStart
 // finds a page's extent by descending its slot's binary tree of extents.
-// Blocks, zones, free-list links and host backing are not modelled.
+// Host backing is one flag per pfn.  Blocks, zones and free-list links are
+// not modelled.
 #ifndef SQUEEZY_TESTS_ORACLES_DENSE_MEMMAP_H_
 #define SQUEEZY_TESTS_ORACLES_DENSE_MEMMAP_H_
 
@@ -21,7 +22,7 @@ namespace squeezy {
 class DenseMemMap {
  public:
   explicit DenseMemMap(uint64_t span_bytes)
-      : pages_(BytesToBlocks(span_bytes) * kPagesPerBlock) {
+      : pages_(BytesToBlocks(span_bytes) * kPagesPerBlock), backed_(pages_.size()) {
     for (Pfn pfn = 0; pfn < pages_.size(); pfn += MemMap::kSlotPages) {
       pages_[pfn] = MemMap::SlotRecord(PageState::kHole);
     }
@@ -29,8 +30,29 @@ class DenseMemMap {
 
   // Hot-add and hot-remove: every slot of block b becomes one offline or
   // hole extent.
-  void InitBlock(BlockIndex b) { StampSlots(b, MemMap::SlotRecord(PageState::kOffline)); }
-  void RemoveBlock(BlockIndex b) { StampSlots(b, MemMap::SlotRecord(PageState::kHole)); }
+  void InitBlock(BlockIndex b) {
+    StampSlots(b, MemMap::SlotRecord(PageState::kOffline));
+    ClearHostPopulated(MemMap::BlockStart(b), kPagesPerBlock);
+  }
+  // Hot-remove also drops the block's backing and returns how much it held.
+  uint32_t RemoveBlock(BlockIndex b) {
+    StampSlots(b, MemMap::SlotRecord(PageState::kHole));
+    const uint32_t populated = BlockPopulated(b);
+    ClearHostPopulated(MemMap::BlockStart(b), kPagesPerBlock);
+    return populated;
+  }
+
+  // Host backing, page by page; each returns how many flags changed.
+  uint32_t SetHostPopulated(Pfn pfn, uint32_t n) { return Flag(pfn, n, true); }
+  uint32_t ClearHostPopulated(Pfn pfn, uint32_t n) { return Flag(pfn, n, false); }
+  bool host_populated(Pfn pfn) const { return backed_[pfn]; }
+  uint32_t BlockPopulated(BlockIndex b) const {
+    uint32_t n = 0;
+    for (Pfn pfn = MemMap::BlockStart(b); pfn < MemMap::BlockStart(b + 1); ++pfn) {
+      n += backed_[pfn] ? 1 : 0;
+    }
+    return n;
+  }
 
   void Stamp(Pfn start, const Page& rec) {
     assert(rec.order <= kMaxPageOrder && start % (1u << rec.order) == 0);
@@ -87,7 +109,17 @@ class DenseMemMap {
     }
   }
 
+  uint32_t Flag(Pfn pfn, uint32_t n, bool backed) {
+    uint32_t changed = 0;
+    for (Pfn p = pfn; p < pfn + n; ++p) {
+      changed += backed_[p] != backed ? 1 : 0;
+      backed_[p] = backed;
+    }
+    return changed;
+  }
+
   std::vector<Page> pages_;
+  std::vector<bool> backed_;
 };
 
 }  // namespace squeezy

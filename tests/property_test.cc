@@ -835,6 +835,114 @@ TEST_P(MemMapVsDenseFuzzTest, StoreReadsAsTheDenseMap) {
   EXPECT_TRUE(saw_cut);
 }
 
+// Host backing through the life of a block: backed in pieces or whole
+// until it is full (when it holds no bitmap), cleared in part page by page
+// or in report batches as the balloon clears it, backed again, and
+// hot-removed.  Every step compares each page and each block's count with
+// the dense flags.
+TEST_P(MemMapVsDenseFuzzTest, HostBackingReadsAsTheDenseMap) {
+  using memmap_fuzz::kBlocks;
+  MemMap m(kBlocks * kMemoryBlockBytes);
+  DenseMemMap d(kBlocks * kMemoryBlockBytes);
+  Rng rng(GetParam());
+  auto pick = [&rng](uint32_t lo, uint32_t hi) {
+    return static_cast<uint32_t>(rng.UniformInt(lo, hi));
+  };
+  for (BlockIndex b = 0; b < kBlocks; ++b) {
+    m.InitBlock(b);
+    d.InitBlock(b);
+  }
+  auto set = [&](Pfn pfn, uint32_t n) {
+    ASSERT_EQ(m.SetHostPopulated(pfn, n), d.SetHostPopulated(pfn, n)) << "pfn " << pfn;
+  };
+  auto clear = [&](Pfn pfn, uint32_t n) {
+    ASSERT_EQ(m.ClearHostPopulated(pfn, n), d.ClearHostPopulated(pfn, n))
+        << "pfn " << pfn;
+  };
+  auto expect_same = [&]() {
+    uint32_t partial = 0;
+    uint32_t full = 0;
+    for (BlockIndex b = 0; b < kBlocks; ++b) {
+      for (Pfn pfn = MemMap::BlockStart(b); pfn < MemMap::BlockStart(b + 1); ++pfn) {
+        ASSERT_EQ(m.host_populated(pfn), d.host_populated(pfn)) << "pfn " << pfn;
+      }
+      const uint32_t count = d.BlockPopulated(b);
+      ASSERT_EQ(m.BlockPopulated(b), count) << "block " << b;
+      ASSERT_EQ(m.CountBlockPopulated(b), m.BlockPopulated(b)) << "block " << b;
+      partial += count > 0 && count < kPagesPerBlock ? 1 : 0;
+      full += count == kPagesPerBlock ? 1 : 0;
+    }
+    // Partly backed blocks hold a bitmap; fully backed ones never do.
+    EXPECT_GE(m.CountHostBitmaps(), partial);
+    EXPECT_LE(m.CountHostBitmaps(), kBlocks - full);
+  };
+  int saw_full = 0;
+  int saw_cleared_full = 0;
+  int saw_removed_full = 0;
+  for (int round = 0; round < 12; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const auto b = static_cast<BlockIndex>(pick(0, kBlocks - 1));
+    const Pfn base = MemMap::BlockStart(b);
+    // Back the block until it is full: whole, by THP granules, or by
+    // random ranges with the gaps filled last.
+    switch (pick(0, 2)) {
+      case 0:
+        set(base, kPagesPerBlock);
+        break;
+      case 1:
+        for (uint32_t off = 0; off < kPagesPerBlock; off += 1u << kThpOrder) {
+          set(base + off, 1u << kThpOrder);
+        }
+        break;
+      default:
+        for (int i = 0; i < 40; ++i) {
+          const uint32_t off = pick(0, kPagesPerBlock - 1);
+          set(base + off, pick(1, std::min<uint32_t>(700, kPagesPerBlock - off)));
+        }
+        for (uint32_t off = 0; off < kPagesPerBlock; off += 4096) {
+          set(base + off, 4096);
+        }
+        break;
+    }
+    ASSERT_NO_FATAL_FAILURE(expect_same());
+    ASSERT_EQ(m.BlockPopulated(b), kPagesPerBlock);
+    ++saw_full;
+    // Clear part of it as the balloon does: a run of pages, page by page
+    // or in report batches.
+    const uint32_t batches[] = {1, 32, 256};
+    const uint32_t batch = batches[pick(0, 2)];
+    for (int runs = static_cast<int>(pick(1, 4)); runs > 0; --runs) {
+      const uint32_t off = pick(0, kPagesPerBlock - 1);
+      const uint32_t n = pick(1, std::min<uint32_t>(1500, kPagesPerBlock - off));
+      for (uint32_t done = 0; done < n; done += batch) {
+        clear(base + off + done, std::min(batch, n - done));
+      }
+      ASSERT_NO_FATAL_FAILURE(expect_same());
+    }
+    ++saw_cleared_full;
+    // Back all of it again, or part of it.
+    if (round % 2 == 0) {
+      set(base, kPagesPerBlock);
+    } else {
+      const uint32_t off = pick(0, kPagesPerBlock - 1);
+      set(base + off, pick(1, kPagesPerBlock - off));
+    }
+    ASSERT_NO_FATAL_FAILURE(expect_same());
+    // Hot-remove it, full or partly backed, and add it back.
+    if (round % 4 < 2) {
+      saw_removed_full += m.BlockPopulated(b) == kPagesPerBlock ? 1 : 0;
+      m.set_block_state(b, BlockState::kOffline);
+      ASSERT_EQ(m.RemoveBlock(b), d.RemoveBlock(b));
+      ASSERT_NO_FATAL_FAILURE(expect_same());
+      m.InitBlock(b);
+      d.InitBlock(b);
+    }
+  }
+  EXPECT_GT(saw_full, 0);
+  EXPECT_GT(saw_cleared_full, 0);
+  EXPECT_GT(saw_removed_full, 0);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, MemMapVsDenseFuzzTest,
                          testing::Values(1u, 2u, 3u, 4u, 5u, 6u));
 

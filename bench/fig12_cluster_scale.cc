@@ -65,7 +65,6 @@ struct ComboResult {
   double setup_sec = 0;       // Cluster build + trace gen + SubmitTrace.
   double wall_sec = 0;        // Wall-clock spent inside RunUntil only.
   std::vector<uint64_t> shard_events;  // Per-shard counts (kSharded runs).
-  uint64_t head_updates = 0;  // Merge-heap re-sifts (kSharded runs).
   // Placement-path instrumentation (deterministic: identical under either
   // queue kernel, so all BENCH-safe).
   uint64_t decisions = 0;          // Routing decisions the scheduler took.
@@ -102,7 +101,7 @@ struct ComboResult {
 // Optional knobs beyond the sweep's (reclaim, placement, capacity, hosts)
 // axes: the event kernel and the sharded scale-out rows.
 struct ComboOpts {
-  EventQueue::Impl impl = EventQueue::Impl::kTimerWheel;
+  EventQueue::Impl impl = EventQueue::Impl::kSingleQueue;
   const ClusterTraceConfig* trace = nullptr;  // nullptr = fig12::TraceConfig().
   TimeNs horizon = kHorizon;
   // Shard-sweep sizing (see fig12_config.h): nullptr/0 = the paper
@@ -148,7 +147,6 @@ ComboResult RunCombo(ReclaimPolicy reclaim, PlacementPolicy placement,
   r.routing_hash = cluster.routing_hash();
   if (cluster.sharded() != nullptr) {
     r.shard_events = cluster.sharded()->ShardProcessed();
-    r.head_updates = cluster.sharded()->head_updates();
   }
   r.fleet = cluster.Summarize(opts.horizon);
   r.admitted = trace.size() - r.fleet.unplaced_invocations;
@@ -599,10 +597,10 @@ int main() {
   }
   scale.Print(std::cout);
 
-  // Sharded-kernel scale-out: per-host shards merged in (when, seq)
-  // order carry the fleet to 256/512/1024 hosts (load scaled with the
-  // fleet).  The identity gate at kShardIdentityHosts replays the same
-  // run on the single queue and requires bit-identical results.
+  // Sharded-kernel scale-out: per-host lanes of one event heap carry the
+  // fleet to 256/512/1024 hosts (load scaled with the fleet).  The
+  // identity gate at kShardIdentityHosts replays the same run on the
+  // single queue and requires bit-identical results.
   std::cout << "\nSharded kernel scale-out (Squeezy + HintedBinPack, paper-sized "
                "functions, load scaled with hosts):\n";
   TablePrinter shard_scale({"Hosts", "Admitted", "PendingUps", "Events", "Decisions",
@@ -644,8 +642,6 @@ int main() {
     // Sum of the per-shard and mailbox peaks.
     json.Metric("shard_peak_pending_" + tag, sh.peak_pending);
     json.Metric("shard_balance_pct_" + tag, sh.shard_balance_pct());
-    // Merge work behind those events: re-sifts of the heap of queue heads.
-    json.Metric("shard_head_updates_" + tag, sh.head_updates);
     // Placement-path instrumentation: how many routing decisions the row
     // took, how many host deltas the index absorbed maintaining its
     // trees, and the depth an indexed decision walks instead of scanning
@@ -683,7 +679,7 @@ int main() {
       // Bit-identity gate: same config and seed on the single queue
       // must reproduce the sharded run exactly.
       ComboOpts ref_opts = shard_opts;
-      ref_opts.impl = EventQueue::Impl::kTimerWheel;
+      ref_opts.impl = EventQueue::Impl::kSingleQueue;
       const ComboResult ref = RunCombo(ReclaimPolicy::kSqueezy,
                                        PlacementPolicy::kHintedBinPack,
                                        fig12::kShardHostCapacity, hosts,

@@ -15,10 +15,7 @@ Cluster::Deciders Cluster::IndexedDeciders(const ClusterConfig& config,
 Cluster::Cluster(const ClusterConfig& config, MakeDeciders make_deciders)
     : config_(config) {
   assert(config_.nr_hosts > 0);
-  // Hosts sharing a registry (dep cache / snapshot store) touch
-  // cross-host state from host handlers; they get the single queue.
-  const bool registries = config_.shared_dep_cache || config_.shared_snapshots;
-  if (config_.queue_impl == EventQueue::Impl::kSharded && !registries) {
+  if (config_.queue_impl == EventQueue::Impl::kSharded) {
     sharded_ = std::make_unique<ShardedEventQueue>(config_.nr_hosts);
     events_ = &sharded_->global();
   } else {
@@ -192,7 +189,7 @@ size_t Cluster::MigrateOff(size_t src) {
       // delta beyond the recording crosses the wire — priced as a fixed
       // restore setup plus a bulk prefetch at snapshot speed.
       const bool snap_hit =
-          snap_fresh && hosts_[dst.host]->Snapshot(dst.local_fn).snapshot_restorable;
+          snap_fresh && hosts_[dst.host]->SnapshotRestorableFor(dst.local_fn);
       // Sizes the transfer for `n` of the captured instances, applying
       // the dep/snapshot discounts the chosen destination earns.
       const auto sized = [&](size_t n) {

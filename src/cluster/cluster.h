@@ -1,7 +1,7 @@
 // Multi-host FaaS cluster (tentpole subsystem).
 //
 // Owns K FaasRuntime hosts driven by one fleet event kernel — a single
-// shared EventQueue, or per-host shards that fire in the identical order
+// shared EventQueue, or per-host lanes of that one heap
 // (ClusterConfig::queue_impl).  One virtual clock totally orders the
 // whole fleet, so cluster runs are as bit-deterministic as single-host
 // ones.  A ClusterScheduler routes
@@ -72,14 +72,14 @@ struct ClusterConfig {
   // every existing experiment is bit-identical with it off.
   bool shared_snapshots = false;
   // Event kernel for the fleet clock.  The single queue is the
-  // default.  kSharded gives every host its own queue plus a cross-shard
-  // mailbox, merged in (when, seq) order (src/sim/sharded_event_queue.h)
-  // — but only for registry-free fleets: with shared_dep_cache or
-  // shared_snapshots set, the Cluster builds the single queue instead and
-  // sharded() stays null.  Both kernels fire events in identical order
-  // (locked by tests and the property fuzz), so this knob never changes
-  // results — only wall-clock speed.
-  EventQueue::Impl queue_impl = EventQueue::Impl::kTimerWheel;
+  // default.  kSharded gives every host its own lane of the one heap plus
+  // a mailbox lane (src/sim/sharded_event_queue.h), with or without
+  // registries attached.  The lanes share the heap's (when, seq) order, so
+  // this knob changes only the per-host counters sharded() reports, never
+  // results.  The field stays only because perfbench
+  // (perfbench/squeezy_perfbench.cc) still assigns it and reads those
+  // counters; it goes when perfbench stops doing so.
+  EventQueue::Impl queue_impl = EventQueue::Impl::kSingleQueue;
   // Ignored: every kernel runs on the calling thread.  The field stays
   // only because the benchmark driver (perfbench/squeezy_perfbench.cc)
   // still assigns it; it goes when that driver stops doing so.
@@ -126,38 +126,25 @@ class Cluster : private HostStateListener {
   // Routing happens per invocation at its arrival time.
   void SubmitTrace(const std::vector<Invocation>& trace);
 
-  // Under kSharded these merge the shards and the mailbox in (when, seq)
-  // order.  The single queue just runs.
-  void RunUntil(TimeNs t) {
-    if (sharded_ != nullptr) {
-      sharded_->RunUntil(t);
-    } else {
-      events_->RunUntil(t);
-    }
-  }
-  void RunAll() {
-    if (sharded_ != nullptr) {
-      sharded_->RunAll();
-    } else {
-      events_->RunAll();
-    }
-  }
+  // Run the fleet's one heap (every lane under kSharded).
+  void RunUntil(TimeNs t) { events_->RunUntil(t); }
+  void RunAll() { events_->RunAll(); }
 
   // --- Accessors -----------------------------------------------------------------
   // The fleet-level queue: the single global queue, or — under kSharded —
-  // the cross-shard mailbox (dispatch, churn, migration completions).
+  // the mailbox lane (dispatch, churn, migration completions).
   // Fleet-sequential contexts (tests, benches, Cluster handlers) schedule
   // here; per-host machinery runs on host_queue(h).
   EventQueue& events() { return *events_; }
-  // The queue host h's runtime and agents fire on: its shard under
+  // The queue host h's runtime and agents fire on: its lane under
   // kSharded, the global queue otherwise.
   EventQueue& host_queue(size_t h) {
     return sharded_ != nullptr ? sharded_->shard(h) : *events_;
   }
-  // Null unless queue_impl == kSharded and no registry is attached.
+  // Null unless queue_impl == kSharded.
   const ShardedEventQueue* sharded() const { return sharded_.get(); }
-  // Events executed across the whole kernel (all shards + mailbox under
-  // kSharded) — the bench throughput numerator.
+  // Events executed across the whole kernel (all lanes under kSharded) —
+  // the bench throughput numerator.
   uint64_t processed_events() const {
     return sharded_ != nullptr ? sharded_->processed_events()
                                : events_->processed_events();
@@ -260,10 +247,10 @@ class Cluster : private HostStateListener {
   }
 
   const ClusterConfig config_;  // Immutable after construction.
-  // Exactly one of the two kernels below is live: the per-host shard
-  // array + mailbox (kSharded, no registries), or one global queue.
-  // `events_` always points at the fleet-level queue (the mailbox when
-  // sharded) so the scheduling sites read uniformly.
+  // Exactly one of the two kernels below is live: the per-host lanes +
+  // mailbox lane (kSharded), or one global queue.  `events_` always
+  // points at the fleet-level queue (the mailbox lane when sharded) so
+  // the scheduling sites read uniformly.
   std::unique_ptr<ShardedEventQueue> sharded_;
   std::unique_ptr<EventQueue> single_;
   EventQueue* events_;  // Never null; &sharded_->global() or single_.get().

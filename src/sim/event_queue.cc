@@ -10,24 +10,25 @@
 namespace squeezy {
 
 EventId EventQueue::ScheduleAt(TimeNs when, std::function<void()> fn) {
-  return Schedule(std::max(when, clock_->now), ++clock_->seq, std::move(fn));
+  return Schedule(std::max(when, heap_->now), ++heap_->seq, std::move(fn));
 }
 
 EventId EventQueue::Schedule(TimeNs when, uint64_t seq, std::function<void()> fn) {
-  if (free_.empty()) {
-    assert(slots_.size() < kFree);
-    free_.push_back(static_cast<uint32_t>(slots_.size()));
-    slots_.emplace_back();
+  Heap& h = *heap_;
+  if (h.free.empty()) {
+    assert(h.slots.size() < kFree);
+    h.free.push_back(static_cast<uint32_t>(h.slots.size()));
+    h.slots.emplace_back();
   }
-  const uint32_t slot = free_.back();
-  free_.pop_back();
-  slots_[slot].fn = std::move(fn);
-  heap_.push_back(Node{when, seq, slot});
-  Sift(heap_.size() - 1);
-  peak_pending_ = std::max(peak_pending_, heap_.size());
+  const uint32_t slot = h.free.back();
+  h.free.pop_back();
+  h.slots[slot].fn = std::move(fn);
+  h.slots[slot].lane = this;
+  h.nodes.push_back(Node{when, seq, slot});
+  h.Sift(h.nodes.size() - 1);
+  peak_pending_ = std::max(peak_pending_, ++pending_);
   ++scheduled_;
-  NoteChange();
-  return (static_cast<EventId>(slots_[slot].gen) << 32) | slot;
+  return (static_cast<EventId>(h.slots[slot].gen) << 32) | slot;
 }
 
 void EventQueue::ScheduleEach(std::vector<TimeNs> whens, std::function<void(size_t)> fn) {
@@ -38,15 +39,15 @@ void EventQueue::ScheduleEach(std::vector<TimeNs> whens, std::function<void(size
   auto series = std::make_shared<Series>();
   series->queue = this;
   for (TimeNs& when : whens) {
-    when = std::max(when, clock_->now);
+    when = std::max(when, heap_->now);
   }
   series->order.resize(whens.size());
   std::iota(series->order.begin(), series->order.end(), 0u);
   std::stable_sort(series->order.begin(), series->order.end(),
                    [&whens](uint32_t a, uint32_t b) { return whens[a] < whens[b]; });
   // Reserve the n sequence numbers n ScheduleAt calls would draw now.
-  series->first_seq = clock_->seq + 1;
-  clock_->seq += whens.size();
+  series->first_seq = heap_->seq + 1;
+  heap_->seq += whens.size();
   series->whens = std::move(whens);
   series->fn = std::move(fn);
   ArmNext(std::move(series));
@@ -71,108 +72,97 @@ void EventQueue::ArmNext(std::shared_ptr<Series> series) {
 
 EventId EventQueue::ScheduleAfter(DurationNs delay, std::function<void()> fn) {
   assert(delay >= 0);
-  return ScheduleAt(clock_->now + delay, std::move(fn));
+  return ScheduleAt(heap_->now + delay, std::move(fn));
 }
 
-void EventQueue::JoinFleet(Fleet* fleet, uint32_t id) {
-  assert(own_clock_.seq == 0 && "a queue joins its fleet before any scheduling");
-  assert(id < fleet->listed.size());
-  clock_ = &fleet->clock;
-  fleet_ = fleet;
-  fleet_id_ = id;
-}
-
-void EventQueue::Sift(size_t pos) {
-  const Node node = heap_[pos];
-  while (pos > 0 && Earlier(node, heap_[(pos - 1) / kArity])) {
-    Place(pos, heap_[(pos - 1) / kArity]);
+void EventQueue::Heap::Sift(size_t pos) {
+  const Node node = nodes[pos];
+  while (pos > 0 && Earlier(node, nodes[(pos - 1) / kArity])) {
+    Place(pos, nodes[(pos - 1) / kArity]);
     pos = (pos - 1) / kArity;
   }
-  for (size_t first = pos * kArity + 1; first < heap_.size(); first = pos * kArity + 1) {
-    const size_t end = std::min(first + kArity, heap_.size());
+  for (size_t first = pos * kArity + 1; first < nodes.size(); first = pos * kArity + 1) {
+    const size_t end = std::min(first + kArity, nodes.size());
     size_t best = first;
     for (size_t c = first + 1; c < end; ++c) {
-      if (Earlier(heap_[c], heap_[best])) {
+      if (Earlier(nodes[c], nodes[best])) {
         best = c;
       }
     }
-    if (!Earlier(heap_[best], node)) {
+    if (!Earlier(nodes[best], node)) {
       break;
     }
-    Place(pos, heap_[best]);
+    Place(pos, nodes[best]);
     pos = best;
   }
   Place(pos, node);
 }
 
-void EventQueue::Remove(size_t pos) {
-  Slot& slot = slots_[heap_[pos].slot];
+void EventQueue::Heap::Remove(size_t pos) {
+  Slot& slot = slots[nodes[pos].slot];
   slot.pos = kFree;
+  --slot.lane->pending_;
   // A generation that wraps to 0 would reissue an old id: retire the slot.
   if (++slot.gen != 0) {
-    free_.push_back(heap_[pos].slot);
+    free.push_back(nodes[pos].slot);
   }
-  heap_[pos] = heap_.back();
-  heap_.pop_back();
-  if (pos < heap_.size()) {
+  nodes[pos] = nodes.back();
+  nodes.pop_back();
+  if (pos < nodes.size()) {
     Sift(pos);
   }
 }
 
 bool EventQueue::Cancel(EventId id) {
+  Heap& h = *heap_;
   const uint64_t index = id & UINT32_MAX;
-  if (index >= slots_.size() || slots_[index].pos == kFree ||
-      slots_[index].gen != id >> 32) {
+  if (index >= h.slots.size() || h.slots[index].pos == kFree ||
+      h.slots[index].gen != id >> 32) {
     return false;  // Already ran, cancelled, never issued, or kInvalidEventId.
   }
   // Destroyed on return, once the books are consistent: a closure's
   // destructor may re-enter the queue.
-  const std::function<void()> dead = std::move(slots_[index].fn);
-  Remove(slots_[index].pos);
-  NoteChange();
+  const std::function<void()> dead = std::move(h.slots[index].fn);
+  h.Remove(h.slots[index].pos);
   return true;
 }
 
 void EventQueue::AdvanceBy(DurationNs d) {
   assert(d >= 0);
-  clock_->now += d;
+  heap_->now += d;
 }
 
-bool EventQueue::PeekNext(TimeNs* when, uint64_t* seq) const {
-  if (heap_.empty()) {
+bool EventQueue::PeekNext(TimeNs* when) const {
+  if (heap_->nodes.empty()) {
     return false;
   }
-  *when = heap_.front().when;
-  *seq = heap_.front().seq;
+  *when = heap_->nodes.front().when;
   return true;
 }
 
-bool EventQueue::RunOne() {
-  if (heap_.empty()) {
-    return false;
-  }
+void EventQueue::RunTop() {
+  Heap& h = *heap_;
   // The closure leaves its slot, and its id dies, before it runs:
   // handlers re-enter the queue.
-  const Node top = heap_.front();
-  const std::function<void()> fn = std::move(slots_[top.slot].fn);
-  Remove(0);
-  clock_->now = std::max(clock_->now, top.when);
-  ++processed_;
-  NoteChange();
+  const Node top = h.nodes.front();
+  const std::function<void()> fn = std::move(h.slots[top.slot].fn);
+  ++h.slots[top.slot].lane->processed_;
+  h.Remove(0);
+  h.now = std::max(h.now, top.when);
   fn();
-  return true;
 }
 
 void EventQueue::RunUntil(TimeNs deadline) {
-  while (!heap_.empty() && heap_.front().when <= deadline) {
-    RunOne();
+  while (!heap_->nodes.empty() && heap_->nodes.front().when <= deadline) {
+    RunTop();
   }
-  clock_->now = std::max(clock_->now, deadline);
+  heap_->now = std::max(heap_->now, deadline);
 }
 
 void EventQueue::RunAll(uint64_t max_events) {
   uint64_t ran = 0;
-  while (RunOne()) {
+  while (!heap_->nodes.empty()) {
+    RunTop();
     if (++ran >= max_events) {
       // Returning would hand the caller a truncated run with work still
       // pending, so the guard stops the process in every build.

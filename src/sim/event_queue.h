@@ -6,12 +6,19 @@
 //
 // Storage is one 4-ary min-heap ordered by (when, seq) whose entries
 // point into a slot table; a slot holds the event's closure, its heap
-// position and a generation counter.  An EventId names (slot,
-// generation), so Cancel finds its entry without hashing, removes it in
-// O(log n) and destroys the closure at once: nothing cancelled lingers.
-// Firing order is a pure function of (timestamp, global scheduling
-// sequence); tests/oracles/heap_event_queue.h is the independent
-// reference the oracle fuzz replays against.
+// position, a generation counter and the lane that scheduled it.  An
+// EventId names (slot, generation), so Cancel finds its entry without
+// hashing, removes it in O(log n) and destroys the closure at once:
+// nothing cancelled lingers.  Firing order is a pure function of
+// (timestamp, global scheduling sequence); tests/oracles/heap_event_queue.h
+// is the independent reference the oracle fuzz replays against.
+//
+// Lanes: a queue built as a lane of another shares that queue's heap,
+// slots, clock and sequence counter, and keeps only its own counters
+// (pending, peak, scheduled, processed) for the events scheduled through
+// it.  Run* on any lane runs the whole heap, and an id cancels its event
+// through any lane.  The sharded kernel (src/sim/sharded_event_queue.h)
+// is a set of lanes of one heap.
 //
 // A trace is not stored whole: ScheduleEach keeps one live event per
 // submitted series (its next call that is due), so the live set stays
@@ -38,20 +45,23 @@ inline constexpr EventId kInvalidEventId = 0;
 // out of storage before it runs.
 class EventQueue {
  public:
-  // The fleet kernel a Cluster builds (ClusterConfig::queue_impl); an
-  // EventQueue itself is always one heap.
+  // The fleet kernel a Cluster builds (ClusterConfig::queue_impl); either
+  // way the fleet runs on one heap.
   enum class Impl {
-    kTimerWheel,  // One queue for the whole fleet (default).
-    // Per-host queue shards merged in global (when, seq) order
-    // (src/sim/sharded_event_queue.h); each shard is one EventQueue.
+    kSingleQueue,  // One queue for the whole fleet (default).
+    // One lane per host plus a mailbox lane (sharded_event_queue.h).
     kSharded,
   };
 
-  EventQueue() = default;
+  // A queue with a heap of its own.
+  EventQueue() : heap_(std::make_shared<Heap>()) {}
+  // A lane of `queue`'s heap.  The lane must outlive the events it
+  // schedules.
+  explicit EventQueue(EventQueue* queue) : heap_(queue->heap_) {}
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
-  TimeNs now() const { return clock_->now; }
+  TimeNs now() const { return heap_->now; }
 
   // Schedules `fn` to run at absolute virtual time `when` (clamped to now).
   EventId ScheduleAt(TimeNs when, std::function<void()> fn);
@@ -69,7 +79,8 @@ class EventQueue {
   // cancelled.
   void ScheduleEach(std::vector<TimeNs> whens, std::function<void(size_t)> fn);
 
-  // Cancels a pending event: removes it and destroys its closure before
+  // Cancels a pending event of the heap, whichever lane scheduled it:
+  // removes it, debits that lane and destroys the closure before
   // returning.  Returns false if it already ran (or is running), was
   // cancelled, or was never issued; kInvalidEventId is never issued.  A
   // slot is reused only under a new generation, so a stale id never
@@ -81,70 +92,72 @@ class EventQueue {
   // Events that become due are NOT run; call Run* to drain them.
   void AdvanceBy(DurationNs d);
 
-  // Runs events until the queue is empty or the clock passes `deadline`.
-  // The clock ends at max(deadline, last event time <= deadline).
+  // Runs the heap's events until it is empty or the clock passes
+  // `deadline`.  The clock ends at max(deadline, last event time <=
+  // deadline).
   void RunUntil(TimeNs deadline);
 
-  // Runs every pending event (including ones scheduled while draining).
-  // `max_events` guards against runaway self-rescheduling loops: running
-  // that many aborts the process, in every build.
+  // Runs every pending event of the heap (including ones scheduled while
+  // draining).  `max_events` guards against runaway self-rescheduling
+  // loops: running that many aborts the process, in every build.
   void RunAll(uint64_t max_events = 50'000'000);
 
-  // --- Sharded-coordinator primitives (src/sim/sharded_event_queue.h) ------
-  // The clock and sequence counter a queue reads: its own, or under a
-  // ShardedEventQueue the pair every queue of the fleet shares.
-  struct Clock {
-    TimeNs now = 0;
-    uint64_t seq = 0;  // The last sequence number drawn.
-  };
-  // What the queues of one ShardedEventQueue share: one clock, so
-  // (when, seq) totally orders events fleet-wide and a handler sees fleet
-  // time on any queue, and the list of queues whose head may have moved
-  // since the coordinator last looked (each listed at most once).
-  struct Fleet {
-    Clock clock;
-    std::vector<uint32_t> changed;
-    std::vector<uint8_t> listed;  // listed[q]: queue q is in `changed`.
-  };
-  // Makes this queue queue `id` of `fleet`: it reads fleet->clock, and
-  // every schedule, cancel and pop lists it in fleet->changed.  Call
-  // before any event is scheduled.
-  void JoinFleet(Fleet* fleet, uint32_t id);
-  // The earliest pending event's (when, seq) without running it; false
-  // when drained.  O(1): it reads the heap top.
-  bool PeekNext(TimeNs* when, uint64_t* seq) const;
-  // Pops and runs the earliest pending event; false when drained.  The
-  // coordinator's (when, seq) merge primitive.
-  bool RunOne();
+  // The time of the heap's earliest pending event; false when drained.
+  bool PeekNext(TimeNs* when) const;
 
-  // Live events: scheduled and neither run nor cancelled.  A series from
-  // ScheduleEach counts as one until its last call runs.
-  bool empty() const { return heap_.empty(); }
-  size_t pending() const { return heap_.size(); }
+  // Live events scheduled through this lane: neither run nor cancelled.
+  // A series from ScheduleEach counts as one until its last call runs.
+  bool empty() const { return pending_ == 0; }
+  size_t pending() const { return pending_; }
   // High-water mark of pending().
   size_t peak_pending() const { return peak_pending_; }
-  // Events put into storage so far: one per ScheduleAt, one per call of
-  // a ScheduleEach series (each is stored when the previous one runs).
+  // Events this lane put into storage so far: one per ScheduleAt, one per
+  // call of a ScheduleEach series (each is stored when the previous one
+  // runs).
   uint64_t scheduled_events() const { return scheduled_; }
-  // Events actually executed so far (bench throughput accounting).
+  // Events of this lane executed so far (bench throughput accounting).
   uint64_t processed_events() const { return processed_; }
 
  private:
-  // A heap entry; `slot` indexes slots_.
+  // A heap entry; `slot` indexes Heap::slots.
   struct Node {
     TimeNs when;
     uint64_t seq;
     uint32_t slot;
   };
-  // A pending event's closure and heap position (kFree when the slot
-  // holds none); `gen` is the generation its current id carries.
+  // A pending event's closure, lane and heap position (kFree when the
+  // slot holds none); `gen` is the generation its current id carries.
   struct Slot {
     std::function<void()> fn;
+    EventQueue* lane = nullptr;
     uint32_t pos = kFree;
     uint32_t gen = 1;
   };
   static constexpr uint32_t kFree = UINT32_MAX;
   static constexpr size_t kArity = 4;
+
+  // What the lanes of one heap share.
+  struct Heap {
+    TimeNs now = 0;
+    uint64_t seq = 0;  // The last sequence number drawn.
+    // 4-ary min-heap by (when, seq): exactly the pending events.
+    std::vector<Node> nodes;
+    std::vector<Slot> slots;
+    // Slots holding no event, reused last-in first-out.
+    std::vector<uint32_t> free;
+
+    // Writes `node` at heap position `pos` and records it in its slot.
+    void Place(size_t pos, const Node& node) {
+      nodes[pos] = node;
+      slots[node.slot].pos = static_cast<uint32_t>(pos);
+    }
+    // Moves the entry at heap position `pos` up or down to its place.
+    void Sift(size_t pos);
+    // Removes the entry at heap position `pos`, debits its lane and frees
+    // its slot under the next generation; the slot's closure must
+    // already be moved out.
+    void Remove(size_t pos);
+  };
 
   // A ScheduleEach series: its calls in firing order and the next one.
   struct Series {
@@ -163,38 +176,14 @@ class EventQueue {
   static bool Earlier(const Node& a, const Node& b) {
     return a.when != b.when ? a.when < b.when : a.seq < b.seq;
   }
-  // Writes `node` at heap position `pos` and records it in its slot.
-  void Place(size_t pos, const Node& node) {
-    heap_[pos] = node;
-    slots_[node.slot].pos = static_cast<uint32_t>(pos);
-  }
-  // Moves the entry at heap position `pos` up or down to its place.
-  void Sift(size_t pos);
-  // Removes the entry at heap position `pos` and frees its slot under
-  // the next generation; the slot's closure must already be moved out.
-  void Remove(size_t pos);
+  // Pops and runs the heap's earliest event; the heap must hold one.
+  void RunTop();
 
-  // Tells the fleet, if any, that this queue's head may have moved.
-  void NoteChange() {
-    if (fleet_ != nullptr && fleet_->listed[fleet_id_] == 0) {
-      fleet_->listed[fleet_id_] = 1;
-      fleet_->changed.push_back(fleet_id_);
-    }
-  }
-
-  // own_clock_, or the fleet's shared clock once JoinFleet is called.
-  Clock own_clock_;
-  Clock* clock_ = &own_clock_;
-  Fleet* fleet_ = nullptr;
-  uint32_t fleet_id_ = 0;
+  std::shared_ptr<Heap> heap_;
   uint64_t processed_ = 0;
   uint64_t scheduled_ = 0;
+  size_t pending_ = 0;
   size_t peak_pending_ = 0;
-  // 4-ary min-heap by (when, seq): exactly the pending events.
-  std::vector<Node> heap_;
-  std::vector<Slot> slots_;
-  // Slots holding no event, reused last-in first-out.
-  std::vector<uint32_t> free_;
 };
 
 // One persistent closure re-armed in place.  Per-host periodic work

@@ -18,19 +18,28 @@
 namespace squeezy {
 namespace {
 
-TEST(ClusterTest, ShardedKernelOnlyForRegistryFreeFleets) {
-  // A shared registry lets host handlers touch cross-host state, so a
-  // kSharded config with one attached runs on the single queue instead.
-  ClusterConfig cfg = FleetConfig(PlacementPolicy::kRoundRobin, GiB(8));
-  cfg.queue_impl = EventQueue::Impl::kSharded;
-  EXPECT_NE(Cluster(cfg).sharded(), nullptr);
+TEST(ClusterTest, ShardedKernelBuildsLanesWithRegistriesAttached) {
+  // Every lane shares the one heap, so a shared registry's cross-host
+  // handlers run in the single queue's order: a kSharded fleet with one
+  // attached still gives each host its own lane and routes exactly as
+  // the single queue does.
   for (const bool dep_cache : {false, true}) {
-    ClusterConfig shared = cfg;
-    shared.shared_dep_cache = dep_cache;
-    shared.shared_snapshots = !dep_cache;
-    Cluster cluster(shared);
-    EXPECT_EQ(cluster.sharded(), nullptr);
-    EXPECT_EQ(&cluster.host(3).events(), &cluster.events());
+    ClusterConfig cfg = FleetConfig(PlacementPolicy::kRoundRobin, GiB(8));
+    cfg.shared_dep_cache = dep_cache;
+    cfg.shared_snapshots = !dep_cache;
+    const auto routing_hash = [&](EventQueue::Impl impl) {
+      cfg.queue_impl = impl;
+      Cluster cluster(cfg);
+      EXPECT_EQ(cluster.sharded() != nullptr, impl == EventQueue::Impl::kSharded);
+      EXPECT_EQ(&cluster.host(3).events() != &cluster.events(),
+                impl == EventQueue::Impl::kSharded);
+      AddSkewedLoad(cluster, TinySpec("lanes"), /*seed=*/42);
+      cluster.RunUntil(Minutes(8));
+      return cluster.routing_hash();
+    };
+    EXPECT_EQ(routing_hash(EventQueue::Impl::kSharded),
+              routing_hash(EventQueue::Impl::kSingleQueue))
+        << (dep_cache ? "dep cache" : "snapshots");
   }
 }
 

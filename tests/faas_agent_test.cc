@@ -351,8 +351,7 @@ TEST_F(AgentTest, CompletionBeatsATiedEventScheduledAfterItsBatch) {
   events_.RunUntil(Minutes(2) + Msec(30));
   agent->Submit();  // Batch: the first request (70 ms left) and this one.
   TimeNs when = 0;
-  uint64_t seq = 0;
-  ASSERT_TRUE(events_.PeekNext(&when, &seq));
+  ASSERT_TRUE(events_.PeekNext(&when));
   EXPECT_EQ(events_.pending(), 1u);
   size_t done_at_tie = 0;
   events_.ScheduleAt(when, [&] { done_at_tie = agent->requests().size(); });

@@ -3135,19 +3135,18 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SnapshotMigrationFuzzTest,
 // queue" (src/sim/sharded_event_queue.h).  One random churn script
 // (cluster_churn::RunChurn in tests/support/cluster_churn.h) —
 // drain/undrain/pressure-migrate while a skewed trace runs — is replayed
-// under the single queue and under kSharded, with the shared
-// registries both detached (shards merged by queue head) and attached
-// (the Cluster builds the single queue).  Every replay must produce a
-// byte-identical fleet digest: per-request firing logs, cold-start
-// breakdowns, host books, migration records, the routing hash and the
-// fleet summary.
+// under the single queue and under kSharded (per-host lanes of the one
+// heap), with the shared registries both detached and attached.  Every
+// replay must produce a byte-identical fleet digest: per-request firing
+// logs, cold-start breakdowns, host books, migration records, the routing
+// hash and the fleet summary.
 class ShardedVsSingleQueueFuzzTest
     : public testing::TestWithParam<std::tuple<bool /*registries*/, uint64_t /*seed*/>> {};
 
 TEST_P(ShardedVsSingleQueueFuzzTest, ShardedMatchesSingleQueue) {
   const auto [registries, seed] = GetParam();
   const std::string reference =
-      cluster_churn::RunChurn(EventQueue::Impl::kTimerWheel, registries, seed);
+      cluster_churn::RunChurn(EventQueue::Impl::kSingleQueue, registries, seed);
   const std::string sharded =
       cluster_churn::RunChurn(EventQueue::Impl::kSharded, registries, seed);
   EXPECT_EQ(reference, sharded)
@@ -3182,11 +3181,11 @@ class IndexedVsScanPlacementFuzzTest
 TEST_P(IndexedVsScanPlacementFuzzTest, IndexedMatchesScanThroughChurn) {
   const auto [policy, registries] = GetParam();
   for (const uint64_t seed : {1u, 2u, 3u}) {
-    const std::string scan = cluster_churn::RunChurn(EventQueue::Impl::kTimerWheel,
-                                                    registries, seed, &ScanDeciders, policy);
+    const std::string scan = cluster_churn::RunChurn(
+        EventQueue::Impl::kSingleQueue, registries, seed, &ScanDeciders, policy);
     const std::string indexed =
-        cluster_churn::RunChurn(EventQueue::Impl::kTimerWheel, registries, seed,
-                               &Cluster::IndexedDeciders, policy);
+        cluster_churn::RunChurn(EventQueue::Impl::kSingleQueue, registries, seed,
+                                &Cluster::IndexedDeciders, policy);
     EXPECT_EQ(scan, indexed)
         << "indexed placement diverged from the snapshot scan under "
         << PlacementPolicyName(policy) << " (registries "
@@ -3212,11 +3211,11 @@ TEST_P(IndexedVsScanPlacementFuzzTest, IndexedMatchesScanWhenSaturated) {
     uint64_t hints = 0;
     for (const uint64_t seed : {1u, 2u, 3u}) {
       const std::string scan =
-          cluster_churn::RunChurn(EventQueue::Impl::kTimerWheel, registries, seed,
-                                 &ScanDeciders, policy, reclaim, kSaturatedCapacity);
+          cluster_churn::RunChurn(EventQueue::Impl::kSingleQueue, registries, seed,
+                                  &ScanDeciders, policy, reclaim, kSaturatedCapacity);
       cluster_churn::ChurnCounters counters;
       const std::string indexed = cluster_churn::RunChurn(
-          EventQueue::Impl::kTimerWheel, registries, seed, &Cluster::IndexedDeciders,
+          EventQueue::Impl::kSingleQueue, registries, seed, &Cluster::IndexedDeciders,
           policy, reclaim, kSaturatedCapacity, &counters);
       EXPECT_EQ(scan, indexed)
           << "indexed placement diverged from the snapshot scan under "
@@ -3261,9 +3260,9 @@ TEST(PressureTickTest, UnservableScaleUpsLetRunAllDrain) {
   for (const ReclaimPolicy reclaim : {ReclaimPolicy::kSqueezy, ReclaimPolicy::kVirtioMem,
                                       ReclaimPolicy::kHarvestOpts}) {
     cluster_churn::ChurnCounters counters;
-    cluster_churn::RunChurn(EventQueue::Impl::kTimerWheel, /*registries=*/false, 1,
-                           &Cluster::IndexedDeciders, PlacementPolicy::kHintedBinPack,
-                           reclaim, MiB(1152), &counters);
+    cluster_churn::RunChurn(EventQueue::Impl::kSingleQueue, /*registries=*/false, 1,
+                            &Cluster::IndexedDeciders, PlacementPolicy::kHintedBinPack,
+                            reclaim, MiB(1152), &counters);
     EXPECT_GT(counters.parked_scaleups, 0u)
         << ReclaimPolicyName(reclaim) << ": no scale-up was left unservable";
   }

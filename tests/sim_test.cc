@@ -504,32 +504,6 @@ TEST(EventQueueTest, MultiHourCancelsFreeClosuresAtOnce) {
   EXPECT_EQ(fired.use_count(), 1);
 }
 
-TEST(EventQueueTest, PeekNextAndRunOneCoordinatorContract) {
-  // The sharded coordinator's primitives: PeekNext reports the exact
-  // (when, seq) head without running it, and RunOne fires precisely one
-  // event and moves the clock to it.
-  EventQueue q;
-  std::vector<int> fired;
-  q.ScheduleAt(Msec(5), [&] { fired.push_back(0); });
-  q.ScheduleAt(Msec(5), [&] { fired.push_back(1); });
-  q.ScheduleAt(Sec(2), [&] { fired.push_back(2); });
-  TimeNs when = 0;
-  uint64_t seq = 0;
-  ASSERT_TRUE(q.PeekNext(&when, &seq));
-  EXPECT_EQ(when, Msec(5));
-  const uint64_t first_seq = seq;
-  ASSERT_TRUE(q.RunOne());
-  EXPECT_EQ(fired, (std::vector<int>{0}));
-  ASSERT_TRUE(q.PeekNext(&when, &seq));
-  EXPECT_EQ(when, Msec(5));
-  EXPECT_GT(seq, first_seq);  // Same instant, later seq: FIFO tiebreak.
-  EXPECT_EQ(q.now(), Msec(5));
-  q.RunAll();
-  EXPECT_EQ(fired, (std::vector<int>{0, 1, 2}));
-  EXPECT_FALSE(q.PeekNext(&when, &seq));
-  EXPECT_FALSE(q.RunOne());
-}
-
 TEST(EventQueueTest, ScheduleEachHoldsOneLiveEventAndFiresInStableOrder) {
   // A series stores only its next call.  Calls fire in (when, index)
   // order, and a time already in the past runs at the submission instant.
@@ -627,6 +601,46 @@ TEST(EventQueueTest, PeakPendingAndScheduledEventsCountTheLiveSet) {
   fleet.RunAll();
   EXPECT_EQ(fleet.scheduled_events(), 3u);
   EXPECT_EQ(fleet.peak_pending(), 3u);
+}
+
+TEST(EventQueueTest, LanesCountOnlyTheirOwnEvents) {
+  // Lanes share one heap but keep their own counters: a series counts as
+  // one live event on the lane that submitted it, a cancel debits the
+  // lane that scheduled the event, and the per-lane processed counts sum
+  // to the heap's.  Ids come from the one slot table, so an id cancelled
+  // through another lane still cancels the event it names.
+  ShardedEventQueue fleet(3);
+  EventQueue& a = fleet.shard(0);
+  EventQueue& b = fleet.shard(1);
+  int series_calls = 0;
+  a.ScheduleEach({Msec(1), Msec(2), Msec(3)}, [&](size_t) { ++series_calls; });
+  EXPECT_EQ(a.pending(), 1u);
+  EXPECT_EQ(b.pending(), 0u);
+  EXPECT_EQ(fleet.global().pending(), 0u);
+  const EventId own = b.ScheduleAt(Msec(2), [] { ADD_FAILURE() << "cancelled"; });
+  ASSERT_EQ(b.pending(), 1u);
+  EXPECT_TRUE(b.Cancel(own));
+  EXPECT_EQ(b.pending(), 0u);
+  EXPECT_EQ(a.pending(), 1u);
+  bool other_ran = false;
+  const EventId other = fleet.shard(2).ScheduleAt(Msec(2), [&] { other_ran = true; });
+  b.ScheduleAt(Msec(2), [] {});
+  EXPECT_TRUE(fleet.global().Cancel(other));
+  EXPECT_EQ(fleet.shard(2).pending(), 0u);
+  EXPECT_EQ(b.pending(), 1u);
+  fleet.global().ScheduleAt(Msec(4), [] {});
+  fleet.RunAll();
+  EXPECT_FALSE(other_ran);
+  EXPECT_EQ(series_calls, 3);
+  const std::vector<uint64_t> per_shard = fleet.ShardProcessed();
+  EXPECT_EQ(per_shard, (std::vector<uint64_t>{3, 1, 0}));
+  EXPECT_EQ(per_shard[0] + per_shard[1] + per_shard[2] +
+                fleet.global().processed_events(),
+            fleet.processed_events());
+  EXPECT_EQ(fleet.processed_events(), 5u);
+  EXPECT_EQ(a.peak_pending(), 1u);
+  EXPECT_EQ(a.scheduled_events(), 3u);
+  EXPECT_EQ(fleet.shard(2).scheduled_events(), 1u);
 }
 
 // The runaway guard: a handler that reschedules itself forever never

@@ -83,7 +83,7 @@ RunResult RunOnce(ReclaimPolicy policy, uint64_t capacity, uint64_t seed) {
 
   RunResult result;
   for (size_t i = 0; i < specs.size(); ++i) {
-    LatencyRecorder& lat = rt.agent(static_cast<int>(i)).latencies();
+    const LatencyRecorder& lat = rt.agent(static_cast<int>(i)).latencies();
     result.p99.push_back(lat.empty() ? 0 : lat.Percentile(99));
   }
   const StepSeries& committed = rt.host().committed_series();

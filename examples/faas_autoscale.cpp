@@ -48,7 +48,7 @@ int main() {
   }
   runtime.RunUntil(Minutes(7));
 
-  LatencyRecorder& lat = runtime.agent(fn).latencies();
+  const LatencyRecorder& lat = runtime.agent(fn).latencies();
   std::printf("\nServed %zu requests: P50 %s, P99 %s\n", lat.count(),
               FormatDuration(lat.Percentile(50)).c_str(),
               FormatDuration(lat.Percentile(99)).c_str());

@@ -338,12 +338,7 @@ void Agent::StartExec(int32_t instance_id, TimeNs arrival) {
 
   StartWork(spec_.vcpu_shares, work, [this, instance_id, arrival, exec_start, cold] {
     Instance& i = instance(instance_id);
-    RequestRecord rec;
-    rec.arrival = arrival;
-    rec.done = events_->now();
-    rec.cold = cold;
-    records_.push_back(rec);
-    latencies_.Record(rec.latency());
+    requests_.Append(arrival, events_->now(), cold);
     if (cold) {
       i.first_exec_done = true;
       i.cold.first_exec = events_->now() - exec_start;

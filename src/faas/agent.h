@@ -48,6 +48,54 @@ struct RequestRecord {
   DurationNs latency() const { return done - arrival; }
 };
 
+// An agent's completed requests, in completion order, stored as columns:
+// the arrival time, a cold bit, and the latency sample the agent's
+// LatencyRecorder already holds (16 B and a bit per request).  Entry i
+// is samples()[i] of that recorder, so `done` is arrival + latency.
+// Reads yield RequestRecord by value.
+class RequestLog {
+ public:
+  class Iterator {
+   public:
+    Iterator(const RequestLog* log, size_t i) : log_(log), i_(i) {}
+    RequestRecord operator*() const { return (*log_)[i_]; }
+    Iterator& operator++() {
+      ++i_;
+      return *this;
+    }
+    bool operator!=(const Iterator& o) const { return i_ != o.i_; }
+
+   private:
+    const RequestLog* log_;
+    size_t i_;
+  };
+
+  void Append(TimeNs arrival, TimeNs done, bool cold) {
+    arrivals_.push_back(arrival);
+    cold_.push_back(cold);
+    latencies_.Record(done - arrival);
+  }
+
+  size_t size() const { return arrivals_.size(); }
+  RequestRecord operator[](size_t i) const {
+    RequestRecord r;
+    r.arrival = arrivals_[i];
+    r.done = arrivals_[i] + latencies_.samples()[i];
+    r.cold = cold_[i];
+    return r;
+  }
+  RequestRecord back() const { return (*this)[size() - 1]; }
+  Iterator begin() const { return Iterator(this, 0); }
+  Iterator end() const { return Iterator(this, size()); }
+
+  const LatencyRecorder& latencies() const { return latencies_; }
+
+ private:
+  std::vector<TimeNs> arrivals_;
+  std::vector<bool> cold_;
+  LatencyRecorder latencies_;  // The latency column.
+};
+
 enum class InstanceState : uint8_t {
   kWaitingMemory,  // Scale-up admitted, waiting for plug/boot.
   kColdStart,      // Running container/function init.
@@ -177,9 +225,10 @@ class Agent {
   uint64_t MaxWarmAnonBytes() const;
 
   // --- Metrics --------------------------------------------------------------------
-  const std::vector<RequestRecord>& requests() const { return records_; }
-  LatencyRecorder& latencies() { return latencies_; }
-  const LatencyRecorder& latencies() const { return latencies_; }
+  // Every completed request, in completion order; latencies() is its
+  // latency column.
+  const RequestLog& requests() const { return requests_; }
+  const LatencyRecorder& latencies() const { return requests_.latencies(); }
   const std::vector<ColdStartBreakdown>& cold_starts() const { return cold_starts_; }
   // Every instance ever created, evicted ones included (ids 0..n-1), and
   // the two fields the idle picks rank on — for oracles that re-derive
@@ -297,8 +346,7 @@ class Agent {
   int kernel_threads_busy_ = 0;
 
   // Metrics.
-  std::vector<RequestRecord> records_;
-  LatencyRecorder latencies_;
+  RequestLog requests_;
   std::vector<ColdStartBreakdown> cold_starts_;
   StepSeries instance_series_;
   uint64_t evictions_ = 0;

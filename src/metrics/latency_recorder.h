@@ -11,6 +11,9 @@ namespace squeezy {
 
 // Collects duration samples; percentiles use nearest-rank, selected
 // (std::nth_element, O(n)) from a lazily made copy so recording stays O(1).
+// samples() stays in record order whatever is queried: an agent's
+// RequestLog keeps its latency column here and reads entry i as
+// samples()[i], so no query may reorder samples_ in place.
 class LatencyRecorder {
  public:
   void Record(DurationNs sample);
@@ -27,6 +30,7 @@ class LatencyRecorder {
   DurationNs Percentile(double p) const;
   DurationNs Sum() const { return sum_; }
 
+  // Every sample, in the order recorded.
   const std::vector<DurationNs>& samples() const { return samples_; }
   void Clear();
 

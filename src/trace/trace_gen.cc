@@ -1,6 +1,10 @@
 #include "src/trace/trace_gen.h"
 
 #include <algorithm>
+#include <cassert>
+#include <cstddef>
+#include <functional>
+#include <utility>
 
 namespace squeezy {
 
@@ -52,17 +56,38 @@ std::vector<Invocation> GenerateBurstyTrace(const BurstyTraceConfig& config, Rng
 }
 
 std::vector<Invocation> MergeTraces(std::vector<std::vector<Invocation>> traces) {
-  std::vector<Invocation> merged;
+  // k-way merge through a min-heap of (next arrival, stream) heads: ties
+  // go to the lower stream index, which is the order a stable sort of
+  // the streams' concatenation by time gives.
+  using Head = std::pair<TimeNs, size_t>;
+  std::vector<Head> heads;
+  std::vector<size_t> next(traces.size(), 0);
   size_t total = 0;
-  for (const auto& t : traces) {
+  for (size_t s = 0; s < traces.size(); ++s) {
+    const std::vector<Invocation>& t = traces[s];
+    for (size_t i = 1; i < t.size(); ++i) {
+      assert(t[i - 1].at <= t[i].at && "MergeTraces takes streams sorted by time");
+    }
     total += t.size();
+    if (!t.empty()) {
+      heads.emplace_back(t.front().at, s);
+    }
   }
+  const std::greater<Head> later;
+  std::make_heap(heads.begin(), heads.end(), later);
+  std::vector<Invocation> merged;
   merged.reserve(total);
-  for (auto& t : traces) {
-    merged.insert(merged.end(), t.begin(), t.end());
+  while (!heads.empty()) {
+    std::pop_heap(heads.begin(), heads.end(), later);
+    const size_t s = heads.back().second;
+    merged.push_back(traces[s][next[s]++]);
+    if (next[s] < traces[s].size()) {
+      heads.back().first = traces[s][next[s]].at;
+      std::push_heap(heads.begin(), heads.end(), later);
+    } else {
+      heads.pop_back();
+    }
   }
-  std::stable_sort(merged.begin(), merged.end(),
-                   [](const Invocation& a, const Invocation& b) { return a.at < b.at; });
   return merged;
 }
 

@@ -54,7 +54,9 @@ std::vector<Invocation> GenerateBurstyTrace(const BurstyTraceConfig& config,
 // when one Rng feeds several streams).
 std::vector<Invocation> GenerateBurstyTrace(const BurstyTraceConfig& config, Rng& rng);
 
-// Merges per-function streams into one sorted stream.
+// Merges per-function streams, each sorted by time, into one sorted
+// stream; equal times keep stream order (lower index first), then each
+// stream's own order.
 std::vector<Invocation> MergeTraces(std::vector<std::vector<Invocation>> traces);
 
 }  // namespace squeezy

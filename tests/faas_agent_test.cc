@@ -12,6 +12,8 @@
 #include "src/guest/guest_kernel.h"
 #include "src/host/host_memory.h"
 #include "src/host/hypervisor.h"
+#include "src/metrics/latency_recorder.h"
+#include "src/sim/rng.h"
 
 namespace squeezy {
 namespace {
@@ -324,12 +326,65 @@ TEST_F(AgentTest, EqualEtaItemsCompleteInStartOrder) {
   };
   events_.RunUntil(Minutes(3));
   EXPECT_EQ(finished, started);
-  const std::vector<RequestRecord>& reqs = agent->requests();
+  const auto& reqs = agent->requests();
   ASSERT_EQ(reqs.size(), 9u);
   for (size_t i = 6; i < 9; ++i) {
     EXPECT_FALSE(reqs[i].cold);
     EXPECT_EQ(reqs[i].done, reqs[6].done);
   }
+}
+
+// The request log's columns stay one record per completion: entry i's
+// latency is the recorder's i-th sample, and percentile queries reorder
+// nothing.
+TEST_F(AgentTest, RequestLogMatchesLatencyColumn) {
+  AgentConfig acfg;
+  acfg.max_concurrency = 2;
+  acfg.vcpus = 1;
+  acfg.keep_alive = Sec(20);
+  auto agent = MakeAgent(acfg);
+  Rng rng(2026);
+  size_t max_queued = 0;
+  TimeNs t = 0;
+  for (int i = 0; i < 300; ++i) {
+    // Bursts of close arrivals queue; a long gap lets keep-alives expire.
+    t += rng.Chance(0.05) ? Sec(rng.UniformInt(25, 60)) : Msec(rng.UniformInt(0, 150));
+    events_.ScheduleAt(t, [&] {
+      agent->Submit();
+      max_queued = std::max(max_queued, agent->queued_requests());
+    });
+  }
+  events_.RunUntil(t + Minutes(5));
+  EXPECT_GT(max_queued, 0u);
+  ASSERT_GT(agent->cold_starts().size(), 1u);
+
+  const auto& log = agent->requests();
+  const LatencyRecorder& lat = agent->latencies();
+  ASSERT_EQ(log.size(), 300u);
+  ASSERT_EQ(log.size(), lat.count());
+  std::vector<RequestRecord> before;
+  size_t cold = 0;
+  for (size_t i = 0; i < log.size(); ++i) {
+    const RequestRecord r = log[i];
+    EXPECT_EQ(r.latency(), lat.samples()[i]) << "entry " << i;
+    EXPECT_LE(r.arrival, r.done) << "entry " << i;
+    cold += r.cold;
+    before.push_back(r);
+  }
+  EXPECT_EQ(cold, agent->cold_starts().size());
+  EXPECT_EQ(log.back().done, before.back().done);
+
+  lat.Percentile(50);
+  lat.Percentile(99);
+  size_t i = 0;
+  for (const RequestRecord& r : log) {
+    ASSERT_LT(i, before.size());
+    EXPECT_EQ(r.arrival, before[i].arrival) << "entry " << i;
+    EXPECT_EQ(r.done, before[i].done) << "entry " << i;
+    EXPECT_EQ(r.cold, before[i].cold) << "entry " << i;
+    ++i;
+  }
+  EXPECT_EQ(i, before.size());
 }
 
 TEST_F(AgentTest, CompletionBeatsATiedEventScheduledAfterItsBatch) {

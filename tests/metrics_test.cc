@@ -87,6 +87,30 @@ TEST(LatencyRecorderTest, PercentileMatchesSortedReference) {
   expect_reference();  // Again on the reordered copy.
 }
 
+// samples() is the recorded sequence after any percentile query: an
+// agent's request log reads its latency column from it by index.
+TEST(LatencyRecorderTest, PercentileKeepsRecordOrder) {
+  LatencyRecorder r;
+  std::vector<DurationNs> recorded;
+  uint64_t x = 0x2545f4914f6cdd1dull;  // Deterministic LCG stream.
+  for (int i = 0; i < 2000; ++i) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    const auto sample = static_cast<DurationNs>((x >> 33) % 300);
+    r.Record(sample);
+    recorded.push_back(sample);
+    if (i % 500 == 499) {
+      r.Percentile(50);
+      r.Percentile(99);
+      r.Percentile(100);
+      ASSERT_EQ(r.samples(), recorded) << "after " << recorded.size() << " samples";
+    }
+  }
+  r.Min();
+  r.Max();
+  r.Mean();
+  EXPECT_EQ(r.samples(), recorded);
+}
+
 TEST(LatencyRecorderTest, ClearResets) {
   LatencyRecorder r;
   r.Record(1);

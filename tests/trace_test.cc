@@ -1,8 +1,10 @@
 // Unit tests for trace generation, churn analysis, and memhog.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
+#include <vector>
 
 #include "src/guest/guest_kernel.h"
 #include "src/host/host_memory.h"
@@ -83,6 +85,40 @@ TEST(TraceGenTest, MergeInterleavesSorted) {
   EXPECT_EQ(merged[1].function, 1);
   EXPECT_EQ(merged[2].function, 0);
   EXPECT_EQ(merged[3].function, 1);
+}
+
+// The k-way merge equals a stable sort of the streams' concatenation by
+// time: ties go to the lower stream, then keep each stream's order.
+TEST(TraceGenTest, MergeMatchesStableSortWithTies) {
+  Rng rng(11);
+  for (int round = 0; round < 20; ++round) {
+    std::vector<std::vector<Invocation>> streams(
+        static_cast<size_t>(rng.UniformInt(1, 12)));
+    for (size_t s = 0; s < streams.size(); ++s) {
+      const int64_t n = rng.UniformInt(0, 200);
+      TimeNs t = 0;
+      for (int64_t i = 0; i < n; ++i) {
+        t += rng.UniformInt(0, 3);  // Coarse steps: many equal timestamps.
+        // The function tag records (stream, position) to check the order.
+        streams[s].push_back(Invocation{t, static_cast<int32_t>(s * 1000 + i)});
+      }
+    }
+    std::vector<Invocation> reference;
+    for (const auto& st : streams) {
+      reference.insert(reference.end(), st.begin(), st.end());
+    }
+    const auto by_time = [](const Invocation& a, const Invocation& b) {
+      return a.at < b.at;
+    };
+    std::stable_sort(reference.begin(), reference.end(), by_time);
+    const std::vector<Invocation> merged = MergeTraces(streams);
+    ASSERT_EQ(merged.size(), reference.size()) << "round " << round;
+    for (size_t i = 0; i < merged.size(); ++i) {
+      ASSERT_EQ(merged[i].at, reference[i].at) << "round " << round << ", entry " << i;
+      ASSERT_EQ(merged[i].function, reference[i].function)
+          << "round " << round << ", entry " << i;
+    }
+  }
 }
 
 // --- Churn -----------------------------------------------------------------
